@@ -68,13 +68,13 @@ def build_spec(cfg, *, rate, chaos_seed):
 
 def run_load(spec, *, storage=None, resume=False, max_events=None):
     with obs.fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness([spec], storage=storage, clock=ctx.clock) as harness:
-            if resume and not harness.restore():
-                raise RuntimeError("expected a checkpoint to resume from")
-            started = time.perf_counter()
-            report = harness.run(max_events=max_events)
-            wall = time.perf_counter() - started
-            return report, wall, harness.finished
+        harness = ServeHarness([spec], storage=storage, clock=ctx.clock)
+        if resume and not harness.restore():
+            raise RuntimeError("expected a checkpoint to resume from")
+        started = time.perf_counter()
+        report = harness.run(max_events=max_events)
+        wall = time.perf_counter() - started
+        return report, wall, harness.finished
 
 
 def main(argv=None) -> int:

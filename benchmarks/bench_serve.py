@@ -45,23 +45,22 @@ from repro.serve import LoadSpec, ServeHarness  # noqa: E402
 from repro.tee.storage import InMemoryBackend, SecureStorage  # noqa: E402
 
 
-def run_load(specs, *, workers=0, storage=None, resume=False, max_events=None,
+def run_load(specs, *, storage=None, resume=False, max_events=None,
              checkpoint_every=1):
     """One harness run under a fresh obs context; returns (report, wall, done)."""
     with obs.fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness(
+        harness = ServeHarness(
             specs,
-            workers=workers,
             storage=storage,
             checkpoint_every=checkpoint_every,
             clock=ctx.clock,
-        ) as harness:
-            if resume and not harness.restore():
-                raise RuntimeError("expected a checkpoint to resume from")
-            started = time.perf_counter()
-            report = harness.run(max_events=max_events)
-            wall = time.perf_counter() - started
-            return report, wall, harness.finished
+        )
+        if resume and not harness.restore():
+            raise RuntimeError("expected a checkpoint to resume from")
+        started = time.perf_counter()
+        report = harness.run(max_events=max_events)
+        wall = time.perf_counter() - started
+        return report, wall, harness.finished
 
 
 def job_row(report, wall):
@@ -233,26 +232,6 @@ def main(argv=None) -> int:
     if not exact_sha_matches:
         failures.append("ratio-1.0 f64 run is not bitwise-exact")
 
-    # --- workers: multiprocess shard fold must not change the bits ---------
-    worker_specs = tenant_specs(
-        tenants=1, clients=200, commits=4, buffer_size=24,
-        concurrency=48, seed=args.seed, shards=4,
-    )
-    solo, solo_wall, _ = run_load(worker_specs, workers=0)
-    pooled, pooled_wall, _ = run_load(worker_specs, workers=2)
-    workers_exact = (
-        solo["jobs"][0]["weights_sha256"] == pooled["jobs"][0]["weights_sha256"]
-    )
-    workers = {
-        "shards": 4,
-        "weights_sha256_matches_streaming": workers_exact,
-        "streaming_wall_seconds": solo_wall,
-        "pooled_wall_seconds": pooled_wall,
-    }
-    print(f"  workers=2 bitwise-equal to streaming fold: {workers_exact}")
-    if not workers_exact:
-        failures.append("worker pool changed committed bytes")
-
     payload = {
         "benchmark": "serve",
         "schema": 1,
@@ -265,7 +244,6 @@ def main(argv=None) -> int:
         "aggregator_memory_flat": memory_flat,
         "kill_resume": kill_resume,
         "compression": compression,
-        "workers": workers,
     }
     write_result(args.out, payload)
     for failure in failures:

@@ -85,7 +85,6 @@ def build_server(
     plan: Optional[TrainingPlan] = None,
     *,
     policy=None,
-    executor=None,
     config: Optional[ServerConfig] = None,
 ) -> FLServer:
     """Build an :class:`FLServer` from a typed config.
@@ -103,7 +102,7 @@ def build_server(
         model = lenet5(num_classes=10, input_shape=(3, 16, 16), seed=cfg.seed)
     if plan is None:
         plan = TrainingPlan(lr=0.05, batch_size=8, local_steps=1)
-    return FLServer(model, plan, policy=policy, executor=executor, config=cfg)
+    return FLServer(model, plan, policy=policy, config=cfg)
 
 
 def simulate(
@@ -225,7 +224,6 @@ def serve(
     commits: int = 10,
     buffer_size: int = 64,
     shards: int = 1,
-    workers: int = 0,
     concurrency: int = 128,
     max_queue_depth: int = 4096,
     ratio: Optional[float] = None,
@@ -255,7 +253,7 @@ def serve(
     fold / reject counts, uplink/downlink bytes per client, p50/p99
     dispatch→commit latency, ``aggregator_peak_bytes``, and
     ``weights_sha256``.  Identical arguments produce a byte-identical
-    report; ``workers`` and kill/resume (see the CLI's ``--state-dir``)
+    report; ``shards`` and kill/resume (see the CLI's ``--state-dir``)
     never change the committed bytes.  ``ratio`` switches the uplink to
     top-k sparse frames and ``encoding`` picks the wire value dtype —
     at ``ratio=1.0`` with ``encoding="f64"`` the commits are
@@ -300,9 +298,8 @@ def serve(
         for i in range(tenants)
     ]
     with fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness(
+        harness = ServeHarness(
             specs,
-            workers=workers,
             quota=TenantQuota(max_queue_depth=max_queue_depth),
             clock=ctx.clock,
             breaker=(
@@ -310,8 +307,8 @@ def serve(
                 if chaos and breaker_budget > 0
                 else None
             ),
-        ) as harness:
-            return harness.run()
+        )
+        return harness.run()
 
 
 def attack_suite(

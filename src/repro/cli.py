@@ -11,8 +11,7 @@ Usage::
     python -m repro simulate --clients 100000 --shards 64
 
 Every subcommand spells the shared knobs the same way: ``--seed``,
-``--clients``, ``--rounds``, ``--out``.  Older spellings (``--cycles``)
-still parse as hidden aliases of the canonical flag.
+``--clients``, ``--rounds``, ``--out``.
 """
 
 from __future__ import annotations
@@ -502,9 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     in-flight wire frames) checkpoints through secure storage after
     every ``--checkpoint-every`` events, so a ``kill -9`` mid-commit can
     be re-invoked with the same command line and finishes with a report
-    bitwise identical to an uninterrupted run.  With ``--workers N``
-    shard-level aggregation at commit time is dispatched to N worker
-    processes — same bytes, by the exact reduce's order independence.
+    bitwise identical to an uninterrupted run.
     """
     import hashlib
 
@@ -561,22 +558,20 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         )
 
     with fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness(
+        harness = ServeHarness(
             specs,
-            workers=args.workers,
             quota=quota,
             storage=storage,
             checkpoint_every=args.checkpoint_every,
             clock=ctx.clock,
             breaker=breaker,
-        ) as harness:
-            harness.restore()
-            report = harness.run()
+        )
+        harness.restore()
+        report = harness.run()
         required = [
             "serve.jobs.active",
             "serve.queue.depth",
             "serve.backpressure.rejects",
-            "serve.worker.restarts",
         ]
         if chaos:
             required += [
@@ -598,44 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         print(text)
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench.perf import compare_payloads, run_perf_suite
-
-    payload = run_perf_suite(
-        quick=args.quick,
-        max_workers=args.workers,
-        num_clients=args.clients,
-        progress=print,
-    )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        rows = compare_payloads(payload, baseline, threshold=args.threshold)
-        regressed = [row for row in rows if row["regressed"]]
-        print(
-            f"comparing against {args.compare} "
-            f"(threshold {args.threshold:.0%}):"
-        )
-        for row in rows:
-            flag = "REGRESSION" if row["regressed"] else "ok"
-            print(
-                f"  {row['metric']:<28} baseline {row['baseline']:.4g} "
-                f"-> current {row['current']:.4g} "
-                f"({row['regression_fraction']:+.1%} worse) {flag}"
-            )
-        if regressed:
-            print(f"{len(regressed)} tracked metric(s) regressed > "
-                  f"{args.threshold:.0%}")
-            return 1
-        print("no tracked metric regressed")
-    return 0
-
-
 _COMMANDS = {
     "table5": (_cmd_table5, "DPIA AUC, static vs dynamic GradSec"),
     "table6": (_cmd_table6, "CPU time and TEE memory per configuration"),
@@ -647,29 +604,12 @@ _COMMANDS = {
 }
 
 
-def _cmd_list(args: argparse.Namespace) -> None:
+def _cmd_list(parser: argparse.ArgumentParser) -> None:
+    """Print every registered subcommand with its help line."""
     print("available experiments:")
-    for name, (_, description) in _COMMANDS.items():
-        print(f"  {name:<8} {description}")
-    print(f"  {'perf':<8} fused-kernel and parallel-round microbenchmarks")
-    print(f"  {'trace':<8} deterministic FL-round trace + metrics as JSON")
-    print(f"  {'simulate':<8} event-driven FL fleet simulation with fault injection")
-    print(f"  {'serve':<8} multi-tenant coordinator service under synthetic load")
-
-
-def _add_alias(sub: argparse.ArgumentParser, flag: str, dest: str, type=None) -> None:
-    """Register a deprecated spelling of a canonical flag.
-
-    Hidden from ``--help`` and contributing no default, so the canonical
-    flag's default always wins unless the alias is actually typed.
-    """
-    sub.add_argument(
-        flag,
-        dest=dest,
-        type=type,
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+    for action in parser._subparsers._group_actions[0]._get_subactions():
+        if action.dest != "list":
+            print(f"  {action.dest:<8} {action.help}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=description)
         sub.add_argument("--fast", action="store_true", help="reduced budget")
         sub.add_argument("--rounds", type=int, default=36, help="FL rounds (DPIA)")
-        _add_alias(sub, "--cycles", dest="rounds", type=int)
         sub.add_argument("--batch-size", type=int, default=32, help="batch size")
         sub.add_argument("--seed", type=int, default=0, help="experiment seed")
         sub.add_argument("--out", default=None, help="write result rows as JSON here")
@@ -711,28 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="also run the multi-cycle DPIA pipeline per policy",
             )
-    perf = subparsers.add_parser(
-        "perf", help="fused-kernel and parallel-round microbenchmarks"
-    )
-    perf.add_argument("--quick", action="store_true", help="smoke configuration")
-    perf.add_argument("--workers", type=int, default=4, help="executor width")
-    perf.add_argument(
-        "--clients", type=int, default=8, help="FL participants in round benchmarks"
-    )
-    perf.add_argument("--out", default=None, help="write BENCH_kernels JSON here")
-    perf.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a previous BENCH_kernels JSON; exit non-zero "
-        "when any tracked metric regresses past --threshold",
-    )
-    perf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="relative regression tolerance for --compare (default 0.20)",
-    )
     trace = subparsers.add_parser(
         "trace", help="deterministic FL-round trace + metrics as JSON"
     )
@@ -943,13 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, help="aggregation shards per job"
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="multiprocess shard workers for commit-time folds (0 = in-process; "
-        "the committed bytes are identical either way)",
-    )
-    serve.add_argument(
         "--concurrency", type=int, default=128, help="in-flight dispatches per job"
     )
     serve.add_argument(
@@ -1044,12 +954,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
-        _cmd_list(args)
+        _cmd_list(parser)
         return 0
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "trace":
         _cmd_trace(args)
         return 0

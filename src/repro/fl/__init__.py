@@ -17,14 +17,12 @@ from .aggregation import (
     StreamingWeightedSum,
     fedavg,
     merge_plain_and_sealed,
-    weighted_average,
 )
 from .buffer import BufferedAggregator
 from .client import FLClient
 from .compression import SparseUpdate, TopKCompressor, weighted_sparse_mean
 from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .dp import GaussianMechanism, clip_by_norm
-from .executor import ParallelRoundExecutor, RoundExecutor, SequentialRoundExecutor
 from .history import SnapshotHistory
 from .metrics import RoundRecord, TrainingMonitor
 from .plan import TrainingPlan
@@ -56,9 +54,8 @@ from .transport import Channel, ClientUpdate, ModelDownload
 
 __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
-    "RoundExecutor", "SequentialRoundExecutor", "ParallelRoundExecutor",
     "RetryPolicy", "collect_with_retries",
-    "fedavg", "weighted_average", "merge_plain_and_sealed",
+    "fedavg", "merge_plain_and_sealed",
     "CompensatedAccumulator", "StreamingWeightedSum",
     "ServerConfig", "RoundConfig", "ShardingConfig",
     "BufferConfig", "BufferedAggregator",

@@ -1,20 +1,14 @@
 """Server-side aggregation: FedAvg over an exact streaming reduce.
 
-Two reduction kernels live here:
-
-* :func:`weighted_average` — the legacy flat kernel: a left-to-right float
-  fold in client order, kept bit-for-bit compatible with the seed
-  implementation (regression-tested) but rewritten around preallocated
-  accumulators so it no longer rebuilds a generator per key per layer.
-* :class:`StreamingWeightedSum` / :func:`fedavg` — the canonical reduce.
-  Contributions ``count_i * w_i`` are folded one at a time into a
-  compensated accumulator (a Shewchuk-style expansion: a short list of
-  non-overlapping float64 arrays whose *exact* sum is the true sum — every
-  fold is an error-free transformation built from TwoSum).  Because the
-  accumulator represents the exact real-valued sum, the finalized result is
-  independent of fold order **and** of how clients are grouped into shards:
-  a hierarchical (sharded) reduce produces the same bits as the flat one.
-  Memory is O(model size) per accumulator — never O(clients × model size).
+:class:`StreamingWeightedSum` / :func:`fedavg` are the one reduction kernel.
+Contributions ``count_i * w_i`` are folded one at a time into a compensated
+accumulator (a Shewchuk-style expansion: a short list of non-overlapping
+float64 arrays whose *exact* sum is the true sum — every fold is an
+error-free transformation built from TwoSum).  Because the accumulator
+represents the exact real-valued sum, the finalized result is independent of
+fold order **and** of how clients are grouped into shards: a hierarchical
+(sharded) reduce produces the same bits as the flat one.  Memory is O(model
+size) per accumulator — never O(clients × model size).
 
 :mod:`repro.fl.sharding` builds the hierarchical tree on top of
 :class:`StreamingWeightedSum`; the FL server and the fleet simulator both
@@ -24,7 +18,7 @@ bitwise-interchangeable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +29,6 @@ __all__ = [
     "CompensatedAccumulator",
     "StreamingWeightedSum",
     "fedavg",
-    "weighted_average",
     "merge_plain_and_sealed",
 ]
 
@@ -251,43 +244,6 @@ class StreamingWeightedSum:
             raise ValueError("no client weights to aggregate")
         mean = self.accumulator.value() / float(self.total_samples)
         return unflatten_weights(mean, self.template)
-
-
-def weighted_average(
-    weights_list: Sequence[WeightsList], sample_counts: Sequence[int]
-) -> WeightsList:
-    """Legacy flat kernel: left-to-right fold in client order.
-
-    Kept bit-compatible with the original generator-per-key implementation
-    (the regression suite asserts it) but restructured around a single
-    preallocated accumulator per parameter, so each array is scaled and
-    added exactly once instead of re-walking a generator per key per layer.
-    """
-    if not weights_list:
-        raise ValueError("no client weights to aggregate")
-    if len(weights_list) != len(sample_counts):
-        raise ValueError("weights and sample counts must align")
-    total = float(sum(sample_counts))
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
-    n_layers = len(weights_list[0])
-    for w in weights_list:
-        if len(w) != n_layers:
-            raise ValueError("clients disagree on layer count")
-    out: WeightsList = []
-    for layer_index in range(n_layers):
-        merged: Dict[str, np.ndarray] = {}
-        for key in weights_list[0][layer_index]:
-            # ``0.0 +`` reproduces the seed implementation's ``sum(...)``
-            # starting from zero (it canonicalizes -0.0 contributions).
-            acc = 0.0 + (sample_counts[0] / total) * np.asarray(
-                weights_list[0][layer_index][key]
-            )
-            for w, count in zip(weights_list[1:], sample_counts[1:]):
-                acc += (count / total) * np.asarray(w[layer_index][key])
-            merged[key] = acc
-        out.append(merged)
-    return out
 
 
 def fedavg(

@@ -5,9 +5,7 @@ of loose keyword arguments (retry policy, quorum, re-attestation, sampling
 seed, …).  This module is the redesigned surface: small frozen dataclasses
 that validate on construction, compose (`ServerConfig` nests `RoundConfig`
 and `ShardingConfig`), and travel as plain data.  ``FLServer(config=...)``
-is the supported spelling; the legacy kwargs still work through a
-deprecation shim that maps them onto these types (see
-:meth:`ServerConfig.from_legacy`).
+is the only spelling.
 """
 
 from __future__ import annotations
@@ -182,18 +180,3 @@ class ServerConfig:
     seed: int = 7
     round: RoundConfig = field(default_factory=RoundConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        allow_legacy: bool = False,
-        retry: Optional[RetryPolicy] = None,
-        reattest: bool = True,
-        seed: int = 7,
-    ) -> "ServerConfig":
-        """Map the pre-redesign ``FLServer`` kwarg sprawl onto configs."""
-        return cls(
-            allow_legacy=bool(allow_legacy),
-            seed=int(seed),
-            round=RoundConfig(retry=retry, reattest=bool(reattest)),
-        )

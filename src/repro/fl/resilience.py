@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_registry
-from .executor import RoundExecutor
 
 __all__ = ["RetryPolicy", "collect_with_retries"]
 
@@ -90,7 +89,6 @@ class RetryPolicy:
 
 
 def collect_with_retries(
-    executor: RoundExecutor,
     fn: Callable[[T], R],
     items: Sequence[T],
     policy: RetryPolicy,
@@ -98,11 +96,12 @@ def collect_with_retries(
 ) -> List[Tuple[int, R]]:
     """Run ``fn`` over ``items`` with bounded per-item retry.
 
-    The first pass dispatches everything through the executor (so parallel
-    executors overlap client work as usual); items that raised are retried
-    in further passes, up to ``policy.max_retries`` per item.  Returns the
-    successes as ``(original_index, result)`` pairs sorted by index —
-    aggregation order therefore never depends on which attempt succeeded.
+    The first pass runs every item in order; a failure settles instead of
+    propagating (one misbehaving client must not abort the round), and items
+    that raised are retried in further passes, up to ``policy.max_retries``
+    per item.  Returns the successes as ``(original_index, result)`` pairs
+    sorted by index — aggregation order therefore never depends on which
+    attempt succeeded.
 
     Metrics: each re-dispatch counts into ``fl.retry.attempts`` and each
     exhausted item into ``fl.retry.giveups`` (labelled via ``label_for``);
@@ -126,12 +125,11 @@ def collect_with_retries(
             registry.counter(
                 "fl.retry.backoff_seconds", "accounted retry backoff"
             ).inc(backoff * len(pending))
-        settled = executor.map_settled(fn, [items[i] for i in pending])
         still_failing: List[int] = []
-        for index, (result, error) in zip(pending, settled):
-            if error is None:
-                results.append((index, result))
-            else:
+        for index in pending:
+            try:
+                results.append((index, fn(items[index])))
+            except Exception:  # noqa: BLE001 - settled deliberately
                 still_failing.append(index)
         pending = still_failing
 

@@ -9,7 +9,6 @@ snapshot history every participant observes (DPIA's raw material).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .admission import AdmissionController, ReputationTracker
 from .aggregation import merge_plain_and_sealed
 from .client import FLClient
 from .config import ServerConfig
-from .executor import RoundExecutor, SequentialRoundExecutor
 from .history import SnapshotHistory
 from .plan import TrainingPlan
 from .resilience import RetryPolicy, collect_with_retries
@@ -31,8 +29,6 @@ from .sharding import make_aggregation_tree
 from .transport import Channel, ClientUpdate, ModelDownload
 
 __all__ = ["FLServer"]
-
-_UNSET = object()
 
 
 class FLServer:
@@ -48,19 +44,8 @@ class FLServer:
         Protection policy the deployment mandates (server fixes the static
         set or the moving-window parameters, §7.2).
     config:
-        A :class:`~repro.fl.config.ServerConfig` — the supported way to
-        set admission, resilience, sampling-seed, and sharding behaviour.
-    executor:
-        Round executor deciding how client training is dispatched
-        (default: the original sequential path).  Pass a
-        :class:`~repro.fl.executor.ParallelRoundExecutor` to fan clients
-        across a thread pool; aggregation results are identical either way.
-    allow_legacy / retry / reattest / seed:
-        Deprecated kwarg spellings of the corresponding
-        :class:`~repro.fl.config.ServerConfig` fields.  They still work —
-        mapped through :meth:`ServerConfig.from_legacy` — but emit a
-        :class:`DeprecationWarning`; pass ``config=`` instead.  Mixing the
-        legacy kwargs with ``config=`` is an error.
+        A :class:`~repro.fl.config.ServerConfig` — admission, resilience,
+        sampling-seed, and sharding behaviour.
     """
 
     def __init__(
@@ -68,43 +53,13 @@ class FLServer:
         model: Sequential,
         plan: TrainingPlan,
         policy: Optional[ProtectionPolicy] = None,
-        allow_legacy=_UNSET,
-        executor: Optional[RoundExecutor] = None,
-        retry=_UNSET,
-        reattest=_UNSET,
-        seed=_UNSET,
         *,
         config: Optional[ServerConfig] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("allow_legacy", allow_legacy),
-                ("retry", retry),
-                ("reattest", reattest),
-                ("seed", seed),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "pass either config= or the legacy kwargs "
-                    f"({', '.join(sorted(legacy))}), not both"
-                )
-            warnings.warn(
-                "FLServer legacy kwargs "
-                f"({', '.join(sorted(legacy))}) are deprecated; "
-                "pass config=ServerConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServerConfig.from_legacy(**legacy)
         self.config = config or ServerConfig()
         self.model = model
         self.plan = plan
         self.policy = policy or NoProtection(model.num_layers)
-        self.executor = executor or SequentialRoundExecutor()
         self.verifier = AttestationVerifier()
         self.selector = TEESelector(
             self.verifier, allow_legacy=self.config.allow_legacy
@@ -215,22 +170,15 @@ class FLServer:
         unsealed = client.iopath.unseal_remote(update.sealed_weights)
         return merge_plain_and_sealed(update.plain_weights, unsealed)
 
-    def run_cycle(
-        self,
-        participants: Sequence[FLClient],
-        executor: Optional[RoundExecutor] = None,
-    ) -> List[ClientUpdate]:
+    def run_cycle(self, participants: Sequence[FLClient]) -> List[ClientUpdate]:
         """One full cycle: distribute, train, collect, aggregate.
 
-        Downloads are prepared on the coordinator thread before dispatch
-        (they only read the frozen global weights), client training runs
-        through the round executor, and updates are merged in participant
-        order — so sequential and parallel executors aggregate identical
-        global weights.
+        Downloads are prepared before any client trains (they only read
+        the frozen global weights); clients train and their updates are
+        merged in participant order.
         """
         if not participants:
             raise ValueError("no participants in this cycle")
-        executor = executor if executor is not None else self.executor
         participants = self._admit(participants)
         if len(self.history) == 0:
             self.history.record(self.model.get_weights())
@@ -262,10 +210,9 @@ class FLServer:
             if self.retry is None:
                 # Fail-fast path: any client exception aborts the cycle.
                 survivors = participants
-                collected = executor.map(train, pairs)
+                collected = [train(pair) for pair in pairs]
             else:
                 delivered = collect_with_retries(
-                    executor,
                     train,
                     pairs,
                     self.retry,

@@ -9,10 +9,6 @@ long-running service layer:
   sparse, and sealed-blob value encodings.  Decoding always lands on a
   canonical float64 vector *before* anything touches an accumulator, so
   the exact compensated reduce stays bitwise deterministic.
-* :mod:`repro.serve.workers` — a pool of stateless multiprocess shard
-  workers that compute per-shard exact weighted-sum expansions at commit
-  time (and survive being killed: a dead worker is restarted and its
-  batch resubmitted).
 * :mod:`repro.serve.coordinator` — the :class:`Coordinator` owning many
   concurrent FL jobs (one per tenant) with per-tenant quotas, admission
   backpressure, staleness bounds, and a ``create → run → drain →
@@ -55,7 +51,6 @@ from .wire import (
     encode_frame,
     verify_frame,
 )
-from .workers import ShardWorkerPool
 
 __all__ = [
     "AckMsg",
@@ -80,7 +75,6 @@ __all__ = [
     "PumpResult",
     "ServeHarness",
     "ShardPartialMsg",
-    "ShardWorkerPool",
     "SubmitResult",
     "TenantBreaker",
     "TenantQuota",

@@ -7,8 +7,7 @@ wire frames (:mod:`repro.serve.wire`); every decoded delta is widened to
 canonical float64 before anything touches an accumulator, so the
 committed aggregate of each job is a pure function of the admitted
 update multiset — bitwise independent of arrival order, shard routing,
-value encoding round-trips at ratio 1.0, and of whether shard folds ran
-in-process or on the multiprocess worker pool.
+and value encoding round-trips at ratio 1.0.
 
 Lifecycle: ``create → run → drain → checkpoint → resume``.
 
@@ -27,12 +26,6 @@ Lifecycle: ``create → run → drain → checkpoint → resume``.
   reputation ledger) as JSON; written through SecureStorage it survives
   ``kill -9``, and a coordinator restored from it finishes the run with
   byte-identical commits.
-
-Sharded commits: with ``workers > 0`` each job gathers its window rows
-and, at commit time, partitions them across the pool
-(:class:`~repro.serve.workers.ShardWorkerPool`); workers return exact
-per-shard expansions that merge error-free at the root.  Exactness makes
-the worker path bitwise-equal to the streaming in-process fold.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
-from ..fl.aggregation import CompensatedAccumulator
 from ..fl.buffer import BufferedAggregator
 from ..fl.config import BufferConfig, ShardingConfig
 from ..nn.model import WeightsList
@@ -70,7 +62,6 @@ from .wire import (
     encode_frame,
     verify_frame,
 )
-from .workers import ShardWorkerPool
 
 __all__ = [
     "TenantQuota",
@@ -178,145 +169,6 @@ class IngestResult:
     processed: Tuple[Tuple[int, int], ...] = ()
 
 
-class _StreamingWindow:
-    """Workers-off window: the in-process exact streaming fold."""
-
-    kind = "streaming"
-
-    def __init__(
-        self,
-        template: WeightsList,
-        config: BufferConfig,
-        sharding: ShardingConfig,
-    ) -> None:
-        self._aggregator = BufferedAggregator(template, config, sharding)
-
-    def fold(self, shard_id, flat, num_samples, *, staleness, sort_key) -> None:
-        self._aggregator.fold(
-            shard_id,
-            None,
-            num_samples,
-            staleness=staleness,
-            sort_key=sort_key,
-            flat=flat,
-        )
-
-    @property
-    def pending(self) -> int:
-        return self._aggregator.pending
-
-    @property
-    def ready(self) -> bool:
-        return self._aggregator.ready
-
-    @property
-    def peak_bytes(self) -> int:
-        return self._aggregator.peak_bytes
-
-    def commit(self, pool=None) -> np.ndarray:
-        return flatten_weights(self._aggregator.commit())
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "buffer": self._aggregator.state_dict()}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._aggregator.load_state(state["buffer"])
-
-
-class _GatheredWindow:
-    """Workers-on window: rows gathered per shard, folded at commit.
-
-    Keeps ``(sort_key, flat, contribution, num_samples)`` rows per shard
-    and ships each shard's rows to a worker at commit.  The contribution
-    is computed with the *same expression* the streaming fold uses
-    (``BufferConfig.weight(staleness) * float(num_samples)``), and both
-    paths reduce to the identical exact numerator/denominator — so the
-    committed bits match the streaming window for every worker count.
-    """
-
-    kind = "gathered"
-
-    def __init__(
-        self, size: int, config: BufferConfig, num_shards: int
-    ) -> None:
-        self.size = int(size)
-        self.config = config
-        self.num_shards = int(num_shards)
-        self.peak_bytes = 0
-        self._rows: List[List[Tuple[int, np.ndarray, float, int]]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        self._pending = 0
-
-    def fold(self, shard_id, flat, num_samples, *, staleness, sort_key) -> None:
-        contribution = self.config.weight(staleness) * float(num_samples)
-        flat = np.ascontiguousarray(flat, dtype=np.float64)
-        self._rows[shard_id].append(
-            (int(sort_key), flat.copy(), contribution, int(num_samples))
-        )
-        self._pending += 1
-        live = sum(row[1].nbytes for rows in self._rows for row in rows)
-        self.peak_bytes = max(self.peak_bytes, int(live))
-
-    @property
-    def pending(self) -> int:
-        return self._pending
-
-    @property
-    def ready(self) -> bool:
-        return self._pending >= self.config.size
-
-    def commit(self, pool: ShardWorkerPool) -> np.ndarray:
-        tasks = []
-        for shard_id, rows in enumerate(self._rows):
-            if not rows:
-                continue
-            tasks.append(
-                (
-                    shard_id,
-                    self.size,
-                    [(flat.tobytes(), contribution, n) for _, flat, contribution, n in rows],
-                )
-            )
-        results = pool.run_sums(tasks)
-        vector = CompensatedAccumulator(self.size)
-        weight = CompensatedAccumulator(1)
-        for shard_id in sorted(results):
-            results[shard_id].merge_into(vector, weight)
-        denominator = float(weight.value()[0])
-        if denominator <= 0:
-            raise ValueError("staleness weights summed to a non-positive total")
-        flat = vector.value() / denominator
-        self._rows = [[] for _ in range(self.num_shards)]
-        self._pending = 0
-        return flat
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "pending": self._pending,
-            "peak_bytes": self.peak_bytes,
-            "rows": [
-                [
-                    [key, _encode_flat(flat), contribution, n]
-                    for key, flat, contribution, n in rows
-                ]
-                for rows in self._rows
-            ],
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._pending = int(state["pending"])
-        self.peak_bytes = int(state["peak_bytes"])
-        self._rows = [
-            [
-                (int(key), _decode_flat(flat), float(contribution), int(n))
-                for key, flat, contribution, n in rows
-            ]
-            for rows in state["rows"]
-        ]
-
-
 class Job:
     """One tenant's FL aggregation stream.
 
@@ -338,7 +190,6 @@ class Job:
         admission: Optional[AdmissionConfig] = None,
         quota: Optional[TenantQuota] = None,
         target_commits: Optional[int] = None,
-        gathered: bool = False,
     ) -> None:
         self.tenant = tenant
         self.job_id = job_id
@@ -357,10 +208,8 @@ class Job:
         self.version = 0
         self.versions: Dict[int, np.ndarray] = {0: self.flat}
         self.queue: Deque[Tuple[bytes, ClientUpdateMsg]] = deque()
-        self.window = (
-            _GatheredWindow(self.size, self.buffer_config, self.sharding.num_shards)
-            if gathered
-            else _StreamingWindow(self.template, self.buffer_config, self.sharding)
+        self.window = BufferedAggregator(
+            self.template, self.buffer_config, self.sharding
         )
         self.admission: Optional[AdmissionController] = None
         self.reputation: Optional[ReputationTracker] = None
@@ -422,7 +271,6 @@ class Job:
                 "exponent": self.buffer_config.exponent,
             },
             "shards": self.sharding.num_shards,
-            "gathered": self.window.kind == "gathered",
             "max_norm": None
             if self.admission_config is None
             else self.admission_config.max_norm,
@@ -437,7 +285,9 @@ class Job:
             "queue": [
                 base64.b64encode(frame).decode() for frame, _ in self.queue
             ],
-            "window": self.window.state_dict(),
+            # Nested under "buffer" as schema-1 checkpoints always were, so
+            # ones written before the worker-pool window was removed still load.
+            "window": {"buffer": self.window.state_dict()},
             "window_dispatches": list(self.window_dispatches),
             "counters": {
                 "folds": self.folds,
@@ -475,7 +325,7 @@ class Job:
                 base64.b64decode(encoded) for encoded in state["queue"]
             )
         )
-        self.window.load_state(state["window"])
+        self.window.load_state(state["window"]["buffer"])
         self.window_dispatches = [int(d) for d in state["window_dispatches"]]
         counters = state["counters"]
         self.folds = int(counters["folds"])
@@ -506,9 +356,6 @@ class Coordinator:
     quota:
         Default :class:`TenantQuota` for every tenant (per-tenant
         overrides via ``quotas``).
-    workers:
-        Size of the multiprocess shard-worker pool; 0 folds in-process.
-        The committed bits are identical either way.
     """
 
     def __init__(
@@ -516,7 +363,6 @@ class Coordinator:
         *,
         quota: Optional[TenantQuota] = None,
         quotas: Optional[Dict[str, TenantQuota]] = None,
-        workers: int = 0,
         breaker: Optional[BreakerConfig] = None,
     ) -> None:
         self.default_quota = quota or TenantQuota()
@@ -524,10 +370,6 @@ class Coordinator:
         self.jobs: Dict[str, Job] = {}
         self.breaker_config = breaker
         self.breakers: Dict[str, TenantBreaker] = {}
-        self.pool: Optional[ShardWorkerPool] = (
-            ShardWorkerPool(workers) if workers > 0 else None
-        )
-        self.workers = int(workers)
         registry = get_registry()
         self._jobs_gauge = registry.gauge(
             "serve.jobs.active", "jobs currently running or draining"
@@ -537,9 +379,6 @@ class Coordinator:
         )
         self._backpressure = registry.counter(
             "serve.backpressure.rejects", "submissions shed by queue backpressure"
-        )
-        registry.counter(
-            "serve.worker.restarts", "shard workers restarted after a crash"
         )
         self._rejected = registry.counter(
             "serve.submit.rejected", "submissions refused (any reason)"
@@ -608,7 +447,6 @@ class Coordinator:
             admission=admission,
             quota=quota,
             target_commits=target_commits,
-            gathered=self.pool is not None,
         )
         self.jobs[job_id] = job
         if start:
@@ -844,10 +682,11 @@ class Coordinator:
         shard_id = int(message.client) % job.sharding.num_shards
         job.window.fold(
             shard_id,
-            flat,
+            None,
             message.num_samples,
             staleness=job.version - message.base_version,
             sort_key=message.dispatch,
+            flat=flat,
         )
         job.window_dispatches.append(message.dispatch)
         job.folds += 1
@@ -859,7 +698,7 @@ class Coordinator:
         with get_tracer().span(
             "serve.commit", job=job.job_id, version=job.version + 1
         ):
-            flat = job.window.commit(self.pool)
+            flat = flatten_weights(job.window.commit())
         dispatches = tuple(job.window_dispatches)
         job.window_dispatches = []
         job._advance(flat)
@@ -917,7 +756,6 @@ class Coordinator:
     def state_dict(self) -> Dict[str, object]:
         return {
             "schema": 1,
-            "workers": self.workers,
             "jobs": [self.jobs[key].state_dict() for key in sorted(self.jobs)],
             "breakers": {
                 tenant: self.breakers[tenant].state_dict()
@@ -931,6 +769,14 @@ class Coordinator:
             raise ValueError("unknown coordinator checkpoint schema")
         self.jobs = {}
         for snapshot in state["jobs"]:
+            if (
+                snapshot.get("gathered")
+                or snapshot["window"].get("kind") == "gathered"
+            ):
+                raise ValueError(
+                    f"job {snapshot['job_id']!r} was checkpointed by the removed "
+                    "worker-pool (gathered) window and cannot be resumed"
+                )
             weights = weights_from_bytes(
                 base64.b64decode(snapshot["weights"])
             )
@@ -955,7 +801,6 @@ class Coordinator:
                 admission=admission,
                 quota=self.quota_for(snapshot["tenant"]),
                 target_commits=snapshot["target_commits"],
-                gathered=bool(snapshot["gathered"]),
             )
             job.load_state(snapshot)
             self.jobs[job.job_id] = job
@@ -984,14 +829,3 @@ class Coordinator:
             return False
         self.load_state(json.loads(blob.decode()))
         return True
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-    def __enter__(self) -> "Coordinator":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

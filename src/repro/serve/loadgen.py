@@ -625,7 +625,6 @@ class ServeHarness:
         self,
         specs: Sequence[LoadSpec],
         *,
-        workers: int = 0,
         quota: Optional[TenantQuota] = None,
         storage=None,
         checkpoint_every: int = 1,
@@ -638,7 +637,7 @@ class ServeHarness:
             raise ValueError("checkpoint_every must be >= 1")
         self.clock = clock if clock is not None else VirtualClock()
         self.loop = EventLoop(self.clock)
-        self.coordinator = Coordinator(quota=quota, workers=workers, breaker=breaker)
+        self.coordinator = Coordinator(quota=quota, breaker=breaker)
         self.generators = [
             LoadGenerator(spec, self.coordinator, self.loop) for spec in specs
         ]
@@ -674,13 +673,7 @@ class ServeHarness:
         return self._started and all(g.done for g in self.generators)
 
     def close(self) -> None:
-        self.coordinator.close()
-
-    def __enter__(self) -> "ServeHarness":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        """Nothing to release; ``bench/`` still calls it after each run."""
 
     # -- checkpoint / resume ----------------------------------------------
     def checkpoint(self) -> None:
@@ -839,5 +832,4 @@ class ServeHarness:
             "commits_per_virtual_second": (
                 round(total_commits / elapsed, 9) if elapsed > 0 else None
             ),
-            "workers": self.coordinator.workers,
         }

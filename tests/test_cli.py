@@ -25,14 +25,15 @@ class TestParser:
         args = build_parser().parse_args(["table5", "--rounds", "12"])
         assert args.rounds == 12
 
-    def test_cycles_is_hidden_alias_of_rounds(self):
-        args = build_parser().parse_args(["table5", "--cycles", "12"])
-        assert args.rounds == 12
-        # The alias never shadows the canonical default...
-        assert build_parser().parse_args(["table5"]).rounds == 36
-        # ...and stays out of --help.
-        table5 = build_parser()._subparsers._group_actions[0].choices["table5"]
-        assert "--cycles" not in table5.format_help()
+    def test_cycles_alias_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["table5", "--cycles", "12"])
+        assert excinfo.value.code == 2
+
+    def test_perf_is_an_unknown_command(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", "--quick"])
+        assert excinfo.value.code == 2
 
     def test_shared_flags_spelled_identically(self):
         parser = build_parser()
@@ -42,7 +43,6 @@ class TestParser:
             # for it, under the one canonical spelling.
             "table5": ("--seed", "--rounds", "--out"),
             "fig5": ("--seed", "--rounds", "--out"),
-            "perf": ("--clients", "--out"),
             "trace": ("--clients", "--seed", "--rounds", "--out"),
             "simulate": ("--clients", "--seed", "--rounds", "--out"),
         }
@@ -56,8 +56,10 @@ class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("table5", "table6", "fig5", "fig6", "fig8"):
-            assert name in out
+        listed = [line.split()[0] for line in out.splitlines()[1:]]
+        subs = build_parser()._subparsers._group_actions[0].choices
+        assert listed == [name for name in subs if name != "list"]
+        assert "perf" not in listed
 
     def test_table6(self, capsys):
         assert main(["table6"]) == 0

@@ -47,11 +47,17 @@ class TestCli:
             assert job["state"] == "done"
             assert len(job["weights_sha256"]) == 64
 
-    def test_workers_flag_commits_same_bytes(self, serve_cli):
-        dense = json.loads(serve_cli("w0.json", "--shards", "4"))
-        pooled = json.loads(serve_cli("w2.json", "--shards", "4", "--workers", "2"))
-        for a, b in zip(dense["jobs"], pooled["jobs"]):
+    def test_shards_flag_commits_same_bytes(self, serve_cli):
+        flat = json.loads(serve_cli("s1.json"))
+        sharded = json.loads(serve_cli("s4.json", "--shards", "4"))
+        assert "workers" not in sharded
+        for a, b in zip(flat["jobs"], sharded["jobs"]):
             assert a["weights_sha256"] == b["weights_sha256"]
+
+    def test_workers_flag_is_gone(self, serve_cli):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_cli("w.json", "--workers", "2")
+        assert excinfo.value.code == 2
 
     def test_compression_flags_reduce_uplink(self, serve_cli):
         dense = json.loads(serve_cli("d.json"))

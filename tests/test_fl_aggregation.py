@@ -8,27 +8,11 @@ from repro.fl import (
     StreamingWeightedSum,
     fedavg,
     merge_plain_and_sealed,
-    weighted_average,
 )
 
 
 def make_weights(value, layers=2):
     return [{"weight": np.full((2, 2), float(value))} for _ in range(layers)]
-
-
-def legacy_weighted_average(weights_list, sample_counts):
-    """The pre-PR4 implementation, verbatim: naive left-to-right fold."""
-    total = float(sum(sample_counts))
-    out = []
-    for layer_index in range(len(weights_list[0])):
-        merged = {}
-        for key in weights_list[0][layer_index]:
-            merged[key] = sum(
-                (count / total) * np.asarray(weights[layer_index][key])
-                for weights, count in zip(weights_list, sample_counts)
-            )
-        out.append(merged)
-    return out
 
 
 class TestWeightedAverage:
@@ -37,7 +21,7 @@ class TestWeightedAverage:
         np.testing.assert_allclose(out[0]["weight"], 2.0)
 
     def test_sample_weighted(self):
-        out = weighted_average([make_weights(0), make_weights(10)], [1, 3])
+        out = fedavg([make_weights(0), make_weights(10)], [1, 3])
         np.testing.assert_allclose(out[0]["weight"], 7.5)
 
     def test_single_client_identity(self):
@@ -50,11 +34,11 @@ class TestWeightedAverage:
 
     def test_misaligned_counts_rejected(self):
         with pytest.raises(ValueError, match="align"):
-            weighted_average([make_weights(1)], [1, 2])
+            fedavg([make_weights(1)], [1, 2])
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            weighted_average([make_weights(1)], [0])
+            fedavg([make_weights(1)], [0])
 
     def test_layer_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="layer count"):
@@ -66,43 +50,6 @@ class TestWeightedAverage:
         out = fedavg([a, b])
         assert set(out[0]) == {"weight", "bias"}
         np.testing.assert_allclose(out[0]["bias"], 0.5)
-
-
-class TestWeightedAverageRegression:
-    """The preallocated hot loop is bitwise-identical to the old generator."""
-
-    def random_cohort(self, seed, num_clients=9, layers=3):
-        rng = np.random.default_rng(seed)
-        scales = 10.0 ** rng.integers(-6, 7, size=num_clients).astype(float)
-        weights_list = [
-            [
-                {
-                    "w": scales[i] * rng.normal(size=(4, 3)),
-                    "b": rng.normal(size=3),
-                }
-                for _ in range(layers)
-            ]
-            for i in range(num_clients)
-        ]
-        counts = [int(c) for c in rng.integers(1, 200, size=num_clients)]
-        return weights_list, counts
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_bitwise_equal_to_legacy_implementation(self, seed):
-        weights_list, counts = self.random_cohort(seed)
-        new = weighted_average(weights_list, counts)
-        old = legacy_weighted_average(weights_list, counts)
-        for left, right in zip(new, old):
-            for key in left:
-                np.testing.assert_array_equal(left[key], right[key])
-
-    def test_negative_zero_canonicalised_like_legacy(self):
-        # The old generator summed from int 0, so a single -0.0 contribution
-        # came out as +0.0; the preallocated loop must preserve that bit.
-        weights_list = [[{"w": np.array([-0.0, 1.0])}]]
-        new = weighted_average(weights_list, [3])
-        old = legacy_weighted_average(weights_list, [3])
-        assert np.signbit(new[0]["w"][0]) == np.signbit(old[0]["w"][0])
 
 
 class TestExactAccumulation:

@@ -1,8 +1,7 @@
-"""Tests for the typed FLServer configuration and the legacy-kwarg shim."""
+"""Tests for the typed FLServer configuration (``config=`` is the only spelling)."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.fl import (
@@ -44,17 +43,6 @@ class TestConfigTypes:
             ShardingConfig(num_shards=0)
         assert ShardingConfig(num_shards=2).flat is False
 
-    def test_from_legacy_maps_every_kwarg(self):
-        retry = RetryPolicy(max_retries=2)
-        config = ServerConfig.from_legacy(
-            allow_legacy=True, retry=retry, reattest=False, seed=11
-        )
-        assert config.allow_legacy is True
-        assert config.seed == 11
-        assert config.round.retry is retry
-        assert config.round.reattest is False
-        assert config.sharding.flat  # legacy servers were always flat
-
 
 class TestLegacyShim:
     def test_config_path_emits_no_warning(self):
@@ -64,45 +52,14 @@ class TestLegacyShim:
             warnings.simplefilter("error")
             make_server(config=ServerConfig(seed=3))
 
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            server = make_server(seed=3, reattest=False)
-        assert server.config.seed == 3
-        assert server.reattest is False
-
-    def test_positional_allow_legacy_still_works(self):
+    def test_legacy_kwargs_are_a_type_error(self):
+        with pytest.raises(TypeError):
+            make_server(retry=RetryPolicy(max_retries=2))
+        with pytest.raises(TypeError):
+            make_server(seed=3, reattest=False)
         model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=0)
-        with pytest.warns(DeprecationWarning):
-            server = FLServer(
-                model, TrainingPlan(lr=0.1, batch_size=4), None, True
-            )
-        assert server.config.allow_legacy is True
-
-    def test_both_paths_build_identical_servers(self):
-        retry = RetryPolicy(max_retries=3)
-        with pytest.warns(DeprecationWarning):
-            legacy = make_server(
-                allow_legacy=True, retry=retry, reattest=False, seed=5
-            )
-        modern = make_server(
-            config=ServerConfig(
-                allow_legacy=True,
-                seed=5,
-                round=RoundConfig(retry=retry, reattest=False),
-            )
-        )
-        assert legacy.config == modern.config
-        assert legacy.retry is modern.retry
-        assert legacy.reattest == modern.reattest
-        assert legacy.selector.allow_legacy == modern.selector.allow_legacy
-        # Same seed => identical sampling schedule.
-        assert np.array_equal(
-            legacy._rng.integers(0, 1000, 8), modern._rng.integers(0, 1000, 8)
-        )
-
-    def test_mixing_config_and_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            make_server(seed=3, config=ServerConfig())
+        with pytest.raises(TypeError):
+            FLServer(model, TrainingPlan(lr=0.1, batch_size=4), None, True)
 
     def test_server_config_drives_sharding(self):
         server = make_server(

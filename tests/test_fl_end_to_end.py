@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DynamicPolicy, NoProtection, StaticPolicy
 from repro.data import synthetic_cifar
-from repro.fl import FLClient, FLServer, TrainingPlan
+from repro.fl import FLClient, FLServer, ServerConfig, TrainingPlan
 from repro.nn import lenet5
 
 
@@ -108,7 +108,7 @@ class TestHybridDeployment:
             lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),
             plan,
             StaticPolicy(5, [2]),
-            allow_legacy=True,
+            config=ServerConfig(allow_legacy=True),
         )
         tee_client = FLClient(
             "tee", shards[0], lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),

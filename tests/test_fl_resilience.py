@@ -12,7 +12,8 @@ from repro.fl import (
     FLClient,
     FLServer,
     RetryPolicy,
-    SequentialRoundExecutor,
+    RoundConfig,
+    ServerConfig,
     TrainingPlan,
     collect_with_retries,
 )
@@ -21,7 +22,7 @@ from repro.nn import mlp
 NUM_CLASSES = 4
 
 
-def build_deployment(clients=3, seed=0, **server_kwargs):
+def build_deployment(clients=3, seed=0, **round_kwargs):
     dataset = synthetic_cifar(
         num_samples=32 * clients, num_classes=NUM_CLASSES, shape=(3, 8, 8), seed=seed
     )
@@ -30,7 +31,8 @@ def build_deployment(clients=3, seed=0, **server_kwargs):
         num_classes=NUM_CLASSES, input_shape=(3, 8, 8), hidden=(8,), seed=7
     )
     plan = TrainingPlan(lr=0.1, batch_size=8, local_steps=1)
-    server = FLServer(make_model(), plan, NoProtection(2), **server_kwargs)
+    config = ServerConfig(round=RoundConfig(**round_kwargs))
+    server = FLServer(make_model(), plan, NoProtection(2), config=config)
     fl_clients = [
         FLClient(f"client-{i}", shards[i], make_model(), seed=i)
         for i in range(clients)
@@ -88,7 +90,6 @@ class TestCollectWithRetries:
 
         with obs.fresh() as ctx:
             results = collect_with_retries(
-                SequentialRoundExecutor(),
                 flaky,
                 ["a", "b", "c"],
                 RetryPolicy(max_retries=1),
@@ -105,7 +106,6 @@ class TestCollectWithRetries:
 
         with obs.fresh() as ctx:
             results = collect_with_retries(
-                SequentialRoundExecutor(),
                 broken,
                 ["ok", "bad", "fine"],
                 RetryPolicy(max_retries=2),
@@ -126,27 +126,23 @@ class TestCollectWithRetries:
 
         with obs.fresh():
             results = collect_with_retries(
-                SequentialRoundExecutor(),
                 first_fails,
                 [0, 1, 2],
                 RetryPolicy(max_retries=1),
             )
         assert results == [(0, 0), (1, 10), (2, 20)]
 
-    def test_map_settled_pairs(self):
+    def test_failures_settle_instead_of_propagating(self):
         def sometimes(x):
             if x % 2:
                 raise FlakyOnce(x)
             return x
 
         with obs.fresh():
-            settled = SequentialRoundExecutor().map_settled(
-                sometimes, [0, 1, 2]
+            results = collect_with_retries(
+                sometimes, [0, 1, 2], RetryPolicy(max_retries=0)
             )
-        assert settled[0] == (0, None)
-        assert settled[2] == (2, None)
-        assert settled[1][0] is None
-        assert isinstance(settled[1][1], FlakyOnce)
+        assert results == [(0, 0), (2, 2)]
 
 
 class TestServerResilience:

@@ -39,11 +39,11 @@ def spec(**overrides):
 
 def run_harness(specs, *, storage=None, resume=False, max_events=None, **kwargs):
     with obs.fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness(specs, storage=storage, clock=ctx.clock, **kwargs) as h:
-            if resume:
-                assert h.restore(), "expected a checkpoint to resume from"
-            report = h.run(max_events=max_events)
-            return report, h.finished
+        h = ServeHarness(specs, storage=storage, clock=ctx.clock, **kwargs)
+        if resume:
+            assert h.restore(), "expected a checkpoint to resume from"
+        report = h.run(max_events=max_events)
+        return report, h.finished
 
 
 def report_bytes(report):

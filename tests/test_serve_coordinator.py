@@ -1,6 +1,7 @@
 """Coordinator suite: lifecycle, quotas, exactness, crash recovery."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.fl.admission import AdmissionConfig
+from repro.fl.buffer import BufferedAggregator
 from repro.fl.config import BufferConfig, ShardingConfig
 from repro.nn import mlp
 from repro.obs import VirtualClock, validate_metrics
@@ -29,7 +31,6 @@ REQUIRED_METRICS = (
     "serve.jobs.active",
     "serve.queue.depth",
     "serve.backpressure.rejects",
-    "serve.worker.restarts",
 )
 
 
@@ -198,39 +199,6 @@ class TestAdmission:
         assert delta_norm <= 0.5 + 1e-9
 
 
-class TestWorkers:
-    def _run(self, weights, workers, crash=False):
-        with obs.fresh(clock=VirtualClock()) as ctx:
-            with Coordinator(workers=workers) as coordinator:
-                job = coordinator.create_job(
-                    "t0",
-                    "j0",
-                    weights,
-                    buffer=BufferConfig(size=6),
-                    sharding=ShardingConfig(num_shards=3),
-                    target_commits=3,
-                )
-                for dispatch in range(18):
-                    if crash and dispatch == 7:
-                        coordinator.pool.inject_crash(0)
-                    coordinator.submit(update_frame(job, dispatch))
-                    coordinator.pump("j0")
-                restarts = coordinator.pool.restarts if coordinator.pool else 0
-                return job.flat.copy(), restarts, ctx.registry.snapshot()
-
-    def test_worker_pool_is_bitwise_equal_to_streaming(self, weights):
-        flat0, _, _ = self._run(weights, workers=0)
-        flat2, _, _ = self._run(weights, workers=2)
-        assert np.array_equal(flat0, flat2)
-
-    def test_crashed_worker_restarts_and_result_is_unchanged(self, weights):
-        flat0, _, _ = self._run(weights, workers=0)
-        flat2, restarts, snapshot = self._run(weights, workers=2, crash=True)
-        assert restarts == 1
-        assert np.array_equal(flat0, flat2)
-        assert sum(snapshot["counters"]["serve.worker.restarts"].values()) == 1.0
-
-
 class TestCheckpointResume:
     def _storage(self, tmp_path):
         return SecureStorage(
@@ -239,15 +207,17 @@ class TestCheckpointResume:
             counters_path=os.path.join(tmp_path, "counters.json"),
         )
 
-    def test_mid_window_checkpoint_resumes_bitwise(self, tmp_path, weights):
-        frames = []
+    def _kill_mid_window_and_resume(self, tmp_path, weights, **config):
+        """12 updates into 4-wide windows, killed after 6 (1.5 windows).
+
+        Returns the checkpointed snapshot and the resumed job; asserts the
+        resumed coordinator ends bit-for-bit where an uninterrupted one does.
+        """
+        config.update(buffer=BufferConfig(size=4), target_commits=3)
         with obs.fresh(clock=VirtualClock()):
             coordinator = Coordinator()
-            job = coordinator.create_job(
-                "t0", "j0", weights, buffer=BufferConfig(size=4), target_commits=3
-            )
+            job = coordinator.create_job("t0", "j0", weights, **config)
             frames = [update_frame(job, dispatch) for dispatch in range(12)]
-            # uninterrupted reference run
             for frame in frames:
                 coordinator.submit(frame)
                 coordinator.pump("j0")
@@ -256,25 +226,66 @@ class TestCheckpointResume:
         storage = self._storage(tmp_path)
         with obs.fresh(clock=VirtualClock()):
             coordinator = Coordinator()
-            coordinator.create_job(
-                "t0", "j0", weights, buffer=BufferConfig(size=4), target_commits=3
-            )
-            for frame in frames[:6]:  # kill mid-window (6 folds = 1.5 windows)
+            coordinator.create_job("t0", "j0", weights, **config)
+            for frame in frames[:6]:
                 coordinator.submit(frame)
                 coordinator.pump("j0")
             coordinator.checkpoint(storage)
+            snapshot = coordinator.state_dict()
 
         with obs.fresh(clock=VirtualClock()):
             resumed = Coordinator()
-            resumed.create_job(
-                "t0", "j0", weights, buffer=BufferConfig(size=4), target_commits=3
-            )
             assert resumed.restore(storage)
-            assert resumed.jobs["j0"].window.pending == 2
+            job = resumed.jobs["j0"]
+            assert job.window.pending == 2
             for frame in frames[6:]:
                 resumed.submit(frame)
                 resumed.pump("j0")
+            assert job.version == 3
             assert resumed.state_dict() == reference
+        return snapshot, job
+
+    def test_mid_window_checkpoint_resumes_bitwise(self, tmp_path, weights):
+        self._kill_mid_window_and_resume(tmp_path, weights)
+
+    def test_sharded_mid_window_checkpoint_resumes_and_commits(
+        self, tmp_path, weights
+    ):
+        """A ``--shards 4`` job resumes from the checkpoint alone: the window
+        kind is no longer an option a checkpoint and a command line can
+        disagree on."""
+        snapshot, job = self._kill_mid_window_and_resume(
+            tmp_path, weights, sharding=ShardingConfig(num_shards=4)
+        )
+        assert "workers" not in snapshot
+        assert "gathered" not in snapshot["jobs"][0]
+        assert isinstance(job.window, BufferedAggregator)
+
+    @pytest.mark.parametrize("marker", ["flag", "window"])
+    def test_gathered_snapshot_is_refused(self, weights, marker):
+        """Checkpoints written by the removed worker-pool window are refused
+        with a typed error, never mis-loaded into the streaming window."""
+        with obs.fresh(clock=VirtualClock()):
+            coordinator = Coordinator()
+            coordinator.create_job(
+                "t0",
+                "j0",
+                weights,
+                buffer=BufferConfig(size=4),
+                sharding=ShardingConfig(num_shards=2),
+            )
+            state = json.loads(json.dumps(coordinator.state_dict()))
+            if marker == "flag":
+                state["workers"] = 2
+                state["jobs"][0]["gathered"] = True
+            state["jobs"][0]["window"] = {
+                "kind": "gathered",
+                "pending": 0,
+                "peak_bytes": 0,
+                "rows": [[], []],
+            }
+            with pytest.raises(ValueError, match="gathered"):
+                Coordinator().load_state(state)
 
     def test_restore_without_checkpoint_is_false(self, tmp_path, weights):
         with obs.fresh(clock=VirtualClock()):

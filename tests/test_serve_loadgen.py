@@ -14,15 +14,13 @@ from repro.tee.storage import InMemoryBackend, SecureStorage
 pytestmark = pytest.mark.serve
 
 
-def run_harness(specs, *, workers=0, storage=None, resume=False, max_events=None, **kwargs):
+def run_harness(specs, *, storage=None, resume=False, max_events=None, **kwargs):
     with obs.fresh(clock=VirtualClock()) as ctx:
-        with ServeHarness(
-            specs, workers=workers, storage=storage, clock=ctx.clock, **kwargs
-        ) as harness:
-            if resume:
-                assert harness.restore(), "expected a checkpoint to resume from"
-            report = harness.run(max_events=max_events)
-            return report, harness.finished
+        harness = ServeHarness(specs, storage=storage, clock=ctx.clock, **kwargs)
+        if resume:
+            assert harness.restore(), "expected a checkpoint to resume from"
+        report = harness.run(max_events=max_events)
+        return report, harness.finished
 
 
 def report_bytes(report):
@@ -77,10 +75,9 @@ class TestDeterminism:
         assert by_id["b"]["weights_sha256"] == by_id["c"]["weights_sha256"]
         assert by_id["a"]["weights_sha256"] != by_id["b"]["weights_sha256"]
 
-    def test_workers_do_not_change_the_committed_bytes(self):
-        specs = [spec(shards=4)]
-        a, _ = run_harness(specs, workers=0)
-        b, _ = run_harness(specs, workers=2)
+    def test_shards_do_not_change_the_committed_bytes(self):
+        a, _ = run_harness([spec()])
+        b, _ = run_harness([spec(shards=4)])
         assert a["jobs"][0]["weights_sha256"] == b["jobs"][0]["weights_sha256"]
         assert a["jobs"][0]["latency_p99_s"] == b["jobs"][0]["latency_p99_s"]
 

@@ -6,7 +6,6 @@ import pytest
 from repro import obs
 from repro.fl.config import BufferConfig
 from repro.fl.resilience import RetryPolicy, collect_with_retries
-from repro.fl import SequentialRoundExecutor
 from repro.nn import mlp
 from repro.obs import VirtualClock
 from repro.serve import (
@@ -440,9 +439,7 @@ class TestBackoffUnity:
             attempts["n"] += 1
             raise RuntimeError("down")
 
-        collect_with_retries(
-            SequentialRoundExecutor(), always_fails, ["x"], policy
-        )
+        collect_with_retries(always_fails, ["x"], policy)
         accounted = fresh_obs.registry.counter(
             "fl.retry.backoff_seconds"
         ).total()
@@ -461,12 +458,11 @@ class TestBackoffUnity:
             retry_cap=3,
             retransmit_timeout=2.0,
         )
-        with ServeHarness([spec]) as harness:
-            generator = harness.generators[0]
-            transmit_schedule = [
-                generator.policy.bounded_backoff_for(a) for a in range(1, 4)
-            ]
-            # Identical schedule while attempts remain within budget; the
-            # transport side then plateaus instead of backing off forever.
-            assert transmit_schedule == retry_schedule
-            assert generator.policy.bounded_backoff_for(9) == policy.backoff_for(4)
+        generator = ServeHarness([spec]).generators[0]
+        transmit_schedule = [
+            generator.policy.bounded_backoff_for(a) for a in range(1, 4)
+        ]
+        # Identical schedule while attempts remain within budget; the
+        # transport side then plateaus instead of backing off forever.
+        assert transmit_schedule == retry_schedule
+        assert generator.policy.bounded_backoff_for(9) == policy.backoff_for(4)

@@ -1,9 +1,10 @@
 """Tests for the secure monitor (SMC dispatch) and trusted applications."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import obs
-from repro.fl import ParallelRoundExecutor
 from repro.obs import FakeClock
 from repro.tee import (
     SecureMonitor,
@@ -107,8 +108,8 @@ class TestConcurrentStats:
     """Regression: ``SMCStats`` bookkeeping must be exact under contention.
 
     ``per_ta`` used to be bumped with an unlocked read-modify-write; four
-    workers hammering one monitor through the parallel round executor could
-    lose increments.  With the stats lock in place the counts are exact.
+    threads hammering one monitor could lose increments.  With the stats
+    lock in place the counts are exact.
     """
 
     def test_parallel_hammering_counts_exactly(self):
@@ -127,8 +128,8 @@ class TestConcurrentStats:
             return worker_id
 
         with obs.fresh(clock=FakeClock()) as ctx:
-            with ParallelRoundExecutor(max_workers=workers) as executor:
-                assert executor.map(hammer, range(workers)) == list(range(workers))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                assert list(pool.map(hammer, range(workers))) == list(range(workers))
             expected = workers * calls_per_worker
             assert monitor.stats.calls == expected
             assert monitor.stats.per_ta["echo"] == expected
