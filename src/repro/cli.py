@@ -351,6 +351,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
             "fl.admission.rejected",
             "fl.reputation.quarantined",
             "fl.aggregate.rule",
+            "tee.storage.bytes",
+            "tee.storage.verify_failures",
         ),
     )
     payload = {

@@ -2,13 +2,19 @@
 
 The real OP-TEE uses AES-GCM and hardware-fused keys.  Offline and without
 third-party crypto libraries, the simulator builds an authenticated stream
-cipher from the standard library's HMAC-SHA256:
+cipher from the standard library:
 
-* keystream blocks ``HMAC(key, nonce || counter)`` XORed with the plaintext
-  (CTR-mode construction), plus
-* an encrypt-then-MAC tag ``HMAC(mac_key, nonce || ciphertext)``.
+* keystream: the payload is cut into :data:`CHUNK_BYTES` chunks and chunk
+  ``i`` is XORed with ``SHAKE256(enc_key || nonce || u64_be(i))`` — one XOF
+  call and one vectorised XOR per chunk, a working set of one chunk;
+* an encrypt-then-MAC tag ``HMAC(mac_key, nonce || ciphertext)``, verified
+  before any keystream is produced;
+* ``enc_key``/``mac_key`` derived under labels naming this construction, so
+  a blob sealed by any other (e.g. the HMAC-counter mode this replaced)
+  fails the tag check rather than decrypting to garbage.
 
-This is not meant to resist real cryptanalysis — it exists so that the
+Non-goals: resisting real cryptanalysis, constant-time operation beyond the
+tag compare, reading blobs sealed by earlier versions — it exists so that the
 secure-storage and trusted-I/O *protocols* (key hierarchy, nonce handling,
 tamper detection, atomic updates) are faithfully exercised end to end.
 """
@@ -20,12 +26,16 @@ import hmac
 import secrets
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["derive_key", "encrypt", "decrypt", "random_key", "SealedBlob", "CryptoError"]
 
 KEY_BYTES = 32
 NONCE_BYTES = 16
 TAG_BYTES = 32
-_BLOCK = 32  # SHA-256 digest size
+CHUNK_BYTES = 1 << 20  # keystream granularity; bounds the working set
+_ENC_LABEL = b"shake256-ctr-v2/enc"
+_MAC_LABEL = b"shake256-ctr-v2/mac"
 
 
 class CryptoError(Exception):
@@ -70,38 +80,40 @@ def derive_key(parent: bytes, *context: bytes) -> bytes:
     return hmac.new(parent, info, hashlib.sha256).digest()
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hmac.new(key, nonce + counter.to_bytes(8, "big"), hashlib.sha256).digest()
-        )
-    return b"".join(blocks)[:length]
+def _tag(key: bytes, nonce: bytes, ciphertext) -> bytes:
+    mac = hmac.new(derive_key(key, _MAC_LABEL), nonce, hashlib.sha256)
+    mac.update(ciphertext)
+    return mac.digest()
+
+
+def _xor_keystream(key: bytes, nonce: bytes, data) -> bytes:
+    """``data`` XOR the keystream for ``(key, nonce)``, chunk by chunk."""
+    prefix = derive_key(key, _ENC_LABEL) + nonce
+    source = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(source.size, dtype=np.uint8)
+    for index, start in enumerate(range(0, source.size, CHUNK_BYTES)):
+        chunk = source[start : start + CHUNK_BYTES]
+        xof = hashlib.shake_256(prefix + index.to_bytes(8, "big"))
+        stream = np.frombuffer(xof.digest(chunk.size), dtype=np.uint8)
+        np.bitwise_xor(chunk, stream, out=out[start : start + chunk.size])
+    return out.tobytes()
 
 
 def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> SealedBlob:
-    """Authenticated encryption (CTR + encrypt-then-MAC)."""
+    """Authenticated encryption (chunked XOF keystream + encrypt-then-MAC)."""
     if len(key) != KEY_BYTES:
         raise ValueError(f"key must be {KEY_BYTES} bytes")
     nonce = secrets.token_bytes(NONCE_BYTES) if nonce is None else nonce
     if len(nonce) != NONCE_BYTES:
         raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-    enc_key = derive_key(key, b"enc")
-    mac_key = derive_key(key, b"mac")
-    stream = _keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
-    return SealedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
+    ciphertext = _xor_keystream(key, nonce, plaintext)
+    return SealedBlob(nonce=nonce, ciphertext=ciphertext, tag=_tag(key, nonce, ciphertext))
 
 
 def decrypt(key: bytes, blob: SealedBlob) -> bytes:
     """Verify and decrypt; raises :class:`CryptoError` on any tampering."""
     if len(key) != KEY_BYTES:
         raise ValueError(f"key must be {KEY_BYTES} bytes")
-    enc_key = derive_key(key, b"enc")
-    mac_key = derive_key(key, b"mac")
-    expected = hmac.new(mac_key, blob.nonce + blob.ciphertext, hashlib.sha256).digest()
-    if not hmac.compare_digest(expected, blob.tag):
+    if not hmac.compare_digest(_tag(key, blob.nonce, blob.ciphertext), blob.tag):
         raise CryptoError("authentication tag mismatch (tampered or wrong key)")
-    stream = _keystream(enc_key, blob.nonce, len(blob.ciphertext))
-    return bytes(c ^ s for c, s in zip(blob.ciphertext, stream))
+    return _xor_keystream(key, blob.nonce, blob.ciphertext)

@@ -25,7 +25,9 @@ from __future__ import annotations
 import os
 import tempfile
 from typing import Dict, Optional
+from urllib.parse import quote, unquote
 
+from ..obs import get_registry
 from . import crypto
 from .world import IntegrityError, TEEError
 
@@ -87,7 +89,8 @@ class ReeFsBackend(StorageBackend):
     """REE-FS backend: encrypted blobs stored as files in the normal world.
 
     Writes are atomic: the blob is written to a temporary file in the same
-    directory and ``os.replace``d into place.
+    directory and ``os.replace``d into place.  File names are the key
+    percent-encoded (``/`` and ``.`` included): injective and traversal-proof.
     """
 
     def __init__(self, directory: str) -> None:
@@ -95,8 +98,8 @@ class ReeFsBackend(StorageBackend):
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
-        safe = key.replace("/", "_").replace("..", "_")
-        return os.path.join(self.directory, safe + ".sec")
+        escaped = quote(key, safe="").replace(".", "%2E")
+        return os.path.join(self.directory, escaped + ".sec")
 
     def put(self, key: str, blob: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.directory)
@@ -123,7 +126,7 @@ class ReeFsBackend(StorageBackend):
 
     def keys(self) -> tuple:
         names = [n[:-4] for n in os.listdir(self.directory) if n.endswith(".sec")]
-        return tuple(sorted(names))
+        return tuple(sorted(unquote(n) for n in names))
 
 
 class FaultInjectedBackend(StorageBackend):
@@ -214,6 +217,13 @@ class SecureStorage:
         # (the role RPMB's replay-protected counters play on real devices).
         self._counters: Dict[str, int] = {}
         self._counters_path = counters_path
+        registry = get_registry()
+        self._bytes = registry.counter(
+            "tee.storage.bytes", "payload bytes sealed (put) and verified out (get)"
+        )
+        self._verify_failures = registry.counter(
+            "tee.storage.verify_failures", "reads refused as tampered or replayed"
+        )
         if counters_path is not None and os.path.exists(counters_path):
             import json
 
@@ -257,6 +267,7 @@ class SecureStorage:
         self.backend.put(key, blob)
         self._counters[key] = version
         self._persist_counters()
+        self._bytes.inc(len(payload), op="put")
 
     def get(self, ta_uuid: str, name: str) -> bytes:
         """Fetch and verify an object; raises on absence, tampering or replay."""
@@ -275,17 +286,21 @@ class SecureStorage:
             fek = crypto.decrypt(self._tsk(ta_uuid), wrapped_fek)
             versioned = crypto.decrypt(fek, sealed_payload)
         except crypto.CryptoError as exc:
+            self._verify_failures.inc(kind="integrity")
             raise IntegrityError(
                 f"secure object {name!r} for TA {ta_uuid} failed verification: {exc}"
             ) from exc
         version = int.from_bytes(versioned[: self._VERSION_BYTES], "big")
         expected = self._counters.get(key, 0)
         if version != expected:
+            self._verify_failures.inc(kind="rollback")
             raise RollbackError(
                 f"secure object {name!r} for TA {ta_uuid} has version "
                 f"{version}, trusted counter says {expected} (replay attack?)"
             )
-        return versioned[self._VERSION_BYTES :]
+        payload = versioned[self._VERSION_BYTES :]
+        self._bytes.inc(len(payload), op="get")
+        return payload
 
     def delete(self, ta_uuid: str, name: str) -> None:
         self.backend.delete(self._key(ta_uuid, name))

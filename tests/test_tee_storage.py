@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.tee import InMemoryBackend, IntegrityError, ReeFsBackend, SecureStorage
 
 
@@ -94,6 +95,23 @@ class TestReeFsBackend:
         backend.put("beta", b"2")
         assert backend.keys() == ("alpha", "beta")
 
+    def test_distinct_keys_never_share_a_file(self, tmp_path):
+        """``/`` used to be mangled to ``_``: ``ta:a/b`` overwrote ``ta:a_b``."""
+        storage = SecureStorage(backend=ReeFsBackend(str(tmp_path)))
+        storage.put("ta", "a/b", b"slash")
+        storage.put("ta", "a_b", b"underscore")
+        assert storage.get("ta", "a/b") == b"slash"
+        assert storage.get("ta", "a_b") == b"underscore"
+        assert storage.objects() == ("ta:a/b", "ta:a_b")
+
+    def test_keys_returns_original_keys(self, tmp_path):
+        backend = ReeFsBackend(str(tmp_path))
+        keys = ("../../evil", "a%2Fb", "a/b", "ta:obj.v1", "ünï")
+        for key in keys:
+            backend.put(key, key.encode())
+        assert backend.keys() == tuple(sorted(keys))
+        assert all(backend.get(key) == key.encode() for key in keys)
+
     def test_path_traversal_neutralised(self, tmp_path):
         backend = ReeFsBackend(str(tmp_path))
         backend.put("../../evil", b"x")
@@ -143,3 +161,59 @@ class TestRollbackProtection:
         storage.delete("ta", "k")
         storage.put("ta", "k", b"b")
         assert storage.get("ta", "k") == b"b"
+
+
+class TestMetrics:
+    """``tee.storage.*`` counters are exact, so tests assert them with ``==``."""
+
+    def test_bytes_and_verify_failures(self):
+        from repro.tee import RollbackError
+
+        with obs.fresh() as ctx:
+            storage = SecureStorage()
+            bytes_moved = ctx.registry.counter("tee.storage.bytes")
+            failures = ctx.registry.counter("tee.storage.verify_failures")
+            # Registered at construction: exported (empty) before any traffic.
+            obs.validate_metrics(
+                ctx.registry.snapshot(),
+                required=("tee.storage.bytes", "tee.storage.verify_failures"),
+            )
+            storage.put("ta", "k", b"x" * 100)
+            old = storage.backend.get("ta:k")
+            storage.put("ta", "k", b"y" * 40)
+            storage.get("ta", "k")
+            assert bytes_moved.value(op="put") == 140
+            assert bytes_moved.value(op="get") == 40
+
+            storage.backend.put("ta:k", old)
+            with pytest.raises(RollbackError):
+                storage.get("ta", "k")
+            storage.backend.put("ta:k", old[:-1])
+            with pytest.raises(IntegrityError):
+                storage.get("ta", "k")
+            assert failures.value(kind="rollback") == 1
+            assert failures.value(kind="integrity") == 1
+            assert bytes_moved.value(op="get") == 40  # refused reads move nothing
+
+    def test_fleet_unseals_every_shard_every_cycle(self):
+        """6 clients x 2 cycles = 12 verified reads of the full sealed shard."""
+        from repro.data import synthetic_cifar
+        from repro.fl import FLClient, FLServer, TrainingPlan
+        from repro.fl.client import _dataset_to_bytes
+        from repro.nn import lenet5
+
+        with obs.fresh() as ctx:
+            shards = synthetic_cifar(num_samples=48, num_classes=5, seed=0).shard(6)
+            model = lenet5(num_classes=5, seed=7, scale=0.5)
+            server = FLServer(model, TrainingPlan(lr=0.1, batch_size=8, local_steps=1))
+            clients = [
+                FLClient(f"client-{i}", shard, model.clone(), seed=i)
+                for i, shard in enumerate(shards)
+            ]
+            server.run(clients, cycles=2)
+            shard_bytes = len(_dataset_to_bytes(shards[0]))
+            assert all(len(_dataset_to_bytes(s)) == shard_bytes for s in shards)
+            bytes_moved = ctx.registry.counter("tee.storage.bytes")
+            assert bytes_moved.value(op="put") == 6 * shard_bytes
+            assert bytes_moved.value(op="get") == 12 * shard_bytes
+            assert ctx.registry.counter("tee.storage.verify_failures").total() == 0
