@@ -139,16 +139,16 @@ def section_single_step(quick):
 
 
 # ---------------------------------------------------------------- sim pipeline
-def _pipeline_once(sim, members, global_weights, compiled):
+def _pipeline_once(sim, members, base_flat, compiled):
     sim._update_cache.clear()
     if compiled:
-        sim._precompute_updates(0, members, global_weights)
+        sim._precompute_updates(0, members, base_flat)
     for client in members:
-        update = sim._make_update(0, client, global_weights)
-        update.wire_bytes()
+        sim._make_update(0, client, base_flat)
 
 
 def bench_sim_pipeline(quick):
+    from repro.nn.serialize import flatten_weights
     from repro.obs import VirtualClock, fresh
     from repro.sim import FLSimulator, SimConfig
 
@@ -168,9 +168,9 @@ def bench_sim_pipeline(quick):
         with fresh(clock=VirtualClock()) as ctx:
             sim = FLSimulator(cfg, clock=ctx.clock)
             members = sim._select_cohort(0)
-            gw = sim.model.get_weights()
+            base_flat = flatten_weights(sim.model.get_weights())
             timing = time_call(
-                lambda: _pipeline_once(sim, members, gw, compiled),
+                lambda: _pipeline_once(sim, members, base_flat, compiled),
                 repeats=3 if quick else (5 if not compiled else 15),
                 warmup=1,
             )

@@ -105,6 +105,27 @@ def build_server(
     return FLServer(model, plan, policy=policy, config=cfg)
 
 
+def _state_storage(label: str, seed: int, state_dir: Optional[str]):
+    """REE-FS backed secure storage under ``state_dir`` (None when unset).
+
+    The SSK is derived from the seed so that a fresh process can unseal the
+    checkpoint a killed one wrote, and the rollback counters persist next
+    to it (as RPMB persists across reboots on a real device).
+    """
+    if not state_dir:
+        return None
+    import hashlib
+    import os
+
+    from .tee.storage import ReeFsBackend, SecureStorage
+
+    return SecureStorage(
+        ReeFsBackend(state_dir),
+        ssk=hashlib.sha256(f"repro-{label}-{seed}".encode()).digest(),
+        counters_path=os.path.join(state_dir, "counters.json"),
+    )
+
+
 def simulate(
     *,
     clients: int = 100,
@@ -138,6 +159,9 @@ def simulate(
     staleness: str = "constant",
     staleness_exponent: float = 0.5,
     concurrency: Optional[int] = None,
+    model: Optional[str] = None,
+    policy: Optional[str] = None,
+    state_dir: Optional[str] = None,
     include_metrics: bool = False,
 ) -> dict:
     """Run one deterministic fleet simulation and return its report.
@@ -160,7 +184,20 @@ def simulate(
     every ``buffer_size`` admitted updates, stale arrivals folded with the
     ``staleness`` weighting, and ``rounds`` counting commits — with the
     same byte-for-byte determinism guarantees.
+
+    ``model`` trains a :mod:`repro.nn.zoo` entry (``"lenet5"``,
+    ``"vit_tiny"``, …) instead of the default small MLP, and ``policy`` is
+    a protection-policy spec (``"static:L2+L4"``, ``"dynamic:2"``, … — see
+    :func:`policy_from_spec`) resolved against that model's layout: the
+    TEE cost model then prices every client step under it.  With
+    ``state_dir`` each round (async: each event) is checkpointed into
+    sealed storage in that directory; calling again with the same
+    arguments resumes where the last call stopped (``resumed_from_round``
+    says from where) and ends on the same ``weights_sha256`` as an
+    uninterrupted run.
     """
+    from .cli import _zoo_model
+    from .nn import mlp
     from .obs import VirtualClock, fresh
     from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig
 
@@ -198,9 +235,23 @@ def simulate(
         pool_exhaust=pool_exhaust,
         attestation=attestation,
     )
+    zoo_model = _zoo_model(model, seed=seed) if model else None
+    protection = None
+    if policy:
+        # The spec needs the layout of whatever model the simulator will
+        # run, so replicate its default when no model was named.
+        target = zoo_model or mlp(
+            num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed
+        )
+        protection = policy_from_spec(policy, target.layout(), seed=seed)
+    # Opened outside the run's observability context: the storage layer's
+    # own counters are not part of the simulation's metrics snapshot.
+    storage = _state_storage("sim", seed, state_dir)
     with fresh(clock=VirtualClock()) as ctx:
         simulator = FLSimulator(
             config,
+            model=zoo_model,
+            policy=protection,
             fault_plan=FaultPlan(
                 rates,
                 seed=seed,
@@ -209,6 +260,7 @@ def simulate(
                 attack=attack,
                 attack_strength=attack_strength,
             ),
+            storage=storage,
             clock=ctx.clock,
         )
         report = simulator.run()
@@ -242,6 +294,8 @@ def serve(
     chaos_rate: float = 0.1,
     chaos_seed: int = 0,
     breaker_budget: int = 0,
+    state_dir: Optional[str] = None,
+    checkpoint_every: int = 1,
 ) -> dict:
     """Run the coordinator service under synthetic load; return its report.
 
@@ -266,8 +320,14 @@ def serve(
     run for any rate/seed, and the report gains a per-job ``transport``
     section.  ``breaker_budget > 0`` arms the per-tenant circuit breaker
     at that error budget.
+
+    With ``state_dir`` the whole ensemble (coordinator, clock, in-flight
+    frames) is checkpointed into sealed storage in that directory every
+    ``checkpoint_every`` events; calling again with the same arguments
+    after a kill resumes from the last checkpoint and returns the report
+    of the uninterrupted run, bit for bit.
     """
-    from .obs import VirtualClock, fresh
+    from .obs import VirtualClock, fresh, validate_metrics
     from .serve import BreakerConfig, LoadSpec, ServeHarness, TenantQuota
 
     specs = [
@@ -297,10 +357,13 @@ def serve(
         )
         for i in range(tenants)
     ]
+    storage = _state_storage("serve", seed, state_dir)
     with fresh(clock=VirtualClock()) as ctx:
         harness = ServeHarness(
             specs,
             quota=TenantQuota(max_queue_depth=max_queue_depth),
+            storage=storage,
+            checkpoint_every=checkpoint_every,
             clock=ctx.clock,
             breaker=(
                 BreakerConfig(error_budget=breaker_budget)
@@ -308,7 +371,24 @@ def serve(
                 else None
             ),
         )
-        return harness.run()
+        harness.restore()
+        report = harness.run()
+        required = [
+            "serve.jobs.active",
+            "serve.queue.depth",
+            "serve.backpressure.rejects",
+        ]
+        if chaos:
+            required += [
+                "serve.transport.drops",
+                "serve.transport.duplicates",
+                "serve.transport.corrupt",
+                "serve.transport.retransmits",
+                "serve.transport.dedup.hits",
+                "serve.transport.breaker.trips",
+            ]
+        validate_metrics(ctx.registry.snapshot(), required=tuple(required))
+    return report
 
 
 def attack_suite(

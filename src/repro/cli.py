@@ -17,6 +17,7 @@ Every subcommand spells the shared knobs the same way: ``--seed``,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import List, Optional
@@ -35,7 +36,6 @@ from .core import (
     NoProtection,
     PeltaPolicy,
     StaticPolicy,
-    policy_from_spec,
 )
 from .nn import lenet5
 from .tee import CostModel
@@ -70,12 +70,15 @@ def _row_dicts(rows) -> List[dict]:
     ]
 
 
-def _write_payload(out: Optional[str], payload: dict) -> None:
+def _write_payload(out: Optional[str], payload: dict, echo: bool = False) -> None:
+    """Write ``payload`` to ``out``; without one, print it when ``echo``."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
         print(f"wrote {out}")
+    elif echo:
+        print(text)
 
 
 def _cost_dict(cost) -> dict:
@@ -380,219 +383,46 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         print(text)
 
 
+def _api_kwargs(fn, args: argparse.Namespace) -> dict:
+    """The parsed flags ``fn`` takes — flag dests are its parameter names."""
+    return {
+        name: getattr(args, name)
+        for name in inspect.signature(fn).parameters
+        if hasattr(args, name)
+    }
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     """Simulate a large FL fleet in virtual time and emit a JSON report.
 
-    Runs entirely under a fresh observability context with a virtual clock,
-    and every random draw is keyed on the seed — two invocations with the
-    same arguments produce byte-identical reports.  With ``--state-dir``
-    the per-round checkpoint lands in a REE-FS backed secure storage (with
-    a seed-derived storage key), so a killed run can be re-invoked and
-    resumes where it stopped.  With ``--shards N`` updates are folded
-    through a hierarchical aggregation tree of N shard aggregators whose
-    memory stays O(model size) regardless of fleet size; the global
-    weights are bitwise-identical to the flat path.  With ``--async`` the
-    round barrier is replaced by the FedBuff-style buffered pipeline:
-    commits fire every ``--buffer-size`` admitted updates and stale
-    arrivals fold in under the ``--staleness`` weighting — same
-    determinism guarantees, including mid-buffer kill/resume.
+    Parses, calls :func:`repro.api.simulate` (every flag is that
+    function's parameter of the same name) and writes the report with the
+    run's metrics snapshot embedded.  Two invocations with the same
+    arguments produce byte-identical reports; with ``--state-dir`` a killed
+    run can be re-invoked and resumes where it stopped.
     """
-    import hashlib
+    from .api import simulate
 
-    from .obs import VirtualClock, fresh
-    from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig
-    from .tee.storage import ReeFsBackend, SecureStorage
-
-    config = SimConfig(
-        num_clients=args.clients,
-        rounds=args.rounds,
-        seed=args.seed,
-        cohort=args.cohort,
-        overprovision=args.overprovision,
-        quorum=args.quorum,
-        deadline_seconds=args.deadline,
-        shards=args.shards,
-        byzantine=args.byzantine,
-        attack=args.attack,
-        attack_strength=args.attack_strength,
-        rule=args.rule,
-        trim=args.trim,
-        num_byzantine=args.num_byzantine,
-        max_norm=args.max_norm,
-        clip=args.clip,
-        drift=args.drift,
-        update_scale=args.update_scale,
-        compile=args.compile,
-        client_batch=args.client_batch,
-        async_mode=args.async_mode,
-        buffer_size=args.buffer_size,
-        staleness=args.staleness,
-        staleness_exponent=args.staleness_exponent,
-        concurrency=args.concurrency,
+    report = simulate(**_api_kwargs(simulate, args), include_metrics=True)
+    _write_payload(
+        args.out, {"schema": 1, "command": "simulate", **report}, echo=True
     )
-    rates = FaultRates(
-        dropout=args.dropout,
-        straggler=args.straggler,
-        corrupt=args.corrupt,
-        pool_exhaust=args.pool_exhaust,
-        attestation=args.attestation,
-    )
-    storage = None
-    if args.state_dir:
-        import os
-
-        # Deterministic SSK (resuming in a fresh process must unseal the
-        # checkpoint the killed run wrote) and persistent rollback counters
-        # (as RPMB persists across reboots on a real device).
-        ssk = hashlib.sha256(f"repro-sim-{args.seed}".encode()).digest()
-        storage = SecureStorage(
-            ReeFsBackend(args.state_dir),
-            ssk=ssk,
-            counters_path=os.path.join(args.state_dir, "counters.json"),
-        )
-
-    model = _zoo_model(args.model, seed=args.seed) if args.model else None
-    policy = None
-    if args.policy:
-        from .nn import mlp
-
-        # The policy needs the layout of whatever model the simulator will
-        # run, so replicate its default when --model wasn't given.
-        target = model or mlp(
-            num_classes=4, input_shape=(6,), hidden=(8, 5), seed=args.seed
-        )
-        policy = policy_from_spec(args.policy, target.layout(), seed=args.seed)
-
-    with fresh(clock=VirtualClock()) as ctx:
-        simulator = FLSimulator(
-            config,
-            model=model,
-            policy=policy,
-            fault_plan=FaultPlan(
-                rates,
-                seed=args.seed,
-                shard_down=args.shard_down,
-                byzantine=args.byzantine,
-                attack=args.attack,
-                attack_strength=args.attack_strength,
-            ),
-            storage=storage,
-            clock=ctx.clock,
-        )
-        report = simulator.run()
-        report["metrics"] = ctx.registry.snapshot()
-    payload = {"schema": 1, "command": "simulate", **report}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
     """Run the multi-tenant coordinator service under synthetic load.
 
-    Spins up one :class:`~repro.serve.coordinator.Coordinator`, creates
-    ``--tenants`` concurrent jobs (one per tenant, each with its own
-    seeded client fleet), and drives them to ``--commits`` commits each
-    on virtual time.  Entirely deterministic: two invocations with the
-    same arguments emit byte-identical JSON reports.  With
-    ``--state-dir`` the whole ensemble (coordinator, event loop clock,
-    in-flight wire frames) checkpoints through secure storage after
-    every ``--checkpoint-every`` events, so a ``kill -9`` mid-commit can
-    be re-invoked with the same command line and finishes with a report
+    Parses, calls :func:`repro.api.serve` (every flag is that function's
+    parameter of the same name) and writes the report.  Entirely
+    deterministic: two invocations with the same arguments emit
+    byte-identical JSON, and with ``--state-dir`` a ``kill -9`` mid-commit
+    can be re-invoked with the same command line and finishes with a report
     bitwise identical to an uninterrupted run.
     """
-    import hashlib
+    from .api import serve
 
-    from .obs import VirtualClock, fresh, validate_metrics
-    from .serve import BreakerConfig, LoadSpec, ServeHarness, TenantQuota
-    from .tee.storage import ReeFsBackend, SecureStorage
-
-    chaos = bool(getattr(args, "chaos", False))
-    specs = [
-        LoadSpec(
-            tenant=f"tenant-{i}",
-            job_id=f"job-{i}",
-            clients=args.clients,
-            commits=args.commits,
-            buffer_size=args.buffer_size,
-            shards=args.shards,
-            seed=args.seed + i,
-            concurrency=args.concurrency,
-            ratio=args.ratio,
-            encoding=args.encoding,
-            drift=args.drift,
-            update_scale=args.update_scale,
-            dropout=args.dropout,
-            straggler=args.straggler,
-            byzantine=args.byzantine,
-            attack=args.attack,
-            attack_strength=args.attack_strength,
-            max_norm=args.max_norm,
-            clip=args.clip,
-            chaos=chaos,
-            chaos_rate=args.chaos_rate if chaos else 0.0,
-            chaos_seed=args.chaos_seed,
-        )
-        for i in range(args.tenants)
-    ]
-    breaker = (
-        BreakerConfig(error_budget=args.chaos_breaker_budget)
-        if chaos and args.chaos_breaker_budget > 0
-        else None
-    )
-    quota = TenantQuota(max_queue_depth=args.max_queue_depth)
-    storage = None
-    if args.state_dir:
-        import os
-
-        # Same recovery discipline as `simulate`: a deterministic SSK so a
-        # fresh process can unseal what the killed one wrote, and rollback
-        # counters persisted RPMB-style.
-        ssk = hashlib.sha256(f"repro-serve-{args.seed}".encode()).digest()
-        storage = SecureStorage(
-            ReeFsBackend(args.state_dir),
-            ssk=ssk,
-            counters_path=os.path.join(args.state_dir, "counters.json"),
-        )
-
-    with fresh(clock=VirtualClock()) as ctx:
-        harness = ServeHarness(
-            specs,
-            quota=quota,
-            storage=storage,
-            checkpoint_every=args.checkpoint_every,
-            clock=ctx.clock,
-            breaker=breaker,
-        )
-        harness.restore()
-        report = harness.run()
-        required = [
-            "serve.jobs.active",
-            "serve.queue.depth",
-            "serve.backpressure.rejects",
-        ]
-        if chaos:
-            required += [
-                "serve.transport.drops",
-                "serve.transport.duplicates",
-                "serve.transport.corrupt",
-                "serve.transport.retransmits",
-                "serve.transport.dedup.hits",
-                "serve.transport.breaker.trips",
-            ]
-        validate_metrics(ctx.registry.snapshot(), required=tuple(required))
-    payload = {"schema": 1, "command": "serve", **report}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    report = serve(**_api_kwargs(serve, args))
+    _write_payload(args.out, {"schema": 1, "command": "serve", **report}, echo=True)
 
 
 _COMMANDS = {
@@ -946,6 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chaos-breaker-budget",
+        dest="breaker_budget",
         type=int,
         default=0,
         help="malformed frames tolerated per tenant in a 30s sliding window "

@@ -194,13 +194,14 @@ class StreamingWeightedSum:
 
         ``flat`` lets a producer that already holds the flattened vector
         (same order as :func:`~repro.nn.serialize.flatten_weights`) skip
-        the re-flatten; the fold is bitwise-identical either way.
+        the re-flatten — ``weights`` may then be ``None``; the fold is
+        bitwise-identical either way.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
-        if len(weights) != len(self.template):
-            raise ValueError("clients disagree on layer count")
         if flat is None:
+            if len(weights) != len(self.template):
+                raise ValueError("clients disagree on layer count")
             flat = flatten_weights(weights)
         if flat.size != self.size:
             raise ValueError("clients disagree on parameter count")

@@ -7,7 +7,7 @@ path (they are ciphertext to the normal world).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,35 +41,19 @@ class ModelDownload:
 
 @dataclass
 class ClientUpdate:
-    """Client -> server: locally trained weights for one cycle.
-
-    ``flat_weights`` optionally carries the update's flattened parameter
-    vector (:func:`~repro.nn.serialize.flatten_weights` order) when the
-    producer already has it — aggregators that fold flat vectors can then
-    skip re-flattening.  It must equal ``flatten_weights(plain_weights)``
-    bitwise; it is advisory and never serialised.
-    """
+    """Client -> server: locally trained weights for one cycle."""
 
     client_id: str
     cycle: int
     num_samples: int
     plain_weights: List[Dict[str, np.ndarray]]
     sealed_weights: Optional[bytes] = None
-    flat_weights: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _wire_cache: Optional[int] = field(default=None, repr=False, compare=False)
 
     def wire_bytes(self) -> int:
-        # Memoised: messages are immutable once built, and the npz size is
-        # a pure function of the weight structure, so callers pricing the
-        # same update repeatedly (retries) serialise at most once.
-        if self._wire_cache is None:
-            size = len(weights_to_bytes(self.plain_weights))
-            if self.sealed_weights is not None:
-                size += len(self.sealed_weights)
-            self._wire_cache = size
-        return self._wire_cache
+        size = len(weights_to_bytes(self.plain_weights))
+        if self.sealed_weights is not None:
+            size += len(self.sealed_weights)
+        return size
 
 
 @dataclass

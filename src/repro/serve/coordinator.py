@@ -226,9 +226,10 @@ class Job:
         # Exactly-once dedup ledger (chaos transport): ``cursor`` is the
         # next transport seq to fold, ``stash`` the bounded reorder
         # buffer of received-but-not-yet-in-order frames, ``terminal``
-        # the seqs acked ``rejected:done`` after the job finished.  A seq
-        # is a duplicate iff it is below the cursor, stashed, or
-        # terminal.  All three ride the checkpoint.
+        # the seqs acked ``rejected:done`` after the job finished (capped
+        # at ``quota.max_queue_depth``).  A seq is a duplicate iff it is
+        # below the cursor, stashed, or terminal.  All three ride the
+        # checkpoint.
         self.cursor = 0
         self.stash: Dict[int, bytes] = {}
         self.terminal: set = set()
@@ -569,7 +570,17 @@ class Coordinator:
                 seq=seq,
                 ack=AckMsg(job.job_id, seq, "duplicate"),
             )
-        if job.state is JobState.DONE:
+        # Both ledgers are bounded by the tenant's queue depth: the stash of
+        # a running job, and the terminal set of a finished one.  An honest
+        # fleet has at most ``concurrency`` seqs outstanding at DONE, so
+        # only a peer inventing seqs fills the latter — and gets what a
+        # full stash gets: no ack, nothing remembered.
+        done = job.state is JobState.DONE
+        if len(job.terminal if done else job.stash) >= job.quota.max_queue_depth:
+            self._backpressure.inc(tenant=job.tenant)
+            job._count_transport("refused")
+            return IngestResult("refused:backpressure", seq=seq)
+        if done:
             # Terminal: the job finished without this seq; remember it so
             # replayed copies dedup, and tell the client to stop retrying.
             job.terminal.add(seq)
@@ -579,10 +590,6 @@ class Coordinator:
                 seq=seq,
                 ack=AckMsg(job.job_id, seq, "rejected:done"),
             )
-        if len(job.stash) >= job.quota.max_queue_depth:
-            self._backpressure.inc(tenant=job.tenant)
-            job._count_transport("refused")
-            return IngestResult("refused:backpressure", seq=seq)
         job.stash[seq] = data
         job._count_transport("inserts")
         ack = AckMsg(job.job_id, seq, "accepted")

@@ -6,15 +6,15 @@ server-side control loop real:
 
 * **time** comes from a :class:`~repro.obs.clock.VirtualClock` advanced by a
   priority-queue :class:`~repro.sim.events.EventLoop`;
-* **transfer time** is charged from each message's actual
-  ``wire_bytes()`` (the same :class:`~repro.fl.transport.ModelDownload` /
-  :class:`~repro.fl.transport.ClientUpdate` types the live stack ships)
-  through a seeded per-client :class:`~repro.sim.network.NetworkModel`;
+* **transfer time** is charged through a seeded per-client
+  :class:`~repro.sim.network.NetworkModel` from the two payload sizes of
+  the model structure (download, upload), serialised once per run;
 * **compute time** comes from the TEE :class:`~repro.tee.costmodel.CostModel`
   under the deployment's protection policy, scaled by a per-client device
   speed factor;
 * **updates** are deterministic pseudo-training deltas derived from
-  ``(seed, round, client)``, streamed into the real
+  ``(seed, round, client)`` — flat float64 vectors from production to
+  fold — streamed into the real
   :class:`~repro.fl.sharding.HierarchicalAggregator` the moment they
   arrive — the bounded-memory exact reduce the production server uses, so
   a round never materializes O(clients × model) state and any shard count
@@ -58,6 +58,13 @@ updates arrive *stale* and are folded with their staleness weight instead
 of being dropped.  The same determinism discipline applies, and the
 mid-window buffer state rides the secure-storage checkpoint, so kill/resume
 reproduces the uninterrupted run bit-for-bit.
+
+Both steppers drive one client lifecycle — attempt → retry or give up →
+admission gate → fold → record — through a single implementation of each
+step; :meth:`FLSimulator.step_round` keeps what only a barrier has
+(deadline, over-provisioning, quorum, dead-shard routing) and
+:meth:`FLSimulator.step_commit` what only a stream has (checkpointable
+descriptors, the version ledger, staleness, refill).
 """
 
 from __future__ import annotations
@@ -328,39 +335,73 @@ class _RoundState:
     ``collected`` maps client index → sample count only: the update payload
     itself is folded into the shard tree the moment it arrives and then
     dropped, so a round never holds O(clients × model) weight state.
+    ``pending`` holds the members still owed an outcome; whoever is left
+    in it when the round settles straggled.
     """
 
-    members: List[int]
-    deadline_at: float
-    tree: Optional[object] = None  # HierarchicalAggregator or robust variant
-    positions: Dict[int, int] = field(default_factory=dict)
-    dead_shards: frozenset = frozenset()
+    index: int
+    tree: object  # HierarchicalAggregator or robust variant
+    positions: Dict[int, int]
+    dead_shards: frozenset
+    compute_base: float
+    base_flat: np.ndarray
+    counts: Dict[str, int]
+    pending: set = field(default_factory=set)
     collected: Dict[int, int] = field(default_factory=dict)
-    status: Dict[int, str] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=lambda: _fresh_counts())
     done: bool = False
     aggregated_at: float = 0.0
 
 
-_COUNT_KEYS = (
-    "dropouts",
-    "stragglers",
-    "corrupted",
-    "pool_exhausted",
-    "evicted",
-    "retries",
-    "giveups",
-    "shard_down",
-    "attacked",
-    "admission_rejected",
-    "admission_clipped",
-    "quarantined",
-)
+# Every per-round (or per-commit-window) tally that is mirrored by a
+# registry counter: tally key -> (metric name, help).  One table, so the
+# record and the metrics snapshot cannot drift apart.
+_TALLY_METRICS = {
+    "dropouts": ("sim.dropouts", "cohort members that went silent mid-round"),
+    "stragglers": ("sim.stragglers", "cohort members that missed the round deadline"),
+    "corrupted": ("sim.corruptions", "updates rejected for failing integrity checks"),
+    "pool_exhausted": (
+        "sim.pool_exhaustions",
+        "local training aborts from secure-pool exhaustion",
+    ),
+    "evicted": (
+        "sim.attestation_failures",
+        "cohort members evicted for failing round attestation",
+    ),
+    "retries": ("fl.retry.attempts", "client round attempts retried"),
+    "giveups": ("fl.retry.giveups", "clients abandoned after exhausting retries"),
+    "shard_down": ("sim.shard.losses", "uploads lost to dead shard aggregators"),
+    "attacked": ("sim.attacked", "cohort slots held by Byzantine clients"),
+    "admission_rejected": (
+        "sim.admission.rejected",
+        "arrived updates refused by admission control",
+    ),
+    "quarantined": (
+        "sim.quarantined",
+        "cohort slots denied to quarantined/evicted clients",
+    ),
+}
+
+# ``admission_clipped`` has no sim.* counter of its own: the admission
+# controller already counts clips under ``fl.admission.clipped``.
+_COUNT_KEYS = (*_TALLY_METRICS, "admission_clipped")
 
 
-def _fresh_counts() -> Dict[str, int]:
-    """One round's (or async commit window's) event tallies, zeroed."""
-    return {key: 0 for key in _COUNT_KEYS}
+def _items_to_sorted(template: WeightsList) -> np.ndarray:
+    """Permutation from ``items()`` order onto ``flatten_weights`` order.
+
+    Update noise is drawn as one vector in the model's ``items()`` order
+    (the order the pinned bit stream was defined in); indexing the draw
+    with these flattened ``items()``-order indices lays it out in the
+    sorted-key order every flat vector in the engine uses.
+    """
+    index: WeightsList = []
+    offset = 0
+    for layer in template:
+        index.append({})
+        for key, value in layer.items():
+            index[-1][key] = np.arange(offset, offset + value.size)
+            offset += value.size
+    return flatten_weights(index).astype(np.intp)
 
 
 class FLSimulator:
@@ -417,6 +458,14 @@ class FLSimulator:
             attack=config.attack,
             attack_strength=config.attack_strength,
         )
+        if config.async_mode and self.fault_plan.shard_down > 0:
+            # The buffered pipeline's shards are server-side accumulator
+            # lanes with no per-round life cycle; it never consults
+            # shard_fault_for, so the rate would be silently ignored.
+            raise ValueError(
+                f"shard_down={self.fault_plan.shard_down:g} is not valid with "
+                "async_mode: async shards are accumulator lanes that cannot die"
+            )
         self.storage = storage
         self.cost_model = cost_model or CostModel(
             batch_size=config.batch_size, batches_per_cycle=config.local_steps
@@ -492,21 +541,32 @@ class FLSimulator:
                 AdmissionConfig(max_norm=config.max_norm, clip=config.clip),
             )
             self.reputation = ReputationTracker()
-        self.aggregator_peak_bytes = 0
         self.round = 0
         self.history: List[Dict[str, object]] = []
         self.resumed_from: Optional[int] = None
-        # Compiled update production (config.compile): per-round cache of
-        # (round, client) -> (trained weights, flat vector), the traced
-        # delta program + batched VM, the flat weight layout, and the
-        # once-per-run memoised update wire size (a pure function of the
-        # model structure, so one serialisation prices every upload).
-        self._update_cache: Dict[tuple, tuple] = {}
-        self._flat_layout: Optional[tuple] = None
-        self._delta_exec: Optional[tuple] = None
-        self._wire_size: Optional[int] = None
-        if self.storage is not None:
-            self._load_checkpoint()
+        # Updates are flat float64 vectors (flatten_weights order) from
+        # production to fold; WeightsList appears only at the model, the
+        # admission gate's view and the checkpoint.  Constants of the model
+        # structure, computed once per run: the structure, the noise
+        # permutation, the teacher vector and the two npz payload sizes.
+        self._template: WeightsList = initial
+        self._perm = _items_to_sorted(initial)
+        self._teacher_flat = flatten_weights(self.teacher_weights)
+        self._download_bytes = ModelDownload(
+            cycle=0, plain_weights=initial
+        ).wire_bytes()
+        self._upload_bytes = ClientUpdate(
+            client_id="sim-0", cycle=0, num_samples=1, plain_weights=initial
+        ).wire_bytes()
+        # Compiled update production (config.compile): the round's batch of
+        # (round, client) -> flat update, and the traced delta program + VM.
+        self._update_cache: Dict[tuple, np.ndarray] = {}
+        self._delta_exec = None
+        resumed = self._load_checkpoint() if self.storage is not None else None
+        if config.async_mode:
+            self._init_async()
+            if resumed:
+                self._restore_async(resumed)
 
     # -- deterministic derivations ----------------------------------------
     def _select_cohort(self, round_index: int) -> List[int]:
@@ -516,55 +576,50 @@ class FLSimulator:
         )
         return sorted(int(i) for i in picked)
 
-    # -- compiled (batched) update production ------------------------------
-    def _layout(self) -> tuple:
-        """Flat layout of the model's parameters.
-
-        Returns ``(total, perm, sorted_pos)``: the parameter count, the
-        permutation taking an *items-order* flat vector (the order
-        :meth:`_make_update` draws noise in) onto
-        :func:`~repro.nn.serialize.flatten_weights`' sorted-key order, and
-        per-``(layer, key)`` offsets into the sorted-order vector.
-        """
-        if self._flat_layout is None:
-            template = self.model.get_weights()
-            items_pos: Dict[tuple, tuple] = {}
-            offset = 0
-            for i, layer in enumerate(template):
-                for key, value in layer.items():
-                    items_pos[(i, key)] = (offset, int(value.size))
-                    offset += int(value.size)
-            perm_parts: List[np.ndarray] = []
-            sorted_pos: Dict[tuple, int] = {}
-            sorted_offset = 0
-            for i, layer in enumerate(template):
-                for key in sorted(layer):
-                    start, size = items_pos[(i, key)]
-                    perm_parts.append(np.arange(start, start + size))
-                    sorted_pos[(i, key)] = sorted_offset
-                    sorted_offset += size
-            perm = (
-                np.concatenate(perm_parts)
-                if perm_parts
-                else np.zeros(0, dtype=np.int64)
+    def _noise(self, key: int, client: int) -> np.ndarray:
+        """The client's keyed noise draw, in ``items()`` order (one flat
+        draw fills from the same bit stream as per-parameter draws would).
+        ``Generator(PCG64(SeedSequence(...)))`` is what ``default_rng(...)``
+        builds, minus its dispatch overhead."""
+        rng = np.random.Generator(
+            np.random.PCG64(
+                np.random.SeedSequence(
+                    (self.config.seed, _STREAM_UPDATE, key, client)
+                )
             )
-            struct = [
-                [
-                    (
-                        key,
-                        sorted_pos[(i, key)],
-                        sorted_pos[(i, key)] + int(value.size),
-                        value.shape,
-                    )
-                    for key, value in layer.items()
-                ]
-                for i, layer in enumerate(template)
-            ]
-            self._flat_layout = (offset, perm, sorted_pos, struct)
-        return self._flat_layout
+        )
+        return rng.standard_normal(self._perm.size)
 
-    def _delta_vm(self) -> tuple:
-        """The traced honest-delta program and its client-batched VM.
+    def _make_update(
+        self, key: int, client: int, base_flat: np.ndarray
+    ) -> np.ndarray:
+        """The client's pseudo-trained weights as a flat vector: drift
+        toward the teacher plus seeded noise — and, for a Byzantine client,
+        the attack applied to that honest delta *at production time* (so
+        every retry re-sends the same poisoned bytes and deliveries are
+        never re-perturbed).
+
+        Keyed on ``(seed, key, client)`` only (``key`` is the round in sync
+        mode, the dispatch index in async mode), so a retried attempt
+        re-sends the exact same payload and resume replays it bitwise.
+        Under ``config.compile`` the round's batch already holds the same
+        bits (see :meth:`_precompute_updates`).
+        """
+        cached = self._update_cache.get((key, client))
+        if cached is not None:
+            return cached
+        cfg = self.config
+        delta = (
+            cfg.drift * (self._teacher_flat - base_flat)
+            + cfg.update_scale * self._noise(key, client)[self._perm]
+        )
+        if self.fault_plan.attack_for(client) is not None:
+            delta = self.fault_plan.attack_delta(key, client, delta)
+        return base_flat + delta
+
+    # -- compiled (batched) update production ------------------------------
+    def _delta_vm(self):
+        """The client-batched VM of the traced honest-delta program.
 
         Traces ``drift * (teacher - global) + scale * noise`` once over
         flat parameter vectors, then lifts the noise placeholder along a
@@ -575,7 +630,7 @@ class FLSimulator:
             from ..autodiff.ops import add, mul, sub
             from ..graph.vm import BatchedVM, trace_callable
 
-            total = self._layout()[0]
+            total = self._perm.size
             drift = self.config.drift
             scale = self.config.update_scale
 
@@ -592,30 +647,20 @@ class FLSimulator:
                     delta_fn,
                     [np.zeros(total), np.zeros(total), np.zeros(total)],
                 )
-            self._delta_exec = (program, BatchedVM(program, [2]))
+            self._delta_exec = BatchedVM(program, [2])
         return self._delta_exec
 
     def _precompute_updates(
-        self, round_index: int, members: List[int], global_weights: WeightsList
+        self, round_index: int, members: List[int], base_flat: np.ndarray
     ) -> None:
         """Produce the cohort's pseudo-updates through the batched VM.
 
-        Bitwise-identical to per-client :meth:`_make_update`: one flat
-        ``standard_normal`` draw per client equals its per-parameter
-        chunked draws (the generator fills arrays sequentially from the
-        same bit stream), the traced program replays the eager arithmetic
-        elementwise, and attacks are applied per client on the sorted-order
-        flat delta exactly as the eager path flattens it.
+        Bitwise-identical to per-client :meth:`_make_update`: the same
+        noise draws, the traced program replays the eager arithmetic
+        elementwise, and attacks are applied per client on its row.
         """
-        cfg = self.config
-        total, perm, _, struct = self._layout()
-        _, vm = self._delta_vm()
-        global_flat = flatten_weights(global_weights)
-        teacher_flat = flatten_weights(self.teacher_weights)
-        batch = cfg.client_batch
-        seed = cfg.seed
-        cache = self._update_cache
-        attack_for = self.fault_plan.attack_for
+        vm = self._delta_vm()
+        batch = self.config.client_batch
         with get_tracer().span(
             "graph.execute",
             program="sim-update-delta",
@@ -625,101 +670,191 @@ class FLSimulator:
         ):
             for start in range(0, len(members), batch):
                 chunk = members[start : start + batch]
-                noise = np.empty((len(chunk), total))
+                noise = np.empty((len(chunk), self._perm.size))
                 for j, client in enumerate(chunk):
-                    # Generator(PCG64(SeedSequence(...))) is what
-                    # default_rng(...) builds, minus its dispatch overhead;
-                    # the bit stream — and every draw — is identical.
-                    rng = np.random.Generator(
-                        np.random.PCG64(
-                            np.random.SeedSequence(
-                                (seed, _STREAM_UPDATE, round_index, client)
-                            )
-                        )
-                    )
-                    noise[j] = rng.standard_normal(total)
-                deltas = vm.run([global_flat, teacher_flat, noise[:, perm]])[0]
+                    noise[j] = self._noise(round_index, client)
+                deltas = vm.run(
+                    [base_flat, self._teacher_flat, noise[:, self._perm]]
+                )[0]
                 # One broadcast add prices the whole chunk; each row is the
                 # same IEEE elementwise sum the eager path computes.
-                trained_mat = global_flat + deltas
+                trained = base_flat + deltas
                 for j, client in enumerate(chunk):
-                    if attack_for(client) is not None:
-                        flat = self.fault_plan.attack_delta(
+                    if self.fault_plan.attack_for(client) is not None:
+                        trained[j] = base_flat + self.fault_plan.attack_delta(
                             round_index, client, deltas[j]
                         )
-                        trained_flat = global_flat + flat
-                    else:
-                        trained_flat = trained_mat[j]
-                    trained: WeightsList = [
-                        {
-                            key: trained_flat[s:e].reshape(shape)
-                            for key, s, e, shape in layer
-                        }
-                        for layer in struct
-                    ]
-                    cache[(round_index, client)] = (trained, trained_flat)
-
-    def _make_update(
-        self, round_index: int, client_index: int, global_weights: WeightsList
-    ) -> ClientUpdate:
-        """The client's pseudo-trained update: drift toward the teacher
-        plus seeded noise — and, for a Byzantine client, the attack applied
-        to that honest delta *at production time* (so every retry re-sends
-        the same poisoned bytes and deliveries are never re-perturbed).
-
-        Keyed on ``(seed, round, client)`` only, so a retried attempt
-        re-sends the exact same payload and resume replays it bitwise.
-        Under ``config.compile`` the payload comes from the round's
-        precomputed batch (same bytes; see :meth:`_precompute_updates`).
-        """
-        cfg = self.config
-        cached = self._update_cache.get((round_index, client_index))
-        if cached is not None:
-            trained_cached, flat_cached = cached
-            update = ClientUpdate(
-                client_id=f"sim-{client_index}",
-                cycle=round_index,
-                num_samples=int(self.num_samples[client_index]),
-                plain_weights=trained_cached,
-                flat_weights=flat_cached,
-            )
-            # The npz wire size is a pure function of the weight structure:
-            # serialise once per run, stamp every later update with it.
-            if self._wire_size is None:
-                self._wire_size = update.wire_bytes()
-            else:
-                update._wire_cache = self._wire_size
-            return update
-        rng = np.random.default_rng(
-            (cfg.seed, _STREAM_UPDATE, round_index, client_index)
-        )
-        delta: WeightsList = [
-            {
-                key: cfg.drift * (self.teacher_weights[i][key] - value)
-                + cfg.update_scale * rng.standard_normal(value.shape)
-                for key, value in layer.items()
-            }
-            for i, layer in enumerate(global_weights)
-        ]
-        if self.fault_plan.attack_for(client_index) is not None:
-            flat = self.fault_plan.attack_delta(
-                round_index, client_index, flatten_weights(delta)
-            )
-            delta = unflatten_weights(flat, global_weights)
-        trained: WeightsList = [
-            {key: value + delta[i][key] for key, value in layer.items()}
-            for i, layer in enumerate(global_weights)
-        ]
-        return ClientUpdate(
-            client_id=f"sim-{client_index}",
-            cycle=round_index,
-            num_samples=int(self.num_samples[client_index]),
-            plain_weights=trained,
-        )
+                    self._update_cache[(round_index, client)] = trained[j]
 
     def accuracy(self) -> float:
         """Global-model accuracy on the teacher-labelled eval set."""
         return self.model.accuracy(self._eval_x, self._eval_y)
+
+    # -- the client lifecycle both steppers share --------------------------
+    # Each helper below is the only implementation of its step.
+
+    def _tally(self, counts: Dict[str, int], key: str, amount: int = 1) -> None:
+        """Count ``key`` in the open record and on its registry counter."""
+        counts[key] += amount
+        get_registry().counter(*_TALLY_METRICS[key]).inc(amount)
+
+    def _time_attempt(
+        self,
+        key: int,
+        client: int,
+        attempt: int,
+        fault: Optional[FaultKind],
+        start_at: float,
+        compute_base: float,
+    ) -> tuple:
+        """When one download→train→upload attempt resolves, and how.
+
+        Returns ``(at, failure, straggled)``; ``failure`` is the tally key
+        of what goes wrong (``None`` = the upload arrives).  A pool-exhausted
+        enclave aborts halfway through local training and reports at once;
+        a corrupted upload travels the whole way and fails its integrity
+        check on arrival; both hit the first attempt only.  A straggler's
+        attempt is stretched by the plan's delay factor (exactly ``1.0``,
+        a bitwise no-op, for a healthy client).
+        """
+        download_t = self.network.transfer_seconds(client, self._download_bytes)
+        compute_t = compute_base * float(self.speed[client])
+        if fault is FaultKind.EXHAUST_POOL and attempt == 0:
+            return start_at + download_t + 0.5 * compute_t, "pool_exhausted", False
+        upload_t = self.network.transfer_seconds(client, self._upload_bytes)
+        delay = self.fault_plan.delay_factor(
+            key, client, self.config.straggler_factor
+        )
+        failure = "corrupted" if fault is FaultKind.CORRUPT and attempt == 0 else None
+        at = start_at + (download_t + compute_t + upload_t) * delay
+        return at, failure, delay != 1.0
+
+    def _retry_at(
+        self, counts: Dict[str, int], attempt: int, reason: str
+    ) -> Optional[float]:
+        """Tally a failed attempt; when its retry starts (None = give up).
+
+        Bounded retries with exponential backoff from *now*.
+        """
+        self._tally(counts, reason)
+        if attempt < self.config.max_retries:
+            self._tally(counts, "retries")
+            return self.clock.time + self.config.retry_backoff_seconds * (2**attempt)
+        self._tally(counts, "giveups")
+        return None
+
+    def _weights_view(self, flat: np.ndarray) -> WeightsList:
+        """``flat`` as a WeightsList keyed in the model's own ``items()`` order."""
+        view = unflatten_weights(flat, self._template)
+        return [{k: v[k] for k in t} for v, t in zip(view, self._template)]
+
+    def _admit(
+        self,
+        counts: Dict[str, int],
+        key: int,
+        client: int,
+        base_flat: np.ndarray,
+        strike_round: int,
+    ) -> Optional[np.ndarray]:
+        """The arrived update after the production admission gate: the
+        vector to fold, or None.
+
+        Checked against the model the client trained from.  A rejected
+        update is NOT retried: the payload is a pure function of
+        ``(seed, key, client)``, so the same bytes would be rejected again
+        — the client just strikes its reputation at ``strike_round``.
+        """
+        flat = self._make_update(key, client, base_flat)
+        if self.admission is None:
+            return flat
+        client_id = f"sim-{client}"
+        decision = self.admission.check(
+            client_id,
+            self._weights_view(flat),
+            reference=self._weights_view(base_flat),
+        )
+        if not decision.admitted:
+            self.reputation.record_rejection(client_id, strike_round)
+            self._tally(counts, "admission_rejected")
+            return None
+        self.reputation.record_admission(client_id)
+        if decision.clipped:
+            counts["admission_clipped"] += 1
+            return flatten_weights(decision.weights)
+        return flat
+
+    def _price_shard_hop(self, aggregator, sent_at: float) -> tuple:
+        """Price the shard→root transfer: ``(shard_bytes, settled_at)``.
+
+        Each non-empty shard's partial is a real transfer over the shard
+        links; the aggregate settles when the slowest one lands.
+        """
+        shard_bytes, settled_at = 0, sent_at
+        if self.shard_network is not None:
+            counter = get_registry().counter(
+                "sim.shard.bytes", "bytes shards sent to the root"
+            )
+            for partial in aggregator.partials():
+                size = partial.wire_bytes()
+                shard_bytes += size
+                counter.inc(size)
+                hop = self.shard_network.transfer_seconds(partial.shard_id, size)
+                settled_at = max(settled_at, sent_at + hop)
+        return shard_bytes, settled_at
+
+    def _record(
+        self,
+        span,
+        counts: Dict[str, int],
+        *,
+        asked: int,
+        folded: int,
+        degraded: bool,
+        started_at: float,
+        settled_at: float,
+        peak_bytes: int,
+        **fields,
+    ) -> Dict[str, object]:
+        """Score the new global model and close the round/commit record."""
+        cfg = self.config
+        registry = get_registry()
+        accuracy = self.accuracy()
+        registry.gauge(
+            "sim.accuracy", "global-model accuracy on the teacher-labelled eval set"
+        ).set(accuracy)
+        span.set_attribute("collected", folded)
+        span.set_attribute("degraded", degraded)
+        span.set_attribute("accuracy", accuracy)
+        registry.counter(
+            "fl.aggregate.rule", "rounds aggregated, labelled per rule"
+        ).inc(rule=cfg.rule)
+        registry.counter("sim.rounds", "simulated FL rounds").inc()
+        registry.counter(
+            "sim.clients.selected", "cohort slots asked across all rounds"
+        ).inc(asked)
+        registry.counter(
+            "sim.clients.collected", "client updates aggregated across all rounds"
+        ).inc(folded)
+        registry.histogram(
+            "sim.round.virtual_seconds", "simulated wall time per round"
+        ).observe(settled_at - started_at)
+        outcome: Dict[str, object] = {
+            "round": self.round,
+            "asked": asked,
+            "degraded": degraded,
+            "started_at": started_at,
+            "aggregated_at": settled_at,
+            "virtual_seconds": settled_at - started_at,
+            "shards": cfg.shards,
+            "aggregator_peak_bytes": int(peak_bytes),
+            "rule": cfg.rule,
+            "accuracy": accuracy,
+            **fields,
+            **counts,
+        }
+        self.history.append(outcome)
+        self.round += 1
+        return outcome
 
     # -- one round ---------------------------------------------------------
     def step_round(self) -> Dict[str, object]:
@@ -731,54 +866,38 @@ class FLSimulator:
                 "through step_commit"
             )
         rnd = self.round
-        registry = get_registry()
-        protected = self.policy.layers_for_cycle(rnd)
-        compute_base = self.cost_model.cycle_cost(self.model, protected).total_seconds
-        global_weights = self.model.get_weights()
-        download_bytes = ModelDownload(
-            cycle=rnd, plain_weights=global_weights
-        ).wire_bytes()
-
+        base_flat = flatten_weights(self.model.get_weights())
         started_at = self.clock.time
+        counts = dict.fromkeys(_COUNT_KEYS, 0)
         with get_tracer().span(
             "sim.round", cycle=rnd, asked=cfg.asked, rule=cfg.rule
         ) as span:
-            registry.counter(
-                "fl.aggregate.rule", "rounds aggregated, labelled per rule"
-            ).inc(rule=cfg.rule)
             members = self._select_cohort(rnd)
-            quarantined: List[int] = []
             if self.reputation is not None:
                 # The selection draw is untouched (pure function of the
                 # seed); quarantined clients are filtered *after* it, so
                 # the honest cohort is identical across runs.
-                quarantined = [
-                    i
-                    for i in members
-                    if self.reputation.is_blocked(f"sim-{i}", rnd)
-                ]
-                if quarantined:
-                    members = [i for i in members if i not in set(quarantined)]
-                    registry.counter(
-                        "sim.quarantined",
-                        "cohort slots denied to quarantined/evicted clients",
-                    ).inc(len(quarantined))
+                blocked = {
+                    i for i in members if self.reputation.is_blocked(f"sim-{i}", rnd)
+                }
+                if blocked:
+                    members = [i for i in members if i not in blocked]
+                    self._tally(counts, "quarantined", len(blocked))
             if cfg.compile:
-                self._precompute_updates(rnd, members, global_weights)
+                self._precompute_updates(rnd, members, base_flat)
             dead_shards = frozenset(
                 shard
                 for shard in range(cfg.shards)
                 if self.fault_plan.shard_fault_for(rnd, shard)
             )
             if dead_shards:
-                registry.counter(
+                get_registry().counter(
                     "sim.shard.down", "shard aggregators dead for a round"
                 ).inc(len(dead_shards))
             state = _RoundState(
-                members=members,
-                deadline_at=started_at + cfg.deadline_seconds,
+                index=rnd,
                 tree=make_aggregation_tree(
-                    global_weights,
+                    self._template,
                     ShardingConfig(num_shards=cfg.shards, track_memory=False),
                     rule=cfg.rule,
                     trim=cfg.effective_trim,
@@ -786,141 +905,69 @@ class FLSimulator:
                 ),
                 positions={index: pos for pos, index in enumerate(members)},
                 dead_shards=dead_shards,
+                compute_base=self.cost_model.cycle_cost(
+                    self.model, self.policy.layers_for_cycle(rnd)
+                ).total_seconds,
+                base_flat=base_flat,
+                counts=counts,
             )
-            state.counts["quarantined"] = len(quarantined)
             # Deadline first: a completion landing exactly on the deadline
             # is late, deterministically.
             self.loop.schedule_at(
-                state.deadline_at, lambda: self._finish(state, registry)
+                started_at + cfg.deadline_seconds, lambda: self._finish(state)
             )
             for index in members:
                 if self.fault_plan.attack_for(index) is not None:
-                    state.counts["attacked"] += 1
-                    registry.counter(
-                        "sim.attacked", "cohort slots held by Byzantine clients"
-                    ).inc()
+                    self._tally(counts, "attacked")
                 fault = self.fault_plan.fault_for(rnd, index)
                 if fault is FaultKind.FAIL_ATTESTATION:
-                    state.status[index] = "evicted"
-                    state.counts["evicted"] += 1
-                    registry.counter(
-                        "sim.attestation_failures",
-                        "cohort members evicted for failing round attestation",
-                    ).inc()
-                    continue
-                if fault is FaultKind.DROP:
-                    state.status[index] = "dropped"
-                    state.counts["dropouts"] += 1
-                    registry.counter(
-                        "sim.dropouts", "cohort members that went silent mid-round"
-                    ).inc()
-                    continue
-                state.status[index] = "pending"
-                self._schedule_attempt(
-                    state,
-                    rnd,
-                    index,
-                    attempt=0,
-                    start_at=started_at,
-                    fault=fault,
-                    compute_base=compute_base,
-                    download_bytes=download_bytes,
-                    global_weights=global_weights,
-                    registry=registry,
-                )
+                    self._tally(counts, "evicted")
+                elif fault is FaultKind.DROP:
+                    self._tally(counts, "dropouts")
+                else:
+                    state.pending.add(index)
+                    self._schedule_attempt(state, index, 0, started_at, fault)
 
+            # No event runs after _finish (the loop re-checks after each),
+            # and the queued deadline event guarantees one: if everyone
+            # resolved early — or nobody was schedulable — the round settles
+            # at the deadline.
             while not state.done and self.loop.step():
                 pass
-            if not state.done:
-                # Everyone resolved (or nobody was schedulable) before the
-                # deadline event fired: settle the round at the deadline.
-                self.clock.advance_to(state.deadline_at)
-                self._finish(state, registry)
             # Anything still queued is a straggler arriving after the round
-            # settled; classification below counts it, the event is moot.
+            # settled; the tally below counts it, the event is moot.
             self.loop.clear()
-
-            for index in members:
-                if state.status.get(index) == "pending":
-                    state.status[index] = "straggled"
-                    state.counts["stragglers"] += 1
-                    registry.counter(
-                        "sim.stragglers",
-                        "cohort members that missed the round deadline",
-                    ).inc()
+            if state.pending:
+                self._tally(counts, "stragglers", len(state.pending))
 
             degraded = len(state.collected) < cfg.quorum_count
             shard_bytes = 0
-            if not degraded:
-                if self.shard_network is not None:
-                    # The shard→root hop is a real transfer: price each
-                    # partial's wire bytes through the shard links and
-                    # settle the round when the slowest partial lands.
-                    root_at = state.aggregated_at
-                    for partial in state.tree.partials():
-                        size = partial.wire_bytes()
-                        shard_bytes += size
-                        registry.counter(
-                            "sim.shard.bytes", "bytes shards sent to the root"
-                        ).inc(size)
-                        root_at = max(
-                            root_at,
-                            state.aggregated_at
-                            + self.shard_network.transfer_seconds(
-                                partial.shard_id, size
-                            ),
-                        )
-                    state.aggregated_at = root_at
-                    self.clock.advance_to(root_at)
-                new_global = state.tree.reduce()
-                self.model.set_weights(new_global)
-            else:
-                registry.counter(
+            if degraded:
+                get_registry().counter(
                     "sim.rounds.degraded",
                     "rounds below quorum that reused the previous global model",
                 ).inc()
-            self.aggregator_peak_bytes = max(
-                self.aggregator_peak_bytes, state.tree.peak_bytes
+            else:
+                # The round settles when the slowest shard partial lands.
+                shard_bytes, state.aggregated_at = self._price_shard_hop(
+                    state.tree, state.aggregated_at
+                )
+                self.clock.advance_to(state.aggregated_at)
+                self.model.set_weights(state.tree.reduce())
+            outcome = self._record(
+                span,
+                counts,
+                asked=len(members),
+                folded=len(state.collected),
+                degraded=degraded,
+                started_at=started_at,
+                settled_at=state.aggregated_at,
+                peak_bytes=state.tree.peak_bytes,
+                cohort=members,
+                collected=sorted(state.collected),
+                dead_shards=sorted(dead_shards),
+                shard_bytes=shard_bytes,
             )
-            accuracy = self.accuracy()
-            registry.gauge(
-                "sim.accuracy",
-                "global-model accuracy on the teacher-labelled eval set",
-            ).set(accuracy)
-            span.set_attribute("collected", len(state.collected))
-            span.set_attribute("degraded", degraded)
-            span.set_attribute("accuracy", accuracy)
-
-        registry.counter("sim.rounds", "simulated FL rounds").inc()
-        registry.counter(
-            "sim.clients.selected", "cohort slots asked across all rounds"
-        ).inc(len(members))
-        registry.counter(
-            "sim.clients.collected", "client updates aggregated across all rounds"
-        ).inc(len(state.collected))
-        registry.histogram(
-            "sim.round.virtual_seconds", "simulated wall time per round"
-        ).observe(state.aggregated_at - started_at)
-
-        outcome: Dict[str, object] = {
-            "round": rnd,
-            "asked": len(members),
-            "cohort": members,
-            "collected": sorted(int(i) for i in state.collected),
-            "degraded": degraded,
-            "started_at": started_at,
-            "aggregated_at": state.aggregated_at,
-            "virtual_seconds": state.aggregated_at - started_at,
-            "shards": cfg.shards,
-            "dead_shards": sorted(state.dead_shards),
-            "shard_bytes": int(shard_bytes),
-            "aggregator_peak_bytes": int(state.tree.peak_bytes),
-            "rule": cfg.rule,
-            "accuracy": accuracy,
-            **state.counts,
-        }
-        self.history.append(outcome)
-        self.round += 1
         self._update_cache.clear()
         self._save_checkpoint()
         return outcome
@@ -928,207 +975,46 @@ class FLSimulator:
     def _schedule_attempt(
         self,
         state: _RoundState,
-        rnd: int,
         index: int,
         attempt: int,
         start_at: float,
         fault: Optional[FaultKind],
-        compute_base: float,
-        download_bytes: int,
-        global_weights: WeightsList,
-        registry,
     ) -> None:
         """Queue one download→train→upload attempt for a cohort member."""
-        cfg = self.config
-        download_t = self.network.transfer_seconds(index, download_bytes)
-        compute_t = compute_base * float(self.speed[index])
-
-        if fault is FaultKind.EXHAUST_POOL and attempt == 0:
-            # The enclave aborts partway through local training and the
-            # client reports the failure immediately.
-            fail_at = start_at + download_t + 0.5 * compute_t
-            self.loop.schedule_at(
-                fail_at,
-                lambda: self._on_failure(
-                    state,
-                    rnd,
-                    index,
-                    attempt,
-                    "pool_exhausted",
-                    compute_base,
-                    download_bytes,
-                    global_weights,
-                    registry,
-                ),
-            )
-            return
-
-        update = self._make_update(rnd, index, global_weights)
-        upload_t = self.network.transfer_seconds(index, update.wire_bytes())
-        # Multiplying by the exact 1.0 a healthy client gets is a bitwise
-        # no-op, so routing the straggler slow-down through the plan keeps
-        # sync reports byte-identical while sharing one source of truth
-        # with the async engine (where the same factor produces genuinely
-        # stale arrivals instead of deadline misses).
-        duration = (download_t + compute_t + upload_t) * self.fault_plan.delay_factor(
-            rnd, index, cfg.straggler_factor
+        at, failure, _ = self._time_attempt(
+            state.index, index, attempt, fault, start_at, state.compute_base
         )
-        corrupted = fault is FaultKind.CORRUPT and attempt == 0
         self.loop.schedule_at(
-            start_at + duration,
-            lambda: self._on_arrival(
-                state,
-                rnd,
-                index,
-                attempt,
-                update,
-                corrupted,
-                compute_base,
-                download_bytes,
-                global_weights,
-                registry,
-            ),
+            at, lambda: self._on_attempt_end(state, index, attempt, failure)
         )
 
-    def _on_arrival(
-        self,
-        state: _RoundState,
-        rnd: int,
-        index: int,
-        attempt: int,
-        update: ClientUpdate,
-        corrupted: bool,
-        compute_base: float,
-        download_bytes: int,
-        global_weights: WeightsList,
-        registry,
+    def _on_attempt_end(
+        self, state: _RoundState, index: int, attempt: int, failure: Optional[str]
     ) -> None:
-        if state.done:
-            return
-        if corrupted:
-            state.counts["corrupted"] += 1
-            registry.counter(
-                "sim.corruptions", "updates rejected for failing integrity checks"
-            ).inc()
-            self._on_failure(
-                state,
-                rnd,
-                index,
-                attempt,
-                None,
-                compute_base,
-                download_bytes,
-                global_weights,
-                registry,
-            )
-            return
-        if index in state.collected:
-            return
-        shard = self._route_shard(state, index, attempt)
+        shard = None if failure else self._route_shard(state, index, attempt)
         if shard is None:
-            # The upload reached a dead shard aggregator and was lost; the
-            # client re-enters the ordinary retry machinery (retries are
-            # re-routed to a surviving shard, if any).
-            state.counts["shard_down"] += 1
-            registry.counter(
-                "sim.shard.losses", "uploads lost to dead shard aggregators"
-            ).inc()
-            self._on_failure(
-                state,
-                rnd,
-                index,
-                attempt,
-                None,
-                compute_base,
-                download_bytes,
-                global_weights,
-                registry,
-            )
+            # A lost upload (integrity failure, or a dead shard aggregator)
+            # or an aborted enclave: the client re-enters the retry
+            # machinery; retries are re-routed to a surviving shard, if any.
+            start_at = self._retry_at(state.counts, attempt, failure or "shard_down")
+            if start_at is None:
+                state.pending.discard(index)
+            else:
+                self._schedule_attempt(state, index, attempt + 1, start_at, None)
             return
-        weights = update.plain_weights
-        if self.admission is not None:
-            # The production gate, against this round's global weights.
-            # A rejected update is NOT retried: the payload is a pure
-            # function of (seed, round, client), so the same bytes would
-            # be rejected again — the client just strikes its reputation.
-            decision = self.admission.check(
-                update.client_id, weights, reference=global_weights
-            )
-            if not decision.admitted:
-                self.reputation.record_rejection(update.client_id, rnd)
-                state.counts["admission_rejected"] += 1
-                state.status[index] = "rejected"
-                registry.counter(
-                    "sim.admission.rejected",
-                    "arrived updates refused by admission control",
-                ).inc()
-                return
-            self.reputation.record_admission(update.client_id)
-            if decision.clipped:
-                state.counts["admission_clipped"] += 1
-            weights = decision.weights
-        state.tree.fold(
-            shard,
-            weights,
-            update.num_samples,
-            position=state.positions[index],
-            # Admission clipping replaces the weights; the precomputed flat
-            # only describes the original payload.
-            flat=(
-                update.flat_weights
-                if weights is update.plain_weights
-                else None
-            ),
+        state.pending.discard(index)
+        flat = self._admit(
+            state.counts, state.index, index, state.base_flat, state.index
         )
-        state.collected[index] = int(update.num_samples)
-        state.status[index] = "collected"
-        if len(state.collected) >= self.config.cohort:
-            self._finish(state, registry)
-
-    def _on_failure(
-        self,
-        state: _RoundState,
-        rnd: int,
-        index: int,
-        attempt: int,
-        reason: Optional[str],
-        compute_base: float,
-        download_bytes: int,
-        global_weights: WeightsList,
-        registry,
-    ) -> None:
-        if state.done:
+        if flat is None:
             return
-        if reason == "pool_exhausted":
-            state.counts["pool_exhausted"] += 1
-            registry.counter(
-                "sim.pool_exhaustions",
-                "local training aborts from secure-pool exhaustion",
-            ).inc()
-        if attempt < self.config.max_retries:
-            state.counts["retries"] += 1
-            registry.counter(
-                "fl.retry.attempts", "client round attempts retried"
-            ).inc()
-            backoff = self.config.retry_backoff_seconds * (2**attempt)
-            self._schedule_attempt(
-                state,
-                rnd,
-                index,
-                attempt=attempt + 1,
-                start_at=self.clock.time + backoff,
-                fault=None,  # transient faults only hit the first attempt
-                compute_base=compute_base,
-                download_bytes=download_bytes,
-                global_weights=global_weights,
-                registry=registry,
-            )
-        else:
-            state.counts["giveups"] += 1
-            state.status[index] = "failed"
-            registry.counter(
-                "fl.retry.giveups", "clients abandoned after exhausting retries"
-            ).inc()
+        num_samples = int(self.num_samples[index])
+        state.tree.fold(
+            shard, None, num_samples, position=state.positions[index], flat=flat
+        )
+        state.collected[index] = num_samples
+        if len(state.collected) >= self.config.cohort:
+            self._finish(state)
 
     def _route_shard(
         self, state: _RoundState, index: int, attempt: int
@@ -1142,7 +1028,7 @@ class FLSimulator:
         the reduce is exact — so re-routing is free of aggregation skew.
         """
         cfg = self.config
-        home = shard_of(state.positions[index], len(state.members), cfg.shards)
+        home = shard_of(state.positions[index], len(state.positions), cfg.shards)
         if home not in state.dead_shards:
             return home
         if attempt == 0:
@@ -1153,9 +1039,7 @@ class FLSimulator:
                 return candidate
         return None
 
-    def _finish(self, state: _RoundState, registry) -> None:
-        if state.done:
-            return
+    def _finish(self, state: _RoundState) -> None:
         state.done = True
         state.aggregated_at = self.clock.time
 
@@ -1174,18 +1058,16 @@ class FLSimulator:
     # be checkpointed mid-window and resumed bit-for-bit.
     #
     # Simplifications vs sync, by design: shard aggregators are server-side
-    # accumulator lanes (no per-round shard deaths), the shard→root hop is
+    # accumulator lanes (no per-round shard deaths — a plan with
+    # ``shard_down`` is refused at construction), the shard→root hop is
     # priced into ``shard_bytes``/``aggregated_at`` without advancing the
     # global clock (earlier-scheduled client events forbid it), and compute
     # time is priced under the cycle-0 protected set.
 
-    def _ensure_async(self) -> None:
-        if getattr(self, "_async_ready", False):
-            return
+    def _init_async(self) -> None:
         cfg = self.config
-        self._async_ready = True
         self._buffer = BufferedAggregator(
-            self.model.get_weights(),
+            self._template,
             cfg.buffer_config,
             ShardingConfig(num_shards=cfg.shards, track_memory=False),
             rule=cfg.rule,
@@ -1194,31 +1076,24 @@ class FLSimulator:
         )
         self._inflight: Dict[int, Dict[str, object]] = {}
         self._dispatch_counter = 0
-        self._version_weights: Dict[int, WeightsList] = {
-            self.round: self.model.get_weights()
+        # Model version (commit index) -> the flat weights dispatched then.
+        self._version_flat: Dict[int, np.ndarray] = {
+            self.round: flatten_weights(self.model.get_weights())
         }
-        template = self.model.get_weights()
-        self._async_download_bytes = ModelDownload(
-            cycle=0, plain_weights=template
-        ).wire_bytes()
-        self._async_upload_bytes = ClientUpdate(
-            client_id="sim-0", cycle=0, num_samples=1, plain_weights=template
-        ).wire_bytes()
-        protected = self.policy.layers_for_cycle(0)
         self._async_compute_base = self.cost_model.cycle_cost(
-            self.model, protected
+            self.model, self.policy.layers_for_cycle(0)
         ).total_seconds
         self._fresh_window()
 
     def _fresh_window(self) -> None:
         self._window: Dict[str, object] = {
-            "counts": _fresh_counts(),
+            "counts": dict.fromkeys(_COUNT_KEYS, 0),
             "updates": [],  # [dispatch, client, staleness] per admitted fold
             "started_at": self.clock.time,
             "dispatched": 0,
         }
 
-    def _next_client(self, registry) -> Optional[int]:
+    def _next_client(self) -> Optional[int]:
         """The client the next dispatch goes to (None = nobody available).
 
         One uniform draw keyed on ``(seed, stream, dispatch)`` picks a
@@ -1237,40 +1112,29 @@ class FLSimulator:
             if self.reputation is not None and self.reputation.is_blocked(
                 f"sim-{client}", self.round
             ):
-                self._window["counts"]["quarantined"] += 1
-                registry.counter(
-                    "sim.quarantined",
-                    "cohort slots denied to quarantined/evicted clients",
-                ).inc()
+                self._tally(self._window["counts"], "quarantined")
                 continue
             return client
         return None
 
-    def _fill_pipeline(self, registry) -> None:
+    def _fill_pipeline(self) -> None:
         """Dispatch new clients until the concurrency window is full."""
         cfg = self.config
         if self.round >= cfg.rounds:
             return
         counts = self._window["counts"]
         while len(self._inflight) < cfg.effective_concurrency:
-            client = self._next_client(registry)
+            client = self._next_client()
             if client is None:
                 break
             dispatch = self._dispatch_counter
             self._dispatch_counter += 1
             self._window["dispatched"] += 1
             if self.fault_plan.attack_for(client) is not None:
-                counts["attacked"] += 1
-                registry.counter(
-                    "sim.attacked", "cohort slots held by Byzantine clients"
-                ).inc()
+                self._tally(counts, "attacked")
             fault = self.fault_plan.fault_for(dispatch, client)
             if fault is FaultKind.FAIL_ATTESTATION:
-                counts["evicted"] += 1
-                registry.counter(
-                    "sim.attestation_failures",
-                    "cohort members evicted for failing round attestation",
-                ).inc()
+                self._tally(counts, "evicted")
                 continue
             entry: Dict[str, object] = {
                 "client": client,
@@ -1281,9 +1145,8 @@ class FLSimulator:
             if fault is FaultKind.DROP:
                 # Silence is only detected when the server times the
                 # dispatch out; the slot is then freed without retry.
-                entry["kind"] = "failure"
-                entry["reason"] = "drop"
-                entry["at"] = self.clock.time + cfg.deadline_seconds
+                timeout_at = self.clock.time + cfg.deadline_seconds
+                entry.update(kind="failure", reason="drop", at=timeout_at)
             else:
                 self._plan_attempt(entry, fault, start_at=self.clock.time)
             self._inflight[client] = entry
@@ -1296,28 +1159,20 @@ class FLSimulator:
         start_at: float,
     ) -> None:
         """Stamp the entry with its next event (arrival or failure)."""
-        cfg = self.config
-        client = int(entry["client"])
-        download_t = self.network.transfer_seconds(
-            client, self._async_download_bytes
+        entry["at"], failure, straggled = self._time_attempt(
+            int(entry["dispatch"]),
+            int(entry["client"]),
+            int(entry["attempt"]),
+            fault,
+            start_at,
+            self._async_compute_base,
         )
-        compute_t = self._async_compute_base * float(self.speed[client])
-        if fault is FaultKind.EXHAUST_POOL and entry["attempt"] == 0:
-            entry["kind"] = "failure"
-            entry["reason"] = "pool_exhausted"
-            entry["at"] = start_at + download_t + 0.5 * compute_t
+        if failure == "pool_exhausted":
+            entry.update(kind="failure", reason=failure)
             return
-        upload_t = self.network.transfer_seconds(client, self._async_upload_bytes)
-        delay = self.fault_plan.delay_factor(
-            int(entry["dispatch"]), client, cfg.straggler_factor
-        )
-        if delay != 1.0:
+        if straggled:
             entry["straggled"] = True
-        entry["kind"] = "arrival"
-        entry["corrupted"] = bool(
-            fault is FaultKind.CORRUPT and entry["attempt"] == 0
-        )
-        entry["at"] = start_at + (download_t + compute_t + upload_t) * delay
+        entry.update(kind="arrival", corrupted=failure == "corrupted")
 
     def _schedule_async_event(self, entry: Dict[str, object]) -> None:
         self.loop.schedule_at(
@@ -1329,234 +1184,120 @@ class FLSimulator:
         # resume re-schedules from descriptors, so be defensive.
         if self._inflight.get(int(entry["client"])) is not entry:
             return
-        registry = get_registry()
         if entry["kind"] == "failure":
-            self._async_failure(entry, str(entry.get("reason")), registry)
+            self._async_failure(entry, str(entry["reason"]))
         else:
-            self._async_arrival(entry, registry)
+            self._async_arrival(entry)
         self._save_checkpoint()
 
-    def _async_failure(
-        self, entry: Dict[str, object], reason: str, registry
-    ) -> None:
+    def _async_failure(self, entry: Dict[str, object], reason: str) -> None:
         counts = self._window["counts"]
+        attempt = int(entry["attempt"])
         if reason == "drop":
-            counts["dropouts"] += 1
-            registry.counter(
-                "sim.dropouts", "cohort members that went silent mid-round"
-            ).inc()
-            self._release(entry, registry)
+            self._tally(counts, "dropouts")
+            start_at = None
+        else:
+            start_at = self._retry_at(counts, attempt, reason)
+        if start_at is None:
+            self._inflight.pop(int(entry["client"]), None)
+            self._fill_pipeline()
             return
-        if reason == "pool_exhausted":
-            counts["pool_exhausted"] += 1
-            registry.counter(
-                "sim.pool_exhaustions",
-                "local training aborts from secure-pool exhaustion",
-            ).inc()
-        elif reason == "corrupted":
-            counts["corrupted"] += 1
-            registry.counter(
-                "sim.corruptions", "updates rejected for failing integrity checks"
-            ).inc()
-        if entry["attempt"] < self.config.max_retries:
-            counts["retries"] += 1
-            registry.counter(
-                "fl.retry.attempts", "client round attempts retried"
-            ).inc()
-            backoff = self.config.retry_backoff_seconds * (2 ** int(entry["attempt"]))
-            entry["attempt"] = int(entry["attempt"]) + 1
-            entry.pop("reason", None)
-            # Transient faults only hit the first attempt; the retry keeps
-            # the dispatch's model version (its payload is unchanged).
-            self._plan_attempt(entry, None, start_at=self.clock.time + backoff)
-            self._schedule_async_event(entry)
-            return
-        counts["giveups"] += 1
-        registry.counter(
-            "fl.retry.giveups", "clients abandoned after exhausting retries"
-        ).inc()
-        self._release(entry, registry)
+        entry["attempt"] = attempt + 1
+        entry.pop("reason", None)
+        # Transient faults only hit the first attempt; the retry keeps
+        # the dispatch's model version (its payload is unchanged).
+        self._plan_attempt(entry, None, start_at=start_at)
+        self._schedule_async_event(entry)
 
-    def _release(self, entry: Dict[str, object], registry) -> None:
-        self._inflight.pop(int(entry["client"]), None)
-        self._fill_pipeline(registry)
-
-    def _async_arrival(self, entry: Dict[str, object], registry) -> None:
+    def _async_arrival(self, entry: Dict[str, object]) -> None:
         cfg = self.config
         if entry.get("corrupted"):
-            entry["corrupted"] = False
-            self._async_failure(entry, "corrupted", registry)
+            self._async_failure(entry, "corrupted")  # a retry re-stamps the flag
             return
         client = int(entry["client"])
         dispatch = int(entry["dispatch"])
         version = int(entry["version"])
         counts = self._window["counts"]
-        update = self._make_update(dispatch, client, self._version_weights[version])
-        weights = update.plain_weights
-        if self.admission is not None:
-            # The production gate, against the model version the client
-            # trained from.  As in sync, a rejected update is not retried —
-            # the payload is a pure function of (seed, dispatch, client) —
-            # and the strike lands on the *current* commit index, so
-            # quarantine windows are expressed in commits.
-            decision = self.admission.check(
-                update.client_id,
-                weights,
-                reference=self._version_weights[version],
-            )
-            if not decision.admitted:
-                self.reputation.record_rejection(update.client_id, self.round)
-                counts["admission_rejected"] += 1
-                registry.counter(
-                    "sim.admission.rejected",
-                    "arrived updates refused by admission control",
-                ).inc()
-                self._release(entry, registry)
-                return
-            self.reputation.record_admission(update.client_id)
-            if decision.clipped:
-                counts["admission_clipped"] += 1
-            weights = decision.weights
-        if entry.get("straggled"):
-            counts["stragglers"] += 1
-            registry.counter(
-                "sim.stragglers",
-                "cohort members that missed the round deadline",
-            ).inc()
-        staleness = self.round - version
-        shard = shard_of(self._buffer.pending, cfg.buffer_size, cfg.shards)
-        self._buffer.fold(
-            shard,
-            weights,
-            update.num_samples,
-            staleness=staleness,
-            sort_key=dispatch,
-            flat=(
-                update.flat_weights
-                if weights is update.plain_weights
-                else None
-            ),
+        # Gated against the model version the client trained from; the
+        # strike lands on the *current* commit index, so quarantine windows
+        # are expressed in commits.
+        flat = self._admit(
+            counts, dispatch, client, self._version_flat[version], self.round
         )
-        self._window["updates"].append([dispatch, client, staleness])
+        if flat is not None:
+            if entry.get("straggled"):
+                self._tally(counts, "stragglers")
+            staleness = self.round - version
+            shard = shard_of(self._buffer.pending, cfg.buffer_size, cfg.shards)
+            self._buffer.fold(
+                shard,
+                None,
+                int(self.num_samples[client]),
+                staleness=staleness,
+                sort_key=dispatch,
+                flat=flat,
+            )
+            self._window["updates"].append([dispatch, client, staleness])
+        # Folded or refused, the slot is free; the K-th fold commits.
         self._inflight.pop(client, None)
         if self._buffer.ready:
-            self._commit(registry)
-        self._fill_pipeline(registry)
+            self._commit()
+        self._fill_pipeline()
 
-    def _commit(self, registry, degraded: bool = False) -> None:
+    def _commit(self, degraded: bool = False) -> None:
         """Close the buffer window: aggregate, advance the model version."""
         cfg = self.config
         window = self._window
-        rnd = self.round
-        committed_at = self.clock.time
+        folds = self._buffer.pending
         with get_tracer().span(
-            "sim.commit", cycle=rnd, folds=self._buffer.pending, rule=cfg.rule
+            "sim.commit", cycle=self.round, folds=folds, rule=cfg.rule
         ) as span:
-            registry.counter(
-                "fl.aggregate.rule", "rounds aggregated, labelled per rule"
-            ).inc(rule=cfg.rule)
-            shard_bytes = 0
-            settle_at = committed_at
-            if self.shard_network is not None:
-                # Price the shard→root hop; the commit settles when the
-                # slowest partial lands (without rewinding pending client
-                # events, so the global clock is left alone).
-                for partial in self._buffer.partials():
-                    size = partial.wire_bytes()
-                    shard_bytes += size
-                    registry.counter(
-                        "sim.shard.bytes", "bytes shards sent to the root"
-                    ).inc(size)
-                    settle_at = max(
-                        settle_at,
-                        committed_at
-                        + self.shard_network.transfer_seconds(
-                            partial.shard_id, size
-                        ),
-                    )
-            folds = self._buffer.pending
-            new_global = self._buffer.commit()
-            self.model.set_weights(new_global)
-            peak = self._buffer.peak_bytes
-            self.aggregator_peak_bytes = max(self.aggregator_peak_bytes, peak)
-            accuracy = self.accuracy()
-            registry.gauge(
-                "sim.accuracy",
-                "global-model accuracy on the teacher-labelled eval set",
-            ).set(accuracy)
-            span.set_attribute("collected", folds)
-            span.set_attribute("degraded", degraded)
-            span.set_attribute("accuracy", accuracy)
-        registry.counter("sim.rounds", "simulated FL rounds").inc()
-        registry.counter(
-            "sim.clients.selected", "cohort slots asked across all rounds"
-        ).inc(int(window["dispatched"]))
-        registry.counter(
-            "sim.clients.collected", "client updates aggregated across all rounds"
-        ).inc(folds)
-        registry.histogram(
-            "sim.round.virtual_seconds", "simulated wall time per round"
-        ).observe(settle_at - float(window["started_at"]))
-
-        updates = sorted(window["updates"])
-        stale_values = [int(u[2]) for u in updates]
-        histogram: Dict[str, int] = {}
-        for value in stale_values:
-            histogram[str(value)] = histogram.get(str(value), 0) + 1
-        outcome: Dict[str, object] = {
-            "round": rnd,
-            "asked": int(window["dispatched"]),
-            "collected": sorted({int(u[1]) for u in updates}),
-            "updates": updates,
-            "degraded": bool(degraded),
-            "started_at": float(window["started_at"]),
-            "aggregated_at": settle_at,
-            "virtual_seconds": settle_at - float(window["started_at"]),
-            "shards": cfg.shards,
-            "dead_shards": [],
-            "shard_bytes": int(shard_bytes),
-            "aggregator_peak_bytes": int(peak),
-            "rule": cfg.rule,
-            "accuracy": accuracy,
-            "buffer_size": cfg.buffer_size,
-            "staleness": histogram,
-            "staleness_max": max(stale_values, default=0),
-            "staleness_mean": (
-                sum(stale_values) / len(stale_values) if stale_values else 0.0
-            ),
-            **window["counts"],
-        }
-        self.history.append(outcome)
-        self.round += 1
-        self._version_weights[self.round] = self.model.get_weights()
-        self._prune_versions()
-        self._fresh_window()
-
-    def _prune_versions(self) -> None:
-        """Keep only model versions an in-flight dispatch still trains from.
-
-        This is the flat-memory invariant of the async engine: resident
-        versions are bounded by the concurrency window, never by the
-        number of commits or the fleet size.
-        """
+            # The commit settles when the slowest partial lands (without
+            # rewinding pending client events: the global clock stays put).
+            shard_bytes, settled_at = self._price_shard_hop(
+                self._buffer, self.clock.time
+            )
+            self.model.set_weights(self._buffer.commit())
+            updates = sorted(window["updates"])
+            stale_values = [int(u[2]) for u in updates]
+            histogram: Dict[str, int] = {}
+            for value in stale_values:
+                histogram[str(value)] = histogram.get(str(value), 0) + 1
+            self._record(
+                span,
+                window["counts"],
+                asked=int(window["dispatched"]),
+                folded=folds,
+                degraded=bool(degraded),
+                started_at=float(window["started_at"]),
+                settled_at=settled_at,
+                peak_bytes=self._buffer.peak_bytes,
+                collected=sorted({int(u[1]) for u in updates}),
+                updates=updates,
+                dead_shards=[],
+                shard_bytes=shard_bytes,
+                buffer_size=cfg.buffer_size,
+                staleness=histogram,
+                staleness_max=max(stale_values, default=0),
+                staleness_mean=(
+                    sum(stale_values) / len(stale_values) if stale_values else 0.0
+                ),
+            )
+        # Keep only the versions an in-flight dispatch still trains from,
+        # plus the new head: resident versions are bounded by the
+        # concurrency window, never by the commit count or the fleet size.
         live = {int(e["version"]) for e in self._inflight.values()}
-        live.add(self.round)
-        self._version_weights = {
-            version: weights
-            for version, weights in self._version_weights.items()
-            if version in live
-        }
+        self._version_flat = {v: f for v, f in self._version_flat.items() if v in live}
+        self._version_flat[self.round] = flatten_weights(self.model.get_weights())
+        self._fresh_window()
 
     def step_commit(self) -> Dict[str, object]:
         """Advance the async pipeline until the next commit; return it."""
-        cfg = self.config
-        if not cfg.async_mode:
+        if not self.config.async_mode:
             raise RuntimeError("step_commit requires SimConfig(async_mode=True)")
-        registry = get_registry()
-        first = not getattr(self, "_async_ready", False)
-        self._ensure_async()
+        first = self._dispatch_counter == 0
         target = self.round + 1
-        self._fill_pipeline(registry)
+        self._fill_pipeline()
         if first:
             self._save_checkpoint()
         while self.round < target:
@@ -1566,7 +1307,7 @@ class FLSimulator:
                 # Nothing left in flight but a partial window remains
                 # (e.g. the whole fleet quarantined): commit what we have,
                 # flagged degraded, rather than stalling forever.
-                self._commit(registry, degraded=True)
+                self._commit(degraded=True)
                 self._save_checkpoint()
                 break
             raise RuntimeError(
@@ -1597,7 +1338,7 @@ class FLSimulator:
                 else None
             ),
         }
-        if self.config.async_mode and getattr(self, "_async_ready", False):
+        if self.config.async_mode:
             meta["async"] = self._async_state()
         blob = (
             json.dumps(meta, sort_keys=True).encode()
@@ -1609,11 +1350,12 @@ class FLSimulator:
             "sim.checkpoints", "round checkpoints sealed into secure storage"
         ).inc()
 
-    def _load_checkpoint(self) -> None:
+    def _load_checkpoint(self) -> Optional[Dict[str, object]]:
+        """Resume from the stored checkpoint, if any; its async section."""
         try:
             blob = self.storage.get(self.TA_UUID, _CHECKPOINT_OBJECT)
         except KeyError:
-            return
+            return None
         meta_raw, _, weights_blob = blob.partition(b"\x00")
         meta = json.loads(meta_raw)
         self.model.set_weights(weights_from_bytes(weights_blob))
@@ -1622,15 +1364,15 @@ class FLSimulator:
         if self.reputation is not None and meta.get("reputation"):
             self.reputation.load_state(meta["reputation"])
         self.clock.advance_to(float(meta["virtual_time"]))
-        if self.config.async_mode and meta.get("async"):
-            self._restore_async(meta["async"])
         self.resumed_from = self.round
         get_registry().counter(
             "sim.resumes", "simulations resumed from a secure-storage checkpoint"
         ).inc()
+        return meta.get("async")
 
     def _async_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the mid-window async pipeline.
+        """JSON-safe view of the mid-window async pipeline (serialise it
+        at once: the descriptors and the window are the live objects).
 
         Everything needed to resume *between events*: the dispatch cursor,
         the in-flight descriptors (plain dicts — their payloads are pure
@@ -1642,47 +1384,33 @@ class FLSimulator:
         return {
             "dispatch": self._dispatch_counter,
             "inflight": sorted(
-                (dict(entry) for entry in self._inflight.values()),
-                key=lambda e: int(e["dispatch"]),
+                self._inflight.values(), key=lambda e: int(e["dispatch"])
             ),
             "versions": {
-                str(version): base64.b64encode(weights_to_bytes(weights)).decode(
-                    "ascii"
-                )
-                for version, weights in sorted(self._version_weights.items())
+                str(version): base64.b64encode(
+                    weights_to_bytes(self._weights_view(flat))
+                ).decode("ascii")
+                for version, flat in sorted(self._version_flat.items())
             },
             "buffer": self._buffer.state_dict(),
-            "window": {
-                "counts": dict(self._window["counts"]),
-                "updates": [list(u) for u in self._window["updates"]],
-                "started_at": float(self._window["started_at"]),
-                "dispatched": int(self._window["dispatched"]),
-            },
+            "window": self._window,
         }
 
     def _restore_async(self, state: Dict[str, object]) -> None:
         """Rebuild the async pipeline from :meth:`_async_state` bits."""
-        self._ensure_async()
         self._dispatch_counter = int(state["dispatch"])
-        self._version_weights = {
-            int(version): weights_from_bytes(base64.b64decode(blob))
+        self._version_flat = {
+            int(version): flatten_weights(weights_from_bytes(base64.b64decode(blob)))
             for version, blob in state["versions"].items()
         }
         self._buffer.load_state(state["buffer"])
-        window = state["window"]
-        self._window = {
-            "counts": dict(window["counts"]),
-            "updates": [list(u) for u in window["updates"]],
-            "started_at": float(window["started_at"]),
-            "dispatched": int(window["dispatched"]),
-        }
+        self._window = state["window"]
         self._inflight = {}
         # Deterministic re-scheduling: pending events sorted by (time,
         # dispatch) reproduce the original queue order (ties on distinct
         # continuous durations do not occur in practice).
         for entry in sorted(
-            (dict(e) for e in state["inflight"]),
-            key=lambda e: (float(e["at"]), int(e["dispatch"])),
+            state["inflight"], key=lambda e: (float(e["at"]), int(e["dispatch"]))
         ):
             self._inflight[int(entry["client"])] = entry
             self._schedule_async_event(entry)

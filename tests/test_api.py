@@ -113,6 +113,59 @@ class TestSimulate:
         assert "fl.rounds" not in with_metrics["metrics"]["counters"]  # sim-level
         assert "sim.rounds" in with_metrics["metrics"]["counters"]
 
+    def test_zoo_model_policy_and_state_dir_resume(self, tmp_path):
+        args = dict(clients=60, seed=3, model="lenet5", policy="static:L2+L4")
+        uninterrupted = api.simulate(rounds=5, **args)
+        first = api.simulate(rounds=2, state_dir=str(tmp_path), **args)
+        assert first["resumed_from_round"] is None
+        resumed = api.simulate(rounds=5, state_dir=str(tmp_path), **args)
+        assert resumed["resumed_from_round"] == 2
+        assert resumed["weights_sha256"] == uninterrupted["weights_sha256"]
+        assert resumed["rounds"] == uninterrupted["rounds"]
+        # The policy is priced: shielding two LeNet-5 layers costs virtual time.
+        bare = api.simulate(rounds=5, clients=60, seed=3, model="lenet5")
+        assert bare["virtual_seconds"] != uninterrupted["virtual_seconds"]
+
+    def test_cli_report_is_the_api_report(self, tmp_path):
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "cli.json"
+        flags = ["--clients", "50", "--rounds", "2", "--seed", "5", "--async",
+                 "--buffer-size", "8", "--dropout", "0.1", "--max-norm", "3"]
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
+        cli_report = json.loads(out.read_text())
+        assert cli_report.pop("command") == "simulate"
+        cli_report.pop("metrics")
+        report = api.simulate(
+            clients=50, rounds=2, seed=5, async_mode=True, buffer_size=8,
+            dropout=0.1, max_norm=3.0,
+        )
+        assert json.loads(json.dumps(report)) == cli_report
+
+
+class TestServe:
+    def test_state_dir_resumes_a_killed_run_bit_for_bit(self, tmp_path, monkeypatch):
+        from repro.serve.loadgen import ServeHarness
+
+        args = dict(
+            tenants=2, clients=60, commits=4, seed=2, buffer_size=8, concurrency=16
+        )
+        uninterrupted = api.serve(**args)
+        real_run = ServeHarness.run
+
+        def dies_mid_run(self, max_events=None):
+            real_run(self, max_events=37)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ServeHarness, "run", dies_mid_run)
+        with pytest.raises(KeyboardInterrupt):
+            api.serve(state_dir=str(tmp_path), checkpoint_every=8, **args)
+        monkeypatch.undo()
+        resumed = api.serve(state_dir=str(tmp_path), checkpoint_every=8, **args)
+        assert resumed == uninterrupted
+
 
 class TestRunExperiment:
     def test_unknown_name_rejected(self):

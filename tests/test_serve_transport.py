@@ -364,6 +364,36 @@ class TestIngestLedger:
         assert refused.ack is None  # silence -> client retransmits later
         assert job.transport["refused"] == 1
 
+    def test_terminal_ledger_is_bounded_after_done(self, fresh_obs, weights):
+        import json
+
+        depth = 8
+        coordinator = Coordinator(quota=TenantQuota(max_queue_depth=depth))
+        job = coordinator.create_job(
+            "t0", "j0", weights, buffer=BufferConfig(size=2), target_commits=1
+        )
+        for seq in range(2):
+            assert coordinator.ingest(chaos_frame(job, seq)).status == "accepted"
+        assert job.state.name == "DONE"
+        # A peer inventing 10x the cap of distinct post-DONE seqs: the first
+        # `depth` are remembered and acked, the rest get silence.
+        statuses = [
+            coordinator.ingest(chaos_frame(job, seq, base_version=0)).status
+            for seq in range(2, 2 + 10 * depth)
+        ]
+        assert statuses[:depth] == ["rejected:done"] * depth
+        assert set(statuses[depth:]) == {"refused:backpressure"}
+        assert len(job.terminal) == depth
+        assert job.transport["terminal"] == depth
+        assert job.transport["refused"] == 9 * depth
+        size_at_cap = len(json.dumps(coordinator.state_dict()))
+        refused = coordinator.ingest(chaos_frame(job, 10_000, base_version=0))
+        assert refused.status == "refused:backpressure" and refused.ack is None
+        assert len(json.dumps(coordinator.state_dict())) == size_at_cap
+        # Seqs already in the ledger still dedup (and still ack).
+        again = coordinator.ingest(chaos_frame(job, 2, base_version=0))
+        assert again.status == "duplicate" and again.ack.status == "duplicate"
+
     def test_breaker_sheds_after_corruption_storm(self, fresh_obs, weights):
         coordinator = Coordinator(
             breaker=BreakerConfig(error_budget=1, window=30.0, cooldown=5.0)

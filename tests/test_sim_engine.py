@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.nn import lenet5
+from repro.nn.serialize import flatten_weights, unflatten_weights
 from repro.obs import VirtualClock
-from repro.sim import FLSimulator, FaultPlan, FaultRates, SimConfig
+from repro.sim import AttackKind, FLSimulator, FaultPlan, FaultRates, SimConfig
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
 SSK = b"\x07" * 32
@@ -285,3 +287,128 @@ class TestScale:
                 )
                 times.append(sim.run()["virtual_seconds"])
         assert times[1] > times[0]
+
+
+def structured_update(sim, key, client, weights):
+    """The per-layer path the engine ran before updates went flat: the oracle."""
+    cfg, teacher = sim.config, sim.teacher_weights
+    rng = np.random.default_rng((cfg.seed, 13, key, client))
+    delta = [
+        {
+            k: cfg.drift * (teacher[i][k] - w) + cfg.update_scale * rng.standard_normal(w.shape)
+            for k, w in layer.items()
+        }
+        for i, layer in enumerate(weights)
+    ]
+    delta = unflatten_weights(
+        sim.fault_plan.attack_delta(key, client, flatten_weights(delta)), weights
+    )
+    return flatten_weights([{k: w + d[k] for k, w in l.items()} for l, d in zip(weights, delta)])
+
+
+class TestFlatUpdateOracle:
+    CLIENTS = {0: None, **{i + 1: kind for i, kind in enumerate(AttackKind)}}
+
+    def build(self, ctx, model_name, **overrides):
+        model = (
+            lenet5(num_classes=10, input_shape=(3, 16, 16), seed=3)
+            if model_name == "lenet5"
+            else None
+        )
+        plan = FaultPlan(seed=13)
+        for client, kind in self.CLIENTS.items():
+            plan.inject_attack(client, kind)
+        config = SimConfig(num_clients=20, rounds=1, seed=13, cohort=8, **overrides)
+        return FLSimulator(config, model=model, fault_plan=plan, clock=ctx.clock)
+
+    @pytest.mark.parametrize("model_name", ["mlp", "lenet5"])
+    def test_eager_and_compiled_equal_the_structured_path(self, model_name):
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            eager = self.build(ctx, model_name)
+            compiled = self.build(ctx, model_name, compile=True, client_batch=4)
+            weights = eager.model.get_weights()
+            # `weight` is stored before `bias`: items() order is not
+            # flatten_weights' sorted-key order, so the permutation matters.
+            assert [list(layer) for layer in weights if layer] != [
+                sorted(layer) for layer in weights if layer
+            ]
+            base_flat = flatten_weights(weights)
+            compiled._precompute_updates(5, sorted(self.CLIENTS), base_flat)
+            assert set(compiled._update_cache) == {(5, c) for c in self.CLIENTS}
+            for client, kind in self.CLIENTS.items():
+                expected = structured_update(eager, 5, client, weights).tobytes()
+                assert eager._make_update(5, client, base_flat).tobytes() == expected, kind
+                assert compiled._make_update(5, client, base_flat).tobytes() == expected, kind
+            honest = structured_update(eager, 5, 0, weights)
+            for client in list(self.CLIENTS)[1:]:
+                assert structured_update(eager, 5, client, weights).tobytes() != honest.tobytes()
+
+
+class TestTallyLedger:
+    """Every per-round tally equals its registry counter — one table, ==."""
+
+    RATES = FaultRates(
+        dropout=0.08, straggler=0.05, corrupt=0.1, pool_exhaust=0.05, attestation=0.03
+    )
+    COMMON = dict(
+        num_clients=60, cohort=24, rounds=10, seed=4, byzantine=0.3,
+        attack="scale", max_norm=3.0, deadline_seconds=0.5, straggler_factor=3.0,
+    )
+
+    def check(self, plan_kwargs, **settings):
+        from repro.sim.engine import _COUNT_KEYS, _TALLY_METRICS
+
+        config = SimConfig(**{**self.COMMON, **settings})
+        plan = FaultPlan(
+            self.RATES, seed=config.seed, byzantine=config.byzantine,
+            attack=config.attack, attack_strength=config.attack_strength,
+            **plan_kwargs,
+        )
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            report = FLSimulator(config, fault_plan=plan, clock=ctx.clock).run()
+            counters = ctx.registry.snapshot()["counters"]
+        assert set(_TALLY_METRICS) | {"admission_clipped"} == set(_COUNT_KEYS)
+        fired = 0
+        for key, (metric, _) in _TALLY_METRICS.items():
+            tally = sum(outcome[key] for outcome in report["rounds"])
+            assert tally == report["totals"][key]
+            if tally:
+                fired += 1
+                assert sum(counters[metric].values()) == tally, key
+            else:
+                assert metric not in counters, key  # never fired: no series
+        return fired, report["totals"]
+
+    def test_sync_tallies_equal_registry_counters(self):
+        fired, totals = self.check(
+            dict(shard_down=0.5), shards=2, max_retries=1, deadline_seconds=1.2
+        )
+        assert fired == 11, totals
+
+    def test_async_tallies_equal_registry_counters(self):
+        fired, totals = self.check({}, async_mode=True, buffer_size=12, shards=2)
+        assert totals["shard_down"] == totals["giveups"] == 0 and fired == 9, totals
+
+
+class TestAsyncShardDown:
+    def test_constructor_rejects_async_with_shard_down(self):
+        config = SimConfig(num_clients=40, rounds=2, shards=4, async_mode=True)
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            with pytest.raises(ValueError, match="shard_down.*async_mode"):
+                FLSimulator(
+                    config, fault_plan=FaultPlan(seed=0, shard_down=0.2), clock=ctx.clock
+                )
+
+    def test_api_rejects_async_with_shard_down(self):
+        from repro.api import simulate
+
+        with pytest.raises(ValueError, match="shard_down.*async_mode"):
+            simulate(clients=40, rounds=2, shards=4, shard_down=0.9, async_mode=True)
+
+    def test_cli_exits_nonzero_naming_both_settings(self, spawn_repro):
+        result = spawn_repro(
+            "simulate", "--clients", "40", "--async", "--shards", "4",
+            "--shard-down", "0.9", check=False,
+        )
+        assert result.returncode != 0
+        assert "shard_down" in result.stderr and "async_mode" in result.stderr
