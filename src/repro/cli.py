@@ -795,11 +795,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace":
         _cmd_trace(args)
         return 0
-    if args.command == "simulate":
-        _cmd_simulate(args)
-        return 0
-    if args.command == "serve":
-        _cmd_serve(args)
+    if args.command in ("simulate", "serve"):
+        try:
+            (_cmd_simulate if args.command == "simulate" else _cmd_serve)(args)
+        except ValueError as error:  # a rejected configuration, not a crash
+            print(f"repro {args.command}: error: {error}", file=sys.stderr)
+            return 2
         return 0
     handler, _ = _COMMANDS[args.command]
     payload = handler(args)

@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Branch-free elementwise TwoSum: ``a + b == s + err`` exactly."""
+def _two_sum(a, b):
+    """Branch-free TwoSum: ``a + b == s + err`` exactly (arrays or floats)."""
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
@@ -54,6 +54,12 @@ class CompensatedAccumulator:
     worst case) and memory stays O(size), independent of the number of
     addends.
 
+    :meth:`add` allocates nothing: TwoSum writes into four scratch buffers
+    kept beside the expansion (not in :attr:`live_bytes`, not serialised)
+    and recycles each replaced component as scratch.  Live arrays are thus
+    overwritten by later folds, so none leaves the object (:attr:`components`
+    and :meth:`value` copy) and an addend is only ever read.
+
     Because the represented value is exact, :meth:`value` — which distills
     the expansion into non-overlapping form and returns the leading
     component — does not depend on the order in which addends were folded
@@ -69,6 +75,7 @@ class CompensatedAccumulator:
             raise ValueError("size cannot be negative")
         self.size = int(size)
         self._components: List[np.ndarray] = []
+        self._scratch: List[np.ndarray] = []
         self.folds = 0
 
     # -- folding -----------------------------------------------------------
@@ -77,14 +84,29 @@ class CompensatedAccumulator:
         x = np.asarray(values, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"addend must have shape ({self.size},)")
-        x = x.copy()
-        for i, component in enumerate(self._components):
-            self._components[i], x = _two_sum(component, x)
-        if np.any(x):
-            self._components.append(x)
-            if len(self._components) > self.MAX_COMPONENTS:
+        components = self._components
+        if not self._scratch:
+            self._scratch = [np.empty(self.size) for _ in range(4)]
+        s, bb, t, err = scratch = self._scratch
+        emptied = False
+        for i, c in enumerate(components):
+            # TwoSum(c, x) -> (s, err), rounded in the order _two_sum does.
+            np.add(c, x, out=s)
+            np.subtract(s, c, out=bb)
+            np.subtract(s, bb, out=t)
+            np.subtract(c, t, out=t)
+            np.subtract(x, bb, out=bb)
+            x = np.add(t, bb, out=err)
+            if s[0] == 0.0 and not s.any():
+                emptied = True
+            components[i] = s
+            s = scratch[0] = c  # the replaced array is the next sum's buffer
+        if x.any():
+            components.append(x.copy())
+            if len(components) > self.MAX_COMPONENTS:
                 raise OverflowError("compensated expansion grew unboundedly")
-        self._prune()
+        if emptied:
+            self._prune()
         self.folds += 1
 
     def add_at(self, indices: np.ndarray, values: np.ndarray) -> None:
@@ -103,7 +125,7 @@ class CompensatedAccumulator:
         for component in self._components:
             s, x = _two_sum(component[indices], x)
             component[indices] = s
-        if np.any(x):
+        if x.any():
             residual = np.zeros(self.size)
             residual[indices] = x
             self._components.append(residual)
@@ -120,12 +142,12 @@ class CompensatedAccumulator:
         self.folds += other.folds
 
     def _prune(self) -> None:
-        self._components = [c for c in self._components if np.any(c)]
+        self._components = [c for c in self._components if c.any()]
 
     # -- reading out -------------------------------------------------------
     def value(self) -> np.ndarray:
         """The rounded exact sum (a pure function of the folded multiset)."""
-        components = [c.copy() for c in self._components]
+        components = list(self.components)
         if not components:
             return np.zeros(self.size)
         # Distill to non-overlapping form: sweep TwoSum from the smallest
@@ -149,7 +171,7 @@ class CompensatedAccumulator:
     @property
     def live_bytes(self) -> int:
         """Resident bytes of the expansion (the memory-bound invariant)."""
-        return int(sum(c.nbytes for c in self._components))
+        return 8 * self.size * len(self._components)
 
     @property
     def num_components(self) -> int:
@@ -157,8 +179,29 @@ class CompensatedAccumulator:
 
     @property
     def components(self) -> Tuple[np.ndarray, ...]:
-        """The current expansion (read-only view for wire snapshots)."""
-        return tuple(self._components)
+        """A copy of the expansion (a float component as a 1-element array)."""
+        return tuple(np.array(c, ndmin=1) for c in self._components)
+
+
+class _ScalarAccumulator(CompensatedAccumulator):
+    """``CompensatedAccumulator(1)`` whose expansion is carried as Python
+    floats (the same IEEE doubles): one sweep, pruning rule, cap and set of
+    read-outs, but no array per :meth:`add`.  Dense adds and merges only."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+    def add(self, x: float) -> None:
+        components = self._components
+        for i, c in enumerate(components):
+            components[i], x = _two_sum(c, x)
+        if x != 0.0:
+            components.append(x)
+            if len(components) > self.MAX_COMPONENTS:
+                raise OverflowError("compensated expansion grew unboundedly")
+        if 0.0 in components:
+            self._components = [c for c in components if c != 0.0]
+        self.folds += 1
 
 
 class StreamingWeightedSum:

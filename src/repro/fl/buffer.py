@@ -55,7 +55,7 @@ import numpy as np
 from ..nn.model import WeightsList
 from ..nn.serialize import flatten_weights, unflatten_weights
 from ..obs import get_registry, get_tracer
-from .aggregation import CompensatedAccumulator
+from .aggregation import CompensatedAccumulator, _ScalarAccumulator
 from .config import BufferConfig, ShardingConfig
 from .robust import RULES, apply_rule
 from .sharding import RobustShardPartial, ShardPartial
@@ -77,12 +77,12 @@ class _WeightedShardSum:
     def __init__(self, size: int) -> None:
         self.size = int(size)
         self.vector = CompensatedAccumulator(self.size)
-        self.weight = CompensatedAccumulator(1)
+        self.weight = _ScalarAccumulator()
         self.total_samples = 0
 
     def fold(self, flat: np.ndarray, contribution: float, num_samples: int) -> None:
         self.vector.add(contribution * flat)
-        self.weight.add(np.array([contribution]))
+        self.weight.add(contribution)
         self.total_samples += int(num_samples)
 
     def merge(self, other: "_WeightedShardSum") -> None:
@@ -147,11 +147,13 @@ class BufferedAggregator:
         self.clip_norm = clip_norm
         self.commits = 0
         self.peak_bytes = 0
+        self._registry = None
         self._reset_window()
 
     def _reset_window(self) -> None:
         shards = self.sharding.num_shards
         self._pending = 0
+        self._live_bytes = 0
         if self.rule == "fedavg":
             self._sums: List[_WeightedShardSum] = [
                 _WeightedShardSum(self.size) for _ in range(shards)
@@ -174,14 +176,12 @@ class BufferedAggregator:
 
     @property
     def live_bytes(self) -> int:
-        if self.rule == "fedavg":
-            return int(sum(s.live_bytes for s in self._sums))
-        return int(
-            sum(row.nbytes for rows in self._rows for _, row in rows)
-        )
+        """Resident bytes of the open window (a running total)."""
+        return self._live_bytes
 
-    def _account(self) -> None:
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+    def _account(self, grown: int) -> None:
+        self._live_bytes += grown
+        self.peak_bytes = max(self.peak_bytes, self._live_bytes)
 
     # -- folding -----------------------------------------------------------
     def fold(
@@ -214,22 +214,27 @@ class BufferedAggregator:
             raise ValueError("clients disagree on parameter count")
         weight = self.config.weight(staleness)
         registry = get_registry()
-        registry.histogram(
-            "fl.staleness", "commits behind the head each folded update was"
-        ).observe(float(staleness))
-        registry.counter(
-            "fl.buffer.folds", "updates folded into commit buffers"
-        ).inc(shard=str(shard_id))
-        if self.rule == "fedavg":
-            self._sums[shard_id].fold(
-                flat, weight * float(num_samples), num_samples
+        if registry is not self._registry:  # resolve by name once per context
+            self._registry = registry
+            self._staleness = registry.histogram(
+                "fl.staleness", "commits behind the head each folded update was"
             )
+            self._folds = registry.counter(
+                "fl.buffer.folds", "updates folded into commit buffers"
+            )
+        self._staleness.observe(float(staleness))
+        self._folds.inc(shard=str(shard_id))
+        if self.rule == "fedavg":
+            shard = self._sums[shard_id]
+            before = shard.live_bytes
+            shard.fold(flat, weight * float(num_samples), num_samples)
+            grown = shard.live_bytes - before
         else:
             key = self._pending if sort_key is None else int(sort_key)
-            rows = self._rows[shard_id]
-            rows.append((key, flat.copy()))
+            self._rows[shard_id].append((key, flat.copy()))
+            grown = flat.nbytes
         self._pending += 1
-        self._account()
+        self._account(grown)
 
     # -- committing --------------------------------------------------------
     def commit(self) -> WeightsList:
@@ -262,8 +267,9 @@ class BufferedAggregator:
         live = [s for s in self._sums if s.folds > 0]
         root = live[0]
         for other in live[1:]:
+            before = root.live_bytes
             root.merge(other)
-            self._account()
+            self._account(root.live_bytes - before)
         denominator = float(root.weight.value()[0])
         if denominator <= 0:
             raise ValueError("staleness weights summed to a non-positive total")
@@ -304,12 +310,9 @@ class BufferedAggregator:
                         shard_id=shard_id,
                         total_samples=shard.total_samples,
                         folds=shard.folds,
-                        components=tuple(
-                            c.copy()
-                            for c in (
-                                *shard.vector.components,
-                                *shard.weight.components,
-                            )
+                        components=(
+                            *shard.vector.components,
+                            *shard.weight.components,
                         ),
                     )
                 )
@@ -373,7 +376,7 @@ class BufferedAggregator:
             for shard, snap in zip(self._sums, sums):
                 shard.vector._components = [_decode(c) for c in snap["vector"]]
                 shard.vector.folds = int(snap["vector_folds"])
-                shard.weight._components = [_decode(c) for c in snap["weight"]]
+                shard.weight._components = [float(_decode(c)[0]) for c in snap["weight"]]
                 shard.weight.folds = int(snap["weight_folds"])
                 shard.total_samples = int(snap["total_samples"])
         else:
@@ -384,3 +387,6 @@ class BufferedAggregator:
                 [(int(key), _decode(row)) for key, row in shard_rows]
                 for shard_rows in rows
             ]
+        self._live_bytes = sum(s.live_bytes for s in self._sums) + sum(
+            row.nbytes for rows in self._rows for _, row in rows
+        )

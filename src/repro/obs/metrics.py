@@ -23,7 +23,10 @@ _Scalar = (str, int, float, bool)
 
 def label_key(labels: Dict[str, object]) -> str:
     """Canonical series key: ``"k1=v1,k2=v2"`` with keys sorted."""
-    return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    if len(labels) == 1:  # most series by far: nothing to sort or join
+        ((key, value),) = labels.items()
+        return f"{key}={value}"
+    return ",".join(f"{k}={labels[k]}" for k in sorted(labels)) if labels else ""
 
 
 class _Metric:

@@ -371,6 +371,7 @@ class Coordinator:
         self.jobs: Dict[str, Job] = {}
         self.breaker_config = breaker
         self.breakers: Dict[str, TenantBreaker] = {}
+        self._active = self._queued = 0  # running totals behind the two gauges
         registry = get_registry()
         self._jobs_gauge = registry.gauge(
             "serve.jobs.active", "jobs currently running or draining"
@@ -409,9 +410,13 @@ class Coordinator:
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
 
-    def _refresh_gauges(self) -> None:
-        self._jobs_gauge.set(float(sum(1 for job in self.jobs.values() if job.active)))
-        self._queue_gauge.set(float(sum(len(job.queue) for job in self.jobs.values())))
+    def _set_state(self, job: Job, state: JobState) -> None:
+        """Move ``job`` to ``state``, keeping the active-jobs gauge in step."""
+        was = job.active
+        job.state = state
+        if job.active != was:
+            self._active += job.active - was
+            self._jobs_gauge.set(float(self._active))
 
     # -- lifecycle ---------------------------------------------------------
     def create_job(
@@ -458,18 +463,15 @@ class Coordinator:
         job = self.jobs[job_id]
         if job.state is not JobState.CREATED:
             raise ValueError(f"job {job_id!r} is {job.state.value}, not created")
-        job.state = JobState.RUNNING
-        self._refresh_gauges()
+        self._set_state(job, JobState.RUNNING)
 
     def drain(self, job_id: str) -> PumpResult:
         """Stop accepting, flush the queue, commit the partial window."""
         job = self.jobs[job_id]
         if job.state is JobState.DONE:
             return PumpResult((), ())
-        job.state = JobState.DRAINING
-        result = self.pump(job_id)
-        self._refresh_gauges()
-        return result
+        self._set_state(job, JobState.DRAINING)
+        return self.pump(job_id)
 
     # -- ingest ------------------------------------------------------------
     def submit(self, frame: bytes) -> SubmitResult:
@@ -493,9 +495,8 @@ class Coordinator:
         ):
             return self._refuse(job, "stale")
         job.queue.append((frame, message))
-        self._queue_gauge.set(
-            float(sum(len(j.queue) for j in self.jobs.values()))
-        )
+        self._queued += 1
+        self._queue_gauge.set(float(self._queued))
         return SubmitResult(True)
 
     def _refuse(self, job: Optional[Job], reason: str) -> SubmitResult:
@@ -601,6 +602,7 @@ class Coordinator:
             staged, _ = decode_frame(frame)
             if job.state is JobState.RUNNING:
                 job.queue.append((frame, staged))
+                self._queued += 1
                 result = self.pump(job.job_id)
                 commits.extend(result.commits)
                 rejected.extend(result.rejected)
@@ -634,6 +636,7 @@ class Coordinator:
                 continue
             while job.queue:
                 _, message = job.queue.popleft()
+                self._queued -= 1
                 outcome = self._fold_one(job, message)
                 if outcome is not None:
                     rejected.append((message.dispatch, outcome))
@@ -647,8 +650,8 @@ class Coordinator:
             ):
                 if job.window.pending > 0:
                     commits.append(self._commit(job))
-                job.state = JobState.DONE
-        self._refresh_gauges()
+                self._set_state(job, JobState.DONE)
+        self._queue_gauge.set(float(self._queued))
         return PumpResult(tuple(commits), tuple(rejected))
 
     def _fold_one(self, job: Job, message: ClientUpdateMsg) -> Optional[str]:
@@ -720,7 +723,8 @@ class Coordinator:
             and job.version >= job.target_commits
             and job.state in (JobState.RUNNING, JobState.DRAINING)
         ):
-            job.state = JobState.DONE
+            self._set_state(job, JobState.DONE)
+            self._queued -= len(job.queue)
             job.queue.clear()
             return True
         return False
@@ -816,7 +820,10 @@ class Coordinator:
             breaker = self.breaker_for(tenant)
             if breaker is not None:
                 breaker.load_state(snapshot)
-        self._refresh_gauges()
+        self._active = sum(1 for job in self.jobs.values() if job.active)
+        self._queued = sum(len(job.queue) for job in self.jobs.values())
+        self._jobs_gauge.set(float(self._active))
+        self._queue_gauge.set(float(self._queued))
 
     def checkpoint(self, storage) -> None:
         """Persist the full coordinator state through SecureStorage."""

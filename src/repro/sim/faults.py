@@ -208,6 +208,7 @@ class FaultPlan:
         if not 0.0 <= byzantine <= 1.0:
             raise ValueError(f"byzantine rate must be in [0, 1], got {byzantine}")
         self.rates = rates or FaultRates()
+        self._thresholds = self.rates.thresholds()  # rates are frozen
         self.seed = int(seed)
         self.shard_down = float(shard_down)
         self.byzantine = float(byzantine)
@@ -228,13 +229,12 @@ class FaultPlan:
         key = (int(round_index), int(client_index))
         if key in self._explicit:
             return self._explicit[key]
-        thresholds = self.rates.thresholds()
-        if not thresholds:
+        if not self._thresholds:
             return None
         draw = float(
             np.random.default_rng((self.seed, _STREAM_FAULT, *key)).random()
         )
-        for edge, kind in thresholds:
+        for edge, kind in self._thresholds:
             if draw < edge:
                 return kind
         return None

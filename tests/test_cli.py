@@ -91,6 +91,20 @@ class TestCommands:
         assert "GradSec" in capsys.readouterr().out
 
 
+class TestConfigErrors:
+    def test_simulate_reports_a_rejected_config_in_one_line_and_exits_2(self, capsys):
+        assert main(["simulate", "--clients", "10", "--cohort", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro simulate: error: cohort must be in 1..10, got 20\n"
+        assert captured.out == ""
+
+    def test_the_api_keeps_raising(self):
+        from repro.api import simulate
+
+        with pytest.raises(ValueError, match=r"cohort must be in 1\.\.10, got 20"):
+            simulate(clients=10, cohort=20)
+
+
 class TestTrace:
     """``repro trace`` emits schema-valid, properly nested, ordered JSON."""
 

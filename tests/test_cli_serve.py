@@ -59,6 +59,20 @@ class TestCli:
             serve_cli("w.json", "--workers", "2")
         assert excinfo.value.code == 2
 
+    def test_rejected_config_is_one_line_and_exit_2(self, capsys):
+        from repro.cli import main
+
+        assert main([*BASE, "--buffer-size", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro serve: error: buffer size must be >= 1\n"
+        assert captured.out == ""
+
+    def test_the_api_keeps_raising_on_a_rejected_config(self):
+        from repro.api import serve
+
+        with pytest.raises(ValueError, match="buffer size must be >= 1"):
+            serve(tenants=1, clients=10, commits=1, buffer_size=0)
+
     def test_compression_flags_reduce_uplink(self, serve_cli):
         dense = json.loads(serve_cli("d.json"))
         sparse = json.loads(

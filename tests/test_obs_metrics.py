@@ -14,6 +14,24 @@ class TestLabelKey:
     def test_empty(self):
         assert label_key({}) == ""
 
+    def test_single_label_takes_the_same_form(self):
+        assert label_key({"tenant": "t-0"}) == "tenant=t-0"
+
+    def test_non_string_values_are_formatted_not_required_to_be_str(self):
+        assert label_key({"shard": 3}) == "shard=3"
+        assert label_key({"ok": True, "rate": 0.5, "n": None}) == "n=None,ok=True,rate=0.5"
+
+    def test_insertion_order_never_shows(self):
+        assert label_key({"z": 1, "a": 2, "m": 3}) == label_key({"m": 3, "z": 1, "a": 2})
+        assert label_key({"z": 1, "a": 2, "m": 3}) == "a=2,m=3,z=1"
+
+    def test_series_keys_reach_the_snapshot_unchanged(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc()
+        registry.counter("c").inc(tenant="t-0")
+        registry.counter("c").inc(b=1, a="x")
+        assert registry.snapshot()["counters"]["c"] == {"": 1.0, "tenant=t-0": 1.0, "a=x,b=1": 1.0}
+
 
 class TestCounter:
     def test_starts_at_zero(self):

@@ -351,3 +351,46 @@ class TestMetrics:
         snapshot = fresh_obs.registry.snapshot()
         validate_metrics(snapshot, required=REQUIRED_METRICS)
         assert snapshot["gauges"]["serve.jobs.active"][""] == 1.0
+
+    def test_gauges_track_a_recount_through_every_transition(self, fresh_obs, weights):
+        """The running totals behind the gauges equal a recount over the jobs
+        after each call that can stage, fold, finish or restore."""
+        coordinator = Coordinator(quota=TenantQuota(max_queue_depth=3))
+
+        def check(who=None):
+            who = who or coordinator
+            gauges = obs.get_registry().snapshot()["gauges"]
+            assert gauges["serve.jobs.active"][""] == sum(
+                1 for job in who.jobs.values() if job.active
+            )
+            assert gauges["serve.queue.depth"][""] == sum(
+                len(job.queue) for job in who.jobs.values()
+            )
+
+        check()
+        idle = coordinator.create_job("t0", "idle", weights, start=False)
+        check()
+        a = coordinator.create_job(
+            "t0", "a", weights, buffer=BufferConfig(size=2), target_commits=1
+        )
+        b = coordinator.create_job("t1", "b", weights, buffer=BufferConfig(size=8))
+        check()
+        for dispatch in range(4):  # fills a's queue, the 4th is shed
+            coordinator.submit(update_frame(a, dispatch))
+            check()
+        coordinator.submit(update_frame(b, 0))
+        check()
+        coordinator.pump()  # a commits once, finishes, drops its staged third
+        assert a.state is JobState.DONE and not a.queue
+        check()
+        coordinator.submit(update_frame(b, 1))
+        snapshot = coordinator.state_dict()
+        coordinator.drain("b")
+        check()
+        coordinator.drain("idle")  # created -> draining -> done in one call
+        assert idle.state is JobState.DONE
+        check()
+        resumed = Coordinator(quota=TenantQuota(max_queue_depth=3))
+        resumed.load_state(snapshot)
+        check(resumed)
+        assert len(resumed.jobs["b"].queue) == 1

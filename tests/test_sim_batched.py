@@ -134,9 +134,9 @@ class TestCli:
         )
         assert resumed_payload["rounds"] == full_payload["rounds"]
 
-    def test_client_batch_without_compile_rejected(self):
-        with pytest.raises(ValueError, match="requires compile"):
-            main([*self.ARGS, "--client-batch", "8"])
+    def test_client_batch_without_compile_rejected(self, capsys):
+        assert main([*self.ARGS, "--client-batch", "8"]) == 2
+        assert "requires compile" in capsys.readouterr().err
 
 
 class TestUpdateCacheLifecycle:
