@@ -392,6 +392,35 @@ def _api_kwargs(fn, args: argparse.Namespace) -> dict:
     }
 
 
+def _checkpoint_events() -> dict:
+    """What ``tee.storage`` has said so far about the state dir's checkpoint:
+    reads refused (by kind) and torn writes rolled forward."""
+    from .obs import get_registry
+
+    counters = get_registry().snapshot()["counters"]
+    return {
+        **counters.get("tee.storage.verify_failures", {}),
+        "recovered": sum(counters.get("tee.storage.recoveries", {}).values()),
+    }
+
+
+def _say_checkpoint_events(args: argparse.Namespace, before: dict) -> None:
+    """One stderr line per thing that happened to the checkpoint on resume."""
+    unit = "round" if args.command == "simulate" else "event"
+    for event, count in _checkpoint_events().items():
+        if count == before.get(event, 0):
+            continue
+        if event == "recovered":
+            what = "checkpoint write cut short by a crash was rolled forward"
+        else:
+            kind = event.partition("=")[2]
+            what = f"checkpoint failed verification ({kind}), starting from {unit} 0"
+        print(
+            f"repro {args.command}: state dir {args.state_dir}: {what}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     """Simulate a large FL fleet in virtual time and emit a JSON report.
 
@@ -796,11 +825,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         _cmd_trace(args)
         return 0
     if args.command in ("simulate", "serve"):
+        before = _checkpoint_events()
         try:
             (_cmd_simulate if args.command == "simulate" else _cmd_serve)(args)
         except ValueError as error:  # a rejected configuration, not a crash
             print(f"repro {args.command}: error: {error}", file=sys.stderr)
             return 2
+        _say_checkpoint_events(args, before)
         return 0
     handler, _ = _COMMANDS[args.command]
     payload = handler(args)

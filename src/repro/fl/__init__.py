@@ -24,7 +24,6 @@ from .compression import SparseUpdate, TopKCompressor, weighted_sparse_mean
 from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .dp import GaussianMechanism, clip_by_norm
 from .history import SnapshotHistory
-from .metrics import RoundRecord, TrainingMonitor
 from .plan import TrainingPlan
 from .resilience import RetryPolicy, collect_with_retries
 from .robust import (
@@ -62,7 +61,6 @@ __all__ = [
     "HierarchicalAggregator", "ShardAggregator", "ShardPartial",
     "plan_shards", "shard_of", "weighted_sparse_mean",
     "SnapshotHistory", "TEESelector", "SelectionResult",
-    "TrainingMonitor", "RoundRecord",
     "Channel", "ClientUpdate", "ModelDownload",
     "PairwiseMasker", "mask_update", "aggregate_masked",
     "GaussianMechanism", "clip_by_norm",

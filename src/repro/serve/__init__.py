@@ -11,8 +11,8 @@ long-running service layer:
   the exact compensated reduce stays bitwise deterministic.
 * :mod:`repro.serve.coordinator` — the :class:`Coordinator` owning many
   concurrent FL jobs (one per tenant) with per-tenant quotas, admission
-  backpressure, staleness bounds, and a ``create → run → drain →
-  checkpoint → resume`` lifecycle over SecureStorage.
+  backpressure, staleness bounds, and a ``create → run → drain``
+  lifecycle whose whole state round-trips through ``state_dict()``.
 * :mod:`repro.serve.loadgen` — a deterministic :class:`LoadGenerator` /
   :class:`ServeHarness` pair driving 10^5–10^6 simulated clients (with
   the `repro.sim` network/fault/Byzantine models) against a live

@@ -23,16 +23,15 @@ Lifecycle: ``create → run → drain → checkpoint → resume``.
   window, finish.
 * **checkpoint/resume** — :meth:`state_dict` captures every job
   mid-window (expansion components, staged frames, retained versions,
-  reputation ledger) as JSON; written through SecureStorage it survives
-  ``kill -9``, and a coordinator restored from it finishes the run with
-  byte-identical commits.
+  reputation ledger) as JSON; :class:`~repro.serve.loadgen.ServeHarness`
+  seals it into its own checkpoint, and a coordinator given it back
+  through :meth:`load_state` finishes the run with byte-identical commits.
 """
 
 from __future__ import annotations
 
 import base64
 import enum
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -50,7 +49,6 @@ from ..nn.serialize import (
     weights_to_bytes,
 )
 from ..obs import get_registry, get_tracer
-from ..tee.storage import IntegrityError, RollbackError
 from .transport import BreakerConfig, TenantBreaker
 from .wire import (
     AckMsg,
@@ -75,7 +73,6 @@ __all__ = [
 ]
 
 TA_UUID = "gradsec-serve-coordinator"
-CHECKPOINT_OBJECT = "coordinator-state"
 
 
 def _encode_flat(array: np.ndarray) -> str:
@@ -824,22 +821,3 @@ class Coordinator:
         self._queued = sum(len(job.queue) for job in self.jobs.values())
         self._jobs_gauge.set(float(self._active))
         self._queue_gauge.set(float(self._queued))
-
-    def checkpoint(self, storage) -> None:
-        """Persist the full coordinator state through SecureStorage."""
-        blob = json.dumps(self.state_dict(), sort_keys=True).encode()
-        storage.put(TA_UUID, CHECKPOINT_OBJECT, blob)
-
-    def restore(self, storage) -> bool:
-        """Load the last checkpoint if one exists; True when resumed.
-
-        An unverifiable checkpoint (a ``kill -9`` landing between the
-        sealed blob write and the trusted-counter persist) is discarded
-        rather than trusted — the caller starts fresh.
-        """
-        try:
-            blob = storage.get(TA_UUID, CHECKPOINT_OBJECT)
-        except (KeyError, IntegrityError, RollbackError):
-            return False
-        self.load_state(json.loads(blob.decode()))
-        return True

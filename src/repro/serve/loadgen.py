@@ -37,7 +37,6 @@ from ..obs import VirtualClock, get_registry
 from ..sim.events import EventLoop
 from ..sim.faults import FaultKind, FaultPlan, FaultRates
 from ..sim.network import NetworkModel
-from ..tee.storage import IntegrityError, RollbackError
 from .coordinator import TA_UUID, Coordinator, JobState, TenantQuota
 from .transport import BreakerConfig, ChaosChannel, ChaosConfig
 from .wire import (
@@ -691,19 +690,11 @@ class ServeHarness:
         self.storage.put(TA_UUID, HARNESS_CHECKPOINT, blob)
 
     def restore(self) -> bool:
-        """Resume from the last checkpoint; True when one was found.
-
-        A checkpoint that fails verification is discarded, not trusted:
-        a ``kill -9`` can land between the sealed blob write and the
-        trusted-counter persist, leaving an object one version ahead of
-        the counter.  Starting fresh is safe — same-seed runs are
-        deterministic, so the rerun converges on identical bytes.
-        """
+        """Resume from the latest verifiable checkpoint; True when found."""
         if self.storage is None:
             return False
-        try:
-            blob = self.storage.get(TA_UUID, HARNESS_CHECKPOINT)
-        except (KeyError, IntegrityError, RollbackError):
+        blob = self.storage.latest_verifiable(TA_UUID, HARNESS_CHECKPOINT)
+        if blob is None:
             return False
         state = json.loads(blob.decode())
         if state.get("schema") != 1:

@@ -1352,9 +1352,8 @@ class FLSimulator:
 
     def _load_checkpoint(self) -> Optional[Dict[str, object]]:
         """Resume from the stored checkpoint, if any; its async section."""
-        try:
-            blob = self.storage.get(self.TA_UUID, _CHECKPOINT_OBJECT)
-        except KeyError:
+        blob = self.storage.latest_verifiable(self.TA_UUID, _CHECKPOINT_OBJECT)
+        if blob is None:
             return None
         meta_raw, _, weights_blob = blob.partition(b"\x00")
         meta = json.loads(meta_raw)

@@ -10,14 +10,23 @@ Implements the key hierarchy of the paper's §7.3:
   encrypted under the FEK and the FEK is wrapped under the TSK.
 
 Objects are confidential (encrypted), authenticated (MAC-checked on read,
-raising :class:`~repro.tee.world.IntegrityError` on any bit flip), updated
-atomically (a failed write leaves the previous version intact), and
+raising :class:`~repro.tee.world.IntegrityError` on any bit flip) and
 **rollback-protected**: every write increments a monotonic counter held in
 trusted storage (modelling RPMB's replay-protected counters), and the
 counter value travels inside the authenticated ciphertext — so an attacker
 who replays an *older, genuinely-sealed* blob is caught
 (:class:`RollbackError`). Two backends mirror OP-TEE's *REE FS* (files in
 the untrusted filesystem) and *RPMB* (an in-memory region).
+
+A ``put`` is two writes — the sealed blob, then the counter — and can die
+at three points.  Before the blob lands the previous version still reads;
+a blob torn mid-write fails its MAC (the previous version is lost with it
+on a medium without atomic replace); a blob that landed whole ahead of its
+counter carries exactly ``counter + 1`` and is *rolled forward* by the next
+``get``, which completes the put.  Only this device seals under its TSK, so
+such a blob is its own newest write; nothing older than the last completed
+put is ever returned.  :meth:`SecureStorage.latest_verifiable` is the one
+place an unreadable object becomes "start fresh".
 """
 
 from __future__ import annotations
@@ -132,16 +141,17 @@ class ReeFsBackend(StorageBackend):
 class FaultInjectedBackend(StorageBackend):
     """Wraps a backend and crashes chosen ``put`` calls, for testing.
 
-    Models the two ways a physical write can die:
+    Models the three ways a physical write can die:
 
     * ``mode="before"`` — power lost before anything hit the medium: the
       previous blob (if any) is untouched;
     * ``mode="torn"`` — the write was interrupted partway: a truncated
-      blob lands, which integrity verification must catch on read.
+      blob lands, which integrity verification must catch on read;
+    * ``mode="after"`` — the whole blob landed, then power was lost: the
+      object is one version ahead of its trusted counter.
 
-    Either way :class:`BackendCrash` propagates to the caller, so
-    :meth:`SecureStorage.put` never reaches its counter-increment commit
-    point — exactly the crash-atomicity contract the tests pin down.
+    In every mode :class:`BackendCrash` propagates to the caller, so
+    :meth:`SecureStorage.put` never reaches its counter increment.
 
     Parameters
     ----------
@@ -151,7 +161,7 @@ class FaultInjectedBackend(StorageBackend):
         Zero-based indices of ``put`` calls (counted across all keys) that
         crash.
     mode:
-        ``"before"`` or ``"torn"`` (see above).
+        ``"before"``, ``"torn"`` or ``"after"`` (see above).
     """
 
     def __init__(
@@ -160,7 +170,7 @@ class FaultInjectedBackend(StorageBackend):
         fail_on_put: Optional[set] = None,
         mode: str = "before",
     ) -> None:
-        if mode not in ("before", "torn"):
+        if mode not in ("before", "torn", "after"):
             raise ValueError(f"unknown crash mode {mode!r}")
         self.inner = inner or InMemoryBackend()
         self.fail_on_put = set(fail_on_put or ())
@@ -173,6 +183,8 @@ class FaultInjectedBackend(StorageBackend):
         if index in self.fail_on_put:
             if self.mode == "torn":
                 self.inner.put(key, blob[: max(1, len(blob) // 2)])
+            elif self.mode == "after":
+                self.inner.put(key, blob)
             raise BackendCrash(f"injected crash on put #{index} ({self.mode})")
         self.inner.put(key, blob)
 
@@ -224,6 +236,9 @@ class SecureStorage:
         self._verify_failures = registry.counter(
             "tee.storage.verify_failures", "reads refused as tampered or replayed"
         )
+        self._recoveries = registry.counter(
+            "tee.storage.recoveries", "torn puts completed (rolled forward) on read"
+        )
         if counters_path is not None and os.path.exists(counters_path):
             import json
 
@@ -253,7 +268,12 @@ class SecureStorage:
     def put(self, ta_uuid: str, name: str, payload: bytes) -> None:
         """Store ``payload`` for TA ``ta_uuid`` under object ``name``."""
         key = self._key(ta_uuid, name)
-        version = self._counters.get(key, 0) + 1
+        if key not in self._counters:
+            # Reserve the trusted record before the first blob lands: a torn
+            # first put is then told apart from a foreign blob (no record).
+            self._counters[key] = 0
+            self._persist_counters()
+        version = self._counters[key] + 1
         fek = crypto.random_key()
         versioned = version.to_bytes(self._VERSION_BYTES, "big") + payload
         sealed_payload = crypto.encrypt(fek, versioned).to_bytes()
@@ -292,6 +312,12 @@ class SecureStorage:
             ) from exc
         version = int.from_bytes(versioned[: self._VERSION_BYTES], "big")
         expected = self._counters.get(key, 0)
+        if version == expected + 1 and key in self._counters:
+            # Sealed under this device's TSK and exactly one ahead: its own
+            # newest put, torn before the counter persisted — complete it.
+            self._counters[key] = expected = version
+            self._persist_counters()
+            self._recoveries.inc()
         if version != expected:
             self._verify_failures.inc(kind="rollback")
             raise RollbackError(
@@ -302,10 +328,27 @@ class SecureStorage:
         self._bytes.inc(len(payload), op="get")
         return payload
 
+    def latest_verifiable(self, ta_uuid: str, name: str) -> Optional[bytes]:
+        """The newest version of an object that verifies, else ``None``.
+
+        The checkpoint read: absent, tampered or replayed all mean "start
+        fresh" (same-seed runs are deterministic, so a rerun converges on
+        identical bytes); :meth:`get` has counted the refusal.
+        """
+        try:
+            return self.get(ta_uuid, name)
+        except (KeyError, IntegrityError, RollbackError):
+            return None
+
     def delete(self, ta_uuid: str, name: str) -> None:
-        self.backend.delete(self._key(ta_uuid, name))
-        self._counters.pop(self._key(ta_uuid, name), None)
-        self._persist_counters()
+        """Remove the blob.  The counter never decreases (RPMB); it advances
+        past the deleted version, so that blob can neither be resurrected
+        now nor replayed over whatever is ``put`` next."""
+        key = self._key(ta_uuid, name)
+        self.backend.delete(key)
+        if key in self._counters:
+            self._counters[key] += 1
+            self._persist_counters()
 
     def objects(self) -> tuple:
         """All stored object keys (as visible to the untrusted backend)."""

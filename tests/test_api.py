@@ -57,6 +57,8 @@ class TestSurface:
             "Round" "Executor",
             "ShardWorker" "Pool",
             "weighted_" "average",
+            "Training" "Monitor",
+            "Round" "Record",
         }
         for module in (repro.fl, repro.serve, api):
             for name in module.__all__:

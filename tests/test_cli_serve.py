@@ -81,6 +81,31 @@ class TestCli:
         for a, b in zip(dense["jobs"], sparse["jobs"]):
             assert a["bytes_up_per_client"] >= 4.0 * b["bytes_up_per_client"]
 
+    def test_says_what_happened_to_the_checkpoint(self, serve_cli, tmp_path, capsys):
+        state = tmp_path / "state"
+        flags = ("--state-dir", str(state))
+        reference = serve_cli("ref.json")
+        assert serve_cli("first.json", *flags) == reference
+        assert capsys.readouterr().err == ""
+
+        # the last put's counter persist never hit the disk: rolled forward
+        counters = state / "counters.json"
+        trusted = json.loads(counters.read_text())
+        counters.write_text(json.dumps({k: v - 1 for k, v in trusted.items()}))
+        assert serve_cli("rolled.json", *flags) == reference
+        assert capsys.readouterr().err == (
+            f"repro serve: state dir {state}: checkpoint write cut short "
+            "by a crash was rolled forward\n"
+        )
+
+        # an older genuine counter state: the blob is now too far ahead
+        counters.write_text(json.dumps(dict.fromkeys(trusted, 1)))
+        assert serve_cli("rerun.json", *flags) == reference
+        assert capsys.readouterr().err == (
+            f"repro serve: state dir {state}: checkpoint failed "
+            "verification (rollback), starting from event 0\n"
+        )
+
     def test_listed_in_repro_list(self, capsys):
         from repro.cli import main
 

@@ -51,6 +51,42 @@ class TestSimulateCommand:
         assert resumed["weights_sha256"] == uninterrupted["weights_sha256"]
         assert resumed["rounds"] == uninterrupted["rounds"]
 
+    def test_says_what_happened_to_the_checkpoint(
+        self, simulate_cli, tmp_path, capsys
+    ):
+        """A resume that rolled a torn write forward, or threw the checkpoint
+        away, says so in one stderr line; an ordinary resume says nothing."""
+        state = tmp_path / "state"
+        flags = ("--state-dir", str(state))
+        uninterrupted = json.loads(simulate_cli("full.json"))
+        simulate_cli("partial.json", "--rounds", "2", *flags)
+        capsys.readouterr()
+
+        # the counter persist of the last put never hit the disk
+        counters = state / "counters.json"
+        trusted = json.loads(counters.read_text())
+        counters.write_text(json.dumps({k: v - 1 for k, v in trusted.items()}))
+        resumed = json.loads(simulate_cli("rolled.json", *flags))
+        assert resumed["resumed_from_round"] == 2
+        assert resumed["weights_sha256"] == uninterrupted["weights_sha256"]
+        assert capsys.readouterr().err == (
+            f"repro simulate: state dir {state}: checkpoint write cut short "
+            "by a crash was rolled forward\n"
+        )
+
+        assert json.loads(simulate_cli("noop.json", *flags))["resumed_from_round"] == 3
+        assert capsys.readouterr().err == ""
+
+        (blob,) = state.glob("*.sec")
+        blob.write_bytes(blob.read_bytes()[:-1])
+        rerun = json.loads(simulate_cli("rerun.json", *flags))
+        assert rerun["resumed_from_round"] is None
+        assert rerun["rounds"] == uninterrupted["rounds"]
+        assert capsys.readouterr().err == (
+            f"repro simulate: state dir {state}: checkpoint failed "
+            "verification (integrity), starting from round 0\n"
+        )
+
     def test_listed(self, capsys):
         assert main(["list"]) == 0
         assert "simulate" in capsys.readouterr().out

@@ -18,12 +18,14 @@ from repro.serve import (
     Coordinator,
     Encoding,
     JobState,
+    LoadSpec,
+    ServeHarness,
     TenantQuota,
     WireVector,
     decode_frame,
     encode_frame,
 )
-from repro.tee.storage import InMemoryBackend, SecureStorage
+from repro.tee.storage import ReeFsBackend, SecureStorage
 
 pytestmark = pytest.mark.serve
 
@@ -200,14 +202,10 @@ class TestAdmission:
 
 
 class TestCheckpointResume:
-    def _storage(self, tmp_path):
-        return SecureStorage(
-            InMemoryBackend(),
-            ssk=hashlib.sha256(b"serve-test").digest(),
-            counters_path=os.path.join(tmp_path, "counters.json"),
-        )
+    """``state_dict()`` → JSON → ``load_state()`` is the coordinator's whole
+    durability surface; sealing the JSON is :class:`ServeHarness`'s job."""
 
-    def _kill_mid_window_and_resume(self, tmp_path, weights, **config):
+    def _kill_mid_window_and_resume(self, weights, **config):
         """12 updates into 4-wide windows, killed after 6 (1.5 windows).
 
         Returns the checkpointed snapshot and the resumed job; asserts the
@@ -223,19 +221,18 @@ class TestCheckpointResume:
                 coordinator.pump("j0")
             reference = coordinator.state_dict()
 
-        storage = self._storage(tmp_path)
         with obs.fresh(clock=VirtualClock()):
             coordinator = Coordinator()
             coordinator.create_job("t0", "j0", weights, **config)
             for frame in frames[:6]:
                 coordinator.submit(frame)
                 coordinator.pump("j0")
-            coordinator.checkpoint(storage)
             snapshot = coordinator.state_dict()
+            checkpoint = json.dumps(snapshot, sort_keys=True)
 
         with obs.fresh(clock=VirtualClock()):
             resumed = Coordinator()
-            assert resumed.restore(storage)
+            resumed.load_state(json.loads(checkpoint))
             job = resumed.jobs["j0"]
             assert job.window.pending == 2
             for frame in frames[6:]:
@@ -245,17 +242,15 @@ class TestCheckpointResume:
             assert resumed.state_dict() == reference
         return snapshot, job
 
-    def test_mid_window_checkpoint_resumes_bitwise(self, tmp_path, weights):
-        self._kill_mid_window_and_resume(tmp_path, weights)
+    def test_mid_window_checkpoint_resumes_bitwise(self, weights):
+        self._kill_mid_window_and_resume(weights)
 
-    def test_sharded_mid_window_checkpoint_resumes_and_commits(
-        self, tmp_path, weights
-    ):
+    def test_sharded_mid_window_checkpoint_resumes_and_commits(self, weights):
         """A ``--shards 4`` job resumes from the checkpoint alone: the window
         kind is no longer an option a checkpoint and a command line can
         disagree on."""
         snapshot, job = self._kill_mid_window_and_resume(
-            tmp_path, weights, sharding=ShardingConfig(num_shards=4)
+            weights, sharding=ShardingConfig(num_shards=4)
         )
         assert "workers" not in snapshot
         assert "gathered" not in snapshot["jobs"][0]
@@ -287,45 +282,44 @@ class TestCheckpointResume:
             with pytest.raises(ValueError, match="gathered"):
                 Coordinator().load_state(state)
 
-    def test_restore_without_checkpoint_is_false(self, tmp_path, weights):
-        with obs.fresh(clock=VirtualClock()):
-            coordinator = Coordinator()
-            assert coordinator.restore(self._storage(tmp_path)) is False
+    SPEC = dict(
+        tenant="t0", job_id="j0", clients=30, commits=2,
+        buffer_size=4, concurrency=8, seed=11,
+    )
 
-    def test_torn_counter_checkpoint_is_discarded(self, tmp_path, weights):
-        # kill -9 can land between the sealed blob write and the trusted
-        # counter persist: the object is one version ahead of the counter.
-        # Restore must treat that as "no checkpoint", not crash or trust it.
-        from repro.tee.storage import ReeFsBackend
+    def _harness(self, ctx, storage):
+        return ServeHarness([LoadSpec(**self.SPEC)], storage=storage, clock=ctx.clock)
 
+    def test_restore_without_checkpoint_is_false(self):
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            assert self._harness(ctx, SecureStorage()).restore() is False
+
+    def test_torn_counter_checkpoint_is_discarded(self, tmp_path):
+        # The trusted counters are lost outright (not merely one put behind,
+        # which rolls forward): no record for the object, so nothing is
+        # trusted.  Restore answers "no checkpoint", never crashes or loads.
         ssk = hashlib.sha256(b"serve-torn").digest()
         blob_dir = str(tmp_path / "blobs")
         counters = str(tmp_path / "counters.json")
-        with obs.fresh(clock=VirtualClock()):
-            coordinator = Coordinator()
-            coordinator.create_job(
-                "t0", "j0", weights, buffer=BufferConfig(size=4)
-            )
-            storage = SecureStorage(
-                ReeFsBackend(blob_dir), ssk=ssk, counters_path=counters
-            )
-            coordinator.checkpoint(storage)
-        os.unlink(counters)  # the counter persist never hit the disk
-        with obs.fresh(clock=VirtualClock()):
-            resumed = Coordinator()
-            resumed.create_job("t0", "j0", weights, buffer=BufferConfig(size=4))
-            reopened = SecureStorage(
-                ReeFsBackend(blob_dir), ssk=ssk, counters_path=counters
-            )
-            assert resumed.restore(reopened) is False
-            # and the next checkpoint simply overwrites the orphaned object
-            resumed.checkpoint(reopened)
-            fresh = Coordinator()
-            fresh.create_job("t0", "j0", weights, buffer=BufferConfig(size=4))
-            assert fresh.restore(reopened) is True
 
-    def test_checkpoint_preserves_staged_queue(self, tmp_path, weights):
-        storage = self._storage(tmp_path)
+        def reopen():
+            return SecureStorage(
+                ReeFsBackend(blob_dir), ssk=ssk, counters_path=counters
+            )
+
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            self._harness(ctx, reopen()).run(max_events=3)
+        os.unlink(counters)
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            reopened = reopen()
+            resumed = self._harness(ctx, reopened)
+            assert resumed.restore() is False
+            assert resumed.events_processed == 0
+            # and the next checkpoint simply overwrites the orphaned object
+            resumed.run(max_events=3)
+            assert self._harness(ctx, reopened).restore() is True
+
+    def test_checkpoint_preserves_staged_queue(self, weights):
         with obs.fresh(clock=VirtualClock()):
             coordinator = Coordinator()
             job = coordinator.create_job(
@@ -333,11 +327,11 @@ class TestCheckpointResume:
             )
             for dispatch in range(3):
                 coordinator.submit(update_frame(job, dispatch))
-            coordinator.checkpoint(storage)  # 3 staged, none folded
+            # 3 staged, none folded
+            checkpoint = json.dumps(coordinator.state_dict(), sort_keys=True)
         with obs.fresh(clock=VirtualClock()):
             resumed = Coordinator()
-            resumed.create_job("t0", "j0", weights, buffer=BufferConfig(size=8))
-            assert resumed.restore(storage)
+            resumed.load_state(json.loads(checkpoint))
             assert len(resumed.jobs["j0"].queue) == 3
             resumed.pump("j0")
             assert resumed.jobs["j0"].folds == 3

@@ -153,14 +153,26 @@ class TestRollbackProtection:
             storage.put("ta", "k", f"v{i}".encode())
         assert storage.get("ta", "k") == b"v4"
 
-    def test_counter_resets_after_delete(self):
-        from repro.tee import SecureStorage
+    def test_counter_survives_delete(self):
+        """An RPMB counter never decreases: ``delete`` must not let a blob
+        sealed before it be replayed over whatever is written after it."""
+        from repro.tee import RollbackError, SecureStorage
 
         storage = SecureStorage()
-        storage.put("ta", "k", b"a")
+        storage.put("ta", "k", b"OLD")
+        key = SecureStorage._key("ta", "k")
+        old_blob = storage.backend.get(key)
         storage.delete("ta", "k")
-        storage.put("ta", "k", b"b")
-        assert storage.get("ta", "k") == b"b"
+        with pytest.raises(KeyError):
+            storage.get("ta", "k")
+        storage.backend.put(key, old_blob)  # resurrecting the deleted object
+        with pytest.raises(RollbackError):
+            storage.get("ta", "k")
+        storage.put("ta", "k", b"NEW")
+        assert storage.get("ta", "k") == b"NEW"
+        storage.backend.put(key, old_blob)  # replaying it over its successor
+        with pytest.raises(RollbackError, match="version 1, trusted counter says 3"):
+            storage.get("ta", "k")
 
 
 class TestMetrics:
