@@ -148,7 +148,7 @@ class GradSecTA(TrustedApplication):
         return value mirrors the run's own output arity.
         """
         in_tensors = tuple(
-            Tensor(np.asarray(a), requires_grad=True) for a in _as_tuple(x)
+            Tensor(np.asarray(a), requires_grad=indices[0] != 1) for a in _as_tuple(x)
         )
         out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
         for index in indices:
@@ -166,7 +166,8 @@ class GradSecTA(TrustedApplication):
         """Backward through a protected run; update weights in-enclave.
 
         ``gout`` carries one seed per output stream; the returned input
-        gradient mirrors the run's input arity.
+        gradient mirrors the run's input arity — None for a run starting at
+        layer 1: nobody consumes dX, a function of protected ``W1``/``delta_1``.
         """
         cached = self._forward_cache.pop(tuple(indices), None)
         if cached is None:
@@ -185,14 +186,17 @@ class GradSecTA(TrustedApplication):
                 params.append(self._layer(index).params[name])
                 keys.append((index, name))
         seeds = [Tensor(np.asarray(g)) for g in _as_tuple(gout)]
-        results = grad(list(outs), list(in_tensors) + params, grad_outputs=seeds)
-        gins, param_grads = results[: len(in_tensors)], results[len(in_tensors):]
+        wanted = [t for t in in_tensors if t.requires_grad]
+        results = grad(list(outs), wanted + params, grad_outputs=seeds)
+        gins, param_grads = results[: len(wanted)], results[len(wanted):]
         # SGD update inside the enclave (formula (1) of the paper).
         for (index, name), g in zip(keys, param_grads):
             param = self._layer(index).params[name]
             param.data = param.data - lr * g.data
         for index in indices:
             self._capture_and_scrub(index)
+        if not gins:
+            return None
         if len(gins) == 1:
             return gins[0].data.copy()
         return tuple(g.data.copy() for g in gins)
@@ -420,7 +424,7 @@ class ShieldedModel:
                 activations.append(None)
             else:
                 in_tensors = tuple(
-                    Tensor(a, requires_grad=True) for a in _as_tuple(current)
+                    Tensor(a, requires_grad=indices[0] != 1) for a in _as_tuple(current)
                 )
                 out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
                 for index in indices:
@@ -458,11 +462,10 @@ class ShieldedModel:
                         params.append(layer.params[name])
                         keys.append((index, name))
                 seeds = [Tensor(g) for g in _as_tuple(gout_data)]
-                results = grad(
-                    list(outs), list(in_tensors) + params, grad_outputs=seeds
-                )
-                gins = results[: len(in_tensors)]
-                param_grads = results[len(in_tensors):]
+                wanted = [t for t in in_tensors if t.requires_grad]
+                results = grad(list(outs), wanted + params, grad_outputs=seeds)
+                gins = results[: len(wanted)]
+                param_grads = results[len(wanted):]
                 for (index, name), g in zip(keys, param_grads):
                     self._cycle_leakage.record_gradient(index, name, g.data)
                     param = self.model.layer(index).params[name]
@@ -470,7 +473,7 @@ class ShieldedModel:
                 gout_data = (
                     gins[0].data
                     if len(gins) == 1
-                    else tuple(g.data for g in gins)
+                    else tuple(g.data for g in gins)  # () after the first run
                 )
 
         if self.cost_model is not None:

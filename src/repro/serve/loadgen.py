@@ -10,11 +10,11 @@ loop together, optionally checkpointing the *whole* ensemble (clock,
 coordinator, in-flight frames) through SecureStorage after every event
 so a ``kill -9`` anywhere resumes to a bitwise-identical final report.
 
-Determinism discipline: every random draw is keyed on
-``(seed, stream, dispatch[, client])`` via a fresh
-``np.random.default_rng`` — there is no evolving generator state to
-checkpoint, and an update's bytes are a pure function of its dispatch
-number and the model version it trained against.
+Determinism discipline: every random draw is
+``np.random.default_rng((seed, stream, dispatch[, client]))`` — evaluated a
+block of dispatches at a time by :mod:`repro.sim.keyed` — so there is no
+evolving generator state to checkpoint, and an update's bytes are a pure
+function of its dispatch number and the model version it trained against.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ..fl.config import BufferConfig, ShardingConfig
 from ..fl.resilience import RetryPolicy
 from ..nn.zoo import mlp
 from ..obs import VirtualClock, get_registry
+from ..sim import keyed
 from ..sim.events import EventLoop
 from ..sim.faults import FaultKind, FaultPlan, FaultRates
 from ..sim.network import NetworkModel
@@ -177,6 +178,11 @@ class LoadGenerator:
             attack=spec.attack,
             attack_strength=spec.attack_strength,
         )
+        self._rngs = keyed.Generators()
+        self._lookahead = keyed.Lookahead(
+            (spec.seed, _STREAM_CLIENT), (spec.seed, _STREAM_UPDATE),
+            spec.clients, self.plan, self._rngs,
+        )
         self.encoding = _ENCODINGS[spec.encoding]
         self.compressor = (
             TopKCompressor(spec.ratio, error_feedback=False)
@@ -274,11 +280,7 @@ class LoadGenerator:
         spec = self.spec
         dispatch = self.next_dispatch
         self.next_dispatch += 1
-        client = int(
-            np.random.default_rng(
-                (spec.seed, _STREAM_CLIENT, dispatch)
-            ).integers(spec.clients)
-        )
+        client = self._lookahead.start(dispatch)
         fault = self.plan.fault_for(dispatch, client)
         if fault in (FaultKind.DROP, FaultKind.FAIL_ATTESTATION):
             self.drops += 1
@@ -313,11 +315,7 @@ class LoadGenerator:
         spec = self.spec
         dispatch = self.next_dispatch
         self.next_dispatch += 1
-        client = int(
-            np.random.default_rng(
-                (spec.seed, _STREAM_CLIENT, dispatch)
-            ).integers(spec.clients)
-        )
+        client = self._lookahead.start(dispatch)
         fault = self.plan.fault_for(dispatch, client)
         if fault in (FaultKind.DROP, FaultKind.FAIL_ATTESTATION):
             self.drops += 1
@@ -420,7 +418,7 @@ class LoadGenerator:
         index = self.ack_index
         self.ack_index += 1
         delay = float(
-            np.random.default_rng(
+            keyed.generator(
                 (self.spec.chaos_seed, _STREAM_ACK_DELAY, index)
             ).uniform(0.005, 0.05)
         )
@@ -447,7 +445,7 @@ class LoadGenerator:
         seq: Optional[int] = None,
     ) -> bytes:
         spec = self.spec
-        noise = np.random.default_rng(
+        noise = self._rngs.at(
             (spec.seed, _STREAM_UPDATE, dispatch, client)
         ).standard_normal(self.size)
         delta = spec.drift * (self.teacher - base_flat) + spec.update_scale * noise

@@ -97,6 +97,7 @@ from ..obs import get_registry, get_tracer
 from ..obs.clock import VirtualClock
 from ..tee.costmodel import CostModel
 from ..tee.storage import SecureStorage
+from . import keyed
 from .events import EventLoop
 from .faults import AttackKind, FaultKind, FaultPlan
 from .network import NetworkModel
@@ -562,6 +563,7 @@ class FLSimulator:
         # (round, client) -> flat update, and the traced delta program + VM.
         self._update_cache: Dict[tuple, np.ndarray] = {}
         self._delta_exec = None
+        self._rngs = keyed.Generators()  # noise; prefetched per cohort / per block
         resumed = self._load_checkpoint() if self.storage is not None else None
         if config.async_mode:
             self._init_async()
@@ -578,16 +580,8 @@ class FLSimulator:
 
     def _noise(self, key: int, client: int) -> np.ndarray:
         """The client's keyed noise draw, in ``items()`` order (one flat
-        draw fills from the same bit stream as per-parameter draws would).
-        ``Generator(PCG64(SeedSequence(...)))`` is what ``default_rng(...)``
-        builds, minus its dispatch overhead."""
-        rng = np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(
-                    (self.config.seed, _STREAM_UPDATE, key, client)
-                )
-            )
-        )
+        draw fills from the same bit stream as per-parameter draws would)."""
+        rng = self._rngs.at((self.config.seed, _STREAM_UPDATE, key, client))
         return rng.standard_normal(self._perm.size)
 
     def _make_update(
@@ -883,8 +877,8 @@ class FLSimulator:
                 if blocked:
                     members = [i for i in members if i not in blocked]
                     self._tally(counts, "quarantined", len(blocked))
-            if cfg.compile:
-                self._precompute_updates(rnd, members, base_flat)
+            self.fault_plan.prefetch(rnd, members)  # one kernel call each
+            self._rngs.prefetch(cfg.seed, _STREAM_UPDATE, rnd, members)
             dead_shards = frozenset(
                 shard
                 for shard in range(cfg.shards)
@@ -927,6 +921,8 @@ class FLSimulator:
                 else:
                     state.pending.add(index)
                     self._schedule_attempt(state, index, 0, started_at, fault)
+            if cfg.compile:  # only for members that will attempt an upload at all
+                self._precompute_updates(rnd, sorted(state.pending), base_flat)
 
             # No event runs after _finish (the loop re-checks after each),
             # and the queued deadline event guarantees one: if everyone
@@ -1076,6 +1072,10 @@ class FLSimulator:
         )
         self._inflight: Dict[int, Dict[str, object]] = {}
         self._dispatch_counter = 0
+        self._lookahead = keyed.Lookahead(
+            (cfg.seed, _STREAM_ASYNC_SELECT), (cfg.seed, _STREAM_UPDATE),
+            cfg.num_clients, self.fault_plan, self._rngs,
+        )
         # Model version (commit index) -> the flat weights dispatched then.
         self._version_flat: Dict[int, np.ndarray] = {
             self.round: flatten_weights(self.model.get_weights())
@@ -1098,13 +1098,10 @@ class FLSimulator:
 
         One uniform draw keyed on ``(seed, stream, dispatch)`` picks a
         start; linear probing past busy/quarantined clients keeps the
-        draw itself a pure function of the dispatch index.
+        draw itself a pure function of the dispatch index (hence the lookahead).
         """
         cfg = self.config
-        rng = np.random.default_rng(
-            (cfg.seed, _STREAM_ASYNC_SELECT, self._dispatch_counter)
-        )
-        start = int(rng.integers(cfg.num_clients))
+        start = self._lookahead.start(self._dispatch_counter)
         for offset in range(cfg.num_clients):
             client = (start + offset) % cfg.num_clients
             if client in self._inflight:

@@ -39,6 +39,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import keyed
+
 __all__ = ["FaultKind", "FaultRates", "FaultPlan", "AttackKind", "apply_attack"]
 
 # Stream tags keeping fault draws independent of every other (seed, round)
@@ -217,6 +219,14 @@ class FaultPlan:
         self._explicit: Dict[Tuple[int, int], Optional[FaultKind]] = {}
         self._explicit_shards: Dict[Tuple[int, int], bool] = {}
         self._explicit_attackers: Dict[int, Optional[AttackKind]] = {}
+        self._draws = keyed.Uniforms()
+
+    def prefetch(self, rounds, clients) -> None:
+        """Evaluate a batch of cells' fault draws in one kernel call (either
+        argument may be a scalar): a bounded memo of a pure function —
+        :meth:`fault_for` returns the same values, injections still win."""
+        if self._thresholds:
+            self._draws.prefetch(self.seed, _STREAM_FAULT, rounds, clients)
 
     def inject(self, round_index: int, client_index: int, kind) -> "FaultPlan":
         """Pin a specific fault (or ``None`` to force health) for one cell."""
@@ -231,9 +241,7 @@ class FaultPlan:
             return self._explicit[key]
         if not self._thresholds:
             return None
-        draw = float(
-            np.random.default_rng((self.seed, _STREAM_FAULT, *key)).random()
-        )
+        draw = self._draws.draw((self.seed, _STREAM_FAULT, *key))
         for edge, kind in self._thresholds:
             if draw < edge:
                 return kind
@@ -258,9 +266,7 @@ class FaultPlan:
             return self._explicit_attackers[key]
         if self.byzantine <= 0.0:
             return None
-        draw = float(
-            np.random.default_rng((self.seed, _STREAM_ATTACKER, key)).random()
-        )
+        draw = keyed.generator((self.seed, _STREAM_ATTACKER, key)).random()
         return self.attack if draw < self.byzantine else None
 
     def attack_delta(
@@ -316,9 +322,7 @@ class FaultPlan:
             return self._explicit_shards[key]
         if self.shard_down <= 0.0:
             return False
-        draw = float(
-            np.random.default_rng((self.seed, _STREAM_SHARD_FAULT, *key)).random()
-        )
+        draw = keyed.generator((self.seed, _STREAM_SHARD_FAULT, *key)).random()
         return draw < self.shard_down
 
     def describe(self) -> str:

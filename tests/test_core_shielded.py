@@ -110,6 +110,34 @@ class TestConfidentiality:
         assert diffs[1] is None
         assert diffs[0] is not None
 
+    def test_input_batch_gradient_never_leaves_the_enclave(self, rng, monkeypatch):
+        """dX = W1^T * delta_1 is a function of protected values that no
+        normal-world layer consumes: a run starting at layer 1 hands back
+        nothing, and dropping it moves no weight bit."""
+        x, y = tiny_batch(rng)
+        ref_model, ref = make_shielded(NoProtection(3), seed=1)
+        model, shielded = make_shielded(StaticPolicy(3, [1]), seed=1)
+        returned = []
+        smc = shielded.monitor.smc
+
+        def spy(uuid, command, **kwargs):
+            result = smc(uuid, command, **kwargs)
+            if command == "backward_run":
+                returned.append((kwargs["indices"], result))
+            return result
+
+        monkeypatch.setattr(shielded.monitor, "smc", spy)
+        for trainer in (ref, shielded):
+            trainer.begin_cycle()
+            for _ in range(3):
+                trainer.train_step(x, y, lr=0.3)
+            trainer.end_cycle()
+        assert [indices for indices, _ in returned] == [(1,)] * 3
+        assert all(result is None for _, result in returned)
+        for i in range(1, 4):
+            for key, value in ref_model.layer(i).get_weights().items():
+                assert np.array_equal(model.layer(i).get_weights()[key], value)
+
     def test_smc_calls_happen_only_when_protected(self, rng):
         x, y = tiny_batch(rng)
         _, unprotected = make_shielded(NoProtection(3))
