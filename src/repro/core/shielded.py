@@ -208,23 +208,21 @@ class GradSecTA(TrustedApplication):
         }
         return iopath.seal_from_enclave(zero_based, self._model.num_layers)
 
-    def _cmd_release(self, restore: bool) -> Dict[int, Dict[str, np.ndarray]]:
-        """Free enclave memory; optionally hand weights back to the model."""
-        weights: Dict[int, Dict[str, np.ndarray]] = {}
+    def _cmd_release(self, restore: bool) -> None:
+        """Free enclave memory; hand weights back to the model only if asked.
+
+        Nothing is returned in either mode: the reply crosses to the normal
+        world, and ``W_after - W_before`` over ``lr`` is the mean gradient.
+        """
         for (index, name), buffer in self._buffers.items():
-            weights.setdefault(index, {})[name] = buffer.read()
+            if restore:
+                self._layer(index).params[name].data = buffer.read()
             buffer.release()
         for handle in self._scratch.values():
             self._pool.release(handle)
         self._buffers.clear()
         self._scratch.clear()
         self._forward_cache.clear()
-        if restore:
-            for index, layer_weights in weights.items():
-                for name, value in layer_weights.items():
-                    self._layer(index).params[name].data = value
-            return {}
-        return weights
 
 
 class ShieldedModel:

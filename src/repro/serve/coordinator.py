@@ -42,12 +42,7 @@ from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTrack
 from ..fl.buffer import BufferedAggregator
 from ..fl.config import BufferConfig, ShardingConfig
 from ..nn.model import WeightsList
-from ..nn.serialize import (
-    flatten_weights,
-    unflatten_weights,
-    weights_from_bytes,
-    weights_to_bytes,
-)
+from ..nn.serialize import flatten_weights, unflatten_weights
 from ..obs import get_registry, get_tracer
 from .transport import BreakerConfig, TenantBreaker
 from .wire import (
@@ -75,13 +70,14 @@ __all__ = [
 TA_UUID = "gradsec-serve-coordinator"
 
 
-def _encode_flat(array: np.ndarray) -> str:
+def encode_flat(array) -> str:
+    """A float64 vector (or matrix of rows) as base64 JSON text."""
     return base64.b64encode(
         np.ascontiguousarray(array, dtype=np.float64).tobytes()
     ).decode("ascii")
 
 
-def _decode_flat(blob: str) -> np.ndarray:
+def decode_flat(blob: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(blob), dtype=np.float64).copy()
 
 
@@ -194,6 +190,11 @@ class Job:
             {key: np.asarray(value, dtype=np.float64) for key, value in layer.items()}
             for layer in weights
         ]
+        # What a checkpoint needs of the template: names and shapes, in order.
+        self._layout = [
+            [[key, list(value.shape)] for key, value in layer.items()]
+            for layer in self.template
+        ]
         self.flat = flatten_weights(self.template)
         self.weights = self.template
         self.size = int(self.flat.size)
@@ -275,17 +276,15 @@ class Job:
             "clip": False
             if self.admission_config is None
             else self.admission_config.clip,
-            "weights": base64.b64encode(weights_to_bytes(self.weights)).decode(),
+            "layout": self._layout,
             "versions": [
-                [version, _encode_flat(flat)]
+                [version, encode_flat(flat)]
                 for version, flat in sorted(self.versions.items())
             ],
             "queue": [
                 base64.b64encode(frame).decode() for frame, _ in self.queue
             ],
-            # Nested under "buffer" as schema-1 checkpoints always were, so
-            # ones written before the worker-pool window was removed still load.
-            "window": {"buffer": self.window.state_dict()},
+            "window": self.window.state_dict(),
             "window_dispatches": list(self.window_dispatches),
             "counters": {
                 "folds": self.folds,
@@ -313,7 +312,7 @@ class Job:
         self.state = JobState(state["state"])
         self.version = int(state["version"])
         self.versions = {
-            int(version): _decode_flat(flat) for version, flat in state["versions"]
+            int(version): decode_flat(flat) for version, flat in state["versions"]
         }
         self.flat = self.versions[self.version]
         self.weights = unflatten_weights(self.flat, self.template)
@@ -323,7 +322,7 @@ class Job:
                 base64.b64decode(encoded) for encoded in state["queue"]
             )
         )
-        self.window.load_state(state["window"]["buffer"])
+        self.window.load_state(state["window"])
         self.window_dispatches = [int(d) for d in state["window_dispatches"]]
         counters = state["counters"]
         self.folds = int(counters["folds"])
@@ -333,17 +332,13 @@ class Job:
         self.bytes_down = int(counters["bytes_down"])
         if self.reputation is not None and state["reputation"] is not None:
             self.reputation.load_state(state["reputation"])
-        transport = state.get("transport")
-        if transport is not None:
-            self.cursor = int(transport["cursor"])
-            self.stash = {
-                int(seq): base64.b64decode(frame)
-                for seq, frame in transport["stash"]
-            }
-            self.terminal = {int(seq) for seq in transport["terminal"]}
-            self.transport = {
-                k: int(v) for k, v in transport["counters"].items()
-            }
+        transport = state["transport"]
+        self.cursor = int(transport["cursor"])
+        self.stash = {
+            int(seq): base64.b64decode(frame) for seq, frame in transport["stash"]
+        }
+        self.terminal = {int(seq) for seq in transport["terminal"]}
+        self.transport = {k: int(v) for k, v in transport["counters"].items()}
 
 
 class Coordinator:
@@ -763,7 +758,7 @@ class Coordinator:
     # -- checkpoint / resume ----------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         return {
-            "schema": 1,
+            "schema": 2,
             "jobs": [self.jobs[key].state_dict() for key in sorted(self.jobs)],
             "breakers": {
                 tenant: self.breakers[tenant].state_dict()
@@ -773,21 +768,15 @@ class Coordinator:
 
     def load_state(self, state: Dict[str, object]) -> None:
         """Rebuild every job bit-for-bit from a :meth:`state_dict`."""
-        if state.get("schema") != 1:
+        if state.get("schema") != 2:
             raise ValueError("unknown coordinator checkpoint schema")
         self.jobs = {}
         for snapshot in state["jobs"]:
-            if (
-                snapshot.get("gathered")
-                or snapshot["window"].get("kind") == "gathered"
-            ):
-                raise ValueError(
-                    f"job {snapshot['job_id']!r} was checkpointed by the removed "
-                    "worker-pool (gathered) window and cannot be resumed"
-                )
-            weights = weights_from_bytes(
-                base64.b64decode(snapshot["weights"])
-            )
+            # Shapes only: every value comes from the job's retained versions.
+            weights = [
+                {key: np.zeros(shape) for key, shape in layer}
+                for layer in snapshot["layout"]
+            ]
             buffer = BufferConfig(
                 size=int(snapshot["buffer"]["size"]),
                 staleness=snapshot["buffer"]["staleness"],
@@ -813,7 +802,7 @@ class Coordinator:
             job.load_state(snapshot)
             self.jobs[job.job_id] = job
         self.breakers = {}
-        for tenant, snapshot in state.get("breakers", {}).items():
+        for tenant, snapshot in state["breakers"].items():
             breaker = self.breaker_for(tenant)
             if breaker is not None:
                 breaker.load_state(snapshot)

@@ -7,8 +7,11 @@ virtual time, so 10^5–10^6 clients cost seconds of wall-clock and the
 run is byte-reproducible.  :class:`ServeHarness` wires N generators, one
 :class:`~repro.serve.coordinator.Coordinator` and one discrete-event
 loop together, optionally checkpointing the *whole* ensemble (clock,
-coordinator, in-flight frames) through SecureStorage after every event
-so a ``kill -9`` anywhere resumes to a bitwise-identical final report.
+coordinator, who is in flight) through SecureStorage after every
+``checkpoint_every``-th event so a ``kill -9`` anywhere resumes to a
+bitwise-identical final report.  The checkpoint holds state, never derived
+data: an in-flight frame is rebuilt on restore from its descriptor and the
+base vector it trained against (DESIGN.md, "Durable state").
 
 Determinism discipline: every random draw is
 ``np.random.default_rng((seed, stream, dispatch[, client]))`` — evaluated a
@@ -19,7 +22,6 @@ function of its dispatch number and the model version it trained against.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -38,7 +40,14 @@ from ..sim import keyed
 from ..sim.events import EventLoop
 from ..sim.faults import FaultKind, FaultPlan, FaultRates
 from ..sim.network import NetworkModel
-from .coordinator import TA_UUID, Coordinator, JobState, TenantQuota
+from .coordinator import (
+    TA_UUID,
+    Coordinator,
+    JobState,
+    TenantQuota,
+    decode_flat,
+    encode_flat,
+)
 from .transport import BreakerConfig, ChaosChannel, ChaosConfig
 from .wire import (
     AckMsg,
@@ -69,6 +78,12 @@ _ENCODINGS = {
     "f16": Encoding.F16,
     "q8": Encoding.Q8,
 }
+
+
+def _rows(blob: str, width: int) -> List[List[float]]:
+    """A per-dispatch table back from its float64 matrix.  Every column is an
+    int < 2**53 or a float64 virtual time, so the round trip is exact."""
+    return decode_flat(blob).reshape(-1, width).tolist()
 
 
 @dataclass(frozen=True)
@@ -300,6 +315,8 @@ class LoadGenerator:
             "at": arrival,
             "frame": frame,
             "sent_at": sent_at,
+            "base_version": job.version,
+            "base": job.flat,
         }
         self._sent_at[dispatch] = sent_at
         self.loop.schedule_at(arrival, lambda d=dispatch: self._arrive(d))
@@ -340,6 +357,8 @@ class LoadGenerator:
             "dispatch": dispatch,
             "attempts": 0,
             "next_at": 0.0,
+            "base_version": base_version,
+            "base": job.versions[base_version],
         }
         self.uplink.send(frame, key=seq, attempt=0, delay=delay)
         self._arm_retransmit(seq, 1)
@@ -498,28 +517,26 @@ class LoadGenerator:
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
+        """State only: a pending frame is a pure function of its descriptor
+        and base vector, so it is described here and rebuilt by
+        :meth:`load_state`; each base vector is written once, not per frame."""
+        pending = self.unacked if self.chaos else self._inflight
+        bases = {info["base_version"]: info["base"] for info in pending.values()}
         return {
             "job_id": self.spec.job_id,
             "next_dispatch": self.next_dispatch,
             "done": self.done,
             "drops": self.drops,
-            "latencies": base64.b64encode(
-                np.asarray(self.latencies, dtype="<f8").tobytes()
-            ).decode("ascii"),
-            "sent": [
-                [dispatch, self._sent_at[dispatch]]
-                for dispatch in sorted(self._sent_at)
-            ],
-            "inflight": [
-                {
-                    "dispatch": dispatch,
-                    "client": info["client"],
-                    "at": info["at"],
-                    "sent_at": info["sent_at"],
-                    "frame": base64.b64encode(info["frame"]).decode("ascii"),
-                }
-                for dispatch, info in sorted(self._inflight.items())
-            ],
+            "latencies": encode_flat(self.latencies),
+            "sent": encode_flat(sorted(self._sent_at.items())),
+            "bases": [[v, encode_flat(bases[v])] for v in sorted(bases)],
+            "inflight": encode_flat(
+                [
+                    [dispatch, info["client"], info["base_version"],
+                     len(info["frame"]), info["at"], info["sent_at"]]
+                    for dispatch, info in sorted(self._inflight.items())
+                ]
+            ),
             **(
                 {
                     "chaos": {
@@ -529,25 +546,17 @@ class LoadGenerator:
                         "acks": self.acks,
                         "corrupt_acks": self.corrupt_acks,
                         "ack_index": self.ack_index,
-                        "unacked": [
-                            {
-                                "seq": seq,
-                                "frame": base64.b64encode(
-                                    info["frame"]
-                                ).decode("ascii"),
-                                "client": info["client"],
-                                "dispatch": info["dispatch"],
-                                "attempts": info["attempts"],
-                                "next_at": info["next_at"],
-                            }
-                            for seq, info in sorted(self.unacked.items())
-                        ],
-                        "timers": [
-                            [timer, at, seq, attempt]
-                            for timer, (at, seq, attempt) in sorted(
-                                self._timers.items()
-                            )
-                        ],
+                        "unacked": encode_flat(
+                            [
+                                [info["dispatch"], info["client"],
+                                 info["base_version"], len(info["frame"]),
+                                 seq, info["attempts"], info["next_at"]]
+                                for seq, info in sorted(self.unacked.items())
+                            ]
+                        ),
+                        "timers": encode_flat(
+                            [[t, *entry] for t, entry in sorted(self._timers.items())]
+                        ),
                         "next_timer": self._next_timer,
                         "uplink": self.uplink.state_dict(),
                         "downlink": self.downlink.state_dict(),
@@ -558,26 +567,34 @@ class LoadGenerator:
             ),
         }
 
+    def _rebuilt(self, bases, row, seq=None) -> Dict[str, object]:
+        """The pending entry a descriptor row stands for, frame regenerated."""
+        dispatch, client, version, nbytes = (int(x) for x in row)
+        frame = self._build_frame(dispatch, client, version, bases[version], seq=seq)
+        if len(frame) != nbytes:
+            raise ValueError(
+                f"dispatch {dispatch} rebuilt to {len(frame)} bytes, "
+                f"checkpoint recorded {nbytes}"
+            )
+        return {
+            "frame": frame,
+            "client": client,
+            "base_version": version,
+            "base": bases[version],
+        }
+
     def load_state(self, state: Dict[str, object]) -> None:
         if state["job_id"] != self.spec.job_id:
             raise ValueError("checkpoint belongs to a different job")
         self.next_dispatch = int(state["next_dispatch"])
         self.done = bool(state["done"])
         self.drops = int(state["drops"])
-        self.latencies = list(
-            np.frombuffer(base64.b64decode(state["latencies"]), dtype="<f8")
-        )
-        self._sent_at = {
-            int(dispatch): float(at) for dispatch, at in state["sent"]
-        }
+        self.latencies = decode_flat(state["latencies"]).tolist()
+        self._sent_at = {int(d): at for d, at in _rows(state["sent"], 2)}
+        bases = {int(v): decode_flat(flat) for v, flat in state["bases"]}
         self._inflight = {
-            int(entry["dispatch"]): {
-                "client": int(entry["client"]),
-                "at": float(entry["at"]),
-                "frame": base64.b64decode(entry["frame"]),
-                "sent_at": float(entry["sent_at"]),
-            }
-            for entry in state["inflight"]
+            int(row[0]): {**self._rebuilt(bases, row), "at": at, "sent_at": sent_at}
+            for *row, at, sent_at in _rows(state["inflight"], 6)
         }
         if self.chaos:
             chaos = state["chaos"]
@@ -588,18 +605,16 @@ class LoadGenerator:
             self.corrupt_acks = int(chaos["corrupt_acks"])
             self.ack_index = int(chaos["ack_index"])
             self.unacked = {
-                int(entry["seq"]): {
-                    "frame": base64.b64decode(entry["frame"]),
-                    "client": int(entry["client"]),
-                    "dispatch": int(entry["dispatch"]),
-                    "attempts": int(entry["attempts"]),
-                    "next_at": float(entry["next_at"]),
+                int(seq): {
+                    **self._rebuilt(bases, row, seq=int(seq)),
+                    "dispatch": int(row[0]),
+                    "attempts": int(attempts),
+                    "next_at": next_at,
                 }
-                for entry in chaos["unacked"]
+                for *row, seq, attempts, next_at in _rows(chaos["unacked"], 7)
             }
             self._timers = {
-                int(timer): [float(at), float(seq), float(attempt)]
-                for timer, at, seq, attempt in chaos["timers"]
+                int(timer): entry for timer, *entry in _rows(chaos["timers"], 4)
             }
             self._next_timer = int(chaos["next_timer"])
             self.uplink.load_state(chaos["uplink"])
@@ -611,8 +626,8 @@ class ServeHarness:
 
     With ``storage`` set, the full ensemble state is persisted after
     every ``checkpoint_every``-th event; :meth:`restore` picks the run
-    back up mid-stream (in-flight frames are re-scheduled from their
-    stored virtual arrival times, ordered ``(at, job, dispatch)``, which
+    back up mid-stream (in-flight frames are rebuilt, then re-scheduled at
+    their stored virtual arrival times, ordered ``(at, job, dispatch)``, which
     matches the original heap order because distinct-time arrivals
     dominate — latencies are continuous draws, so exact ties across
     dispatches have measure zero).
@@ -677,7 +692,7 @@ class ServeHarness:
         if self.storage is None:
             return
         state = {
-            "schema": 1,
+            "schema": 2,
             "clock": self.clock.time,
             "events": self.events_processed,
             "started": self._started,
@@ -695,10 +710,18 @@ class ServeHarness:
         if blob is None:
             return False
         state = json.loads(blob.decode())
-        if state.get("schema") != 1:
+        if state.get("schema") != 2:
             raise ValueError("unknown harness checkpoint schema")
-        self.clock.advance_to(float(state["clock"]))
+        # Refuse a checkpoint of other jobs before anything is touched;
+        # the coordinator checks its own schema before it loads a job.
+        ours = [generator.spec.job_id for generator in self.generators]
+        theirs = [snapshot["job_id"] for snapshot in state["generators"]]
+        if theirs != ours:
+            raise ValueError(
+                f"checkpoint holds jobs {theirs}, this harness runs {ours}"
+            )
         self.coordinator.load_state(state["coordinator"])
+        self.clock.advance_to(float(state["clock"]))
         for generator, snapshot in zip(self.generators, state["generators"]):
             generator.load_state(snapshot)
         self.events_processed = int(state["events"])

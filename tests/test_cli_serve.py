@@ -106,6 +106,23 @@ class TestCli:
             "verification (rollback), starting from event 0\n"
         )
 
+    def test_state_dir_of_other_jobs_is_one_line_and_exit_2(
+        self, serve_cli, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        flags = ["--state-dir", str(tmp_path / "state")]
+        serve_cli("two.json", *flags)
+        capsys.readouterr()
+        three = [*BASE, "--tenants", "3", "--out", str(tmp_path / "three.json")]
+        assert main([*three, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro serve: error: checkpoint holds jobs ['job-0', 'job-1'], "
+            "this harness runs ['job-0', 'job-1', 'job-2']\n"
+        )
+        assert captured.out == "" and not (tmp_path / "three.json").exists()
+
     def test_listed_in_repro_list(self, capsys):
         from repro.cli import main
 

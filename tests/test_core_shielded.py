@@ -8,6 +8,7 @@ from repro.core import (
     NoProtection,
     ShieldedModel,
     StaticPolicy,
+    policy_from_spec,
 )
 from repro.nn import lenet5, mlp, one_hot
 from repro.tee import (
@@ -27,6 +28,15 @@ def tiny_batch(rng, n=6, classes=4):
 def make_shielded(policy=None, seed=0, **kwargs):
     model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed)
     return model, ShieldedModel(model, policy or NoProtection(3), batch_size=6, **kwargs)
+
+
+def holds_array(value):
+    """Whether an SMC reply carries an ndarray anywhere inside it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(holds_array(v) for v in value)
+    return isinstance(value, np.ndarray)
 
 
 class TestEquivalence:
@@ -137,6 +147,36 @@ class TestConfidentiality:
         for i in range(1, 4):
             for key, value in ref_model.layer(i).get_weights().items():
                 assert np.array_equal(model.layer(i).get_weights()[key], value)
+
+    @pytest.mark.parametrize("restore", [False, True])
+    def test_release_hands_nothing_back_across_the_boundary(self, rng, restore):
+        """``release`` replies to the normal world; the trained protected
+        weights (minus the known start, over lr: the mean gradient) must not
+        ride that reply — with ``restore`` they go into the model, nowhere else."""
+        x = rng.normal(size=(4, 3, 32, 32))
+        y = one_hot(rng.integers(0, 5, 4), 5)
+        ref = lenet5(num_classes=5, seed=2, scale=0.5)
+        trained = ShieldedModel(ref, NoProtection(5), batch_size=4)
+        trained.begin_cycle()
+        trained.train_step(x, y, lr=0.2)
+        trained.end_cycle()
+
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        shielded = ShieldedModel(
+            model, policy_from_spec("static:L2+L4", model.layout()), batch_size=4
+        )
+        shielded.begin_cycle()
+        shielded.train_step(x, y, lr=0.2)
+        reply = shielded.monitor.smc(shielded.ta.uuid, "release", restore=restore)
+        assert not holds_array(reply)
+        assert shielded.pool.used_bytes == 0
+        for index in (2, 4):
+            for key, value in ref.layer(index).get_weights().items():
+                held = model.layer(index).get_weights()[key]
+                if restore:
+                    np.testing.assert_allclose(held, value, rtol=1e-12)
+                else:
+                    assert not held.any()
 
     def test_smc_calls_happen_only_when_protected(self, rng):
         x, y = tiny_batch(rng)

@@ -258,8 +258,9 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("marker", ["flag", "window"])
     def test_gathered_snapshot_is_refused(self, weights, marker):
-        """Checkpoints written by the removed worker-pool window are refused
-        with a typed error, never mis-loaded into the streaming window."""
+        """Checkpoints written by the removed worker-pool window are schema-1
+        checkpoints: refused with the typed schema error, never mis-loaded
+        into the streaming window."""
         with obs.fresh(clock=VirtualClock()):
             coordinator = Coordinator()
             coordinator.create_job(
@@ -270,6 +271,7 @@ class TestCheckpointResume:
                 sharding=ShardingConfig(num_shards=2),
             )
             state = json.loads(json.dumps(coordinator.state_dict()))
+            state["schema"] = 1
             if marker == "flag":
                 state["workers"] = 2
                 state["jobs"][0]["gathered"] = True
@@ -279,7 +281,7 @@ class TestCheckpointResume:
                 "peak_bytes": 0,
                 "rows": [[], []],
             }
-            with pytest.raises(ValueError, match="gathered"):
+            with pytest.raises(ValueError, match="schema"):
                 Coordinator().load_state(state)
 
     SPEC = dict(

@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.obs import VirtualClock
 from repro.serve import LoadSpec, ServeHarness, TenantQuota
+from repro.serve.coordinator import TA_UUID
+from repro.serve.loadgen import HARNESS_CHECKPOINT
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
 pytestmark = pytest.mark.serve
@@ -41,9 +44,9 @@ def spec(**overrides):
     return LoadSpec(**base)
 
 
-def storage_for(tmp_path):
+def storage_for(tmp_path, backend=None):
     return SecureStorage(
-        InMemoryBackend(),
+        backend or InMemoryBackend(),
         ssk=hashlib.sha256(b"loadgen-test").digest(),
         counters_path=os.path.join(tmp_path, "counters.json"),
     )
@@ -163,6 +166,181 @@ class TestKillResume:
             specs, storage=storage, resume=True, checkpoint_every=5
         )
         assert report_bytes(resumed) == report_bytes(uninterrupted)
+
+
+def pending(generator):
+    """Everything a generator holds per unlanded dispatch, ``==``-comparable."""
+    table = generator.unacked if generator.chaos else generator._inflight
+    return {
+        key: {
+            field: value.tobytes() if isinstance(value, np.ndarray) else value
+            for field, value in info.items()
+        }
+        for key, info in table.items()
+    }
+
+
+def kill_after_every_event(specs, tmp_path, **kwargs):
+    """Kill the run after each event in turn; every resume must rebuild the
+    pending frames the victim held and finish on the uninterrupted report.
+
+    Returns the uninterrupted report and at how many cuts some in-flight
+    dispatch's base version had already been dropped by its job.
+    """
+    uninterrupted, _ = run_harness(specs, **kwargs)
+    storage = storage_for(tmp_path)
+    # One checkpoint per run() call (its last line), none in between.
+    kwargs.update(storage=storage, checkpoint_every=10**9)
+    dropped_base_cuts = 0
+    with obs.fresh(clock=VirtualClock()) as ctx:
+        victim = ServeHarness(specs, clock=ctx.clock, **kwargs)
+        while True:
+            cut = victim.events_processed
+            victim.run(max_events=1)
+            if victim.events_processed == cut:
+                break
+            with obs.fresh(clock=VirtualClock()) as inner:
+                resumed = ServeHarness(specs, clock=inner.clock, **kwargs)
+                assert resumed.restore()
+                for live, rebuilt in zip(victim.generators, resumed.generators):
+                    assert pending(rebuilt) == pending(live), cut
+                    retained = victim.coordinator.jobs[live.spec.job_id].versions
+                    dropped_base_cuts += any(
+                        info["base_version"] not in retained
+                        for info in live._inflight.values()
+                    )
+                assert report_bytes(resumed.run()) == report_bytes(uninterrupted), cut
+    return uninterrupted, dropped_base_cuts
+
+
+class RecordingBackend(InMemoryBackend):
+    """Remembers the length of every sealed blob written."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def put(self, key, blob):
+        self.sizes.append(len(blob))
+        super().put(key, blob)
+
+
+class TestCheckpointHoldsStateNotFrames:
+    """The checkpoint describes who is in flight; frames are rebuilt."""
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [spec(dropout=0.05, straggler=0.2)],
+            [spec(ratio=0.25, encoding="f32")],
+            [spec(), spec(tenant="t1", job_id="j1", seed=12)],
+            [spec(clients=40, chaos=True, chaos_rate=0.1, chaos_seed=3)],
+        ],
+        ids=["dropout-stragglers", "topk-f32", "two-tenants", "chaos-10pct"],
+    )
+    def test_resume_after_every_event_rebuilds_the_same_frames(self, tmp_path, specs):
+        kill_after_every_event(specs, tmp_path)
+
+    def test_frame_whose_base_the_job_dropped_is_rebuilt_exactly(self, tmp_path):
+        # Slow stragglers against a one-version window: their frames are
+        # refused ``stale`` on arrival, but their bytes are charged to
+        # ``bytes_up`` — what they contained still has to be exact.
+        uninterrupted, dropped_base_cuts = kill_after_every_event(
+            [spec(commits=6, buffer_size=2, straggler=0.3, straggler_factor=60.0)],
+            tmp_path,
+            quota=TenantQuota(max_version_lag=1),
+        )
+        assert dropped_base_cuts > 0
+        assert uninterrupted["jobs"][0]["rejects"]["stale"] > 0
+
+    def test_sealed_size_has_no_concurrency_times_frame_term(self, tmp_path):
+        sizes = {}
+        for concurrency in (16, 32):
+            backend = RecordingBackend()
+            (tmp_path / str(concurrency)).mkdir()
+            with obs.fresh(clock=VirtualClock()) as ctx:
+                harness = ServeHarness(
+                    [spec(concurrency=concurrency)],
+                    storage=storage_for(tmp_path / str(concurrency), backend),
+                    clock=ctx.clock,
+                )
+                harness.run(max_events=0)  # filled, nothing landed yet
+                inflight = harness.generators[0]._inflight
+                assert len(inflight) == concurrency
+                frame_bytes = min(len(info["frame"]) for info in inflight.values())
+            sizes[concurrency] = backend.sizes[-1]
+        # 16 more dispatches in flight: 8 float64 columns each (6 descriptor
+        # + 2 sent), base64 — 86 B; a frame alone is several times that.
+        assert 0 < sizes[32] - sizes[16] <= 16 * 96 < 16 * frame_bytes / 4
+
+    def test_bench_quick_config_seals_under_the_pinned_ceiling(self, tmp_path):
+        # bench/workloads.py ServeDurable, --quick: the parent sealed 309 kB.
+        backend = RecordingBackend()
+        specs = [
+            LoadSpec(tenant=f"tenant-{i}", job_id=f"job-{i}", clients=200,
+                     commits=2, buffer_size=64, concurrency=128, seed=7 + i)
+            for i in range(2)
+        ]
+        run_harness(
+            specs,
+            storage=storage_for(tmp_path, backend),
+            quota=TenantQuota(max_queue_depth=4096),
+            checkpoint_every=32,
+            max_events=160,
+        )
+        assert len(backend.sizes) > 5
+        assert max(backend.sizes) <= 70_000
+
+    def test_schema_1_checkpoint_is_refused_with_the_typed_error(self, tmp_path):
+        storage = storage_for(tmp_path)
+        run_harness([spec()], storage=storage, max_events=3)
+        state = json.loads(storage.get(TA_UUID, HARNESS_CHECKPOINT).decode())
+        for stale in ({**state, "schema": 1},
+                      {**state, "coordinator": {**state["coordinator"], "schema": 1}}):
+            storage.put(TA_UUID, HARNESS_CHECKPOINT, json.dumps(stale).encode())
+            with obs.fresh(clock=VirtualClock()) as ctx:
+                harness = ServeHarness([spec()], storage=storage, clock=ctx.clock)
+                with pytest.raises(ValueError, match="schema"):
+                    harness.restore()
+                assert_untouched(harness)
+
+
+def assert_untouched(harness):
+    """A refused restore left the harness exactly as constructed."""
+    assert harness.clock.time == 0.0 and harness.events_processed == 0
+    assert not harness._started and len(harness.loop) == 0
+    assert [g.spec.job_id for g in harness.generators] == list(harness.coordinator.jobs)
+    for generator in harness.generators:
+        job = harness.coordinator.jobs[generator.spec.job_id]
+        assert job is generator.job and job.version == 0 and job.folds == 0
+        assert generator.next_dispatch == 0 and not generator._inflight
+
+
+class TestMismatchedCheckpoint:
+    """A checkpoint of other jobs is one typed error, raised before the
+    harness has moved its clock, replaced a job or loaded a generator."""
+
+    def _refused(self, tmp_path, written, restoring):
+        storage = storage_for(tmp_path)
+        run_harness(written, storage=storage, max_events=5)
+        with obs.fresh(clock=VirtualClock()) as ctx:
+            harness = ServeHarness(restoring, storage=storage, clock=ctx.clock)
+            with pytest.raises(ValueError) as refusal:
+                harness.restore()
+            assert_untouched(harness)
+            # and it still runs, from the start
+            assert harness.run(max_events=2)["events"] == 2
+        return str(refusal.value)
+
+    def test_fewer_jobs_than_the_harness_runs(self, tmp_path):
+        message = self._refused(
+            tmp_path, [spec()], [spec(), spec(tenant="t1", job_id="j1")]
+        )
+        assert "['j0']" in message and "['j0', 'j1']" in message
+
+    def test_a_different_job_id(self, tmp_path):
+        message = self._refused(tmp_path, [spec(job_id="other")], [spec()])
+        assert "['other']" in message and "['j0']" in message
 
 
 class TestBackpressure:
