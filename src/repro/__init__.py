@@ -28,7 +28,7 @@ Quickstart::
     assert leak.mean_gradients()[1] is None   # L2's gradients never leaked
 """
 
-from . import api, attacks, autodiff, baselines, bench, core, data, fl, ml, nn, tee
+import importlib
 
 __version__ = "1.0.0"
 
@@ -46,3 +46,15 @@ __all__ = [
     "tee",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: a subpackage is imported on first access, so an entry point
+    # loads only the cone it runs (DESIGN.md § Import cones).
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..autodiff import Tensor, functional as F, grad
 from ..data.transforms import image_loss
@@ -162,6 +161,10 @@ class DataReconstructionAttack:
         losses: List[float] = []
 
         if self.optimizer == "lbfgs":
+            # The one scipy call in the package: imported here so only a run
+            # that asks for L-BFGS loads scipy.optimize (DESIGN.md § Import cones).
+            from scipy import optimize
+
             shape = x_true.shape
             # Gradient-matching losses are numerically tiny (the inner
             # gradients are O(1e-2)); normalise so L-BFGS-B's default

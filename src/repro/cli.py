@@ -22,14 +22,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .bench.experiments import (
-    DPIA_BEST_V_MW,
-    dpia_experiment,
-    dria_experiment,
-    mia_experiment,
-)
-from .bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC, TABLE6_STATIC
-from .bench.tables import format_comparison, layers_label, print_table
 from .core import (
     DarknetzPolicy,
     DynamicPolicy,
@@ -92,6 +84,9 @@ def _cost_dict(cost) -> dict:
 
 
 def _cmd_table6(args: argparse.Namespace) -> Optional[dict]:
+    from .bench.reference import TABLE6_STATIC
+    from .bench.tables import layers_label, print_table
+
     model = lenet5()
     cost_model = CostModel(batch_size=args.batch_size)
     baseline = cost_model.cycle_cost(model)
@@ -112,6 +107,9 @@ def _cmd_table6(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> Optional[dict]:
+    from .bench.experiments import dria_experiment
+    from .bench.tables import layers_label, print_table
+
     protected_sets = [(), (1,), (2,), (1, 2), (5,)]
     rows = dria_experiment(
         protected_sets,
@@ -128,6 +126,9 @@ def _cmd_fig5(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _cmd_fig6(args: argparse.Namespace) -> Optional[dict]:
+    from .bench.experiments import mia_experiment
+    from .bench.tables import layers_label, print_table
+
     protected_sets = [(), (5,), (4, 5), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
     rows = mia_experiment(protected_sets, fast=args.fast, seed=args.seed)
     print_table(
@@ -138,6 +139,10 @@ def _cmd_fig6(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _cmd_table5(args: argparse.Namespace) -> Optional[dict]:
+    from .bench.experiments import DPIA_BEST_V_MW, dpia_experiment
+    from .bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC
+    from .bench.tables import format_comparison, print_table
+
     policies = [
         ("none", NoProtection(5)),
         ("L4", StaticPolicy(5, [4])),
@@ -164,6 +169,9 @@ def _cmd_table5(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> Optional[dict]:
+    from .bench.experiments import DPIA_BEST_V_MW
+    from .bench.tables import print_table
+
     model = lenet5()
     cost_model = CostModel(batch_size=32)
     gradsec = cost_model.cycle_cost(model, (2, 5))
@@ -207,6 +215,7 @@ def _cmd_blocks(args: argparse.Namespace) -> Optional[dict]:
     trade-off of §8 recast with attention blocks as the protection unit.
     """
     from .attacks.suite import AttackSuite
+    from .bench.tables import print_table
     from . import nn as _nn
 
     entry = getattr(_nn, args.model)

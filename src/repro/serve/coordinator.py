@@ -229,7 +229,7 @@ class Job:
         # below the cursor, stashed, or terminal.  All three ride the
         # checkpoint.
         self.cursor = 0
-        self.stash: Dict[int, bytes] = {}
+        self.stash: Dict[int, Tuple[bytes, ClientUpdateMsg]] = {}
         self.terminal: set = set()
         self.transport: Dict[str, int] = {}
 
@@ -299,7 +299,7 @@ class Job:
             "transport": {
                 "cursor": self.cursor,
                 "stash": [
-                    [seq, base64.b64encode(self.stash[seq]).decode("ascii")]
+                    [seq, base64.b64encode(self.stash[seq][0]).decode("ascii")]
                     for seq in sorted(self.stash)
                 ],
                 "terminal": sorted(self.terminal),
@@ -334,9 +334,10 @@ class Job:
             self.reputation.load_state(state["reputation"])
         transport = state["transport"]
         self.cursor = int(transport["cursor"])
-        self.stash = {
-            int(seq): base64.b64decode(frame) for seq, frame in transport["stash"]
-        }
+        self.stash = {}
+        for seq, encoded in transport["stash"]:
+            frame = base64.b64decode(encoded)
+            self.stash[int(seq)] = (frame, decode_frame(frame)[0])
         self.terminal = {int(seq) for seq in transport["terminal"]}
         self.transport = {k: int(v) for k, v in transport["counters"].items()}
 
@@ -468,7 +469,9 @@ class Coordinator:
     # -- ingest ------------------------------------------------------------
     def submit(self, frame: bytes) -> SubmitResult:
         """Stage one client-update frame (decode, quota-check, enqueue)."""
-        message, _ = decode_frame(frame)
+        message, end = decode_frame(frame)
+        if end != len(frame):
+            raise FrameError("one delivery is one frame: trailing bytes")
         if not isinstance(message, ClientUpdateMsg):
             return self._refuse(None, "msg_type")
         job = self.jobs.get(message.job_id)
@@ -531,7 +534,9 @@ class Coordinator:
                 raise FrameError(
                     "chaos ingest requires a v2 frame with a dispatch id"
                 )
-            message, _ = decode_frame(data)
+            if header.end != len(data):
+                raise FrameError("one delivery is one frame: trailing bytes")
+            message, _ = decode_frame(data, header=header)
         except FrameError:
             self._t_corrupt.inc()
             job = self.jobs.get(job_hint) if job_hint is not None else None
@@ -583,17 +588,16 @@ class Coordinator:
                 seq=seq,
                 ack=AckMsg(job.job_id, seq, "rejected:done"),
             )
-        job.stash[seq] = data
+        job.stash[seq] = (data, message)
         job._count_transport("inserts")
         ack = AckMsg(job.job_id, seq, "accepted")
         processed: List[Tuple[int, int]] = []
         commits: List[CommitEvent] = []
         rejected: List[Tuple[int, str]] = []
         while job.cursor in job.stash and job.state is not JobState.DONE:
-            frame = job.stash.pop(job.cursor)
-            staged, _ = decode_frame(frame)
+            staged = job.stash.pop(job.cursor)
             if job.state is JobState.RUNNING:
-                job.queue.append((frame, staged))
+                job.queue.append(staged)
                 self._queued += 1
                 result = self.pump(job.job_id)
                 commits.extend(result.commits)

@@ -144,7 +144,10 @@ def _unpack_str(body: bytes, at: int) -> Tuple[str, int]:
     at += 2
     if at + length > len(body):
         raise FrameError("truncated string bytes")
-    return body[at : at + length].decode("utf-8"), at + length
+    try:
+        return body[at : at + length].decode("utf-8"), at + length
+    except UnicodeDecodeError as exc:
+        raise FrameError("string field is not UTF-8") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -634,14 +637,19 @@ def verify_frame(data: bytes, at: int = 0) -> FrameHeader:
     )
 
 
-def decode_frame(data: bytes, at: int = 0) -> Tuple[Message, int]:
+def decode_frame(
+    data: bytes, at: int = 0, *, header: Optional[FrameHeader] = None
+) -> Tuple[Message, int]:
     """Decode one frame starting at ``at``; returns (message, next offset).
 
     Raises :class:`FrameError` on any structural violation — bad magic,
     unknown version/type/encoding, CRC mismatch, truncation, or trailing
-    garbage inside the declared body.
+    garbage inside the declared body.  A caller that has just run
+    :func:`verify_frame` on the same ``(data, at)`` passes the ``header``
+    it got back and the frame is not verified a second time.
     """
-    header = verify_frame(data, at)
+    if header is None:
+        header = verify_frame(data, at)
     body = bytes(data[at + header.header_bytes : header.end])
     message = _DECODERS[header.msg_type]._unpack_body(
         body, header.encoding, bool(header.flags & FLAG_SPARSE)

@@ -17,6 +17,7 @@ from repro.serve import (
     ClientUpdateMsg,
     Coordinator,
     Encoding,
+    FrameError,
     JobState,
     LoadSpec,
     ServeHarness,
@@ -150,6 +151,19 @@ class TestQuotas:
         assert not stale.accepted and stale.reason == "stale"
         future = coordinator.submit(update_frame(job, 12, base_version=9))
         assert not future.accepted and future.reason == "stale"
+
+    def test_trailing_bytes_are_a_frame_error_before_anything_is_charged(
+        self, fresh_obs, weights
+    ):
+        coordinator = Coordinator()
+        job = coordinator.create_job("t0", "j0", weights)
+        frame = update_frame(job, 0)
+        for tail in (b"junk", b"\x00" * 37, frame):
+            with pytest.raises(FrameError, match="one frame"):
+                coordinator.submit(frame + tail)
+        assert job.bytes_up == 0 and not job.queue and not job.rejects
+        assert coordinator.submit(frame).accepted
+        assert job.bytes_up == len(frame)
 
     def test_unknown_job_is_refused(self, fresh_obs, weights):
         coordinator = Coordinator()

@@ -12,6 +12,7 @@ from repro.obs import VirtualClock
 from repro.serve import LoadSpec, ServeHarness, TenantQuota
 from repro.serve.coordinator import TA_UUID
 from repro.serve.loadgen import HARNESS_CHECKPOINT
+from repro.serve.wire import encode_frame
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
 pytestmark = pytest.mark.serve
@@ -184,14 +185,15 @@ def kill_after_every_event(specs, tmp_path, **kwargs):
     """Kill the run after each event in turn; every resume must rebuild the
     pending frames the victim held and finish on the uninterrupted report.
 
-    Returns the uninterrupted report and at how many cuts some in-flight
-    dispatch's base version had already been dropped by its job.
+    Returns the uninterrupted report, at how many cuts some in-flight
+    dispatch's base version had already been dropped by its job, and at how
+    many the victim's reorder stash was non-empty.
     """
     uninterrupted, _ = run_harness(specs, **kwargs)
     storage = storage_for(tmp_path)
     # One checkpoint per run() call (its last line), none in between.
     kwargs.update(storage=storage, checkpoint_every=10**9)
-    dropped_base_cuts = 0
+    dropped_base_cuts = stash_cuts = 0
     with obs.fresh(clock=VirtualClock()) as ctx:
         victim = ServeHarness(specs, clock=ctx.clock, **kwargs)
         while True:
@@ -204,13 +206,20 @@ def kill_after_every_event(specs, tmp_path, **kwargs):
                 assert resumed.restore()
                 for live, rebuilt in zip(victim.generators, resumed.generators):
                     assert pending(rebuilt) == pending(live), cut
-                    retained = victim.coordinator.jobs[live.spec.job_id].versions
+                    job = victim.coordinator.jobs[live.spec.job_id]
                     dropped_base_cuts += any(
-                        info["base_version"] not in retained
+                        info["base_version"] not in job.versions
                         for info in live._inflight.values()
                     )
+                    # The stash is sealed as bytes and decoded on load.
+                    stash = resumed.coordinator.jobs[live.spec.job_id].stash
+                    assert sorted(stash) == sorted(job.stash), cut
+                    for seq, (frame, message) in stash.items():
+                        assert frame == job.stash[seq][0], cut
+                        assert encode_frame(message, dispatch=seq) == frame, cut
+                    stash_cuts += bool(job.stash)
                 assert report_bytes(resumed.run()) == report_bytes(uninterrupted), cut
-    return uninterrupted, dropped_base_cuts
+    return uninterrupted, dropped_base_cuts, stash_cuts
 
 
 class RecordingBackend(InMemoryBackend):
@@ -241,11 +250,20 @@ class TestCheckpointHoldsStateNotFrames:
     def test_resume_after_every_event_rebuilds_the_same_frames(self, tmp_path, specs):
         kill_after_every_event(specs, tmp_path)
 
+    def test_stashed_frames_are_restored_byte_for_byte(self, tmp_path):
+        # Reorders and drops leave gaps, so deliveries wait in the stash as
+        # (frame, decoded message); a kill there must restore both.
+        _, _, stash_cuts = kill_after_every_event(
+            [spec(clients=40, commits=2, chaos=True, chaos_rate=0.3, chaos_seed=5)],
+            tmp_path,
+        )
+        assert stash_cuts > 0
+
     def test_frame_whose_base_the_job_dropped_is_rebuilt_exactly(self, tmp_path):
         # Slow stragglers against a one-version window: their frames are
         # refused ``stale`` on arrival, but their bytes are charged to
         # ``bytes_up`` — what they contained still has to be exact.
-        uninterrupted, dropped_base_cuts = kill_after_every_event(
+        uninterrupted, dropped_base_cuts, _ = kill_after_every_event(
             [spec(commits=6, buffer_size=2, straggler=0.3, straggler_factor=60.0)],
             tmp_path,
             quota=TenantQuota(max_version_lag=1),

@@ -342,6 +342,22 @@ class TestIngestLedger:
         assert job.transport["corrupt"] == 1
         assert job.folds == 0
 
+    def test_trailing_bytes_after_the_frame_are_corrupt(self, fresh_obs, weights):
+        # One delivery is one frame.  The CRC covers only the declared body,
+        # so bytes after it need their own check: counted, breaker-charged,
+        # unacked, nothing folded — and the clean frame still lands after.
+        coordinator = Coordinator(breaker=BreakerConfig(error_budget=2))
+        job = coordinator.create_job("t0", "j0", weights)
+        frame = chaos_frame(job, 0)
+        for tail in (b"\x00" * 37, b"junk", frame):
+            outcome = coordinator.ingest(frame + tail, now=1.0, job_hint="j0")
+            assert outcome.status == "corrupt" and outcome.ack is None
+        assert job.transport["corrupt"] == 3
+        assert job.transport["breaker_trips"] == 1
+        assert job.folds == 0 and job.cursor == 0 and not job.stash
+        assert coordinator.ingest(frame, now=100.0).status == "accepted"
+        assert job.folds == 1
+
     def test_v1_frame_without_dispatch_is_rejected(self, fresh_obs, weights):
         coordinator = Coordinator()
         job = coordinator.create_job("t0", "j0", weights)
@@ -432,6 +448,11 @@ class TestIngestLedger:
         restored = clone.jobs["j0"]
         assert restored.cursor == 1
         assert set(restored.stash) == {2}
+        # Bytes ride the checkpoint; the message is decoded (and so
+        # re-verified) on load, never trusted from the snapshot.
+        frame, message = restored.stash[2]
+        assert frame == job.stash[2][0] == chaos_frame(job, 2)
+        assert encode_frame(message, dispatch=2) == frame
         assert restored.transport == job.transport
         assert clone.breakers["t0"].state_dict() == (
             coordinator.breakers["t0"].state_dict()

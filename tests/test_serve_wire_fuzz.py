@@ -10,6 +10,9 @@ Two properties the chaos transport leans on:
   CRC-32 catches 100% of single-bit damage, not merely "most".
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.serve.wire import (
     WireVector,
     decode_frame,
     encode_frame,
+    verify_frame,
 )
 
 pytestmark = pytest.mark.serve
@@ -98,6 +102,69 @@ class TestDecodeNeverCrashes:
         frame[position // 8] ^= 1 << (position % 8)
         with pytest.raises(FrameError):
             decode_frame(bytes(frame))
+
+
+def _restamped(frame: bytes) -> bytes:
+    """``frame`` with its CRC field recomputed over the bytes it now holds."""
+    crc = zlib.crc32(frame[:12] + frame[16:])
+    return frame[:12] + struct.pack(">I", crc) + frame[16:]
+
+
+def _outcome(decode):
+    """What a decode did, ``==``-comparable: canonical bytes or the error class."""
+    try:
+        message, end = decode()
+    except FrameError as error:
+        return type(error)
+    return encode_frame(message), end
+
+
+@pytest.mark.property
+class TestDecodeWithVerifiedHeader:
+    """``decode_frame(b, header=verify_frame(b))`` is ``decode_frame(b)``:
+    the ingest path's single verify changes no outcome on any input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.integers(0, 3),
+        dispatch=st.booleans(),
+        junk=st.binary(min_size=1, max_size=64),
+        cut=st.integers(0, 10**6),
+    )
+    def test_same_message_or_same_error_class(self, seed, kind, dispatch, junk, cut):
+        frame = _valid_frame(seed, kind, dispatch)
+        at = cut % len(frame)
+        flipped = bytearray(frame)
+        flipped[at] ^= 1 << (cut % 8)
+        clean = (encode_frame(decode_frame(frame)[0]), len(frame))
+        decoded = 0
+        for data in (
+            frame,
+            frame + junk,  # a stream: the frame decodes, ``end`` stops before junk
+            frame[:at],
+            bytes(flipped),
+            junk + frame,
+            # CRC-valid but structurally damaged: only the body parse refuses.
+            _restamped(bytes(flipped)),
+            _restamped(frame[: max(at, 16)] + junk + frame[max(at, 16) :]),
+        ):
+            plain = _outcome(lambda: decode_frame(data))
+            given_header = _outcome(
+                lambda: decode_frame(data, header=verify_frame(data))
+            )
+            assert plain == given_header
+            decoded += plain == clean
+        assert decoded >= 2  # the frame itself and the frame followed by junk
+
+
+def test_crc_valid_frame_with_a_non_utf8_string_is_a_frame_error():
+    # A CRC is not a MAC: a peer can stamp a valid one on any body.
+    frame = bytearray(_valid_frame(7, 1, True))
+    assert frame[24:27] == b"\x00\x01j"  # v2 header, then the job id
+    frame[26] = 0xFF
+    with pytest.raises(FrameError, match="UTF-8"):
+        decode_frame(_restamped(bytes(frame)))
 
 
 class TestExhaustiveSingleBitSweep:
