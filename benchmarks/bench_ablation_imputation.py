@@ -18,6 +18,8 @@ from repro.data import synthetic_lfw
 from repro.ml import MeanImputer, RandomForestClassifier, roc_auc_score
 from repro.nn import lenet5
 
+LENET = lenet5().layout()
+
 
 class _ZeroImputer:
     def fit_transform(self, x):
@@ -52,7 +54,7 @@ def _attack_auc(snapshots, aux, ppc, truth, lr, strategy):
 
 
 def test_imputation_strategy_ablation(show, benchmark):
-    policy = DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=3)
+    policy = DynamicPolicy(LENET, 2, DPIA_BEST_V_MW[2], seed=3)
 
     def run():
         snapshots, ppc, truth = simulate_fl_for_dpia(policy, cycles=30, lr=0.02, seed=0)

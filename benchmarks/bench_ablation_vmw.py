@@ -22,10 +22,12 @@ VECTORS = {
     "tail-heavy": (0.1, 0.1, 0.1, 0.7),
 }
 
+LENET = lenet5().layout()
+
 
 def test_vmw_ablation(show, benchmark):
     policies = [
-        (name, DynamicPolicy(5, 2, vector, seed=3)) for name, vector in VECTORS.items()
+        (name, DynamicPolicy(LENET, 2, vector, seed=3)) for name, vector in VECTORS.items()
     ]
 
     rows = benchmark.pedantic(
@@ -50,8 +52,8 @@ def test_vmw_ablation(show, benchmark):
     # the distribution choice shifts AUC but not the mechanism.
     assert all(score < 0.87 for score in scores.values())
     # Cost side: tail-heavy pays L5's allocation most often.
-    tail = DynamicPolicy(5, 2, VECTORS["tail-heavy"], seed=3)
-    head = DynamicPolicy(5, 2, VECTORS["head-heavy"], seed=3)
+    tail = DynamicPolicy(LENET, 2, VECTORS["tail-heavy"], seed=3)
+    head = DynamicPolicy(LENET, 2, VECTORS["head-heavy"], seed=3)
     tail_cost, _ = cost_model.dynamic_cost(model, tail.windows, tail.v_mw)
     head_cost, _ = cost_model.dynamic_cost(model, head.windows, head.v_mw)
     assert tail_cost.total_seconds > head_cost.total_seconds

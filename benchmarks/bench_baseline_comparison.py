@@ -90,7 +90,7 @@ def test_ppfl_schedule_vs_gradsec(show, benchmark):
         gradsec_model = lenet5(num_classes=5, scale=0.5, seed=1)
         shielded = ShieldedModel(
             gradsec_model,
-            StaticPolicy(5, [2, 5]),
+            StaticPolicy(gradsec_model, ["L2", "L5"]),
             batch_size=16,
             cost_model=CostModel(batch_size=16),
         )

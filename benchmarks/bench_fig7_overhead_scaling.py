@@ -53,7 +53,7 @@ def test_fig7_dynamic_scaling(model, cost_model, show, benchmark):
     def sweep():
         out = {}
         for size_mw in (2, 3, 4):
-            policy = DynamicPolicy(5, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
+            policy = DynamicPolicy(model, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
             avg, _ = cost_model.dynamic_cost(model, policy.windows, policy.v_mw)
             out[size_mw] = avg
         return out

@@ -31,10 +31,10 @@ def cost_model():
 def test_fig8_static_vs_darknetz(model, cost_model, show, benchmark):
     # DarkneTZ cannot express {L2, L5} — the restriction behind the figure.
     with pytest.raises(PolicyError):
-        DarknetzPolicy(5, [2, 5])
+        DarknetzPolicy(model, ["L2", "L5"])
 
-    gradsec = StaticPolicy(5, [2, 5])
-    darknetz = DarknetzPolicy(5, [2, 3, 4, 5])
+    gradsec = StaticPolicy(model, ["L2", "L5"])
+    darknetz = DarknetzPolicy(model, ["L2", "L3", "L4", "L5"])
 
     def compare():
         return (
@@ -59,8 +59,8 @@ def test_fig8_static_vs_darknetz(model, cost_model, show, benchmark):
 
 
 def test_fig8_dynamic_vs_darknetz(model, cost_model, show, benchmark):
-    dynamic = DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=0)
-    darknetz = DarknetzPolicy(5, [2, 3, 4, 5])
+    dynamic = DynamicPolicy(model, 2, DPIA_BEST_V_MW[2], seed=0)
+    darknetz = DarknetzPolicy(model, ["L2", "L3", "L4", "L5"])
 
     def compare():
         avg, per_window = cost_model.dynamic_cost(model, dynamic.windows, dynamic.v_mw)

@@ -235,13 +235,14 @@ def bench_memory_plan():
     cases = []
     lenet_factory = lambda: lenet5(num_classes=10, input_shape=(3, 16, 16), seed=0)
     mlp_factory = lambda: mlp(10, (64,), hidden=(64, 32), seed=0)
-    cases.append(("lenet5", lenet_factory, StaticPolicy(5, [2, 4])))
-    cases.append(("lenet5", lenet_factory, DarknetzPolicy(5, [4, 5])))
+    lenet, dense = lenet_factory().layout(), mlp_factory().layout()
+    cases.append(("lenet5", lenet_factory, StaticPolicy(lenet, ["L2", "L4"])))
+    cases.append(("lenet5", lenet_factory, DarknetzPolicy(lenet, ["L4", "L5"])))
     cases.append(
-        ("lenet5", lenet_factory, DynamicPolicy(5, 2, [0.25] * 4, seed=3))
+        ("lenet5", lenet_factory, DynamicPolicy(lenet, 2, [0.25] * 4, seed=3))
     )
-    cases.append(("mlp", mlp_factory, StaticPolicy(3, [1, 3])))
-    cases.append(("mlp", mlp_factory, DynamicPolicy(3, 1, [1 / 3] * 3, seed=3)))
+    cases.append(("mlp", mlp_factory, StaticPolicy(dense, ["L1", "L3"])))
+    cases.append(("mlp", mlp_factory, DynamicPolicy(dense, 1, [1 / 3] * 3, seed=3)))
 
     rng = np.random.default_rng(0)
     rows = []

@@ -26,6 +26,8 @@ from repro.core import (
 from repro.nn import lenet5
 from repro.tee import CostModel
 
+LENET = lenet5().layout()
+
 
 def test_table1_attack_success_row(show, benchmark):
     """Line 1: unprotected attack success measures."""
@@ -37,7 +39,7 @@ def test_table1_attack_success_row(show, benchmark):
             probes_per_class=80, attack_seeds=2,
         )[0]
         dpia = dpia_experiment(
-            [("none", NoProtection(5))], cycles=30, batches_per_snapshot=2
+            [("none", NoProtection(LENET))], cycles=30, batches_per_snapshot=2
         )[0]
         return dria, mia, dpia
 
@@ -62,12 +64,12 @@ def test_table1_required_layers_and_gains(show, benchmark):
 
     # DarkneTZ cannot protect the non-successive {L2, L5}.
     with pytest.raises(PolicyError):
-        DarknetzPolicy(5, [2, 5])
+        DarknetzPolicy(LENET, ["L2", "L5"])
 
     def gains():
         gradsec_static = cost_model.cycle_cost(model, (2, 5))
         darknetz = cost_model.cycle_cost(model, (2, 3, 4, 5))
-        dynamic_policy = DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=0)
+        dynamic_policy = DynamicPolicy(LENET, 2, DPIA_BEST_V_MW[2], seed=0)
         gradsec_dynamic, _ = cost_model.dynamic_cost(
             model, dynamic_policy.windows, dynamic_policy.v_mw
         )

@@ -12,18 +12,21 @@ from repro.bench.experiments import DPIA_BEST_V_MW, dpia_experiment
 from repro.bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC
 from repro.bench.tables import format_comparison, print_table
 from repro.core import DynamicPolicy, NoProtection, StaticPolicy
+from repro.nn import lenet5
+
+LENET = lenet5().layout()
 
 
 def test_table5_static_and_dynamic(show, benchmark):
     policies = [
-        ("none", NoProtection(5)),
-        ("L4", StaticPolicy(5, [4])),
-        ("L3+L4", StaticPolicy(5, [3, 4])),
-        ("L3+L4+L5", StaticPolicy(5, [3, 4, 5])),
-        ("L2+L3+L4+L5", StaticPolicy(5, [2, 3, 4, 5], max_slices=None)),
-        ("MW=2", DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=3)),
-        ("MW=3", DynamicPolicy(5, 3, DPIA_BEST_V_MW[3], seed=3)),
-        ("MW=4", DynamicPolicy(5, 4, DPIA_BEST_V_MW[4], seed=3)),
+        ("none", NoProtection(LENET)),
+        ("L4", StaticPolicy(LENET, ["L4"])),
+        ("L3+L4", StaticPolicy(LENET, ["L3", "L4"])),
+        ("L3+L4+L5", StaticPolicy(LENET, ["L3", "L4", "L5"])),
+        ("L2+L3+L4+L5", StaticPolicy(LENET, ["L2", "L3", "L4", "L5"], max_slices=None)),
+        ("MW=2", DynamicPolicy(LENET, 2, DPIA_BEST_V_MW[2], seed=3)),
+        ("MW=3", DynamicPolicy(LENET, 3, DPIA_BEST_V_MW[3], seed=3)),
+        ("MW=4", DynamicPolicy(LENET, 4, DPIA_BEST_V_MW[4], seed=3)),
     ]
 
     rows = benchmark.pedantic(

@@ -54,7 +54,7 @@ def test_table6_static_rows(model, cost_model, show, benchmark):
 
     # Benchmark: one shielded LeNet-5 training step with L2+L5 in the TEE.
     shielded_model = lenet5(num_classes=100, seed=1)
-    shielded = ShieldedModel(shielded_model, StaticPolicy(5, [2, 5]), batch_size=8)
+    shielded = ShieldedModel(shielded_model, StaticPolicy(shielded_model, ["L2", "L5"]), batch_size=8)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 3, 32, 32))
     y = one_hot(rng.integers(0, 100, 8), 100)
@@ -80,7 +80,7 @@ def test_table6_dynamic_rows(model, cost_model, show, benchmark):
     }
     rows = []
     for size_mw, reference in references.items():
-        policy = DynamicPolicy(5, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
+        policy = DynamicPolicy(model, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
         avg, per_window = cost_model.dynamic_cost(model, policy.windows, policy.v_mw)
         rows.append(f"  -- MW={size_mw} --")
         for window, cost in per_window.items():
@@ -90,7 +90,7 @@ def test_table6_dynamic_rows(model, cost_model, show, benchmark):
 
     def average_all():
         for size_mw in (2, 3, 4):
-            policy = DynamicPolicy(5, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
+            policy = DynamicPolicy(model, size_mw, DPIA_BEST_V_MW[size_mw], seed=0)
             cost_model.dynamic_cost(model, policy.windows, policy.v_mw)
 
     benchmark.pedantic(average_all, rounds=5, iterations=1)

@@ -35,7 +35,7 @@ def main() -> None:
     # --- GradSec -------------------------------------------------------
     model = lenet5(num_classes=5, scale=0.5, seed=1)
     shielded = ShieldedModel(
-        model, StaticPolicy(5, [2, 5]), batch_size=16, cost_model=CostModel(batch_size=16)
+        model, StaticPolicy(model, ["L2", "L5"]), batch_size=16, cost_model=CostModel(batch_size=16)
     )
     rng = np.random.default_rng(0)
     shielded.begin_cycle()

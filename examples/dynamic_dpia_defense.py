@@ -28,18 +28,18 @@ def main() -> None:
           f"(validation AUC {result.best_score:.3f})")
     print(f"  paper's vector : {DPIA_BEST_V_MW[2]}\n")
 
+    model = lenet5()
     policies = [
-        ("no protection", NoProtection(5)),
-        ("static L3+L4", StaticPolicy(5, [3, 4])),
-        ("static L2-L5", StaticPolicy(5, [2, 3, 4, 5], max_slices=None)),
-        ("dynamic MW=2 (searched)", DynamicPolicy(5, 2, tuned, seed=3)),
-        ("dynamic MW=2 (paper V_MW)", DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=3)),
+        ("no protection", NoProtection(model)),
+        ("static L3+L4", StaticPolicy(model, ["L3", "L4"])),
+        ("static L2-L5", StaticPolicy(model, ["L2", "L3", "L4", "L5"])),
+        ("dynamic MW=2 (searched)", DynamicPolicy(model, 2, tuned, seed=3)),
+        ("dynamic MW=2 (paper V_MW)", DynamicPolicy(model, 2, DPIA_BEST_V_MW[2], seed=3)),
     ]
 
     print("step 2: run the victim + attack under each policy ...")
     rows = dpia_experiment(policies, cycles=36, batches_per_snapshot=3)
 
-    model = lenet5()
     cost_model = CostModel(batch_size=32)
     print(f"\n{'policy':<28} {'DPIA AUC':>9}  {'cycle time':>11}  {'TEE memory':>10}")
     for (label, policy), row in zip(policies, rows):

@@ -28,18 +28,19 @@ def main() -> None:
     dataset = synthetic_cifar(num_samples=240, num_classes=NUM_CLASSES, seed=0)
     shards = dataset.shard(CLIENTS)
 
-    plan = TrainingPlan(lr=0.05, batch_size=16, local_steps=4, protected_layers=(2, 5))
-    make_policy = lambda: StaticPolicy(5, plan.protected_layers)
-    server = FLServer(
-        lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5, activation="relu"), plan, make_policy()
-    )
+    plan = TrainingPlan(lr=0.05, batch_size=16, local_steps=4)
+    make_model = lambda: lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5, activation="relu")
+    global_model = make_model()
+    # The policy object is the protection half of the plan: L2 and L5.
+    policy = StaticPolicy(global_model, ["L2", "L5"])
+    server = FLServer(global_model, plan, policy)
 
     clients = [
         FLClient(
             f"device-{i}",
             shards[i],
-            lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5, activation="relu"),
-            policy=make_policy(),
+            make_model(),
+            policy=policy,
             seed=i,
         )
         for i in range(CLIENTS)
@@ -47,7 +48,7 @@ def main() -> None:
     legacy = FLClient(
         "legacy-device",
         shards[0],
-        lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5, activation="relu"),
+        make_model(),
         has_tee=False,
         seed=99,
     )

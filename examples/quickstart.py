@@ -28,7 +28,7 @@ def main() -> None:
     model = lenet5(num_classes=10, seed=42)
     print(model.summary(), "\n")
 
-    policy = StaticPolicy(model.num_layers, [2, 5])
+    policy = StaticPolicy(model, ["L2", "L5"])
     print(f"policy: {policy.describe()}")
     shielded = ShieldedModel(
         model, policy, batch_size=16, cost_model=CostModel(batch_size=16)

@@ -22,10 +22,10 @@ def main() -> None:
     baseline = cost_model.cycle_cost(model)
 
     policies = [
-        NoProtection(5),
-        DarknetzPolicy(5, [4, 5]),            # a contiguous tail slice
-        StaticPolicy(5, [2, 5]),              # GradSec's non-successive pick
-        StaticPolicy(5, [1, 2, 3, 4, 5], max_slices=None),
+        NoProtection(model),
+        DarknetzPolicy(model, ["L4", "L5"]),  # a contiguous tail slice
+        StaticPolicy(model, ["L2", "L5"]),  # GradSec's non-successive pick
+        StaticPolicy(model, ["L1", "L2", "L3", "L4", "L5"]),
     ]
     for policy in policies:
         report = suite.audit(policy)

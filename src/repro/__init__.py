@@ -21,7 +21,7 @@ Quickstart::
     from repro.core import ShieldedModel, StaticPolicy
 
     model = lenet5(num_classes=10)
-    shielded = ShieldedModel(model, StaticPolicy(5, [2, 5]))
+    shielded = ShieldedModel(model, StaticPolicy(model, ["L2", "L5"]))
     shielded.begin_cycle()
     shielded.train_step(x_batch, one_hot(y_batch, 10), lr=0.1)
     leak = shielded.end_cycle()      # what a normal-world attacker saw

@@ -410,8 +410,8 @@ def attack_suite(
     ``"alexnet"``, ``"mlp"``) or a callable ``factory(num_classes, seed)``
     audits that architecture instead.  ``policy`` defaults to
     :class:`NoProtection` over the model's layout, and accepts any policy
-    built from structured selectors (``"block2.softmax"``,
-    :class:`BlockSelector`, …) or legacy integer indices.
+    built from structured selectors (``"L2"``, ``"block2.softmax"``,
+    :class:`BlockSelector`, …).
 
     Runs DRIA and MIA always, and the multi-cycle DPIA pipeline when
     ``dpia=True``.  Returns a JSON-safe dict: per-attack ``score`` /
@@ -439,10 +439,8 @@ def attack_suite(
         raise TypeError(f"model must be a zoo name or factory, got {type(model)!r}")
 
     if policy is None:
-        if model_factory is None:
-            policy = NoProtection(5)
-        else:
-            policy = NoProtection(model_factory(10, seed + 1).layout())
+        victim = model_factory or (lambda n, s: _nn.lenet5(num_classes=n, seed=s))
+        policy = NoProtection(victim(10, seed + 1))
 
     suite = AttackSuite(
         dria_threshold=dria_threshold,

@@ -79,13 +79,14 @@ class PPFLTrainer:
         losses_per_layer: List[List[float]] = []
         total_cost = CycleCost(0.0, 0.0, 0.0, 0)
         cycles = 0
+        layout = self.model.layout()
         for active in range(1, self.model.num_layers + 1):
             if not self.model.layer(active).params:
                 losses_per_layer.append([])
                 continue
             shielded = ShieldedModel(
                 self.model,
-                StaticPolicy(self.model.num_layers, [active]),
+                StaticPolicy(layout, [layout.ref(active)]),
                 batch_size=batch_size,
                 cost_model=self.cost_model,
             )

@@ -312,7 +312,6 @@ def dpia_experiment(
 
 def v_mw_search(
     size_mw: int = 2,
-    num_layers: int = 5,
     cycles: int = 24,
     lr: float = 0.02,
     random_candidates: int = 4,
@@ -328,7 +327,8 @@ def v_mw_search(
     if fast:
         cycles = min(cycles, 10)
         random_candidates = 2
-    positions = num_layers - size_mw + 1
+    layout = _dpia_reference_model().layout()
+    positions = layout.num_layers - size_mw + 1
     candidates = candidate_distributions(
         positions, rng=np.random.default_rng(seed), random_candidates=random_candidates
     )
@@ -338,7 +338,7 @@ def v_mw_search(
         candidates.append(paper_vector)
 
     def evaluate(v_mw: Tuple[float, ...]) -> float:
-        policy = DynamicPolicy(num_layers, size_mw, v_mw, seed=seed + 11)
+        policy = DynamicPolicy(layout, size_mw, v_mw, seed=seed + 11)
         return _dpia_auc(policy, cycles, lr, 1, world_seed=1, aux_sample_seed=555, seed=seed + 1)
 
     return search_v_mw(candidates, evaluate)

@@ -22,13 +22,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .core import (
-    DarknetzPolicy,
-    DynamicPolicy,
-    NoProtection,
-    PeltaPolicy,
-    StaticPolicy,
-)
+from .core import DynamicPolicy, NoProtection, PeltaPolicy, StaticPolicy
 from .nn import lenet5
 from .tee import CostModel
 
@@ -143,14 +137,15 @@ def _cmd_table5(args: argparse.Namespace) -> Optional[dict]:
     from .bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC
     from .bench.tables import format_comparison, print_table
 
+    layout = lenet5().layout()
     policies = [
-        ("none", NoProtection(5)),
-        ("L4", StaticPolicy(5, [4])),
-        ("L3+L4", StaticPolicy(5, [3, 4])),
-        ("L2+L3+L4+L5", StaticPolicy(5, [2, 3, 4, 5], max_slices=None)),
-        ("MW=2", DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=3)),
-        ("MW=3", DynamicPolicy(5, 3, DPIA_BEST_V_MW[3], seed=3)),
-        ("MW=4", DynamicPolicy(5, 4, DPIA_BEST_V_MW[4], seed=3)),
+        ("none", NoProtection(layout)),
+        ("L4", StaticPolicy(layout, ["L4"])),
+        ("L3+L4", StaticPolicy(layout, ["L3", "L4"])),
+        ("L2+L3+L4+L5", StaticPolicy(layout, ["L2", "L3", "L4", "L5"])),
+        ("MW=2", DynamicPolicy(layout, 2, DPIA_BEST_V_MW[2], seed=3)),
+        ("MW=3", DynamicPolicy(layout, 3, DPIA_BEST_V_MW[3], seed=3)),
+        ("MW=4", DynamicPolicy(layout, 4, DPIA_BEST_V_MW[4], seed=3)),
     ]
     rows = dpia_experiment(
         policies, cycles=args.rounds, seed=args.seed, fast=args.fast
@@ -176,7 +171,7 @@ def _cmd_fig8(args: argparse.Namespace) -> Optional[dict]:
     cost_model = CostModel(batch_size=32)
     gradsec = cost_model.cycle_cost(model, (2, 5))
     darknetz = cost_model.cycle_cost(model, (2, 3, 4, 5))
-    policy = DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=0)
+    policy = DynamicPolicy(model, 2, DPIA_BEST_V_MW[2], seed=0)
     dynamic, _ = cost_model.dynamic_cost(model, policy.windows, policy.v_mw)
     print_table(
         "Figure 8: GradSec vs DarkneTZ",
@@ -294,7 +289,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     byte-identical JSON — the trace is validated against the schema before
     anything is written.
     """
-    from .core import StaticPolicy
     from .data.synthetic import synthetic_cifar
     from .fl import (
         AdmissionConfig,
@@ -310,9 +304,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     protect = tuple(int(p) for p in args.protect.split(",") if p.strip())
     shape = (3, 16, 16)
 
-    def policy():
-        return StaticPolicy(5, protect) if protect else None
-
     # Admission is always in the loop for traces so the `fl.admission.*`
     # and `fl.reputation.*` counters appear in the metrics snapshot even
     # on a healthy fleet (zero-valued); --max-norm arms the norm ceiling.
@@ -327,7 +318,9 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     with fresh(clock=FakeClock()) as ctx:
         global_model = make_lenet5(num_classes=10, input_shape=shape, seed=args.seed)
         plan = TrainingPlan(lr=0.05, batch_size=4, local_steps=args.steps)
-        server = FLServer(global_model, plan, policy=policy(), config=server_config)
+        layout = global_model.layout()
+        policy = StaticPolicy(layout, [layout.ref(i) for i in protect]) if protect else None
+        server = FLServer(global_model, plan, policy=policy, config=server_config)
         dataset = synthetic_cifar(
             num_samples=8 * args.clients,
             num_classes=10,
@@ -339,7 +332,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
                 f"client-{i}",
                 shard,
                 global_model.clone(),
-                policy=policy(),
+                policy=policy,
                 seed=args.seed + 100 + i,
             )
             for i, shard in enumerate(dataset.shard(args.clients))

@@ -20,7 +20,6 @@ from .policy import (
     ProtectionPolicy,
     StaticPolicy,
     contiguous_slices,
-    flat_layout,
     policy_from_spec,
     structured_slices,
 )
@@ -31,7 +30,7 @@ __all__ = [
     "ProtectionPolicy", "NoProtection", "StaticPolicy", "DarknetzPolicy",
     "DynamicPolicy", "PeltaPolicy", "PolicyError",
     "LayerRef", "BlockSelector", "ModelLayout",
-    "flat_layout", "contiguous_slices", "structured_slices", "policy_from_spec",
+    "contiguous_slices", "structured_slices", "policy_from_spec",
     "ShieldedModel", "GradSecTA", "CycleLeakage",
     "OverheadRow", "static_overhead", "dynamic_overhead", "policy_overhead",
     "SearchResult", "candidate_distributions", "search_v_mw",

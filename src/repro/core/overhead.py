@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..nn.model import Sequential
 from ..tee.costmodel import CostModel, CycleCost
-from .policy import DynamicPolicy, ProtectionPolicy
+from .policy import DynamicPolicy, PeltaPolicy, ProtectionPolicy
 
 __all__ = ["OverheadRow", "policy_overhead", "static_overhead", "dynamic_overhead"]
 
@@ -54,7 +54,7 @@ def static_overhead(
 
 def dynamic_overhead(
     model: Sequential,
-    policy: DynamicPolicy,
+    policy: DynamicPolicy | PeltaPolicy,
     cost_model: Optional[CostModel] = None,
     label: Optional[str] = None,
 ) -> Tuple[OverheadRow, List[OverheadRow]]:
@@ -84,8 +84,8 @@ def policy_overhead(
     policy: ProtectionPolicy,
     cost_model: Optional[CostModel] = None,
 ) -> OverheadRow:
-    """Cost of an arbitrary policy (dynamic policies are averaged)."""
-    if isinstance(policy, DynamicPolicy):
+    """Cost of an arbitrary policy (moving windows are averaged)."""
+    if hasattr(policy, "windows"):
         avg_row, _ = dynamic_overhead(model, policy, cost_model, label=policy.describe())
         return avg_row
     protected = tuple(sorted(policy.layers_for_cycle(0)))

@@ -98,7 +98,8 @@ class PolicyPlanner:
 
     # -- planning ------------------------------------------------------------
     def _static(self, layers: Sequence[int], rationale: str) -> PolicyRecommendation:
-        policy = StaticPolicy(self.model.num_layers, layers, max_slices=None)
+        layout = self.model.layout()
+        policy = StaticPolicy(layout, [layout.ref(i) for i in layers], max_slices=None)
         protected = tuple(sorted(policy.layers_for_cycle(0)))
         self.cost_model.check_fits(self.model, protected)
         cost = self.cost_model.cycle_cost(self.model, protected)
@@ -114,7 +115,7 @@ class PolicyPlanner:
         else:
             v_mw = tuple(1.0 / positions for _ in range(positions))
             search = True
-        policy = DynamicPolicy(self.model.num_layers, size_mw, v_mw)
+        policy = DynamicPolicy(self.model, size_mw, v_mw)
         for window in policy.windows:
             self.cost_model.check_fits(self.model, window)
         cost, _ = self.cost_model.dynamic_cost(self.model, policy.windows, policy.v_mw)

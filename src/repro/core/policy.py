@@ -1,38 +1,35 @@
 """Layer-protection policies over structured layer addressing.
 
 A policy decides which layers are shielded in the enclave during each FL
-cycle.  The canonical addressing unit is a :class:`LayerRef` — a typed
-reference carrying the paper's 1-based index plus optional ``block``/``role``
-structure for transformer models — resolved against a :class:`ModelLayout`:
+cycle.  It is built over a :class:`ModelLayout` — the model's ordered
+:class:`LayerRef` list, or the model itself — and addresses layers by
+*selector*: a :class:`LayerRef`, a :class:`BlockSelector`, or a string
+(``"L2"``, ``"block2"``, ``"block2.softmax"``).  That is the only
+vocabulary: an integer where a selector or a layout belongs is a
+:class:`PolicyError` naming the spelling to use.
 
 * :class:`StaticPolicy` — GradSec's static mode (§7.1): a fixed set of
   layers, possibly **non-contiguous** (up to two separate slices, per the
   paper's description), for every cycle.
+* :class:`DarknetzPolicy` — the DarkneTZ baseline: a static policy held to
+  one protection unit; requesting non-successive layers is a hard error,
+  which is the limitation GradSec removes.
 * :class:`DynamicPolicy` — GradSec's dynamic mode (§7.2): a moving window
   of ``size_mw`` successive layers whose position is drawn each cycle from
   the probability vector ``V_MW``.
 * :class:`PeltaPolicy` — Pelta-style block shielding for transformers: the
   protection unit is a structured sublayer set (by default the softmax and
-  layernorms of a block), either as a fixed set of blocks or as a moving
-  window over block positions.
-* :class:`DarknetzPolicy` — the DarkneTZ baseline: exactly one contiguous
-  slice; requesting non-successive layers is a hard error, which is the
-  limitation GradSec removes.
+  layernorms of a block), either as a fixed set of blocks or as the same
+  moving window slid over block positions.
 * :class:`NoProtection` — the unprotected baseline.
 
-Policies accept layer selectors in four spellings — a :class:`LayerRef`, a
-:class:`BlockSelector`, a string (``"L2"``, ``"block2"``,
-``"block2.softmax"``), or a legacy raw integer index.  The integer path is an
-exactly-equivalent compatibility shim: it produces bitwise-identical
-``layers_for_cycle`` schedules and emits a :class:`DeprecationWarning`.
-Whatever the spelling, ``layers_for_cycle`` always returns a
-``FrozenSet[int]`` of 1-based indices, so every downstream consumer (cost
-model, leakage ledger, planner, shielded runtime) is spelling-agnostic.
+``layers_for_cycle`` always returns a ``FrozenSet[int]`` of 1-based
+indices, so every downstream consumer (cost model, leakage ledger, planner,
+shielded runtime) sees resolved sets only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +40,6 @@ __all__ = [
     "LayerRef",
     "BlockSelector",
     "ModelLayout",
-    "flat_layout",
     "ProtectionPolicy",
     "NoProtection",
     "StaticPolicy",
@@ -99,7 +95,7 @@ class BlockSelector:
 
 
 # Selector spellings a policy accepts for one-or-more layers.
-Selector = Union[int, str, LayerRef, BlockSelector]
+Selector = Union[str, LayerRef, BlockSelector]
 
 
 class ModelLayout:
@@ -161,8 +157,16 @@ class ModelLayout:
         """Read the layout off a :class:`repro.nn.model.Sequential`.
 
         Layers exposing ``block``/``role`` attributes (the transformer
-        sublayers) become structured refs; everything else stays flat.
+        sublayers) become structured refs; everything else stays flat.  A
+        layout is its own layout.
         """
+        if isinstance(model, ModelLayout):
+            return model
+        if not hasattr(model, "layers"):
+            raise PolicyError(
+                f"expected a ModelLayout or a model, got {model!r}: pass "
+                "model.layout() and address layers by name ('L2', 'block1')"
+            )
         refs = [
             LayerRef(
                 index=i,
@@ -176,7 +180,7 @@ class ModelLayout:
 
     # -- resolution ------------------------------------------------------
     def resolve(self, spec: Selector) -> Tuple[LayerRef, ...]:
-        """Resolve one selector spelling to concrete refs (in model order)."""
+        """Resolve one selector to concrete refs (in model order)."""
         if isinstance(spec, LayerRef):
             ref = self.ref(spec.index)
             for attr in ("name", "block", "role"):
@@ -211,22 +215,11 @@ class ModelLayout:
             if "." in spec:
                 block, role = spec.split(".", 1)
                 return self.resolve(BlockSelector(block, roles=(role,)))
-            raise PolicyError(
-                f"unknown layer address {spec!r}; "
-                f"expected a layer name, block name, or 'block.role'"
-            )
-        if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
-            return (self.ref(int(spec)),)
-        raise PolicyError(f"cannot resolve layer selector {spec!r}")
-
-
-def flat_layout(num_layers: int) -> ModelLayout:
-    """The unstructured layout of an ``n``-layer model: refs ``L1..Ln``."""
-    if num_layers <= 0:
-        raise PolicyError("num_layers must be positive")
-    return ModelLayout(
-        [LayerRef(index=i, name=f"L{i}") for i in range(1, int(num_layers) + 1)]
-    )
+        raise PolicyError(
+            f"cannot resolve layer selector {spec!r}; address layers by name "
+            "('L2'), block ('block1') or 'block.role', or pass a LayerRef "
+            "(layout.ref(i) holds the 1-based index i)"
+        )
 
 
 def contiguous_slices(layers: Sequence[int]) -> List[Tuple[int, int]]:
@@ -278,35 +271,15 @@ def structured_slices(refs: Sequence[LayerRef]) -> List[Tuple[LayerRef, ...]]:
     return units
 
 
-_LEGACY_INDEX_MESSAGE = (
-    "constructing protection policies from raw integer layer indices is "
-    "deprecated; address layers with LayerRef / BlockSelector / "
-    "'name' / 'block.role' selectors instead"
-)
-
-
 class ProtectionPolicy:
     """Base class: maps an FL cycle number to a set of protected layers.
 
-    The first constructor argument is the model's :class:`ModelLayout` (or a
-    model exposing ``.layers``, or — the legacy spelling — a bare layer
-    count, which gets the flat ``L1..Ln`` layout).
+    The first constructor argument is the model's :class:`ModelLayout`, or
+    a model exposing ``.layers`` (whose layout is read off it).
     """
 
-    def __init__(self, layout: Union[int, ModelLayout, object]) -> None:
-        if isinstance(layout, ModelLayout):
-            self.layout = layout
-        elif isinstance(layout, (int, np.integer)) and not isinstance(layout, bool):
-            if layout <= 0:
-                raise PolicyError("num_layers must be positive")
-            self.layout = flat_layout(int(layout))
-        elif hasattr(layout, "layers"):
-            self.layout = ModelLayout.of(layout)
-        else:
-            raise PolicyError(
-                f"expected a ModelLayout, a model, or a layer count; "
-                f"got {layout!r}"
-            )
+    def __init__(self, layout: Union[ModelLayout, object]) -> None:
+        self.layout = ModelLayout.of(layout)
         self.num_layers = self.layout.num_layers
 
     def layers_for_cycle(self, cycle: int) -> FrozenSet[int]:
@@ -318,27 +291,6 @@ class ProtectionPolicy:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def _check_range(self, layers: Sequence[int]) -> FrozenSet[int]:
-        layer_set = frozenset(int(i) for i in layers)
-        for index in layer_set:
-            if not 1 <= index <= self.num_layers:
-                raise PolicyError(
-                    f"layer index {index} outside 1..{self.num_layers}"
-                )
-        return layer_set
-
-    def _resolve_selectors(self, layers: Sequence[Selector]) -> FrozenSet[LayerRef]:
-        """Resolve mixed selector spellings; warn once on the legacy path."""
-        refs: List[LayerRef] = []
-        legacy = False
-        for spec in layers:
-            if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
-                legacy = True
-            refs.extend(self.layout.resolve(spec))
-        if legacy:
-            warnings.warn(_LEGACY_INDEX_MESSAGE, DeprecationWarning, stacklevel=3)
-        return frozenset(refs)
 
 
 class NoProtection(ProtectionPolicy):
@@ -360,10 +312,10 @@ class StaticPolicy(ProtectionPolicy):
     Parameters
     ----------
     layout:
-        The model's :class:`ModelLayout` (or a model, or a layer count).
+        The model's :class:`ModelLayout` (or the model).
     layers:
         Selectors for the layers to shield every cycle — refs, block
-        selectors, address strings, or legacy 1-based indices.
+        selectors, or address strings.
     max_slices:
         Maximum number of separate protection units (the paper supports
         "one or two separate slices").  Units are counted over the *block*
@@ -372,17 +324,20 @@ class StaticPolicy(ProtectionPolicy):
         indices are adjacent.  Pass ``None`` to lift the restriction.
     """
 
+    _label = "static GradSec"
+
     def __init__(
         self,
-        layout: Union[int, ModelLayout, object],
+        layout: Union[ModelLayout, object],
         layers: Sequence[Selector],
         max_slices: int | None = 2,
     ) -> None:
         super().__init__(layout)
-        self.layer_refs = self._resolve_selectors(layers)
+        self.layer_refs = frozenset(
+            ref for spec in layers for ref in self.layout.resolve(spec)
+        )
         self.layers = frozenset(ref.index for ref in self.layer_refs)
         self.units = structured_slices(self.layer_refs)
-        self.slices = contiguous_slices(self.layers)
         if max_slices is not None and len(self.units) > max_slices:
             pretty = ["+".join(r.name or str(r.index) for r in u) for u in self.units]
             raise PolicyError(
@@ -399,26 +354,25 @@ class StaticPolicy(ProtectionPolicy):
     def describe(self) -> str:
         ordered = sorted(self.layer_refs)
         pretty = "+".join(ref.name or f"L{ref.index}" for ref in ordered) or "none"
-        return f"static GradSec [{pretty}]"
+        return f"{self._label} [{pretty}]"
 
 
-class DarknetzPolicy(ProtectionPolicy):
-    """DarkneTZ baseline: one contiguous slice of layers only.
+class DarknetzPolicy(StaticPolicy):
+    """DarkneTZ baseline: a static policy of one protection unit.
 
     DarkneTZ protects the *last* layers of a model (or generally one run of
     successive layers).  Asking it for non-successive layers raises — this
     is exactly the capability gap Table 1 quantifies.
     """
 
+    _label = "DarkneTZ"
+
     def __init__(
         self,
-        layout: Union[int, ModelLayout, object],
+        layout: Union[ModelLayout, object],
         layers: Sequence[Selector],
     ) -> None:
-        super().__init__(layout)
-        self.layer_refs = self._resolve_selectors(layers)
-        self.layers = frozenset(ref.index for ref in self.layer_refs)
-        self.units = structured_slices(self.layer_refs)
+        super().__init__(layout, layers, max_slices=None)
         if len(self.units) > 1:
             raise PolicyError(
                 "DarkneTZ can only protect successive layers; "
@@ -426,76 +380,52 @@ class DarknetzPolicy(ProtectionPolicy):
                 "(use StaticPolicy for non-contiguous protection)"
             )
 
-    def layers_for_cycle(self, cycle: int) -> FrozenSet[int]:
-        return self.layers
 
-    def all_possible_sets(self) -> List[FrozenSet[int]]:
-        return [self.layers]
+class _MovingWindow(ProtectionPolicy):
+    """The moving window shared by :class:`DynamicPolicy` (over layers) and
+    :class:`PeltaPolicy` (over blocks).
 
-    def describe(self) -> str:
-        ordered = sorted(self.layer_refs)
-        pretty = "+".join(ref.name or f"L{ref.index}" for ref in ordered) or "none"
-        return f"DarkneTZ [{pretty}]"
-
-
-class DynamicPolicy(ProtectionPolicy):
-    """Dynamic GradSec: a moving window over FL cycles (§7.2).
-
-    Parameters
-    ----------
-    layout:
-        The model's :class:`ModelLayout` (or a model, or a layer count).
-    size_mw:
-        Number of successive layers shielded each cycle.
-    v_mw:
-        Probability of each window position; length must be
-        ``num_layers - size_mw + 1`` and the entries must sum to 1.
-    seed:
-        Seed of the per-cycle position draw.  The draw is deterministic in
-        ``(seed, cycle)`` so every participant can replay the schedule.
-    rng:
-        Alternative to ``seed``: derive the schedule seed from this
-        pre-seeded generator, so a deployment can thread one generator
-        through sampling, selection, and the moving window.  The schedule
-        stays a pure function of ``(derived seed, cycle)`` — participants
-        replay it without sharing generator state.
+    ``windows`` lists every position as a tuple of 1-based layer indices.
+    The position protected in a cycle is drawn from ``v_mw`` by a generator
+    keyed on ``(seed, cycle)``, so every participant replays the schedule
+    without sharing generator state.
     """
 
-    def __init__(
+    size_mw: Optional[int]
+    v_mw: np.ndarray
+    seed: int
+    windows: List[Tuple[int, ...]]
+
+    def _slide(
         self,
-        layout: Union[int, ModelLayout, object],
+        units: Sequence[Tuple[int, ...]],
         size_mw: int,
         v_mw: Sequence[float],
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
+        seed: int,
+        unit_name: str,
     ) -> None:
-        super().__init__(layout)
-        num_layers = self.num_layers
-        if not 1 <= size_mw <= num_layers:
-            raise PolicyError(f"size_mw must be in 1..{num_layers}, got {size_mw}")
+        """Validate ``V_MW`` and lay out every window of ``size_mw`` units."""
+        if not 1 <= size_mw <= len(units):
+            raise PolicyError(f"size_mw must be in 1..{len(units)}, got {size_mw}")
         self.size_mw = int(size_mw)
-        expected = num_layers - self.size_mw + 1
+        positions = len(units) - self.size_mw + 1
         v = np.asarray(v_mw, dtype=np.float64)
-        if v.shape != (expected,):
+        if v.shape != (positions,):
             raise PolicyError(
-                f"V_MW must have {expected} entries for size_mw={size_mw} "
-                f"in a {num_layers}-layer model, got {v.shape}"
+                f"V_MW must have {positions} entries for size_mw={size_mw} "
+                f"over {len(units)} {unit_name}, got {v.shape}"
             )
         if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
             raise PolicyError("V_MW entries must be non-negative and sum to 1")
         self.v_mw = v
-        self.seed = int(rng.integers(2**63)) if rng is not None else int(seed)
-
-    @property
-    def windows(self) -> List[Tuple[int, ...]]:
-        """All window positions as tuples of 1-based layer indices."""
-        return [
-            tuple(range(start, start + self.size_mw))
-            for start in range(1, self.num_layers - self.size_mw + 2)
+        self.seed = int(seed)
+        self.windows = [
+            tuple(sorted(i for unit in units[start : start + self.size_mw] for i in unit))
+            for start in range(positions)
         ]
 
     def window_for_cycle(self, cycle: int) -> Tuple[int, ...]:
-        """Window position protected during ``cycle`` (deterministic)."""
+        """Window protected during ``cycle`` (deterministic)."""
         rng = np.random.default_rng((self.seed, int(cycle)))
         position = rng.choice(len(self.v_mw), p=self.v_mw)
         return self.windows[int(position)]
@@ -514,12 +444,41 @@ class DynamicPolicy(ProtectionPolicy):
                 out[index - 1] += p
         return out
 
+
+class DynamicPolicy(_MovingWindow):
+    """Dynamic GradSec: a moving window over FL cycles (§7.2).
+
+    Parameters
+    ----------
+    layout:
+        The model's :class:`ModelLayout` (or the model).
+    size_mw:
+        Number of successive layers shielded each cycle.
+    v_mw:
+        Probability of each window position; length must be
+        ``num_layers - size_mw + 1`` and the entries must sum to 1.
+    seed:
+        Seed of the per-cycle position draw.  The draw is deterministic in
+        ``(seed, cycle)`` so every participant can replay the schedule.
+    """
+
+    def __init__(
+        self,
+        layout: Union[ModelLayout, object],
+        size_mw: int,
+        v_mw: Sequence[float],
+        seed: int = 0,
+    ) -> None:
+        super().__init__(layout)
+        layers = [(ref.index,) for ref in self.layout]
+        self._slide(layers, size_mw, v_mw, seed, "layers")
+
     def describe(self) -> str:
         probs = ", ".join(f"{p:.2f}" for p in self.v_mw)
         return f"dynamic GradSec [MW={self.size_mw}, V_MW=({probs})]"
 
 
-class PeltaPolicy(ProtectionPolicy):
+class PeltaPolicy(_MovingWindow):
     """Pelta-style block shielding: the protection unit is an attention block.
 
     Within each selected block the shielded sublayers are the ``roles``
@@ -528,21 +487,20 @@ class PeltaPolicy(ProtectionPolicy):
 
     Two modes, mirroring static vs dynamic GradSec:
 
-    * **static** (``v_mw is None``): a fixed set of ``blocks`` (default:
-      every block) is shielded each cycle.
+    * **static** (no ``v_mw``): a fixed set of ``blocks`` (default: every
+      block) is shielded each cycle — the window with one position.
     * **moving window** (``v_mw`` given): each cycle a window of ``size_mw``
       consecutive blocks is drawn from the probability vector ``v_mw`` —
-      the same deterministic ``(seed, cycle)`` draw as
-      :class:`DynamicPolicy`, but over block positions instead of layer
-      positions.
+      :class:`DynamicPolicy`'s window, slid over block positions instead of
+      layer positions.
 
     Parameters
     ----------
     layout:
         A :class:`ModelLayout` (or model) with named blocks.
     blocks:
-        Block selectors for static mode: names (``"block2"``) or 1-based
-        block positions.  ``None`` selects all blocks.
+        Block names for static mode (``"block2"``).  ``None`` selects all
+        blocks.
     roles:
         Sublayer roles shielded within each selected block.
     size_mw, v_mw, seed:
@@ -554,7 +512,7 @@ class PeltaPolicy(ProtectionPolicy):
     def __init__(
         self,
         layout: Union[ModelLayout, object],
-        blocks: Optional[Sequence[Union[str, int]]] = None,
+        blocks: Optional[Sequence[str]] = None,
         roles: Optional[Sequence[str]] = None,
         size_mw: Optional[int] = None,
         v_mw: Optional[Sequence[float]] = None,
@@ -569,119 +527,46 @@ class PeltaPolicy(ProtectionPolicy):
             )
         self.block_names = names
         self.roles = tuple(roles) if roles is not None else self.DEFAULT_ROLES
-        self.seed = int(seed)
 
         if v_mw is None:
             if size_mw is not None:
                 raise PolicyError("size_mw without v_mw; pass both for a moving window")
-            self.size_mw = None
-            self.v_mw = None
-            chosen = names if blocks is None else [self._block_name(b) for b in blocks]
-            self.blocks = tuple(dict.fromkeys(chosen))  # dedupe, keep order
-            self._static_set = self._indices_for_blocks(self.blocks)
+            self.blocks = tuple(dict.fromkeys(names if blocks is None else blocks))
+            self.size_mw, self.v_mw, self.seed = None, np.ones(1), int(seed)
+            self.windows = [self._indices(self.blocks)]
         else:
             if blocks is not None:
                 raise PolicyError("blocks and v_mw are mutually exclusive modes")
-            self.size_mw = int(size_mw) if size_mw is not None else 1
-            if not 1 <= self.size_mw <= len(names):
-                raise PolicyError(
-                    f"size_mw must be in 1..{len(names)}, got {self.size_mw}"
-                )
-            expected = len(names) - self.size_mw + 1
-            v = np.asarray(v_mw, dtype=np.float64)
-            if v.shape != (expected,):
-                raise PolicyError(
-                    f"V_MW must have {expected} entries for size_mw="
-                    f"{self.size_mw} over {len(names)} blocks, got {v.shape}"
-                )
-            if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
-                raise PolicyError("V_MW entries must be non-negative and sum to 1")
-            self.v_mw = v
             self.blocks = tuple(names)
-            self._static_set = None
+            units = [self._indices((block,)) for block in names]
+            self._slide(units, 1 if size_mw is None else size_mw, v_mw, seed, "blocks")
 
-    # -- helpers ---------------------------------------------------------
-    def _block_name(self, spec: Union[str, int]) -> str:
-        if isinstance(spec, str):
-            if spec not in self.layout.blocks():
-                raise PolicyError(
-                    f"unknown block {spec!r}; layout has {self.block_names}"
-                )
-            return spec
-        position = int(spec)
-        if not 1 <= position <= len(self.block_names):
-            raise PolicyError(
-                f"block position {position} outside 1..{len(self.block_names)}"
+    def _indices(self, blocks: Sequence[str]) -> Tuple[int, ...]:
+        """Indices of the shielded roles in ``blocks`` (raises on a bad name)."""
+        return tuple(
+            sorted(
+                ref.index
+                for block in blocks
+                for ref in self.layout.resolve(BlockSelector(block, roles=self.roles))
             )
-        return self.block_names[position - 1]
-
-    def _indices_for_blocks(self, blocks: Sequence[str]) -> FrozenSet[int]:
-        refs: List[LayerRef] = []
-        for block in blocks:
-            refs.extend(self.layout.resolve(BlockSelector(block, roles=self.roles)))
-        return frozenset(ref.index for ref in refs)
-
-    @property
-    def block_windows(self) -> List[Tuple[str, ...]]:
-        """All moving-window positions as tuples of block names."""
-        if self.v_mw is None:
-            return [self.blocks]
-        return [
-            tuple(self.block_names[start : start + self.size_mw])
-            for start in range(len(self.block_names) - self.size_mw + 1)
-        ]
-
-    def window_for_cycle(self, cycle: int) -> Tuple[str, ...]:
-        """Blocks shielded during ``cycle`` (deterministic)."""
-        if self.v_mw is None:
-            return self.blocks
-        rng = np.random.default_rng((self.seed, int(cycle)))
-        position = rng.choice(len(self.v_mw), p=self.v_mw)
-        return self.block_windows[int(position)]
-
-    # -- policy interface ------------------------------------------------
-    def layers_for_cycle(self, cycle: int) -> FrozenSet[int]:
-        if self._static_set is not None:
-            return self._static_set
-        return self._indices_for_blocks(self.window_for_cycle(cycle))
-
-    def all_possible_sets(self) -> List[FrozenSet[int]]:
-        if self._static_set is not None:
-            return [self._static_set]
-        return [
-            self._indices_for_blocks(window)
-            for window, p in zip(self.block_windows, self.v_mw)
-            if p > 0
-        ]
-
-    def expected_protection(self) -> np.ndarray:
-        """Per-layer probability of being protected in a random cycle."""
-        out = np.zeros(self.num_layers)
-        if self._static_set is not None:
-            for index in self._static_set:
-                out[index - 1] = 1.0
-            return out
-        for window, p in zip(self.block_windows, self.v_mw):
-            for index in self._indices_for_blocks(window):
-                out[index - 1] += p
-        return out
+        )
 
     def describe(self) -> str:
         roles = ",".join(self.roles)
-        if self._static_set is not None:
+        if self.size_mw is None:
             return f"Pelta [{'+'.join(self.blocks)}: {roles}]"
         probs = ", ".join(f"{p:.2f}" for p in self.v_mw)
         return f"Pelta MW [size={self.size_mw}, roles={roles}, V_MW=({probs})]"
 
 
-def policy_from_spec(spec: str, layout: Union[int, ModelLayout, object], seed: int = 0) -> ProtectionPolicy:
+def policy_from_spec(spec: str, layout: Union[ModelLayout, object], seed: int = 0) -> ProtectionPolicy:
     """Build a policy from a compact CLI-style spec string.
 
-    Grammar (``layout`` is a :class:`ModelLayout`, a model, or a depth)::
+    Grammar (``layout`` is a :class:`ModelLayout` or a model)::
 
         none                        no protection
-        static:SEL[+SEL...]         StaticPolicy over selectors (names,
-                                    blocks, block.role, or legacy indices)
+        static:SEL[+SEL...]         StaticPolicy over selectors (layer
+                                    names, blocks, or block.role)
         darknetz:SEL[+SEL...]       DarknetzPolicy over selectors
         mw:K                        DynamicPolicy, uniform window of K layers
         pelta                       PeltaPolicy, every block, default roles
@@ -690,17 +575,9 @@ def policy_from_spec(spec: str, layout: Union[int, ModelLayout, object], seed: i
 
     Dynamic modes draw their windows from ``seed``.
     """
-    if not isinstance(layout, ModelLayout):
-        layout = (
-            flat_layout(layout) if isinstance(layout, int) else ModelLayout.of(layout)
-        )
-    text = str(spec).strip()
-    head, _, rest = text.partition(":")
-    selectors: List[Selector] = [
-        int(part) if part.isdigit() else part
-        for part in rest.split("+")
-        if part
-    ]
+    layout = ModelLayout.of(layout)
+    head, _, rest = str(spec).strip().partition(":")
+    selectors = [part for part in rest.split("+") if part]
     if head in ("", "none"):
         return NoProtection(layout)
     if head == "static":
@@ -709,7 +586,7 @@ def policy_from_spec(spec: str, layout: Union[int, ModelLayout, object], seed: i
         return StaticPolicy(layout, selectors, max_slices=None)
     if head == "darknetz":
         if not selectors:
-            raise PolicyError("darknetz policy spec needs selectors, e.g. darknetz:4")
+            raise PolicyError("darknetz policy spec needs selectors, e.g. darknetz:L4+L5")
         return DarknetzPolicy(layout, selectors)
     if head == "mw":
         size = int(rest or 1)

@@ -34,7 +34,7 @@ from ..tee.monitor import SecureMonitor
 from ..tee.trusted_app import TrustedApplication
 from ..tee.world import TEEError
 from .leakage import CycleLeakage
-from .policy import NoProtection, ProtectionPolicy, contiguous_slices
+from .policy import NoProtection, ProtectionPolicy
 
 __all__ = ["GradSecTA", "ShieldedModel"]
 
@@ -261,7 +261,7 @@ class ShieldedModel:
         compile_steps: bool = False,
     ) -> None:
         self.model = model
-        self.policy = policy or NoProtection(model.num_layers)
+        self.policy = policy or NoProtection(model)
         if self.policy.num_layers != model.num_layers:
             raise ValueError(
                 f"policy is for {self.policy.num_layers} layers but model "
@@ -345,7 +345,6 @@ class ShieldedModel:
     def _runs(self) -> List[Tuple[Tuple[int, ...], bool]]:
         """Split layer indices into maximal runs of (indices, is_protected)."""
         runs: List[Tuple[Tuple[int, ...], bool]] = []
-        protected_slices = {s: True for s in contiguous_slices(self._protected)}
         index = 1
         n = self.model.num_layers
         while index <= n:

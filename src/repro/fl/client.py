@@ -98,7 +98,7 @@ class FLClient:
         self.device = AttestationDevice(client_id)
         self.storage = SecureStorage()
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        policy = policy or NoProtection(model.num_layers)
+        policy = policy or NoProtection(model)
         if policy.layers_for_cycle(0) and not self.tee_capable:
             raise ValueError(
                 f"client {client_id} has no TEE but the policy protects layers"

@@ -1,21 +1,23 @@
 """Training plans.
 
 The FL server ships a plan alongside the model (§5 step 2): the local
-hyper-parameters plus the protection parameters (which layers to shield, or
-the moving-window configuration for dynamic GradSec).
+hyper-parameters plus the protection parameters.  The protection half is
+the :class:`~repro.core.policy.ProtectionPolicy` object itself —
+``FLServer`` and ``FLClient`` take it beside the plan, and the static set
+or the moving window's ``V_MW`` live on it — so this dataclass carries the
+hyper-parameters only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 __all__ = ["TrainingPlan"]
 
 
 @dataclass(frozen=True)
 class TrainingPlan:
-    """Hyper-parameters and protection configuration for one FL deployment.
+    """Local hyper-parameters for one FL deployment.
 
     Attributes
     ----------
@@ -25,18 +27,11 @@ class TrainingPlan:
         Local mini-batch size (Table 6 uses 32).
     local_steps:
         SGD steps per FL cycle on each client.
-    protected_layers:
-        Static protection set (1-based), empty for no static protection.
-    mw_size / v_mw:
-        Dynamic GradSec parameters; ``mw_size=0`` disables dynamic mode.
     """
 
     lr: float = 0.1
     batch_size: int = 32
     local_steps: int = 1
-    protected_layers: Tuple[int, ...] = ()
-    mw_size: int = 0
-    v_mw: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
@@ -45,11 +40,3 @@ class TrainingPlan:
             raise ValueError("batch_size must be positive")
         if self.local_steps <= 0:
             raise ValueError("local_steps must be positive")
-        if self.mw_size and self.protected_layers:
-            raise ValueError("static and dynamic protection are exclusive")
-        if self.mw_size and not self.v_mw:
-            raise ValueError("dynamic protection requires v_mw")
-
-    @property
-    def dynamic(self) -> bool:
-        return self.mw_size > 0

@@ -59,7 +59,7 @@ class FLServer:
         self.config = config or ServerConfig()
         self.model = model
         self.plan = plan
-        self.policy = policy or NoProtection(model.num_layers)
+        self.policy = policy or NoProtection(model)
         self.verifier = AttestationVerifier()
         self.selector = TEESelector(
             self.verifier, allow_legacy=self.config.allow_legacy
@@ -161,7 +161,6 @@ class FLServer:
             cycle=self.cycle,
             plain_weights=plain,
             sealed_weights=sealed,
-            protected_layers=tuple(sorted(protected)),
         )
 
     def _merge_update(self, client: FLClient, update: ClientUpdate) -> WeightsList:

@@ -30,7 +30,6 @@ class ModelDownload:
     cycle: int
     plain_weights: List[Dict[str, np.ndarray]]
     sealed_weights: Optional[bytes] = None
-    protected_layers: tuple = ()
 
     def wire_bytes(self) -> int:
         size = len(weights_to_bytes(self.plain_weights))

@@ -452,7 +452,7 @@ class FLSimulator:
         self.model = model or mlp(
             num_classes=4, input_shape=(6,), hidden=(8, 5), seed=config.seed
         )
-        self.policy = policy or NoProtection(self.model.num_layers)
+        self.policy = policy or NoProtection(self.model)
         self.fault_plan = fault_plan or FaultPlan(
             seed=config.seed,
             byzantine=config.byzantine,

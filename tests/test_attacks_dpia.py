@@ -9,11 +9,13 @@ from repro.core import DynamicPolicy, NoProtection, StaticPolicy
 from repro.data import synthetic_lfw
 from repro.nn import lenet5
 
+LENET = lenet5().layout()
+
 
 @pytest.fixture(scope="module")
 def fl_run():
     """A short unprotected victim run shared across tests."""
-    return simulate_fl_for_dpia(NoProtection(5), cycles=24, lr=0.02, seed=0)
+    return simulate_fl_for_dpia(NoProtection(LENET), cycles=24, lr=0.02, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ class TestSimulation:
         assert all(p == frozenset() for p in protected_per_cycle)
 
     def test_dynamic_policy_recorded_per_cycle(self):
-        policy = DynamicPolicy(5, 2, [0.25] * 4, seed=2)
+        policy = DynamicPolicy(LENET, 2, [0.25] * 4, seed=2)
         _, protected_per_cycle, _ = simulate_fl_for_dpia(policy, cycles=8, seed=0)
         assert all(len(p) == 2 for p in protected_per_cycle)
         assert len({tuple(sorted(p)) for p in protected_per_cycle}) > 1
@@ -67,7 +69,7 @@ class TestAttackMechanics:
         assert attack.test_features(snapshots, ppc, lr=0.02).shape[0] == 24
 
     def test_protected_columns_are_nan(self, auxiliary):
-        policy = StaticPolicy(5, [3])
+        policy = StaticPolicy(LENET, ["L3"])
         snapshots, ppc, _ = simulate_fl_for_dpia(policy, cycles=4, seed=0)
         attack = make_attack()
         train = attack.build_training_set(snapshots, auxiliary, ppc)

@@ -4,6 +4,10 @@ import pytest
 
 from repro.attacks import AttackSuite
 from repro.core import NoProtection, StaticPolicy
+from repro.nn import alexnet, lenet5
+
+# The audited reference workload's layout (LeNet-5: L1..L5).
+LENET = lenet5().layout()
 
 
 @pytest.fixture(scope="module")
@@ -13,12 +17,12 @@ def suite():
 
 @pytest.fixture(scope="module")
 def unprotected_report(suite):
-    return suite.audit(NoProtection(5))
+    return suite.audit(NoProtection(LENET))
 
 
 @pytest.fixture(scope="module")
 def full_report(suite):
-    return suite.audit(StaticPolicy(5, [1, 2, 3, 4, 5], max_slices=None))
+    return suite.audit(StaticPolicy(LENET, ["L1", "L2", "L3", "L4", "L5"], max_slices=None))
 
 
 class TestAudit:
@@ -50,14 +54,10 @@ class TestAudit:
 
 class TestAuditDpia:
     def test_returns_verdict(self, suite):
-        from repro.core import NoProtection
-
-        verdict = suite.audit_dpia(NoProtection(5), cycles=10)
+        verdict = suite.audit_dpia(NoProtection(LENET), cycles=10)
         assert 0.0 <= verdict.result.score <= 1.0
         assert verdict.result.attack == "DPIA"
 
     def test_wrong_depth_rejected(self, suite):
-        from repro.core import NoProtection
-
         with pytest.raises(ValueError, match="5-layer"):
-            suite.audit_dpia(NoProtection(8))
+            suite.audit_dpia(NoProtection(alexnet(scale=1 / 16)))

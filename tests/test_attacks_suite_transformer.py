@@ -15,7 +15,9 @@ import repro.api as api
 from repro.attacks.suite import AttackSuite
 from repro.cli import main
 from repro.core.policy import NoProtection, PeltaPolicy, StaticPolicy
-from repro.nn import vit_tiny
+from repro.nn import lenet5, vit_tiny
+
+LENET = lenet5().layout()
 
 
 def _factory(num_classes, seed):
@@ -43,7 +45,7 @@ class TestSuiteOnTransformer:
     def test_depth_mismatch_rejected(self):
         suite = AttackSuite(fast=True, model_factory=_factory)
         with pytest.raises(ValueError, match="15"):
-            suite.audit(NoProtection(5))
+            suite.audit(NoProtection(LENET))
 
     def test_dpia_runs_on_transformer(self, layout):
         suite = AttackSuite(fast=True, model_factory=_factory)
@@ -53,8 +55,8 @@ class TestSuiteOnTransformer:
 
     def test_default_suite_unchanged(self):
         """No factory: the LeNet-5 reference path is bitwise untouched."""
-        a = AttackSuite(fast=True).audit(NoProtection(5))
-        b = AttackSuite(fast=True, model_factory=None).audit(NoProtection(5))
+        a = AttackSuite(fast=True).audit(NoProtection(LENET))
+        b = AttackSuite(fast=True, model_factory=None).audit(NoProtection(LENET))
         for name in a.verdicts:
             assert a.verdicts[name].result.score == b.verdicts[name].result.score
 
@@ -154,7 +156,7 @@ class TestCliBlocks:
             [
                 "simulate",
                 "--clients", "4", "--rounds", "1", "--seed", "3",
-                "--policy", "static:2",
+                "--policy", "static:L2",
             ]
         )
         protected = json.loads(capsys.readouterr().out)

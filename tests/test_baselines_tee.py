@@ -68,7 +68,7 @@ class TestPPFL:
         gradsec_model = lenet5(num_classes=4, scale=0.5, seed=1)
         shielded = ShieldedModel(
             gradsec_model,
-            StaticPolicy(5, [2, 5]),
+            StaticPolicy(gradsec_model, ["L2", "L5"]),
             batch_size=16,
             cost_model=CostModel(batch_size=16),
         )

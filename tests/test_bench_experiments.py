@@ -10,6 +10,10 @@ from repro.bench import (
     v_mw_search,
 )
 from repro.core import DynamicPolicy, NoProtection, StaticPolicy
+from repro.nn import lenet5
+
+# The DPIA victim is LeNet-5; its policies are built over that layout.
+LENET = lenet5().layout()
 
 
 class TestDriaDriver:
@@ -36,8 +40,8 @@ class TestDpiaDriver:
     def test_policies_evaluated(self):
         rows = dpia_experiment(
             [
-                ("none", NoProtection(5)),
-                ("static L4", StaticPolicy(5, [4])),
+                ("none", NoProtection(LENET)),
+                ("static L4", StaticPolicy(LENET, ["L4"])),
             ],
             fast=True,
         )
@@ -46,7 +50,7 @@ class TestDpiaDriver:
             assert 0.0 <= row.score <= 1.0
 
     def test_dynamic_policy_row_includes_description(self):
-        policy = DynamicPolicy(5, 2, DPIA_BEST_V_MW[2], seed=3)
+        policy = DynamicPolicy(LENET, 2, DPIA_BEST_V_MW[2], seed=3)
         rows = dpia_experiment([("dyn", policy)], fast=True)
         assert "dynamic" in rows[0].extra["policy"]
 

@@ -98,6 +98,16 @@ class TestConfigErrors:
         assert captured.err == "repro simulate: error: cohort must be in 1..10, got 20\n"
         assert captured.out == ""
 
+    def test_simulate_reports_an_integer_policy_selector_in_one_line(self, capsys):
+        assert main(["simulate", "--clients", "4", "--policy", "static:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "repro simulate: error: cannot resolve layer selector '2'; "
+        )
+        assert "('L2')" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_the_api_keeps_raising(self):
         from repro.api import simulate
 

@@ -9,7 +9,11 @@ from repro.nn import mlp, one_hot
 
 def run_cycle(protected, steps=2, lr=0.4, seed=0):
     model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed)
-    policy = StaticPolicy(3, protected, max_slices=None) if protected else NoProtection(3)
+    policy = (
+        StaticPolicy(model, [f"L{i}" for i in protected], max_slices=None)
+        if protected
+        else NoProtection(model)
+    )
     shielded = ShieldedModel(model, policy, batch_size=6)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 6))

@@ -44,7 +44,7 @@ class TestRecommendations:
         rec = planner.recommend(["dria", "mia"])
         layers = rec.policy.layers_for_cycle(0)
         assert 1 in layers and 5 in layers
-        assert len(rec.policy.slices) == 2  # the DarkneTZ-impossible shape
+        assert len(rec.policy.units) == 2  # the DarkneTZ-impossible shape
 
     def test_dpia_yields_dynamic_policy_with_paper_vector(self, planner):
         rec = planner.recommend(["dpia"])

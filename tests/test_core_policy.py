@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     DarknetzPolicy,
     DynamicPolicy,
+    LayerRef,
+    ModelLayout,
     NoProtection,
     PolicyError,
     StaticPolicy,
@@ -15,6 +17,11 @@ from repro.core import (
 
 settings.register_profile("ci", max_examples=30, deadline=None)
 settings.load_profile("ci")
+
+
+def flat(n):
+    """An ``n``-layer layout without blocks: refs ``L1..Ln``."""
+    return ModelLayout([LayerRef(i, f"L{i}") for i in range(1, n + 1)])
 
 
 class TestContiguousSlices:
@@ -36,47 +43,53 @@ class TestContiguousSlices:
 
 class TestStaticPolicy:
     def test_same_layers_every_cycle(self):
-        policy = StaticPolicy(5, [2, 5])
+        policy = StaticPolicy(flat(5), ["L2", "L5"])
         assert policy.layers_for_cycle(0) == policy.layers_for_cycle(99) == {2, 5}
 
     def test_non_contiguous_two_slices_allowed(self):
-        StaticPolicy(5, [1, 2, 4, 5])  # two slices — the GradSec feature
+        StaticPolicy(flat(5), ["L1", "L2", "L4", "L5"])  # two slices — the GradSec feature
 
     def test_three_slices_rejected_by_default(self):
         with pytest.raises(PolicyError, match="slices"):
-            StaticPolicy(7, [1, 3, 5])
+            StaticPolicy(flat(7), ["L1", "L3", "L5"])
 
     def test_max_slices_none_lifts_restriction(self):
-        StaticPolicy(7, [1, 3, 5], max_slices=None)
+        StaticPolicy(flat(7), ["L1", "L3", "L5"], max_slices=None)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(PolicyError, match="outside"):
-            StaticPolicy(5, [6])
+            StaticPolicy(flat(5), [LayerRef(6)])
 
     def test_describe_lists_layers(self):
-        assert "L2+L5" in StaticPolicy(5, [2, 5]).describe()
+        assert "L2+L5" in StaticPolicy(flat(5), ["L2", "L5"]).describe()
 
     def test_empty_set_is_valid(self):
-        assert StaticPolicy(5, []).layers_for_cycle(0) == frozenset()
+        assert StaticPolicy(flat(5), []).layers_for_cycle(0) == frozenset()
 
 
 class TestDarknetzPolicy:
     def test_contiguous_accepted(self):
-        policy = DarknetzPolicy(5, [2, 3, 4, 5])
+        policy = DarknetzPolicy(flat(5), ["L2", "L3", "L4", "L5"])
         assert policy.layers_for_cycle(0) == {2, 3, 4, 5}
 
     def test_non_contiguous_rejected(self):
         """The exact capability gap Table 1 quantifies."""
         with pytest.raises(PolicyError, match="successive"):
-            DarknetzPolicy(5, [2, 5])
+            DarknetzPolicy(flat(5), ["L2", "L5"])
 
     def test_single_layer_accepted(self):
-        DarknetzPolicy(5, [3])
+        DarknetzPolicy(flat(5), ["L3"])
+
+    def test_is_a_one_unit_static_policy(self):
+        policy = DarknetzPolicy(flat(5), ["L4", "L5"])
+        assert isinstance(policy, StaticPolicy)
+        assert policy.units == StaticPolicy(flat(5), ["L4", "L5"]).units
+        assert policy.describe() == "DarkneTZ [L4+L5]"
 
 
 class TestDynamicPolicy:
     def make(self, v=(0.2, 0.1, 0.6, 0.1), size=2, seed=0):
-        return DynamicPolicy(5, size, v, seed=seed)
+        return DynamicPolicy(flat(5), size, v, seed=seed)
 
     def test_window_count(self):
         assert len(self.make().windows) == 4  # n - size + 1
@@ -87,19 +100,19 @@ class TestDynamicPolicy:
 
     def test_v_mw_length_checked(self):
         with pytest.raises(PolicyError, match="entries"):
-            DynamicPolicy(5, 2, [0.5, 0.5])
+            DynamicPolicy(flat(5), 2, [0.5, 0.5])
 
     def test_v_mw_must_sum_to_one(self):
         with pytest.raises(PolicyError, match="sum to 1"):
-            DynamicPolicy(5, 2, [0.3, 0.3, 0.3, 0.3])
+            DynamicPolicy(flat(5), 2, [0.3, 0.3, 0.3, 0.3])
 
     def test_negative_probability_rejected(self):
         with pytest.raises(PolicyError):
-            DynamicPolicy(5, 2, [-0.1, 0.5, 0.5, 0.1])
+            DynamicPolicy(flat(5), 2, [-0.1, 0.5, 0.5, 0.1])
 
     def test_size_bounds(self):
         with pytest.raises(PolicyError, match="size_mw"):
-            DynamicPolicy(5, 6, [1.0])
+            DynamicPolicy(flat(5), 6, [1.0])
 
     def test_deterministic_per_cycle(self):
         a, b = self.make(seed=7), self.make(seed=7)
@@ -120,7 +133,7 @@ class TestDynamicPolicy:
         np.testing.assert_allclose(expected, [0.2, 0.3, 0.7, 0.7, 0.1])
 
     def test_all_possible_sets_skips_zero_probability(self):
-        policy = DynamicPolicy(5, 2, [0.5, 0.0, 0.5, 0.0])
+        policy = DynamicPolicy(flat(5), 2, [0.5, 0.0, 0.5, 0.0])
         assert len(policy.all_possible_sets()) == 2
 
     @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 100))
@@ -128,7 +141,7 @@ class TestDynamicPolicy:
         size = min(size, n)
         positions = n - size + 1
         v = np.full(positions, 1.0 / positions)
-        policy = DynamicPolicy(n, size, v, seed=seed)
+        policy = DynamicPolicy(flat(n), size, v, seed=seed)
         for cycle in range(10):
             layers = policy.layers_for_cycle(cycle)
             assert len(layers) == size
@@ -137,6 +150,6 @@ class TestDynamicPolicy:
 
 class TestNoProtection:
     def test_always_empty(self):
-        policy = NoProtection(5)
+        policy = NoProtection(flat(5))
         assert policy.layers_for_cycle(3) == frozenset()
         assert policy.all_possible_sets() == [frozenset()]

@@ -1,14 +1,16 @@
 """Structured protection-policy addressing (LayerRef / BlockSelector).
 
-Covers the redesigned selector surface: canonical refs, block selectors,
-``block.role`` strings, the legacy integer-index shim (deprecation + exact
-schedule equivalence), structured slice envelopes, and the spec-string
-parser used by the CLI.
+Covers the one selector vocabulary: canonical refs, block selectors,
+``block.role`` strings, integer input as a typed error, structured slice
+envelopes, the spec-string parser used by the CLI, and a schedule oracle
+pinning every spec production on every zoo model.
 """
 
-import warnings
+import dataclasses
+import hashlib
+import itertools
+import json
 
-import numpy as np
 import pytest
 
 from repro.core.policy import (
@@ -20,11 +22,11 @@ from repro.core.policy import (
     PeltaPolicy,
     PolicyError,
     StaticPolicy,
-    flat_layout,
     policy_from_spec,
     structured_slices,
 )
-from repro.nn import lenet5, vit_tiny
+from repro.core.planner import PolicyPlanner
+from repro.nn import alexnet, gpt_tiny, lenet5, mlp, vit_tiny
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ class TestModelLayout:
         assert ref.role == "softmax"
 
     def test_flat_layout_has_no_blocks(self):
-        layout = flat_layout(5)
+        layout = lenet5().layout()
         assert layout.block_names() == []
         assert [r.name for r in layout] == ["L1", "L2", "L3", "L4", "L5"]
 
@@ -60,47 +62,50 @@ class TestModelLayout:
 
     def test_resolve_out_of_range_index(self, vit_layout):
         with pytest.raises(PolicyError, match="outside"):
-            vit_layout.resolve(99)
+            vit_layout.resolve(LayerRef(99))
 
 
-class TestLegacyIntShim:
-    """Raw integer indices keep working, warn, and schedule identically."""
+class TestIntegerInputRejected:
+    """Integers are not selectors or layouts: each is a typed error that
+    names the spelling to use instead."""
 
-    def test_static_int_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="LayerRef"):
-            StaticPolicy(5, [2, 5])
+    def test_integer_selector(self, vit_layout):
+        with pytest.raises(PolicyError, match="'L2'"):
+            vit_layout.resolve(4)
+        with pytest.raises(PolicyError, match="'L2'"):
+            StaticPolicy(lenet5().layout(), [2, 5])
 
-    def test_named_construction_does_not_warn(self, vit_layout):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            StaticPolicy(vit_layout, ["block1.softmax"])
-            PeltaPolicy(vit_layout)
-            NoProtection(vit_layout)
+    @pytest.mark.parametrize("cls", [NoProtection, StaticPolicy, DynamicPolicy])
+    def test_integer_layout(self, cls):
+        args = {StaticPolicy: ([],), DynamicPolicy: (2, [0.25] * 4)}.get(cls, ())
+        with pytest.raises(PolicyError, match="'L2', 'block1'"):
+            cls(5, *args)
 
-    def test_static_schedules_bitwise_identical(self, vit_layout):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = StaticPolicy(vit_layout, [4, 6], max_slices=None)
-        named = StaticPolicy(
-            vit_layout, ["block1.softmax", "block1.ln2"], max_slices=None
-        )
-        for cycle in range(8):
-            assert legacy.layers_for_cycle(cycle) == named.layers_for_cycle(cycle)
-        assert legacy.all_possible_sets() == named.all_possible_sets()
-        assert legacy.describe() == named.describe()
+    def test_integer_block_position(self, vit_layout):
+        with pytest.raises(PolicyError, match="'block1'"):
+            PeltaPolicy(vit_layout, blocks=[2])
 
-    def test_dynamic_layout_vs_int_bitwise_identical(self):
-        v_mw = (0.2, 0.1, 0.6, 0.1)
-        a = DynamicPolicy(5, 2, v_mw, seed=3)
-        b = DynamicPolicy(flat_layout(5), 2, v_mw, seed=3)
-        draws_a = [a.layers_for_cycle(c) for c in range(64)]
-        draws_b = [b.layers_for_cycle(c) for c in range(64)]
-        assert draws_a == draws_b
+    @pytest.mark.parametrize(
+        "spec,spelling",
+        [("static:2", "'L2'"), ("darknetz:4", "'L2'"), ("pelta:1", "'block1'")],
+    )
+    def test_digit_spec_selectors(self, vit_layout, spec, spelling):
+        layout = vit_layout if spec.startswith("pelta") else lenet5().layout()
+        with pytest.raises(PolicyError, match=spelling):
+            policy_from_spec(spec, layout)
+
+    def test_spec_needs_a_layout_not_a_depth(self):
+        with pytest.raises(PolicyError, match="model.layout()"):
+            policy_from_spec("none", 5)
+
+    def test_spec_hints_name_layers(self, vit_layout):
+        with pytest.raises(PolicyError, match="darknetz:L4"):
+            policy_from_spec("darknetz:", lenet5().layout())
 
 
 class TestStructuredSlices:
     def test_flat_refs_reduce_to_contiguous_runs(self):
-        layout = flat_layout(6)
+        layout = ModelLayout([LayerRef(i, f"L{i}") for i in range(1, 7)])
         refs = [layout.ref(i) for i in (1, 2, 4)]
         units = structured_slices(refs)
         assert [[r.index for r in unit] for unit in units] == [[1, 2], [4]]
@@ -142,11 +147,10 @@ class TestPeltaPolicy:
         assert policy.layers_for_cycle(0) == frozenset({2, 4, 6, 8, 10, 12})
         assert policy.layers_for_cycle(7) == policy.layers_for_cycle(0)
 
-    def test_single_block_by_name_or_position(self, vit_layout):
+    def test_single_block_by_name(self, vit_layout):
         by_name = PeltaPolicy(vit_layout, blocks=["block2"])
-        by_pos = PeltaPolicy(vit_layout, blocks=[2])
-        assert by_name.layers_for_cycle(0) == by_pos.layers_for_cycle(0)
         assert by_name.layers_for_cycle(0) == frozenset({8, 10, 12})
+        assert by_name.windows == [(8, 10, 12)]
 
     def test_moving_window_draw_matches_dynamic_scheme(self, vit_layout):
         policy = PeltaPolicy(vit_layout, size_mw=1, v_mw=(0.5, 0.5), seed=7)
@@ -157,6 +161,17 @@ class TestPeltaPolicy:
             # Same (seed, cycle) keying as DynamicPolicy: redrawing is stable.
             assert drawn == policy.layers_for_cycle(cycle)
         assert sorted(policy.all_possible_sets(), key=sorted) == expected_sets
+
+    def test_window_is_dynamic_policys_window_over_blocks(self, vit_layout):
+        """One moving window: the same (seed, V_MW) picks the same position
+        whether the units are two blocks or two layers."""
+        pelta = PeltaPolicy(vit_layout, size_mw=1, v_mw=(0.3, 0.7), seed=5)
+        two = ModelLayout([LayerRef(1, "L1"), LayerRef(2, "L2")])
+        dynamic = DynamicPolicy(two, 1, (0.3, 0.7), seed=5)
+        for cycle in range(64):
+            position = dynamic.windows.index(dynamic.window_for_cycle(cycle))
+            assert pelta.window_for_cycle(cycle) == pelta.windows[position]
+        assert pelta.windows == [(2, 4, 6), (8, 10, 12)]
 
     def test_expected_protection_sums_window_probs(self, vit_layout):
         policy = PeltaPolicy(vit_layout, size_mw=1, v_mw=(0.25, 0.75), seed=0)
@@ -173,7 +188,7 @@ class TestPeltaPolicy:
 
     def test_needs_named_blocks(self):
         with pytest.raises(PolicyError, match="named blocks"):
-            PeltaPolicy(flat_layout(5))
+            PeltaPolicy(lenet5().layout())
 
 
 class TestPolicyFromSpec:
@@ -194,11 +209,104 @@ class TestPolicyFromSpec:
             b.layers_for_cycle(c) for c in range(16)
         ]
 
-    def test_accepts_model_and_depth(self):
+    def test_accepts_model_and_layout(self):
         model = lenet5()
         assert policy_from_spec("mw:2", model, seed=1).num_layers == 5
-        assert policy_from_spec("none", 5).num_layers == 5
+        assert policy_from_spec("none", model.layout()).num_layers == 5
 
     def test_unknown_spec_rejected(self, vit_layout):
         with pytest.raises(PolicyError, match="unknown policy spec"):
             policy_from_spec("bogus:1", vit_layout)
+
+
+# -- schedule oracle -----------------------------------------------------------
+# One sha256 per zoo model over every policy_from_spec production valid on it,
+# recorded before the integer vocabulary was removed: any change to a
+# description, a reachable set, a per-layer protection probability or a
+# drawn window in cycles 0..63 changes the digest.
+
+ORACLE_MODELS = {
+    "lenet5": lambda: lenet5(num_classes=10),
+    "alexnet": lambda: alexnet(num_classes=10, scale=1 / 16),
+    "mlp": lambda: mlp(10, (48,), hidden=(32, 16, 16, 8, 8)),
+    "vit_tiny": lambda: vit_tiny(num_classes=10),
+    "gpt_tiny": lambda: gpt_tiny(num_classes=10, num_blocks=3),
+}
+
+ORACLE_DIGESTS = {
+    "alexnet": "37d6e49f8830253b4dfb0cf52fc7f1ba90d7401ecd9fc8c3f1dad596d4103942",
+    "gpt_tiny": "7dee87ab8ddbad6b5784c2041681f98a588dda0a6f94f4beb01cd83eaf9b33b4",
+    "lenet5": "b0271185e86b994c836f020adad5f291d02f500769c1102c6e5085509d406fc8",
+    "mlp": "75fd4d4b5cfd0a12719b665190f923d3a8932c792585091a44dd5627d35d6a91",
+    "vit_tiny": "a2a29b67976a40f35d24aa14f54b69975d89720ad5ecf3944714b37c4ecde706",
+    "planner": "04ef42d7ef31823b4266a5aae9aa0ee45a2d31fc8517138c26ede5ad1df5c594",
+}
+
+
+def _oracle_specs(layout):
+    names = [ref.name for ref in layout]
+    blocks = layout.block_names()
+    if blocks:
+        statics = ["block2", "block1.softmax+block2.ln2", "embed+block1.softmax+head"]
+        runs = ["block1", "ln_f+head"]
+    else:
+        statics = ["L2", "L2+L4", "L1+L3+L5"]
+        runs = ["L2+L3+L4", "+".join(names[-2:])]
+    specs = ["none"]
+    specs += [f"static:{s}" for s in statics]
+    specs += [f"darknetz:{r}" for r in runs]
+    specs += [f"mw:{k}" for k in range(1, len(names) + 1)]
+    if blocks:
+        specs += ["pelta"] + [f"pelta:{b}" for b in blocks]
+        specs += [f"pelta-mw:{k}" for k in range(1, len(blocks) + 1)]
+    return specs
+
+
+def _oracle_record(policy):
+    record = {
+        "describe": policy.describe(),
+        "sets": [sorted(s) for s in policy.all_possible_sets()],
+        "cycles": [sorted(policy.layers_for_cycle(c)) for c in range(64)],
+    }
+    if isinstance(policy, (DynamicPolicy, PeltaPolicy)):
+        record["expected"] = policy.expected_protection().tolist()
+    return record
+
+
+def _digest(records):
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def schedule_digest(name):
+    layout = ORACLE_MODELS[name]().layout()
+    records = {
+        f"{spec}@{seed}": _oracle_record(policy_from_spec(spec, layout, seed=seed))
+        for spec in _oracle_specs(layout)
+        for seed in (0, 7)
+    }
+    return _digest(records)
+
+
+def planner_digest():
+    planner = PolicyPlanner(lenet5())
+    records = {}
+    for size in (1, 2, 3):
+        for attacks in itertools.combinations(("dria", "mia", "dpia"), size):
+            rec = planner.recommend(attacks)
+            records["+".join(attacks)] = {
+                "describe": rec.policy.describe(),
+                "cost": dataclasses.asdict(rec.cost),
+                "rationale": rec.rationale,
+                "search": rec.search_recommended,
+            }
+    return _digest(records)
+
+
+class TestScheduleOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_every_production_schedules_as_recorded(self, name):
+        assert schedule_digest(name) == ORACLE_DIGESTS[name]
+
+    def test_planner_recommendations_as_recorded(self):
+        assert planner_digest() == ORACLE_DIGESTS["planner"]

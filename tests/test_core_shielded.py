@@ -19,6 +19,10 @@ from repro.tee import (
 )
 
 
+# The layout of every model make_shielded builds (three dense layers L1..L3).
+LAYOUT = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5)).layout()
+
+
 def tiny_batch(rng, n=6, classes=4):
     x = rng.normal(size=(n, 6))
     y = one_hot(rng.integers(0, classes, n), classes)
@@ -27,7 +31,7 @@ def tiny_batch(rng, n=6, classes=4):
 
 def make_shielded(policy=None, seed=0, **kwargs):
     model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed)
-    return model, ShieldedModel(model, policy or NoProtection(3), batch_size=6, **kwargs)
+    return model, ShieldedModel(model, policy or NoProtection(model), batch_size=6, **kwargs)
 
 
 def holds_array(value):
@@ -45,13 +49,13 @@ class TestEquivalence:
     @pytest.mark.parametrize("protected", [(1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)])
     def test_trajectory_identical_to_unprotected(self, rng, protected):
         x, y = tiny_batch(rng)
-        ref_model, ref = make_shielded(NoProtection(3), seed=1)
+        ref_model, ref = make_shielded(NoProtection(LAYOUT), seed=1)
         ref.begin_cycle()
         ref_losses = [ref.train_step(x, y, lr=0.3) for _ in range(3)]
         ref.end_cycle()
 
         model, shielded = make_shielded(
-            StaticPolicy(3, protected, max_slices=None), seed=1
+            StaticPolicy(LAYOUT, [f"L{i}" for i in protected], max_slices=None), seed=1
         )
         shielded.begin_cycle()
         losses = [shielded.train_step(x, y, lr=0.3) for _ in range(3)]
@@ -68,13 +72,13 @@ class TestEquivalence:
         x = rng.normal(size=(4, 3, 32, 32))
         y = one_hot(rng.integers(0, 5, 4), 5)
         ref = lenet5(num_classes=5, seed=2, scale=0.5)
-        sm_ref = ShieldedModel(ref, NoProtection(5), batch_size=4)
+        sm_ref = ShieldedModel(ref, NoProtection(ref), batch_size=4)
         sm_ref.begin_cycle()
         loss_ref = sm_ref.train_step(x, y, lr=0.2)
         sm_ref.end_cycle()
 
         model = lenet5(num_classes=5, seed=2, scale=0.5)
-        sm = ShieldedModel(model, StaticPolicy(5, [2, 5]), batch_size=4)
+        sm = ShieldedModel(model, StaticPolicy(model, ["L2", "L5"]), batch_size=4)
         sm.begin_cycle()
         loss = sm.train_step(x, y, lr=0.2)
         sm.end_cycle()
@@ -83,7 +87,7 @@ class TestEquivalence:
 
 class TestConfidentiality:
     def test_normal_world_weights_scrubbed_during_cycle(self, rng):
-        model, shielded = make_shielded(StaticPolicy(3, [2]))
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         original = model.layer(2).get_weights()["weight"].copy()
         shielded.begin_cycle()
         assert np.all(model.layer(2).params["weight"].data == 0)
@@ -94,14 +98,14 @@ class TestConfidentiality:
         )
 
     def test_end_cycle_without_restore_keeps_scrubbed(self):
-        model, shielded = make_shielded(StaticPolicy(3, [2]))
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         shielded.begin_cycle()
         shielded.end_cycle(restore=False)
         assert np.all(model.layer(2).params["weight"].data == 0)
 
     def test_leakage_never_contains_protected_gradients(self, rng):
         x, y = tiny_batch(rng)
-        _, shielded = make_shielded(StaticPolicy(3, [1, 3]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1", "L3"]))
         shielded.begin_cycle()
         shielded.train_step(x, y)
         leak = shielded.end_cycle()
@@ -112,7 +116,7 @@ class TestConfidentiality:
 
     def test_weight_diffs_hidden_for_protected(self, rng):
         x, y = tiny_batch(rng)
-        _, shielded = make_shielded(StaticPolicy(3, [2]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         shielded.begin_cycle()
         shielded.train_step(x, y, lr=0.5)
         leak = shielded.end_cycle()
@@ -125,8 +129,8 @@ class TestConfidentiality:
         normal-world layer consumes: a run starting at layer 1 hands back
         nothing, and dropping it moves no weight bit."""
         x, y = tiny_batch(rng)
-        ref_model, ref = make_shielded(NoProtection(3), seed=1)
-        model, shielded = make_shielded(StaticPolicy(3, [1]), seed=1)
+        ref_model, ref = make_shielded(NoProtection(LAYOUT), seed=1)
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1"]), seed=1)
         returned = []
         smc = shielded.monitor.smc
 
@@ -156,7 +160,7 @@ class TestConfidentiality:
         x = rng.normal(size=(4, 3, 32, 32))
         y = one_hot(rng.integers(0, 5, 4), 5)
         ref = lenet5(num_classes=5, seed=2, scale=0.5)
-        trained = ShieldedModel(ref, NoProtection(5), batch_size=4)
+        trained = ShieldedModel(ref, NoProtection(ref), batch_size=4)
         trained.begin_cycle()
         trained.train_step(x, y, lr=0.2)
         trained.end_cycle()
@@ -180,13 +184,13 @@ class TestConfidentiality:
 
     def test_smc_calls_happen_only_when_protected(self, rng):
         x, y = tiny_batch(rng)
-        _, unprotected = make_shielded(NoProtection(3))
+        _, unprotected = make_shielded(NoProtection(LAYOUT))
         unprotected.begin_cycle()
         unprotected.train_step(x, y)
         unprotected.end_cycle()
         assert unprotected.monitor.stats.calls == 0
 
-        _, shielded = make_shielded(StaticPolicy(3, [2]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         shielded.begin_cycle()
         shielded.train_step(x, y)
         shielded.end_cycle()
@@ -197,14 +201,14 @@ class TestConfidentiality:
 class TestMemoryAccounting:
     def test_peak_memory_recorded(self, rng):
         x, y = tiny_batch(rng)
-        _, shielded = make_shielded(StaticPolicy(3, [2]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         shielded.begin_cycle()
         shielded.train_step(x, y)
         leak = shielded.end_cycle()
         assert leak.peak_tee_bytes > 0
 
     def test_memory_released_after_cycle(self, rng):
-        _, shielded = make_shielded(StaticPolicy(3, [1, 2, 3], max_slices=None))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1", "L2", "L3"], max_slices=None))
         shielded.begin_cycle()
         assert shielded.pool.used_bytes > 0
         shielded.end_cycle()
@@ -213,13 +217,13 @@ class TestMemoryAccounting:
     def test_too_small_pool_raises(self):
         with pytest.raises(SecureMemoryExhausted):
             model, shielded = make_shielded(
-                StaticPolicy(3, [1]), pool=SecureMemoryPool(64)
+                StaticPolicy(LAYOUT, ["L1"]), pool=SecureMemoryPool(64)
             )
             shielded.begin_cycle()
 
     def test_lenet_l2_l5_footprint_matches_cost_model(self, rng):
         model = lenet5(num_classes=100, seed=0)
-        shielded = ShieldedModel(model, StaticPolicy(5, [2, 5]), batch_size=32)
+        shielded = ShieldedModel(model, StaticPolicy(model, ["L2", "L5"]), batch_size=32)
         shielded.begin_cycle()
         expected = CostModel(batch_size=32).tee_memory_bytes(model, (2, 5))
         assert shielded.pool.used_bytes == expected
@@ -229,7 +233,7 @@ class TestMemoryAccounting:
 class TestDynamicCycles:
     def test_window_moves_across_cycles(self, rng):
         x, y = tiny_batch(rng)
-        policy = DynamicPolicy(3, 1, [0.4, 0.3, 0.3], seed=5)
+        policy = DynamicPolicy(LAYOUT, 1, [0.4, 0.3, 0.3], seed=5)
         _, shielded = make_shielded(policy)
         seen = set()
         for cycle in range(12):
@@ -240,7 +244,7 @@ class TestDynamicCycles:
         assert len(seen) > 1  # the window actually moved
 
     def test_cycle_override_synchronises(self):
-        policy = DynamicPolicy(3, 1, [0.4, 0.3, 0.3], seed=5)
+        policy = DynamicPolicy(LAYOUT, 1, [0.4, 0.3, 0.3], seed=5)
         _, shielded = make_shielded(policy)
         expected = policy.layers_for_cycle(7)
         assert shielded.begin_cycle(cycle=7) == expected
@@ -268,10 +272,10 @@ class TestProtocolErrors:
     def test_policy_model_depth_mismatch(self):
         model = mlp(num_classes=4, input_shape=(6,), hidden=(8,), seed=0)
         with pytest.raises(ValueError, match="layers"):
-            ShieldedModel(model, NoProtection(5))
+            ShieldedModel(model, NoProtection(LAYOUT))
 
     def test_sealed_weights_require_iopath(self):
-        _, shielded = make_shielded(StaticPolicy(3, [1]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1"]))
         with pytest.raises(ValueError, match="iopath"):
             shielded.begin_cycle(sealed_weights=b"blob")
 
@@ -279,7 +283,7 @@ class TestProtocolErrors:
 class TestExportUpdate:
     def test_export_splits_plain_and_sealed(self, rng):
         x, y = tiny_batch(rng)
-        model, shielded = make_shielded(StaticPolicy(3, [2]))
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         iopath = TrustedIOPath()
         shielded.begin_cycle()
         shielded.train_step(x, y, lr=0.3)
@@ -293,7 +297,7 @@ class TestExportUpdate:
 
     def test_sealed_update_reflects_training(self, rng):
         x, y = tiny_batch(rng)
-        model, shielded = make_shielded(StaticPolicy(3, [2]), seed=4)
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]), seed=4)
         before = model.layer(2).get_weights()["weight"].copy()
         iopath = TrustedIOPath()
         shielded.begin_cycle()
@@ -304,7 +308,7 @@ class TestExportUpdate:
         assert not np.allclose(after, before)
 
     def test_export_outside_cycle_raises(self):
-        _, shielded = make_shielded(StaticPolicy(3, [2]))
+        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
         with pytest.raises(RuntimeError, match="outside"):
             shielded.export_update(TrustedIOPath())
 
@@ -312,7 +316,7 @@ class TestExportUpdate:
 class TestProvisioning:
     def test_begin_cycle_with_sealed_weights(self, rng):
         x, y = tiny_batch(rng)
-        model, shielded = make_shielded(StaticPolicy(3, [2]), seed=6)
+        model, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]), seed=6)
         iopath = TrustedIOPath()
         fresh = np.full_like(model.layer(2).get_weights()["weight"], 0.123)
         sealed = iopath.seal([{}, {"weight": fresh, "bias": np.zeros(5)}, {}])

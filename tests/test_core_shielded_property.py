@@ -23,9 +23,9 @@ LAYERS = 4
 def build(protected, seed):
     model = mlp(num_classes=3, input_shape=(5,), hidden=(6, 5, 4), seed=seed)
     policy = (
-        StaticPolicy(LAYERS, sorted(protected), max_slices=None)
+        StaticPolicy(model, [f"L{i}" for i in sorted(protected)], max_slices=None)
         if protected
-        else NoProtection(LAYERS)
+        else NoProtection(model)
     )
     return model, ShieldedModel(model, policy, batch_size=4)
 

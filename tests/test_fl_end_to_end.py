@@ -10,6 +10,7 @@ from repro.nn import lenet5
 
 
 NUM_CLASSES = 5
+LENET = lenet5().layout()
 
 
 def build_deployment(policy_factory, clients=2, cycles=2, seed=0, **plan_kwargs):
@@ -37,7 +38,7 @@ def build_deployment(policy_factory, clients=2, cycles=2, seed=0, **plan_kwargs)
 
 class TestUnprotectedFL:
     def test_training_improves_loss(self):
-        server, clients, dataset = build_deployment(lambda: NoProtection(5))
+        server, clients, dataset = build_deployment(lambda: NoProtection(LENET))
         x = dataset.x[:64]
         y = dataset.one_hot_labels()[:64]
         before = server.model.loss(x, y).item()
@@ -45,12 +46,12 @@ class TestUnprotectedFL:
         assert server.model.loss(x, y).item() < before
 
     def test_history_records_each_cycle(self):
-        server, clients, _ = build_deployment(lambda: NoProtection(5))
+        server, clients, _ = build_deployment(lambda: NoProtection(LENET))
         server.run(clients, cycles=2)
         assert len(server.history) == 3  # initial + 2 cycles
 
     def test_channel_counts_traffic(self):
-        server, clients, _ = build_deployment(lambda: NoProtection(5))
+        server, clients, _ = build_deployment(lambda: NoProtection(LENET))
         server.run_cycle(clients)
         assert server.channel.downloads == len(clients)
         assert server.channel.uploads == len(clients)
@@ -60,8 +61,8 @@ class TestUnprotectedFL:
 class TestProtectedFL:
     def test_static_protection_trains_identically(self):
         """Protection must not change the learning outcome at all."""
-        srv_a, cl_a, dataset = build_deployment(lambda: NoProtection(5), seed=3)
-        srv_b, cl_b, _ = build_deployment(lambda: StaticPolicy(5, [2, 5]), seed=3)
+        srv_a, cl_a, dataset = build_deployment(lambda: NoProtection(LENET), seed=3)
+        srv_b, cl_b, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2", "L5"]), seed=3)
         srv_a.run(cl_a, cycles=2)
         srv_b.run(cl_b, cycles=2)
         for wa, wb in zip(srv_a.model.get_weights(), srv_b.model.get_weights()):
@@ -69,7 +70,7 @@ class TestProtectedFL:
                 np.testing.assert_allclose(wa[key], wb[key], rtol=1e-10)
 
     def test_client_leakage_excludes_protected(self):
-        server, clients, _ = build_deployment(lambda: StaticPolicy(5, [2, 5]))
+        server, clients, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2", "L5"]))
         server.run(clients, cycles=2)
         for client in clients:
             for leakage in client.leakage_log:
@@ -78,21 +79,21 @@ class TestProtectedFL:
                 assert grads[0] is not None
 
     def test_protected_weights_never_plain_on_wire(self):
-        server, clients, _ = build_deployment(lambda: StaticPolicy(5, [2]))
+        server, clients, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2"]))
         updates = server.run_cycle(clients)
         for update in updates:
             assert update.plain_weights[1] == {}
             assert update.sealed_weights is not None
 
     def test_dynamic_policy_moves_window(self):
-        factory = lambda: DynamicPolicy(5, 2, [0.25] * 4, seed=11)
+        factory = lambda: DynamicPolicy(LENET, 2, [0.25] * 4, seed=11)
         server, clients, _ = build_deployment(factory)
         server.run(clients, cycles=5)
         seen = {tuple(sorted(l.protected)) for l in clients[0].leakage_log}
         assert len(seen) > 1
 
     def test_server_and_client_agree_on_window(self):
-        factory = lambda: DynamicPolicy(5, 2, [0.25] * 4, seed=11)
+        factory = lambda: DynamicPolicy(LENET, 2, [0.25] * 4, seed=11)
         server, clients, _ = build_deployment(factory)
         server.run(clients, cycles=4)
         for cycle, leakage in enumerate(clients[0].leakage_log):
@@ -107,12 +108,12 @@ class TestHybridDeployment:
         server = FLServer(
             lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),
             plan,
-            StaticPolicy(5, [2]),
+            StaticPolicy(LENET, ["L2"]),
             config=ServerConfig(allow_legacy=True),
         )
         tee_client = FLClient(
             "tee", shards[0], lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),
-            policy=StaticPolicy(5, [2]), seed=0,
+            policy=StaticPolicy(LENET, ["L2"]), seed=0,
         )
         legacy = FLClient(
             "legacy", shards[1], lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),

@@ -11,24 +11,16 @@ class TestTrainingPlan:
     def test_defaults_valid(self):
         plan = TrainingPlan()
         assert plan.batch_size == 32
-        assert not plan.dynamic
-
-    def test_dynamic_flag(self):
-        plan = TrainingPlan(mw_size=2, v_mw=(0.5, 0.5))
-        assert plan.dynamic
-
-    def test_static_and_dynamic_exclusive(self):
-        with pytest.raises(ValueError, match="exclusive"):
-            TrainingPlan(protected_layers=(2,), mw_size=2, v_mw=(0.5, 0.5))
-
-    def test_dynamic_requires_v_mw(self):
-        with pytest.raises(ValueError, match="v_mw"):
-            TrainingPlan(mw_size=2)
 
     @pytest.mark.parametrize("field,value", [("lr", 0), ("batch_size", 0), ("local_steps", 0)])
     def test_positive_fields(self, field, value):
         with pytest.raises(ValueError):
             TrainingPlan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["protected_layers", "mw_size", "v_mw"])
+    def test_protection_lives_on_the_policy(self, field):
+        with pytest.raises(TypeError):
+            TrainingPlan(**{field: (2,)})
 
     def test_frozen(self):
         plan = TrainingPlan()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import NoProtection
 from repro.data import synthetic_cifar
 from repro.fl import (
     FLClient,
@@ -32,7 +31,7 @@ def build_deployment(clients=3, seed=0, **round_kwargs):
     )
     plan = TrainingPlan(lr=0.1, batch_size=8, local_steps=1)
     config = ServerConfig(round=RoundConfig(**round_kwargs))
-    server = FLServer(make_model(), plan, NoProtection(2), config=config)
+    server = FLServer(make_model(), plan, config=config)
     fl_clients = [
         FLClient(f"client-{i}", shards[i], make_model(), seed=i)
         for i in range(clients)

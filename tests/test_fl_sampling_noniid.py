@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import NoProtection
 from repro.data import synthetic_cifar
 from repro.fl import FLClient, FLServer, TrainingPlan
 from repro.nn import lenet5
@@ -55,7 +54,7 @@ class TestClientSampling:
         dataset = synthetic_cifar(num_samples=20 * n_clients, num_classes=4, seed=0)
         shards = dataset.shard(n_clients)
         plan = TrainingPlan(lr=0.1, batch_size=10, local_steps=1)
-        server = FLServer(lenet5(num_classes=4, seed=1, scale=0.5), plan, NoProtection(5))
+        server = FLServer(lenet5(num_classes=4, seed=1, scale=0.5), plan)
         pool = [
             FLClient(f"c{i}", shards[i], lenet5(num_classes=4, seed=1, scale=0.5), seed=i)
             for i in range(n_clients)

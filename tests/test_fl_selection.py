@@ -73,6 +73,6 @@ class TestClientPolicyGuard:
                 "legacy",
                 dataset,
                 model,
-                policy=StaticPolicy(2, [1]),
+                policy=StaticPolicy(model, ["L1"]),
                 has_tee=False,
             )

@@ -97,7 +97,7 @@ def build_fleet(
     global_model = lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5)
     plan = TrainingPlan(lr=0.2, batch_size=16, local_steps=1)
     cfg = config or ServerConfig(round=RoundConfig(rule=rule))
-    server = FLServer(global_model, plan, policy=NoProtection(5), config=cfg)
+    server = FLServer(global_model, plan, policy=NoProtection(global_model), config=cfg)
     fleet = []
     for i in range(clients):
         cls = client_cls if i < hostile else FLClient
@@ -106,7 +106,7 @@ def build_fleet(
                 f"client-{i}",
                 dataset if iid else shards[i],
                 lenet5(num_classes=NUM_CLASSES, seed=7, scale=0.5),
-                policy=NoProtection(5),
+                policy=NoProtection(global_model),
                 seed=i,
             )
         )

@@ -160,12 +160,13 @@ class TestMemoryPlanner:
             num_classes=10, input_shape=(3, 16, 16), seed=0
         )
         mlp_factory = lambda: mlp(10, (64,), hidden=(64, 32), seed=0)
+        lenet, dense = lenet_factory().layout(), mlp_factory().layout()
         return [
-            ("lenet5", lenet_factory, StaticPolicy(5, [2, 4])),
-            ("lenet5", lenet_factory, DarknetzPolicy(5, [4, 5])),
-            ("lenet5", lenet_factory, DynamicPolicy(5, 2, [0.25] * 4, seed=3)),
-            ("mlp", mlp_factory, StaticPolicy(3, [1, 3])),
-            ("mlp", mlp_factory, DynamicPolicy(3, 1, [1 / 3] * 3, seed=3)),
+            ("lenet5", lenet_factory, StaticPolicy(lenet, ["L2", "L4"])),
+            ("lenet5", lenet_factory, DarknetzPolicy(lenet, ["L4", "L5"])),
+            ("lenet5", lenet_factory, DynamicPolicy(lenet, 2, [0.25] * 4, seed=3)),
+            ("mlp", mlp_factory, StaticPolicy(dense, ["L1", "L3"])),
+            ("mlp", mlp_factory, DynamicPolicy(dense, 1, [1 / 3] * 3, seed=3)),
         ]
 
     def test_plan_matches_cost_model(self):
@@ -230,7 +231,7 @@ class TestMemoryPlanner:
         from repro.graph import plan_policy
 
         model = lenet5(num_classes=10, input_shape=(3, 16, 16), seed=0)
-        policy = DynamicPolicy(5, 2, [0.25] * 4, seed=3)
+        policy = DynamicPolicy(model, 2, [0.25] * 4, seed=3)
         worst, per_cycle = plan_policy(model, policy, batch_size=8, cycles=5)
         assert worst.peak_bytes == max(p.peak_bytes for p in per_cycle)
 

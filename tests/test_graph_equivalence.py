@@ -135,7 +135,6 @@ class TestShieldedCompiledSteps:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=4, deadline=None)
     def test_compile_steps_flag_is_bitwise_neutral(self, seed):
-        from repro.core.policy import NoProtection
         from repro.core.shielded import ShieldedModel
 
         rng = np.random.default_rng(seed)
@@ -146,7 +145,6 @@ class TestShieldedCompiledSteps:
             with fresh():
                 shielded = ShieldedModel(
                     mlp(4, (6,), hidden=(8, 5), seed=seed),
-                    NoProtection(3),
                     batch_size=4,
                     compile_steps=compiled,
                 )

@@ -26,7 +26,10 @@ from repro.tee.crypto import CryptoError
 def tiny_shielded(protected, pool=None, seed=0):
     model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed)
     return model, ShieldedModel(
-        model, StaticPolicy(3, protected, max_slices=None), pool=pool, batch_size=6
+        model,
+        StaticPolicy(model, [f"L{i}" for i in protected], max_slices=None),
+        pool=pool,
+        batch_size=6,
     )
 
 
@@ -64,14 +67,12 @@ class TestTamperedTransport:
 
     def test_update_from_wrong_session_rejected_at_server(self):
         dataset = synthetic_cifar(num_samples=16, num_classes=4, seed=0)
+        model = lenet5(num_classes=4, seed=0, scale=0.5)
         client = FLClient(
-            "c", dataset, lenet5(num_classes=4, seed=0, scale=0.5),
-            policy=StaticPolicy(5, [2]), seed=0,
+            "c", dataset, model.clone(), policy=StaticPolicy(model, ["L2"]), seed=0,
         )
         plan = TrainingPlan(lr=0.1, batch_size=8, local_steps=1)
-        server = FLServer(
-            lenet5(num_classes=4, seed=0, scale=0.5), plan, StaticPolicy(5, [2])
-        )
+        server = FLServer(model, plan, StaticPolicy(model, ["L2"]))
         server.register(client)
         download = server._make_download(client, frozenset({2}))
         update = client.run_cycle(download, plan)
@@ -143,12 +144,12 @@ class TestRNNExtension:
         x = rng.normal(size=(5, 4, 5))
         y = one_hot(rng.integers(0, 3, 5), 3)
 
-        shielded = ShieldedModel(model, StaticPolicy(2, [1]), batch_size=5)
+        shielded = ShieldedModel(model, StaticPolicy(model, ["L1"]), batch_size=5)
         shielded.begin_cycle()
         loss_protected = shielded.train_step(x, y, lr=0.2)
         leak = shielded.end_cycle()
 
-        plain = ShieldedModel(reference, StaticPolicy(2, []), batch_size=5)
+        plain = ShieldedModel(reference, StaticPolicy(reference, []), batch_size=5)
         plain.begin_cycle()
         loss_plain = plain.train_step(x, y, lr=0.2)
         plain.end_cycle()

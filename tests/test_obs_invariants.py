@@ -36,7 +36,7 @@ def run_shielded_round(protected_layers, steps, pool_name):
         pool = SecureMemoryPool(name=pool_name)
         shielded = ShieldedModel(
             model,
-            StaticPolicy(5, protected_layers),
+            StaticPolicy(model, [f"L{i}" for i in protected_layers]),
             pool=pool,
             batch_size=BATCH,
         )

@@ -23,6 +23,7 @@ from repro.tee import SecureMemoryPool, SecureWorldViolation
 
 NUM_CLASSES = 5
 BATCH = 8
+LENET = lenet5().layout()
 
 
 def make_batch(seed=0):
@@ -52,7 +53,7 @@ class TestStaticProtection:
     def test_every_protected_layer_crossed_the_boundary(self):
         protected = (2, 5)
         with obs.fresh(clock=FakeClock()) as ctx:
-            shielded = make_shielded(StaticPolicy(5, protected), "leak-static")
+            shielded = make_shielded(StaticPolicy(LENET, ["L2", "L5"]), "leak-static")
             x, y = make_batch()
             shielded.begin_cycle()
             shielded.train_step(x, y, lr=0.05)
@@ -63,7 +64,7 @@ class TestStaticProtection:
 
     def test_unprotected_layers_never_cross(self):
         with obs.fresh(clock=FakeClock()) as ctx:
-            shielded = make_shielded(StaticPolicy(5, (2, 3)), "leak-rest")
+            shielded = make_shielded(StaticPolicy(LENET, ["L2", "L3"]), "leak-rest")
             x, y = make_batch()
             shielded.begin_cycle()
             shielded.train_step(x, y, lr=0.05)
@@ -76,7 +77,7 @@ class TestStaticProtection:
 
     def test_normal_world_buffer_access_raises(self):
         with obs.fresh(clock=FakeClock()):
-            shielded = make_shielded(StaticPolicy(5, (2, 5)), "leak-access")
+            shielded = make_shielded(StaticPolicy(LENET, ["L2", "L5"]), "leak-access")
             x, y = make_batch()
             shielded.begin_cycle()
             shielded.train_step(x, y, lr=0.05)
@@ -95,7 +96,7 @@ class TestStaticProtection:
     def test_scrubbed_normal_copies_are_zero(self):
         """What the attacker *can* read of protected layers is all zeros."""
         with obs.fresh(clock=FakeClock()):
-            shielded = make_shielded(StaticPolicy(5, (2,)), "leak-scrub")
+            shielded = make_shielded(StaticPolicy(LENET, ["L2"]), "leak-scrub")
             x, y = make_batch()
             shielded.begin_cycle()
             shielded.train_step(x, y, lr=0.05)
@@ -107,7 +108,7 @@ class TestStaticProtection:
 class TestMovingWindowProtection:
     def make_policy(self):
         # Window of 2 over 5 layers: 4 positions, uniform draw.
-        return DynamicPolicy(5, 2, [0.25, 0.25, 0.25, 0.25], seed=11)
+        return DynamicPolicy(LENET, 2, [0.25, 0.25, 0.25, 0.25], seed=11)
 
     def test_each_cycles_window_is_covered(self):
         policy = self.make_policy()
