@@ -14,7 +14,6 @@ from .admission import (
 )
 from .aggregation import (
     CompensatedAccumulator,
-    StreamingWeightedSum,
     fedavg,
     merge_plain_and_sealed,
 )
@@ -40,12 +39,9 @@ from .selection import SelectionResult, TEESelector
 from .server import FLServer
 from .sharding import (
     HierarchicalAggregator,
-    RobustHierarchicalAggregator,
     RobustShardCollector,
     RobustShardPartial,
-    ShardAggregator,
     ShardPartial,
-    make_aggregation_tree,
     plan_shards,
     shard_of,
 )
@@ -55,10 +51,10 @@ __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
     "RetryPolicy", "collect_with_retries",
     "fedavg", "merge_plain_and_sealed",
-    "CompensatedAccumulator", "StreamingWeightedSum",
+    "CompensatedAccumulator",
     "ServerConfig", "RoundConfig", "ShardingConfig",
     "BufferConfig", "BufferedAggregator",
-    "HierarchicalAggregator", "ShardAggregator", "ShardPartial",
+    "HierarchicalAggregator", "ShardPartial",
     "plan_shards", "shard_of", "weighted_sparse_mean",
     "SnapshotHistory", "TEESelector", "SelectionResult",
     "Channel", "ClientUpdate", "ModelDownload",
@@ -70,5 +66,4 @@ __all__ = [
     "AdmissionConfig", "AdmissionController", "AdmissionDecision",
     "ReputationConfig", "ReputationTracker",
     "RobustShardPartial", "RobustShardCollector",
-    "RobustHierarchicalAggregator", "make_aggregation_tree",
 ]

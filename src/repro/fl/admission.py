@@ -7,7 +7,11 @@ survey make the same point).  This module is the first line of that
 defence: before any update reaches an accumulator it is checked for
 
 * **structure** — layer count, key set, and per-key shapes must match the
-  global model (a malformed payload can otherwise crash or skew the fold);
+  global model (a malformed payload can otherwise crash or skew the fold).
+  That rule is the only one that reads a :data:`~repro.nn.model.WeightsList`,
+  so it runs where one arrives — the FL server's merge of plain and
+  unsealed layers — and hands the gate ``None`` for a mismatch; every other
+  rule reads the update as a flat float64 vector;
 * **numerical health** — NaN/Inf anywhere poisons every downstream mean;
 * **norm ceiling** — the L2 norm of the update's *delta* from the current
   global weights is bounded; over-norm deltas are either rejected or
@@ -30,8 +34,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..nn.model import WeightsList
-from ..nn.serialize import flatten_weights, unflatten_weights
 from ..obs import get_registry
 
 __all__ = [
@@ -98,16 +100,16 @@ class ReputationConfig:
 class AdmissionDecision:
     """Outcome of one admission check.
 
-    ``weights`` carries the payload to fold when admitted — the original
+    ``flat`` carries the vector to fold when admitted — the original
     update, or the norm-clipped rewrite when ``clipped`` — and is ``None``
     on rejection.  ``reason`` is one of the ``REJECT_*`` constants below.
     """
 
     admitted: bool
+    flat: Optional[np.ndarray] = None
     reason: Optional[str] = None
     clipped: bool = False
     norm: float = 0.0
-    weights: Optional[WeightsList] = None
 
 
 REJECT_STRUCTURE = "structure"
@@ -121,9 +123,6 @@ class AdmissionController:
 
     Parameters
     ----------
-    template:
-        The global model's :data:`WeightsList` — only layer count, key
-        names, and shapes are read.
     config:
         What to enforce (see :class:`AdmissionConfig`).
 
@@ -131,14 +130,8 @@ class AdmissionController:
     snapshot shows ``fl.admission.*`` even for an all-healthy run.
     """
 
-    def __init__(
-        self, template: WeightsList, config: Optional[AdmissionConfig] = None
-    ) -> None:
+    def __init__(self, config: Optional[AdmissionConfig] = None) -> None:
         self.config = config or AdmissionConfig()
-        self.template: WeightsList = [
-            {key: np.asarray(value) for key, value in layer.items()}
-            for layer in template
-        ]
         registry = get_registry()
         self._checked = registry.counter(
             "fl.admission.checked", "updates inspected by admission control"
@@ -150,62 +143,45 @@ class AdmissionController:
             "fl.admission.clipped", "updates rescaled onto the norm ceiling"
         )
 
-    def _structure_ok(self, weights: WeightsList) -> bool:
-        if len(weights) != len(self.template):
-            return False
-        for layer, expected in zip(weights, self.template):
-            if set(layer) != set(expected):
-                return False
-            for key, value in layer.items():
-                if np.shape(value) != expected[key].shape:
-                    return False
-        return True
-
     def check(
         self,
         client_id: str,
-        weights: WeightsList,
+        flat: Optional[np.ndarray],
         *,
-        reference: Optional[WeightsList] = None,
+        reference: Optional[np.ndarray] = None,
         attested: bool = True,
     ) -> AdmissionDecision:
-        """Admit, clip, or reject one update.
+        """Admit, clip, or reject one update vector.
 
-        ``reference`` is the global weights the update trained from; the
-        norm ceiling applies to the delta against it (and clipping rewrites
-        the update as ``reference + clipped_delta``).  Without a reference
-        the ceiling applies to the raw update vector.
+        ``flat`` is ``None`` when the update did not fit the model's layout
+        (its layer count, key set or a shape differed where it was merged):
+        that is the ``structure`` rejection.  ``reference`` is the global
+        vector the update trained from; the norm ceiling applies to the
+        delta against it (and clipping rewrites the update as ``reference +
+        clipped_delta``).  Without a reference the ceiling applies to the
+        raw update vector.
         """
         self._checked.inc(client=client_id)
         cfg = self.config
         if cfg.require_provenance and not attested:
             return self._reject(client_id, REJECT_PROVENANCE)
-        if not self._structure_ok(weights):
+        if flat is None:
             return self._reject(client_id, REJECT_STRUCTURE)
-        flat = flatten_weights(weights)
         if cfg.check_finite and not np.isfinite(flat).all():
             return self._reject(client_id, REJECT_NONFINITE)
         norm = 0.0
         if cfg.max_norm is not None:
-            delta = flat if reference is None else flat - flatten_weights(reference)
+            delta = flat if reference is None else flat - reference
             norm = float(np.linalg.norm(delta))
             if norm > cfg.max_norm:
                 if not cfg.clip:
                     return self._reject(client_id, REJECT_NORM, norm=norm)
-                scaled = delta * (cfg.max_norm / norm)
-                clipped_flat = (
-                    scaled
-                    if reference is None
-                    else flatten_weights(reference) + scaled
-                )
+                clipped = delta * (cfg.max_norm / norm)
+                if reference is not None:
+                    clipped = reference + clipped
                 self._clipped.inc(client=client_id)
-                return AdmissionDecision(
-                    admitted=True,
-                    clipped=True,
-                    norm=norm,
-                    weights=unflatten_weights(clipped_flat, self.template),
-                )
-        return AdmissionDecision(admitted=True, norm=norm, weights=weights)
+                return AdmissionDecision(True, clipped, clipped=True, norm=norm)
+        return AdmissionDecision(True, flat, norm=norm)
 
     def _reject(
         self, client_id: str, reason: str, norm: float = 0.0

@@ -1,24 +1,24 @@
 """Server-side aggregation: FedAvg over an exact streaming reduce.
 
-:class:`StreamingWeightedSum` / :func:`fedavg` are the one reduction kernel.
-Contributions ``count_i * w_i`` are folded one at a time into a compensated
-accumulator (a Shewchuk-style expansion: a short list of non-overlapping
-float64 arrays whose *exact* sum is the true sum — every fold is an
-error-free transformation built from TwoSum).  Because the accumulator
-represents the exact real-valued sum, the finalized result is independent of
-fold order **and** of how clients are grouped into shards: a hierarchical
-(sharded) reduce produces the same bits as the flat one.  Memory is O(model
-size) per accumulator — never O(clients × model size).
+:class:`CompensatedAccumulator` is the one reduction kernel.  Contributions
+``count_i * w_i`` (each update a flat float64 vector) are folded one at a
+time into a compensated accumulator (a Shewchuk-style expansion: a short
+list of non-overlapping float64 arrays whose *exact* sum is the true sum —
+every fold is an error-free transformation built from TwoSum).  Because the
+accumulator represents the exact real-valued sum, the rounded result is
+independent of fold order **and** of how clients are grouped into shards: a
+hierarchical (sharded) reduce produces the same bits as the flat one.
+Memory is O(model size) per accumulator — never O(clients × model size).
 
-:mod:`repro.fl.sharding` builds the hierarchical tree on top of
-:class:`StreamingWeightedSum`; the FL server and the fleet simulator both
-aggregate through :func:`fedavg`, so flat and sharded deployments are
-bitwise-interchangeable.
+:mod:`repro.fl.sharding` and :mod:`repro.fl.buffer` build the sync tree and
+the async commit window on this accumulator; :func:`fedavg` is the same
+fold over a list of :data:`WeightsList` updates, so flat and sharded
+deployments are bitwise-interchangeable.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..nn.serialize import flatten_weights, unflatten_weights
 
 __all__ = [
     "CompensatedAccumulator",
-    "StreamingWeightedSum",
     "fedavg",
     "merge_plain_and_sealed",
 ]
@@ -204,92 +203,6 @@ class _ScalarAccumulator(CompensatedAccumulator):
         self.folds += 1
 
 
-class StreamingWeightedSum:
-    """Bounded-memory FedAvg fold over a stream of client updates.
-
-    Folds ``count * weights`` contributions — dense :data:`WeightsList`
-    payloads or flat sparse updates — into one
-    :class:`CompensatedAccumulator` over the flattened parameter vector,
-    plus an exact integer sample-count total.  :meth:`finalize` divides
-    once and unflattens.  Two folds of the same multiset of updates agree
-    bitwise regardless of order or of intermediate :meth:`merge` structure,
-    which is the property the sharded hierarchical reduce rests on.
-    """
-
-    def __init__(self, template: WeightsList) -> None:
-        if not template:
-            raise ValueError("template must describe at least one layer")
-        self.template: WeightsList = [
-            {key: np.asarray(value) for key, value in layer.items()}
-            for layer in template
-        ]
-        self.size = int(flatten_weights(self.template).size)
-        self.accumulator = CompensatedAccumulator(self.size)
-        self.total_samples = 0
-
-    def fold(
-        self,
-        weights: WeightsList,
-        num_samples: int,
-        flat: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fold one dense client update, then drop it.
-
-        ``flat`` lets a producer that already holds the flattened vector
-        (same order as :func:`~repro.nn.serialize.flatten_weights`) skip
-        the re-flatten — ``weights`` may then be ``None``; the fold is
-        bitwise-identical either way.
-        """
-        if num_samples <= 0:
-            raise ValueError("num_samples must be positive")
-        if flat is None:
-            if len(weights) != len(self.template):
-                raise ValueError("clients disagree on layer count")
-            flat = flatten_weights(weights)
-        if flat.size != self.size:
-            raise ValueError("clients disagree on parameter count")
-        self.accumulator.add(float(num_samples) * flat)
-        self.total_samples += int(num_samples)
-
-    def fold_sparse(self, sparse, num_samples: int) -> None:
-        """Fold one sparse flat update (``SparseUpdate`` duck type).
-
-        The update is interpreted as the client's flattened parameter
-        vector with zeros off its support — exactly what folding its
-        densified form would contribute, without materializing it.
-        """
-        if num_samples <= 0:
-            raise ValueError("num_samples must be positive")
-        if int(sparse.size) != self.size:
-            raise ValueError("sparse update size disagrees with template")
-        self.accumulator.add_at(
-            sparse.indices, float(num_samples) * np.asarray(sparse.values, float)
-        )
-        self.total_samples += int(num_samples)
-
-    def merge(self, other: "StreamingWeightedSum") -> None:
-        """Absorb another partial fold (a shard's contribution) exactly."""
-        if other.size != self.size:
-            raise ValueError("partial folds disagree on parameter count")
-        self.accumulator.merge(other.accumulator)
-        self.total_samples += other.total_samples
-
-    @property
-    def folds(self) -> int:
-        return self.accumulator.folds
-
-    @property
-    def live_bytes(self) -> int:
-        return self.accumulator.live_bytes
-
-    def finalize(self) -> WeightsList:
-        """The sample-weighted mean of everything folded so far."""
-        if self.total_samples <= 0:
-            raise ValueError("no client weights to aggregate")
-        mean = self.accumulator.value() / float(self.total_samples)
-        return unflatten_weights(mean, self.template)
-
-
 def fedavg(
     weights_list: Sequence[WeightsList], sample_counts: Sequence[int] | None = None
 ) -> WeightsList:
@@ -308,10 +221,19 @@ def fedavg(
         raise ValueError("weights and sample counts must align")
     if any(c <= 0 for c in counts):
         raise ValueError("total sample count must be positive")
-    fold = StreamingWeightedSum(weights_list[0])
+    template = weights_list[0]
+    if not template:
+        raise ValueError("template must describe at least one layer")
+    total = CompensatedAccumulator(flatten_weights(template).size)
     for weights, count in zip(weights_list, counts):
-        fold.fold(weights, count)
-    return fold.finalize()
+        if len(weights) != len(template):
+            raise ValueError("clients disagree on layer count")
+        flat = flatten_weights(weights)
+        if flat.size != total.size:
+            raise ValueError("clients disagree on parameter count")
+        total.add(float(count) * flat)
+    mean = total.value() / float(sum(int(c) for c in counts))
+    return unflatten_weights(mean, template)
 
 
 def merge_plain_and_sealed(

@@ -52,8 +52,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.model import WeightsList
-from ..nn.serialize import flatten_weights, unflatten_weights
 from ..obs import get_registry, get_tracer
 from .aggregation import CompensatedAccumulator, _ScalarAccumulator
 from .config import BufferConfig, ShardingConfig
@@ -104,9 +102,9 @@ class BufferedAggregator:
 
     Parameters
     ----------
-    template:
-        A :data:`WeightsList` describing the model structure (the current
-        global weights work; only shapes and key names are read).
+    size:
+        Length of every update vector (the model's parameter count, in
+        :func:`~repro.nn.serialize.flatten_weights` order).
     config:
         Buffer size and staleness weighting.
     sharding:
@@ -121,7 +119,7 @@ class BufferedAggregator:
 
     def __init__(
         self,
-        template: WeightsList,
+        size: int,
         config: Optional[BufferConfig] = None,
         sharding: Optional[ShardingConfig] = None,
         *,
@@ -134,11 +132,7 @@ class BufferedAggregator:
             raise ValueError(
                 f"unknown aggregation rule {rule!r}; expected one of {RULES}"
             )
-        self.template: WeightsList = [
-            {key: np.asarray(value) for key, value in layer.items()}
-            for layer in template
-        ]
-        self.size = int(flatten_weights(self.template).size)
+        self.size = int(size)
         self.config = config or BufferConfig()
         self.sharding = sharding or ShardingConfig()
         self.rule = rule
@@ -187,12 +181,11 @@ class BufferedAggregator:
     def fold(
         self,
         shard_id: int,
-        weights: WeightsList,
+        flat: np.ndarray,
         num_samples: int,
         *,
         staleness: int = 0,
         sort_key: Optional[int] = None,
-        flat: Optional[np.ndarray] = None,
     ) -> None:
         """Fold one admitted update into the open window, then drop it.
 
@@ -200,16 +193,11 @@ class BufferedAggregator:
         version is; it selects the fold weight.  ``sort_key`` must be
         unique within a window (the simulator passes the global dispatch
         index) — it is the stable order the robust rules see, which is
-        what makes their commit arrival-order invariant.  ``flat``
-        optionally carries the pre-flattened vector; the fold is
-        bitwise-identical either way.
+        what makes their commit arrival-order invariant.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
-        if flat is None:
-            flat = flatten_weights(weights)
-        else:
-            flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.size:
             raise ValueError("clients disagree on parameter count")
         weight = self.config.weight(staleness)
@@ -237,8 +225,8 @@ class BufferedAggregator:
         self._account(grown)
 
     # -- committing --------------------------------------------------------
-    def commit(self) -> WeightsList:
-        """Close the window: aggregate, reset, return the new global model.
+    def commit(self) -> np.ndarray:
+        """Close the window: aggregate, reset, return the new global vector.
 
         A pure function of the folded ``(update, n, staleness, sort_key)``
         multiset — see the module docstring for the exactness argument.
@@ -261,7 +249,7 @@ class BufferedAggregator:
         ).inc(rule=self.rule)
         self.commits += 1
         self._reset_window()
-        return unflatten_weights(flat, self.template)
+        return flat
 
     def _commit_fedavg(self) -> np.ndarray:
         live = [s for s in self._sums if s.folds > 0]

@@ -122,8 +122,8 @@ class RoundConfig:
         Aggregation rule — any of :data:`repro.fl.robust.RULES`.
         ``fedavg`` is the exact sample-weighted streaming reduce; the rest
         are Byzantine-robust rules applied over the (unweighted) flat
-        update vectors, composed with sharding via
-        :class:`~repro.fl.sharding.RobustHierarchicalAggregator`.
+        update vectors, composed with sharding by the same
+        :class:`~repro.fl.sharding.HierarchicalAggregator`.
     trim / num_byzantine / clip_norm:
         Rule parameters: extremes dropped per side (``trimmed_mean``),
         assumed attacker count (``krum``), and the norm ceiling for

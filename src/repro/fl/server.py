@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core.policy import NoProtection, ProtectionPolicy
 from ..nn.model import Sequential, WeightsList
+from ..nn.serialize import flatten_weights, unflatten_weights
 from ..obs import get_clock, get_registry, get_tracer
 from ..tee.attestation import AttestationVerifier
 from .admission import AdmissionController, ReputationTracker
@@ -25,10 +26,19 @@ from .history import SnapshotHistory
 from .plan import TrainingPlan
 from .resilience import RetryPolicy, collect_with_retries
 from .selection import SelectionResult, TEESelector
-from .sharding import make_aggregation_tree
+from .sharding import HierarchicalAggregator
 from .transport import Channel, ClientUpdate, ModelDownload
 
 __all__ = ["FLServer"]
+
+
+def _same_layout(weights: WeightsList, template: WeightsList) -> bool:
+    """Whether ``weights`` has ``template``'s layer count, keys and shapes."""
+    return len(weights) == len(template) and all(
+        layer.keys() == expected.keys()
+        and all(np.shape(layer[key]) == np.shape(expected[key]) for key in layer)
+        for layer, expected in zip(weights, template)
+    )
 
 
 class FLServer:
@@ -71,9 +81,7 @@ class FLServer:
         self.admission: Optional[AdmissionController] = None
         self.reputation: Optional[ReputationTracker] = None
         if self.config.round.admission is not None:
-            self.admission = AdmissionController(
-                model.get_weights(), self.config.round.admission
-            )
+            self.admission = AdmissionController(self.config.round.admission)
             self.reputation = ReputationTracker(self.config.round.reputation)
         self.cycle = 0
         self._rng = np.random.default_rng(self.config.seed)
@@ -163,11 +171,28 @@ class FLServer:
             sealed_weights=sealed,
         )
 
-    def _merge_update(self, client: FLClient, update: ClientUpdate) -> WeightsList:
-        if update.sealed_weights is None:
-            return update.plain_weights
-        unsealed = client.iopath.unseal_remote(update.sealed_weights)
-        return merge_plain_and_sealed(update.plain_weights, unsealed)
+    def _merge_update(
+        self, client: FLClient, update: ClientUpdate, template: WeightsList
+    ) -> Optional[np.ndarray]:
+        """The client's plain and unsealed layers as one flat vector.
+
+        This is where an update is last a :data:`WeightsList`, so the
+        layout rule runs here: an update whose layer count, keys or shapes
+        differ from ``template`` is the admission gate's ``structure``
+        rejection (``None``) or, without a gate, a ``ValueError``.
+        """
+        weights = update.plain_weights
+        if update.sealed_weights is not None:
+            unsealed = client.iopath.unseal_remote(update.sealed_weights)
+            weights = merge_plain_and_sealed(update.plain_weights, unsealed)
+        if _same_layout(weights, template):
+            return flatten_weights(weights)
+        if self.admission is None:
+            raise ValueError(
+                f"client {client.client_id!r} sent an update whose layers, "
+                "keys or shapes differ from the global model's"
+            )
+        return None
 
     def run_cycle(self, participants: Sequence[FLClient]) -> List[ClientUpdate]:
         """One full cycle: distribute, train, collect, aggregate.
@@ -245,8 +270,9 @@ class FLServer:
                 # the gate first: rejects strike the reputation ledger and
                 # never reach an accumulator.
                 reference = self.model.get_weights()
-                tree = make_aggregation_tree(
-                    reference,
+                reference_flat = flatten_weights(reference)
+                tree = HierarchicalAggregator(
+                    reference_flat.size,
                     self.config.sharding,
                     rule=round_cfg.rule,
                     trim=round_cfg.trim,
@@ -261,12 +287,12 @@ class FLServer:
                     updates.append(update)
                     if quorum_short:
                         continue
-                    merged = self._merge_update(client, update)
+                    flat = self._merge_update(client, update, reference)
                     if self.admission is not None:
                         decision = self.admission.check(
                             client.client_id,
-                            merged,
-                            reference=reference,
+                            flat,
+                            reference=reference_flat,
                             attested=client.has_tee(),
                         )
                         if not decision.admitted:
@@ -275,10 +301,10 @@ class FLServer:
                             )
                             continue
                         self.reputation.record_admission(client.client_id)
-                        merged = decision.weights
+                        flat = decision.flat
                     tree.fold(
                         tree.shard_for(position, cohort_size),
-                        merged,
+                        flat,
                         update.num_samples,
                         position=position,
                     )
@@ -303,7 +329,7 @@ class FLServer:
                         # hierarchical deployment; price it like any other.
                         for partial in tree.partials():
                             self.channel.send_partial(partial)
-                    new_global = tree.reduce()
+                    new_global = unflatten_weights(tree.reduce(), reference)
                     self.model.set_weights(new_global)
             round_span.set_attribute("collected", len(updates))
             round_span.set_attribute("admitted", admitted)

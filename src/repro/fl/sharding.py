@@ -1,39 +1,34 @@
 """Hierarchical (sharded) aggregation with a bounded-memory streaming reduce.
 
-Topology: ``clients → shard aggregators → root``.  Each shard owns a
-:class:`~repro.fl.aggregation.StreamingWeightedSum` and folds incoming
-updates — dense :data:`WeightsList` payloads or sparse
-:class:`~repro.fl.compression.SparseUpdate` flats — into a running weighted
-accumulator the moment they arrive, so a shard holds O(model size) state no
-matter how many clients report to it.  When the round closes, shards reduce
-pairwise into the root (a balanced binary merge over
-:class:`ShardPartial` messages), and the root finalizes the FedAvg mean.
+Topology: ``clients → shard aggregators → root``.  An update is a flat
+float64 vector in :func:`~repro.nn.serialize.flatten_weights` order, and
+:class:`HierarchicalAggregator` is the one tree for every rule: route each
+update to a shard with :meth:`~HierarchicalAggregator.fold`, then
+:meth:`~HierarchicalAggregator.reduce` once to get the aggregate vector.
 
-Determinism argument: every fold and merge is an error-free transformation
-(TwoSum expansions, see :mod:`repro.fl.aggregation`), so the tree computes
-the *exact* weighted sum and then rounds once.  The result is therefore a
-pure function of the multiset of client updates — independent of arrival
-order, shard count, shard sizes, and merge shape — and bitwise identical
-to the flat :func:`~repro.fl.aggregation.fedavg` over the same updates.
-The hypothesis suite exercises exactly this claim.
+**FedAvg** (``rule="fedavg"``).  Each shard is a
+:class:`~repro.fl.aggregation.CompensatedAccumulator` that folds
+``num_samples * update`` the moment it arrives, so a shard holds O(model
+size) state no matter how many clients report to it.  When the round
+closes, shards reduce pairwise into the root (a balanced binary merge),
+and the root divides once by the exact sample total.  Every fold and merge
+is an error-free transformation (TwoSum expansions, see
+:mod:`repro.fl.aggregation`), so the tree computes the *exact* weighted sum
+and then rounds once: the result is a pure function of the multiset of
+client updates — independent of arrival order, shard count, shard sizes,
+and merge shape — and bitwise identical to the flat
+:func:`~repro.fl.aggregation.fedavg` over the same updates.  The
+hypothesis suite exercises exactly this claim.
 
-Observability: every fold counts into ``fl.shard.folds`` (labelled per
-shard), shard→root partials are sized into ``fl.shard.partial_bytes``, and
-— unless disabled via :class:`~repro.fl.config.ShardingConfig` — resident
-accumulator bytes are published as ``fl.shard.bytes.live`` / ``.peak``
-gauges.  The root reduce runs inside an ``fl.shard.reduce`` span.
+**Byzantine-robust rules** (median, trimmed mean, Krum, clipped mean — see
+:mod:`repro.fl.robust`) need the update *set*; each shard is a
+:class:`RobustShardCollector`:
 
-**Byzantine-robust composition.**  The FedAvg tree above is a streaming
-fold; the robust rules (median, trimmed mean, Krum, clipped mean — see
-:mod:`repro.fl.robust`) need the update *set*, so they compose with
-sharding through :class:`RobustHierarchicalAggregator` instead:
-
-* for ``median`` / ``krum`` / ``clipped_fedavg`` each shard **collects**
-  its flat updates and forwards them; the root orders the union by cohort
-  position and applies the pure rule — so the aggregate is a pure function
-  of the ``(position, update)`` multiset, bitwise-identical for every
-  shard count, routing, and arrival order, and with one shard it *is* the
-  pure rule call;
+* for ``median`` / ``krum`` / ``clipped_fedavg`` each shard **gathers**
+  its updates; the root orders the union by cohort position and applies
+  the pure rule — so the aggregate is a pure function of the ``(position,
+  update)`` multiset, bitwise-identical for every shard count, routing,
+  and arrival order, and with one shard it *is* the pure rule call;
 * for ``trimmed_mean`` on a multi-shard tree each shard keeps only an
   **exact compensated sum** of everything it folded plus the per-coordinate
   ``trim`` smallest/largest candidate rows (the only values the root could
@@ -41,34 +36,40 @@ sharding through :class:`RobustHierarchicalAggregator` instead:
   The root merges the exact sums, picks the global extremes from the
   candidate union, subtracts them exactly, and rounds once: the correctly
   rounded trimmed mean, again independent of routing and order.  The flat
-  (``num_shards == 1``) case bypasses this and calls the pure rule, so it
-  stays bitwise-equal to :func:`repro.fl.robust.trimmed_mean`.
+  (``num_shards == 1``) case gathers and calls the pure rule, so it stays
+  bitwise-equal to :func:`repro.fl.robust.trimmed_mean`.
+
+Robust rules are unweighted (the literature's convention): sample counts
+are tracked for reporting but do not weight the combine.
+
+Observability: every fold counts into ``fl.shard.folds`` (labelled per
+shard), shard→root partials are sized into ``fl.shard.partial_bytes``, and
+— unless disabled via :class:`~repro.fl.config.ShardingConfig` — resident
+shard bytes are published as ``fl.shard.bytes.live`` / ``.peak`` gauges.
+The root reduce runs inside an ``fl.shard.reduce`` span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..nn.model import WeightsList
-from ..nn.serialize import flatten_weights, unflatten_weights, weights_to_bytes
+from ..nn.serialize import weights_to_bytes
 from ..obs import get_registry, get_tracer
-from .aggregation import CompensatedAccumulator, StreamingWeightedSum
+from .aggregation import CompensatedAccumulator
 from .config import ShardingConfig
-from .robust import apply_rule
+from .robust import RULES, apply_rule
 
 __all__ = [
     "plan_shards",
     "shard_of",
     "ShardPartial",
-    "ShardAggregator",
     "HierarchicalAggregator",
     "RobustShardPartial",
     "RobustShardCollector",
-    "RobustHierarchicalAggregator",
-    "make_aggregation_tree",
 ]
 
 
@@ -128,193 +129,9 @@ class ShardPartial:
         return len(weights_to_bytes(payload))
 
 
-class ShardAggregator:
-    """One leaf of the aggregation tree: a streaming fold over its clients."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        template: WeightsList,
-        config: Optional[ShardingConfig] = None,
-    ) -> None:
-        self.shard_id = int(shard_id)
-        self.config = config or ShardingConfig()
-        self.fold_state = StreamingWeightedSum(template)
-        self.peak_bytes = 0
-
-    # -- folding -----------------------------------------------------------
-    def fold(
-        self,
-        weights: WeightsList,
-        num_samples: int,
-        flat: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fold one dense client update and release it."""
-        self.fold_state.fold(weights, num_samples, flat=flat)
-        self._account()
-
-    def fold_sparse(self, sparse, num_samples: int) -> None:
-        """Fold one sparse flat update without densifying it."""
-        self.fold_state.fold_sparse(sparse, num_samples)
-        self._account()
-
-    def _account(self) -> None:
-        registry = get_registry()
-        registry.counter(
-            "fl.shard.folds", "client updates folded by shard aggregators"
-        ).inc(shard=str(self.shard_id))
-        live = self.fold_state.live_bytes
-        self.peak_bytes = max(self.peak_bytes, live)
-        if self.config.track_memory:
-            registry.gauge(
-                "fl.shard.bytes.live", "resident accumulator bytes per shard"
-            ).set(live, shard=str(self.shard_id))
-            registry.gauge(
-                "fl.shard.bytes.peak", "peak accumulator bytes per shard"
-            ).set(self.peak_bytes, shard=str(self.shard_id))
-
-    # -- reporting up ------------------------------------------------------
-    @property
-    def folds(self) -> int:
-        return self.fold_state.folds
-
-    @property
-    def total_samples(self) -> int:
-        return self.fold_state.total_samples
-
-    @property
-    def live_bytes(self) -> int:
-        return self.fold_state.live_bytes
-
-    def partial(self) -> ShardPartial:
-        """Snapshot this shard's fold as a shard→root message."""
-        return ShardPartial(
-            shard_id=self.shard_id,
-            total_samples=self.fold_state.total_samples,
-            folds=self.fold_state.folds,
-            components=tuple(
-                c.copy() for c in self.fold_state.accumulator.components
-            ),
-        )
-
-
-class HierarchicalAggregator:
-    """The full tree: shard aggregators reducing pairwise into a root.
-
-    Parameters
-    ----------
-    template:
-        A :data:`WeightsList` describing the model's structure (the global
-        weights work; only shapes and key names are read).
-    config:
-        Tree topology; ``num_shards == 1`` is the flat special case.
-
-    Usage: route each update to its shard with :meth:`fold` /
-    :meth:`fold_sparse` (any assignment — the result cannot depend on it),
-    then :meth:`reduce` once to obtain the FedAvg mean.  ``peak_bytes``
-    afterwards reports the largest resident accumulator footprint any
-    single node (shard or root) reached — the bounded-memory invariant the
-    scale tests assert is independent of client count.
-    """
-
-    def __init__(
-        self, template: WeightsList, config: Optional[ShardingConfig] = None
-    ) -> None:
-        self.config = config or ShardingConfig()
-        self.template = template
-        self.shards: List[ShardAggregator] = [
-            ShardAggregator(i, template, self.config)
-            for i in range(self.config.num_shards)
-        ]
-        self.partial_bytes = 0
-        self.root_peak_bytes = 0
-
-    @property
-    def num_shards(self) -> int:
-        return self.config.num_shards
-
-    def shard_for(self, position: int, cohort_size: int) -> int:
-        """Contiguous balanced routing (see :func:`plan_shards`)."""
-        return shard_of(position, cohort_size, self.num_shards)
-
-    def fold(
-        self,
-        shard_id: int,
-        weights: WeightsList,
-        num_samples: int,
-        position: Optional[int] = None,
-        flat: Optional[np.ndarray] = None,
-    ) -> None:
-        # ``position`` is accepted for call-site uniformity with the robust
-        # tree; the exact streaming reduce is order-free, so it is unused.
-        self.shards[shard_id].fold(weights, num_samples, flat=flat)
-
-    def fold_sparse(self, shard_id: int, sparse, num_samples: int) -> None:
-        self.shards[shard_id].fold_sparse(sparse, num_samples)
-
-    @property
-    def folds(self) -> int:
-        return sum(shard.folds for shard in self.shards)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(shard.total_samples for shard in self.shards)
-
-    @property
-    def peak_bytes(self) -> int:
-        """Largest resident footprint any single tree node reached."""
-        shard_peak = max((shard.peak_bytes for shard in self.shards), default=0)
-        return max(shard_peak, self.root_peak_bytes)
-
-    def partials(self) -> List[ShardPartial]:
-        """Shard→root messages for the non-empty shards, sized and counted."""
-        registry = get_registry()
-        out: List[ShardPartial] = []
-        for shard in self.shards:
-            if shard.folds == 0:
-                continue
-            partial = shard.partial()
-            size = partial.wire_bytes()
-            self.partial_bytes += size
-            registry.counter(
-                "fl.shard.partial_bytes", "bytes shards sent to the root"
-            ).inc(size, shard=str(shard.shard_id))
-            out.append(partial)
-        return out
-
-    def reduce(self) -> WeightsList:
-        """Pairwise-merge the shard folds into the root and finalize.
-
-        The merge tree is balanced (halving passes), but because every
-        merge is exact the shape is immaterial to the result — it only
-        bounds the root's transient memory at two partials' components.
-        """
-        if self.folds == 0:
-            raise ValueError("no client weights to aggregate")
-        with get_tracer().span(
-            "fl.shard.reduce", shards=self.num_shards, folds=self.folds
-        ) as span:
-            live = [
-                shard.fold_state for shard in self.shards if shard.folds > 0
-            ]
-            while len(live) > 1:
-                merged: List[StreamingWeightedSum] = []
-                for left, right in zip(live[::2], live[1::2]):
-                    left.merge(right)
-                    self.root_peak_bytes = max(
-                        self.root_peak_bytes, left.live_bytes
-                    )
-                    merged.append(left)
-                if len(live) % 2:
-                    merged.append(live[-1])
-                live = merged
-            span.set_attribute("total_samples", live[0].total_samples)
-            return live[0].finalize()
-
-
 @dataclass
 class RobustShardPartial:
-    """Shard → root message of the robust tree.
+    """Shard → root message of a robust rule's shard.
 
     ``arrays`` is whatever the shard's collect mode produced — gathered
     update rows, or (for the streaming trimmed collect) the compensated-sum
@@ -337,7 +154,7 @@ class RobustShardPartial:
 
 
 class RobustShardCollector:
-    """One leaf of the robust aggregation tree.
+    """One shard of a robust rule's tree.
 
     ``mode="gather"`` keeps every folded update as a ``(position, flat)``
     row (memory O(shard cohort × model) — inherent to median/Krum, which
@@ -352,39 +169,22 @@ class RobustShardCollector:
     """
 
     def __init__(
-        self,
-        shard_id: int,
-        template: WeightsList,
-        mode: str = "gather",
-        trim: int = 1,
-        config: Optional[ShardingConfig] = None,
+        self, shard_id: int, size: int, mode: str = "gather", trim: int = 1
     ) -> None:
         if mode not in ("gather", "trimmed"):
             raise ValueError(f"unknown collect mode {mode!r}")
         self.shard_id = int(shard_id)
+        self.size = int(size)
         self.mode = mode
         self.trim = int(trim)
-        self.config = config or ShardingConfig()
-        self.size = int(flatten_weights(template).size)
         self.folds = 0
-        self.total_samples = 0
-        self.peak_bytes = 0
         self._rows: List[Tuple[int, np.ndarray]] = []
         self._sum = CompensatedAccumulator(self.size) if mode == "trimmed" else None
         self._low: Optional[np.ndarray] = None  # (<=trim, size), ascending
         self._high: Optional[np.ndarray] = None  # (<=trim, size), ascending
 
-    def fold(
-        self,
-        weights: WeightsList,
-        num_samples: int,
-        position: int,
-        flat: Optional[np.ndarray] = None,
-    ) -> None:
-        if flat is None:
-            flat = flatten_weights(weights)
-        else:
-            flat = np.asarray(flat, dtype=np.float64)
+    def fold(self, flat: np.ndarray, position: int) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.size:
             raise ValueError("clients disagree on parameter count")
         if self.mode == "gather":
@@ -401,23 +201,6 @@ class RobustShardCollector:
                 )[-self.trim :]
                 self._low, self._high = low, high
         self.folds += 1
-        self.total_samples += int(num_samples)
-        self._account()
-
-    def _account(self) -> None:
-        registry = get_registry()
-        registry.counter(
-            "fl.shard.folds", "client updates folded by shard aggregators"
-        ).inc(shard=str(self.shard_id))
-        live = self.live_bytes
-        self.peak_bytes = max(self.peak_bytes, live)
-        if self.config.track_memory:
-            registry.gauge(
-                "fl.shard.bytes.live", "resident accumulator bytes per shard"
-            ).set(live, shard=str(self.shard_id))
-            registry.gauge(
-                "fl.shard.bytes.peak", "peak accumulator bytes per shard"
-            ).set(self.peak_bytes, shard=str(self.shard_id))
 
     @property
     def live_bytes(self) -> int:
@@ -451,53 +234,61 @@ class RobustShardCollector:
         )
 
 
-class RobustHierarchicalAggregator:
-    """Shard-composed Byzantine-robust aggregation.
+class HierarchicalAggregator:
+    """The aggregation tree: shards reducing into a root, under one rule.
 
-    Same topology and call shape as :class:`HierarchicalAggregator` —
-    route each update to a shard with :meth:`fold`, then :meth:`reduce`
-    once — but the root applies a robust rule from
-    :mod:`repro.fl.robust` instead of the weighted mean:
+    Parameters
+    ----------
+    size:
+        Length of every update vector (the model's parameter count).
+    config:
+        Tree topology; ``num_shards == 1`` is the flat special case.
+    rule / trim / num_byzantine / clip_norm:
+        Aggregation rule — any of :data:`repro.fl.robust.RULES` — and its
+        parameters.  ``fedavg`` is the exact sample-weighted streaming
+        reduce; the robust rules combine the shards' collects at the root
+        (see the module docstring).
 
-    * gather rules (``median``, ``krum``, ``clipped_fedavg``; and
-      ``trimmed_mean`` on a flat tree) order the collected union by cohort
-      position and call the pure rule, so any shard count/routing yields
-      the bits of the flat call — the ``--shards 1`` bitwise-equality the
-      acceptance tests pin;
-    * multi-shard ``trimmed_mean`` combines the shards' exact sums and
-      candidate extremes into the correctly rounded trimmed mean without
-      ever materialising the cohort (see :class:`RobustShardCollector`).
-
-    Robust rules are unweighted (the literature's convention): sample
-    counts are tracked for reporting but do not weight the combine.
+    Usage: route each update to its shard with :meth:`fold` (any
+    assignment — the result cannot depend on it), then :meth:`reduce` once
+    to obtain the aggregate.  ``peak_bytes`` afterwards reports the largest
+    resident footprint any single node (shard or root) reached — the
+    bounded-memory invariant the scale tests assert is independent of
+    client count for ``fedavg``.
     """
 
     def __init__(
         self,
-        template: WeightsList,
+        size: int,
         config: Optional[ShardingConfig] = None,
         *,
-        rule: str = "median",
+        rule: str = "fedavg",
         trim: int = 1,
         num_byzantine: int = 1,
         clip_norm: Optional[float] = None,
     ) -> None:
-        if rule == "fedavg":
+        if rule not in RULES:
             raise ValueError(
-                "fedavg is the streaming reduce; use HierarchicalAggregator"
+                f"unknown aggregation rule {rule!r}; expected one of {RULES}"
             )
+        self.size = int(size)
         self.config = config or ShardingConfig()
-        self.template = template
         self.rule = rule
         self.trim = int(trim)
         self.num_byzantine = int(num_byzantine)
         self.clip_norm = clip_norm
-        streaming_trim = rule == "trimmed_mean" and not self.config.flat
-        mode = "trimmed" if streaming_trim else "gather"
-        self.shards: List[RobustShardCollector] = [
-            RobustShardCollector(i, template, mode, self.trim, self.config)
-            for i in range(self.config.num_shards)
-        ]
+        shards = range(self.config.num_shards)
+        self.shards: List[Union[CompensatedAccumulator, RobustShardCollector]]
+        if rule == "fedavg":
+            self.shards = [CompensatedAccumulator(self.size) for _ in shards]
+        else:
+            streaming_trim = rule == "trimmed_mean" and not self.config.flat
+            mode = "trimmed" if streaming_trim else "gather"
+            self.shards = [
+                RobustShardCollector(i, self.size, mode, self.trim) for i in shards
+            ]
+        self._samples = [0 for _ in shards]
+        self._peaks = [0 for _ in shards]
         self.partial_bytes = 0
         self.root_peak_bytes = 0
 
@@ -512,13 +303,40 @@ class RobustHierarchicalAggregator:
     def fold(
         self,
         shard_id: int,
-        weights: WeightsList,
+        flat: np.ndarray,
         num_samples: int,
         position: Optional[int] = None,
-        flat: Optional[np.ndarray] = None,
     ) -> None:
-        pos = int(position) if position is not None else self.folds
-        self.shards[shard_id].fold(weights, num_samples, pos, flat=flat)
+        """Fold one update vector into ``shard_id``, then drop it.
+
+        ``position`` is the update's cohort position, the stable order a
+        robust rule sees (default: the fold count); the exact ``fedavg``
+        reduce is order-free and ignores it.
+        """
+        if num_samples <= 0:
+            raise ValueError("num_samples must be positive")
+        shard = self.shards[shard_id]
+        if self.rule == "fedavg":
+            if flat.size != self.size:
+                raise ValueError("clients disagree on parameter count")
+            shard.add(float(num_samples) * flat)
+        else:
+            shard.fold(flat, self.folds if position is None else int(position))
+        self._samples[shard_id] += int(num_samples)
+        registry = get_registry()
+        registry.counter(
+            "fl.shard.folds", "client updates folded by shard aggregators"
+        ).inc(shard=str(shard_id))
+        live = shard.live_bytes
+        peak = max(self._peaks[shard_id], live)
+        self._peaks[shard_id] = peak
+        if self.config.track_memory:
+            registry.gauge(
+                "fl.shard.bytes.live", "resident accumulator bytes per shard"
+            ).set(live, shard=str(shard_id))
+            registry.gauge(
+                "fl.shard.bytes.peak", "peak accumulator bytes per shard"
+            ).set(peak, shard=str(shard_id))
 
     @property
     def folds(self) -> int:
@@ -526,28 +344,70 @@ class RobustHierarchicalAggregator:
 
     @property
     def total_samples(self) -> int:
-        return sum(shard.total_samples for shard in self.shards)
+        return sum(self._samples)
 
     @property
     def peak_bytes(self) -> int:
-        shard_peak = max((shard.peak_bytes for shard in self.shards), default=0)
-        return max(shard_peak, self.root_peak_bytes)
+        """Largest resident footprint any single tree node reached."""
+        return max(max(self._peaks, default=0), self.root_peak_bytes)
 
-    def partials(self) -> List[RobustShardPartial]:
+    def partials(self) -> List[Union[ShardPartial, RobustShardPartial]]:
         """Shard→root messages for the non-empty shards, sized and counted."""
         registry = get_registry()
-        out: List[RobustShardPartial] = []
-        for shard in self.shards:
+        out: List[Union[ShardPartial, RobustShardPartial]] = []
+        for shard_id, shard in enumerate(self.shards):
             if shard.folds == 0:
                 continue
-            partial = shard.partial()
+            if self.rule == "fedavg":
+                partial = ShardPartial(
+                    shard_id=shard_id,
+                    total_samples=self._samples[shard_id],
+                    folds=shard.folds,
+                    components=shard.components,
+                )
+            else:
+                partial = shard.partial()
             size = partial.wire_bytes()
             self.partial_bytes += size
             registry.counter(
                 "fl.shard.partial_bytes", "bytes shards sent to the root"
-            ).inc(size, shard=str(shard.shard_id))
+            ).inc(size, shard=str(shard_id))
             out.append(partial)
         return out
+
+    def reduce(self) -> np.ndarray:
+        """Combine the shards at the root under the configured rule."""
+        if self.folds == 0:
+            raise ValueError("no client weights to aggregate")
+        attributes = {"shards": self.num_shards, "folds": self.folds}
+        if self.rule != "fedavg":  # fedavg spans never carried a rule field
+            attributes["rule"] = self.rule
+        with get_tracer().span("fl.shard.reduce", **attributes) as span:
+            span.set_attribute("total_samples", self.total_samples)
+            if self.rule == "fedavg":
+                return self._reduce_fedavg()
+            if self.shards[0].mode == "trimmed":
+                return self._reduce_trimmed()
+            return self._reduce_gather()
+
+    def _reduce_fedavg(self) -> np.ndarray:
+        """Pairwise-merge the shard sums into the root and divide once.
+
+        The merge tree is balanced (halving passes), but because every
+        merge is exact the shape is immaterial to the result — it only
+        bounds the root's transient memory at two partials' components.
+        """
+        live = [shard for shard in self.shards if shard.folds > 0]
+        while len(live) > 1:
+            merged: List[CompensatedAccumulator] = []
+            for left, right in zip(live[::2], live[1::2]):
+                left.merge(right)
+                self.root_peak_bytes = max(self.root_peak_bytes, left.live_bytes)
+                merged.append(left)
+            if len(live) % 2:
+                merged.append(live[-1])
+            live = merged
+        return live[0].value() / float(self.total_samples)
 
     def _reduce_gather(self) -> np.ndarray:
         rows: List[Tuple[int, np.ndarray]] = []
@@ -579,8 +439,7 @@ class RobustHierarchicalAggregator:
         """
         n = self.folds
         effective = min(self.trim, (n - 1) // 2)
-        size = self.shards[0].size
-        total = CompensatedAccumulator(size)
+        total = CompensatedAccumulator(self.size)
         lows: List[np.ndarray] = []
         highs: List[np.ndarray] = []
         for shard in self.shards:
@@ -600,50 +459,3 @@ class RobustHierarchicalAggregator:
                 total.add(-row)
         self.root_peak_bytes = max(self.root_peak_bytes, total.live_bytes)
         return total.value() / float(n - 2 * effective)
-
-    def reduce(self) -> WeightsList:
-        """Combine the shard collects under the configured robust rule."""
-        if self.folds == 0:
-            raise ValueError("no client weights to aggregate")
-        with get_tracer().span(
-            "fl.shard.reduce",
-            shards=self.num_shards,
-            folds=self.folds,
-            rule=self.rule,
-        ) as span:
-            if self.shards[0].mode == "trimmed":
-                flat = self._reduce_trimmed()
-            else:
-                flat = self._reduce_gather()
-            span.set_attribute("total_samples", self.total_samples)
-            return unflatten_weights(flat, self.template)
-
-
-def make_aggregation_tree(
-    template: WeightsList,
-    config: Optional[ShardingConfig] = None,
-    *,
-    rule: str = "fedavg",
-    trim: int = 1,
-    num_byzantine: int = 1,
-    clip_norm: Optional[float] = None,
-):
-    """The aggregation tree for one round under the configured rule.
-
-    ``fedavg`` builds the exact streaming :class:`HierarchicalAggregator`;
-    every other :data:`repro.fl.robust.RULES` entry builds a
-    :class:`RobustHierarchicalAggregator`.  Both expose the same
-    ``shard_for`` / ``fold`` / ``partials`` / ``reduce`` surface, so the
-    server and the simulator stay rule-agnostic.
-    """
-    if rule == "fedavg":
-        return HierarchicalAggregator(template, config)
-    return RobustHierarchicalAggregator(
-        template,
-        config,
-        rule=rule,
-        trim=trim,
-        num_byzantine=num_byzantine,
-        clip_norm=clip_norm,
-    )
-

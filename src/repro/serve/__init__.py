@@ -4,7 +4,7 @@ The modules here turn the one-shot simulator/aggregation stack into a
 long-running service layer:
 
 * :mod:`repro.serve.wire` — a versioned, length-prefixed binary framing
-  for ``ModelDownload`` / ``ClientUpdate`` / ``ShardPartial`` messages
+  for ``ModelDownload`` / ``ClientUpdate`` / ``Ack`` messages
   with dense float64/float32/float16, affine-quantized (q8), top-k
   sparse, and sealed-blob value encodings.  Decoding always lands on a
   canonical float64 vector *before* anything touches an accumulator, so
@@ -45,7 +45,6 @@ from .wire import (
     FrameError,
     ModelDownloadMsg,
     MsgType,
-    ShardPartialMsg,
     WireVector,
     decode_frame,
     encode_frame,
@@ -74,7 +73,6 @@ __all__ = [
     "MsgType",
     "PumpResult",
     "ServeHarness",
-    "ShardPartialMsg",
     "SubmitResult",
     "TenantBreaker",
     "TenantQuota",

@@ -42,7 +42,7 @@ from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTrack
 from ..fl.buffer import BufferedAggregator
 from ..fl.config import BufferConfig, ShardingConfig
 from ..nn.model import WeightsList
-from ..nn.serialize import flatten_weights, unflatten_weights
+from ..nn.serialize import flatten_weights
 from ..obs import get_registry, get_tracer
 from .transport import BreakerConfig, TenantBreaker
 from .wire import (
@@ -165,11 +165,11 @@ class IngestResult:
 class Job:
     """One tenant's FL aggregation stream.
 
-    Owns the current global model (``flat`` is the canonical float64
-    vector; ``weights`` its structured view), the retained base versions
-    clients may still train against, the staged frame queue, the open
-    buffered window, and — when a norm ceiling is configured — the
-    admission controller and reputation ledger.
+    Owns the current global model (``flat``, the canonical float64
+    vector every fold, commit and admission check works on), the retained
+    base versions clients may still train against, the staged frame
+    queue, the open buffered window, and — when a norm ceiling is
+    configured — the admission controller and reputation ledger.
     """
 
     def __init__(
@@ -186,17 +186,12 @@ class Job:
     ) -> None:
         self.tenant = tenant
         self.job_id = job_id
-        self.template: WeightsList = [
-            {key: np.asarray(value, dtype=np.float64) for key, value in layer.items()}
+        # What a checkpoint needs of the model: names and shapes, in order.
+        self._layout = [
+            [[key, list(np.shape(value))] for key, value in layer.items()]
             for layer in weights
         ]
-        # What a checkpoint needs of the template: names and shapes, in order.
-        self._layout = [
-            [[key, list(value.shape)] for key, value in layer.items()]
-            for layer in self.template
-        ]
-        self.flat = flatten_weights(self.template)
-        self.weights = self.template
+        self.flat = np.asarray(flatten_weights(weights), dtype=np.float64)
         self.size = int(self.flat.size)
         self.buffer_config = buffer or BufferConfig()
         self.sharding = sharding or ShardingConfig()
@@ -207,13 +202,13 @@ class Job:
         self.versions: Dict[int, np.ndarray] = {0: self.flat}
         self.queue: Deque[Tuple[bytes, ClientUpdateMsg]] = deque()
         self.window = BufferedAggregator(
-            self.template, self.buffer_config, self.sharding
+            self.size, self.buffer_config, self.sharding
         )
         self.admission: Optional[AdmissionController] = None
         self.reputation: Optional[ReputationTracker] = None
         self.admission_config = admission
         if admission is not None:
-            self.admission = AdmissionController(self.template, admission)
+            self.admission = AdmissionController(admission)
             self.reputation = ReputationTracker()
         self.window_dispatches: List[int] = []
         self.folds = 0
@@ -250,7 +245,6 @@ class Job:
     def _advance(self, flat: np.ndarray) -> None:
         self.version += 1
         self.flat = flat
-        self.weights = unflatten_weights(flat, self.template)
         self.versions[self.version] = flat
         floor = self.version - self.quota.max_version_lag
         for version in [v for v in self.versions if v < floor]:
@@ -315,7 +309,6 @@ class Job:
             int(version): decode_flat(flat) for version, flat in state["versions"]
         }
         self.flat = self.versions[self.version]
-        self.weights = unflatten_weights(self.flat, self.template)
         self.queue = deque(
             (frame, decode_frame(frame)[0])
             for frame in (
@@ -658,11 +651,11 @@ class Coordinator:
             self._rejected.inc(reason="stale")
             return "stale"
         delta = message.delta.flat64()
-        if delta.size != job.size:
+        if delta.size != job.size or message.num_samples < 1:
             job._count_reject("structure")
             self._rejected.inc(reason="structure")
             return "structure"
-        trained = base + delta
+        flat = base + delta
         client_id = f"client-{message.client}"
         if job.reputation is not None and job.reputation.is_blocked(
             client_id, job.version
@@ -670,29 +663,22 @@ class Coordinator:
             job._count_reject("quarantined")
             self._rejected.inc(reason="quarantined")
             return "quarantined"
-        flat = trained
         if job.admission is not None:
-            decision = job.admission.check(
-                client_id,
-                unflatten_weights(trained, job.template),
-                reference=unflatten_weights(base, job.template),
-            )
+            decision = job.admission.check(client_id, flat, reference=base)
             if not decision.admitted:
                 job.reputation.record_rejection(client_id, job.version)
                 job._count_reject("admission")
                 self._rejected.inc(reason="admission")
                 return "admission"
             job.reputation.record_admission(client_id)
-            if decision.clipped:
-                flat = flatten_weights(decision.weights)
+            flat = decision.flat
         shard_id = int(message.client) % job.sharding.num_shards
         job.window.fold(
             shard_id,
-            None,
+            flat,
             message.num_samples,
             staleness=job.version - message.base_version,
             sort_key=message.dispatch,
-            flat=flat,
         )
         job.window_dispatches.append(message.dispatch)
         job.folds += 1
@@ -704,7 +690,7 @@ class Coordinator:
         with get_tracer().span(
             "serve.commit", job=job.job_id, version=job.version + 1
         ):
-            flat = flatten_weights(job.window.commit())
+            flat = job.window.commit()
         dispatches = tuple(job.window_dispatches)
         job.window_dispatches = []
         job._advance(flat)

@@ -81,12 +81,10 @@ __all__ = [
     "WireVector",
     "ModelDownloadMsg",
     "ClientUpdateMsg",
-    "ShardPartialMsg",
     "AckMsg",
     "encode_frame",
     "decode_frame",
     "verify_frame",
-    "iter_frames",
 ]
 
 MAGIC = b"GSRV"
@@ -103,7 +101,7 @@ HEADER_BYTES_V2 = HEADER_BYTES + _DISPATCH.size  # 24
 class MsgType(enum.IntEnum):
     MODEL_DOWNLOAD = 1
     CLIENT_UPDATE = 2
-    SHARD_PARTIAL = 3
+    # 3 is retired (a shard→root partial): a type-3 frame is a FrameError.
     ACK = 4
 
 
@@ -419,64 +417,6 @@ class ClientUpdateMsg:
         return cls(job_id, client, dispatch, base_version, num_samples, vector)
 
 
-@dataclass(frozen=True, eq=False)
-class ShardPartialMsg:
-    """Shard worker → root: one shard's exact partial fold.
-
-    Components are always float64 expansion arrays — narrowing them would
-    destroy the exactness the whole reduce rests on, so the frame encoding
-    for this message type is pinned to ``F64``.
-    """
-
-    job_id: str
-    shard_id: int
-    folds: int
-    total_samples: int
-    components: Tuple[np.ndarray, ...]
-
-    msg_type = MsgType.SHARD_PARTIAL
-
-    def _pack_body(self) -> bytes:
-        parts = [
-            _pack_str(self.job_id),
-            struct.pack(
-                ">IIQB",
-                self.shard_id,
-                self.folds,
-                self.total_samples,
-                len(self.components),
-            ),
-        ]
-        for component in self.components:
-            data = np.ascontiguousarray(component, dtype="<f8")
-            parts.append(struct.pack(">I", data.size))
-            parts.append(data.tobytes())
-        return b"".join(parts)
-
-    @classmethod
-    def _unpack_body(cls, body, encoding, sparse):
-        if encoding is not Encoding.F64 or sparse:
-            raise FrameError("shard partials are always dense float64")
-        job_id, at = _unpack_str(body, 0)
-        if at + 17 > len(body):
-            raise FrameError("truncated shard-partial header")
-        shard_id, folds, total_samples, ncomp = struct.unpack_from(">IIQB", body, at)
-        at += 17
-        components = []
-        for _ in range(ncomp):
-            if at + 4 > len(body):
-                raise FrameError("truncated component length")
-            (length,) = struct.unpack_from(">I", body, at)
-            at += 4
-            span = length * 8
-            if at + span > len(body):
-                raise FrameError("truncated component data")
-            components.append(np.frombuffer(body, "<f8", length, at).copy())
-            at += span
-        _expect_end(body, at)
-        return cls(job_id, shard_id, folds, total_samples, tuple(components))
-
-
 @dataclass(frozen=True)
 class AckMsg:
     """Coordinator → client: receipt for one transport dispatch id.
@@ -515,12 +455,11 @@ class AckMsg:
         return cls(job_id, dispatch, status)
 
 
-Message = Union[ModelDownloadMsg, ClientUpdateMsg, ShardPartialMsg, AckMsg]
+Message = Union[ModelDownloadMsg, ClientUpdateMsg, AckMsg]
 
 _DECODERS = {
     MsgType.MODEL_DOWNLOAD: ModelDownloadMsg,
     MsgType.CLIENT_UPDATE: ClientUpdateMsg,
-    MsgType.SHARD_PARTIAL: ShardPartialMsg,
     MsgType.ACK: AckMsg,
 }
 
@@ -554,7 +493,7 @@ def _expect_end(body: bytes, at: int) -> None:
 
 
 def _frame_meta(message: Message) -> Tuple[Encoding, int]:
-    if isinstance(message, (ShardPartialMsg, AckMsg)):
+    if isinstance(message, AckMsg):
         return Encoding.F64, 0
     vector = (
         message.vector if isinstance(message, ModelDownloadMsg) else message.delta
@@ -656,10 +595,3 @@ def decode_frame(
     )
     return message, header.end
 
-
-def iter_frames(data: bytes):
-    """Yield every message in a concatenated frame stream."""
-    at = 0
-    while at < len(data):
-        message, at = decode_frame(data, at)
-        yield message

@@ -27,8 +27,8 @@ server-side control loop real:
   seed-derived *teacher* model and every round reports the global model's
   accuracy on a teacher-labelled eval set, so attacks (and the robust rules
   that defeat them — ``rule=median|trimmed_mean|krum|clipped_fedavg``,
-  composed with sharding through
-  :func:`~repro.fl.sharding.make_aggregation_tree`) have a measurable
+  composed with sharding by the same
+  :class:`~repro.fl.sharding.HierarchicalAggregator`) have a measurable
   effect, not just a byte-level one;
 * **admission control** (``max_norm``) puts the production
   :class:`~repro.fl.admission.AdmissionController` and its reputation
@@ -83,7 +83,7 @@ from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTrack
 from ..fl.buffer import BufferedAggregator
 from ..fl.config import BufferConfig, ShardingConfig
 from ..fl.robust import RULES
-from ..fl.sharding import make_aggregation_tree, shard_of
+from ..fl.sharding import HierarchicalAggregator, shard_of
 from ..fl.transport import ClientUpdate, ModelDownload
 from ..nn.model import Sequential, WeightsList
 from ..nn.serialize import (
@@ -341,7 +341,7 @@ class _RoundState:
     """
 
     index: int
-    tree: object  # HierarchicalAggregator or robust variant
+    tree: HierarchicalAggregator
     positions: Dict[int, int]
     dead_shards: frozenset
     compute_base: float
@@ -538,16 +538,15 @@ class FLSimulator:
         self.reputation: Optional[ReputationTracker] = None
         if config.max_norm is not None:
             self.admission = AdmissionController(
-                initial,
-                AdmissionConfig(max_norm=config.max_norm, clip=config.clip),
+                AdmissionConfig(max_norm=config.max_norm, clip=config.clip)
             )
             self.reputation = ReputationTracker()
         self.round = 0
         self.history: List[Dict[str, object]] = []
         self.resumed_from: Optional[int] = None
         # Updates are flat float64 vectors (flatten_weights order) from
-        # production to fold; WeightsList appears only at the model, the
-        # admission gate's view and the checkpoint.  Constants of the model
+        # production through admission to fold; WeightsList appears only at
+        # the model and in the checkpoint.  Constants of the model
         # structure, computed once per run: the structure, the noise
         # permutation, the teacher vector and the two npz payload sizes.
         self._template: WeightsList = initial
@@ -762,11 +761,7 @@ class FLSimulator:
         if self.admission is None:
             return flat
         client_id = f"sim-{client}"
-        decision = self.admission.check(
-            client_id,
-            self._weights_view(flat),
-            reference=self._weights_view(base_flat),
-        )
+        decision = self.admission.check(client_id, flat, reference=base_flat)
         if not decision.admitted:
             self.reputation.record_rejection(client_id, strike_round)
             self._tally(counts, "admission_rejected")
@@ -774,8 +769,7 @@ class FLSimulator:
         self.reputation.record_admission(client_id)
         if decision.clipped:
             counts["admission_clipped"] += 1
-            return flatten_weights(decision.weights)
-        return flat
+        return decision.flat
 
     def _price_shard_hop(self, aggregator, sent_at: float) -> tuple:
         """Price the shard→root transfer: ``(shard_bytes, settled_at)``.
@@ -890,8 +884,8 @@ class FLSimulator:
                 ).inc(len(dead_shards))
             state = _RoundState(
                 index=rnd,
-                tree=make_aggregation_tree(
-                    self._template,
+                tree=HierarchicalAggregator(
+                    base_flat.size,
                     ShardingConfig(num_shards=cfg.shards, track_memory=False),
                     rule=cfg.rule,
                     trim=cfg.effective_trim,
@@ -949,7 +943,9 @@ class FLSimulator:
                     state.tree, state.aggregated_at
                 )
                 self.clock.advance_to(state.aggregated_at)
-                self.model.set_weights(state.tree.reduce())
+                self.model.set_weights(
+                    unflatten_weights(state.tree.reduce(), self._template)
+                )
             outcome = self._record(
                 span,
                 counts,
@@ -1005,9 +1001,7 @@ class FLSimulator:
         if flat is None:
             return
         num_samples = int(self.num_samples[index])
-        state.tree.fold(
-            shard, None, num_samples, position=state.positions[index], flat=flat
-        )
+        state.tree.fold(shard, flat, num_samples, position=state.positions[index])
         state.collected[index] = num_samples
         if len(state.collected) >= self.config.cohort:
             self._finish(state)
@@ -1062,8 +1056,9 @@ class FLSimulator:
 
     def _init_async(self) -> None:
         cfg = self.config
+        head = flatten_weights(self.model.get_weights())
         self._buffer = BufferedAggregator(
-            self._template,
+            head.size,
             cfg.buffer_config,
             ShardingConfig(num_shards=cfg.shards, track_memory=False),
             rule=cfg.rule,
@@ -1077,9 +1072,7 @@ class FLSimulator:
             cfg.num_clients, self.fault_plan, self._rngs,
         )
         # Model version (commit index) -> the flat weights dispatched then.
-        self._version_flat: Dict[int, np.ndarray] = {
-            self.round: flatten_weights(self.model.get_weights())
-        }
+        self._version_flat: Dict[int, np.ndarray] = {self.round: head}
         self._async_compute_base = self.cost_model.cycle_cost(
             self.model, self.policy.layers_for_cycle(0)
         ).total_seconds
@@ -1228,11 +1221,10 @@ class FLSimulator:
             shard = shard_of(self._buffer.pending, cfg.buffer_size, cfg.shards)
             self._buffer.fold(
                 shard,
-                None,
+                flat,
                 int(self.num_samples[client]),
                 staleness=staleness,
                 sort_key=dispatch,
-                flat=flat,
             )
             self._window["updates"].append([dispatch, client, staleness])
         # Folded or refused, the slot is free; the K-th fold commits.
@@ -1254,7 +1246,8 @@ class FLSimulator:
             shard_bytes, settled_at = self._price_shard_hop(
                 self._buffer, self.clock.time
             )
-            self.model.set_weights(self._buffer.commit())
+            flat = self._buffer.commit()
+            self.model.set_weights(unflatten_weights(flat, self._template))
             updates = sorted(window["updates"])
             stale_values = [int(u[2]) for u in updates]
             histogram: Dict[str, int] = {}
@@ -1285,7 +1278,7 @@ class FLSimulator:
         # concurrency window, never by the commit count or the fleet size.
         live = {int(e["version"]) for e in self._inflight.values()}
         self._version_flat = {v: f for v, f in self._version_flat.items() if v in live}
-        self._version_flat[self.round] = flatten_weights(self.model.get_weights())
+        self._version_flat[self.round] = flat
         self._fresh_window()
 
     def step_commit(self) -> Dict[str, object]:

@@ -1,8 +1,12 @@
 """Tests for update admission control and the reputation ledger."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from repro.fl import FLClient, RoundConfig, ServerConfig
 from repro.fl.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -16,6 +20,8 @@ from repro.fl.admission import (
 from repro.nn.serialize import flatten_weights
 from repro.obs import FakeClock, fresh
 
+from .test_fl_server_robust import build_fleet
+
 
 def make_weights(scale=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -25,102 +31,146 @@ def make_weights(scale=0.0, seed=0):
     ]
 
 
+def make_flat(scale=0.0, seed=0):
+    return flatten_weights(make_weights(scale, seed))
+
+
 @pytest.fixture
 def obs_ctx():
     with fresh(clock=FakeClock()) as ctx:
         yield ctx
 
 
+class MisshapenClient(FLClient):
+    """Trains honestly, then rewrites the layer structure of its update."""
+
+    def __init__(self, *args, rewrite, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rewrite = rewrite
+
+    def run_cycle(self, download, plan):
+        update = super().run_cycle(download, plan)
+        layers = [dict(layer) for layer in update.plain_weights]
+        return dataclasses.replace(update, plain_weights=self.rewrite(layers))
+
+
+def drop_last_layer(layers):
+    return layers[:-1]
+
+
+def rename_first_bias(layers):
+    layers[0]["gamma"] = layers[0].pop("bias")
+    return layers
+
+
+def ravel_first_weight(layers):
+    # Same size, other shape: the flat vector alone cannot tell.
+    layers[0]["weight"] = layers[0]["weight"].reshape(-1)
+    return layers
+
+
+def serve_one_cycle(rewrite, *, admission):
+    """client-0 of a three-client server sends ``rewrite`` of its update."""
+    config = ServerConfig(
+        round=RoundConfig(admission=AdmissionConfig() if admission else None)
+    )
+    client_cls = functools.partial(MisshapenClient, rewrite=rewrite)
+    server, fleet = build_fleet(
+        hostile=1, client_cls=client_cls, config=config, clients=3
+    )
+    server.run_cycle(fleet)
+    return server
+
+
 class TestStructure:
+    """The layout rule runs in the server's merge, where a WeightsList arrives."""
+
+    def assert_structure_rejected(self, obs_ctx, rewrite):
+        server = serve_one_cycle(rewrite, admission=True)
+        rejected = obs_ctx.registry.counter("fl.admission.rejected")
+        assert rejected.value(client="client-0", reason=REJECT_STRUCTURE) == 1
+        assert rejected.total() == 1
+        assert obs_ctx.registry.counter("fl.admission.checked").total() == 3
+        assert server.reputation.snapshot(server.cycle)["strikes"] == {"client-0": 1}
+        # Without the gate the same update is refused outright, by name —
+        # never folded into parameters it does not belong to.
+        with pytest.raises(ValueError, match="client-0"):
+            serve_one_cycle(rewrite, admission=False)
+
     def test_matching_structure_admitted(self, obs_ctx):
-        template = make_weights()
-        gate = AdmissionController(template)
-        decision = gate.check("c0", make_weights(seed=1))
+        server = serve_one_cycle(lambda layers: layers, admission=True)
+        assert obs_ctx.registry.counter("fl.admission.rejected").total() == 0
+        assert obs_ctx.registry.counter("fl.admission.checked").total() == 3
+        assert server.reputation.snapshot(server.cycle)["strikes"] == {}
+        serve_one_cycle(lambda layers: layers, admission=False)
+        update = make_flat(seed=1)
+        decision = AdmissionController().check("c0", update)
         assert decision.admitted
-        assert decision.weights is not None
+        assert decision.flat is update
 
     def test_layer_count_mismatch_rejected(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        decision = gate.check("c0", make_weights()[:1])
+        self.assert_structure_rejected(obs_ctx, drop_last_layer)
+        decision = AdmissionController().check("c0", None)
         assert not decision.admitted
         assert decision.reason == REJECT_STRUCTURE
 
     def test_key_set_mismatch_rejected(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        bad = make_weights()
-        bad[0] = {"weight": bad[0]["weight"], "gamma": bad[0]["bias"]}
-        assert gate.check("c0", bad).reason == REJECT_STRUCTURE
+        self.assert_structure_rejected(obs_ctx, rename_first_bias)
 
     def test_shape_mismatch_rejected(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        bad = make_weights()
-        bad[1]["bias"] = np.zeros(5)
-        assert gate.check("c0", bad).reason == REJECT_STRUCTURE
+        self.assert_structure_rejected(obs_ctx, ravel_first_weight)
 
 
 class TestNumericalHealth:
     def test_nan_rejected(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        bad = make_weights(seed=1)
-        bad[0]["weight"][0, 0] = np.nan
+        gate = AdmissionController()
+        bad = make_flat(seed=1)
+        bad[0] = np.nan
         assert gate.check("c0", bad).reason == REJECT_NONFINITE
 
     def test_inf_rejected(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        bad = make_weights(seed=1)
-        bad[1]["bias"][0] = np.inf
+        gate = AdmissionController()
+        bad = make_flat(seed=1)
+        bad[-1] = np.inf
         assert gate.check("c0", bad).reason == REJECT_NONFINITE
 
     def test_check_can_be_disabled(self, obs_ctx):
-        gate = AdmissionController(
-            make_weights(), AdmissionConfig(check_finite=False)
-        )
-        bad = make_weights(seed=1)
-        bad[0]["weight"][0, 0] = np.nan
+        gate = AdmissionController(AdmissionConfig(check_finite=False))
+        bad = make_flat(seed=1)
+        bad[0] = np.nan
         assert gate.check("c0", bad).admitted
 
 
 class TestNormCeiling:
     def test_delta_norm_measured_against_reference(self, obs_ctx):
-        reference = make_weights()
-        gate = AdmissionController(reference, AdmissionConfig(max_norm=1.0))
+        reference = make_flat()
+        gate = AdmissionController(AdmissionConfig(max_norm=1.0))
         # Same weights as the reference: delta norm 0, admitted.
         assert gate.check("c0", reference, reference=reference).admitted
         # Far away in absolute terms but that is irrelevant without drift.
-        far = [
-            {key: value + 100.0 for key, value in layer.items()}
-            for layer in reference
-        ]
+        far = reference + 100.0
         decision = gate.check("c0", far, reference=far)
         assert decision.admitted
 
     def test_over_norm_rejected(self, obs_ctx):
-        reference = make_weights()
-        gate = AdmissionController(reference, AdmissionConfig(max_norm=1.0))
-        far = [
-            {key: value + 10.0 for key, value in layer.items()}
-            for layer in reference
-        ]
+        reference = make_flat()
+        gate = AdmissionController(AdmissionConfig(max_norm=1.0))
+        far = reference + 10.0
         decision = gate.check("c0", far, reference=reference)
         assert not decision.admitted
         assert decision.reason == REJECT_NORM
         assert decision.norm > 1.0
 
     def test_clip_rescales_onto_ceiling(self, obs_ctx):
-        reference = make_weights()
-        gate = AdmissionController(
-            reference, AdmissionConfig(max_norm=2.0, clip=True)
-        )
-        far = [
-            {key: value + 5.0 for key, value in layer.items()}
-            for layer in reference
-        ]
+        reference = make_flat()
+        gate = AdmissionController(AdmissionConfig(max_norm=2.0, clip=True))
+        far = reference + 5.0
         decision = gate.check("c0", far, reference=reference)
         assert decision.admitted and decision.clipped
-        delta = flatten_weights(decision.weights) - flatten_weights(reference)
+        delta = decision.flat - reference
         assert np.linalg.norm(delta) == pytest.approx(2.0)
         # Direction is preserved, only the magnitude changes.
-        raw = flatten_weights(far) - flatten_weights(reference)
+        raw = far - reference
         cos = delta @ raw / (np.linalg.norm(delta) * np.linalg.norm(raw))
         assert cos == pytest.approx(1.0)
 
@@ -131,29 +181,23 @@ class TestNormCeiling:
 
 class TestProvenance:
     def test_unattested_sender_rejected_when_required(self, obs_ctx):
-        gate = AdmissionController(
-            make_weights(), AdmissionConfig(require_provenance=True)
-        )
-        good = make_weights(seed=1)
+        gate = AdmissionController(AdmissionConfig(require_provenance=True))
+        good = make_flat(seed=1)
         assert gate.check("c0", good, attested=True).admitted
         assert gate.check("c0", good, attested=False).reason == REJECT_PROVENANCE
 
     def test_unattested_tolerated_by_default(self, obs_ctx):
-        gate = AdmissionController(make_weights())
-        assert gate.check("c0", make_weights(seed=1), attested=False).admitted
+        gate = AdmissionController()
+        assert gate.check("c0", make_flat(seed=1), attested=False).admitted
 
 
 class TestAdmissionMetrics:
     def test_counters_registered_and_labelled(self, obs_ctx):
-        gate = AdmissionController(make_weights(), AdmissionConfig(max_norm=1.0))
+        gate = AdmissionController(AdmissionConfig(max_norm=1.0))
         snapshot = obs_ctx.registry.snapshot()
         # Registered at construction: present even before any check.
         assert "fl.admission.rejected" in snapshot["counters"]
-        far = [
-            {key: value + 10.0 for key, value in layer.items()}
-            for layer in make_weights()
-        ]
-        gate.check("evil", far, reference=make_weights())
+        gate.check("evil", make_flat() + 10.0, reference=make_flat())
         rejected = obs_ctx.registry.counter("fl.admission.rejected")
         assert rejected.total() == 1
 

@@ -5,10 +5,10 @@ import pytest
 
 from repro.fl import (
     CompensatedAccumulator,
-    StreamingWeightedSum,
     fedavg,
     merge_plain_and_sealed,
 )
+from repro.nn.serialize import flatten_weights
 
 
 def make_weights(value, layers=2):
@@ -73,20 +73,18 @@ class TestExactAccumulation:
         assert forward.value()[0] == backward.value()[0]
 
     def test_streaming_sum_merge_matches_single_stream(self):
-        template = make_weights(0)
-        updates = [make_weights(i * 0.7 + 0.1) for i in range(8)]
+        updates = [flatten_weights(make_weights(i * 0.7 + 0.1)) for i in range(8)]
         counts = [1, 3, 2, 8, 1, 5, 2, 4]
-        single = StreamingWeightedSum(template)
+        size = updates[0].size
+        single = CompensatedAccumulator(size)
         for update, count in zip(updates, counts):
-            single.fold(update, count)
-        left = StreamingWeightedSum(template)
-        right = StreamingWeightedSum(template)
+            single.add(float(count) * update)
+        left = CompensatedAccumulator(size)
+        right = CompensatedAccumulator(size)
         for i, (update, count) in enumerate(zip(updates, counts)):
-            (left if i % 2 else right).fold(update, count)
+            (left if i % 2 else right).add(float(count) * update)
         left.merge(right)
-        for a, b in zip(single.finalize(), left.finalize()):
-            for key in a:
-                np.testing.assert_array_equal(a[key], b[key])
+        np.testing.assert_array_equal(single.value(), left.value())
 
     def test_component_count_stays_bounded(self):
         acc = CompensatedAccumulator(4)

@@ -27,6 +27,9 @@ from repro.nn.serialize import flatten_weights
 pytestmark = [getattr(pytest.mark, "async")]  # "async" is a keyword
 
 
+SIZE = 14  # make_update's parameter count: 2 layers x (5 + 2)
+
+
 def make_update(seed, layers=2, size=5):
     rng = np.random.default_rng(seed)
     return [
@@ -35,12 +38,12 @@ def make_update(seed, layers=2, size=5):
     ]
 
 
-def assert_weights_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.keys() == b.keys()
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
+def make_flat(seed):
+    return flatten_weights(make_update(seed))
+
+
+def assert_flat_equal(left, right):
+    assert left.tobytes() == right.tobytes()
 
 
 class TestBufferConfig:
@@ -77,8 +80,8 @@ class TestBufferConfig:
 
 class TestWindowLifecycle:
     def test_pending_and_ready(self):
-        updates = [make_update(i) for i in range(3)]
-        buffer = BufferedAggregator(updates[0], BufferConfig(size=3))
+        updates = [make_flat(i) for i in range(3)]
+        buffer = BufferedAggregator(SIZE, BufferConfig(size=3))
         assert buffer.pending == 0 and not buffer.ready
         for update in updates[:2]:
             buffer.fold(0, update, 1)
@@ -90,29 +93,35 @@ class TestWindowLifecycle:
         assert buffer.commits == 1
 
     def test_empty_commit_rejected(self):
-        buffer = BufferedAggregator(make_update(0), BufferConfig(size=2))
+        buffer = BufferedAggregator(SIZE, BufferConfig(size=2))
         with pytest.raises(ValueError, match="no updates buffered"):
             buffer.commit()
 
     def test_bad_folds_rejected(self):
-        buffer = BufferedAggregator(make_update(0), BufferConfig(size=2))
+        buffer = BufferedAggregator(SIZE, BufferConfig(size=2))
         with pytest.raises(ValueError, match="num_samples"):
-            buffer.fold(0, make_update(1), 0)
+            buffer.fold(0, make_flat(1), 0)
         with pytest.raises(ValueError, match="parameter count"):
-            buffer.fold(0, make_update(1), 1, flat=np.zeros(3))
+            buffer.fold(0, np.zeros(3), 1)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregation rule"):
-            BufferedAggregator(make_update(0), rule="meteor")
+            BufferedAggregator(SIZE, rule="meteor")
 
     def test_flat_passthrough_is_bitwise_identical(self):
-        updates = [make_update(i) for i in range(4)]
-        via_weights = BufferedAggregator(updates[0], BufferConfig(size=4))
-        via_flat = BufferedAggregator(updates[0], BufferConfig(size=4))
-        for update in updates:
-            via_weights.fold(0, update, 3)
-            via_flat.fold(0, update, 3, flat=flatten_weights(update))
-        assert_weights_equal(via_weights.commit(), via_flat.commit())
+        # The window neither writes to nor keeps the vector it is handed:
+        # overwriting the caller's array after each fold changes no bit.
+        updates = [make_flat(i) for i in range(4)]
+        for rule in ("fedavg", "median"):
+            kept = BufferedAggregator(SIZE, BufferConfig(size=4), rule=rule)
+            reused = BufferedAggregator(SIZE, BufferConfig(size=4), rule=rule)
+            for position, update in enumerate(updates):
+                kept.fold(0, update, 3, sort_key=position)
+                scratch = update.copy()
+                reused.fold(0, scratch, 3, sort_key=position)
+                assert_flat_equal(scratch, update)
+                scratch[:] = np.nan
+            assert_flat_equal(kept.commit(), reused.commit())
 
 
 class TestFedavgCommit:
@@ -121,24 +130,25 @@ class TestFedavgCommit:
         counts = [1, 3, 2, 8, 1, 5]
         for shards in (1, 3):
             buffer = BufferedAggregator(
-                updates[0],
+                SIZE,
                 BufferConfig(size=6),
                 ShardingConfig(num_shards=shards, track_memory=False),
             )
             for position, (update, count) in enumerate(zip(updates, counts)):
-                buffer.fold(position % shards, update, count)
-            assert_weights_equal(buffer.commit(), fedavg(updates, counts))
+                buffer.fold(position % shards, flatten_weights(update), count)
+            assert_flat_equal(
+                buffer.commit(), flatten_weights(fedavg(updates, counts))
+            )
 
     def test_polynomial_staleness_downweights(self):
-        fresh_update = [{"w": np.full(4, 1.0)}]
-        stale_update = [{"w": np.full(4, 3.0)}]
+        fresh_update = np.full(4, 1.0)
+        stale_update = np.full(4, 3.0)
         buffer = BufferedAggregator(
-            fresh_update,
-            BufferConfig(size=2, staleness="polynomial", exponent=1.0),
+            4, BufferConfig(size=2, staleness="polynomial", exponent=1.0)
         )
         buffer.fold(0, fresh_update, 1, staleness=0)  # weight 1
         buffer.fold(0, stale_update, 1, staleness=1)  # weight 0.5
-        committed = buffer.commit()[0]["w"]
+        committed = buffer.commit()
         expected = (1.0 * 1.0 + 0.5 * 3.0) / 1.5
         np.testing.assert_allclose(committed, expected, rtol=1e-15)
 
@@ -149,10 +159,10 @@ class TestFedavgCommit:
         counts = [int(c) for c in rng.integers(1, 40, size=9)]
         stalenesses = [int(s) for s in rng.integers(0, 5, size=9)]
         config = BufferConfig(size=9, staleness="polynomial", exponent=0.7)
-        buffer = BufferedAggregator([{"w": vectors[0]}], config)
+        buffer = BufferedAggregator(6, config)
         for i, vector in enumerate(vectors):
-            buffer.fold(0, [{"w": vector}], counts[i], staleness=stalenesses[i])
-        committed = buffer.commit()[0]["w"]
+            buffer.fold(0, vector, counts[i], staleness=stalenesses[i])
+        committed = buffer.commit()
         contributions = [
             config.weight(stalenesses[i]) * float(counts[i]) for i in range(9)
         ]
@@ -166,9 +176,9 @@ class TestFedavgCommit:
 
 class TestRobustCommit:
     def test_median_matches_apply_rule_on_sorted_rows(self):
-        updates = [make_update(i) for i in range(5)]
+        updates = [make_flat(i) for i in range(5)]
         buffer = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=5),
             ShardingConfig(num_shards=2, track_memory=False),
             rule="median",
@@ -179,28 +189,22 @@ class TestRobustCommit:
             buffer.fold(
                 arrival % 2, updates[position], 1, sort_key=position
             )
-        expected = apply_rule(
-            "median", [flatten_weights(u) for u in updates]
-        )
-        np.testing.assert_array_equal(
-            flatten_weights(buffer.commit()), expected
-        )
+        expected = apply_rule("median", updates)
+        np.testing.assert_array_equal(buffer.commit(), expected)
 
     def test_duplicate_sort_keys_rejected(self):
-        buffer = BufferedAggregator(
-            make_update(0), BufferConfig(size=2), rule="median"
-        )
-        buffer.fold(0, make_update(1), 1, sort_key=5)
-        buffer.fold(0, make_update(2), 1, sort_key=5)
+        buffer = BufferedAggregator(SIZE, BufferConfig(size=2), rule="median")
+        buffer.fold(0, make_flat(1), 1, sort_key=5)
+        buffer.fold(0, make_flat(2), 1, sort_key=5)
         with pytest.raises(ValueError, match="sort keys must be unique"):
             buffer.commit()
 
 
 class TestPartials:
     def test_fedavg_partials_are_shard_partials(self):
-        updates = [make_update(i) for i in range(4)]
+        updates = [make_flat(i) for i in range(4)]
         buffer = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=4),
             ShardingConfig(num_shards=3, track_memory=False),
         )
@@ -213,9 +217,9 @@ class TestPartials:
         assert all(p.folds == 1 for p in partials)
 
     def test_robust_partials_are_row_batches(self):
-        updates = [make_update(i) for i in range(3)]
+        updates = [make_flat(i) for i in range(3)]
         buffer = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=3),
             ShardingConfig(num_shards=2, track_memory=False),
             rule="krum",
@@ -227,8 +231,8 @@ class TestPartials:
         assert sum(p.count for p in partials) == 3
 
     def test_peak_bytes_accounts_live_state(self):
-        updates = [make_update(i) for i in range(3)]
-        buffer = BufferedAggregator(updates[0], BufferConfig(size=3))
+        updates = [make_flat(i) for i in range(3)]
+        buffer = BufferedAggregator(SIZE, BufferConfig(size=3))
         assert buffer.peak_bytes == 0
         for update in updates:
             buffer.fold(0, update, 1)
@@ -239,9 +243,9 @@ class TestPartials:
 
 class TestCheckpointRoundTrip:
     def _folded(self, rule):
-        updates = [make_update(i) for i in range(5)]
+        updates = [make_flat(i) for i in range(5)]
         buffer = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=5),
             ShardingConfig(num_shards=2, track_memory=False),
             rule=rule,
@@ -255,7 +259,7 @@ class TestCheckpointRoundTrip:
         buffer, updates = self._folded(rule)
         state = buffer.state_dict()
         restored = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=5),
             ShardingConfig(num_shards=2, track_memory=False),
             rule=rule,
@@ -265,7 +269,7 @@ class TestCheckpointRoundTrip:
         for position, update in enumerate(updates[3:], start=3):
             buffer.fold(position % 2, update, position + 1, sort_key=position)
             restored.fold(position % 2, update, position + 1, sort_key=position)
-        assert_weights_equal(buffer.commit(), restored.commit())
+        assert_flat_equal(buffer.commit(), restored.commit())
 
     def test_state_is_json_safe(self):
         import json
@@ -275,17 +279,15 @@ class TestCheckpointRoundTrip:
         assert json.loads(encoded)["pending"] == 3
 
     def test_rule_mismatch_rejected(self):
-        buffer, updates = self._folded("fedavg")
-        other = BufferedAggregator(
-            updates[0], BufferConfig(size=5), rule="median"
-        )
+        buffer, _ = self._folded("fedavg")
+        other = BufferedAggregator(SIZE, BufferConfig(size=5), rule="median")
         with pytest.raises(ValueError, match="checkpointed rule"):
             other.load_state(buffer.state_dict())
 
     def test_shard_count_mismatch_rejected(self):
-        buffer, updates = self._folded("fedavg")
+        buffer, _ = self._folded("fedavg")
         other = BufferedAggregator(
-            updates[0],
+            SIZE,
             BufferConfig(size=5),
             ShardingConfig(num_shards=4, track_memory=False),
         )

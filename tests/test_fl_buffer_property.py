@@ -35,6 +35,7 @@ from repro.fl import (
     fedavg,
     shard_of,
 )
+from repro.nn.serialize import flatten_weights
 
 from .test_fl_aggregation import ReferenceAccumulator
 
@@ -52,13 +53,11 @@ def make_updates(seed, num_clients, size, magnitude):
         for i in range(num_clients)
     ]
     counts = [int(c) for c in rng.integers(1, 50, size=num_clients)]
-    return updates, counts
+    return [flatten_weights(update) for update in updates], counts
 
 
-def assert_weights_equal(left, right):
-    for a, b in zip(left, right):
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
+def assert_flat_equal(left, right):
+    assert left.tobytes() == right.tobytes()
 
 
 @given(
@@ -73,14 +72,15 @@ def test_full_buffer_commit_is_bitwise_fedavg(
 ):
     updates, counts = make_updates(seed, num_clients, size, magnitude)
     buffer = BufferedAggregator(
-        updates[0],
+        updates[0].size,
         BufferConfig(size=num_clients, staleness="constant"),
         ShardingConfig(num_shards=num_shards, track_memory=False),
     )
     for position, (update, count) in enumerate(zip(updates, counts)):
         shard = shard_of(position, num_clients, num_shards)
         buffer.fold(shard, update, count, staleness=0, sort_key=position)
-    assert_weights_equal(buffer.commit(), fedavg(updates, counts))
+    sync = fedavg([[{"w": update}] for update in updates], counts)
+    assert_flat_equal(buffer.commit(), sync[0]["w"])
 
 
 @given(
@@ -100,7 +100,7 @@ def test_commit_invariant_to_arrival_order_and_routing(
 
     def build(num_shards):
         return BufferedAggregator(
-            updates[0],
+            updates[0].size,
             BufferConfig(
                 size=num_clients, staleness="polynomial", exponent=0.5
             ),
@@ -126,7 +126,7 @@ def test_commit_invariant_to_arrival_order_and_routing(
             staleness=stalenesses[position],
             sort_key=int(position),
         )
-    assert_weights_equal(one.commit(), other.commit())
+    assert_flat_equal(one.commit(), other.commit())
 
 
 @given(
@@ -147,12 +147,10 @@ def test_weighted_fold_matches_fsum_reference(
     config = BufferConfig(
         size=num_clients, staleness="polynomial", exponent=exponent
     )
-    buffer = BufferedAggregator([{"w": vectors[0]}], config)
+    buffer = BufferedAggregator(size, config)
     for i, vector in enumerate(vectors):
-        buffer.fold(
-            0, [{"w": vector}], counts[i], staleness=stalenesses[i]
-        )
-    committed = buffer.commit()[0]["w"]
+        buffer.fold(0, vector, counts[i], staleness=stalenesses[i])
+    committed = buffer.commit()
     contributions = [
         config.weight(stalenesses[i]) * float(counts[i])
         for i in range(num_clients)
@@ -190,7 +188,7 @@ def test_window_state_is_bitwise_the_allocating_oracles(
         counts[i] = counts[i - 1]
     config = BufferConfig(size=num_clients, staleness="polynomial", exponent=exponent)
     buffer = BufferedAggregator(
-        [{"w": vectors[0]}], config, ShardingConfig(num_shards=num_shards, track_memory=False)
+        size, config, ShardingConfig(num_shards=num_shards, track_memory=False)
     )
     routes = [
         (int(rng.integers(0, num_shards)), int(rng.integers(0, 8)))
@@ -206,7 +204,7 @@ def test_window_state_is_bitwise_the_allocating_oracles(
     peak, handed_out = 0, []
     for i, (vector, (shard, staleness)) in enumerate(zip(vectors, routes)):
         kept = vector.copy()
-        buffer.fold(shard, None, counts[i], staleness=staleness, flat=vector)
+        buffer.fold(shard, vector, counts[i], staleness=staleness)
         assert vector.tobytes() == kept.tobytes()
         contribution = config.weight(staleness) * float(counts[i])
         oracles[shard][0].add(contribution * vector)
@@ -228,17 +226,17 @@ def test_window_state_is_bitwise_the_allocating_oracles(
     # A mid-window snapshot resumes into the same remaining folds and commit.
     middle = num_clients // 2
     resumed = BufferedAggregator(
-        [{"w": vectors[0]}], config, ShardingConfig(num_shards=num_shards, track_memory=False)
+        size, config, ShardingConfig(num_shards=num_shards, track_memory=False)
     )
     if middle:
         resumed.load_state(json.loads(handed_out[middle - 1][0]))
         assert json.dumps(resumed.state_dict(), sort_keys=True) == handed_out[middle - 1][0]
     for i in range(middle, num_clients):
         shard, staleness = routes[i]
-        resumed.fold(shard, None, counts[i], staleness=staleness, flat=vectors[i])
+        resumed.fold(shard, vectors[i], counts[i], staleness=staleness)
     assert json.dumps(resumed.state_dict(), sort_keys=True) == handed_out[-1][0]
     assert resumed.live_bytes == buffer.live_bytes
-    assert_weights_equal(resumed.commit(), buffer.commit())
+    assert_flat_equal(resumed.commit(), buffer.commit())
     assert resumed.peak_bytes == buffer.peak_bytes
 
 
@@ -268,7 +266,7 @@ PARENT_PEAK_BYTES = 128
 
 def parent_window():
     return BufferedAggregator(
-        [{"w": np.zeros(3)}],
+        3,
         BufferConfig(size=6, staleness="polynomial", exponent=0.5),
         ShardingConfig(num_shards=2, track_memory=False),
     )
@@ -277,13 +275,13 @@ def parent_window():
 def test_parent_written_checkpoint_round_trips_and_resumes_bitwise():
     fresh = parent_window()
     for shard, vector, count, staleness in PARENT_FOLDS[:4]:
-        fresh.fold(shard, [{"w": np.array(vector)}], count, staleness=staleness)
+        fresh.fold(shard, np.array(vector), count, staleness=staleness)
     assert json.dumps(fresh.state_dict(), sort_keys=True) == PARENT_SNAPSHOT
     resumed = parent_window()
     resumed.load_state(json.loads(PARENT_SNAPSHOT))
     assert json.dumps(resumed.state_dict(), sort_keys=True) == PARENT_SNAPSHOT
     for window in (fresh, resumed):
         for shard, vector, count, staleness in PARENT_FOLDS[4:]:
-            window.fold(shard, [{"w": np.array(vector)}], count, staleness=staleness)
+            window.fold(shard, np.array(vector), count, staleness=staleness)
         assert window.peak_bytes == PARENT_PEAK_BYTES
-        assert window.commit()[0]["w"].tobytes().hex() == PARENT_COMMIT_HEX
+        assert window.commit().tobytes().hex() == PARENT_COMMIT_HEX

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fl import ShardingConfig, make_aggregation_tree
+from repro.fl import HierarchicalAggregator, ShardingConfig
 from repro.fl.robust import apply_rule
 from repro.nn.serialize import flatten_weights
 
@@ -43,9 +43,8 @@ def make_updates(seed, num_clients, size, magnitude=3):
 
 
 def reduce_tree(updates, counts, num_shards, rule, *, trim=1, f=1, order=None):
-    template = updates[0]
-    tree = make_aggregation_tree(
-        template,
+    tree = HierarchicalAggregator(
+        flatten_weights(updates[0]).size,
         ShardingConfig(num_shards=num_shards, track_memory=False),
         rule=rule,
         trim=trim,
@@ -55,9 +54,10 @@ def reduce_tree(updates, counts, num_shards, rule, *, trim=1, f=1, order=None):
     positions = list(range(cohort)) if order is None else list(order)
     for position in positions:
         shard = tree.shard_for(position, cohort)
-        tree.fold(shard, updates[position], counts[position], position=position)
+        flat = flatten_weights(updates[position])
+        tree.fold(shard, flat, counts[position], position=position)
     tree.partials()
-    return flatten_weights(tree.reduce())
+    return tree.reduce()
 
 
 @given(

@@ -146,10 +146,10 @@ class TestRobustRulesEndToEnd:
         merged = {}
         original = server._merge_update
 
-        def spy(client, update):
-            weights = original(client, update)
-            merged[client.client_id] = flatten_weights(weights)
-            return weights
+        def spy(client, update, template):
+            flat = original(client, update, template)
+            merged[client.client_id] = flat
+            return flat
 
         server._merge_update = spy
         server.run_cycle(fleet)

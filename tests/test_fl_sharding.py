@@ -5,7 +5,6 @@ import pytest
 
 from repro.fl import (
     HierarchicalAggregator,
-    ShardAggregator,
     ShardingConfig,
     TopKCompressor,
     fedavg,
@@ -13,6 +12,7 @@ from repro.fl import (
     shard_of,
     weighted_sparse_mean,
 )
+from repro.nn.serialize import flatten_weights
 from repro.obs import fresh
 
 
@@ -24,12 +24,16 @@ def make_update(seed, layers=3, size=7):
     ]
 
 
-def assert_weights_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.keys() == b.keys()
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
+def make_flat(seed, layers=3, size=7):
+    return flatten_weights(make_update(seed, layers, size))
+
+
+def tree_for(update, config=None):
+    return HierarchicalAggregator(flatten_weights(update).size, config)
+
+
+def assert_flat_equal(left, right):
+    assert left.tobytes() == right.tobytes()
 
 
 class TestPlanShards:
@@ -74,54 +78,60 @@ class TestHierarchicalReduce:
     def test_single_shard_matches_fedavg(self):
         updates = [make_update(i) for i in range(5)]
         counts = [1, 3, 2, 8, 1]
-        tree = HierarchicalAggregator(updates[0])
+        tree = tree_for(updates[0])
         for update, count in zip(updates, counts):
-            tree.fold(0, update, count)
-        assert_weights_equal(tree.reduce(), fedavg(updates, counts))
+            tree.fold(0, flatten_weights(update), count)
+        assert_flat_equal(tree.reduce(), flatten_weights(fedavg(updates, counts)))
 
     @pytest.mark.parametrize("num_shards", [2, 3, 7, 16])
     def test_sharded_bitwise_identical_to_flat(self, num_shards):
         updates = [make_update(i, size=11) for i in range(13)]
         counts = [1 + (i * 7) % 5 for i in range(13)]
-        flat = fedavg(updates, counts)
-        tree = HierarchicalAggregator(
-            updates[0], ShardingConfig(num_shards=num_shards)
-        )
+        flat = flatten_weights(fedavg(updates, counts))
+        tree = tree_for(updates[0], ShardingConfig(num_shards=num_shards))
         for position, (update, count) in enumerate(zip(updates, counts)):
-            tree.fold(tree.shard_for(position, 13), update, count)
-        assert_weights_equal(tree.reduce(), flat)
+            tree.fold(tree.shard_for(position, 13), flatten_weights(update), count)
+        assert_flat_equal(tree.reduce(), flat)
 
     def test_result_independent_of_routing(self):
         updates = [make_update(i) for i in range(9)]
         counts = [2] * 9
-        reference = fedavg(updates, counts)
+        reference = flatten_weights(fedavg(updates, counts))
         # Adversarial routing: everything on the last shard, then striped.
         for router in (lambda p: 3, lambda p: p % 4):
-            tree = HierarchicalAggregator(
-                updates[0], ShardingConfig(num_shards=4)
-            )
+            tree = tree_for(updates[0], ShardingConfig(num_shards=4))
             for position, (update, count) in enumerate(zip(updates, counts)):
-                tree.fold(router(position), update, count)
-            assert_weights_equal(tree.reduce(), reference)
+                tree.fold(router(position), flatten_weights(update), count)
+            assert_flat_equal(tree.reduce(), reference)
 
     def test_empty_tree_rejected(self):
-        tree = HierarchicalAggregator(make_update(0), ShardingConfig(num_shards=4))
+        tree = tree_for(make_update(0), ShardingConfig(num_shards=4))
         with pytest.raises(ValueError, match="no client weights"):
             tree.reduce()
 
     def test_sparse_folds_match_dense(self):
+        # Sparse frames are densified before any fold (serve's flat64());
+        # the dense tree then agrees with the exact sparse-support mean.
         size = 40
         compressor = TopKCompressor(ratio=0.25, error_feedback=False)
         rng = np.random.default_rng(5)
         flats = [rng.normal(size=size) for _ in range(6)]
         sparse = [compressor.compress(f, f"c{i}") for i, f in enumerate(flats)]
         counts = [3, 1, 4, 1, 5, 9]
-        template = [{"w": np.zeros(size)}]
-        tree = HierarchicalAggregator(template, ShardingConfig(num_shards=3))
+        tree = HierarchicalAggregator(size, ShardingConfig(num_shards=3))
         for position, (update, count) in enumerate(zip(sparse, counts)):
-            tree.fold_sparse(tree.shard_for(position, 6), update, count)
+            tree.fold(tree.shard_for(position, 6), update.densify(), count)
         expected = weighted_sparse_mean(sparse, counts)
-        np.testing.assert_array_equal(tree.reduce()[0]["w"], expected)
+        np.testing.assert_array_equal(tree.reduce(), expected)
+
+    def test_bad_folds_rejected(self):
+        tree = tree_for(make_update(0), ShardingConfig(num_shards=2))
+        with pytest.raises(ValueError, match="num_samples"):
+            tree.fold(0, make_flat(1), 0)
+        with pytest.raises(ValueError, match="parameter count"):
+            tree.fold(0, np.zeros(3), 1)
+        with pytest.raises(ValueError, match="unknown aggregation rule"):
+            HierarchicalAggregator(3, rule="meteor")
 
 
 class TestBoundedMemory:
@@ -129,11 +139,11 @@ class TestBoundedMemory:
         template = make_update(0)
         peaks = []
         for cohort in (4, 32, 256):
-            tree = HierarchicalAggregator(template, ShardingConfig(num_shards=4))
+            tree = tree_for(template, ShardingConfig(num_shards=4))
             for position in range(cohort):
                 tree.fold(
                     tree.shard_for(position, cohort),
-                    make_update(position),
+                    make_flat(position),
                     1 + position % 3,
                 )
             tree.reduce()
@@ -145,9 +155,9 @@ class TestBoundedMemory:
 
     def test_peak_accounts_for_root_merge(self):
         template = make_update(0)
-        tree = HierarchicalAggregator(template, ShardingConfig(num_shards=8))
+        tree = tree_for(template, ShardingConfig(num_shards=8))
         for position in range(16):
-            tree.fold(tree.shard_for(position, 16), make_update(position), 2)
+            tree.fold(tree.shard_for(position, 16), make_flat(position), 2)
         tree.reduce()
         assert tree.root_peak_bytes > 0
         assert tree.peak_bytes >= tree.root_peak_bytes
@@ -156,11 +166,9 @@ class TestBoundedMemory:
 class TestObservability:
     def test_fold_and_partial_metrics(self):
         with fresh() as ctx:
-            tree = HierarchicalAggregator(
-                make_update(0), ShardingConfig(num_shards=2)
-            )
+            tree = tree_for(make_update(0), ShardingConfig(num_shards=2))
             for position in range(4):
-                tree.fold(tree.shard_for(position, 4), make_update(position), 1)
+                tree.fold(tree.shard_for(position, 4), make_flat(position), 1)
             partials = tree.partials()
             tree.reduce()
             snap = ctx.registry.snapshot()
@@ -174,10 +182,10 @@ class TestObservability:
 
     def test_track_memory_off_suppresses_gauges(self):
         with fresh() as ctx:
-            tree = HierarchicalAggregator(
+            tree = tree_for(
                 make_update(0), ShardingConfig(num_shards=2, track_memory=False)
             )
-            tree.fold(0, make_update(1), 1)
+            tree.fold(0, make_flat(1), 1)
             snap = ctx.registry.snapshot()
         assert "fl.shard.bytes.live" not in snap["gauges"]
         # Folds are still counted -- only the per-fold gauges are elided.
@@ -186,19 +194,19 @@ class TestObservability:
 
 class TestShardPartial:
     def test_wire_bytes_positive_and_component_scaling(self):
-        shard = ShardAggregator(0, make_update(0))
-        shard.fold(make_update(1), 2)
-        partial = shard.partial()
+        tree = tree_for(make_update(0))
+        tree.fold(0, make_flat(1), 2)
+        (partial,) = tree.partials()
         assert partial.shard_id == 0
         assert partial.total_samples == 2
         assert partial.folds == 1
         assert partial.wire_bytes() > 0
 
     def test_partial_is_a_snapshot(self):
-        shard = ShardAggregator(0, make_update(0))
-        shard.fold(make_update(1), 2)
-        partial = shard.partial()
+        tree = tree_for(make_update(0))
+        tree.fold(0, make_flat(1), 2)
+        (partial,) = tree.partials()
         before = [c.copy() for c in partial.components]
-        shard.fold(make_update(2), 1)
+        tree.fold(0, make_flat(2), 1)
         for original, snapshot in zip(before, partial.components):
             np.testing.assert_array_equal(original, snapshot)

@@ -18,6 +18,7 @@ from repro.fl import (
     fedavg,
     weighted_sparse_mean,
 )
+from repro.nn.serialize import flatten_weights
 
 pytestmark = pytest.mark.property
 
@@ -36,6 +37,13 @@ def make_updates(seed, num_clients, size, magnitude):
     return updates, counts
 
 
+def tree_for(updates, num_shards):
+    return HierarchicalAggregator(
+        flatten_weights(updates[0]).size,
+        ShardingConfig(num_shards=num_shards, track_memory=False),
+    )
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     num_clients=st.integers(1, 24),
@@ -47,16 +55,13 @@ def test_sharded_reduce_is_bitwise_fedavg(
     seed, num_clients, num_shards, size, magnitude
 ):
     updates, counts = make_updates(seed, num_clients, size, magnitude)
-    flat = fedavg(updates, counts)
-    tree = HierarchicalAggregator(
-        updates[0], ShardingConfig(num_shards=num_shards, track_memory=False)
-    )
+    flat = flatten_weights(fedavg(updates, counts))
+    tree = tree_for(updates, num_shards)
     for position, (update, count) in enumerate(zip(updates, counts)):
-        tree.fold(tree.shard_for(position, num_clients), update, count)
-    sharded = tree.reduce()
-    for left, right in zip(sharded, flat):
-        for key in left:
-            np.testing.assert_array_equal(left[key], right[key])
+        tree.fold(
+            tree.shard_for(position, num_clients), flatten_weights(update), count
+        )
+    np.testing.assert_array_equal(tree.reduce(), flat)
 
 
 @given(
@@ -67,16 +72,11 @@ def test_sharded_reduce_is_bitwise_fedavg(
 def test_single_client_shards_are_exact(seed, num_clients, size):
     # Degenerate topology: as many shards as clients, one fold each.
     updates, counts = make_updates(seed, num_clients, size, 3)
-    flat = fedavg(updates, counts)
-    tree = HierarchicalAggregator(
-        updates[0],
-        ShardingConfig(num_shards=num_clients, track_memory=False),
-    )
+    flat = flatten_weights(fedavg(updates, counts))
+    tree = tree_for(updates, num_clients)
     for position, (update, count) in enumerate(zip(updates, counts)):
-        tree.fold(position, update, count)
-    for left, right in zip(tree.reduce(), flat):
-        for key in left:
-            np.testing.assert_array_equal(left[key], right[key])
+        tree.fold(position, flatten_weights(update), count)
+    np.testing.assert_array_equal(tree.reduce(), flat)
 
 
 @given(
@@ -89,6 +89,8 @@ def test_single_client_shards_are_exact(seed, num_clients, size):
 def test_sparse_topk_folds_match_flat_sparse_mean(
     seed, num_clients, num_shards, size, ratio
 ):
+    # Top-k updates fold densified (as serve's flat64() hands them over):
+    # the exact zeros off the support change no bit of the sparse mean.
     rng = np.random.default_rng(seed)
     compressor = TopKCompressor(ratio=ratio, error_feedback=False)
     flats = [rng.normal(size=size) for _ in range(num_clients)]
@@ -97,15 +99,12 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     ]
     counts = [int(c) for c in rng.integers(1, 20, size=num_clients)]
     expected = weighted_sparse_mean(sparse, counts)
-    template = [{"w": np.zeros(size)}]
     tree = HierarchicalAggregator(
-        template, ShardingConfig(num_shards=num_shards, track_memory=False)
+        size, ShardingConfig(num_shards=num_shards, track_memory=False)
     )
     for position, (update, count) in enumerate(zip(sparse, counts)):
-        tree.fold_sparse(
-            tree.shard_for(position, num_clients), update, count
-        )
-    np.testing.assert_array_equal(tree.reduce()[0]["w"], expected)
+        tree.fold(tree.shard_for(position, num_clients), update.densify(), count)
+    np.testing.assert_array_equal(tree.reduce(), expected)
 
 
 @given(
@@ -116,20 +115,13 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
 def test_routing_cannot_change_the_result(seed, num_clients, size):
     updates, counts = make_updates(seed, num_clients, size, 4)
     rng = np.random.default_rng(seed ^ 0xC0FFEE)
-    tree_a = HierarchicalAggregator(
-        updates[0], ShardingConfig(num_shards=4, track_memory=False)
-    )
-    tree_b = HierarchicalAggregator(
-        updates[0], ShardingConfig(num_shards=4, track_memory=False)
-    )
+    flats = [flatten_weights(update) for update in updates]
+    tree_a = tree_for(updates, 4)
+    tree_b = tree_for(updates, 4)
     routes = rng.integers(0, 4, size=num_clients)
     order = rng.permutation(num_clients)
     for position in range(num_clients):
-        tree_a.fold(int(routes[position]), updates[position], counts[position])
+        tree_a.fold(int(routes[position]), flats[position], counts[position])
     for position in order:  # different routing AND different arrival order
-        tree_b.fold(
-            int(position) % 4, updates[position], counts[position]
-        )
-    for left, right in zip(tree_a.reduce(), tree_b.reduce()):
-        for key in left:
-            np.testing.assert_array_equal(left[key], right[key])
+        tree_b.fold(int(position) % 4, flats[position], counts[position])
+    np.testing.assert_array_equal(tree_a.reduce(), tree_b.reduce())

@@ -79,7 +79,7 @@ class TestTamperedTransport:
         # A MITM swaps in ciphertext sealed under a different key.
         update.sealed_weights = TrustedIOPath().seal([{}] * 5)
         with pytest.raises(CryptoError):
-            server._merge_update(client, update)
+            server._merge_update(client, update, model.get_weights())
 
 
 class TestStorageFailures:

@@ -48,7 +48,9 @@ def weights():
     return mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=0).get_weights()
 
 
-def update_frame(job, dispatch, *, client=None, base_version=None, scale=0.01):
+def update_frame(
+    job, dispatch, *, client=None, base_version=None, scale=0.01, num_samples=32
+):
     """A deterministic dense f64 update frame for ``job``."""
     base_version = job.version if base_version is None else base_version
     client = dispatch % 10 if client is None else client
@@ -59,7 +61,7 @@ def update_frame(job, dispatch, *, client=None, base_version=None, scale=0.01):
             client,
             dispatch,
             base_version,
-            32,
+            num_samples,
             WireVector.dense(delta),
         )
     )
@@ -164,6 +166,19 @@ class TestQuotas:
         assert job.bytes_up == 0 and not job.queue and not job.rejects
         assert coordinator.submit(frame).accepted
         assert job.bytes_up == len(frame)
+
+    def test_zero_sample_update_is_a_structure_reject(self, fresh_obs, weights):
+        coordinator = Coordinator()
+        job = coordinator.create_job("t0", "j0", weights, buffer=BufferConfig(size=2))
+        assert coordinator.submit(update_frame(job, 0, num_samples=0)).accepted
+        result = coordinator.pump("j0")
+        assert result.rejected == ((0, "structure"),)
+        assert job.rejects == {"structure": 1}
+        assert job.folds == 0 and job.window.pending == 0
+        rejected = fresh_obs.registry.counter("serve.submit.rejected")
+        assert rejected.value(reason="structure") == 1
+        # Nothing was folded, and the job keeps folding and committing.
+        assert [event.version for event in drive(coordinator, job, [1, 2])] == [1]
 
     def test_unknown_job_is_refused(self, fresh_obs, weights):
         coordinator = Coordinator()

@@ -40,12 +40,12 @@ def weights():
     return mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=0).get_weights()
 
 
-def chaos_frame(job, seq, *, base_version=None, scale=0.01):
+def chaos_frame(job, seq, *, base_version=None, scale=0.01, num_samples=32):
     """A deterministic v2 uplink frame carrying transport seq ``seq``."""
     base_version = job.version if base_version is None else base_version
     delta = scale * np.random.default_rng((4321, seq)).standard_normal(job.size)
     message = ClientUpdateMsg(
-        job.job_id, seq % 10, seq, base_version, 32, WireVector.dense(delta)
+        job.job_id, seq % 10, seq, base_version, num_samples, WireVector.dense(delta)
     )
     return encode_frame(message, dispatch=seq)
 
@@ -314,6 +314,22 @@ class TestIngestLedger:
         outcome = coordinator.ingest(frames[0])
         assert [seq for seq, _ in outcome.processed] == [0, 1, 2, 3]
         assert job.cursor == 4 and not job.stash
+
+    def test_zero_sample_update_is_consumed_and_later_seqs_fold(
+        self, fresh_obs, weights
+    ):
+        coordinator = Coordinator()
+        job = coordinator.create_job(
+            "t0", "j0", weights, buffer=BufferConfig(size=64)
+        )
+        outcome = coordinator.ingest(chaos_frame(job, 0, num_samples=0))
+        assert outcome.status == "accepted" and outcome.ack.status == "accepted"
+        assert outcome.pumped.rejected == ((0, "structure"),)
+        assert outcome.processed == ((0, 0),)
+        for seq in range(1, 4):
+            assert coordinator.ingest(chaos_frame(job, seq)).processed == ((seq, 0),)
+        assert job.cursor == 4 and not job.stash
+        assert job.folds == 3 and job.rejects == {"structure": 1}
 
     def test_duplicates_hit_the_ledger_everywhere(self, fresh_obs, weights):
         coordinator = Coordinator()

@@ -25,11 +25,9 @@ from repro.serve.wire import (
     FrameError,
     ModelDownloadMsg,
     MsgType,
-    ShardPartialMsg,
     WireVector,
     decode_frame,
     encode_frame,
-    iter_frames,
     verify_frame,
 )
 
@@ -70,13 +68,16 @@ class TestFraming:
         frame = encode_frame(ClientUpdateMsg("j", 1, 2, 0, 17, sparse))
         assert frame[7] & FLAG_SPARSE
 
-    def test_iter_frames_concatenated(self, rng):
-        frames = b"".join(
-            encode_frame(ModelDownloadMsg("j", v, WireVector.dense(_vector(rng))))
-            for v in range(3)
-        )
-        versions = [message.version for message in iter_frames(frames)]
-        assert versions == [0, 1, 2]
+    def test_retired_message_type_is_a_frame_error(self):
+        # Type 3 (a shard→root partial) is retired: a frame that carries it
+        # with a valid CRC is refused at the header, like any unknown type.
+        frame = encode_frame(AckMsg("j", 1, "accepted"))
+        prefix = frame[:5] + bytes([3]) + frame[6:12]
+        crc = zlib.crc32(frame[HEADER_BYTES:], zlib.crc32(prefix)) & 0xFFFFFFFF
+        retyped = prefix + struct.pack(">I", crc) + frame[HEADER_BYTES:]
+        for parse in (verify_frame, decode_frame):
+            with pytest.raises(FrameError, match="not a valid MsgType"):
+                parse(retyped)
 
     @pytest.mark.parametrize(
         "mutate, match",
@@ -168,16 +169,6 @@ class TestRoundTrips:
         assert encode_frame(decoded) == encode_frame(message)
         with pytest.raises(FrameError, match="opaque"):
             decoded.delta.flat64()
-
-    def test_shard_partial_round_trip(self, rng):
-        components = tuple(rng.standard_normal(5) for _ in range(3))
-        message = ShardPartialMsg("j", 2, folds=9, total_samples=412, components=components)
-        frame = encode_frame(message)
-        decoded, _ = decode_frame(frame)
-        assert encode_frame(decoded) == frame
-        assert decoded.shard_id == 2 and decoded.total_samples == 412
-        for got, expected in zip(decoded.components, components):
-            assert np.array_equal(got, expected)
 
     def test_q8_decode_is_pure_function_of_frame(self, rng):
         vector = _vector(rng)

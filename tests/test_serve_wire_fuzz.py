@@ -22,7 +22,6 @@ from repro.serve.wire import (
     Encoding,
     FrameError,
     ModelDownloadMsg,
-    ShardPartialMsg,
     WireVector,
     decode_frame,
     encode_frame,
@@ -49,10 +48,7 @@ def _valid_frame(seed: int, kind: int, dispatch: bool) -> bytes:
         )
         message = ClientUpdateMsg("j", seed % 100, seed, seed % 4, 8, sparse)
     elif kind == 2:
-        message = ShardPartialMsg(
-            "j", seed % 4, folds=3, total_samples=99,
-            components=(rng.standard_normal(4), rng.standard_normal(4)),
-        )
+        message = ClientUpdateMsg("j", seed % 100, seed, seed % 4, 1 + seed % 64, vector)
     else:
         message = AckMsg("j", seed, ("accepted", "duplicate", "rejected:done")[seed % 3])
     return encode_frame(message, dispatch=seed if dispatch else None)
