@@ -1,12 +1,16 @@
 """Fused conv2d kernel: bitwise parity with the composed path, gradients,
 double backward, and workspace-reuse behaviour."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, check_gradients, grad, ops
 from repro.autodiff import functional as F
-from repro.autodiff.fused import conv2d_fused
+from repro.autodiff.fused import _conv_dw_data, conv2d_fused
 from repro.autodiff.functional import conv2d_composed, set_fused_conv
 from repro.autodiff.workspace import Workspace, get_workspace
 
@@ -82,6 +86,22 @@ class TestBitwiseParity:
             conv2d_fused(x, w)
 
 
+class TestDwKernelBits:
+    """The blocked transpose feeds the dW GEMM the bytes of a full one."""
+
+    def test_dw_equals_gemm_on_a_contiguous_transpose(self):
+        rng = np.random.default_rng(17)
+        ws = Workspace()  # shared, so stale pooled bytes are in play
+        for k in (1, 31, 32, 33, 75, 300, 1600):
+            for m in (1, 5, 31, 200, 1031):
+                for f in (1, 12):
+                    cols = rng.normal(size=(k, m))
+                    gt = rng.normal(size=(f, m))
+                    got = _conv_dw_data(gt, cols, (f, k, 1, 1), ws)
+                    want = (gt @ np.ascontiguousarray(cols.T)).reshape(f, k, 1, 1)
+                    assert np.array_equal(got, want), (k, m, f)
+
+
 class TestGradients:
     def test_gradcheck_stride_pad(self):
         rng = np.random.default_rng(0)
@@ -151,6 +171,78 @@ class TestWorkspace:
         assert ws.cached_bytes > 0
         ws.clear()
         assert ws.cached_bytes == 0
+
+    def test_checkout_reuses_a_same_sized_buffer_in_a_new_shape(self):
+        ws = Workspace()
+        a = ws.checkout((75, 64))
+        ws.release(a)
+        b = ws.checkout((64, 75))
+        assert b.shape == (64, 75) and b.flags.c_contiguous
+        assert np.shares_memory(a, b)
+        ws.release(b)  # the reshape returns the allocation behind it
+        assert ws.checkout((75, 64)) is a
+        assert ws.stats()["hits"] == 2
+
+    def test_double_release_pools_the_buffer_once(self):
+        ws = Workspace()
+        a = ws.checkout((4, 5))
+        ws.release(a)
+        ws.release(a)
+        ws.release(a.reshape(20))
+        assert ws.cached_bytes == a.nbytes
+        b = ws.checkout((4, 5))
+        c = ws.checkout((4, 5))
+        assert not np.shares_memory(b, c)
+
+    def test_views_that_do_not_own_a_whole_buffer_are_not_pooled(self):
+        ws = Workspace()
+        owner = np.empty((5, 4))
+        ws.release(owner.T)  # strided
+        ws.release(np.empty(40)[:20])  # part of an allocation
+        ws.release(np.empty(40)[::2])  # strided and partial
+        assert ws.cached_bytes == 0
+        assert ws.checkout((4, 5)).flags.c_contiguous
+
+    def test_a_stale_view_cannot_pool_memory_twice(self):
+        ws = Workspace()
+        a = ws.checkout((4, 5))
+        ws.release(a)
+        ws.release(a[:2])
+        ws.release(a.T)
+        b = ws.checkout((4, 5))
+        c = ws.checkout((2, 5))
+        d = ws.checkout((5, 4))
+        assert not np.shares_memory(b, c)
+        assert not np.shares_memory(b, d)
+
+    def test_threads_never_share_a_buffer(self):
+        ws = Workspace()
+        clobbered = []
+
+        def worker(tag):
+            for i in range(300):
+                buf = ws.checkout((6, 10) if (i + tag) % 2 else (10, 6))
+                buf.fill(tag)
+                time.sleep(0)
+                if not (buf == tag).all():
+                    clobbered.append(tag)
+                ws.release(buf)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(1, 9)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clobbered
+        stats = ws.stats()
+        assert stats["hits"] + stats["misses"] == 8 * 300
+        assert stats["cached_bytes"] <= ws.max_buffers_per_key * 480
 
     def test_global_workspace_reused_by_training(self):
         ws = get_workspace()
