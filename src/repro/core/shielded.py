@@ -52,6 +52,50 @@ def _as_tuple(value):
     return value if isinstance(value, tuple) else (value,)
 
 
+def _untuple(arrays):
+    """Inverse of :func:`_as_tuple`: one array stays bare, else a tuple."""
+    return arrays[0] if len(arrays) == 1 else tuple(arrays)
+
+
+def _run_forward(model: Sequential, indices: Tuple[int, ...], x):
+    """Forward through the run of consecutive layers ``indices``.
+
+    The one run executor both worlds share: the enclave wraps it with
+    materialise/scrub, the normal world calls it bare.  ``x`` is one
+    activation array or a tuple of stream arrays; the inputs require grad
+    unless the run starts at layer 1 (nobody consumes the batch gradient).
+    Returns ``(in_tensors, outs)``, the graph :func:`_run_backward` needs.
+    """
+    in_tensors = tuple(Tensor(a, requires_grad=indices[0] != 1) for a in _as_tuple(x))
+    out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
+    for index in indices:
+        out = model.layer(index)(out)
+    return in_tensors, _as_tuple(out)
+
+
+def _run_backward(model, indices, cached, gout, lr, record=None) -> List[np.ndarray]:
+    """Backward through a run and apply SGD (the paper's formula (1)).
+
+    ``cached`` is :func:`_run_forward`'s result and ``gout`` carries one
+    seed per output stream.  Parameters are differentiated and updated in
+    (layer, sorted key) order; ``record(index, name, grad)``, when given,
+    sees each gradient before its update.  Returns the input gradients —
+    empty for a run starting at L1.
+    """
+    in_tensors, outs = cached
+    keys = [(i, name) for i in indices for name in sorted(model.layer(i).params)]
+    params = [model.layer(i).params[name] for i, name in keys]
+    seeds = [Tensor(g) for g in _as_tuple(gout)]
+    wanted = [t for t in in_tensors if t.requires_grad]
+    results = grad(list(outs), wanted + params, grad_outputs=seeds)
+    for (index, name), g in zip(keys, results[len(wanted):]):
+        if record is not None:
+            record(index, name, g.data)
+        param = model.layer(index).params[name]
+        param.data = param.data - lr * g.data
+    return [g.data for g in results[: len(wanted)]]
+
+
 class GradSecTA(TrustedApplication):
     """The enclave side of GradSec.
 
@@ -67,10 +111,7 @@ class GradSecTA(TrustedApplication):
         self._pool = pool
         self._buffers: Dict[Tuple[int, str], ShieldedBuffer] = {}
         self._scratch: Dict[int, int] = {}  # layer index -> pool handle
-        self._forward_cache: Dict[
-            Tuple[int, ...], Tuple[Tuple[Tensor, ...], Tuple[Tensor, ...]]
-        ] = {}
-        self._batch_size: Optional[int] = None
+        self._forward_cache: Dict[Tuple[int, ...], tuple] = {}  # run -> graph
         self.register("protect", self._cmd_protect)
         self.register("provision", self._cmd_provision)
         self.register("forward_run", self._cmd_forward_run)
@@ -79,15 +120,14 @@ class GradSecTA(TrustedApplication):
         self.register("release", self._cmd_release)
 
     # -- helpers ---------------------------------------------------------
-    def protected_indices(self) -> FrozenSet[int]:
-        return frozenset(index for index, _ in self._buffers)
-
     def _layer(self, index: int):
         return self._model.layer(index)
 
-    def _scrub_normal_copy(self, index: int) -> None:
-        for param in self._layer(index).params.values():
-            param.data = np.zeros_like(param.data)
+    def _scrub(self, indices: Tuple[int, ...]) -> None:
+        """Zero the normal-world copies of layers ``indices``."""
+        for index in indices:
+            for param in self._layer(index).params.values():
+                param.data = np.zeros_like(param.data)
 
     def _allocate_scratch(self, index: int, batch_size: int) -> None:
         """Reserve enclave space for dW + A_{l-1} + Z_l + delta_l.
@@ -101,18 +141,11 @@ class GradSecTA(TrustedApplication):
         scratch_bytes = _FLOAT_BYTES * (layer.param_count + in_elems + 2 * out_elems)
         self._scratch[index] = self._pool.allocate(scratch_bytes)
 
-    def _materialise(self, index: int) -> None:
-        """Load shielded weights into the layer object (secure world only)."""
-        for (li, name), buffer in self._buffers.items():
-            if li == index:
+    def _materialise(self, indices: Tuple[int, ...]) -> None:
+        """Load shielded weights into the layer objects (secure world only)."""
+        for (index, name), buffer in self._buffers.items():
+            if index in indices:
                 self._layer(index).params[name].data = buffer.read()
-
-    def _capture_and_scrub(self, index: int) -> None:
-        """Write possibly-updated weights back to buffers, scrub REE copy."""
-        for (li, name), buffer in self._buffers.items():
-            if li == index:
-                buffer.write(self._layer(index).params[name].data)
-        self._scrub_normal_copy(index)
 
     # -- commands ---------------------------------------------------------
     def _cmd_protect(self, indices: Tuple[int, ...], batch_size: int) -> None:
@@ -127,40 +160,28 @@ class GradSecTA(TrustedApplication):
                     nbytes_override=param.data.size * _FLOAT_BYTES,
                 )
             self._allocate_scratch(index, batch_size)
-            self._scrub_normal_copy(index)
-        self._batch_size = batch_size
+            self._scrub((index,))
 
     def _cmd_provision(self, blob: bytes, iopath: TrustedIOPath, batch_size: int) -> None:
         """Receive protected weights from the FL server (trusted I/O path)."""
         incoming = iopath.unseal_to_enclave(blob, self._pool)
         for (zero_based, name), buffer in incoming.items():
-            index = zero_based + 1
-            self._buffers[(index, name)] = buffer
+            self._buffers[(zero_based + 1, name)] = buffer
         for index in {zb + 1 for zb, _ in incoming}:
             self._allocate_scratch(index, batch_size)
-            self._scrub_normal_copy(index)
-        self._batch_size = batch_size
+            self._scrub((index,))
 
-    def _cmd_forward_run(self, indices: Tuple[int, ...], x) -> np.ndarray:
+    def _cmd_forward_run(self, indices: Tuple[int, ...], x):
         """Forward through a run of consecutive protected layers.
 
         ``x`` is one activation array or a tuple of stream arrays; the
         return value mirrors the run's own output arity.
         """
-        in_tensors = tuple(
-            Tensor(np.asarray(a), requires_grad=indices[0] != 1) for a in _as_tuple(x)
-        )
-        out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
-        for index in indices:
-            self._materialise(index)
-            out = self._layer(index)(out)
-        for index in indices:
-            self._scrub_normal_copy(index)
-        outs = _as_tuple(out)
+        self._materialise(indices)
+        in_tensors, outs = _run_forward(self._model, indices, x)
+        self._scrub(indices)
         self._forward_cache[tuple(indices)] = (in_tensors, outs)
-        if len(outs) == 1:
-            return outs[0].data.copy()
-        return tuple(o.data.copy() for o in outs)
+        return _untuple([o.data.copy() for o in outs])
 
     def _cmd_backward_run(self, indices: Tuple[int, ...], gout, lr: float):
         """Backward through a protected run; update weights in-enclave.
@@ -171,35 +192,18 @@ class GradSecTA(TrustedApplication):
         """
         cached = self._forward_cache.pop(tuple(indices), None)
         if cached is None:
-            raise TEEError(
-                f"backward_run for {indices} without a preceding forward_run"
-            )
-        in_tensors, outs = cached
+            raise TEEError(f"backward_run for {indices} without a preceding forward_run")
         # Re-materialise weights: the graph holds references to the param
         # tensors, whose data was scrubbed after forward.
-        for index in indices:
-            self._materialise(index)
-        params: List[Tensor] = []
-        keys: List[Tuple[int, str]] = []
-        for index in indices:
-            for name in sorted(self._layer(index).params):
-                params.append(self._layer(index).params[name])
-                keys.append((index, name))
-        seeds = [Tensor(np.asarray(g)) for g in _as_tuple(gout)]
-        wanted = [t for t in in_tensors if t.requires_grad]
-        results = grad(list(outs), wanted + params, grad_outputs=seeds)
-        gins, param_grads = results[: len(wanted)], results[len(wanted):]
-        # SGD update inside the enclave (formula (1) of the paper).
-        for (index, name), g in zip(keys, param_grads):
-            param = self._layer(index).params[name]
-            param.data = param.data - lr * g.data
-        for index in indices:
-            self._capture_and_scrub(index)
+        self._materialise(indices)
+        gins = _run_backward(self._model, indices, cached, gout, lr)
+        for (index, name), buffer in self._buffers.items():
+            if index in indices:
+                buffer.write(self._layer(index).params[name].data)
+        self._scrub(indices)
         if not gins:
             return None
-        if len(gins) == 1:
-            return gins[0].data.copy()
-        return tuple(g.data.copy() for g in gins)
+        return _untuple([g.copy() for g in gins])
 
     def _cmd_export_weights(self, iopath: TrustedIOPath) -> bytes:
         """Seal the protected layers' current weights for the FL server."""
@@ -243,11 +247,6 @@ class ShieldedModel:
     cost_model:
         When provided, the trainer accrues simulated device time
         (user/kernel/alloc) per cycle, reproducing Table 6 accounting.
-    compile_steps:
-        Route fully-unprotected training steps through the graph VM
-        (:mod:`repro.graph`).  Bitwise-identical to the eager path; cycles
-        with a non-empty protected set always use the partitioned eager
-        executor (the enclave boundary is the point of those cycles).
     """
 
     def __init__(
@@ -258,7 +257,6 @@ class ShieldedModel:
         monitor: Optional[SecureMonitor] = None,
         batch_size: int = 32,
         cost_model: Optional[CostModel] = None,
-        compile_steps: bool = False,
     ) -> None:
         self.model = model
         self.policy = policy or NoProtection(model)
@@ -278,8 +276,6 @@ class ShieldedModel:
         self._in_cycle = False
         self.history: List[CycleLeakage] = []
         self.simulated_cost = CycleCost(0.0, 0.0, 0.0, 0)
-        self.compile_steps = bool(compile_steps)
-        self._compiled_step = None  # (CompiledStep, VM) for the last shape
 
     # ------------------------------------------------------------------
     @property
@@ -333,13 +329,9 @@ class ShieldedModel:
         )
         self._cycle_leakage.record_weights_before(self.model, self._protected)
         if self.cost_model is not None:
-            alloc = sum(
-                self.cost_model.profile.alloc_seconds(
-                    self.model.layer(i).weight_param_count
-                )
-                for i in self._protected
+            self.simulated_cost = self.simulated_cost.plus(
+                self.cost_model.alloc_cost(self.model, self._protected)
             )
-            self.simulated_cost = self.simulated_cost.plus(CycleCost(0.0, 0.0, alloc, 0))
         return self._protected
 
     def _runs(self) -> List[Tuple[Tuple[int, ...], bool]]:
@@ -357,61 +349,18 @@ class ShieldedModel:
             runs.append((tuple(run), is_protected))
         return runs
 
-    def _accrue_step_cost(self, batch: int) -> None:
-        """Simulated user/kernel time for one step (Table 6 accounting)."""
-        factor = self.cost_model.profile.training_flops_factor()
-        user = kernel = 0.0
-        for i in range(1, self.model.num_layers + 1):
-            flops = self.model.layer(i).flops_per_sample() * factor * batch
-            if i in self._protected:
-                kernel += flops * self.cost_model.profile.tee_seconds_per_flop
-            else:
-                user += flops * self.cost_model.profile.ree_seconds_per_flop
-        kernel += len(self._protected) * self.cost_model.profile.world_switch_seconds
-        self.simulated_cost = self.simulated_cost.plus(CycleCost(user, kernel, 0.0, 0))
-
-    def _train_step_compiled(
-        self, x: np.ndarray, y_onehot: np.ndarray, lr: float
-    ) -> float:
-        """Unprotected step through the graph VM (bitwise == eager path).
-
-        The eager unprotected path computes every parameter gradient before
-        applying any update, in ascending (layer, sorted key) order — the
-        exact contract the compiled program replays, so leakage records and
-        weights match the eager step bit for bit.
-        """
-        from ..graph.vm import compile_model_step
-
-        step = compile_model_step(self.model, x, y_onehot)
-        cached = self._compiled_step
-        if cached is None or cached[0] is not step:
-            # VM instances hold mutable scratch, so each ShieldedModel (one
-            # per client / thread) owns its own.
-            self._compiled_step = (step, step.make_vm())
-        step, vm = self._compiled_step
-        loss, grads = step.run_step(vm, self.model, x, y_onehot)
-        for (li, name), g in zip(step.param_index, grads):
-            self._cycle_leakage.record_gradient(li + 1, name, g)
-            param = self.model.layers[li].params[name]
-            param.data = param.data - lr * g
-        if self.cost_model is not None:
-            self._accrue_step_cost(x.shape[0])
-        return loss
-
     def train_step(self, x: np.ndarray, y_onehot: np.ndarray, lr: float = 0.1) -> float:
         """One SGD step with partitioned execution; returns the loss."""
         if not self._in_cycle:
             raise RuntimeError("train_step outside begin_cycle/end_cycle")
         x = np.asarray(x)
         y_onehot = np.asarray(y_onehot)
-        if self.compile_steps and not self._protected:
-            return self._train_step_compiled(x, y_onehot, lr)
         runs = self._runs()
 
         # Forward: normal-world runs execute locally; protected runs via SMC.
         # ``current`` is one activation array or a tuple of stream arrays —
         # transformer sublayers thread residual streams across boundaries.
-        activations: List[Optional[Tuple[Tuple[Tensor, ...], Tuple[Tensor, ...]]]] = []
+        activations: List[Optional[tuple]] = []  # per run: its graph, None if protected
         current = x
         for indices, is_protected in runs:
             if is_protected:
@@ -420,19 +369,9 @@ class ShieldedModel:
                 )
                 activations.append(None)
             else:
-                in_tensors = tuple(
-                    Tensor(a, requires_grad=indices[0] != 1) for a in _as_tuple(current)
-                )
-                out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
-                for index in indices:
-                    out = self.model.layer(index)(out)
-                outs = _as_tuple(out)
-                activations.append((in_tensors, outs))
-                current = (
-                    outs[0].data
-                    if len(outs) == 1
-                    else tuple(o.data for o in outs)
-                )
+                cached = _run_forward(self.model, indices, current)
+                activations.append(cached)
+                current = _untuple([o.data for o in cached[1]])
 
         logits = Tensor(current, requires_grad=True)
         loss = F.cross_entropy(logits, Tensor(y_onehot))
@@ -443,38 +382,17 @@ class ShieldedModel:
         for (indices, is_protected), cached in zip(reversed(runs), reversed(activations)):
             if is_protected:
                 gout_data = self.monitor.smc(
-                    self.ta.uuid,
-                    "backward_run",
-                    indices=indices,
-                    gout=gout_data,
-                    lr=lr,
+                    self.ta.uuid, "backward_run", indices=indices, gout=gout_data, lr=lr
                 )
             else:
-                in_tensors, outs = cached
-                params: List[Tensor] = []
-                keys: List[Tuple[int, str]] = []
-                for index in indices:
-                    layer = self.model.layer(index)
-                    for name in sorted(layer.params):
-                        params.append(layer.params[name])
-                        keys.append((index, name))
-                seeds = [Tensor(g) for g in _as_tuple(gout_data)]
-                wanted = [t for t in in_tensors if t.requires_grad]
-                results = grad(list(outs), wanted + params, grad_outputs=seeds)
-                gins = results[: len(wanted)]
-                param_grads = results[len(wanted):]
-                for (index, name), g in zip(keys, param_grads):
-                    self._cycle_leakage.record_gradient(index, name, g.data)
-                    param = self.model.layer(index).params[name]
-                    param.data = param.data - lr * g.data
-                gout_data = (
-                    gins[0].data
-                    if len(gins) == 1
-                    else tuple(g.data for g in gins)  # () after the first run
-                )
+                record = self._cycle_leakage.record_gradient
+                gins = _run_backward(self.model, indices, cached, gout_data, lr, record)
+                gout_data = _untuple(gins)  # () after the first run
 
         if self.cost_model is not None:
-            self._accrue_step_cost(x.shape[0])
+            self.simulated_cost = self.simulated_cost.plus(
+                self.cost_model.step_cost(self.model, self._protected, x.shape[0])
+            )
         return float(loss.item())
 
     def end_cycle(self, restore: bool = True) -> CycleLeakage:

@@ -58,14 +58,17 @@ from .config import BufferConfig, ShardingConfig
 from .robust import RULES, apply_rule
 from .sharding import RobustShardPartial, ShardPartial
 
-__all__ = ["BufferedAggregator"]
+__all__ = ["BufferedAggregator", "encode_flat", "decode_flat"]
 
 
-def _encode(array: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(array, dtype=np.float64).tobytes()).decode("ascii")
+def encode_flat(array) -> str:
+    """A float64 vector (or matrix of rows) as base64 JSON text."""
+    return base64.b64encode(
+        np.ascontiguousarray(array, dtype=np.float64).tobytes()
+    ).decode("ascii")
 
 
-def _decode(blob: str) -> np.ndarray:
+def decode_flat(blob: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(blob), dtype=np.float64).copy()
 
 
@@ -332,9 +335,9 @@ class BufferedAggregator:
         if self.rule == "fedavg":
             state["sums"] = [
                 {
-                    "vector": [_encode(c) for c in shard.vector.components],
+                    "vector": [encode_flat(c) for c in shard.vector.components],
                     "vector_folds": shard.vector.folds,
-                    "weight": [_encode(c) for c in shard.weight.components],
+                    "weight": [encode_flat(c) for c in shard.weight.components],
                     "weight_folds": shard.weight.folds,
                     "total_samples": shard.total_samples,
                 }
@@ -342,7 +345,7 @@ class BufferedAggregator:
             ]
         else:
             state["rows"] = [
-                [[int(key), _encode(row)] for key, row in rows]
+                [[int(key), encode_flat(row)] for key, row in rows]
                 for rows in self._rows
             ]
         return state
@@ -362,9 +365,9 @@ class BufferedAggregator:
             if len(sums) != len(self._sums):
                 raise ValueError("checkpointed shard count disagrees")
             for shard, snap in zip(self._sums, sums):
-                shard.vector._components = [_decode(c) for c in snap["vector"]]
+                shard.vector._components = [decode_flat(c) for c in snap["vector"]]
                 shard.vector.folds = int(snap["vector_folds"])
-                shard.weight._components = [float(_decode(c)[0]) for c in snap["weight"]]
+                shard.weight._components = [float(decode_flat(c)[0]) for c in snap["weight"]]
                 shard.weight.folds = int(snap["weight_folds"])
                 shard.total_samples = int(snap["total_samples"])
         else:
@@ -372,7 +375,7 @@ class BufferedAggregator:
             if len(rows) != len(self._rows):
                 raise ValueError("checkpointed shard count disagrees")
             self._rows = [
-                [(int(key), _decode(row)) for key, row in shard_rows]
+                [(int(key), decode_flat(row)) for key, row in shard_rows]
                 for shard_rows in rows
             ]
         self._live_bytes = sum(s.live_bytes for s in self._sums) + sum(

@@ -74,10 +74,6 @@ class FLClient:
         Pre-seeded generator to sample batches from — lets a harness thread
         one generator through a whole deployment instead of per-client
         seeds.
-    compile_steps:
-        Execute fully-unprotected training steps through the graph VM
-        (bitwise-identical, faster); protected cycles keep the partitioned
-        eager path.
     """
 
     def __init__(
@@ -90,7 +86,6 @@ class FLClient:
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
         rng: Optional[np.random.Generator] = None,
-        compile_steps: bool = False,
     ) -> None:
         self.client_id = client_id
         self.model = model
@@ -110,7 +105,6 @@ class FLClient:
             policy,
             pool=SecureMemoryPool(name=client_id),
             cost_model=cost_model,
-            compile_steps=compile_steps,
         )
         self.iopath = TrustedIOPath()
         self._data_key = "training-data"

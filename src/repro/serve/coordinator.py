@@ -39,7 +39,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
-from ..fl.buffer import BufferedAggregator
+from ..fl.buffer import BufferedAggregator, decode_flat, encode_flat
 from ..fl.config import BufferConfig, ShardingConfig
 from ..nn.model import WeightsList
 from ..nn.serialize import flatten_weights
@@ -68,17 +68,6 @@ __all__ = [
 ]
 
 TA_UUID = "gradsec-serve-coordinator"
-
-
-def encode_flat(array) -> str:
-    """A float64 vector (or matrix of rows) as base64 JSON text."""
-    return base64.b64encode(
-        np.ascontiguousarray(array, dtype=np.float64).tobytes()
-    ).decode("ascii")
-
-
-def decode_flat(blob: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob), dtype=np.float64).copy()
 
 
 @dataclass(frozen=True)
@@ -647,31 +636,27 @@ class Coordinator:
         """Admit one staged update into the open window; reason if refused."""
         base = job.versions.get(message.base_version)
         if base is None:
-            job._count_reject("stale")
-            self._rejected.inc(reason="stale")
-            return "stale"
+            return self._refuse(job, "stale").reason
         delta = message.delta.flat64()
         if delta.size != job.size or message.num_samples < 1:
-            job._count_reject("structure")
-            self._rejected.inc(reason="structure")
-            return "structure"
+            return self._refuse(job, "structure").reason
         flat = base + delta
         client_id = f"client-{message.client}"
         if job.reputation is not None and job.reputation.is_blocked(
             client_id, job.version
         ):
-            job._count_reject("quarantined")
-            self._rejected.inc(reason="quarantined")
-            return "quarantined"
+            return self._refuse(job, "quarantined").reason
         if job.admission is not None:
             decision = job.admission.check(client_id, flat, reference=base)
             if not decision.admitted:
                 job.reputation.record_rejection(client_id, job.version)
-                job._count_reject("admission")
-                self._rejected.inc(reason="admission")
-                return "admission"
+                return self._refuse(job, "admission").reason
             job.reputation.record_admission(client_id)
             flat = decision.flat
+        elif not np.isfinite(flat).all():
+            # The admission gate checks finiteness itself; without it, a
+            # NaN/inf update would fold silently and poison the commit.
+            return self._refuse(job, "structure").reason
         shard_id = int(message.client) % job.sharding.num_shards
         job.window.fold(
             shard_id,

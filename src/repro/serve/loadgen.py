@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..fl.admission import AdmissionConfig
+from ..fl.buffer import decode_flat, encode_flat
 from ..fl.compression import TopKCompressor
 from ..fl.config import BufferConfig, ShardingConfig
 from ..fl.resilience import RetryPolicy
@@ -40,14 +41,7 @@ from ..sim import keyed
 from ..sim.events import EventLoop
 from ..sim.faults import FaultKind, FaultPlan, FaultRates
 from ..sim.network import NetworkModel
-from .coordinator import (
-    TA_UUID,
-    Coordinator,
-    JobState,
-    TenantQuota,
-    decode_flat,
-    encode_flat,
-)
+from .coordinator import TA_UUID, Coordinator, JobState, TenantQuota
 from .transport import BreakerConfig, ChaosChannel, ChaosConfig
 from .wire import (
     AckMsg,

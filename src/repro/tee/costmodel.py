@@ -19,7 +19,7 @@ from shapes (``W + dW + A_{l-1} + Z_l + delta_l`` per protected layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from ..obs import get_registry
 from ..nn.model import Sequential
@@ -147,6 +147,29 @@ class CostModel:
             "tee.costmodel.cycle_seconds", "modelled per-cycle device time"
         ).observe(cost.total_seconds, profile=profile.name)
         return cost
+
+    def step_cost(
+        self, model: Sequential, protected: Collection[int], batch: int
+    ) -> CycleCost:
+        """User/kernel time a shielded trainer accrues per step of ``batch``."""
+        factor = self.profile.training_flops_factor()
+        user = kernel = 0.0
+        for i in range(1, model.num_layers + 1):
+            flops = model.layer(i).flops_per_sample() * factor * batch
+            if i in protected:
+                kernel += flops * self.profile.tee_seconds_per_flop
+            else:
+                user += flops * self.profile.ree_seconds_per_flop
+        kernel += len(protected) * self.profile.world_switch_seconds
+        return CycleCost(user, kernel, 0.0, 0)
+
+    def alloc_cost(self, model: Sequential, protected: Iterable[int]) -> CycleCost:
+        """Enclave allocation time for protected weights, once per cycle."""
+        alloc = sum(
+            self.profile.alloc_seconds(model.layer(i).weight_param_count)
+            for i in protected
+        )
+        return CycleCost(0.0, 0.0, alloc, 0)
 
     # ------------------------------------------------------------------
     def dynamic_cost(

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.autodiff import Tensor, functional as F, grad
 from repro.core import (
     DynamicPolicy,
+    GradSecTA,
     NoProtection,
     ShieldedModel,
     StaticPolicy,
@@ -15,6 +17,8 @@ from repro.tee import (
     CostModel,
     SecureMemoryExhausted,
     SecureMemoryPool,
+    SecureMonitor,
+    TEEError,
     TrustedIOPath,
 )
 
@@ -196,6 +200,112 @@ class TestConfidentiality:
         shielded.end_cycle()
         # protect + forward + backward + release
         assert shielded.monitor.stats.calls == 4
+
+
+def direct_ta(model):
+    """A GradSec TA reached only through its own secure monitor."""
+    monitor = SecureMonitor()
+    ta = GradSecTA(model, SecureMemoryPool())
+    monitor.install(ta)
+    return lambda command, **params: monitor.smc(ta.uuid, command, **params)
+
+
+def ree_step(model, smc, runs, x, y, lr):
+    """The normal world's half of one partitioned SGD step, written out.
+
+    Unprotected runs are differentiated here, layer by layer; protected runs
+    are one ``forward_run`` each, then one ``backward_run`` each in reverse.
+    """
+    tapes, current = [], x
+    for indices, protected in runs:
+        if protected:
+            current = smc("forward_run", indices=indices, x=current)
+            tapes.append(None)
+            continue
+        inp = Tensor(current, requires_grad=indices[0] != 1)
+        out = inp
+        for index in indices:
+            out = model.layer(index)(out)
+        tapes.append((inp, out))
+        current = out.data
+    logits = Tensor(current, requires_grad=True)
+    (gout,) = grad(F.cross_entropy(logits, Tensor(y)), [logits])
+    gout = gout.data
+    for (indices, protected), tape in zip(reversed(runs), reversed(tapes)):
+        if protected:
+            gout = smc("backward_run", indices=indices, gout=gout, lr=lr)
+            continue
+        inp, out = tape
+        keys = [(i, name) for i in indices for name in sorted(model.layer(i).params)]
+        params = [model.layer(i).params[name] for i, name in keys]
+        wanted = [inp] if inp.requires_grad else []
+        results = grad([out], wanted + params, grad_outputs=[Tensor(gout)])
+        for (i, name), g in zip(keys, results[len(wanted):]):
+            param = model.layer(i).params[name]
+            param.data = param.data - lr * g.data
+        gout = results[0].data if wanted else None
+
+
+class TestTrustedApplicationDirect:
+    """``GradSecTA`` driven through ``SecureMonitor.smc`` with no trainer."""
+
+    RUNS = [((1,), False), ((2,), True), ((3,), False), ((4,), True), ((5,), False)]
+
+    def test_protocol_matches_a_shielded_step_bit_for_bit(self, rng):
+        x = rng.normal(size=(4, 3, 32, 32))
+        y = one_hot(rng.integers(0, 5, 4), 5)
+        ref = lenet5(num_classes=5, seed=2, scale=0.5)
+        trainer = ShieldedModel(
+            ref, policy_from_spec("static:L2+L4", ref.layout()), batch_size=4
+        )
+        trainer.begin_cycle()
+        for _ in range(2):
+            trainer.train_step(x, y, lr=0.2)
+        trainer.end_cycle(restore=True)
+
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        smc = direct_ta(model)
+        iopath = TrustedIOPath()
+        smc("protect", indices=(2, 4), batch_size=4)
+        for _ in range(2):
+            ree_step(model, smc, self.RUNS, x, y, lr=0.2)
+        unsealed = iopath.unseal_remote(smc("export_weights", iopath=iopath))
+        assert smc("release", restore=False) is None
+        for index in (2, 4):
+            assert not model.layer(index).params["weight"].data.any()
+            expected = ref.layer(index).get_weights()
+            assert set(unsealed[index - 1]) == set(expected)
+            for key, value in expected.items():
+                assert np.array_equal(unsealed[index - 1][key], value)
+        for index in (1, 3, 5):
+            for key, value in ref.layer(index).get_weights().items():
+                assert np.array_equal(model.layer(index).get_weights()[key], value)
+
+    def test_backward_without_forward_is_refused(self):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        smc = direct_ta(model)
+        smc("protect", indices=(2, 4), batch_size=4)
+        gout = np.zeros((4,) + model.layer(2).output_shape)
+        with pytest.raises(TEEError, match="without a preceding forward_run"):
+            smc("backward_run", indices=(2,), gout=gout, lr=0.1)
+
+    def test_second_backward_of_a_run_is_refused(self, rng):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        smc = direct_ta(model)
+        smc("protect", indices=(2, 4), batch_size=4)
+        a1 = model.layer(1)(Tensor(rng.normal(size=(4, 3, 32, 32)))).data
+        out = smc("forward_run", indices=(2,), x=a1)
+        gin = smc("backward_run", indices=(2,), gout=np.ones_like(out), lr=0.1)
+        assert gin.shape == a1.shape
+        with pytest.raises(TEEError):
+            smc("backward_run", indices=(2,), gout=np.ones_like(out), lr=0.1)
+
+    def test_run_starting_at_layer_one_returns_no_input_gradient(self, rng):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        smc = direct_ta(model)
+        smc("protect", indices=(1, 2), batch_size=4)
+        out = smc("forward_run", indices=(1, 2), x=rng.normal(size=(4, 3, 32, 32)))
+        assert smc("backward_run", indices=(1, 2), gout=np.ones_like(out), lr=0.1) is None
 
 
 class TestMemoryAccounting:

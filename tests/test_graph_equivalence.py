@@ -131,36 +131,6 @@ class TestModelZooEquivalence:
         )
 
 
-class TestShieldedCompiledSteps:
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=4, deadline=None)
-    def test_compile_steps_flag_is_bitwise_neutral(self, seed):
-        from repro.core.shielded import ShieldedModel
-
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(4, 6))
-        y = one_hot(rng.integers(0, 4, size=4), 4)
-        finals = {}
-        for compiled in (False, True):
-            with fresh():
-                shielded = ShieldedModel(
-                    mlp(4, (6,), hidden=(8, 5), seed=seed),
-                    batch_size=4,
-                    compile_steps=compiled,
-                )
-                losses = []
-                for cycle in range(2):
-                    shielded.begin_cycle(cycle=cycle)
-                    for _ in range(2):
-                        losses.append(shielded.train_step(x, y, lr=0.05))
-                    shielded.end_cycle()
-                finals[compiled] = (losses, shielded.model.get_weights())
-        assert finals[False][0] == finals[True][0]
-        for a, b in zip(finals[False][1], finals[True][1]):
-            for key in a:
-                np.testing.assert_array_equal(a[key], b[key])
-
-
 class TestDoubleBackward:
     @given(seed=st.integers(0, 2**16))
     def test_traced_second_order_matches_eager(self, seed):

@@ -180,6 +180,22 @@ class TestQuotas:
         # Nothing was folded, and the job keeps folding and committing.
         assert [event.version for event in drive(coordinator, job, [1, 2])] == [1]
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_update_without_admission_is_a_structure_reject(
+        self, fresh_obs, weights, scale
+    ):
+        coordinator = Coordinator()
+        job = coordinator.create_job("t0", "j0", weights, buffer=BufferConfig(size=2))
+        assert coordinator.submit(update_frame(job, 0, scale=scale)).accepted
+        result = coordinator.pump("j0")
+        assert result.rejected == ((0, "structure"),)
+        assert job.rejects == {"structure": 1}
+        assert job.folds == 0 and job.window.pending == 0
+        rejected = fresh_obs.registry.counter("serve.submit.rejected")
+        assert rejected.value(reason="structure") == 1
+        assert [event.version for event in drive(coordinator, job, [1, 2])] == [1]
+        assert np.isfinite(job.flat).all()
+
     def test_unknown_job_is_refused(self, fresh_obs, weights):
         coordinator = Coordinator()
         job = coordinator.create_job("t0", "j0", weights)

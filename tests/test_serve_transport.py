@@ -331,6 +331,21 @@ class TestIngestLedger:
         assert job.cursor == 4 and not job.stash
         assert job.folds == 3 and job.rejects == {"structure": 1}
 
+    def test_non_finite_update_is_consumed_and_later_seqs_fold(
+        self, fresh_obs, weights
+    ):
+        coordinator = Coordinator()
+        job = coordinator.create_job("t0", "j0", weights, buffer=BufferConfig(size=2))
+        outcome = coordinator.ingest(chaos_frame(job, 0, scale=np.nan))
+        assert outcome.status == "accepted" and outcome.ack.status == "accepted"
+        assert outcome.pumped.rejected == ((0, "structure"),)
+        assert outcome.processed == ((0, 0),)
+        for seq in (1, 2):
+            coordinator.ingest(chaos_frame(job, seq))
+        assert job.cursor == 3 and job.version == 1
+        assert job.folds == 2 and job.rejects == {"structure": 1}
+        assert np.isfinite(job.flat).all()
+
     def test_duplicates_hit_the_ledger_everywhere(self, fresh_obs, weights):
         coordinator = Coordinator()
         job = coordinator.create_job(

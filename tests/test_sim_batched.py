@@ -63,6 +63,9 @@ class TestByteIdentity:
             dropout=0.1,
             straggler=0.1,
         ),
+        # A three-round fleet: the quick end-to-end configuration the
+        # graph-compile sweep once timed.
+        dict(clients=256, rounds=3, seed=2, cohort=96),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
