@@ -18,10 +18,8 @@ from .features import (
     gradient_feature_vector,
     layer_block_sizes,
     layer_feature_block,
-    mask_protected,
 )
 from .mia import MembershipInferenceAttack
-from .shadow import ShadowModelAttack
 from .suite import AttackSuite, AttackVerdict, SecurityReport
 from .dpia import DPIADataset, PropertyInferenceAttack
 
@@ -32,7 +30,6 @@ __all__ = [
     "DRIAReport",
     "infer_label_from_gradients",
     "MembershipInferenceAttack",
-    "ShadowModelAttack",
     "AttackSuite", "AttackVerdict", "SecurityReport",
     "PropertyInferenceAttack",
     "DPIADataset",
@@ -40,5 +37,4 @@ __all__ = [
     "features_from_weight_grads",
     "layer_feature_block",
     "layer_block_sizes",
-    "mask_protected",
 ]

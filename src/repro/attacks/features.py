@@ -28,7 +28,6 @@ __all__ = [
     "layer_block_sizes",
     "gradient_feature_vector",
     "features_from_weight_grads",
-    "mask_protected",
 ]
 
 
@@ -96,20 +95,3 @@ def gradient_feature_vector(
     """Compute gradients of ``model`` on a batch and featurise them."""
     grads = model.gradients_array(np.asarray(x), np.asarray(y_onehot))
     return features_from_weight_grads(model, grads, protected)
-
-
-def mask_protected(
-    features: np.ndarray, model: Sequential, protected: Iterable[int]
-) -> np.ndarray:
-    """NaN-out the feature columns belonging to ``protected`` layers."""
-    features = np.array(features, dtype=np.float64, copy=True)
-    sizes = layer_block_sizes(model)
-    protected_set = set(protected)
-    start = 0
-    for index, size in enumerate(sizes, start=1):
-        if size == 0:
-            continue
-        if index in protected_set:
-            features[..., start : start + size] = np.nan
-        start += size
-    return features

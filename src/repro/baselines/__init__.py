@@ -4,19 +4,15 @@
   additively homomorphic aggregation (BatchCrypt), the software HE
   alternative to TEEs.
 * :mod:`~repro.baselines.ppfl` — layer-wise always-in-TEE training (PPFL).
-* :mod:`~repro.baselines.slalom` — verified outsourcing of linear layers
-  for private *inference* (no training, the paper's critique).
 * :mod:`~repro.baselines.gecko` — quantization for membership privacy.
 
-(The differential-privacy baseline lives in :mod:`repro.fl.dp`, and the
-secure-aggregation baseline in :mod:`repro.fl.secure_agg`.)
+(The differential-privacy baseline lives in :mod:`repro.fl.dp`.)
 """
 
 from .batchcrypt import BatchCrypt, QuantizationConfig
 from .gecko import QuantizationReport, quantize_model
 from .paillier import PaillierPrivateKey, PaillierPublicKey, generate_keypair
 from .ppfl import PPFLReport, PPFLTrainer
-from .slalom import SlalomInference, SlalomVerificationError
 
 __all__ = [
     "PaillierPublicKey",
@@ -26,8 +22,6 @@ __all__ = [
     "QuantizationConfig",
     "PPFLTrainer",
     "PPFLReport",
-    "SlalomInference",
-    "SlalomVerificationError",
     "quantize_model",
     "QuantizationReport",
 ]

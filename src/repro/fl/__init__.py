@@ -2,7 +2,7 @@
 
 Implements the workflow of the paper's Figure 2 end to end, including the
 attestation-gated client selection, the trusted-I/O-path weight transport,
-and server-side baselines (secure aggregation, differential privacy).
+and a server-side differential-privacy baseline.
 """
 
 from .admission import (
@@ -22,7 +22,6 @@ from .client import FLClient
 from .compression import SparseUpdate, TopKCompressor, weighted_sparse_mean
 from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .dp import GaussianMechanism, clip_by_norm
-from .history import SnapshotHistory
 from .plan import TrainingPlan
 from .resilience import RetryPolicy, collect_with_retries
 from .robust import (
@@ -34,7 +33,6 @@ from .robust import (
     krum_index,
     trimmed_mean,
 )
-from .secure_agg import PairwiseMasker, aggregate_masked, mask_update
 from .selection import SelectionResult, TEESelector
 from .server import FLServer
 from .sharding import (
@@ -56,9 +54,8 @@ __all__ = [
     "BufferConfig", "BufferedAggregator",
     "HierarchicalAggregator", "ShardPartial",
     "plan_shards", "shard_of", "weighted_sparse_mean",
-    "SnapshotHistory", "TEESelector", "SelectionResult",
+    "TEESelector", "SelectionResult",
     "Channel", "ClientUpdate", "ModelDownload",
-    "PairwiseMasker", "mask_update", "aggregate_masked",
     "GaussianMechanism", "clip_by_norm",
     "TopKCompressor", "SparseUpdate",
     "RULES", "coordinate_median", "trimmed_mean", "krum", "krum_index",

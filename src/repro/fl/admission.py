@@ -16,9 +16,7 @@ defence: before any update reaches an accumulator it is checked for
 * **norm ceiling** — the L2 norm of the update's *delta* from the current
   global weights is bounded; over-norm deltas are either rejected or
   rescaled onto the ceiling (``clip=True``), the standard norm-bounding
-  defence against scaling attacks;
-* **provenance** — optionally, updates from senders that did not attest
-  this round are refused outright.
+  defence against scaling attacks.
 
 Every rejection feeds the ``fl.admission.*`` metrics and a per-client
 :class:`ReputationTracker`: repeated strikes quarantine a client for a few
@@ -29,7 +27,7 @@ seeded run admits and quarantines identically every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -56,16 +54,12 @@ class AdmissionConfig:
     clip:
         When an update exceeds ``max_norm``: ``True`` rescales its delta
         onto the ceiling and admits it, ``False`` rejects it.
-    check_finite:
-        Reject updates containing NaN or Inf anywhere (cheap, always wise).
-    require_provenance:
-        Reject updates whose sender did not attest this round.
+
+    An update containing NaN or Inf anywhere is always rejected.
     """
 
     max_norm: Optional[float] = None
     clip: bool = False
-    check_finite: bool = True
-    require_provenance: bool = False
 
     def __post_init__(self) -> None:
         if self.max_norm is not None and self.max_norm <= 0:
@@ -115,7 +109,6 @@ class AdmissionDecision:
 REJECT_STRUCTURE = "structure"
 REJECT_NONFINITE = "nonfinite"
 REJECT_NORM = "norm"
-REJECT_PROVENANCE = "provenance"
 
 
 class AdmissionController:
@@ -149,7 +142,6 @@ class AdmissionController:
         flat: Optional[np.ndarray],
         *,
         reference: Optional[np.ndarray] = None,
-        attested: bool = True,
     ) -> AdmissionDecision:
         """Admit, clip, or reject one update vector.
 
@@ -163,11 +155,9 @@ class AdmissionController:
         """
         self._checked.inc(client=client_id)
         cfg = self.config
-        if cfg.require_provenance and not attested:
-            return self._reject(client_id, REJECT_PROVENANCE)
         if flat is None:
             return self._reject(client_id, REJECT_STRUCTURE)
-        if cfg.check_finite and not np.isfinite(flat).all():
+        if not np.isfinite(flat).all():
             return self._reject(client_id, REJECT_NONFINITE)
         norm = 0.0
         if cfg.max_norm is not None:
@@ -266,27 +256,6 @@ class ReputationTracker:
 
     def is_blocked(self, client_id: str, round_index: int) -> bool:
         return self.status(client_id, round_index) != "ok"
-
-    def snapshot(self, round_index: int) -> Dict[str, object]:
-        """JSON-ready standing summary for round reports (sorted, stable)."""
-        quarantined = sorted(
-            cid
-            for cid in self._standing
-            if self.status(cid, round_index) == "quarantined"
-        )
-        evicted = sorted(
-            cid for cid in self._standing if self._standing[cid].evicted
-        )
-        strikes = {
-            cid: standing.strikes
-            for cid, standing in sorted(self._standing.items())
-            if standing.strikes > 0
-        }
-        return {
-            "quarantined": quarantined,
-            "evicted": evicted,
-            "strikes": strikes,
-        }
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> Dict[str, List]:

@@ -1,15 +1,14 @@
-"""Update compression (top-k sparsification with error feedback).
+"""Update compression (top-k sparsification).
 
 Edge FL deployments compress uplink updates; this module provides the
-standard top-k sparsifier with client-side error feedback (the residual of
-what was not sent is carried into the next round) and the wire encoding
-the transport layer can ship.
+standard top-k sparsifier and the wire encoding the transport layer can
+ship.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -66,54 +65,26 @@ class SparseUpdate:
 
 
 class TopKCompressor:
-    """Top-k magnitude sparsification with per-client error feedback.
+    """Top-k magnitude sparsification, stateless per update.
 
     Parameters
     ----------
     ratio:
         Fraction of coordinates kept per update (0 < ratio <= 1).
-    error_feedback:
-        Accumulate the dropped mass and add it to the next update — the
-        standard trick that keeps sparsified SGD converging.
     """
 
-    def __init__(self, ratio: float = 0.1, error_feedback: bool = True) -> None:
+    def __init__(self, ratio: float = 0.1) -> None:
         if not 0.0 < ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
         self.ratio = float(ratio)
-        self.error_feedback = bool(error_feedback)
-        self._residuals: Dict[str, np.ndarray] = {}
 
-    def compress(self, update: np.ndarray, client_id: str = "default") -> SparseUpdate:
-        """Sparsify ``update``; the dropped remainder feeds the next call."""
+    def compress(self, update: np.ndarray) -> SparseUpdate:
+        """Keep the ``ratio`` largest-magnitude coordinates of ``update``."""
         update = np.asarray(update, dtype=np.float64).ravel()
-        if self.error_feedback:
-            residual = self._residuals.get(client_id)
-            if residual is not None:
-                if residual.size != update.size:
-                    raise ValueError(
-                        "update size changed between rounds for this client"
-                    )
-                update = update + residual
         k = max(1, int(round(self.ratio * update.size)))
         order = np.argsort(np.abs(update))[::-1]
         kept = np.sort(order[:k])
-        sparse = SparseUpdate(update.size, kept, update[kept].copy())
-        if self.error_feedback:
-            leftover = update.copy()
-            leftover[kept] = 0.0
-            self._residuals[client_id] = leftover
-        return sparse
-
-    def residual_norm(self, client_id: str = "default") -> float:
-        residual = self._residuals.get(client_id)
-        return 0.0 if residual is None else float(np.linalg.norm(residual))
-
-    def reset(self, client_id: Optional[str] = None) -> None:
-        if client_id is None:
-            self._residuals.clear()
-        else:
-            self._residuals.pop(client_id, None)
+        return SparseUpdate(update.size, kept, update[kept].copy())
 
 
 def weighted_sparse_mean(

@@ -10,7 +10,8 @@ is the only spelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .admission import AdmissionConfig, ReputationConfig
@@ -21,6 +22,18 @@ __all__ = ["BufferConfig", "RoundConfig", "ShardingConfig", "ServerConfig"]
 
 #: Staleness-weighting families the buffered (async) aggregator knows.
 STALENESS_KINDS = ("constant", "polynomial")
+
+
+def require_finite(config) -> None:
+    """Refuse a config dataclass whose float fields hold a NaN or infinity.
+
+    Every comparison with NaN is false, so a range check written as
+    ``if value <= 0: raise`` lets NaN through; callers run this first.
+    """
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +128,6 @@ class RoundConfig:
         When given, client failures are retried per
         :class:`~repro.fl.resilience.RetryPolicy` and the round aggregates
         whatever quorum delivered; ``None`` keeps the fail-fast behaviour.
-    reattest:
-        Re-challenge every participant's TEE at the start of each cycle and
-        evict clients that stopped attesting.
     rule:
         Aggregation rule — any of :data:`repro.fl.robust.RULES`.
         ``fedavg`` is the exact sample-weighted streaming reduce; the rest
@@ -138,7 +148,6 @@ class RoundConfig:
     """
 
     retry: Optional[RetryPolicy] = None
-    reattest: bool = True
     rule: str = "fedavg"
     trim: int = 1
     num_byzantine: int = 1

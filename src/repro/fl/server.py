@@ -2,8 +2,7 @@
 
 Implements the coordinator of Figure 2: attestation-gated client selection,
 model + plan distribution (protected layers sealed through each client's
-trusted I/O path), update collection and FedAvg aggregation, plus the
-snapshot history every participant observes (DPIA's raw material).
+trusted I/O path), update collection and FedAvg aggregation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .admission import AdmissionController, ReputationTracker
 from .aggregation import merge_plain_and_sealed
 from .client import FLClient
 from .config import ServerConfig
-from .history import SnapshotHistory
 from .plan import TrainingPlan
 from .resilience import RetryPolicy, collect_with_retries
 from .selection import SelectionResult, TEESelector
@@ -74,10 +72,8 @@ class FLServer:
         self.selector = TEESelector(
             self.verifier, allow_legacy=self.config.allow_legacy
         )
-        self.history = SnapshotHistory()
         self.channel = Channel()
         self.retry = self.config.round.retry
-        self.reattest = self.config.round.reattest
         self.admission: Optional[AdmissionController] = None
         self.reputation: Optional[ReputationTracker] = None
         if self.config.round.admission is not None:
@@ -102,7 +98,7 @@ class FLServer:
         return self.selector.select(clients)
 
     def _admit(self, participants: Sequence[FLClient]) -> List[FLClient]:
-        """Per-cycle re-attestation gate (when enabled).
+        """Per-cycle re-attestation gate.
 
         Unknown clients are enrolled first (mirroring :meth:`select`, so ad
         hoc deployments keep working); already-known clients are *not*
@@ -129,8 +125,6 @@ class FLServer:
                     f"cycle {self.cycle}: every participant is quarantined"
                 )
             participants = cleared
-        if not self.reattest:
-            return list(participants)
         for client in participants:
             if client.client_id not in self._registered and client.has_tee():
                 self.register(client)
@@ -204,8 +198,6 @@ class FLServer:
         if not participants:
             raise ValueError("no participants in this cycle")
         participants = self._admit(participants)
-        if len(self.history) == 0:
-            self.history.record(self.model.get_weights())
         protected = self.policy.layers_for_cycle(self.cycle)
         registry = get_registry()
         round_start = get_clock().now()
@@ -290,10 +282,7 @@ class FLServer:
                     flat = self._merge_update(client, update, reference)
                     if self.admission is not None:
                         decision = self.admission.check(
-                            client.client_id,
-                            flat,
-                            reference=reference_flat,
-                            attested=client.has_tee(),
+                            client.client_id, flat, reference=reference_flat
                         )
                         if not decision.admitted:
                             self.reputation.record_rejection(
@@ -318,7 +307,6 @@ class FLServer:
                         len(participants)
                     )
                 if degraded:
-                    new_global = self.model.get_weights()
                     registry.counter(
                         "fl.rounds.degraded",
                         "cycles below quorum that kept the previous global model",
@@ -329,12 +317,12 @@ class FLServer:
                         # hierarchical deployment; price it like any other.
                         for partial in tree.partials():
                             self.channel.send_partial(partial)
-                    new_global = unflatten_weights(tree.reduce(), reference)
-                    self.model.set_weights(new_global)
+                    self.model.set_weights(
+                        unflatten_weights(tree.reduce(), reference)
+                    )
             round_span.set_attribute("collected", len(updates))
             round_span.set_attribute("admitted", admitted)
             round_span.set_attribute("degraded", degraded)
-        self.history.record(new_global)
         registry.counter("fl.rounds", "completed FL cycles").inc()
         registry.histogram(
             "fl.round.seconds", "coordinator wall time per FL cycle"

@@ -28,7 +28,6 @@ __all__ = [
     "MemoryPlan",
     "LayerMemory",
     "plan_protection",
-    "plan_policy",
 ]
 
 _LOCATIONS = {
@@ -51,7 +50,6 @@ _LOCATIONS = {
     "MemoryPlan": "planner",
     "LayerMemory": "planner",
     "plan_protection": "planner",
-    "plan_policy": "planner",
 }
 
 

@@ -16,7 +16,7 @@ list on fresh inputs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Node", "Program"]
 
@@ -35,17 +35,12 @@ class Node:
     inputs / outputs:
         Value ids consumed / produced.  Most nodes have one output; fused
         conv produces ``(out, cols)`` and maxpool ``(out, argmax)``.
-    stateful:
-        True for ops with side effects on replay (a Dropout mask draw
-        advancing its layer's RNG).  Stateful nodes survive DCE and pin the
-        program to the model instance it was traced from.
-    kernel:
-        Optional pre-bound callable recorded at trace time (stateful ops
-        close over their RNG); when ``None`` the VM builds the kernel from
-        ``(op, params)``.
+
+    Every node is a pure function of its inputs and params: the VM builds
+    its kernel from ``(op, params)``.
     """
 
-    __slots__ = ("op", "params", "inputs", "outputs", "stateful", "kernel")
+    __slots__ = ("op", "params", "inputs", "outputs")
 
     def __init__(
         self,
@@ -53,15 +48,11 @@ class Node:
         params: Dict[str, Any],
         inputs: Tuple[int, ...],
         outputs: Tuple[int, ...],
-        stateful: bool = False,
-        kernel: Optional[Callable[..., Any]] = None,
     ) -> None:
         self.op = op
         self.params = params
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
-        self.stateful = bool(stateful)
-        self.kernel = kernel
 
     def __repr__(self) -> str:
         return (
@@ -131,26 +122,11 @@ class Program:
             if vid not in defined:
                 raise ValueError(f"program output {vid} is never defined")
 
-    def producers(self) -> Dict[int, Node]:
-        """Map each produced value id to its defining node."""
-        out: Dict[int, Node] = {}
-        for node in self.nodes:
-            for vid in node.outputs:
-                out[vid] = node
-        return out
-
     def op_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for node in self.nodes:
             counts[node.op] = counts.get(node.op, 0) + 1
         return counts
-
-    @property
-    def is_cacheable(self) -> bool:
-        """Stateful nodes close over live RNGs, pinning the program to one
-        model instance — such programs must not be shared via the plan
-        cache."""
-        return not any(node.stateful for node in self.nodes)
 
     def with_nodes(self, nodes: List[Node]) -> "Program":
         """Copy of this program with a rewritten node list."""
@@ -162,12 +138,4 @@ class Program:
             self.outputs,
             self.shapes,
             self.dtypes,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Program({len(self.nodes)} nodes, "
-            f"{len(self.placeholders)} inputs, "
-            f"{len(self.constants)} constants, "
-            f"{len(self.outputs)} outputs)"
         )

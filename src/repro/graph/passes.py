@@ -5,9 +5,7 @@ Three passes, all bitwise-neutral by construction:
 * :func:`eliminate_dead_code` — drops nodes whose outputs never reach the
   program outputs.  A traced train step always records some unconsumed
   adjoints (e.g. the input-gradient chain when only parameter gradients are
-  requested); pruning them removes real kernel launches.  Stateful nodes
-  (Dropout mask draws) are kept unconditionally so replay consumes the same
-  RNG stream as eager execution.
+  requested); pruning them removes real kernel launches.
 * :func:`fuse_elementwise` — generalizes PR 1's fused-conv idea to every
   elementwise chain: runs of same-shape elementwise ops in which each link
   is the *sole* consumer of its predecessor collapse into one
@@ -59,11 +57,11 @@ ELEMENTWISE = ELEMENTWISE_UNARY | ELEMENTWISE_BINARY
 
 
 def eliminate_dead_code(program: Program) -> Program:
-    """Drop nodes that contribute to no program output (stateful nodes stay)."""
+    """Drop nodes that contribute to no program output."""
     needed = set(program.outputs)
     kept_reversed: List[Node] = []
     for node in reversed(program.nodes):
-        if node.stateful or any(vid in needed for vid in node.outputs):
+        if any(vid in needed for vid in node.outputs):
             kept_reversed.append(node)
             needed.update(node.inputs)
     return program.with_nodes(list(reversed(kept_reversed)))
@@ -80,7 +78,7 @@ def _consumer_counts(program: Program) -> Dict[int, int]:
 
 
 def _fusable(node: Node, program: Program) -> bool:
-    if node.op not in ELEMENTWISE or node.stateful or len(node.outputs) != 1:
+    if node.op not in ELEMENTWISE or len(node.outputs) != 1:
         return False
     out_shape = program.shapes.get(node.outputs[0])
     if out_shape is None:

@@ -8,22 +8,19 @@ the ``tee.pool.peak_bytes`` gauge; this module computes the same number
 provisioned — and cross-checks it against :meth:`CostModel.tee_memory_bytes`
 so the two accountings can never drift apart.
 
-:func:`plan_protection` evaluates one protected set; :func:`plan_policy`
-sweeps a protection policy's per-cycle shielded-layer partitions (the
-dynamic policies move a window across the model) and reports the worst-case
-cycle, which is what capacity admission must budget for.
+:func:`plan_protection` evaluates one protected set; a dynamic policy is
+planned one cycle's set at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..nn.model import Sequential
 from ..tee.costmodel import CostModel
-from ..tee.memory import DEFAULT_CAPACITY_BYTES
 
-__all__ = ["LayerMemory", "MemoryPlan", "plan_protection", "plan_policy"]
+__all__ = ["LayerMemory", "MemoryPlan", "plan_protection"]
 
 _FLOAT_BYTES = 4
 
@@ -54,7 +51,6 @@ class MemoryPlan:
     protected: Tuple[int, ...]
     batch_size: int
     layers: Tuple[LayerMemory, ...]
-    capacity_bytes: int
 
     @property
     def peak_bytes(self) -> int:
@@ -62,39 +58,11 @@ class MemoryPlan:
         cycle start and live through the cycle, so the peak is the sum."""
         return sum(entry.total_bytes for entry in self.layers)
 
-    @property
-    def fits(self) -> bool:
-        return self.peak_bytes <= self.capacity_bytes
-
-    @property
-    def headroom_bytes(self) -> int:
-        return self.capacity_bytes - self.peak_bytes
-
-    def as_dict(self) -> dict:
-        return {
-            "protected": list(self.protected),
-            "batch_size": self.batch_size,
-            "peak_bytes": self.peak_bytes,
-            "capacity_bytes": self.capacity_bytes,
-            "fits": self.fits,
-            "layers": [
-                {
-                    "index": e.index,
-                    "name": e.name,
-                    "params_bytes": e.params_bytes,
-                    "activation_bytes": e.activation_bytes,
-                    "total_bytes": e.total_bytes,
-                }
-                for e in self.layers
-            ],
-        }
-
 
 def plan_protection(
     model: Sequential,
     protected: Iterable[int],
     batch_size: int = 32,
-    capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
     cost_model: Optional[CostModel] = None,
 ) -> MemoryPlan:
     """Plan secure-pool usage for shielding ``protected`` layers (1-based).
@@ -122,7 +90,6 @@ def plan_protection(
         protected=indices,
         batch_size=int(batch_size),
         layers=tuple(entries),
-        capacity_bytes=int(capacity_bytes),
     )
     cm = cost_model or CostModel(batch_size=batch_size)
     expected = cm.tee_memory_bytes(model, indices)
@@ -132,31 +99,3 @@ def plan_protection(
             f"CostModel.tee_memory_bytes {expected} B for set {indices}"
         )
     return plan
-
-
-def plan_policy(
-    model: Sequential,
-    policy,
-    batch_size: int = 32,
-    cycles: int = 1,
-    capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-) -> Tuple[MemoryPlan, List[MemoryPlan]]:
-    """Plan every cycle of a protection policy; returns (worst, per-cycle).
-
-    ``policy`` is any object with ``layers_for_cycle(cycle)`` (the
-    :class:`repro.core.policy.ProtectionPolicy` protocol).  The worst plan
-    (largest peak) is what admission control must budget against when the
-    policy is dynamic.
-    """
-    per_cycle: List[MemoryPlan] = []
-    for cycle in range(int(cycles)):
-        per_cycle.append(
-            plan_protection(
-                model,
-                policy.layers_for_cycle(cycle),
-                batch_size=batch_size,
-                capacity_bytes=capacity_bytes,
-            )
-        )
-    worst = max(per_cycle, key=lambda plan: plan.peak_bytes)
-    return worst, per_cycle

@@ -136,8 +136,6 @@ class Tape:
         name: str,
         inputs: Sequence[Any],
         outputs: Any,
-        stateful: bool = False,
-        kernel_fn: Any = None,
         **params: Any,
     ) -> None:
         """Record one executed op.
@@ -157,7 +155,7 @@ class Tape:
                 )
             out_vids.append(self._new_value(obj))
         self.records.append(
-            Node(name, dict(params), in_vids, tuple(out_vids), stateful, kernel_fn)
+            Node(name, dict(params), in_vids, tuple(out_vids))
         )
 
     # ------------------------------------------------------------------

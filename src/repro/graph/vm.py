@@ -146,8 +146,6 @@ def _elementwise_kernel(op: str, params: dict):
 
 def _build_kernel(node: Node):
     """Bind a node to its numpy kernel; returns ``(fn, supports_out)``."""
-    if node.kernel is not None:
-        return node.kernel, False
     op, p = node.op, node.params
     if op in ELEMENTWISE:
         return _elementwise_kernel(op, p)
@@ -409,8 +407,6 @@ class BatchedVM:
     def _lift(self, node: Node, in_flags: Tuple[bool, ...]):
         program = self.program
         op = node.op
-        if node.stateful or node.kernel is not None:
-            raise GraphUnsupported(f"stateful op {op!r} cannot be batched")
         if not any(in_flags):
             return _build_kernel(node)[0], False
         if op in ELEMENTWISE:
@@ -570,15 +566,6 @@ def trace_callable(
         workspace_mod.set_workspace(previous_ws)
 
 
-def _model_rng_states(model) -> List[Tuple[Any, dict]]:
-    states = []
-    for layer in model.layers:
-        rng = getattr(layer, "_rng", None)
-        if rng is not None:
-            states.append((rng, rng.bit_generator.state))
-    return states
-
-
 class CompiledStep:
     """Compile artifact for one (model architecture, input shape) pair.
 
@@ -664,7 +651,6 @@ def compile_model_step(model, example_x: np.ndarray, example_y: np.ndarray) -> C
             param_index.append((li, key_name))
 
     with get_tracer().span("graph.compile", model=model.name, inputs=str(x.shape)):
-        rng_states = _model_rng_states(model)
 
         def step_fn(x_t, y_t, *param_tensors):
             from ..autodiff import functional as F
@@ -687,16 +673,10 @@ def compile_model_step(model, example_x: np.ndarray, example_y: np.ndarray) -> C
         param_arrays = [
             model.layers[li].params[key_name].data for li, key_name in param_index
         ]
-        try:
-            program = trace_callable(step_fn, [x, y, *param_arrays])
-        finally:
-            for rng, state in rng_states:
-                rng.bit_generator.state = state
-    optimized = optimize(program)
-    step = CompiledStep(program, optimized, param_index)
-    if program.is_cacheable:
-        with _PLAN_CACHE_LOCK:
-            _PLAN_CACHE[key] = step
+        program = trace_callable(step_fn, [x, y, *param_arrays])
+    step = CompiledStep(program, optimize(program), param_index)
+    with _PLAN_CACHE_LOCK:
+        _PLAN_CACHE[key] = step
     return step
 
 

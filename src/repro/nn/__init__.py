@@ -15,7 +15,7 @@ from .attention import (
     QKVProjection,
     TokenEmbed,
 )
-from .layers import ACTIVATIONS, Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, SimpleRNN
+from .layers import ACTIVATIONS, Conv2D, Dense, Flatten, Layer, MaxPool2D
 from .losses import CategoricalCrossEntropy, MeanSquaredError, one_hot
 from .model import Sequential
 from .optim import SGD, Adam, Optimizer
@@ -30,7 +30,7 @@ from .serialize import (
 from .zoo import alexnet, gpt_tiny, lenet5, mlp, vit_tiny
 
 __all__ = [
-    "Layer", "Conv2D", "Dense", "Dropout", "MaxPool2D", "Flatten", "SimpleRNN",
+    "Layer", "Conv2D", "Dense", "MaxPool2D", "Flatten",
     "ACTIVATIONS", "Sequential",
     "PatchEmbed", "TokenEmbed", "LayerNorm", "QKVProjection",
     "AttentionSoftmax", "AttentionOutput", "MLPBlock", "MeanPoolHead",

@@ -22,7 +22,7 @@ import numpy as np
 from ..autodiff import Tensor, functional as F, ops
 from . import init as initializers
 
-__all__ = ["Layer", "Conv2D", "Dense", "Dropout", "MaxPool2D", "Flatten", "SimpleRNN", "ACTIVATIONS"]
+__all__ = ["Layer", "Conv2D", "Dense", "MaxPool2D", "Flatten", "ACTIVATIONS"]
 
 ACTIVATIONS = {
     "linear": lambda t: t,
@@ -337,112 +337,3 @@ class Flatten(Layer):
 
     def flops_per_sample(self) -> float:
         return 0.0
-
-
-class Dropout(Layer):
-    """Inverted dropout (training-time regulariser, identity at inference).
-
-    The mask is drawn from the layer's own generator, re-seeded at build,
-    so shielded and unshielded runs of the same model stay bit-identical
-    (the equivalence invariant the test-suite asserts).
-    """
-
-    def __init__(self, rate: float = 0.5, seed: int = 0, name: str = "") -> None:
-        super().__init__(name=name)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = float(rate)
-        self.seed = int(seed)
-        self.training = True
-        self._rng = np.random.default_rng(seed)
-
-    def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
-        self.input_shape = tuple(input_shape)
-        self.output_shape = tuple(input_shape)
-        self._rng = np.random.default_rng(self.seed)
-        self.built = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        mask_t = Tensor(mask)
-        from ..graph import trace as _trace
-
-        if _trace.TAPE is not None:
-            # Stateful: replay must advance this layer's RNG exactly like
-            # eager execution, so the node carries a pre-bound kernel and
-            # pins the program to this layer instance (non-cacheable).
-            rng, shape = self._rng, x.shape
-
-            def _draw_mask(_x):
-                return (rng.random(shape) < keep).astype(np.float64) / keep
-
-            _trace.TAPE.op(
-                "dropout_mask", (x,), mask_t, stateful=True, kernel_fn=_draw_mask
-            )
-        return ops.mul(x, mask_t)
-
-    def flops_per_sample(self) -> float:
-        return float(np.prod(self.input_shape))
-
-    def config(self) -> dict:
-        return {"type": "Dropout", "name": self.name, "rate": self.rate}
-
-
-class SimpleRNN(Layer):
-    """Minimal Elman recurrent layer (the paper's future-work extension).
-
-    Input shape per sample is ``(T, D)``; the layer returns the final hidden
-    state ``(H,)``.  Protection semantics are identical to the other layers:
-    when shielded, its weights/activations live in the enclave.
-    """
-
-    def __init__(self, hidden: int, activation: str = "tanh", name: str = "") -> None:
-        super().__init__(name=name)
-        self.hidden = int(hidden)
-        self.activation = activation
-
-    def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
-        if len(input_shape) != 2:
-            raise ValueError(f"SimpleRNN expects (T, D) input, got {input_shape}")
-        t, d = input_shape
-        self.params = {
-            "weight": Tensor(
-                initializers.glorot_uniform((self.hidden, d), rng), requires_grad=True
-            ),
-            "recurrent": Tensor(
-                initializers.glorot_uniform((self.hidden, self.hidden), rng),
-                requires_grad=True,
-            ),
-            "bias": Tensor(initializers.zeros((self.hidden,)), requires_grad=True),
-        }
-        self.input_shape = (t, d)
-        self.output_shape = (self.hidden,)
-        self.built = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, t, _ = x.shape
-        act = ACTIVATIONS[self.activation]
-        h = Tensor(np.zeros((n, self.hidden)))
-        for step in range(t):
-            x_t = ops.reshape(ops.getitem(x, (slice(None), step)), (n, -1))
-            pre = (
-                F.linear(x_t, self.params["weight"], self.params["bias"])
-                + ops.matmul(h, ops.transpose(self.params["recurrent"]))
-            )
-            h = act(pre)
-        return h
-
-    def flops_per_sample(self) -> float:
-        t, d = self.input_shape
-        return 2.0 * t * (self.hidden * d + self.hidden * self.hidden)
-
-    def config(self) -> dict:
-        return {
-            "type": "SimpleRNN",
-            "name": self.name,
-            "hidden": self.hidden,
-            "activation": self.activation,
-        }

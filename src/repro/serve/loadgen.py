@@ -33,7 +33,7 @@ import numpy as np
 from ..fl.admission import AdmissionConfig
 from ..fl.buffer import decode_flat, encode_flat
 from ..fl.compression import TopKCompressor
-from ..fl.config import BufferConfig, ShardingConfig
+from ..fl.config import BufferConfig, ShardingConfig, require_finite
 from ..fl.resilience import RetryPolicy
 from ..nn.zoo import mlp
 from ..obs import VirtualClock, get_registry
@@ -120,6 +120,7 @@ class LoadSpec:
     retry_cap: int = 5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
         if self.commits < 1:
@@ -133,6 +134,12 @@ class LoadSpec:
             )
         if self.ratio is not None and not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
+        if not 0.0 <= self.drift <= 1.0:
+            raise ValueError("drift must be in [0, 1]")
+        if self.update_scale <= 0:
+            raise ValueError("update_scale must be positive")
+        if self.straggler_factor <= 1.0:
+            raise ValueError("straggler_factor must exceed 1")
         if not 0.0 <= self.chaos_rate <= 1.0:
             raise ValueError("chaos_rate must be in [0, 1]")
         if self.chaos_rate > 0.0 and not self.chaos:
@@ -194,9 +201,7 @@ class LoadGenerator:
         )
         self.encoding = _ENCODINGS[spec.encoding]
         self.compressor = (
-            TopKCompressor(spec.ratio, error_feedback=False)
-            if spec.ratio is not None
-            else None
+            TopKCompressor(spec.ratio) if spec.ratio is not None else None
         )
         self.download_bytes = len(
             coordinator.model_frame(spec.job_id, Encoding.F64)

@@ -81,7 +81,7 @@ import numpy as np
 from ..core.policy import NoProtection, ProtectionPolicy
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
 from ..fl.buffer import BufferedAggregator
-from ..fl.config import BufferConfig, ShardingConfig
+from ..fl.config import BufferConfig, ShardingConfig, require_finite
 from ..fl.robust import RULES
 from ..fl.sharding import HierarchicalAggregator, shard_of
 from ..fl.transport import ClientUpdate, ModelDownload
@@ -234,6 +234,7 @@ class SimConfig:
     concurrency: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.num_clients <= 0:
             raise ValueError("num_clients must be positive")
         if self.rounds <= 0:

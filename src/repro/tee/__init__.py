@@ -10,7 +10,7 @@ from .attestation import AttestationDevice, AttestationVerifier, Quote
 from .costmodel import CostModel, CycleCost
 from .iopath import TrustedIOPath
 from .memory import DEFAULT_CAPACITY_BYTES, SecureMemoryPool, ShieldedBuffer
-from .monitor import SecureMonitor, Session, SMCStats
+from .monitor import SecureMonitor, SMCStats
 from .profiles import RASPBERRY_PI_3B, DeviceProfile
 from .storage import (
     BackendCrash,
@@ -39,7 +39,7 @@ __all__ = [
     "TEEError", "SecureWorldViolation", "SecureMemoryExhausted",
     "IntegrityError", "AttestationError",
     "SecureMemoryPool", "ShieldedBuffer", "DEFAULT_CAPACITY_BYTES",
-    "SecureMonitor", "SMCStats", "Session", "TrustedApplication",
+    "SecureMonitor", "SMCStats", "TrustedApplication",
     "SecureStorage", "InMemoryBackend", "ReeFsBackend", "StorageBackend",
     "FaultInjectedBackend", "RollbackError", "BackendCrash",
     "AttestationDevice", "AttestationVerifier", "Quote",

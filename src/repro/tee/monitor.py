@@ -18,7 +18,7 @@ from ..obs import get_clock, get_registry, get_tracer
 from .trusted_app import TrustedApplication
 from .world import TEEError, secure_world
 
-__all__ = ["SecureMonitor", "SMCStats", "Session"]
+__all__ = ["SecureMonitor", "SMCStats"]
 
 
 @dataclass
@@ -33,8 +33,6 @@ class SMCStats:
 
     calls: int = 0
     per_ta: Dict[str, int] = field(default_factory=dict)
-    sessions_opened: int = 0
-    sessions_closed: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -44,37 +42,12 @@ class SMCStats:
             self.calls += 1
             self.per_ta[ta_name] = self.per_ta.get(ta_name, 0) + 1
 
-    def record_session(self, opened: bool) -> None:
-        with self._lock:
-            if opened:
-                self.sessions_opened += 1
-            else:
-                self.sessions_closed += 1
-
-
-@dataclass
-class Session:
-    """A GlobalPlatform-style client session with one TA."""
-
-    session_id: int
-    ta_uuid: str
-    open: bool = True
-    invocations: int = 0
-
 
 class SecureMonitor:
-    """Dispatches secure monitor calls (SMCs) to registered TAs.
-
-    Besides raw ``smc`` dispatch, the monitor implements the
-    GlobalPlatform-style session protocol OP-TEE clients use:
-    :meth:`open_session` / :meth:`invoke` / :meth:`close_session`.
-    """
+    """Dispatches secure monitor calls (SMCs) to registered TAs."""
 
     def __init__(self) -> None:
         self._tas: Dict[str, TrustedApplication] = {}
-        self._sessions: Dict[int, Session] = {}
-        self._next_session = 1
-        self._session_lock = threading.Lock()
         self.stats = SMCStats()
 
     def install(self, ta: TrustedApplication) -> None:
@@ -82,15 +55,6 @@ class SecureMonitor:
         if ta.uuid in self._tas:
             raise TEEError(f"TA with uuid {ta.uuid} already installed")
         self._tas[ta.uuid] = ta
-
-    def uninstall(self, uuid: str) -> None:
-        if uuid not in self._tas:
-            raise KeyError(f"no TA with uuid {uuid}")
-        del self._tas[uuid]
-
-    def installed(self) -> tuple:
-        """UUIDs of installed TAs."""
-        return tuple(sorted(self._tas))
 
     def ta(self, uuid: str) -> TrustedApplication:
         try:
@@ -126,42 +90,3 @@ class SecureMonitor:
             registry.histogram(
                 "tee.smc.seconds", "secure-world residency per SMC"
             ).observe(clock.now() - started, ta=ta.name)
-
-    # -- GlobalPlatform-style sessions ------------------------------------
-    def open_session(self, uuid: str) -> int:
-        """Open a client session with a TA; returns the session id."""
-        self.ta(uuid)  # validates the UUID
-        with self._session_lock:
-            session = Session(self._next_session, uuid)
-            self._sessions[session.session_id] = session
-            self._next_session += 1
-        self.stats.record_session(opened=True)
-        get_registry().counter(
-            "tee.sessions", "GlobalPlatform session lifecycle events"
-        ).inc(event="opened")
-        return session.session_id
-
-    def invoke(self, session_id: int, command: str, **params: Any) -> Any:
-        """Invoke a TA command within an open session."""
-        session = self._sessions.get(session_id)
-        if session is None or not session.open:
-            raise TEEError(f"session {session_id} is not open")
-        session.invocations += 1
-        return self.smc(session.ta_uuid, command, **params)
-
-    def close_session(self, session_id: int) -> None:
-        """Close a session; further invokes through it fail."""
-        session = self._sessions.get(session_id)
-        if session is None or not session.open:
-            raise TEEError(f"session {session_id} is not open")
-        session.open = False
-        self.stats.record_session(opened=False)
-        get_registry().counter(
-            "tee.sessions", "GlobalPlatform session lifecycle events"
-        ).inc(event="closed")
-
-    def session(self, session_id: int) -> Session:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise KeyError(f"no session {session_id}") from None

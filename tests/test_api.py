@@ -48,8 +48,13 @@ class TestSurface:
         assert repro.api is api
 
     def test_public_names_import_and_removed_ones_are_gone(self):
+        import repro.attacks
+        import repro.baselines
         import repro.fl
+        import repro.graph
+        import repro.nn
         import repro.serve
+        import repro.tee
 
         # Spelled in halves so a repo-wide grep for the removed names stays empty.
         removed = {
@@ -59,8 +64,24 @@ class TestSurface:
             "weighted_" "average",
             "Training" "Monitor",
             "Round" "Record",
+            "Pairwise" "Masker",
+            "mask_" "update",
+            "aggregate_" "masked",
+            "Snapshot" "History",
+            "ShadowModel" "Attack",
+            "mask_" "protected",
+            "Slalom" "Inference",
+            "SlalomVerification" "Error",
+            "Sess" "ion",
+            "Drop" "out",
+            "Simple" "RNN",
+            "plan_" "policy",
         }
-        for module in (repro.fl, repro.serve, api):
+        modules = (
+            repro.fl, repro.serve, api, repro.attacks, repro.baselines,
+            repro.tee, repro.nn, repro.graph,
+        )
+        for module in modules:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
             assert not removed & set(module.__all__)
@@ -114,6 +135,13 @@ class TestSimulate:
         assert "metrics" not in without
         assert "fl.rounds" not in with_metrics["metrics"]["counters"]  # sim-level
         assert "sim.rounds" in with_metrics["metrics"]["counters"]
+
+    @pytest.mark.parametrize("field", ["update_scale", "deadline", "overprovision"])
+    def test_non_finite_floats_are_refused(self, field):
+        # NaN passes every range comparison, so finiteness is its own check.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                api.simulate(clients=20, rounds=1, seed=1, **{field: value})
 
     def test_zoo_model_policy_and_state_dir_resume(self, tmp_path):
         args = dict(clients=60, seed=3, model="lenet5", policy="static:L2+L4")

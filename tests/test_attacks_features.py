@@ -8,7 +8,6 @@ from repro.attacks import (
     gradient_feature_vector,
     layer_block_sizes,
     layer_feature_block,
-    mask_protected,
 )
 from repro.attacks.mia import membership_feature_block
 from repro.nn import lenet5, one_hot
@@ -97,20 +96,6 @@ class TestGradientFeatureVector:
 
 
 class TestMasking:
-    def test_mask_protected_matches_feature_nan_layout(self, model, batch):
-        x, y = batch
-        direct = gradient_feature_vector(model, x, y, protected=(1, 5))
-        masked = mask_protected(
-            gradient_feature_vector(model, x, y), model, (1, 5)
-        )
-        np.testing.assert_array_equal(np.isnan(direct), np.isnan(masked))
-
-    def test_mask_does_not_mutate_input(self, model, batch):
-        x, y = batch
-        vec = gradient_feature_vector(model, x, y)
-        mask_protected(vec, model, (1,))
-        assert not np.isnan(vec).any()
-
     def test_none_grads_treated_as_hidden(self, model):
         grads = [None] * 5
         vec = features_from_weight_grads(model, grads)

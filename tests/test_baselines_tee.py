@@ -1,16 +1,14 @@
-"""Tests for the TEE-related baselines: PPFL, Slalom, Gecko."""
+"""Tests for the TEE-related baselines: PPFL and Gecko."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     PPFLTrainer,
-    SlalomInference,
-    SlalomVerificationError,
     quantize_model,
 )
 from repro.data import synthetic_cifar
-from repro.nn import Conv2D, Dense, Sequential, lenet5, mlp
+from repro.nn import lenet5, mlp
 from repro.tee import CostModel
 
 
@@ -81,53 +79,6 @@ class TestPPFL:
             report.simulated_cost.kernel_seconds
             > shielded.simulated_cost.kernel_seconds
         )
-
-
-class TestSlalom:
-    @pytest.fixture
-    def model(self):
-        return mlp(num_classes=3, input_shape=(8,), hidden=(6, 5), seed=0)
-
-    def test_matches_reference_forward(self, model):
-        slalom = SlalomInference(model, seed=0)
-        x = np.random.default_rng(0).normal(size=(4, 8))
-        np.testing.assert_allclose(
-            slalom.predict(x), model.forward(x).data, atol=1e-8
-        )
-
-    def test_detects_additive_tampering(self, model):
-        slalom = SlalomInference(model, seed=0)
-        x = np.random.default_rng(0).normal(size=(2, 8))
-        with pytest.raises(SlalomVerificationError):
-            slalom.predict(x, tamper=lambda r: r + 1e-2)
-
-    def test_detects_single_entry_tampering(self, model):
-        slalom = SlalomInference(model, seed=0)
-        x = np.random.default_rng(0).normal(size=(2, 8))
-
-        def flip_one(result):
-            result = result.copy()
-            result[0, 0] += 1.0
-            return result
-
-        with pytest.raises(SlalomVerificationError):
-            slalom.predict(x, tamper=flip_one)
-
-    def test_counts_outsourced_calls(self, model):
-        slalom = SlalomInference(model, seed=0)
-        slalom.predict(np.zeros((1, 8)))
-        assert slalom.outsourced_calls == 3  # one per dense layer
-        assert slalom.verifications == 3
-
-    def test_rejects_conv_layers(self):
-        model = Sequential(
-            [Conv2D(2, 3, pad=1), Dense(3)], input_shape=(1, 4, 4), seed=0
-        )
-        with pytest.raises(ValueError, match="linear layers"):
-            SlalomInference(model)
-
-    def test_no_training_support(self, model):
-        assert SlalomInference(model).supports_training() is False
 
 
 class TestGecko:

@@ -73,6 +73,21 @@ class TestCli:
         with pytest.raises(ValueError, match="buffer size must be >= 1"):
             serve(tenants=1, clients=10, commits=1, buffer_size=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(drift=5.0), "drift must be in \\[0, 1\\]"),
+            (dict(update_scale=-1.0), "update_scale must be positive"),
+            (dict(drift=float("nan")), "drift must be finite"),
+            (dict(attack_strength=float("inf")), "attack_strength must be finite"),
+        ],
+    )
+    def test_load_spec_refuses_what_sim_config_refuses(self, kwargs, message):
+        from repro.api import serve
+
+        with pytest.raises(ValueError, match=message):
+            serve(tenants=1, clients=10, commits=1, **kwargs)
+
     def test_compression_flags_reduce_uplink(self, serve_cli):
         dense = json.loads(serve_cli("d.json"))
         sparse = json.loads(

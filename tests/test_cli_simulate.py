@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -90,6 +92,26 @@ class TestSimulateCommand:
     def test_listed(self, capsys):
         assert main(["list"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--overprovision", "inf", "overprovision"),
+            ("--deadline", "nan", "deadline_seconds"),
+            ("--update-scale", "nan", "update_scale"),
+            ("--attack-strength", "inf", "attack_strength"),
+        ],
+    )
+    def test_non_finite_float_is_one_line_and_exit_2(
+        self, capsys, flag, value, field
+    ):
+        argv = ["simulate", "--clients", "20", "--rounds", "1", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro simulate: error: {field} must be finite, got {float(value)}\n"
+        )
+        assert captured.out == ""
 
 
 class TestByzantineFlags:

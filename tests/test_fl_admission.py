@@ -12,7 +12,6 @@ from repro.fl.admission import (
     AdmissionController,
     REJECT_NONFINITE,
     REJECT_NORM,
-    REJECT_PROVENANCE,
     REJECT_STRUCTURE,
     ReputationConfig,
     ReputationTracker,
@@ -91,7 +90,9 @@ class TestStructure:
         assert rejected.value(client="client-0", reason=REJECT_STRUCTURE) == 1
         assert rejected.total() == 1
         assert obs_ctx.registry.counter("fl.admission.checked").total() == 3
-        assert server.reputation.snapshot(server.cycle)["strikes"] == {"client-0": 1}
+        assert server.reputation.state_dict() == {
+            "clients": [["client-0", 1, 0, -1, False]]
+        }
         # Without the gate the same update is refused outright, by name —
         # never folded into parameters it does not belong to.
         with pytest.raises(ValueError, match="client-0"):
@@ -101,7 +102,7 @@ class TestStructure:
         server = serve_one_cycle(lambda layers: layers, admission=True)
         assert obs_ctx.registry.counter("fl.admission.rejected").total() == 0
         assert obs_ctx.registry.counter("fl.admission.checked").total() == 3
-        assert server.reputation.snapshot(server.cycle)["strikes"] == {}
+        assert server.reputation.state_dict() == {"clients": []}
         serve_one_cycle(lambda layers: layers, admission=False)
         update = make_flat(seed=1)
         decision = AdmissionController().check("c0", update)
@@ -133,12 +134,6 @@ class TestNumericalHealth:
         bad = make_flat(seed=1)
         bad[-1] = np.inf
         assert gate.check("c0", bad).reason == REJECT_NONFINITE
-
-    def test_check_can_be_disabled(self, obs_ctx):
-        gate = AdmissionController(AdmissionConfig(check_finite=False))
-        bad = make_flat(seed=1)
-        bad[0] = np.nan
-        assert gate.check("c0", bad).admitted
 
 
 class TestNormCeiling:
@@ -177,18 +172,6 @@ class TestNormCeiling:
     def test_invalid_ceiling_rejected(self):
         with pytest.raises(ValueError):
             AdmissionConfig(max_norm=0.0)
-
-
-class TestProvenance:
-    def test_unattested_sender_rejected_when_required(self, obs_ctx):
-        gate = AdmissionController(AdmissionConfig(require_provenance=True))
-        good = make_flat(seed=1)
-        assert gate.check("c0", good, attested=True).admitted
-        assert gate.check("c0", good, attested=False).reason == REJECT_PROVENANCE
-
-    def test_unattested_tolerated_by_default(self, obs_ctx):
-        gate = AdmissionController()
-        assert gate.check("c0", make_flat(seed=1), attested=False).admitted
 
 
 class TestAdmissionMetrics:
@@ -244,16 +227,6 @@ class TestReputation:
         ledger.record_rejection("bad", round_index=0)
         counter = obs_ctx.registry.counter("fl.reputation.quarantined")
         assert counter.total() == 1
-
-    def test_snapshot_is_sorted_and_json_safe(self, obs_ctx):
-        import json
-
-        ledger = ReputationTracker(ReputationConfig(max_strikes=1))
-        ledger.record_rejection("z", round_index=0)
-        ledger.record_rejection("a", round_index=0)
-        snap = ledger.snapshot(round_index=1)
-        assert snap["quarantined"] == ["a", "z"]
-        json.dumps(snap)
 
     def test_state_dict_round_trip(self, obs_ctx):
         ledger = ReputationTracker(

@@ -1,4 +1,4 @@
-"""Tests for top-k update compression with error feedback."""
+"""Tests for top-k update compression."""
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ class TestSparseUpdate:
 
 class TestTopKCompressor:
     def test_keeps_largest_magnitudes(self):
-        compressor = TopKCompressor(ratio=0.25, error_feedback=False)
+        compressor = TopKCompressor(ratio=0.25)
         update = np.array([0.1, -5.0, 0.2, 3.0, 0.05, -0.3, 0.0, 1.0])
         sparse = compressor.compress(update)
         np.testing.assert_array_equal(sorted(sparse.values, key=abs, reverse=True), [-5.0, 3.0])
@@ -36,58 +36,14 @@ class TestTopKCompressor:
         with pytest.raises(ValueError):
             TopKCompressor(ratio=0.0)
 
-    def test_error_feedback_preserves_total_mass(self):
-        """Over rounds, sent + residual always equals the cumulative input."""
-        compressor = TopKCompressor(ratio=0.3)
-        rng = np.random.default_rng(0)
-        cumulative = np.zeros(20)
-        sent = np.zeros(20)
-        for _ in range(5):
-            update = rng.normal(size=20)
-            cumulative += update
-            sent += compressor.compress(update, "c").densify()
-        residual = compressor._residuals["c"]
-        np.testing.assert_allclose(sent + residual, cumulative, atol=1e-10)
-
-    def test_error_feedback_eventually_sends_small_coords(self):
-        """A persistently tiny coordinate accumulates and gets sent."""
-        compressor = TopKCompressor(ratio=0.1)
-        update = np.zeros(10)
-        update[0] = 1.0     # always dominates
-        update[5] = 0.3     # accumulates via feedback
-        seen_five = False
-        for _ in range(6):
-            sparse = compressor.compress(update, "c")
-            if 5 in sparse.indices:
-                seen_five = True
-        assert seen_five
-
-    def test_residual_isolated_per_client(self):
-        compressor = TopKCompressor(ratio=0.5)
-        compressor.compress(np.array([1.0, 0.1]), "a")
-        assert compressor.residual_norm("b") == 0.0
-        assert compressor.residual_norm("a") > 0.0
-
-    def test_size_change_rejected(self):
-        compressor = TopKCompressor(ratio=0.5)
-        compressor.compress(np.ones(4), "c")
-        with pytest.raises(ValueError, match="size changed"):
-            compressor.compress(np.ones(5), "c")
-
-    def test_reset(self):
-        compressor = TopKCompressor(ratio=0.5)
-        compressor.compress(np.array([1.0, 0.2]), "c")
-        compressor.reset("c")
-        assert compressor.residual_norm("c") == 0.0
-
     def test_full_ratio_sends_everything(self):
-        compressor = TopKCompressor(ratio=1.0, error_feedback=False)
+        compressor = TopKCompressor(ratio=1.0)
         update = np.array([1.0, -2.0, 0.0])
         np.testing.assert_array_equal(compressor.compress(update).densify(), update)
 
     @given(st.integers(0, 200), st.floats(0.05, 1.0))
     def test_densified_never_exceeds_input_magnitude(self, seed, ratio):
-        compressor = TopKCompressor(ratio=ratio, error_feedback=False)
+        compressor = TopKCompressor(ratio=ratio)
         update = np.random.default_rng(seed).normal(size=30)
         dense = compressor.compress(update).densify()
         mask = dense != 0

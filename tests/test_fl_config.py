@@ -26,7 +26,6 @@ class TestConfigTypes:
         assert config.allow_legacy is False
         assert config.seed == 7
         assert config.round.retry is None
-        assert config.round.reattest is True
         assert config.sharding.num_shards == 1
         assert config.sharding.flat
 
@@ -36,7 +35,7 @@ class TestConfigTypes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ShardingConfig().num_shards = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RoundConfig().reattest = False
+            RoundConfig().rule = "median"
 
     def test_sharding_validates(self):
         with pytest.raises(ValueError, match="num_shards"):
@@ -56,7 +55,7 @@ class TestLegacyShim:
         with pytest.raises(TypeError):
             make_server(retry=RetryPolicy(max_retries=2))
         with pytest.raises(TypeError):
-            make_server(seed=3, reattest=False)
+            make_server(seed=3)
         model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=0)
         with pytest.raises(TypeError):
             FLServer(model, TrainingPlan(lr=0.1, batch_size=4), None, True)

@@ -45,11 +45,6 @@ class TestUnprotectedFL:
         server.run(clients, cycles=3)
         assert server.model.loss(x, y).item() < before
 
-    def test_history_records_each_cycle(self):
-        server, clients, _ = build_deployment(lambda: NoProtection(LENET))
-        server.run(clients, cycles=2)
-        assert len(server.history) == 3  # initial + 2 cycles
-
     def test_channel_counts_traffic(self):
         server, clients, _ = build_deployment(lambda: NoProtection(LENET))
         server.run_cycle(clients)

@@ -1,10 +1,9 @@
-"""Tests for training plans, transport messages and snapshot history."""
+"""Tests for training plans and transport messages."""
 
 import numpy as np
 import pytest
 
-from repro.fl import Channel, ClientUpdate, ModelDownload, SnapshotHistory, TrainingPlan
-from repro.nn.serialize import flatten_weights
+from repro.fl import Channel, ClientUpdate, ModelDownload, TrainingPlan
 
 
 class TestTrainingPlan:
@@ -54,47 +53,3 @@ class TestTransport:
         assert channel.uploads == 1
         assert channel.downlink_bytes > 0
         assert channel.uplink_bytes > 0
-
-
-class TestSnapshotHistory:
-    def make_history(self, values):
-        history = SnapshotHistory()
-        for v in values:
-            history.record([{"weight": np.full((2, 2), float(v))}])
-        return history
-
-    def test_record_copies(self):
-        weights = [{"weight": np.zeros((2, 2))}]
-        history = SnapshotHistory()
-        history.record(weights)
-        weights[0]["weight"][:] = 9.0
-        np.testing.assert_array_equal(history.snapshot(0)[0]["weight"], 0.0)
-
-    def test_aggregated_gradients_formula(self):
-        history = self.make_history([1.0, 0.5])
-        grads = history.aggregated_gradients(0, lr=0.25)
-        np.testing.assert_allclose(grads[0]["weight"], 2.0)  # (1 - 0.5) / 0.25
-
-    def test_aggregated_gradients_range_checked(self):
-        history = self.make_history([1.0])
-        with pytest.raises(IndexError):
-            history.aggregated_gradients(0)
-
-    def test_lr_positive(self):
-        history = self.make_history([1.0, 2.0])
-        with pytest.raises(ValueError):
-            history.aggregated_gradients(0, lr=0.0)
-
-    def test_feature_matrix_shape(self):
-        history = self.make_history([1.0, 2.0, 3.0])
-        matrix = history.gradient_feature_matrix(lr=1.0)
-        assert matrix.shape == (2, 4)
-
-    def test_feature_matrix_empty(self):
-        assert SnapshotHistory().gradient_feature_matrix().shape == (0, 0)
-
-    def test_feature_rows_are_flat_gradients(self):
-        history = self.make_history([2.0, 1.0])
-        row = history.gradient_feature_matrix(lr=0.5)[0]
-        expected = flatten_weights(history.aggregated_gradients(0, lr=0.5))
-        np.testing.assert_array_equal(row, expected)

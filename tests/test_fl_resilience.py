@@ -176,8 +176,7 @@ class TestServerResilience:
         for wa, wb in zip(before, after):
             for key in wa:
                 np.testing.assert_array_equal(wa[key], wb[key])
-        # history still advanced (with the carried-over weights)
-        assert len(server.history) == 2
+        assert server.cycle == 1
 
     def test_quorum_met_aggregates_normally(self):
         server, clients = build_deployment(
@@ -219,15 +218,6 @@ class TestReattestation:
                 client.device._key = b"\x00" * 32
             with pytest.raises(ValueError, match="re-attestation"):
                 server.run_cycle(clients)
-
-    def test_reattest_disabled_keeps_old_behaviour(self):
-        server, clients = build_deployment(reattest=False)
-        with obs.fresh() as ctx:
-            server.run_cycle(clients)
-            clients[1].device._key = b"\x00" * 32
-            updates = server.run_cycle(clients)  # nobody re-challenged
-            assert ctx.registry.counter("fl.selection.evicted").total() == 0
-        assert len(updates) == 3
 
     def test_unknown_clients_enrolled_on_first_cycle(self):
         server, clients = build_deployment()

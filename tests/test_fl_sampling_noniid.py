@@ -86,7 +86,6 @@ class TestClientSampling:
         server, pool = self.make_server_and_pool(3)
         server.run_sampled(pool, cycles=2, fraction=0.7)
         assert server.cycle == 2
-        assert len(server.history) == 3
 
     def test_sampling_varies_across_cycles(self):
         server, pool = self.make_server_and_pool(5)

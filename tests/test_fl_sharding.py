@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core import StaticPolicy
+from repro.data import synthetic_cifar
 from repro.fl import (
+    FLClient,
+    FLServer,
     HierarchicalAggregator,
+    RoundConfig,
+    ServerConfig,
     ShardingConfig,
     TopKCompressor,
+    TrainingPlan,
     fedavg,
     plan_shards,
     shard_of,
     weighted_sparse_mean,
 )
+from repro.nn import lenet5
 from repro.nn.serialize import flatten_weights
 from repro.obs import fresh
 
@@ -113,10 +121,10 @@ class TestHierarchicalReduce:
         # Sparse frames are densified before any fold (serve's flat64());
         # the dense tree then agrees with the exact sparse-support mean.
         size = 40
-        compressor = TopKCompressor(ratio=0.25, error_feedback=False)
+        compressor = TopKCompressor(ratio=0.25)
         rng = np.random.default_rng(5)
         flats = [rng.normal(size=size) for _ in range(6)]
-        sparse = [compressor.compress(f, f"c{i}") for i, f in enumerate(flats)]
+        sparse = [compressor.compress(f) for f in flats]
         counts = [3, 1, 4, 1, 5, 9]
         tree = HierarchicalAggregator(size, ShardingConfig(num_shards=3))
         for position, (update, count) in enumerate(zip(sparse, counts)):
@@ -210,3 +218,47 @@ class TestShardPartial:
         tree.fold(0, make_flat(2), 1)
         for original, snapshot in zip(before, partial.components):
             np.testing.assert_array_equal(original, snapshot)
+
+
+class TestShardedServer:
+    """FLServer over a shard tree: the shielded round commits flat's bits."""
+
+    def run_round(self, rule, num_shards):
+        def model():
+            return lenet5(num_classes=5, seed=7, scale=0.5)
+
+        def policy(target):
+            return StaticPolicy(target, ["L2", "L4"])
+
+        shards = synthetic_cifar(num_samples=48, num_classes=5, seed=0).shard(3)
+        global_model = model()
+        config = ServerConfig(
+            round=RoundConfig(rule=rule),
+            sharding=ShardingConfig(num_shards=num_shards),
+        )
+        server = FLServer(
+            global_model,
+            TrainingPlan(lr=0.2, batch_size=16, local_steps=1),
+            policy=policy(global_model),
+            config=config,
+        )
+        fleet = []
+        for i in range(3):
+            local = model()
+            fleet.append(
+                FLClient(f"client-{i}", shards[i], local, policy=policy(local), seed=i)
+            )
+        with fresh() as ctx:
+            server.run_cycle(fleet)
+            series = ctx.registry.counter("fl.bytes.shard").series()
+        return flatten_weights(server.model.get_weights()), server.channel, series
+
+    @pytest.mark.parametrize("rule", ["fedavg", "median"])
+    def test_sharded_round_matches_flat_and_prices_partials(self, rule):
+        flat_weights, flat_channel, flat_series = self.run_round(rule, 1)
+        weights, channel, series = self.run_round(rule, 3)
+        assert_flat_equal(weights, flat_weights)
+        assert flat_channel.partials == 0 and flat_series == {}
+        assert channel.partials == 3
+        assert channel.shard_bytes > 0
+        assert sum(series.values()) == channel.shard_bytes

@@ -92,11 +92,9 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     # Top-k updates fold densified (as serve's flat64() hands them over):
     # the exact zeros off the support change no bit of the sparse mean.
     rng = np.random.default_rng(seed)
-    compressor = TopKCompressor(ratio=ratio, error_feedback=False)
+    compressor = TopKCompressor(ratio=ratio)
     flats = [rng.normal(size=size) for _ in range(num_clients)]
-    sparse = [
-        compressor.compress(flat, f"client-{i}") for i, flat in enumerate(flats)
-    ]
+    sparse = [compressor.compress(flat) for flat in flats]
     counts = [int(c) for c in rng.integers(1, 20, size=num_clients)]
     expected = weighted_sparse_mean(sparse, counts)
     tree = HierarchicalAggregator(

@@ -53,7 +53,6 @@ class TestProgramValidation:
     def test_valid_program_constructs(self):
         program = _simple_program()
         assert program.op_counts() == {"add": 1, "mul": 1, "neg": 1}
-        assert program.is_cacheable
 
 
 class TestPasses:
@@ -71,22 +70,6 @@ class TestPasses:
         )
         pruned = eliminate_dead_code(program)
         assert pruned.op_counts() == {"add": 1, "mul": 1, "neg": 1}
-
-    def test_dce_keeps_stateful_nodes(self):
-        program = _simple_program()
-        stateful = Node("dropout_mask", {}, (2,), (5,), stateful=True)
-        program = Program(
-            program.nodes + [stateful],
-            6,
-            [0, 1],
-            {},
-            [4],
-            {**program.shapes, 5: (4,)},
-            {**program.dtypes, 5: "float64"},
-        )
-        kept = eliminate_dead_code(program)
-        assert "dropout_mask" in kept.op_counts()
-        assert not kept.is_cacheable
 
     def test_fuse_collapses_single_consumer_chain(self):
         program = _simple_program()
@@ -186,20 +169,19 @@ class TestMemoryPlanner:
         for every zoo model x protection policy cycle."""
         from repro.core.policy import DynamicPolicy
         from repro.core.shielded import ShieldedModel
-        from repro.graph import plan_policy
+        from repro.graph import plan_protection
         from repro.tee.memory import SecureMemoryPool
 
         rng = np.random.default_rng(0)
         for model_name, factory, policy in self._cases():
             model = factory()
             cycles = 3 if isinstance(policy, DynamicPolicy) else 1
-            _, per_cycle = plan_policy(
-                model,
-                policy,
-                batch_size=self.BATCH,
-                cycles=cycles,
-                capacity_bytes=self.CAPACITY,
-            )
+            per_cycle = [
+                plan_protection(
+                    model, policy.layers_for_cycle(cycle), batch_size=self.BATCH
+                )
+                for cycle in range(cycles)
+            ]
             if model_name == "mlp":
                 x = rng.normal(size=(self.BATCH, 64))
             else:
@@ -225,15 +207,6 @@ class TestMemoryPlanner:
                     policy.describe(),
                     cycle,
                 )
-
-    def test_worst_cycle_dominates(self):
-        from repro.core.policy import DynamicPolicy
-        from repro.graph import plan_policy
-
-        model = lenet5(num_classes=10, input_shape=(3, 16, 16), seed=0)
-        policy = DynamicPolicy(model, 2, [0.25] * 4, seed=3)
-        worst, per_cycle = plan_policy(model, policy, batch_size=8, cycles=5)
-        assert worst.peak_bytes == max(p.peak_bytes for p in per_cycle)
 
 
 class TestPlanCache:

@@ -10,7 +10,7 @@ import pytest
 from repro.core import ShieldedModel, StaticPolicy
 from repro.data import synthetic_cifar
 from repro.fl import FLClient, FLServer, TrainingPlan
-from repro.nn import lenet5, mlp, one_hot
+from repro.nn import lenet5, mlp
 from repro.tee import (
     IntegrityError,
     SecureMemoryExhausted,
@@ -126,33 +126,3 @@ class TestEnclaveProtocolAbuse:
         with secure_world():
             shielded.ta.invoke("release", restore=False)
         assert shielded.pool.used_bytes == 0
-
-
-class TestRNNExtension:
-    def test_shielded_training_supports_recurrent_layers(self):
-        """The paper's future-work direction: RNN protection works through
-        the same partitioned trainer."""
-        from repro.nn import Dense, Sequential, SimpleRNN
-
-        model = Sequential(
-            [SimpleRNN(6), Dense(3, name="L2")], input_shape=(4, 5), seed=0
-        )
-        reference = Sequential(
-            [SimpleRNN(6), Dense(3, name="L2")], input_shape=(4, 5), seed=0
-        )
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(5, 4, 5))
-        y = one_hot(rng.integers(0, 3, 5), 3)
-
-        shielded = ShieldedModel(model, StaticPolicy(model, ["L1"]), batch_size=5)
-        shielded.begin_cycle()
-        loss_protected = shielded.train_step(x, y, lr=0.2)
-        leak = shielded.end_cycle()
-
-        plain = ShieldedModel(reference, StaticPolicy(reference, []), batch_size=5)
-        plain.begin_cycle()
-        loss_plain = plain.train_step(x, y, lr=0.2)
-        plain.end_cycle()
-
-        assert loss_protected == pytest.approx(loss_plain, rel=1e-12)
-        assert leak.mean_gradients()[0] is None  # RNN gradients shielded

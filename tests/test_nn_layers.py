@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, SimpleRNN
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D
 
 
 def build(layer, input_shape, seed=0):
@@ -114,82 +114,3 @@ class TestMaxPoolAndFlatten:
         layer = build(MaxPool2D(2), (3, 8, 8))
         # Only activations, no weights.
         assert layer.tee_memory_bytes(1) == 4 * (3 * 8 * 8 + 2 * 3 * 4 * 4)
-
-
-class TestSimpleRNN:
-    def test_shapes(self):
-        layer = build(SimpleRNN(6), (4, 3))
-        assert layer.output_shape == (6,)
-        out = layer(Tensor(np.zeros((2, 4, 3))))
-        assert out.shape == (2, 6)
-
-    def test_has_recurrent_weights(self):
-        layer = build(SimpleRNN(6), (4, 3))
-        assert set(layer.params) == {"weight", "recurrent", "bias"}
-
-    def test_gradients_flow_through_time(self):
-        from repro.autodiff import grad
-
-        layer = build(SimpleRNN(4), (3, 2))
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 2)), requires_grad=True)
-        out = (layer(x) ** 2).sum()
-        (gx,) = grad(out, [x])
-        # Every timestep contributes gradient.
-        assert np.abs(gx.data).sum() > 0
-        assert np.abs(gx.data[:, 0]).sum() > 0  # earliest step included
-
-    def test_rejects_bad_input_shape(self):
-        with pytest.raises(ValueError, match="expects"):
-            build(SimpleRNN(4), (3,))
-
-
-class TestDropout:
-    def test_identity_at_inference(self):
-        from repro.nn import Dropout
-        layer = build(Dropout(0.5), (6,))
-        layer.training = False
-        x = Tensor(np.ones((3, 6)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_training_zeroes_and_rescales(self):
-        from repro.nn import Dropout
-        layer = build(Dropout(0.5, seed=1), (1000,))
-        out = layer(Tensor(np.ones((1, 1000)))).data
-        zeros = (out == 0).mean()
-        assert 0.35 < zeros < 0.65
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_expected_value_preserved(self):
-        from repro.nn import Dropout
-        layer = build(Dropout(0.3, seed=2), (5000,))
-        out = layer(Tensor(np.ones((1, 5000)))).data
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_zero_rate_is_identity(self):
-        from repro.nn import Dropout
-        layer = build(Dropout(0.0), (4,))
-        x = Tensor(np.ones((2, 4)))
-        assert layer(x) is x
-
-    def test_invalid_rate_rejected(self):
-        from repro.nn import Dropout
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_gradient_flows_through_mask(self):
-        from repro.autodiff import grad
-        from repro.nn import Dropout
-        layer = build(Dropout(0.5, seed=3), (8,))
-        x = Tensor(np.ones((2, 8)), requires_grad=True)
-        out = layer(x)
-        (g,) = grad((out ** 2).sum(), [x])
-        # Gradient is zero exactly where the mask dropped the unit.
-        np.testing.assert_array_equal(g.data == 0, out.data == 0)
-
-    def test_deterministic_per_build_seed(self):
-        from repro.nn import Dropout
-        a = build(Dropout(0.5, seed=4), (16,))
-        b = build(Dropout(0.5, seed=4), (16,))
-        x = Tensor(np.ones((1, 16)))
-        np.testing.assert_array_equal(a(x).data, b(x).data)

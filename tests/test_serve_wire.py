@@ -277,9 +277,7 @@ class TestByteAccounting:
         assert INDEX_WIRE_BYTES == 4 and VALUE_WIRE_BYTES == 4
 
     def test_sparse_frame_charges_what_wire_bytes_promises(self, rng):
-        update = TopKCompressor(0.1, error_feedback=False).compress(
-            rng.standard_normal(200)
-        )
+        update = TopKCompressor(0.1).compress(rng.standard_normal(200))
         vector = WireVector.from_sparse_update(update)  # F32 values
         # the index+value payload portion is exactly update.wire_bytes()
         assert vector.payload_bytes() == 4 + 4 + update.wire_bytes()

@@ -87,13 +87,6 @@ class TestSecureMonitor:
         with pytest.raises(KeyError, match="no TA"):
             SecureMonitor().smc("missing-uuid", "cmd")
 
-    def test_uninstall(self):
-        monitor = SecureMonitor()
-        ta = make_echo_ta()
-        monitor.install(ta)
-        monitor.uninstall(ta.uuid)
-        assert monitor.installed() == ()
-
     def test_world_restored_after_ta_exception(self):
         monitor = SecureMonitor()
         ta = TrustedApplication("bomb")
@@ -136,59 +129,3 @@ class TestConcurrentStats:
             # The metrics registry saw the same exact count.
             counter = ctx.registry.counter("tee.smc.calls")
             assert counter.value(ta="echo", command="echo") == expected
-
-
-class TestSessions:
-    """GlobalPlatform-style open/invoke/close protocol."""
-
-    def make(self):
-        monitor = SecureMonitor()
-        ta = make_echo_ta()
-        monitor.install(ta)
-        return monitor, ta
-
-    def test_open_invoke_close(self):
-        monitor, ta = self.make()
-        session = monitor.open_session(ta.uuid)
-        assert monitor.invoke(session, "echo", value=7) == 7
-        monitor.close_session(session)
-        assert monitor.stats.sessions_opened == 1
-        assert monitor.stats.sessions_closed == 1
-
-    def test_invoke_after_close_fails(self):
-        monitor, ta = self.make()
-        session = monitor.open_session(ta.uuid)
-        monitor.close_session(session)
-        with pytest.raises(TEEError, match="not open"):
-            monitor.invoke(session, "echo", value=1)
-
-    def test_invoke_unknown_session_fails(self):
-        monitor, _ = self.make()
-        with pytest.raises(TEEError, match="not open"):
-            monitor.invoke(999, "echo", value=1)
-
-    def test_double_close_fails(self):
-        monitor, ta = self.make()
-        session = monitor.open_session(ta.uuid)
-        monitor.close_session(session)
-        with pytest.raises(TEEError):
-            monitor.close_session(session)
-
-    def test_open_session_validates_uuid(self):
-        monitor, _ = self.make()
-        with pytest.raises(KeyError):
-            monitor.open_session("ghost")
-
-    def test_sessions_track_invocations(self):
-        monitor, ta = self.make()
-        session = monitor.open_session(ta.uuid)
-        monitor.invoke(session, "echo", value=1)
-        monitor.invoke(session, "echo", value=2)
-        assert monitor.session(session).invocations == 2
-
-    def test_independent_sessions(self):
-        monitor, ta = self.make()
-        a = monitor.open_session(ta.uuid)
-        b = monitor.open_session(ta.uuid)
-        monitor.close_session(a)
-        assert monitor.invoke(b, "echo", value=3) == 3
