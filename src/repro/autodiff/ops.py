@@ -5,12 +5,19 @@ so gradients are graph-connected tensors and arbitrary-order differentiation
 works (this is what lets the DRIA attack optimise through the model's own
 backward pass).
 
+A rule that needs the op's own output (``exp``, ``sigmoid``, ``tanh``)
+holds it through a ``weakref.ref``: a closure over ``out`` would make
+``out -> out._grad_fn -> out`` a reference cycle and keep the whole graph
+behind it alive until the cyclic collector ran.  The output is alive
+whenever its rule runs, since the backward pass reaches the rule through it.
+
 The module attaches operator overloads and convenience methods to
 :class:`repro.autodiff.tensor.Tensor` at import time.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,9 +164,10 @@ def exp(a) -> Tensor:
             _trace.TAPE.op("exp", (a,), out)
         return out
     out = Tensor(out_data, parents=(a,), grad_fn=None, name="exp")
+    out_ref = weakref.ref(out)
 
     def grad_fn(g):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
     out._grad_fn = grad_fn
     if _trace.TAPE is not None:
@@ -405,9 +413,11 @@ def sigmoid(a) -> Tensor:
             _trace.TAPE.op("sigmoid", (a,), out)
         return out
     out = Tensor(out_data, parents=(a,), grad_fn=None, name="sigmoid")
+    out_ref = weakref.ref(out)
 
     def grad_fn(g):
-        return (mul(g, mul(out, sub(1.0, out))),)
+        y = out_ref()
+        return (mul(g, mul(y, sub(1.0, y))),)
 
     out._grad_fn = grad_fn
     if _trace.TAPE is not None:
@@ -424,9 +434,11 @@ def tanh(a) -> Tensor:
             _trace.TAPE.op("tanh", (a,), out)
         return out
     out = Tensor(out_data, parents=(a,), grad_fn=None, name="tanh")
+    out_ref = weakref.ref(out)
 
     def grad_fn(g):
-        return (mul(g, sub(1.0, mul(out, out))),)
+        y = out_ref()
+        return (mul(g, sub(1.0, mul(y, y))),)
 
     out._grad_fn = grad_fn
     if _trace.TAPE is not None:

@@ -41,12 +41,15 @@ class Tensor:
         Callable mapping the incoming gradient (a :class:`Tensor`) to a tuple
         of gradients, one per parent (``None`` for parents that do not
         require grad).  Must be written in terms of Tensor ops so that
-        higher-order differentiation works.
+        higher-order differentiation works, and must hold the tensor it is
+        attached to only weakly (see :mod:`repro.autodiff.ops`).
     name:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "name")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_parents", "_grad_fn", "name", "__weakref__"
+    )
 
     def __init__(
         self,

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import get_registry
+from .config import require_finite
 
 __all__ = [
     "AdmissionConfig",
@@ -62,6 +63,7 @@ class AdmissionConfig:
     clip: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.max_norm is not None and self.max_norm <= 0:
             raise ValueError("max_norm must be positive when set")
 

@@ -10,9 +10,8 @@ policy, and return the update (protected layers sealed again).
 
 from __future__ import annotations
 
-import hashlib
 import io
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -108,7 +107,6 @@ class FLClient:
         )
         self.iopath = TrustedIOPath()
         self._data_key = "training-data"
-        self._data_cache: Optional[Tuple[bytes, ArrayDataset]] = None
         self.storage.put(
             self.shielded.ta.uuid, self._data_key, _dataset_to_bytes(dataset)
         )
@@ -128,21 +126,16 @@ class FLClient:
 
     # -- training ---------------------------------------------------------
     def _load_data(self) -> ArrayDataset:
-        """Fetch the shard from secure storage, decoding at most once.
+        """Fetch, verify and decode the shard from secure storage.
 
-        The sealed blob is still fetched and integrity-verified by
-        :class:`~repro.tee.storage.SecureStorage` every cycle (so tampering
-        and rollback are detected exactly as before), but the expensive
-        ``np.load`` deserialisation is cached keyed on the blob's SHA-256 —
-        any change to the stored bytes forces a re-decode.
+        :class:`~repro.tee.storage.SecureStorage` integrity-checks the sealed
+        blob on every fetch, so tampering and rollback are detected each
+        cycle.  The decode is not cached: it costs less than hashing the
+        blob to key a cache would, and a cache would pin one decoded shard
+        per client between cycles.
         """
         blob = self.storage.get(self.shielded.ta.uuid, self._data_key)
-        digest = hashlib.sha256(blob).digest()
-        if self._data_cache is not None and self._data_cache[0] == digest:
-            return self._data_cache[1]
-        dataset = _dataset_from_bytes(blob, name=f"{self.client_id}-shard")
-        self._data_cache = (digest, dataset)
-        return dataset
+        return _dataset_from_bytes(blob, name=f"{self.client_id}-shard")
 
     def run_cycle(self, download: ModelDownload, plan: TrainingPlan) -> ClientUpdate:
         """Execute one FL cycle and return the (partially sealed) update."""

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .admission import AdmissionConfig, ReputationConfig
-from .resilience import RetryPolicy
 from .robust import RULES
+
+if TYPE_CHECKING:  # annotations only: both modules import require_finite
+    from .admission import AdmissionConfig, ReputationConfig
+    from .resilience import RetryPolicy
 
 __all__ = ["BufferConfig", "RoundConfig", "ShardingConfig", "ServerConfig"]
 
@@ -66,6 +68,7 @@ class BufferConfig:
     exponent: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.size < 1:
             raise ValueError("buffer size must be >= 1")
         if self.staleness not in STALENESS_KINDS:
@@ -156,6 +159,7 @@ class RoundConfig:
     reputation: Optional[ReputationConfig] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.rule not in RULES:
             raise ValueError(
                 f"unknown aggregation rule {self.rule!r}; expected one of {RULES}"

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import require_finite
+
 __all__ = ["TrainingPlan"]
 
 
@@ -34,6 +36,7 @@ class TrainingPlan:
     local_steps: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.batch_size <= 0:

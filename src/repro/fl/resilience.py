@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_registry
+from .config import require_finite
 
 __all__ = ["RetryPolicy", "collect_with_retries"]
 
@@ -53,6 +54,7 @@ class RetryPolicy:
     quorum: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         if self.backoff_seconds < 0:

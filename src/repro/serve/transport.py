@@ -54,6 +54,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..fl.config import require_finite
 from ..obs import get_registry
 
 __all__ = [
@@ -87,6 +88,7 @@ class ChaosConfig:
     reorder_window: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for kind in _FAULT_KINDS:
             p = getattr(self, kind)
             if not 0.0 <= p <= 1.0:
@@ -341,6 +343,7 @@ class BreakerConfig:
     probes: int = 4
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.error_budget < 1:
             raise ValueError("error_budget must be >= 1")
         if self.window <= 0 or self.cooldown <= 0:

@@ -74,6 +74,35 @@ class TestNonlinearities:
         expected = s * (1 - s) * (1 - 2 * s)
         assert g2.data[0] == pytest.approx(expected, rel=1e-6)
 
+    def test_exp_second_order(self):
+        x = Tensor([0.3, -1.2], requires_grad=True)
+        (g1,) = grad(ops.exp(x).sum(), [x], create_graph=True)
+        (g2,) = grad(g1.sum(), [x])
+        np.testing.assert_allclose(g2.data, np.exp([0.3, -1.2]), rtol=1e-12)
+
+    def test_tanh_second_order(self):
+        x = Tensor([0.3, -1.2], requires_grad=True)
+        (g1,) = grad(ops.tanh(x).sum(), [x], create_graph=True)
+        (g2,) = grad(g1.sum(), [x])
+        th = np.tanh([0.3, -1.2])
+        np.testing.assert_allclose(g2.data, -2 * th * (1 - th**2), rtol=1e-12)
+
+    def test_second_order_when_the_caller_keeps_only_the_loss(self):
+        # exp, sigmoid and tanh hold their own outputs weakly; the graph
+        # must keep them alive for both passes once nothing else names them.
+        def loss_of(x):
+            return (ops.exp(x) + ops.sigmoid(x) + ops.tanh(x)).sum()
+
+        values = np.array([0.3, -1.2, 0.8])
+        x = Tensor(values, requires_grad=True)
+        loss = loss_of(x)
+        (g1,) = grad(loss, [x], create_graph=True)
+        del loss
+        (g2,) = grad(g1.sum(), [x])
+        s, th = 1 / (1 + np.exp(-values)), np.tanh(values)
+        expected = np.exp(values) + s * (1 - s) * (1 - 2 * s) - 2 * th * (1 - th**2)
+        np.testing.assert_allclose(g2.data, expected, rtol=1e-12)
+
     def test_constant_input_yields_plain_tensor(self):
         out = ops.sigmoid(Tensor([0.0]))
         assert out.is_leaf

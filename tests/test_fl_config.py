@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from repro.fl import (
+    AdmissionConfig,
+    BufferConfig,
     FLServer,
     RetryPolicy,
     RoundConfig,
@@ -13,6 +15,7 @@ from repro.fl import (
     TrainingPlan,
 )
 from repro.nn import mlp
+from repro.serve import BreakerConfig, ChaosConfig
 
 
 def make_server(**kwargs):
@@ -65,3 +68,26 @@ class TestLegacyShim:
             config=ServerConfig(sharding=ShardingConfig(num_shards=4))
         )
         assert server.config.sharding.num_shards == 4
+
+
+# Every public config dataclass whose float fields a range check alone let
+# NaN or inf through (every comparison with NaN is false).
+NON_FINITE_CASES = [
+    (TrainingPlan, "lr"),
+    (AdmissionConfig, "max_norm"),
+    (RoundConfig, "clip_norm"),
+    (BufferConfig, "exponent"),
+    (ChaosConfig, "reorder_window"),
+    (BreakerConfig, "window"),
+    (BreakerConfig, "cooldown"),
+    (RetryPolicy, "backoff_seconds"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "config, field", NON_FINITE_CASES, ids=[f"{c.__name__}.{f}" for c, f in NON_FINITE_CASES]
+)
+def test_non_finite_float_fields_are_refused(config, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        config(**{field: value})

@@ -133,6 +133,14 @@ GATED: List[Command] = [
     _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
          "--seed", "7", "--chaos", "--chaos-rate", "0.1", "--chaos-seed", "3",
          "--out", "chaos.json"),
+    _cli("serve", "--tenants", "2", "--clients", "200", "--commits", "4",
+         "--seed", "7", "--ratio", "0.25", "--encoding", "f32", "--shards", "4",
+         "--out", "codec1.json"),
+    _cli("serve", "--tenants", "2", "--clients", "200", "--commits", "4",
+         "--seed", "7", "--ratio", "0.25", "--encoding", "q8", "--out", "codec2.json"),
+    _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
+         "--seed", "7", "--chaos", "--chaos-rate", "0.2", "--chaos-seed", "3",
+         "--chaos-breaker-budget", "5", "--out", "codec3.json"),
     *_twice(
         _cli("simulate", *_SYNC, "--async", "--buffer-size", "64",
              "--state-dir", "sim-state", "--out", "resume.json"),
