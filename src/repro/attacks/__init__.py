@@ -12,7 +12,7 @@ removed from the attacker's data exactly as in the paper's evaluation.
 """
 
 from .base import AttackResult, protected_to_frozenset
-from .dria import DataReconstructionAttack, DRIAReport, infer_label_from_gradients
+from .dria import DataReconstructionAttack, DRIAReport
 from .features import (
     features_from_weight_grads,
     gradient_feature_vector,
@@ -28,7 +28,6 @@ __all__ = [
     "protected_to_frozenset",
     "DataReconstructionAttack",
     "DRIAReport",
-    "infer_label_from_gradients",
     "MembershipInferenceAttack",
     "AttackSuite", "AttackVerdict", "SecurityReport",
     "PropertyInferenceAttack",

@@ -28,38 +28,7 @@ from ..nn.model import Sequential
 from ..nn.optim import Adam
 from .base import AttackResult, protected_to_frozenset
 
-__all__ = ["DataReconstructionAttack", "DRIAReport", "infer_label_from_gradients"]
-
-
-def infer_label_from_gradients(
-    head_weight_grad: np.ndarray,
-) -> Optional[int]:
-    """iDLG label inference from the classification head's gradient.
-
-    For a single sample under cross-entropy, ``dW_n``'s rows are
-    ``(softmax_c - y_c) * a``: the true-class row is the only one whose
-    entries have the opposite sign (``softmax_c - 1 < 0`` while all other
-    rows share the sign of ``a``'s entries scaled by positive
-    probabilities). The attacker therefore reads the label directly off
-    the leaked head gradient — *unless* the head is protected, in which
-    case this function gets nothing to work with (pass ``None`` upstream).
-    """
-    grad = np.asarray(head_weight_grad, dtype=np.float64)
-    if grad.ndim != 2:
-        raise ValueError("head gradient must be 2-D (classes x features)")
-    row_means = grad.mean(axis=1)
-    # Exactly one row should be negative-mean when the others are positive
-    # (or vice versa); pick the row whose sign differs from the majority.
-    signs = np.sign(row_means)
-    positive = int((signs > 0).sum())
-    negative = int((signs < 0).sum())
-    if positive == 0 or negative == 0:
-        return None  # degenerate (e.g. batch gradient): no clean signal
-    minority_sign = 1.0 if positive < negative else -1.0
-    candidates = np.flatnonzero(signs == minority_sign)
-    if candidates.size != 1:
-        return None
-    return int(candidates[0])
+__all__ = ["DataReconstructionAttack", "DRIAReport"]
 
 
 @dataclass

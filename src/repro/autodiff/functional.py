@@ -16,24 +16,9 @@ from .fused import conv2d_fused
 from .tensor import Tensor, as_tensor
 
 __all__ = [
-    "linear", "conv2d", "conv2d_composed", "set_fused_conv", "max_pool2d",
-    "flatten", "softmax", "log_softmax", "cross_entropy", "mse",
-    "gelu", "layer_norm", "softmax_lastaxis", "attention_weights",
+    "linear", "conv2d", "conv2d_composed", "flatten", "softmax", "log_softmax",
+    "cross_entropy", "gelu", "layer_norm", "softmax_lastaxis", "attention_weights",
 ]
-
-# Default conv implementation: the fused single-node kernel from
-# :mod:`repro.autodiff.fused`.  Flip off (via :func:`set_fused_conv`) to fall
-# back to the primitive composition — the two are bitwise identical; the
-# toggle exists for benchmarking and for bisecting kernel regressions.
-_USE_FUSED_CONV = True
-
-
-def set_fused_conv(enabled: bool) -> bool:
-    """Select the conv2d implementation; returns the previous setting."""
-    global _USE_FUSED_CONV
-    previous = _USE_FUSED_CONV
-    _USE_FUSED_CONV = bool(enabled)
-    return previous
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -60,9 +45,8 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution (cross-correlation) in NCHW layout.
 
-    Dispatches to the fused single-node kernel by default (see
-    :func:`set_fused_conv`); the composed fallback below is bitwise
-    identical in both values and gradients.
+    Runs the fused single-node kernel; :func:`conv2d_composed` below is its
+    bitwise-identical reference in both values and gradients.
 
     Parameters
     ----------
@@ -70,9 +54,7 @@ def conv2d(
     weight: shape ``(F, C, KH, KW)``.
     bias: shape ``(F,)`` or None.
     """
-    if _USE_FUSED_CONV:
-        return conv2d_fused(x, weight, bias, stride=stride, pad=pad)
-    return conv2d_composed(x, weight, bias, stride=stride, pad=pad)
+    return conv2d_fused(x, weight, bias, stride=stride, pad=pad)
 
 
 def conv2d_composed(
@@ -102,11 +84,6 @@ def conv2d_composed(
     if bias is not None:
         out = ops.add(out, ops.reshape(bias, (1, f, 1, 1)))
     return out
-
-
-def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride == kernel)."""
-    return ops.maxpool2d(x, kernel)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -155,12 +132,6 @@ def cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
     n = logits.shape[0]
     picked = ops.mul(log_softmax(logits), targets.detach())
     return ops.mul(ops.sum_(picked), -1.0 / n)
-
-
-def mse(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    diff = ops.sub(prediction, as_tensor(target))
-    return ops.mean(ops.mul(diff, diff))
 
 
 # Constant of the GELU tanh approximation: sqrt(2 / pi).

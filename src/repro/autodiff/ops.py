@@ -26,11 +26,9 @@ from .tensor import Tensor, as_tensor
 from ..graph import trace as _trace
 
 __all__ = [
-    "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt",
+    "add", "sub", "mul", "div", "neg", "pow_", "exp", "log",
     "matmul", "bmm", "sum_", "mean", "reshape", "transpose", "broadcast_to",
-    "getitem", "pad2d", "relu", "sigmoid", "tanh", "abs_",
-    "leaky_relu", "softplus", "clip",
-    "im2col", "col2im", "maxpool2d", "concatenate",
+    "getitem", "pad2d", "relu", "sigmoid", "tanh", "im2col", "col2im", "maxpool2d",
 ]
 
 
@@ -187,25 +185,6 @@ def log(a) -> Tensor:
     return out
 
 
-def sqrt(a) -> Tensor:
-    return pow_(a, 0.5)
-
-
-def abs_(a) -> Tensor:
-    a = as_tensor(a)
-    sign = Tensor(np.sign(a.data))
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("sign", (a,), sign)
-
-    def grad_fn(g):
-        return (mul(g, sign),)
-
-    out = _make(np.abs(a.data), (a,), grad_fn, "abs")
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("abs", (a,), out)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Linear algebra
 # ----------------------------------------------------------------------
@@ -266,26 +245,6 @@ def reshape(a, shape) -> Tensor:
     out = _make(a.data.reshape(shape).copy(), (a,), grad_fn, "reshape")
     if _trace.TAPE is not None:
         _trace.TAPE.op("reshape", (a,), out, shape=shape)
-    return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        grads = []
-        for i, t in enumerate(tensors):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(getitem(g, tuple(index)))
-        return tuple(grads)
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = _make(data, tuple(tensors), grad_fn, "concatenate")
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("concatenate", tuple(tensors), out, axis=axis)
     return out
 
 
@@ -443,61 +402,6 @@ def tanh(a) -> Tensor:
     out._grad_fn = grad_fn
     if _trace.TAPE is not None:
         _trace.TAPE.op("tanh", (a,), out)
-    return out
-
-
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-    slope = float(negative_slope)
-    factor = Tensor(np.where(a.data > 0, 1.0, slope))
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("leaky_factor", (a,), factor, slope=slope)
-
-    def grad_fn(g):
-        return (mul(g, factor),)
-
-    data = np.where(a.data > 0, a.data, slope * a.data)
-    out = _make(data, (a,), grad_fn, "leaky_relu")
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("leaky_relu", (a,), out, slope=slope)
-    return out
-
-
-def softplus(a) -> Tensor:
-    """Numerically stable ``log(1 + exp(a))`` with a sigmoid derivative."""
-    a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
-    if not _result_requires(a):
-        out = Tensor(data)
-        if _trace.TAPE is not None:
-            _trace.TAPE.op("softplus", (a,), out)
-        return out
-    out = Tensor(data, parents=(a,), grad_fn=None, name="softplus")
-
-    def grad_fn(g):
-        return (mul(g, sigmoid(a)),)
-
-    out._grad_fn = grad_fn
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("softplus", (a,), out)
-    return out
-
-
-def clip(a, low: float, high: float) -> Tensor:
-    """Clamp values to ``[low, high]``; gradient is 1 inside, 0 outside."""
-    a = as_tensor(a)
-    if low > high:
-        raise ValueError(f"clip bounds inverted: {low} > {high}")
-    mask = Tensor(((a.data >= low) & (a.data <= high)).astype(a.data.dtype))
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("clip_mask", (a,), mask, low=float(low), high=float(high))
-
-    def grad_fn(g):
-        return (mul(g, mask),)
-
-    out = _make(np.clip(a.data, low, high), (a,), grad_fn, "clip")
-    if _trace.TAPE is not None:
-        _trace.TAPE.op("clip", (a,), out, low=float(low), high=float(high))
     return out
 
 
@@ -685,7 +589,6 @@ def _install_operators() -> None:
     Tensor.transpose = lambda self, axes=None: transpose(self, axes)
     Tensor.exp = lambda self: exp(self)
     Tensor.log = lambda self: log(self)
-    Tensor.abs = lambda self: abs_(self)
 
 
 _install_operators()

@@ -18,12 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "grad", "zeros_like_data"]
-
-
-def zeros_like_data(array: np.ndarray) -> np.ndarray:
-    """Return a zero ndarray with the same shape/dtype as ``array``."""
-    return np.zeros_like(array)
+__all__ = ["Tensor", "as_tensor", "grad"]
 
 
 class Tensor:
@@ -81,27 +76,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._grad_fn is None
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
         return (
             f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}"
             f"{label})"
         )
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying ndarray (shared, not copied)."""
-        return self.data
 
     def item(self) -> float:
         """Return the scalar value of a 0-d or single-element tensor."""
@@ -110,21 +90,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a new leaf tensor sharing data but cut from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        """Return a graph-connected copy (identity op)."""
-        out = Tensor(
-            self.data.copy(),
-            requires_grad=self.requires_grad,
-            parents=(self,),
-            grad_fn=lambda g: (g,),
-            name=self.name,
-        )
-        return out
-
-    def zero_grad(self) -> None:
-        """Clear any accumulated gradient."""
-        self.grad = None
 
     # ------------------------------------------------------------------
     # Backward pass

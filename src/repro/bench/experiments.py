@@ -62,14 +62,6 @@ class ExperimentRow:
     metric: str
     extra: dict = field(default_factory=dict)
 
-    def format(self) -> str:
-        pretty = "+".join(f"L{i}" for i in self.protected) or "none"
-        return f"{self.label:<28} [{pretty:<14}] {self.metric}={self.score:.3f}"
-
-
-def _layers_label(protected: Sequence[int]) -> str:
-    return "+".join(f"L{i}" for i in sorted(protected)) or "none"
-
 
 # ----------------------------------------------------------------------
 # DRIA (Figure 5)

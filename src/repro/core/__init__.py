@@ -19,7 +19,6 @@ from .policy import (
     PolicyError,
     ProtectionPolicy,
     StaticPolicy,
-    contiguous_slices,
     policy_from_spec,
     structured_slices,
 )
@@ -30,7 +29,7 @@ __all__ = [
     "ProtectionPolicy", "NoProtection", "StaticPolicy", "DarknetzPolicy",
     "DynamicPolicy", "PeltaPolicy", "PolicyError",
     "LayerRef", "BlockSelector", "ModelLayout",
-    "contiguous_slices", "structured_slices", "policy_from_spec",
+    "structured_slices", "policy_from_spec",
     "ShieldedModel", "GradSecTA", "CycleLeakage",
     "OverheadRow", "static_overhead", "dynamic_overhead", "policy_overhead",
     "SearchResult", "candidate_distributions", "search_v_mw",

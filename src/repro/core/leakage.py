@@ -65,11 +65,6 @@ class CycleLeakage:
         self.weights_after = self._snapshot(model)
 
     # -- attacker-facing accessors ---------------------------------------
-    def visible_layers(self) -> FrozenSet[int]:
-        return frozenset(
-            i for i in range(1, self.num_layers + 1) if i not in self.protected
-        )
-
     def mean_gradients(self) -> List[Optional[Dict[str, np.ndarray]]]:
         """Average observed gradient per unprotected layer, None if protected."""
         out: List[Optional[Dict[str, np.ndarray]]] = []

@@ -47,7 +47,6 @@ __all__ = [
     "DynamicPolicy",
     "PeltaPolicy",
     "policy_from_spec",
-    "contiguous_slices",
     "structured_slices",
 ]
 
@@ -130,9 +129,6 @@ class ModelLayout:
     def num_layers(self) -> int:
         return len(self.refs)
 
-    def __len__(self) -> int:
-        return len(self.refs)
-
     def __iter__(self) -> Iterator[LayerRef]:
         return iter(self.refs)
 
@@ -143,10 +139,6 @@ class ModelLayout:
                 f"layer index {index} outside 1..{len(self.refs)}"
             )
         return self.refs[int(index) - 1]
-
-    def blocks(self) -> Dict[str, Tuple[LayerRef, ...]]:
-        """Named blocks in model order, each a tuple of its sublayer refs."""
-        return {name: tuple(refs) for name, refs in self._blocks.items()}
 
     def block_names(self) -> List[str]:
         return list(self._blocks)
@@ -222,23 +214,6 @@ class ModelLayout:
         )
 
 
-def contiguous_slices(layers: Sequence[int]) -> List[Tuple[int, int]]:
-    """Group a sorted set of layer indices into inclusive (start, end) runs."""
-    ordered = sorted(set(int(i) for i in layers))
-    if not ordered:
-        return []
-    slices: List[Tuple[int, int]] = []
-    start = prev = ordered[0]
-    for index in ordered[1:]:
-        if index == prev + 1:
-            prev = index
-            continue
-        slices.append((start, prev))
-        start = prev = index
-    slices.append((start, prev))
-    return slices
-
-
 def structured_slices(refs: Sequence[LayerRef]) -> List[Tuple[LayerRef, ...]]:
     """Group refs into protection units over the *block* structure.
 
@@ -246,8 +221,8 @@ def structured_slices(refs: Sequence[LayerRef]) -> List[Tuple[LayerRef, ...]]:
     regardless of flat adjacency, the enclave provisions a block as one
     structured region — or (b) a maximal run of flat-adjacent block-less
     refs.  Block boundaries always split, even when the flat indices touch:
-    two attention blocks are two units.  For fully flat layouts this reduces
-    exactly to :func:`contiguous_slices`.
+    two attention blocks are two units.  For fully flat layouts the units
+    are the maximal runs of consecutive layer indices.
     """
     ordered = sorted(set(refs))
     units: List[Tuple[LayerRef, ...]] = []
@@ -415,8 +390,9 @@ class _MovingWindow(ProtectionPolicy):
                 f"V_MW must have {positions} entries for size_mw={size_mw} "
                 f"over {len(units)} {unit_name}, got {v.shape}"
             )
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
-            raise PolicyError("V_MW entries must be non-negative and sum to 1")
+        # Every comparison with NaN is false: test finiteness explicitly.
+        if not np.isfinite(v).all() or (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
+            raise PolicyError("V_MW entries must be finite, non-negative and sum to 1")
         self.v_mw = v
         self.seed = int(seed)
         self.windows = [
@@ -435,14 +411,6 @@ class _MovingWindow(ProtectionPolicy):
 
     def all_possible_sets(self) -> List[FrozenSet[int]]:
         return [frozenset(w) for w, p in zip(self.windows, self.v_mw) if p > 0]
-
-    def expected_protection(self) -> np.ndarray:
-        """Per-layer probability of being protected in a random cycle."""
-        out = np.zeros(self.num_layers)
-        for window, p in zip(self.windows, self.v_mw):
-            for index in window:
-                out[index - 1] += p
-        return out
 
 
 class DynamicPolicy(_MovingWindow):

@@ -2,14 +2,14 @@
 
 The paper trains on CIFAR-100 and LFW.  Neither is available offline, so the
 generators in :mod:`repro.data.synthetic` produce structured stand-ins; this
-module provides the dataset container and the batching/splitting machinery
+module provides the dataset container and the batching/sharding machinery
 that the FL clients and the attacks share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class Batch:
     x: np.ndarray
     y: np.ndarray
     properties: Optional[np.ndarray] = None
-
-    @property
-    def size(self) -> int:
-        return int(self.x.shape[0])
 
 
 @dataclass
@@ -69,10 +65,6 @@ class ArrayDataset:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    @property
-    def sample_shape(self) -> Tuple[int, ...]:
-        return tuple(self.x.shape[1:])
-
     def one_hot_labels(self) -> np.ndarray:
         return one_hot(self.y, self.num_classes)
 
@@ -87,17 +79,6 @@ class ArrayDataset:
             name=name or self.name,
         )
 
-    def split(
-        self, fraction: float, rng: Optional[np.random.Generator] = None
-    ) -> Tuple["ArrayDataset", "ArrayDataset"]:
-        """Random split into (first, second) with ``fraction`` in the first."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        rng = rng or np.random.default_rng(0)
-        order = rng.permutation(len(self))
-        cut = int(round(fraction * len(self)))
-        return self.subset(order[:cut]), self.subset(order[cut:])
-
     def shard(self, num_shards: int) -> list:
         """Deterministic round-robin sharding (one shard per FL client)."""
         if num_shards <= 0:
@@ -105,42 +86,6 @@ class ArrayDataset:
         return [
             self.subset(np.arange(i, len(self), num_shards), name=f"{self.name}#{i}")
             for i in range(num_shards)
-        ]
-
-    def dirichlet_shard(
-        self,
-        num_shards: int,
-        alpha: float = 0.5,
-        rng: Optional[np.random.Generator] = None,
-    ) -> list:
-        """Non-IID sharding: per-class Dirichlet allocation across clients.
-
-        The standard FL heterogeneity model — each class's samples are split
-        among clients with proportions drawn from ``Dirichlet(alpha)``.
-        Small ``alpha`` gives highly skewed clients; large ``alpha``
-        approaches IID. Every shard is guaranteed at least one sample.
-        """
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        rng = rng or np.random.default_rng(0)
-        assignments: list = [[] for _ in range(num_shards)]
-        for label in np.unique(self.y):
-            indices = np.flatnonzero(self.y == label)
-            rng.shuffle(indices)
-            proportions = rng.dirichlet(np.full(num_shards, alpha))
-            cuts = (np.cumsum(proportions) * len(indices)).astype(int)[:-1]
-            for shard_index, chunk in enumerate(np.split(indices, cuts)):
-                assignments[shard_index].extend(chunk.tolist())
-        # Repair empty shards by stealing from the largest.
-        for shard_index, members in enumerate(assignments):
-            if not members:
-                donor = max(range(num_shards), key=lambda i: len(assignments[i]))
-                members.append(assignments[donor].pop())
-        return [
-            self.subset(sorted(members), name=f"{self.name}#niid{i}")
-            for i, members in enumerate(assignments)
         ]
 
     def batches(

@@ -19,7 +19,7 @@ from .aggregation import (
 )
 from .buffer import BufferedAggregator
 from .client import FLClient
-from .compression import SparseUpdate, TopKCompressor, weighted_sparse_mean
+from .compression import SparseUpdate, TopKCompressor
 from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .dp import GaussianMechanism, clip_by_norm
 from .plan import TrainingPlan
@@ -40,7 +40,6 @@ from .sharding import (
     RobustShardCollector,
     RobustShardPartial,
     ShardPartial,
-    plan_shards,
     shard_of,
 )
 from .transport import Channel, ClientUpdate, ModelDownload
@@ -53,7 +52,7 @@ __all__ = [
     "ServerConfig", "RoundConfig", "ShardingConfig",
     "BufferConfig", "BufferedAggregator",
     "HierarchicalAggregator", "ShardPartial",
-    "plan_shards", "shard_of", "weighted_sparse_mean",
+    "shard_of",
     "TEESelector", "SelectionResult",
     "Channel", "ClientUpdate", "ModelDownload",
     "GaussianMechanism", "clip_by_norm",

@@ -173,10 +173,6 @@ class CompensatedAccumulator:
         return 8 * self.size * len(self._components)
 
     @property
-    def num_components(self) -> int:
-        return len(self._components)
-
-    @property
     def components(self) -> Tuple[np.ndarray, ...]:
         """A copy of the expansion (a float component as a 1-element array)."""
         return tuple(np.array(c, ndmin=1) for c in self._components)

@@ -64,7 +64,6 @@ from .config import ShardingConfig
 from .robust import RULES, apply_rule
 
 __all__ = [
-    "plan_shards",
     "shard_of",
     "ShardPartial",
     "HierarchicalAggregator",
@@ -73,29 +72,13 @@ __all__ = [
 ]
 
 
-def plan_shards(num_items: int, num_shards: int) -> List[range]:
-    """Contiguous, balanced assignment of ``num_items`` onto shards.
+def shard_of(item_index: int, num_items: int, num_shards: int) -> int:
+    """The shard of ``item_index`` in a contiguous, balanced assignment.
 
     Deterministic: the first ``num_items % num_shards`` shards get the
-    extra item.  Shards beyond the item count come back empty (a 3-client
+    extra item.  Shards beyond the item count stay empty (a 3-client
     cohort on a 64-shard tree is legal; empty shards contribute nothing).
     """
-    if num_items < 0:
-        raise ValueError("num_items cannot be negative")
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    base, extra = divmod(num_items, num_shards)
-    ranges: List[range] = []
-    start = 0
-    for shard in range(num_shards):
-        length = base + (1 if shard < extra else 0)
-        ranges.append(range(start, start + length))
-        start += length
-    return ranges
-
-
-def shard_of(item_index: int, num_items: int, num_shards: int) -> int:
-    """The shard that :func:`plan_shards` assigns ``item_index`` to."""
     if not 0 <= item_index < num_items:
         raise ValueError("item_index out of range")
     base, extra = divmod(num_items, num_shards)
@@ -297,7 +280,7 @@ class HierarchicalAggregator:
         return self.config.num_shards
 
     def shard_for(self, position: int, cohort_size: int) -> int:
-        """Contiguous balanced routing (see :func:`plan_shards`)."""
+        """Contiguous balanced routing (see :func:`shard_of`)."""
         return shard_of(position, cohort_size, self.num_shards)
 
     def fold(

@@ -47,9 +47,7 @@ __all__ = [
 # before they join a fused chain.
 ELEMENTWISE_UNARY = frozenset(
     {
-        "neg", "exp", "log", "abs", "sign", "sigmoid", "tanh", "softplus",
-        "relu", "gtzero_mask", "pow", "leaky_relu", "leaky_factor",
-        "clip", "clip_mask",
+        "neg", "exp", "log", "sigmoid", "tanh", "relu", "gtzero_mask", "pow",
     }
 )
 ELEMENTWISE_BINARY = frozenset({"add", "sub", "mul"})

@@ -17,7 +17,7 @@ Three execution layers on top of :class:`~repro.graph.ir.Program`:
 * :func:`compile_model_step` — the cached compile entry: trace one eager
   forward+backward of a model, run the pass pipeline, attach the buffer
   plan, and return a :class:`CompiledStep`.  Plans are cached per
-  ``(architecture digest, input shape, conv mode)`` with hit/miss counters;
+  ``(architecture digest, input shape)`` with hit/miss counters;
   :func:`repro.obs.fresh` clears the cache for test isolation.
 """
 
@@ -102,22 +102,13 @@ def _elementwise_kernel(op: str, params: dict):
         return (lambda a, out=None: np.exp(a, out=out) if out is not None else np.exp(a)), True
     if op == "log":
         return (lambda a, out=None: np.log(a, out=out) if out is not None else np.log(a)), True
-    if op == "abs":
-        return (lambda a, out=None: np.abs(a, out=out) if out is not None else np.abs(a)), True
-    if op == "sign":
-        return (lambda a, out=None: np.sign(a, out=out) if out is not None else np.sign(a)), True
     if op == "tanh":
         return (lambda a, out=None: np.tanh(a, out=out) if out is not None else np.tanh(a)), True
-    if op == "softplus":
-        return (lambda a, out=None: np.logaddexp(0.0, a, out=out) if out is not None else np.logaddexp(0.0, a)), True
     if op == "relu":
         return (lambda a, out=None: np.maximum(a, 0.0, out=out) if out is not None else np.maximum(a, 0.0)), True
     if op == "pow":
         exponent = params["exponent"]
         return (lambda a, out=None: np.power(a, exponent, out=out) if out is not None else a ** exponent), True
-    if op == "clip":
-        low, high = params["low"], params["high"]
-        return (lambda a, out=None: np.clip(a, low, high, out=out) if out is not None else np.clip(a, low, high)), True
     if op == "sigmoid":
         def sigmoid(a, out=None):
             if out is None:
@@ -128,19 +119,10 @@ def _elementwise_kernel(op: str, params: dict):
             np.divide(1.0, out, out=out)
             return out
         return sigmoid, True
-    # Mask-producing ops: allocate fresh (no out= path; they are cheap and
-    # rare relative to the arithmetic chain).
+    # Mask-producing op: allocate fresh (no out= path; it is cheap and rare
+    # relative to the arithmetic chain).
     if op == "gtzero_mask":
         return (lambda a: (a > 0).astype(a.dtype)), False
-    if op == "clip_mask":
-        low, high = params["low"], params["high"]
-        return (lambda a: ((a >= low) & (a <= high)).astype(a.dtype)), False
-    if op == "leaky_relu":
-        slope = params["slope"]
-        return (lambda a: np.where(a > 0, a, slope * a)), False
-    if op == "leaky_factor":
-        slope = params["slope"]
-        return (lambda a: np.where(a > 0, 1.0, slope)), False
     raise GraphUnsupported(f"no elementwise kernel for op {op!r}")
 
 
@@ -176,9 +158,6 @@ def _build_kernel(node: Node):
     if op == "reshape":
         shape = p["shape"]
         return (lambda a: a.reshape(shape).copy()), False
-    if op == "concatenate":
-        axis = p["axis"]
-        return (lambda *args: np.concatenate(list(args), axis=axis)), False
     if op == "sum":
         axis, keepdims = p["axis"], p["keepdims"]
         return (lambda a: np.asarray(a.sum(axis=axis, keepdims=keepdims))), False
@@ -467,11 +446,6 @@ class BatchedVM:
                 return data
 
             return scatter, True
-        if op == "concatenate":
-            if not all(in_flags):
-                raise GraphUnsupported("mixed batched/unbatched concatenate")
-            axis = node.params["axis"] + 1
-            return (lambda *args: np.concatenate(list(args), axis=axis)), True
         if op == "matmul":
             a_b, b_b = in_flags
 
@@ -615,14 +589,7 @@ def plan_cache_stats() -> dict:
 
 
 def _plan_cache_key(model, x_shape: tuple, y_shape: tuple) -> tuple:
-    from ..autodiff import functional as F
-
-    return (
-        model.architecture_digest(),
-        tuple(x_shape),
-        tuple(y_shape),
-        bool(F._USE_FUSED_CONV),
-    )
+    return (model.architecture_digest(), tuple(x_shape), tuple(y_shape))
 
 
 def compile_model_step(model, example_x: np.ndarray, example_y: np.ndarray) -> CompiledStep:

@@ -6,13 +6,7 @@ regression and random forests — plus the AUC metric used throughout §8.
 
 from .forest import RandomForestClassifier
 from .linear import LogisticRegression
-from .metrics import (
-    accuracy_score,
-    confusion_matrix,
-    roc_auc_score,
-    roc_curve,
-    train_test_split,
-)
+from .metrics import roc_auc_score, train_test_split
 from .preprocess import MeanImputer, StandardScaler
 from .tree import DecisionTreeClassifier
 
@@ -21,9 +15,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "roc_auc_score",
-    "roc_curve",
-    "accuracy_score",
-    "confusion_matrix",
     "train_test_split",
     "StandardScaler",
     "MeanImputer",

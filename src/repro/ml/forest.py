@@ -76,6 +76,3 @@ class RandomForestClassifier:
             raise RuntimeError("forest is not fitted")
         probs = np.stack([tree.predict_proba(x) for tree in self.trees_])
         return probs.mean(axis=0)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int64)

@@ -66,6 +66,3 @@ class LogisticRegression:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """P(class 1) for each row."""
         return _sigmoid(self.decision_function(x))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int64)

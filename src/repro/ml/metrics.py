@@ -6,11 +6,9 @@ following Ling et al. [33]); an AUC of 0.5 marks a defeated attack.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["roc_auc_score", "roc_curve", "accuracy_score", "confusion_matrix", "train_test_split"]
+__all__ = ["roc_auc_score", "train_test_split"]
 
 
 def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
@@ -39,42 +37,6 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     rank_sum_pos = ranks[y_true].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def roc_curve(y_true: np.ndarray, y_score: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """False-positive rate, true-positive rate and thresholds."""
-    y_true = np.asarray(y_true).astype(bool)
-    y_score = np.asarray(y_score, dtype=np.float64)
-    order = np.argsort(-y_score, kind="mergesort")
-    y_sorted = y_true[order]
-    scores_sorted = y_score[order]
-    distinct = np.where(np.diff(scores_sorted))[0]
-    cut = np.r_[distinct, y_sorted.size - 1]
-    tps = np.cumsum(y_sorted)[cut].astype(np.float64)
-    fps = (cut + 1) - tps
-    n_pos = max(1, int(y_true.sum()))
-    n_neg = max(1, int((~y_true).sum()))
-    tpr = np.r_[0.0, tps / n_pos]
-    fpr = np.r_[0.0, fps / n_neg]
-    thresholds = np.r_[np.inf, scores_sorted[cut]]
-    return fpr, tpr, thresholds
-
-
-def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("shape mismatch")
-    return float((y_true == y_pred).mean())
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
-    """``out[i, j]`` = count of samples with true class i predicted as j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    out = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(out, (y_true, y_pred), 1)
-    return out
 
 
 def train_test_split(

@@ -138,9 +138,6 @@ class DecisionTreeClassifier:
             out[i] = node.prediction
         return out
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int64)
-
     def depth(self) -> int:
         def walk(node: Optional[_Node]) -> int:
             if node is None or node.is_leaf:

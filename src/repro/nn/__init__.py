@@ -15,8 +15,8 @@ from .attention import (
     QKVProjection,
     TokenEmbed,
 )
-from .layers import ACTIVATIONS, Conv2D, Dense, Flatten, Layer, MaxPool2D
-from .losses import CategoricalCrossEntropy, MeanSquaredError, one_hot
+from .layers import ACTIVATIONS, Conv2D, Dense, Flatten, Layer
+from .losses import one_hot
 from .model import Sequential
 from .optim import SGD, Adam, Optimizer
 from .serialize import (
@@ -30,11 +30,11 @@ from .serialize import (
 from .zoo import alexnet, gpt_tiny, lenet5, mlp, vit_tiny
 
 __all__ = [
-    "Layer", "Conv2D", "Dense", "MaxPool2D", "Flatten",
+    "Layer", "Conv2D", "Dense", "Flatten",
     "ACTIVATIONS", "Sequential",
     "PatchEmbed", "TokenEmbed", "LayerNorm", "QKVProjection",
     "AttentionSoftmax", "AttentionOutput", "MLPBlock", "MeanPoolHead",
-    "CategoricalCrossEntropy", "MeanSquaredError", "one_hot",
+    "one_hot",
     "Optimizer", "SGD", "Adam",
     "weights_to_bytes", "weights_from_bytes", "save_weights", "load_weights",
     "flatten_weights", "unflatten_weights",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "zeros", "uniform"]
+__all__ = ["glorot_uniform", "he_normal", "zeros"]
 
 
 def _fan_in_out(shape: tuple) -> tuple:
@@ -34,11 +34,6 @@ def he_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """He normal initialisation (suits ReLU networks)."""
     fan_in, _ = _fan_in_out(shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def uniform(shape: tuple, rng: np.random.Generator, limit: float = 0.5) -> np.ndarray:
-    """Uniform initialisation in ``[-limit, limit]``."""
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: tuple, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -22,14 +22,12 @@ import numpy as np
 from ..autodiff import Tensor, functional as F, ops
 from . import init as initializers
 
-__all__ = ["Layer", "Conv2D", "Dense", "MaxPool2D", "Flatten", "ACTIVATIONS"]
+__all__ = ["Layer", "Conv2D", "Dense", "Flatten", "ACTIVATIONS"]
 
 ACTIVATIONS = {
     "linear": lambda t: t,
     "relu": ops.relu,
-    "leaky_relu": ops.leaky_relu,
     "sigmoid": ops.sigmoid,
-    "softplus": ops.softplus,
     "tanh": ops.tanh,
 }
 
@@ -226,7 +224,7 @@ class Conv2D(Layer):
         )
         out = ACTIVATIONS[self.activation](out)
         if self.pool:
-            out = F.max_pool2d(out, self.pool)
+            out = ops.maxpool2d(out, self.pool)
         return out
 
     def flops_per_sample(self) -> float:
@@ -297,31 +295,6 @@ class Dense(Layer):
             "activation": self.activation,
             "use_bias": self.use_bias,
         }
-
-
-class MaxPool2D(Layer):
-    """Standalone non-overlapping max pooling layer."""
-
-    def __init__(self, kernel: int = 2, name: str = "") -> None:
-        super().__init__(name=name)
-        self.kernel = int(kernel)
-
-    def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
-        c, h, w = input_shape
-        if h % self.kernel or w % self.kernel:
-            raise ValueError(f"MaxPool2D {self.name!r}: dims must divide {self.kernel}")
-        self.input_shape = tuple(input_shape)
-        self.output_shape = (c, h // self.kernel, w // self.kernel)
-        self.built = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel)
-
-    def flops_per_sample(self) -> float:
-        return float(np.prod(self.input_shape))
-
-    def config(self) -> dict:
-        return {"type": "MaxPool2D", "name": self.name, "kernel": self.kernel}
 
 
 class Flatten(Layer):

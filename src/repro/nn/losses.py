@@ -1,12 +1,10 @@
-"""Loss functions (object form of :mod:`repro.autodiff.functional` losses)."""
+"""Label encoding for the cross-entropy loss (``functional.cross_entropy``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, functional as F
-
-__all__ = ["CategoricalCrossEntropy", "MeanSquaredError", "one_hot"]
+__all__ = ["one_hot"]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -20,19 +18,3 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
-
-class CategoricalCrossEntropy:
-    """Mean categorical cross-entropy over softmax outputs.
-
-    This is the loss named in the paper (§6) for multi-class classifiers.
-    """
-
-    def __call__(self, logits: Tensor, targets) -> Tensor:
-        return F.cross_entropy(logits, Tensor(np.asarray(targets)))
-
-
-class MeanSquaredError:
-    """Mean squared error (used by tests and the DRIA image-loss metric)."""
-
-    def __call__(self, prediction: Tensor, target) -> Tensor:
-        return F.mse(prediction, Tensor(np.asarray(target)))

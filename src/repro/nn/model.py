@@ -115,9 +115,6 @@ class Sequential:
             out = layer(out)
         return out
 
-    def __call__(self, x: Union[np.ndarray, Tensor]) -> Tensor:
-        return self.forward(x)
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities as a plain array."""
         return F.softmax(self.forward(x)).data
@@ -201,8 +198,3 @@ class Sequential:
         )
         twin.set_weights(self.get_weights())
         return twin
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            for p in layer.params.values():
-                p.zero_grad()

@@ -44,9 +44,8 @@ Value encodings (:class:`Encoding`):
   normal world never sees plaintext updates of shielded layers).
 
 Sparse payloads (``FLAG_SPARSE``) carry u32 indices and values in the
-value encoding — the same ``INDEX_WIRE_BYTES``/``VALUE_WIRE_BYTES``
-per-coordinate cost :meth:`repro.fl.compression.SparseUpdate.wire_bytes`
-charges, so sim pricing and serve pricing agree.
+value encoding — ``INDEX_WIRE_BYTES``/``VALUE_WIRE_BYTES`` per kept
+coordinate (:mod:`repro.fl.compression`).
 
 Bitwise-determinism contract: consumers must call
 :meth:`WireVector.flat64` — the canonical dense float64 view — before any
@@ -258,18 +257,6 @@ class WireVector:
         out = np.zeros(self.size)
         out[self.indices] = values
         return out
-
-    def payload_bytes(self) -> int:
-        """Encoded size of this vector's body section."""
-        if self.is_sealed:
-            return 4 + 4 + len(self.blob)
-        width = _VALUE_DTYPES[self.encoding].itemsize
-        total = 4 + self.values.size * width
-        if self.is_sparse:
-            total += 4 + self.indices.size * INDEX_WIRE_BYTES
-        if self.encoding is Encoding.Q8:
-            total += 16
-        return total
 
 
 def _encode_values(

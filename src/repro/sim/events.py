@@ -20,18 +20,14 @@ __all__ = ["Event", "EventLoop"]
 
 
 class Event:
-    """A scheduled callback; ``cancel()`` makes the pop a silent no-op."""
+    """A scheduled callback."""
 
-    __slots__ = ("when", "seq", "callback", "cancelled")
+    __slots__ = ("when", "seq", "callback")
 
     def __init__(self, when: float, seq: int, callback: Callable[[], None]) -> None:
         self.when = when
         self.seq = seq
         self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class EventLoop:
@@ -51,7 +47,7 @@ class EventLoop:
         self.processed = 0
 
     def __len__(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     @property
     def now(self) -> float:
@@ -71,52 +67,19 @@ class EventLoop:
         heapq.heappush(self._heap, (event.when, event.seq, event))
         return event
 
-    def schedule_in(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
-        return self.schedule_at(self.clock.time + float(delay), callback)
-
     # -- execution ---------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Fire time of the earliest pending event (None when idle)."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
     def step(self) -> bool:
         """Pop the earliest event, advance the clock to it, run it.
 
-        Returns False when no runnable event remained.
+        Returns False when no event remained.
         """
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.when)
-            self.processed += 1
-            event.callback()
-            return True
-        return False
-
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Drain the queue (optionally bounded by time or event count).
-
-        Events scheduled strictly after ``until`` stay queued.  Returns the
-        number of events processed by this call.
-        """
-        ran = 0
-        while self._heap:
-            if max_events is not None and ran >= max_events:
-                break
-            upcoming = self.peek_time()
-            if upcoming is None or (until is not None and upcoming > until):
-                break
-            if self.step():
-                ran += 1
-        return ran
+        if not self._heap:
+            return False
+        _, _, event = heapq.heappop(self._heap)
+        self.clock.advance_to(event.when)
+        self.processed += 1
+        event.callback()
+        return True
 
     def clear(self) -> int:
         """Discard every pending event; returns how many were dropped."""

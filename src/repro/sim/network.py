@@ -47,10 +47,6 @@ class NetworkModel:
         if (self.bandwidth_bytes_per_second <= 0).any():
             raise ValueError("bandwidths must be positive")
 
-    @property
-    def num_clients(self) -> int:
-        return int(self.latency_seconds.shape[0])
-
     @classmethod
     def sample(
         cls,

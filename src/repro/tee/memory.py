@@ -147,10 +147,6 @@ class ShieldedBuffer:
         self.shape = array.shape
         self.nbytes = charged
 
-    @property
-    def released(self) -> bool:
-        return self._array is None
-
     def read(self) -> np.ndarray:
         """Return a copy of the payload (secure world only)."""
         require_secure_world(f"reading shielded buffer {self.label!r}")

@@ -45,13 +45,6 @@ class TestElementwise:
         a = Tensor(np.abs(np.random.default_rng(0).normal(size=(4,))) + 0.5)
         check_gradients(lambda a: a.log().sum(), [a])
 
-    def test_sqrt(self):
-        a = Tensor(np.abs(np.random.default_rng(0).normal(size=(4,))) + 0.5)
-        check_gradients(lambda a: ops.sqrt(a).sum(), [a])
-
-    def test_abs(self):
-        a = Tensor(np.array([1.5, -2.0, 0.7]))
-        check_gradients(lambda a: (a.abs() ** 2).sum(), [a])
 
 
 class TestNonlinearities:
@@ -105,7 +98,7 @@ class TestNonlinearities:
 
     def test_constant_input_yields_plain_tensor(self):
         out = ops.sigmoid(Tensor([0.0]))
-        assert out.is_leaf
+        assert out._grad_fn is None and not out._parents
 
 
 class TestShapes:
@@ -141,12 +134,6 @@ class TestShapes:
     def test_pad2d_rejects_non4d(self):
         with pytest.raises(ValueError, match="4-D"):
             ops.pad2d(t((2, 3)), 1)
-
-    def test_concatenate(self):
-        check_gradients(
-            lambda a, b: (ops.concatenate([a, b], axis=1) ** 2).sum(),
-            [t((2, 3)), t((2, 2), 1)],
-        )
 
 
 class TestReductions:
@@ -236,39 +223,3 @@ class TestMaxPool:
         out = ops.maxpool2d(x, 2)
         (g,) = grad(out.sum(), [x])
         np.testing.assert_allclose(g.data, [[[[0, 0], [0, 1.0]]]])
-
-
-class TestExtraActivationsAndClip:
-    def test_leaky_relu_gradcheck(self):
-        a = Tensor(np.array([1.2, -0.7, 0.3, -2.0]))
-        check_gradients(lambda a: (ops.leaky_relu(a, 0.1) ** 2).sum(), [a])
-
-    def test_leaky_relu_values(self):
-        out = ops.leaky_relu(Tensor(np.array([2.0, -2.0])), 0.1)
-        np.testing.assert_allclose(out.data, [2.0, -0.2])
-
-    def test_softplus_gradcheck(self):
-        check_gradients(lambda a: ops.softplus(a).sum(), [t((5,))])
-
-    def test_softplus_stable_for_large_inputs(self):
-        out = ops.softplus(Tensor(np.array([800.0, -800.0])))
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(800.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_clip_gradcheck(self):
-        a = Tensor(np.array([0.5, -2.0, 3.0, 0.1]))
-        check_gradients(lambda a: (ops.clip(a, -1.0, 1.0) * 2.0).sum(), [a])
-
-    def test_clip_values_and_bounds(self):
-        out = ops.clip(Tensor(np.array([-5.0, 0.0, 5.0])), -1.0, 1.0)
-        np.testing.assert_allclose(out.data, [-1.0, 0.0, 1.0])
-
-    def test_clip_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ops.clip(t((2,)), 1.0, -1.0)
-
-    def test_new_activations_registered(self):
-        from repro.nn import ACTIVATIONS
-        assert "leaky_relu" in ACTIVATIONS
-        assert "softplus" in ACTIVATIONS

@@ -61,10 +61,6 @@ class TestFlaw1WeightDiffing:
 
 
 class TestViews:
-    def test_visible_layers(self):
-        _, leak = run_cycle([1, 3])
-        assert leak.visible_layers() == {2}
-
     def test_feature_vector_excludes_protected(self):
         _, full = run_cycle([])
         _, partial = run_cycle([2])

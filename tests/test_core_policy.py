@@ -12,7 +12,7 @@ from repro.core import (
     NoProtection,
     PolicyError,
     StaticPolicy,
-    contiguous_slices,
+    structured_slices,
 )
 
 settings.register_profile("ci", max_examples=30, deadline=None)
@@ -25,20 +25,28 @@ def flat(n):
 
 
 class TestContiguousSlices:
+    """On a flat layout, protection units are the runs of consecutive layers."""
+
+    @staticmethod
+    def runs(indices, n=6):
+        layout = flat(n)
+        units = structured_slices([layout.ref(i) for i in indices])
+        return [(unit[0].index, unit[-1].index) for unit in units]
+
     def test_empty(self):
-        assert contiguous_slices([]) == []
+        assert self.runs([]) == []
 
     def test_single_run(self):
-        assert contiguous_slices([2, 3, 4]) == [(2, 4)]
+        assert self.runs([2, 3, 4]) == [(2, 4)]
 
     def test_two_runs(self):
-        assert contiguous_slices([1, 2, 5]) == [(1, 2), (5, 5)]
+        assert self.runs([1, 2, 5]) == [(1, 2), (5, 5)]
 
     def test_unsorted_input(self):
-        assert contiguous_slices([5, 1, 2]) == [(1, 2), (5, 5)]
+        assert self.runs([5, 1, 2]) == [(1, 2), (5, 5)]
 
     def test_duplicates_collapsed(self):
-        assert contiguous_slices([3, 3, 4]) == [(3, 4)]
+        assert self.runs([3, 3, 4]) == [(3, 4)]
 
 
 class TestStaticPolicy:
@@ -127,10 +135,6 @@ class TestDynamicPolicy:
             window = policy.window_for_cycle(cycle)
             counts[window[0] - 1] += 1
         np.testing.assert_allclose(counts / n, [0.2, 0.1, 0.6, 0.1], atol=0.03)
-
-    def test_expected_protection_per_layer(self):
-        expected = self.make().expected_protection()
-        np.testing.assert_allclose(expected, [0.2, 0.3, 0.7, 0.7, 0.1])
 
     def test_all_possible_sets_skips_zero_probability(self):
         policy = DynamicPolicy(flat(5), 2, [0.5, 0.0, 0.5, 0.0])

@@ -173,12 +173,19 @@ class TestPeltaPolicy:
             assert pelta.window_for_cycle(cycle) == pelta.windows[position]
         assert pelta.windows == [(2, 4, 6), (8, 10, 12)]
 
-    def test_expected_protection_sums_window_probs(self, vit_layout):
-        policy = PeltaPolicy(vit_layout, size_mw=1, v_mw=(0.25, 0.75), seed=0)
-        probs = policy.expected_protection()
-        assert probs[1] == pytest.approx(0.25)  # block1.ln1 (index 2)
-        assert probs[9] == pytest.approx(0.75)  # block2.softmax (index 10)
-        assert probs[0] == 0.0  # embed never protected
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda layout: DynamicPolicy(layout, 14, [float("nan")] * 2),
+            lambda layout: PeltaPolicy(layout, size_mw=1, v_mw=(0.5, float("nan"))),
+        ],
+        ids=["dynamic", "pelta"],
+    )
+    def test_non_finite_v_mw_rejected(self, vit_layout, make):
+        # Every comparison with NaN is false, so a sign and sum check alone
+        # let it through to the first draw.
+        with pytest.raises(PolicyError, match="finite"):
+            make(vit_layout)
 
     def test_modes_are_exclusive(self, vit_layout):
         with pytest.raises(PolicyError, match="mutually exclusive"):
@@ -269,7 +276,12 @@ def _oracle_record(policy):
         "cycles": [sorted(policy.layers_for_cycle(c)) for c in range(64)],
     }
     if isinstance(policy, (DynamicPolicy, PeltaPolicy)):
-        record["expected"] = policy.expected_protection().tolist()
+        # Per-layer probability of being protected in a random cycle.
+        expected = [0.0] * policy.num_layers
+        for window, p in zip(policy.windows, policy.v_mw):
+            for index in window:
+                expected[index - 1] += p
+        record["expected"] = expected
     return record
 
 

@@ -114,7 +114,7 @@ class TestLeakageView:
         shielded, _ = _train_shielded(model, policy, x, y, cycles=1)
         record = shielded.history[0]
         protected = policy.layers_for_cycle(0)
-        assert record.visible_layers().isdisjoint(protected)
+        assert record.protected == protected
         # every parameterised unprotected layer's gradients are visible;
         # protected sublayers recorded nothing
         for index in range(1, model.num_layers + 1):

@@ -21,7 +21,7 @@ settings.load_profile("ci")
 class TestArrayDataset:
     def test_length_and_shape(self, small_dataset):
         assert len(small_dataset) == 64
-        assert small_dataset.sample_shape == (3, 32, 32)
+        assert small_dataset.x.shape[1:] == (3, 32, 32)
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError, match="samples"):
@@ -35,20 +35,6 @@ class TestArrayDataset:
         sub.x[:] = -1
         assert not np.any(small_dataset.x[0] == -1)
 
-    def test_split_fractions(self, small_dataset):
-        a, b = small_dataset.split(0.75)
-        assert len(a) == 48
-        assert len(b) == 16
-
-    def test_split_rejects_bad_fraction(self, small_dataset):
-        with pytest.raises(ValueError):
-            small_dataset.split(1.5)
-
-    def test_split_is_partition(self, small_dataset):
-        a, b = small_dataset.split(0.5, rng=np.random.default_rng(1))
-        combined = np.concatenate([a.x, b.x])
-        assert combined.shape[0] == len(small_dataset)
-
     def test_shard_covers_everything(self, small_dataset):
         shards = small_dataset.shard(3)
         assert sum(len(s) for s in shards) == len(small_dataset)
@@ -58,11 +44,11 @@ class TestArrayDataset:
             small_dataset.shard(0)
 
     def test_batches_cover_dataset(self, small_dataset):
-        total = sum(b.size for b in small_dataset.batches(10, shuffle=False))
+        total = sum(len(b.x) for b in small_dataset.batches(10, shuffle=False))
         assert total == len(small_dataset)
 
     def test_batches_drop_last(self, small_dataset):
-        sizes = [b.size for b in small_dataset.batches(10, drop_last=True)]
+        sizes = [len(b.x) for b in small_dataset.batches(10, drop_last=True)]
         assert all(s == 10 for s in sizes)
 
     def test_batches_shuffle_deterministic_per_rng(self, small_dataset):

@@ -1,4 +1,4 @@
-"""Tests for client sampling and non-IID data sharding."""
+"""Tests for client sampling."""
 
 import numpy as np
 import pytest
@@ -6,47 +6,6 @@ import pytest
 from repro.data import synthetic_cifar
 from repro.fl import FLClient, FLServer, TrainingPlan
 from repro.nn import lenet5
-
-
-class TestDirichletShard:
-    @pytest.fixture
-    def dataset(self):
-        return synthetic_cifar(num_samples=300, num_classes=6, seed=0)
-
-    def test_partition_is_complete_and_disjoint(self, dataset):
-        shards = dataset.dirichlet_shard(4, alpha=0.5)
-        total = sum(len(s) for s in shards)
-        assert total == len(dataset)
-
-    def test_no_empty_shards(self, dataset):
-        shards = dataset.dirichlet_shard(8, alpha=0.1, rng=np.random.default_rng(3))
-        assert all(len(s) > 0 for s in shards)
-
-    def test_small_alpha_skews_label_distributions(self, dataset):
-        """With tiny alpha, shards specialise in few classes."""
-        skewed = dataset.dirichlet_shard(4, alpha=0.05, rng=np.random.default_rng(0))
-        iid = dataset.dirichlet_shard(4, alpha=100.0, rng=np.random.default_rng(0))
-
-        def label_entropy(shard):
-            counts = np.bincount(shard.y, minlength=6) + 1e-12
-            p = counts / counts.sum()
-            return float(-(p * np.log(p)).sum())
-
-        assert np.mean([label_entropy(s) for s in skewed]) < np.mean(
-            [label_entropy(s) for s in iid]
-        )
-
-    def test_invalid_params_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            dataset.dirichlet_shard(0)
-        with pytest.raises(ValueError):
-            dataset.dirichlet_shard(2, alpha=0.0)
-
-    def test_deterministic_per_rng(self, dataset):
-        a = dataset.dirichlet_shard(3, rng=np.random.default_rng(5))
-        b = dataset.dirichlet_shard(3, rng=np.random.default_rng(5))
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.y, sb.y)
 
 
 class TestClientSampling:

@@ -15,10 +15,9 @@ from repro.fl import (
     TopKCompressor,
     TrainingPlan,
     fedavg,
-    plan_shards,
     shard_of,
-    weighted_sparse_mean,
 )
+from repro.fl.aggregation import CompensatedAccumulator
 from repro.nn import lenet5
 from repro.nn.serialize import flatten_weights
 from repro.obs import fresh
@@ -44,38 +43,37 @@ def assert_flat_equal(left, right):
     assert left.tobytes() == right.tobytes()
 
 
+def densify(update):
+    out = np.zeros(update.size)
+    out[update.indices] = update.values
+    return out
+
+
+def sparse_mean(updates, counts):
+    """The exact sample-weighted mean folded over each update's support."""
+    acc = CompensatedAccumulator(updates[0].size)
+    for update, count in zip(updates, counts):
+        acc.add_at(update.indices, float(count) * update.values)
+    return acc.value() / float(sum(counts))
+
+
 class TestPlanShards:
+    """The contiguous, balanced shard plan, read through ``shard_of``."""
+
     def test_balanced_contiguous(self):
-        ranges = plan_shards(10, 3)
-        assert [list(r) for r in ranges] == [
-            [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]
-        ]
+        assert [shard_of(i, 10, 3) for i in range(10)] == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_covers_every_item_exactly_once(self):
-        for items in (0, 1, 5, 17, 64):
+        for items in (1, 5, 17, 64):
             for shards in (1, 2, 7, 64, 100):
-                ranges = plan_shards(items, shards)
-                assert len(ranges) == shards
-                flat = [i for r in ranges for i in r]
-                assert flat == list(range(items))
+                plan = [shard_of(i, items, shards) for i in range(items)]
+                assert plan == sorted(plan)  # contiguous
+                sizes = np.bincount(plan, minlength=shards)
+                assert sizes.max() - sizes.min() <= 1  # balanced
+                assert list(sizes) == sorted(sizes, reverse=True)  # extras first
 
     def test_more_shards_than_items_leaves_empties(self):
-        ranges = plan_shards(3, 8)
-        assert sum(len(r) > 0 for r in ranges) == 3
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            plan_shards(-1, 2)
-        with pytest.raises(ValueError):
-            plan_shards(4, 0)
-
-    def test_shard_of_matches_plan(self):
-        for items in (1, 5, 17, 64):
-            for shards in (1, 2, 7, 64):
-                ranges = plan_shards(items, shards)
-                for shard_id, members in enumerate(ranges):
-                    for item in members:
-                        assert shard_of(item, items, shards) == shard_id
+        assert [shard_of(i, 3, 8) for i in range(3)] == [0, 1, 2]
 
     def test_shard_of_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -128,8 +126,8 @@ class TestHierarchicalReduce:
         counts = [3, 1, 4, 1, 5, 9]
         tree = HierarchicalAggregator(size, ShardingConfig(num_shards=3))
         for position, (update, count) in enumerate(zip(sparse, counts)):
-            tree.fold(tree.shard_for(position, 6), update.densify(), count)
-        expected = weighted_sparse_mean(sparse, counts)
+            tree.fold(tree.shard_for(position, 6), densify(update), count)
+        expected = sparse_mean(sparse, counts)
         np.testing.assert_array_equal(tree.reduce(), expected)
 
     def test_bad_folds_rejected(self):

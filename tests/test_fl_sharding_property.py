@@ -16,8 +16,8 @@ from repro.fl import (
     ShardingConfig,
     TopKCompressor,
     fedavg,
-    weighted_sparse_mean,
 )
+from repro.fl.aggregation import CompensatedAccumulator
 from repro.nn.serialize import flatten_weights
 
 pytestmark = pytest.mark.property
@@ -96,12 +96,17 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     flats = [rng.normal(size=size) for _ in range(num_clients)]
     sparse = [compressor.compress(flat) for flat in flats]
     counts = [int(c) for c in rng.integers(1, 20, size=num_clients)]
-    expected = weighted_sparse_mean(sparse, counts)
+    acc = CompensatedAccumulator(size)
+    for update, count in zip(sparse, counts):
+        acc.add_at(update.indices, float(count) * update.values)
+    expected = acc.value() / float(sum(counts))
     tree = HierarchicalAggregator(
         size, ShardingConfig(num_shards=num_shards, track_memory=False)
     )
     for position, (update, count) in enumerate(zip(sparse, counts)):
-        tree.fold(tree.shard_for(position, num_clients), update.densify(), count)
+        dense = np.zeros(size)
+        dense[update.indices] = update.values
+        tree.fold(tree.shard_for(position, num_clients), dense, count)
     np.testing.assert_array_equal(tree.reduce(), expected)
 
 

@@ -85,7 +85,6 @@ class TestModelZooEquivalence:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=4, deadline=None)
     def test_lenet5_fused_conv_bitwise(self, seed):
-        assert F._USE_FUSED_CONV  # fused conv is the traced default
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 3, 16, 16))
         y = one_hot(rng.integers(0, 5, size=4), 5)
@@ -101,8 +100,8 @@ class TestModelZooEquivalence:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=2, deadline=None)
     def test_lenet5_composed_conv_bitwise(self, seed):
-        previous = F.set_fused_conv(False)
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(F, "conv2d", F.conv2d_composed)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(2, 3, 16, 16))
             y = one_hot(rng.integers(0, 5, size=2), 5)
@@ -114,8 +113,6 @@ class TestModelZooEquivalence:
                 y,
                 steps=1,
             )
-        finally:
-            F.set_fused_conv(previous)
 
     def test_alexnet_bitwise(self):
         rng = np.random.default_rng(0)

@@ -35,13 +35,6 @@ class TestLogisticRegression:
         p = LogisticRegression().fit(x, y).predict_proba(x)
         assert p.min() >= 0.0 and p.max() <= 1.0
 
-    def test_predict_thresholds_at_half(self):
-        x, y = separable_data()
-        model = LogisticRegression().fit(x, y)
-        np.testing.assert_array_equal(
-            model.predict(x), (model.predict_proba(x) >= 0.5).astype(int)
-        )
-
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError, match="binary"):
             LogisticRegression().fit(np.zeros((3, 2)), np.array([0, 1, 2]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.nn import Conv2D, Dense, Flatten, MaxPool2D
+from repro.nn import Conv2D, Dense, Flatten
 
 
 def build(layer, input_shape, seed=0):
@@ -95,14 +95,10 @@ class TestDense:
 
 
 class TestMaxPoolAndFlatten:
-    def test_maxpool_shapes(self):
-        layer = build(MaxPool2D(2), (3, 8, 8))
-        assert layer.output_shape == (3, 4, 4)
-        assert layer.param_count == 0
-
     def test_maxpool_indivisible_raises(self):
+        # Conv2D's fused pool (AlexNet's MP2) needs dims divisible by it.
         with pytest.raises(ValueError, match="divide"):
-            build(MaxPool2D(2), (3, 7, 8))
+            build(Conv2D(3, 3, pad=1, pool=2), (3, 7, 8))
 
     def test_flatten(self):
         layer = build(Flatten(), (3, 4, 4))
@@ -111,6 +107,7 @@ class TestMaxPoolAndFlatten:
         assert out.shape == (2, 48)
 
     def test_parameter_free_tee_memory(self):
-        layer = build(MaxPool2D(2), (3, 8, 8))
+        layer = build(Flatten(), (3, 4, 4))
         # Only activations, no weights.
-        assert layer.tee_memory_bytes(1) == 4 * (3 * 8 * 8 + 2 * 3 * 4 * 4)
+        assert layer.param_count == 0
+        assert layer.tee_memory_bytes(1) == 4 * (3 * 4 * 4 + 2 * 48)

@@ -6,12 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.fl.compression import (
-    INDEX_WIRE_BYTES,
-    VALUE_WIRE_BYTES,
-    SparseUpdate,
-    TopKCompressor,
-)
+from repro.fl.compression import INDEX_WIRE_BYTES, VALUE_WIRE_BYTES, TopKCompressor
 from repro.serve.wire import (
     FLAG_SPARSE,
     HEADER_BYTES,
@@ -267,33 +262,28 @@ class TestDispatchFrames:
         assert seen == [0, 1, 2]
 
 
-# --- byte accounting (satellite: SparseUpdate.wire_bytes linkage) ----------
+# --- byte accounting: the sparse wire widths -------------------------------
+
+
+def _body_bytes(vector):
+    """Encoded body of a download carrying ``vector``, past job id and version."""
+    frame = encode_frame(ModelDownloadMsg("j", 0, vector))
+    return len(frame) - HEADER_BYTES - (2 + 1) - 8
 
 
 class TestByteAccounting:
     def test_wire_bytes_constants(self):
-        update = SparseUpdate(100, np.arange(7), np.ones(7))
-        assert update.wire_bytes() == 7 * (INDEX_WIRE_BYTES + VALUE_WIRE_BYTES)
         assert INDEX_WIRE_BYTES == 4 and VALUE_WIRE_BYTES == 4
+        empty = _body_bytes(WireVector.sparse(100, np.arange(0), np.ones(0)))
+        seven = _body_bytes(WireVector.sparse(100, np.arange(7), np.ones(7)))
+        assert seven - empty == 7 * (INDEX_WIRE_BYTES + VALUE_WIRE_BYTES)
 
     def test_sparse_frame_charges_what_wire_bytes_promises(self, rng):
         update = TopKCompressor(0.1).compress(rng.standard_normal(200))
         vector = WireVector.from_sparse_update(update)  # F32 values
-        # the index+value payload portion is exactly update.wire_bytes()
-        assert vector.payload_bytes() == 4 + 4 + update.wire_bytes()
-
-    def test_payload_bytes_matches_encoded_body(self, rng):
-        for vector in (
-            WireVector.dense(_vector(rng), Encoding.F16),
-            WireVector.dense(_vector(rng), Encoding.Q8),
-            WireVector.sparse(64, np.arange(5), rng.standard_normal(5)),
-            WireVector.sealed(b"blob", size=9),
-        ):
-            message = ModelDownloadMsg("j", 0, vector)
-            frame = encode_frame(message)
-            body_len = len(frame) - HEADER_BYTES
-            # body = job_id (2 + 1) + version (8) + vector payload
-            assert body_len == 3 + 8 + vector.payload_bytes()
+        # Two 4-byte header words, then one index and one value per kept coordinate.
+        kept = update.indices.size
+        assert _body_bytes(vector) == 4 + 4 + kept * (INDEX_WIRE_BYTES + VALUE_WIRE_BYTES)
 
 
 # --- hypothesis: canonical-bytes property ----------------------------------

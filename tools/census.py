@@ -61,11 +61,13 @@ def _record(frame, event, arg):
 def _dump():
     sys.setprofile(None)
     threading.setprofile(None)
+    # A script that puts ``<dir>/../src`` on sys.path names the code objects
+    # it imports by that un-normalised path: normalise before the prefix test.
     rows = sorted(
         {
             f"{code.co_filename}\\t{code.co_firstlineno}\\t{code.co_name}"
             for code in _entered.values()
-            if code.co_filename.startswith(_SRC)
+            if os.path.normpath(code.co_filename).startswith(_SRC)
         }
     )
     with open(os.path.join(_CALLS, f"{os.getpid()}.txt"), "a") as handle:
@@ -147,6 +149,17 @@ GATED: List[Command] = [
         _cli("serve", *_SERVE, "--state-dir", "serve-state",
              "--out", "serve-resume.json"),
     ),
+    # A zoo model under a named policy, an admission-gated resume and the
+    # command list.
+    _cli("simulate", "--clients", "300", "--rounds", "3", "--seed", "7",
+         "--model", "vit_tiny", "--policy", "pelta-mw:1", "--out", "zoo.json"),
+    *_twice(
+        _cli("simulate", "--clients", "300", "--rounds", "4", "--seed", "7",
+             "--async", "--buffer-size", "32", "--max-norm", "3", "--byzantine",
+             "0.3", "--attack", "scale", "--state-dir", "admit-state",
+             "--out", "admit-resume.json"),
+    ),
+    _cli("list"),
     _cli("simulate", "--clients", "100000", "--shards", "64", "--rounds", "2",
          "--cohort", "512", "--out", "shard_smoke.json"),
     # CI sweeps job: every example, the quick sweeps, the paper benchmarks
