@@ -29,6 +29,7 @@ Quickstart::
 """
 
 import importlib
+import sys
 
 __version__ = "1.0.0"
 
@@ -48,13 +49,33 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # PEP 562: a subpackage is imported on first access, so an entry point
-    # loads only the cone it runs (DESIGN.md § Import cones).
-    if name in __all__:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _lazy_exports(package, exports):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``: a public name is
+    imported from its submodule on first access, so an entry point loads
+    only the cone it runs (DESIGN.md § Import cones).
+
+    ``exports`` maps each submodule to the names it defines; a name equal
+    to its submodule's stands for the submodule itself.  A resolved name is
+    stored in the package, so every later access is a plain attribute.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = importlib.import_module(f"{package}.{module}")
+        if name != module:
+            value = getattr(value, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *where})
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = _lazy_exports(
+    __name__, {name: (name,) for name in __all__ if name != "__version__"}
+)

@@ -27,7 +27,7 @@ the supported surface.
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .core.policy import (
     BlockSelector,
@@ -50,7 +50,9 @@ from .fl.admission import (
 from .fl.config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .fl.plan import TrainingPlan
 from .fl.robust import RULES
-from .fl.server import FLServer
+
+if TYPE_CHECKING:
+    from .fl.server import FLServer
 
 __all__ = [
     "build_server",
@@ -95,6 +97,7 @@ def build_server(
     behavioural knobs — admission, retries, sampling seed, sharding — come
     from ``config``.
     """
+    from .fl.server import FLServer
     from .nn import lenet5
 
     cfg = config or ServerConfig()

@@ -11,17 +11,7 @@ All three consume *leakage views*: gradients of protected layers are
 removed from the attacker's data exactly as in the paper's evaluation.
 """
 
-from .base import AttackResult, protected_to_frozenset
-from .dria import DataReconstructionAttack, DRIAReport
-from .features import (
-    features_from_weight_grads,
-    gradient_feature_vector,
-    layer_block_sizes,
-    layer_feature_block,
-)
-from .mia import MembershipInferenceAttack
-from .suite import AttackSuite, AttackVerdict, SecurityReport
-from .dpia import DPIADataset, PropertyInferenceAttack
+from .. import _lazy_exports
 
 __all__ = [
     "AttackResult",
@@ -37,3 +27,17 @@ __all__ = [
     "layer_feature_block",
     "layer_block_sizes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "base": ("AttackResult", "protected_to_frozenset"),
+    "dria": ("DataReconstructionAttack", "DRIAReport"),
+    "features": (
+        "features_from_weight_grads",
+        "gradient_feature_vector",
+        "layer_block_sizes",
+        "layer_feature_block",
+    ),
+    "mia": ("MembershipInferenceAttack",),
+    "suite": ("AttackSuite", "AttackVerdict", "SecurityReport"),
+    "dpia": ("DPIADataset", "PropertyInferenceAttack"),
+})

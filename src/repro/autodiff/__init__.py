@@ -5,11 +5,7 @@ for the DRIA attack, which differentiates through the model's gradient
 computation.
 """
 
-from . import functional, ops
-from .fused import conv2d_fused
-from .gradcheck import check_gradients, numerical_gradient
-from .tensor import Tensor, as_tensor, grad
-from .workspace import Workspace, get_workspace
+from .. import _lazy_exports
 
 __all__ = [
     "Tensor",
@@ -23,3 +19,12 @@ __all__ = [
     "Workspace",
     "get_workspace",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "functional": ("functional",),
+    "ops": ("ops",),
+    "fused": ("conv2d_fused",),
+    "gradcheck": ("check_gradients", "numerical_gradient"),
+    "tensor": ("Tensor", "as_tensor", "grad"),
+    "workspace": ("Workspace", "get_workspace"),
+})

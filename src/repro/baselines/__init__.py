@@ -9,10 +9,7 @@
 (The differential-privacy baseline lives in :mod:`repro.fl.dp`.)
 """
 
-from .batchcrypt import BatchCrypt, QuantizationConfig
-from .gecko import QuantizationReport, quantize_model
-from .paillier import PaillierPrivateKey, PaillierPublicKey, generate_keypair
-from .ppfl import PPFLReport, PPFLTrainer
+from .. import _lazy_exports
 
 __all__ = [
     "PaillierPublicKey",
@@ -25,3 +22,10 @@ __all__ = [
     "quantize_model",
     "QuantizationReport",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "batchcrypt": ("BatchCrypt", "QuantizationConfig"),
+    "gecko": ("QuantizationReport", "quantize_model"),
+    "paillier": ("PaillierPrivateKey", "PaillierPublicKey", "generate_keypair"),
+    "ppfl": ("PPFLReport", "PPFLTrainer"),
+})

@@ -1,16 +1,7 @@
 """Benchmark harness: experiment drivers, the paper's reference numbers,
 and table formatting used by the ``benchmarks/`` modules."""
 
-from .experiments import (
-    DPIA_BEST_V_MW,
-    ExperimentRow,
-    dpia_experiment,
-    dria_experiment,
-    mia_experiment,
-    simulate_fl_for_dpia,
-    v_mw_search,
-)
-from .tables import format_comparison, layers_label, print_table
+from .. import _lazy_exports
 
 __all__ = [
     "ExperimentRow",
@@ -24,3 +15,16 @@ __all__ = [
     "print_table",
     "layers_label",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "experiments": (
+        "DPIA_BEST_V_MW",
+        "ExperimentRow",
+        "dpia_experiment",
+        "dria_experiment",
+        "mia_experiment",
+        "simulate_fl_for_dpia",
+        "v_mw_search",
+    ),
+    "tables": ("format_comparison", "layers_label", "print_table"),
+})

@@ -22,10 +22,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .core import DynamicPolicy, NoProtection, PeltaPolicy, StaticPolicy
-from .nn import lenet5
-from .tee import CostModel
-
 MODEL_CHOICES = ("lenet5", "alexnet", "mlp", "vit_tiny", "gpt_tiny")
 
 
@@ -80,6 +76,8 @@ def _cost_dict(cost) -> dict:
 def _cmd_table6(args: argparse.Namespace) -> Optional[dict]:
     from .bench.reference import TABLE6_STATIC
     from .bench.tables import layers_label, print_table
+    from .nn import lenet5
+    from .tee import CostModel
 
     model = lenet5()
     cost_model = CostModel(batch_size=args.batch_size)
@@ -136,6 +134,8 @@ def _cmd_table5(args: argparse.Namespace) -> Optional[dict]:
     from .bench.experiments import DPIA_BEST_V_MW, dpia_experiment
     from .bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC
     from .bench.tables import format_comparison, print_table
+    from .core import DynamicPolicy, NoProtection, StaticPolicy
+    from .nn import lenet5
 
     layout = lenet5().layout()
     policies = [
@@ -166,6 +166,9 @@ def _cmd_table5(args: argparse.Namespace) -> Optional[dict]:
 def _cmd_fig8(args: argparse.Namespace) -> Optional[dict]:
     from .bench.experiments import DPIA_BEST_V_MW
     from .bench.tables import print_table
+    from .core import DynamicPolicy
+    from .nn import lenet5
+    from .tee import CostModel
 
     model = lenet5()
     cost_model = CostModel(batch_size=32)
@@ -211,7 +214,9 @@ def _cmd_blocks(args: argparse.Namespace) -> Optional[dict]:
     """
     from .attacks.suite import AttackSuite
     from .bench.tables import print_table
+    from .core import NoProtection, PeltaPolicy
     from . import nn as _nn
+    from .tee import CostModel
 
     entry = getattr(_nn, args.model)
     factory = lambda num_classes, seed: entry(  # noqa: E731
@@ -298,6 +303,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         ServerConfig,
         TrainingPlan,
     )
+    from .core import StaticPolicy
     from .nn import lenet5 as make_lenet5
     from .obs import FakeClock, fresh, validate_metrics, validate_trace
 
@@ -827,10 +833,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         _cmd_trace(args)
         return 0
     if args.command in ("simulate", "serve"):
+        from .tee.world import IntegrityError
+
         before = _checkpoint_events()
         try:
             (_cmd_simulate if args.command == "simulate" else _cmd_serve)(args)
-        except ValueError as error:  # a rejected configuration, not a crash
+        # a rejected configuration or an unusable counter file, not a crash
+        except (ValueError, IntegrityError) as error:
             print(f"repro {args.command}: error: {error}", file=sys.stderr)
             return 2
         _say_checkpoint_events(args, before)

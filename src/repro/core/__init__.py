@@ -5,25 +5,7 @@ possibly non-contiguous and cycle-varying protection of DNN layers inside a
 TrustZone enclave during FL client training.
 """
 
-from .leakage import CycleLeakage
-from .overhead import OverheadRow, dynamic_overhead, policy_overhead, static_overhead
-from .planner import KNOWN_ATTACKS, PolicyPlanner, PolicyRecommendation
-from .policy import (
-    BlockSelector,
-    DarknetzPolicy,
-    DynamicPolicy,
-    LayerRef,
-    ModelLayout,
-    NoProtection,
-    PeltaPolicy,
-    PolicyError,
-    ProtectionPolicy,
-    StaticPolicy,
-    policy_from_spec,
-    structured_slices,
-)
-from .search import SearchResult, candidate_distributions, search_v_mw
-from .shielded import GradSecTA, ShieldedModel
+from .. import _lazy_exports
 
 __all__ = [
     "ProtectionPolicy", "NoProtection", "StaticPolicy", "DarknetzPolicy",
@@ -35,3 +17,25 @@ __all__ = [
     "SearchResult", "candidate_distributions", "search_v_mw",
     "PolicyPlanner", "PolicyRecommendation", "KNOWN_ATTACKS",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "leakage": ("CycleLeakage",),
+    "overhead": ("OverheadRow", "dynamic_overhead", "policy_overhead", "static_overhead"),
+    "planner": ("KNOWN_ATTACKS", "PolicyPlanner", "PolicyRecommendation"),
+    "policy": (
+        "BlockSelector",
+        "DarknetzPolicy",
+        "DynamicPolicy",
+        "LayerRef",
+        "ModelLayout",
+        "NoProtection",
+        "PeltaPolicy",
+        "PolicyError",
+        "ProtectionPolicy",
+        "StaticPolicy",
+        "policy_from_spec",
+        "structured_slices",
+    ),
+    "search": ("SearchResult", "candidate_distributions", "search_v_mw"),
+    "shielded": ("GradSecTA", "ShieldedModel"),
+})

@@ -1,8 +1,6 @@
 """Datasets: containers, batching and the synthetic CIFAR-100 / LFW stand-ins."""
 
-from .datasets import ArrayDataset, Batch
-from .synthetic import class_prototypes, synthetic_cifar, synthetic_lfw
-from .transforms import flatten_samples, image_loss, normalize
+from .. import _lazy_exports
 
 __all__ = [
     "ArrayDataset",
@@ -14,3 +12,9 @@ __all__ = [
     "image_loss",
     "flatten_samples",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "datasets": ("ArrayDataset", "Batch"),
+    "synthetic": ("class_prototypes", "synthetic_cifar", "synthetic_lfw"),
+    "transforms": ("flatten_samples", "image_loss", "normalize"),
+})

@@ -5,44 +5,7 @@ attestation-gated client selection, the trusted-I/O-path weight transport,
 and a server-side differential-privacy baseline.
 """
 
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-    ReputationConfig,
-    ReputationTracker,
-)
-from .aggregation import (
-    CompensatedAccumulator,
-    fedavg,
-    merge_plain_and_sealed,
-)
-from .buffer import BufferedAggregator
-from .client import FLClient
-from .compression import SparseUpdate, TopKCompressor
-from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
-from .dp import GaussianMechanism, clip_by_norm
-from .plan import TrainingPlan
-from .resilience import RetryPolicy, collect_with_retries
-from .robust import (
-    RULES,
-    apply_rule,
-    clipped_mean,
-    coordinate_median,
-    krum,
-    krum_index,
-    trimmed_mean,
-)
-from .selection import SelectionResult, TEESelector
-from .server import FLServer
-from .sharding import (
-    HierarchicalAggregator,
-    RobustShardCollector,
-    RobustShardPartial,
-    ShardPartial,
-    shard_of,
-)
-from .transport import Channel, ClientUpdate, ModelDownload
+from .. import _lazy_exports
 
 __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
@@ -63,3 +26,40 @@ __all__ = [
     "ReputationConfig", "ReputationTracker",
     "RobustShardPartial", "RobustShardCollector",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "admission": (
+        "AdmissionConfig",
+        "AdmissionController",
+        "AdmissionDecision",
+        "ReputationConfig",
+        "ReputationTracker",
+    ),
+    "aggregation": ("CompensatedAccumulator", "fedavg", "merge_plain_and_sealed"),
+    "buffer": ("BufferedAggregator",),
+    "client": ("FLClient",),
+    "compression": ("SparseUpdate", "TopKCompressor"),
+    "config": ("BufferConfig", "RoundConfig", "ServerConfig", "ShardingConfig"),
+    "dp": ("GaussianMechanism", "clip_by_norm"),
+    "plan": ("TrainingPlan",),
+    "resilience": ("RetryPolicy", "collect_with_retries"),
+    "robust": (
+        "RULES",
+        "apply_rule",
+        "clipped_mean",
+        "coordinate_median",
+        "krum",
+        "krum_index",
+        "trimmed_mean",
+    ),
+    "selection": ("SelectionResult", "TEESelector"),
+    "server": ("FLServer",),
+    "sharding": (
+        "HierarchicalAggregator",
+        "RobustShardCollector",
+        "RobustShardPartial",
+        "ShardPartial",
+        "shard_of",
+    ),
+    "transport": ("Channel", "ClientUpdate", "ModelDownload"),
+})

@@ -6,7 +6,7 @@ package's ``__init__`` must not eagerly pull :mod:`repro.graph.vm`, which
 imports autodiff back.
 """
 
-from __future__ import annotations
+from .. import _lazy_exports
 
 __all__ = [
     "Node",
@@ -30,34 +30,19 @@ __all__ = [
     "plan_protection",
 ]
 
-_LOCATIONS = {
-    "Node": "ir",
-    "Program": "ir",
-    "Tape": "trace",
-    "TraceError": "trace",
-    "activate": "trace",
-    "optimize": "passes",
-    "plan_buffers": "passes",
-    "BufferPlan": "passes",
-    "GraphUnsupported": "vm",
-    "VM": "vm",
-    "BatchedVM": "vm",
-    "CompiledStep": "vm",
-    "compile_model_step": "vm",
-    "trace_callable": "vm",
-    "plan_cache_clear": "vm",
-    "plan_cache_stats": "vm",
-    "MemoryPlan": "planner",
-    "LayerMemory": "planner",
-    "plan_protection": "planner",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LOCATIONS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.graph' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "ir": ("Node", "Program"),
+    "trace": ("Tape", "TraceError", "activate"),
+    "passes": ("optimize", "plan_buffers", "BufferPlan"),
+    "vm": (
+        "GraphUnsupported",
+        "VM",
+        "BatchedVM",
+        "CompiledStep",
+        "compile_model_step",
+        "trace_callable",
+        "plan_cache_clear",
+        "plan_cache_stats",
+    ),
+    "planner": ("MemoryPlan", "LayerMemory", "plan_protection"),
+})

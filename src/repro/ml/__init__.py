@@ -4,11 +4,7 @@ Implements from scratch the models the paper's attacks rely on — logistic
 regression and random forests — plus the AUC metric used throughout §8.
 """
 
-from .forest import RandomForestClassifier
-from .linear import LogisticRegression
-from .metrics import roc_auc_score, train_test_split
-from .preprocess import MeanImputer, StandardScaler
-from .tree import DecisionTreeClassifier
+from .. import _lazy_exports
 
 __all__ = [
     "LogisticRegression",
@@ -19,3 +15,11 @@ __all__ = [
     "StandardScaler",
     "MeanImputer",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "forest": ("RandomForestClassifier",),
+    "linear": ("LogisticRegression",),
+    "metrics": ("roc_auc_score", "train_test_split"),
+    "preprocess": ("MeanImputer", "StandardScaler"),
+    "tree": ("DecisionTreeClassifier",),
+})

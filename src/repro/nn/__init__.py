@@ -5,29 +5,7 @@ Provides the layers, models, losses and optimisers that the GradSec core
 enclave.
 """
 
-from .attention import (
-    AttentionOutput,
-    AttentionSoftmax,
-    LayerNorm,
-    MLPBlock,
-    MeanPoolHead,
-    PatchEmbed,
-    QKVProjection,
-    TokenEmbed,
-)
-from .layers import ACTIVATIONS, Conv2D, Dense, Flatten, Layer
-from .losses import one_hot
-from .model import Sequential
-from .optim import SGD, Adam, Optimizer
-from .serialize import (
-    flatten_weights,
-    load_weights,
-    save_weights,
-    unflatten_weights,
-    weights_from_bytes,
-    weights_to_bytes,
-)
-from .zoo import alexnet, gpt_tiny, lenet5, mlp, vit_tiny
+from .. import _lazy_exports
 
 __all__ = [
     "Layer", "Conv2D", "Dense", "Flatten",
@@ -40,3 +18,29 @@ __all__ = [
     "flatten_weights", "unflatten_weights",
     "lenet5", "alexnet", "mlp", "vit_tiny", "gpt_tiny",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "attention": (
+        "AttentionOutput",
+        "AttentionSoftmax",
+        "LayerNorm",
+        "MLPBlock",
+        "MeanPoolHead",
+        "PatchEmbed",
+        "QKVProjection",
+        "TokenEmbed",
+    ),
+    "layers": ("ACTIVATIONS", "Conv2D", "Dense", "Flatten", "Layer"),
+    "losses": ("one_hot",),
+    "model": ("Sequential",),
+    "optim": ("SGD", "Adam", "Optimizer"),
+    "serialize": (
+        "flatten_weights",
+        "load_weights",
+        "save_weights",
+        "unflatten_weights",
+        "weights_from_bytes",
+        "weights_to_bytes",
+    ),
+    "zoo": ("alexnet", "gpt_tiny", "lenet5", "mlp", "vit_tiny"),
+})

@@ -15,16 +15,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .attention import (
-    AttentionOutput,
-    AttentionSoftmax,
-    LayerNorm,
-    MLPBlock,
-    MeanPoolHead,
-    PatchEmbed,
-    QKVProjection,
-    TokenEmbed,
-)
 from .layers import Conv2D, Dense, Layer
 from .model import Sequential
 
@@ -104,6 +94,14 @@ def mlp(
 
 def _transformer_blocks(num_blocks: int, hidden: int) -> List[Layer]:
     """The six flat sublayers of each pre-LN transformer block."""
+    from .attention import (
+        AttentionOutput,
+        AttentionSoftmax,
+        LayerNorm,
+        MLPBlock,
+        QKVProjection,
+    )
+
     layers: List[Layer] = []
     for i in range(1, num_blocks + 1):
         block = f"block{i}"
@@ -153,6 +151,8 @@ def vit_tiny(
     ``L2`` in the conv zoo.  ``scale`` shrinks the embedding width for
     CI-speed runs while preserving the block structure.
     """
+    from .attention import LayerNorm, MeanPoolHead, PatchEmbed
+
     d = max(4, int(round(dim * scale)))
     d -= d % 2  # keep the width even so QKV splits cleanly
     layers: List[Layer] = [PatchEmbed(d, patch, name="embed")]
@@ -178,6 +178,8 @@ def gpt_tiny(
     mean-pooled into a class score.  Same six-sublayer block structure as
     :func:`vit_tiny`.
     """
+    from .attention import LayerNorm, MeanPoolHead, TokenEmbed
+
     d = max(4, int(round(dim * scale)))
     d -= d % 2
     layers: List[Layer] = [TokenEmbed(d, name="embed")]

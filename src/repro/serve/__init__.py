@@ -20,36 +20,7 @@ long-running service layer:
   ``repro serve`` and ``BENCH_serve.json``.
 """
 
-from .coordinator import (
-    CommitEvent,
-    Coordinator,
-    IngestResult,
-    Job,
-    JobState,
-    PumpResult,
-    SubmitResult,
-    TenantQuota,
-)
-from .loadgen import LoadGenerator, LoadSpec, ServeHarness
-from .transport import (
-    BreakerConfig,
-    BreakerState,
-    ChaosChannel,
-    ChaosConfig,
-    TenantBreaker,
-)
-from .wire import (
-    AckMsg,
-    ClientUpdateMsg,
-    Encoding,
-    FrameError,
-    ModelDownloadMsg,
-    MsgType,
-    WireVector,
-    decode_frame,
-    encode_frame,
-    verify_frame,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "AckMsg",
@@ -79,3 +50,36 @@ __all__ = [
     "verify_frame",
     "WireVector",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "coordinator": (
+        "CommitEvent",
+        "Coordinator",
+        "IngestResult",
+        "Job",
+        "JobState",
+        "PumpResult",
+        "SubmitResult",
+        "TenantQuota",
+    ),
+    "loadgen": ("LoadGenerator", "LoadSpec", "ServeHarness"),
+    "transport": (
+        "BreakerConfig",
+        "BreakerState",
+        "ChaosChannel",
+        "ChaosConfig",
+        "TenantBreaker",
+    ),
+    "wire": (
+        "AckMsg",
+        "ClientUpdateMsg",
+        "Encoding",
+        "FrameError",
+        "ModelDownloadMsg",
+        "MsgType",
+        "WireVector",
+        "decode_frame",
+        "encode_frame",
+        "verify_frame",
+    ),
+})

@@ -80,6 +80,25 @@ def _rows(blob: str, width: int) -> List[List[float]]:
     return decode_flat(blob).reshape(-1, width).tolist()
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` of a non-empty finite float64 vector, bit
+    for bit (NumPy's default ``linear`` method, its ``_lerp`` included).
+
+    NumPy's interpolating branch calls ``np.unique``, which imports
+    ``numpy.ma`` on first use; this sorts and interpolates directly.
+    """
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    index = last * (q / 100)
+    if index >= last:
+        return float(ordered[last])
+    below = math.floor(index)
+    t = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 @dataclass(frozen=True)
 class LoadSpec:
     """One tenant job's load profile.
@@ -819,12 +838,12 @@ class ServeHarness:
                         job.bytes_down / generator.spec.clients, 3
                     ),
                     "latency_p50_s": (
-                        round(float(np.percentile(latencies, 50)), 9)
+                        round(_percentile(latencies, 50), 9)
                         if latencies.size
                         else None
                     ),
                     "latency_p99_s": (
-                        round(float(np.percentile(latencies, 99)), 9)
+                        round(_percentile(latencies, 99), 9)
                         if latencies.size
                         else None
                     ),

@@ -14,10 +14,7 @@ and secure-storage checkpoint/resume.  Everything is a pure function of the
 seed: same seed, same report bytes.
 """
 
-from .engine import FLSimulator, REPORT_SCHEMA_VERSION, SimConfig
-from .events import Event, EventLoop
-from .faults import AttackKind, FaultKind, FaultPlan, FaultRates, apply_attack
-from .network import NetworkModel
+from .. import _lazy_exports
 
 __all__ = [
     "Event",
@@ -32,3 +29,10 @@ __all__ = [
     "FLSimulator",
     "REPORT_SCHEMA_VERSION",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "engine": ("FLSimulator", "REPORT_SCHEMA_VERSION", "SimConfig"),
+    "events": ("Event", "EventLoop"),
+    "faults": ("AttackKind", "FaultKind", "FaultPlan", "FaultRates", "apply_attack"),
+    "network": ("NetworkModel",),
+})

@@ -6,33 +6,7 @@ trusted I/O path, remote attestation), and the calibrated device cost model
 that regenerates the paper's overhead numbers.
 """
 
-from .attestation import AttestationDevice, AttestationVerifier, Quote
-from .costmodel import CostModel, CycleCost
-from .iopath import TrustedIOPath
-from .memory import DEFAULT_CAPACITY_BYTES, SecureMemoryPool, ShieldedBuffer
-from .monitor import SecureMonitor, SMCStats
-from .profiles import RASPBERRY_PI_3B, DeviceProfile
-from .storage import (
-    BackendCrash,
-    FaultInjectedBackend,
-    InMemoryBackend,
-    ReeFsBackend,
-    RollbackError,
-    SecureStorage,
-    StorageBackend,
-)
-from .trusted_app import TrustedApplication
-from .world import (
-    AttestationError,
-    IntegrityError,
-    SecureMemoryExhausted,
-    SecureWorldViolation,
-    TEEError,
-    World,
-    current_world,
-    require_secure_world,
-    secure_world,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "World", "current_world", "secure_world", "require_secure_world",
@@ -46,3 +20,33 @@ __all__ = [
     "TrustedIOPath",
     "CostModel", "CycleCost", "DeviceProfile", "RASPBERRY_PI_3B",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "attestation": ("AttestationDevice", "AttestationVerifier", "Quote"),
+    "costmodel": ("CostModel", "CycleCost"),
+    "iopath": ("TrustedIOPath",),
+    "memory": ("DEFAULT_CAPACITY_BYTES", "SecureMemoryPool", "ShieldedBuffer"),
+    "monitor": ("SecureMonitor", "SMCStats"),
+    "profiles": ("RASPBERRY_PI_3B", "DeviceProfile"),
+    "storage": (
+        "BackendCrash",
+        "FaultInjectedBackend",
+        "InMemoryBackend",
+        "ReeFsBackend",
+        "RollbackError",
+        "SecureStorage",
+        "StorageBackend",
+    ),
+    "trusted_app": ("TrustedApplication",),
+    "world": (
+        "AttestationError",
+        "IntegrityError",
+        "SecureMemoryExhausted",
+        "SecureWorldViolation",
+        "TEEError",
+        "World",
+        "current_world",
+        "require_secure_world",
+        "secure_world",
+    ),
+})

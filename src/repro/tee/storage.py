@@ -240,10 +240,29 @@ class SecureStorage:
             "tee.storage.recoveries", "torn puts completed (rolled forward) on read"
         )
         if counters_path is not None and os.path.exists(counters_path):
-            import json
+            self._counters = self._load_counters(counters_path)
 
-            with open(counters_path) as handle:
-                self._counters = {k: int(v) for k, v in json.load(handle).items()}
+    @staticmethod
+    def _load_counters(path: str) -> Dict[str, int]:
+        """The counter file as :meth:`_persist_counters` writes it: a JSON
+        object of non-negative ints.  Anything else (not JSON, a list, a
+        null, a string, a bool or a negative count) is an
+        :class:`IntegrityError` naming the file."""
+        import json
+
+        try:
+            with open(path) as handle:
+                counters = json.load(handle)
+        except ValueError as error:
+            raise IntegrityError(f"trusted counter file {path}: {error}") from None
+        if not isinstance(counters, dict) or not all(
+            type(count) is int and count >= 0 for count in counters.values()
+        ):
+            raise IntegrityError(
+                f"trusted counter file {path}: expected a JSON object of "
+                "non-negative integer counters"
+            )
+        return counters
 
     def _persist_counters(self) -> None:
         if self._counters_path is None:

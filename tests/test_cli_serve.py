@@ -138,6 +138,25 @@ class TestCli:
         )
         assert captured.out == "" and not (tmp_path / "three.json").exists()
 
+    @pytest.mark.parametrize("command", ["serve", "simulate"])
+    def test_malformed_counter_file_is_one_line_and_exit_2(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "counters.json").write_text('{"k": true}')
+        out = tmp_path / "r.json"
+        argv = [command, "--clients", "20", "--seed", "5", "--out", str(out)]
+        assert main([*argv, "--state-dir", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro {command}: error: trusted counter file {state}/counters.json: "
+            "expected a JSON object of non-negative integer counters\n"
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_listed_in_repro_list(self, capsys):
         from repro.cli import main
 

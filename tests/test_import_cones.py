@@ -3,16 +3,32 @@
 Each case is a fresh interpreter (``sys.modules`` is per process): a
 coordinator, a simulator and a shielded client load their own dependency
 cone — never ``scipy``, never the attack / ml / baseline / paper-bench
-subpackages — and the two lazy sites (``repro/__init__.py``'s PEP 562
-``__getattr__``, DRIA's function-local ``scipy`` import) behave exactly
-as the eager ones did.  DESIGN.md § Import cones has the table.
+subpackages, and a coordinator or simulator never the GradSec trainer —
+and the lazy sites (every package ``__init__``'s PEP 562 ``__getattr__``,
+DRIA's function-local ``scipy`` import) behave exactly as the eager ones
+did.  DESIGN.md § Import cones has the table.
 """
 
 import pytest
 
 OFF_CONE = ("numpy.f2py", "repro.attacks", "repro.ml", "repro.baselines", "repro.bench")
 
-# Prepended to every child: ``loaded(*prefixes)`` lists the offending keys.
+# What a coordinator or a simulator never runs: the shielded trainer and its
+# attestation, the planner and the V_MW search, the data sets, the client
+# and the transformer layers.
+TRAINER = (
+    "repro.core.shielded",
+    "repro.core.planner",
+    "repro.core.search",
+    "repro.tee.attestation",
+    "repro.fl.client",
+    "repro.data",
+    "repro.nn.attention",
+)
+UNUSED_BY_A_CLIENT = ("repro.core.planner", "repro.core.search", "repro.nn.attention")
+
+# Prepended to every child: ``loaded(*prefixes)`` lists the offending keys,
+# ``count()`` the ``repro`` modules loaded.
 PRELUDE = """
 import sys
 
@@ -21,6 +37,9 @@ def loaded(*prefixes):
         m for m in sys.modules
         if m.split(".")[0] == "scipy" or m.startswith(prefixes)
     )
+
+def count():
+    return sum(m.split(".")[0] == "repro" for m in sys.modules)
 """
 
 
@@ -29,15 +48,46 @@ def run(spawn_python, body):
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.serve", "repro.sim", "repro.fl.client", "repro.core.shielded"]
+    "statement, stay_out, budget",
+    [
+        pytest.param(
+            "from repro.serve import ServeHarness",
+            OFF_CONE + TRAINER + ("repro.api",),
+            41,
+            id="repro.serve",
+        ),
+        pytest.param(
+            "from repro.sim import FLSimulator",
+            OFF_CONE + TRAINER + ("repro.api",),
+            44,
+            id="repro.sim",
+        ),
+        pytest.param(
+            "import repro.fl.client",
+            OFF_CONE + UNUSED_BY_A_CLIENT + ("repro.api", "repro.serve", "repro.sim"),
+            44,
+            id="repro.fl.client",
+        ),
+        pytest.param(
+            "import repro.core.shielded",
+            OFF_CONE + UNUSED_BY_A_CLIENT
+            + ("repro.api", "repro.fl", "repro.data", "repro.tee.attestation"),
+            33,
+            id="repro.core.shielded",
+        ),
+        # The CLI module itself loads no subpackage: each command imports
+        # what it runs.
+        pytest.param("import repro.cli", ("repro.api",), 2, id="repro.cli"),
+    ],
 )
-def test_library_entry_points_stay_on_their_cone(spawn_python, module):
+def test_library_entry_points_stay_on_their_cone(spawn_python, statement, stay_out, budget):
     run(
         spawn_python,
         f"""
-import {module}
-bad = loaded(*{OFF_CONE + ("repro.api",)!r})
+{statement}
+bad = loaded(*{stay_out!r})
 assert not bad, bad
+assert count() <= {budget}, count()
 """,
     )
 
@@ -53,16 +103,106 @@ assert not bad, bad
 def test_resumable_cli_commands_stay_on_their_cone(spawn_python, tmp_path, argv):
     # ``repro.api`` is the facade these two commands call; it is on the cone.
     out = tmp_path / "report.json"
+    flags = ["--state-dir", str(tmp_path / "state"), "--out", str(out)]
     run(
         spawn_python,
         f"""
 from repro.cli import main
-assert main({argv + ["--out", str(out)]!r}) == 0
-bad = loaded(*{OFF_CONE!r})
+assert main({argv + flags!r}) == 0
+bad = loaded(*{OFF_CONE + TRAINER!r})
 assert not bad, bad
 """,
     )
     assert out.stat().st_size > 0
+
+
+def test_a_serve_report_leaves_numpy_ma_unloaded(spawn_python):
+    """The report's latency percentiles do not go through ``np.percentile``,
+    whose ``np.unique`` call imports ``numpy.ma``."""
+    run(
+        spawn_python,
+        """
+from repro.obs import VirtualClock, fresh
+from repro.serve import LoadSpec, ServeHarness
+
+spec = LoadSpec(tenant="t", job_id="j", clients=40, commits=2, buffer_size=8,
+                concurrency=8, seed=3, straggler=0.1)
+with fresh(clock=VirtualClock()) as ctx:
+    report = ServeHarness([spec], clock=ctx.clock).run()
+assert report["jobs"][0]["latency_p99_s"] is not None
+assert "numpy.ma" not in sys.modules
+""",
+    )
+
+
+# Every package whose ``__init__`` resolves its names lazily, with the
+# length of its (unchanged) ``__all__``.
+LAZY_PACKAGES = {
+    "repro.attacks": 14,
+    "repro.autodiff": 10,
+    "repro.baselines": 9,
+    "repro.bench": 10,
+    "repro.core": 25,
+    "repro.data": 8,
+    "repro.fl": 39,
+    "repro.graph": 19,
+    "repro.ml": 7,
+    "repro.nn": 29,
+    "repro.serve": 26,
+    "repro.sim": 11,
+    "repro.tee": 30,
+}
+
+
+@pytest.mark.parametrize("package", sorted(LAZY_PACKAGES))
+def test_lazy_package_resolves_each_public_name_as_the_eager_one_did(
+    spawn_python, package
+):
+    run(
+        spawn_python,
+        f"""
+import importlib, pkgutil
+
+pkg = importlib.import_module({package!r})
+names = pkg.__all__
+assert len(names) == {LAZY_PACKAGES[package]}, len(names)
+assert set(names) <= set(dir(pkg))
+
+# The first access runs __getattr__; the second is a plain attribute.
+# (A submodule's own ``from . import sibling`` asks __getattr__ too.)
+lazy, calls = pkg.__getattr__, []
+pkg.__getattr__ = lambda name: calls.append(name) or lazy(name)
+first = getattr(pkg, names[0])
+assert getattr(pkg, names[0]) is first and calls.count(names[0]) == 1, calls
+pkg.__getattr__ = lazy
+
+namespace = {{}}
+exec("from {package} import *", namespace)
+submodules = [
+    importlib.import_module(f"{package}.{{info.name}}")
+    for info in pkgutil.iter_modules(pkg.__path__)
+]
+for name in names:
+    value = namespace[name]
+    assert value is getattr(pkg, name) and name in vars(pkg), name
+    assert value is sys.modules.get(f"{package}.{{name}}") or any(
+        vars(module).get(name) is value for module in submodules
+    ), name
+
+try:
+    pkg.nope
+except AttributeError as error:
+    assert str(error) == "module {package!r} has no attribute 'nope'", error
+else:
+    raise AssertionError("a misspelt name must be an AttributeError")
+try:
+    exec("from {package} import nope")
+except ImportError:
+    pass
+else:
+    raise AssertionError("importing a misspelt name must be an ImportError")
+""",
+    )
 
 
 def test_bare_import_loads_no_subpackage_and_resolves_on_access(spawn_python):

@@ -368,3 +368,14 @@ class TestBackpressure:
         )
         assert finished
         assert report["jobs"][0]["commits"] == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1001])
+@pytest.mark.parametrize("q", [50, 99])
+def test_report_percentile_is_numpys_bit_for_bit(n, q):
+    from repro.serve.loadgen import _percentile
+
+    rng = np.random.default_rng(n)
+    for values in (rng.exponential(size=n), np.round(rng.uniform(size=n), 2)):
+        expected = np.float64(np.percentile(values, q))
+        assert np.float64(_percentile(values, q)).tobytes() == expected.tobytes()

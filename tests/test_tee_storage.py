@@ -174,6 +174,15 @@ class TestRollbackProtection:
         with pytest.raises(RollbackError, match="version 1, trusted counter says 3"):
             storage.get("ta", "k")
 
+    @pytest.mark.parametrize(
+        "text", ["[]", '{"k": null}', '{"k": "x"}', '{"k": true}', '{"k": -3}', "{"]
+    )
+    def test_malformed_counter_file_is_an_integrity_error(self, tmp_path, text):
+        counters = tmp_path / "counters.json"
+        counters.write_text(text)
+        with pytest.raises(IntegrityError, match=f"trusted counter file {counters}"):
+            SecureStorage(counters_path=str(counters))
+
 
 class TestMetrics:
     """``tee.storage.*`` counters are exact, so tests assert them with ``==``."""

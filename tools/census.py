@@ -148,6 +148,10 @@ GATED: List[Command] = [
              "--state-dir", "sim-state", "--out", "resume.json"),
         _cli("serve", *_SERVE, "--state-dir", "serve-state",
              "--out", "serve-resume.json"),
+        _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
+             "--seed", "7", "--chaos", "--chaos-rate", "0.2", "--chaos-seed", "3",
+             "--chaos-breaker-budget", "5", "--checkpoint-every", "8",
+             "--state-dir", "chaos-state", "--out", "chaos-resume.json"),
     ),
     # A zoo model under a named policy, an admission-gated resume and the
     # command list.
