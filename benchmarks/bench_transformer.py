@@ -53,8 +53,7 @@ def _sublayer_leakage(model, policy, batch_size=4, lr=0.05):
     shielded = ShieldedModel(model, policy, batch_size=batch_size)
     shielded.begin_cycle(cycle=0)
     shielded.train_step(x, y, lr=lr)
-    shielded.end_cycle()
-    record = shielded.history[0]
+    record = shielded.end_cycle()
     layout = model.layout()
     rows = []
     for index in range(1, model.num_layers + 1):

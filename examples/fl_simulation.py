@@ -62,8 +62,11 @@ def main() -> None:
     print(f"initial accuracy: {server.model.accuracy(x_eval, y_eval):.3f}")
 
     participants = [c for c in clients if c.client_id in selection.admitted]
+    hidden = {client.client_id: set() for client in participants}
     for cycle in range(CYCLES):
         updates = server.run_cycle(participants)
+        for client in participants:
+            hidden[client.client_id].update(client.last_leakage.protected)
         sealed = sum(1 for u in updates if u.sealed_weights is not None)
         print(
             f"cycle {cycle}: accuracy={server.model.accuracy(x_eval, y_eval):.3f} "
@@ -78,13 +81,9 @@ def main() -> None:
 
     print("\n--- per-client leakage audit ---")
     for client in participants:
-        hidden = {
-            f"L{i}"
-            for leak in client.leakage_log
-            for i in leak.protected
-        }
+        layers = sorted(f"L{i}" for i in hidden[client.client_id])
         print(
-            f"  {client.client_id}: gradients of {sorted(hidden)} never appeared "
+            f"  {client.client_id}: gradients of {layers} never appeared "
             "in normal-world memory"
         )
 

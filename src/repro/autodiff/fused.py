@@ -11,13 +11,18 @@ This module collapses the whole convolution into a **single** graph node:
 
 * forward: pad -> im2col -> GEMM -> bias in one numpy kernel, with the
   column matrix built directly in the ``(C*KH*KW, N*OH*OW)`` GEMM layout;
-* backward: hand-written adjoints — ``dW`` via GEMM on the cached forward
-  columns, ``dX`` via GEMM + col2im, ``db`` via a sum reduction.
+* backward: hand-written adjoints — ``dW`` via GEMM on the column matrix's
+  transpose, rebuilt from the saved input ``x``; ``dX`` via GEMM + col2im;
+  ``db`` via a sum reduction.
 
 Scratch arrays (padded images, column matrices, transposed gradients) come
 from the byte-keyed :class:`~repro.autodiff.workspace.Workspace`, so the
 training hot path stops allocating per step, and a ``(K, M)`` buffer one
-kernel releases is the ``(M, K)`` buffer the next one checks out.
+kernel releases is the ``(M, K)`` buffer the next one checks out.  No
+scratch buffer outlives the GEMM it feeds: the forward releases its column
+matrix right after the forward GEMM, so nothing is checked out between a
+forward and its backward.  A warm LeNet-5 step (batch 32) pools 8.6 MB,
+where keeping each layer's 4.9 MB column matrix until backward pooled 28.2.
 
 Double backward still works: the backward rules are themselves expressed as
 graph nodes (:func:`_conv_dx_node` / :func:`_conv_dw_node`), and the three
@@ -32,17 +37,19 @@ bias reduction all match the primitive composition exactly.  Transposes are
 materialised as contiguous copies because BLAS results for transposed views
 are not bit-stable across shapes: handing ``cols.T`` to the dW GEMM instead
 of a contiguous copy changes bits on about half the shapes tried (2 419 of
-4 480 on one grid, 284 of 560 on another, OpenBLAS, one thread).  The dW
-copy is done in row blocks of the column matrix (a pure copy, so the GEMM
-sees the same bytes) because one full strided pass costs 3–6× the GEMM
-it feeds at LeNet-5's ``(75, 8192)`` and ``(300, 2048)`` column matrices.
+4 480 on one grid, 284 of 560 on another, OpenBLAS, one thread).  Both
+operands are gathered from one strided window view of the padded input in
+a single copy, so the dW operand ``(N*OH*OW, C*KH*KW)`` holds exactly the
+bytes of the column matrix's contiguous transpose.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import numbers
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ops import _make, reshape as _reshape_op, sum_ as _sum_op
 from .tensor import Tensor, as_tensor
@@ -50,9 +57,6 @@ from .workspace import Workspace, get_workspace
 from ..graph import trace as _trace
 
 __all__ = ["conv2d_fused"]
-
-# Column-matrix rows per block of the dW transpose copy.
-_TRANSPOSE_ROWS = 32
 
 
 def _needs(t: Tensor) -> bool:
@@ -74,33 +78,57 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 # numpy kernels (no graph)
 # ----------------------------------------------------------------------
 
-def _im2col_cols(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws: Workspace
+def _windows(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, axes: tuple,
+    ws: Workspace,
 ) -> np.ndarray:
-    """Column matrix of ``x`` in GEMM layout ``(C*KH*KW, N*OH*OW)``.
+    """Every conv window of ``x``, copied into one pooled 2-D GEMM operand.
 
-    The returned buffer is checked out of ``ws``; the caller owns it and is
-    responsible for releasing it.
+    One strided ``(N, OH, OW, C, KH, KW)`` view over the zero-padded input,
+    transposed to ``axes`` and copied in a single pass; the first three
+    axes after the transpose index the operand's rows.  The caller owns the
+    returned buffer and releases it.
     """
     n, c, h, w = x.shape
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(w, kw, stride, pad)
-    cols = ws.checkout((c * kh * kw, n * oh * ow))
-    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
     if pad:
         xp = ws.checkout((n, c, h + 2 * pad, w + 2 * pad))
         xp.fill(0.0)
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
         xp = x
-    for i in range(kh):
-        for j in range(kw):
-            cols6[:, i, j] = xp[
-                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-            ].transpose(1, 0, 2, 3)
+    sn, sc, sh, sw = xp.strides
+    view = as_strided(
+        xp,
+        (n, oh, ow, c, kh, kw),
+        (sn, sh * stride, sw * stride, sc, sh, sw),
+        writeable=False,
+    ).transpose(axes)
+    dims = view.shape
+    buf = ws.checkout((dims[0] * dims[1] * dims[2], dims[3] * dims[4] * dims[5]))
+    np.copyto(buf.reshape(dims), view)
     if pad:
         ws.release(xp)
-    return cols
+    return buf
+
+
+def _im2col_cols(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws: Workspace
+) -> np.ndarray:
+    """Column matrix of ``x`` in GEMM layout ``(C*KH*KW, N*OH*OW)`` (pooled)."""
+    return _windows(x, kh, kw, stride, pad, (3, 4, 5, 0, 1, 2), ws)
+
+
+def _cols_t(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws: Workspace
+) -> np.ndarray:
+    """The column matrix's transpose, ``(N*OH*OW, C*KH*KW)`` (pooled).
+
+    Byte for byte ``np.ascontiguousarray(_im2col_cols(x, ...).T)``, built
+    straight from ``x`` so no column matrix has to outlive the forward GEMM.
+    """
+    return _windows(x, kh, kw, stride, pad, (0, 1, 2, 3, 4, 5), ws)
 
 
 def _grad_mat(g: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -118,8 +146,8 @@ def _conv_forward_data(
     stride: int,
     pad: int,
     ws: Workspace,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused forward; returns ``(out, cols)`` with ``cols`` still leased."""
+) -> np.ndarray:
+    """Fused forward: im2col -> GEMM -> bias; every scratch buffer released."""
     n = x.shape[0]
     f = w.shape[0]
     kh, kw = w.shape[2], w.shape[3]
@@ -128,6 +156,7 @@ def _conv_forward_data(
     cols = _im2col_cols(x, kh, kw, stride, pad, ws)
     out_mat = ws.checkout((f, n * oh * ow))
     np.matmul(w.reshape(f, -1), cols, out=out_mat)
+    ws.release(cols)
     out_view = out_mat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
     if b is not None:
         out = out_view + b.reshape(1, f, 1, 1)
@@ -137,24 +166,15 @@ def _conv_forward_data(
         out = np.empty((n, f, oh, ow))
         np.copyto(out, out_view)
     ws.release(out_mat)
-    return out, cols
+    return out
 
 
 def _conv_dw_data(
-    gt: np.ndarray, cols: np.ndarray, w_shape: tuple, ws: Workspace
+    gt: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int, pad: int,
+    ws: Workspace,
 ) -> np.ndarray:
-    """``dW = g_mat @ cols.T`` (explicit contiguous transpose, pooled).
-
-    The transpose is copied ``_TRANSPOSE_ROWS`` column-matrix rows at a
-    time: the same bytes land in the same contiguous ``cols_t``, but each
-    pass works on a cache-sized slice of both buffers instead of striding
-    across the whole of one (≈ 3× faster at LeNet-5's shapes).
-    """
-    k = cols.shape[0]
-    cols_t = ws.checkout((cols.shape[1], k))
-    for start in range(0, k, _TRANSPOSE_ROWS):
-        block = slice(start, start + _TRANSPOSE_ROWS)
-        cols_t[:, block] = cols[block].T
+    """``dW = g_mat @ cols.T`` on a contiguous transpose rebuilt from ``x``."""
+    cols_t = _cols_t(x, w_shape[2], w_shape[3], stride, pad, ws)
     dw = (gt @ cols_t).reshape(w_shape)
     ws.release(cols_t)
     return dw
@@ -231,25 +251,13 @@ def _conv_dx_node(
 def _conv_dw_node(
     g: Tensor, x: Tensor, w_shape: tuple, stride: int, pad: int,
     gt: Optional[np.ndarray] = None,
-    cols: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Differentiable ``dW`` node: linear in ``g`` and in ``x``.
-
-    ``cols`` lets the fused forward hand over its cached column matrix so
-    the common first-order backward skips the im2col; when absent (e.g. a
-    double-backward re-derivation) the columns are rebuilt from ``x``.
-    """
+    """Differentiable ``dW`` node: linear in ``g`` and in ``x``."""
     ws = get_workspace()
-    kh, kw = w_shape[2], w_shape[3]
     own_gt = gt is None
     if own_gt:
         gt = _grad_mat(g.data, ws)
-    own_cols = cols is None
-    if own_cols:
-        cols = _im2col_cols(x.data, kh, kw, stride, pad, ws)
-    data = _conv_dw_data(gt, cols, w_shape, ws)
-    if own_cols:
-        ws.release(cols)
+    data = _conv_dw_data(gt, x.data, w_shape, stride, pad, ws)
     if own_gt:
         ws.release(gt)
 
@@ -261,18 +269,30 @@ def _conv_dw_node(
 
     out = _make(data, (g, x), grad_fn, "conv2d_dw")
     if _trace.TAPE is not None:
-        if own_cols:
-            _trace.TAPE.op(
-                "conv2d_dw", (g, x), out,
-                w_shape=tuple(w_shape), stride=stride, pad=pad,
-            )
-        else:
-            # The forward's cached column matrix is a first-class traced
-            # value (second output of the conv2d_fused node).
-            _trace.TAPE.op(
-                "conv2d_dw_cols", (g, cols), out, w_shape=tuple(w_shape)
-            )
+        _trace.TAPE.op(
+            "conv2d_dw", (g, x), out,
+            w_shape=tuple(w_shape), stride=stride, pad=pad,
+        )
     return out
+
+
+def check_conv_geometry(filters, kernel_size, stride, pad) -> None:
+    """Raise ``ValueError`` naming the first geometry field out of range.
+
+    ``filters``, ``kernel_size`` and ``stride`` must be integers >= 1 and
+    ``pad`` an integer >= 0; anything else would divide by zero, or make
+    the strided window view read outside the padded input.
+    """
+    for field, value, low in (
+        ("filters", filters, 1),
+        ("kernel_size", kernel_size, 1),
+        ("stride", stride, 1),
+        ("pad", pad, 0),
+    ):
+        if not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(
+                f"conv2d {field} must be an integer >= {low}, got {value!r}"
+            )
 
 
 def conv2d_fused(
@@ -296,20 +316,15 @@ def conv2d_fused(
     f, wc, kh, kw = weight.shape
     if wc != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {wc}")
+    check_conv_geometry(f, min(kh, kw), stride, pad)
     ws = get_workspace()
-    out, cols = _conv_forward_data(
+    out = _conv_forward_data(
         x.data, weight.data, bias_t.data if bias_t is not None else None,
         stride, pad, ws,
     )
     x_shape, w_shape = x.shape, weight.shape
-    # The cols lease lives in this cell: the first backward consumes and
-    # releases it; rare repeated backwards (double-backward graphs walk the
-    # forward node again) rebuild the columns from x instead.
-    lease = [cols]
 
     def grad_fn(g):
-        cached = lease[0]
-        lease[0] = None
         gt = _grad_mat(g.data, ws)
         # Only materialise the adjoints whose parent actually consumes a
         # gradient — skipping dX on a first layer avoids its GEMM + col2im.
@@ -319,12 +334,10 @@ def conv2d_fused(
             else None
         )
         dw = (
-            _conv_dw_node(g, x, w_shape, stride, pad, gt=gt, cols=cached)
+            _conv_dw_node(g, x, w_shape, stride, pad, gt=gt)
             if _needs(weight)
             else None
         )
-        if cached is not None:
-            ws.release(cached)
         ws.release(gt)
         if bias_t is None:
             return (dx, dw)
@@ -339,11 +352,7 @@ def conv2d_fused(
     result = _make(out, parents, grad_fn, "conv2d")
     if _trace.TAPE is not None:
         _trace.TAPE.op(
-            "conv2d_fused", parents, (result, cols),
+            "conv2d_fused", parents, result,
             stride=stride, pad=pad, has_bias=bias_t is not None,
         )
-    if result._grad_fn is None:
-        # Inference path: no node retains the closure, return the lease now.
-        ws.release(cols)
-        lease[0] = None
     return result

@@ -274,7 +274,6 @@ class ShieldedModel:
         self.cycle = 0
         self._protected: FrozenSet[int] = frozenset()
         self._in_cycle = False
-        self.history: List[CycleLeakage] = []
         self.simulated_cost = CycleCost(0.0, 0.0, 0.0, 0)
 
     # ------------------------------------------------------------------
@@ -410,7 +409,6 @@ class ShieldedModel:
             self.monitor.smc(self.ta.uuid, "release", restore=restore)
         self._cycle_leakage.record_weights_after(self.model, self._protected)
         self._cycle_leakage.peak_tee_bytes = self.pool.peak_bytes
-        self.history.append(self._cycle_leakage)
         leakage = self._cycle_leakage
         self._in_cycle = False
         self.cycle += 1

@@ -11,7 +11,7 @@ policy, and return the update (protected layers sealed again).
 from __future__ import annotations
 
 import io
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class FLClient:
             self.shielded.ta.uuid, self._data_key, _dataset_to_bytes(dataset)
         )
         self.num_samples = len(dataset)
-        self.leakage_log: List[CycleLeakage] = []
+        # The latest cycle's record only: an archive would grow per cycle.
+        self.last_leakage: Optional[CycleLeakage] = None
 
     # -- selection-protocol surface --------------------------------------
     def has_tee(self) -> bool:
@@ -167,7 +168,7 @@ class FLClient:
             ):
                 sealed, plain = self.shielded.export_update(self.iopath)
             leakage = self.shielded.end_cycle(restore=False)
-        self.leakage_log.append(leakage)
+        self.last_leakage = leakage
         get_registry().counter(
             "fl.client.steps", "local SGD steps executed"
         ).inc(steps, client=self.client_id)

@@ -33,8 +33,8 @@ class Node:
         strides, scalar exponents.  Everything data-dependent must instead
         flow through ``inputs``.
     inputs / outputs:
-        Value ids consumed / produced.  Most nodes have one output; fused
-        conv produces ``(out, cols)`` and maxpool ``(out, argmax)``.
+        Value ids consumed / produced.  Most nodes have one output;
+        maxpool produces ``(out, argmax)``.
 
     Every node is a pure function of its inputs and params: the VM builds
     its kernel from ``(op, params)``.

@@ -246,27 +246,15 @@ def _build_kernel(node: Node):
 
         return conv_dx, False
     if op == "conv2d_dw":
-        from ..autodiff.fused import _conv_dw_data, _grad_mat, _im2col_cols
+        from ..autodiff.fused import _conv_dw_data, _grad_mat
 
         w_shape, stride, pad = tuple(p["w_shape"]), p["stride"], p["pad"]
-        kh, kw = w_shape[2], w_shape[3]
 
         def conv_dw(g, x):
             gt = _grad_mat(g, _NOPOOL)
-            cols = _im2col_cols(x, kh, kw, stride, pad, _NOPOOL)
-            return _conv_dw_data(gt, cols, w_shape, _NOPOOL)
+            return _conv_dw_data(gt, x, w_shape, stride, pad, _NOPOOL)
 
         return conv_dw, False
-    if op == "conv2d_dw_cols":
-        from ..autodiff.fused import _conv_dw_data, _grad_mat
-
-        w_shape = tuple(p["w_shape"])
-
-        def conv_dw_cols(g, cols):
-            gt = _grad_mat(g, _NOPOOL)
-            return _conv_dw_data(gt, cols, w_shape, _NOPOOL)
-
-        return conv_dw_cols, False
     raise GraphUnsupported(f"no kernel registered for op {node.op!r}")
 
 

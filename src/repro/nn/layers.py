@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, functional as F, ops
+from ..autodiff.fused import check_conv_geometry
 from . import init as initializers
 
 __all__ = ["Layer", "Conv2D", "Dense", "Flatten", "ACTIVATIONS"]
@@ -178,6 +179,7 @@ class Conv2D(Layer):
         super().__init__(name=name)
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
+        check_conv_geometry(filters, kernel_size, stride, pad)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
         self.stride = int(stride)

@@ -10,10 +10,10 @@ import pytest
 
 from repro.autodiff import Tensor, check_gradients, grad, ops
 from repro.autodiff import functional as F
-from repro.autodiff.fused import _conv_dw_data, conv2d_fused
+from repro.autodiff.fused import _cols_t, _conv_dw_data, _im2col_cols, conv2d_fused
 from repro.autodiff.functional import conv2d_composed
-from repro.autodiff.workspace import Workspace, get_workspace
-from repro.nn import Conv2D
+from repro.autodiff.workspace import Workspace, get_workspace, set_workspace
+from repro.nn import Conv2D, lenet5
 
 # (batch, in_ch, height, width, filters, kernel, stride, pad, bias)
 SHAPES = [
@@ -87,20 +87,87 @@ class TestBitwiseParity:
             conv2d_fused(x, w)
 
 
+# (batch, in_ch, height, width, kernel_h, kernel_w, stride, pad)
+DW_GEOMETRIES = [
+    (1, 1, 5, 5, 1, 1, 1, 0),
+    (2, 3, 7, 9, 3, 3, 1, 0),
+    (3, 2, 11, 6, 2, 3, 2, 1),
+    (1, 4, 9, 9, 3, 2, 3, 2),
+    (2, 5, 13, 10, 4, 1, 3, 0),
+    (3, 12, 19, 19, 5, 5, 1, 2),
+    (2, 64, 9, 9, 5, 5, 1, 2),  # 1 600 column-matrix rows
+    (32, 3, 32, 32, 5, 5, 2, 2),  # LeNet-5 L1
+    (32, 12, 16, 16, 5, 5, 2, 2),  # LeNet-5 L2
+]
+
+
 class TestDwKernelBits:
-    """The blocked transpose feeds the dW GEMM the bytes of a full one."""
+    """dW's operand, rebuilt from ``x``, is the column matrix's contiguous
+    transpose byte for byte, so the dW GEMM sees the bytes it always did."""
 
     def test_dw_equals_gemm_on_a_contiguous_transpose(self):
         rng = np.random.default_rng(17)
         ws = Workspace()  # shared, so stale pooled bytes are in play
-        for k in (1, 31, 32, 33, 75, 300, 1600):
-            for m in (1, 5, 31, 200, 1031):
+        for geometry in DW_GEOMETRIES:
+            n, c, h, w, kh, kw, stride, pad = geometry
+            dense = rng.normal(size=(n, c, h, w))
+            strided = rng.normal(size=(c, n, w, h)).transpose(1, 0, 3, 2)
+            for x in (dense, strided):
+                cols = _im2col_cols(x, kh, kw, stride, pad, ws)
+                reference = ops._im2col_array(x, kh, kw, stride, pad)
+                assert np.array_equal(
+                    cols, reference.transpose(1, 0, 2).reshape(cols.shape)
+                )
+                want_t = np.ascontiguousarray(cols.T)
+                ws.release(cols)
+                cols_t = _cols_t(x, kh, kw, stride, pad, ws)
+                assert cols_t.flags.c_contiguous
+                assert cols_t.tobytes() == want_t.tobytes()
+                ws.release(cols_t)
                 for f in (1, 12):
-                    cols = rng.normal(size=(k, m))
-                    gt = rng.normal(size=(f, m))
-                    got = _conv_dw_data(gt, cols, (f, k, 1, 1), ws)
-                    want = (gt @ np.ascontiguousarray(cols.T)).reshape(f, k, 1, 1)
-                    assert np.array_equal(got, want), (k, m, f)
+                    gt = rng.normal(size=(f, want_t.shape[0]))
+                    got = _conv_dw_data(gt, x, (f, c, kh, kw), stride, pad, ws)
+                    want = (gt @ want_t).reshape(f, c, kh, kw)
+                    assert got.tobytes() == want.tobytes(), (geometry, f)
+
+
+class TestGeometry:
+    """A conv geometry out of range is a ValueError naming the field."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"stride": 0}, "stride"),
+            ({"stride": 1.5}, "stride"),
+            ({"pad": -1}, "pad"),
+            ({"pad": 0.5}, "pad"),
+            ({"filters": 0}, "filters"),
+            ({"filters": 2.7}, "filters"),
+            ({"kernel_size": 0}, "kernel_size"),
+            ({"kernel_size": "3"}, "kernel_size"),
+        ],
+    )
+    def test_conv2d_layer_rejects(self, kwargs, field):
+        args = {"filters": 4, "kernel_size": 3, **kwargs}
+        with pytest.raises(ValueError, match=field):
+            Conv2D(**args)
+
+    @pytest.mark.parametrize(
+        "stride, pad, w_shape, field",
+        [
+            (0, 0, (2, 3, 3, 3), "stride"),
+            (-1, 0, (2, 3, 3, 3), "stride"),
+            (1, -1, (2, 3, 3, 3), "pad"),
+            (2.0, 0, (2, 3, 3, 3), "stride"),
+            (1, 0, (0, 3, 3, 3), "filters"),
+            (1, 0, (2, 3, 0, 3), "kernel_size"),
+        ],
+    )
+    def test_conv2d_fused_rejects(self, stride, pad, w_shape, field):
+        x = Tensor(np.zeros((1, 3, 5, 5)))
+        w = Tensor(np.zeros(w_shape))
+        with pytest.raises(ValueError, match=field):
+            conv2d_fused(x, w, stride=stride, pad=pad)
 
 
 class TestGradients:
@@ -258,3 +325,31 @@ class TestWorkspace:
             w.grad = None
         stats = ws.stats()
         assert stats["hits"] > 0  # later iterations hit the free list
+
+    def test_no_scratch_is_held_between_forward_and_backward(self):
+        class CountingWorkspace(Workspace):
+            out_bytes = 0
+
+            def checkout(self, shape, dtype=np.float64, zero=False):
+                buf = super().checkout(shape, dtype, zero)
+                self.out_bytes += buf.nbytes
+                return buf
+
+            def release(self, buf):
+                self.out_bytes -= buf.nbytes
+                super().release(buf)
+
+        model = lenet5(num_classes=10, seed=1)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(8, 3, 32, 32))
+        y = np.eye(10)[rng.integers(0, 10, size=8)]
+        counting = CountingWorkspace()
+        previous = set_workspace(counting)
+        try:
+            loss = F.cross_entropy(model.forward(Tensor(x)), Tensor(y))
+            assert counting.out_bytes == 0
+            loss.backward()
+            assert counting.out_bytes == 0
+        finally:
+            set_workspace(previous)
+        assert counting.stats()["misses"] > 0  # the kernels did use it

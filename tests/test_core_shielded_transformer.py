@@ -38,12 +38,14 @@ def _train_plain(model, x, y, cycles):
 
 
 def _train_shielded(model, policy, x, y, cycles):
+    """Train ``cycles`` shielded cycles; returns (per-cycle leakage, weights)."""
     shielded = ShieldedModel(model, policy, batch_size=BATCH)
+    records = []
     for cycle in range(cycles):
         shielded.begin_cycle(cycle=cycle)
         shielded.train_step(x, y, lr=LR)
-        shielded.end_cycle()
-    return shielded, model.get_weights()
+        records.append(shielded.end_cycle())
+    return records, model.get_weights()
 
 
 def _assert_weights_equal(a, b):
@@ -97,9 +99,9 @@ class TestPoolPeakInvariant:
         model = factory(num_classes=6, seed=11)
         policy = POLICY_BUILDERS[name](model.layout())
         x, y = _batch(model, seed=3)
-        shielded, _ = _train_shielded(model, policy, x, y, cycles=2)
+        records, _ = _train_shielded(model, policy, x, y, cycles=2)
         cost_model = CostModel(batch_size=BATCH)
-        for cycle, record in enumerate(shielded.history):
+        for cycle, record in enumerate(records):
             protected = policy.layers_for_cycle(cycle)
             plan = plan_protection(model, protected, batch_size=BATCH)
             expected = cost_model.tee_memory_bytes(model, protected)
@@ -111,8 +113,7 @@ class TestLeakageView:
         model = vit_tiny(num_classes=6, seed=11)
         policy = PeltaPolicy(model.layout())
         x, y = _batch(model, seed=3)
-        shielded, _ = _train_shielded(model, policy, x, y, cycles=1)
-        record = shielded.history[0]
+        (record,), _ = _train_shielded(model, policy, x, y, cycles=1)
         protected = policy.layers_for_cycle(0)
         assert record.protected == protected
         # every parameterised unprotected layer's gradients are visible;

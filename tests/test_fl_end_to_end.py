@@ -36,6 +36,16 @@ def build_deployment(policy_factory, clients=2, cycles=2, seed=0, **plan_kwargs)
     return server, fl_clients, dataset
 
 
+def run_leakage(server, clients, cycles):
+    """Run ``cycles`` cycles; returns each client's per-cycle leakage records."""
+    logs = [[] for _ in clients]
+    for _ in range(cycles):
+        server.run_cycle(clients)
+        for log, client in zip(logs, clients):
+            log.append(client.last_leakage)
+    return logs
+
+
 class TestUnprotectedFL:
     def test_training_improves_loss(self):
         server, clients, dataset = build_deployment(lambda: NoProtection(LENET))
@@ -66,9 +76,8 @@ class TestProtectedFL:
 
     def test_client_leakage_excludes_protected(self):
         server, clients, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2", "L5"]))
-        server.run(clients, cycles=2)
-        for client in clients:
-            for leakage in client.leakage_log:
+        for log in run_leakage(server, clients, cycles=2):
+            for leakage in log:
                 grads = leakage.mean_gradients()
                 assert grads[1] is None and grads[4] is None
                 assert grads[0] is not None
@@ -83,15 +92,15 @@ class TestProtectedFL:
     def test_dynamic_policy_moves_window(self):
         factory = lambda: DynamicPolicy(LENET, 2, [0.25] * 4, seed=11)
         server, clients, _ = build_deployment(factory)
-        server.run(clients, cycles=5)
-        seen = {tuple(sorted(l.protected)) for l in clients[0].leakage_log}
+        log = run_leakage(server, clients, cycles=5)[0]
+        seen = {tuple(sorted(l.protected)) for l in log}
         assert len(seen) > 1
 
     def test_server_and_client_agree_on_window(self):
         factory = lambda: DynamicPolicy(LENET, 2, [0.25] * 4, seed=11)
         server, clients, _ = build_deployment(factory)
-        server.run(clients, cycles=4)
-        for cycle, leakage in enumerate(clients[0].leakage_log):
+        log = run_leakage(server, clients, cycles=4)[0]
+        for cycle, leakage in enumerate(log):
             assert leakage.protected == server.policy.layers_for_cycle(cycle)
 
 
@@ -141,3 +150,45 @@ class TestSecureStorageIntegration:
         )
         raw = client.storage.backend.get(client.storage.objects()[0])
         assert dataset.x.tobytes() not in raw
+
+
+class TestBoundedLeakageState:
+    """A client keeps the latest cycle's leakage record, not an archive."""
+
+    def test_retained_state_does_not_grow_with_cycles(self):
+        import gc
+        import tracemalloc
+
+        from repro import obs
+        from repro.core.leakage import CycleLeakage
+        from repro.obs.clock import MonotonicClock
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracing import Tracer
+
+        def records():
+            gc.collect()
+            return sum(isinstance(o, CycleLeakage) for o in gc.get_objects())
+
+        # The tracer keeps up to max_spans finished spans by design; drop
+        # them so the measurement sees the client's own state.
+        clock = MonotonicClock()
+        previous = obs.configure(
+            obs.ObsContext(MetricsRegistry(), Tracer(clock, max_spans=0), clock)
+        )
+        tracemalloc.start()
+        try:
+            baseline = records()
+            server, clients, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2"]))
+            retained = []
+            for cycles in (1, 4):
+                server.run(clients, cycles=cycles)
+                assert records() - baseline == len(clients)
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            obs.configure(previous)
+        after_one, after_five = retained
+        # An archive of records would add ~860 kB over these four cycles;
+        # numpy's small internal caches add a few kB.
+        assert after_five <= after_one * 1.01, (after_one, after_five)
+        assert all(c.last_leakage.protected == frozenset({2}) for c in clients)

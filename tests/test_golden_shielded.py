@@ -53,8 +53,9 @@ GOLDEN_WEIGHTS = {
 }
 
 # Bytes the global workspace holds after a warm LeNet-5 (3x32x32, batch 32)
-# step under static:L2+L4.  The tree that pooled by shape held 38 055 936.
-WARM_LENET5_WORKSPACE_BYTES = 28_225_536
+# step under static:L2+L4.  The tree that pooled by shape held 38 055 936;
+# the one that kept each forward's column matrix until backward, 28 225 536.
+WARM_LENET5_WORKSPACE_BYTES = 8_564_736
 
 
 def _shielded(name):
