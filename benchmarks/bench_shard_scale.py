@@ -48,7 +48,7 @@ def run_one(
     cohort: int,
     shard_down: float = 0.0,
 ) -> dict:
-    rates = FaultRates(dropout=0.1, straggler=0.05)
+    rates = FaultRates(dropout=0.1, straggler=0.05, shard_down=shard_down)
     with obs.fresh(clock=VirtualClock()) as ctx:
         simulator = FLSimulator(
             SimConfig(
@@ -58,7 +58,7 @@ def run_one(
                 cohort=cohort,
                 shards=shards,
             ),
-            fault_plan=FaultPlan(rates, seed=seed, shard_down=shard_down),
+            fault_plan=FaultPlan(rates, seed=seed),
             clock=ctx.clock,
         )
         started = time.perf_counter()

@@ -9,7 +9,10 @@ Everything a user script needs lives here, under names that do not move:
 * :func:`run_experiment` — any of the paper's table/figure experiments by
   name, returned as a JSON-safe payload;
 * :func:`serve` — the multi-tenant coordinator service under synthetic
-  load, returned as the same JSON-safe report ``repro serve`` writes;
+  load, returned as the same JSON-safe report ``repro serve`` writes.
+  Both take their run config (:class:`~repro.sim.SimRun`,
+  :class:`~repro.serve.ServeRun`) or its knobs as keywords spelt as the
+  command's flags, through one table (:func:`knob_table`);
 * :func:`attack_suite` — the full inference-attack audit (DRIA, MIA,
   optionally DPIA) of one protection policy on one model, returned as a
   JSON-safe verdict table;
@@ -27,7 +30,8 @@ the supported surface.
 from __future__ import annotations
 
 import argparse
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from dataclasses import Field
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from .core.policy import (
     BlockSelector,
@@ -53,6 +57,8 @@ from .fl.robust import RULES
 
 if TYPE_CHECKING:
     from .fl.server import FLServer
+    from .serve import ServeRun
+    from .sim import SimRun
 
 __all__ = [
     "build_server",
@@ -129,140 +135,91 @@ def _state_storage(label: str, seed: int, state_dir: Optional[str]):
     )
 
 
+#: Knobs whose flag is not ``--`` + the field name with dashes:
+#: field -> (flag, keyword).  Every other knob's keyword is its field name.
+ALIASES = {
+    "num_clients": ("--clients", "clients"),
+    "deadline_seconds": ("--deadline", "deadline"),
+    "async_mode": ("--async", "async_mode"),
+    "breaker_budget": ("--chaos-breaker-budget", "breaker_budget"),
+}
+
+
+def knob_table(run_cls) -> List[Tuple[str, str, Field]]:
+    """``(flag, keyword, field)`` for every knob of ``run_cls``
+    (:class:`~repro.sim.SimRun` or :class:`~repro.serve.ServeRun`), in
+    declaration order: the one table the CLI's flags and this module's
+    keywords are both read from."""
+    from .fl.config import knob_fields
+
+    return [
+        (*ALIASES.get(item.name, ("--" + item.name.replace("_", "-"), item.name)), item)
+        for _, item in knob_fields(run_cls)
+    ]
+
+
+def _run_config(run_cls, config, knobs: dict):
+    """``config``, or a ``run_cls`` composed from knob keywords."""
+    from .fl.config import compose
+
+    if config is not None:
+        if knobs:
+            raise TypeError("pass a run config or knob keywords, not both")
+        return config
+    fields_by_keyword = {keyword: item.name for _, keyword, item in knob_table(run_cls)}
+    for keyword in knobs:
+        if keyword not in fields_by_keyword:
+            raise TypeError(f"unexpected keyword argument {keyword!r}")
+    return compose(
+        run_cls, {fields_by_keyword[key]: value for key, value in knobs.items()}
+    )
+
+
 def simulate(
-    *,
-    clients: int = 100,
-    rounds: int = 5,
-    seed: int = 0,
-    cohort: Optional[int] = None,
-    shards: int = 1,
-    overprovision: float = 1.25,
-    quorum: float = 0.5,
-    deadline: float = 5.0,
-    dropout: float = 0.0,
-    straggler: float = 0.0,
-    corrupt: float = 0.0,
-    pool_exhaust: float = 0.0,
-    attestation: float = 0.0,
-    shard_down: float = 0.0,
-    byzantine: float = 0.0,
-    attack: str = "sign_flip",
-    attack_strength: float = 10.0,
-    rule: str = "fedavg",
-    trim: Optional[int] = None,
-    num_byzantine: Optional[int] = None,
-    max_norm: Optional[float] = None,
-    clip: bool = False,
-    drift: float = 0.2,
-    update_scale: float = 0.05,
-    compile: bool = False,
-    client_batch: int = 1,
-    async_mode: bool = False,
-    buffer_size: Optional[int] = None,
-    staleness: str = "constant",
-    staleness_exponent: float = 0.5,
-    concurrency: Optional[int] = None,
-    model: Optional[str] = None,
-    policy: Optional[str] = None,
-    state_dir: Optional[str] = None,
-    include_metrics: bool = False,
+    config: Optional[SimRun] = None, *, include_metrics: bool = False, **knobs
 ) -> dict:
     """Run one deterministic fleet simulation and return its report.
 
-    The report is the same JSON-safe dict ``python -m repro simulate``
-    emits: per-round outcomes (including ``accuracy`` on the
-    teacher-labelled eval set), totals, ``weights_sha256``, and
-    ``aggregator_peak_bytes`` (which stays O(model size) however large
-    ``clients`` is, for any ``shards``).  ``byzantine`` marks a persistent
-    fraction of the fleet hostile (``attack`` picks the
-    :class:`~repro.sim.AttackKind`), ``rule`` selects the aggregation rule
-    (:data:`RULES`), and ``max_norm`` puts admission control and the
-    reputation/quarantine ledger in the loop.  Identical arguments produce
-    an identical report, byte for byte once serialised — quarantine events
-    included.  ``compile`` produces client updates through the traced
-    graph VM and ``client_batch`` stacks that many clients per execution;
-    both are pure execution knobs — the report (``weights_sha256``
-    included) is byte-identical to the eager run.  ``async_mode`` switches
-    to the FedBuff-style buffered pipeline: no round barrier, a commit
-    every ``buffer_size`` admitted updates, stale arrivals folded with the
-    ``staleness`` weighting, and ``rounds`` counting commits — with the
-    same byte-for-byte determinism guarantees.
-
-    ``model`` trains a :mod:`repro.nn.zoo` entry (``"lenet5"``,
-    ``"vit_tiny"``, …) instead of the default small MLP, and ``policy`` is
-    a protection-policy spec (``"static:L2+L4"``, ``"dynamic:2"``, … — see
-    :func:`policy_from_spec`) resolved against that model's layout: the
-    TEE cost model then prices every client step under it.  With
-    ``state_dir`` each round (async: each event) is checkpointed into
-    sealed storage in that directory; calling again with the same
-    arguments resumes where the last call stopped (``resumed_from_round``
-    says from where) and ends on the same ``weights_sha256`` as an
-    uninterrupted run.
+    Takes a :class:`~repro.sim.SimRun`, or its knobs as the keywords of
+    ``repro simulate``'s flags (``clients=1000, shards=16, dropout=0.1``;
+    see :func:`knob_table`).  The report is the JSON-safe dict the command
+    writes: per-round outcomes (with ``accuracy`` on the teacher-labelled
+    eval set), totals, ``weights_sha256`` and ``aggregator_peak_bytes``
+    (O(model size) at any fleet size and shard count).  Identical configs
+    give identical reports, byte for byte once serialised, and the
+    execution knobs ``compile``/``client_batch`` never change them.  The
+    ``policy`` spec (:func:`policy_from_spec`) resolves against the
+    ``model`` that runs, and the TEE cost model prices every client step
+    under it.  With ``state_dir`` each round (async: each event) is
+    sealed there; calling again with the same config resumes
+    (``resumed_from_round`` says from where) and ends on the uninterrupted
+    run's ``weights_sha256``.  ``include_metrics`` embeds the run's
+    metrics snapshot.
     """
-    from .cli import _zoo_model
-    from .nn import mlp
+    from .nn.zoo import by_name, mlp
     from .obs import VirtualClock, fresh
-    from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig
+    from .sim import FLSimulator, FaultPlan, SimRun
 
-    config = SimConfig(
-        num_clients=clients,
-        rounds=rounds,
-        seed=seed,
-        cohort=cohort,
-        overprovision=overprovision,
-        quorum=quorum,
-        deadline_seconds=deadline,
-        shards=shards,
-        byzantine=byzantine,
-        attack=attack,
-        attack_strength=attack_strength,
-        rule=rule,
-        trim=trim,
-        num_byzantine=num_byzantine,
-        max_norm=max_norm,
-        clip=clip,
-        drift=drift,
-        update_scale=update_scale,
-        compile=compile,
-        client_batch=client_batch,
-        async_mode=async_mode,
-        buffer_size=buffer_size,
-        staleness=staleness,
-        staleness_exponent=staleness_exponent,
-        concurrency=concurrency,
-    )
-    rates = FaultRates(
-        dropout=dropout,
-        straggler=straggler,
-        corrupt=corrupt,
-        pool_exhaust=pool_exhaust,
-        attestation=attestation,
-    )
-    zoo_model = _zoo_model(model, seed=seed) if model else None
+    run = _run_config(SimRun, config, knobs)
+    sim = run.config
+    zoo_model = by_name(run.model, seed=sim.seed) if run.model else None
     protection = None
-    if policy:
+    if run.policy:
         # The spec needs the layout of whatever model the simulator will
         # run, so replicate its default when no model was named.
         target = zoo_model or mlp(
-            num_classes=4, input_shape=(6,), hidden=(8, 5), seed=seed
+            num_classes=4, input_shape=(6,), hidden=(8, 5), seed=sim.seed
         )
-        protection = policy_from_spec(policy, target.layout(), seed=seed)
+        protection = policy_from_spec(run.policy, target.layout(), seed=sim.seed)
     # Opened outside the run's observability context: the storage layer's
     # own counters are not part of the simulation's metrics snapshot.
-    storage = _state_storage("sim", seed, state_dir)
+    storage = _state_storage("sim", sim.seed, run.state_dir)
     with fresh(clock=VirtualClock()) as ctx:
         simulator = FLSimulator(
-            config,
+            sim,
             model=zoo_model,
             policy=protection,
-            fault_plan=FaultPlan(
-                rates,
-                seed=seed,
-                shard_down=shard_down,
-                byzantine=byzantine,
-                attack=attack,
-                attack_strength=attack_strength,
-            ),
+            fault_plan=FaultPlan(run.rates, seed=sim.seed, attackers=sim),
             storage=storage,
             clock=ctx.clock,
         )
@@ -272,107 +229,36 @@ def simulate(
     return report
 
 
-def serve(
-    *,
-    tenants: int = 2,
-    clients: int = 1000,
-    commits: int = 10,
-    buffer_size: int = 64,
-    shards: int = 1,
-    concurrency: int = 128,
-    max_queue_depth: int = 4096,
-    ratio: Optional[float] = None,
-    encoding: str = "f64",
-    seed: int = 0,
-    dropout: float = 0.0,
-    straggler: float = 0.0,
-    byzantine: float = 0.0,
-    attack: str = "sign_flip",
-    attack_strength: float = 10.0,
-    max_norm: Optional[float] = None,
-    clip: bool = False,
-    drift: float = 0.2,
-    update_scale: float = 0.05,
-    chaos: bool = False,
-    chaos_rate: float = 0.1,
-    chaos_seed: int = 0,
-    breaker_budget: int = 0,
-    state_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
-) -> dict:
+def serve(config: Optional[ServeRun] = None, **knobs) -> dict:
     """Run the coordinator service under synthetic load; return its report.
 
-    Creates ``tenants`` concurrent jobs on one
-    :class:`~repro.serve.coordinator.Coordinator` (tenant ``i`` seeds its
-    fleet with ``seed + i``) and drives each to ``commits`` commits over
-    the wire protocol on virtual time.  The returned dict is the same
-    JSON-safe report ``python -m repro serve`` writes: per-job commit /
-    fold / reject counts, uplink/downlink bytes per client, p50/p99
-    dispatch→commit latency, ``aggregator_peak_bytes``, and
-    ``weights_sha256``.  Identical arguments produce a byte-identical
-    report; ``shards`` and kill/resume (see the CLI's ``--state-dir``)
-    never change the committed bytes.  ``ratio`` switches the uplink to
-    top-k sparse frames and ``encoding`` picks the wire value dtype —
-    at ``ratio=1.0`` with ``encoding="f64"`` the commits are
-    bitwise-identical to the dense run.
-
-    With ``chaos=True`` every frame crosses a seeded fault-injecting
-    channel (drop / duplicate / reorder / corrupt / truncate / replay at
-    aggregate ``chaos_rate``) and the pipeline runs exactly-once: each
-    job's ``weights_sha256`` is bitwise identical to the ``chaos_rate=0``
-    run for any rate/seed, and the report gains a per-job ``transport``
-    section.  ``breaker_budget > 0`` arms the per-tenant circuit breaker
-    at that error budget.
-
-    With ``state_dir`` the whole ensemble (coordinator, clock, in-flight
-    frames) is checkpointed into sealed storage in that directory every
-    ``checkpoint_every`` events; calling again with the same arguments
-    after a kill resumes from the last checkpoint and returns the report
-    of the uninterrupted run, bit for bit.
+    Takes a :class:`~repro.serve.ServeRun`, or its knobs as the keywords of
+    ``repro serve``'s flags (see :func:`knob_table`).  Its ``tenants`` jobs
+    share one :class:`~repro.serve.coordinator.Coordinator` and run to
+    ``commits`` commits over the wire protocol on virtual time.  The report
+    is the JSON-safe dict the command writes: per-job commit / fold /
+    reject counts, bytes per client, p50/p99 dispatch→commit latency,
+    ``aggregator_peak_bytes`` and ``weights_sha256``.  Identical configs
+    give a byte-identical report; ``shards``, kill/resume and (under
+    ``chaos``) the chaos rate and seed never change the committed bytes,
+    and ``ratio=1.0`` with ``encoding="f64"`` commits the dense run's bits.
+    With ``state_dir`` the whole ensemble is sealed there every
+    ``checkpoint_every`` events, and calling again after a kill returns the
+    uninterrupted run's report, bit for bit.
     """
     from .obs import VirtualClock, fresh, validate_metrics
-    from .serve import BreakerConfig, LoadSpec, ServeHarness, TenantQuota
+    from .serve import ServeHarness, ServeRun
 
-    specs = [
-        LoadSpec(
-            tenant=f"tenant-{i}",
-            job_id=f"job-{i}",
-            clients=clients,
-            commits=commits,
-            buffer_size=buffer_size,
-            shards=shards,
-            seed=seed + i,
-            concurrency=concurrency,
-            ratio=ratio,
-            encoding=encoding,
-            drift=drift,
-            update_scale=update_scale,
-            dropout=dropout,
-            straggler=straggler,
-            byzantine=byzantine,
-            attack=attack,
-            attack_strength=attack_strength,
-            max_norm=max_norm,
-            clip=clip,
-            chaos=chaos,
-            chaos_rate=chaos_rate if chaos else 0.0,
-            chaos_seed=chaos_seed,
-        )
-        for i in range(tenants)
-    ]
-    storage = _state_storage("serve", seed, state_dir)
+    run = _run_config(ServeRun, config, knobs)
+    storage = _state_storage("serve", run.load.seed, run.state_dir)
     with fresh(clock=VirtualClock()) as ctx:
         harness = ServeHarness(
-            specs,
-            quota=TenantQuota(max_queue_depth=max_queue_depth),
+            run.specs(),
+            quota=run.quota,
             storage=storage,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=run.checkpoint_every,
             clock=ctx.clock,
-            breaker=(
-                BreakerConfig(error_budget=breaker_budget)
-                if chaos and breaker_budget > 0
-                else None
-            ),
+            breaker=run.breaker,
         )
         harness.restore()
         report = harness.run()
@@ -381,7 +267,7 @@ def serve(
             "serve.queue.depth",
             "serve.backpressure.rejects",
         ]
-        if chaos:
+        if run.load.chaos:
             required += [
                 "serve.transport.drops",
                 "serve.transport.duplicates",
@@ -492,15 +378,15 @@ def run_experiment(
     spelling with dashes as underscores — e.g.
     ``run_experiment("blocks", model="gpt_tiny", mw_size=2)``.
     """
-    from .cli import _COMMANDS
+    from .experiments import EXPERIMENTS
 
-    if name not in _COMMANDS:
-        known = ", ".join(sorted(_COMMANDS))
+    if name not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; expected one of: {known}")
-    handler, _ = _COMMANDS[name]
-    defaults = {}
-    if name == "blocks":
-        defaults = {"model": "vit_tiny", "mw_size": 1, "roles": None, "dpia": False}
+    handler, _, flags = EXPERIMENTS[name]
+    defaults = {
+        flag[2:].replace("-", "_"): spec["default"] for flag, spec in flags.items()
+    }
     args = argparse.Namespace(
         fast=fast, rounds=rounds, batch_size=batch_size, seed=seed, out=None,
         **{**defaults, **extra},

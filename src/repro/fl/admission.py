@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import get_registry
-from .config import require_finite
+from .config import ConfigError, require_finite
 
 __all__ = [
     "AdmissionConfig",
@@ -65,7 +65,7 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         require_finite(self)
         if self.max_norm is not None and self.max_norm <= 0:
-            raise ValueError("max_norm must be positive when set")
+            raise ConfigError("max_norm must be positive when set")
 
 
 @dataclass(frozen=True)

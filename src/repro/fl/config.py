@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import TYPE_CHECKING, Optional
 
 from .robust import RULES
@@ -26,6 +27,90 @@ __all__ = ["BufferConfig", "RoundConfig", "ShardingConfig", "ServerConfig"]
 STALENESS_KINDS = ("constant", "polynomial")
 
 
+class ConfigError(ValueError):
+    """A refused config value.
+
+    ``fields`` are the config fields the message names, spelt as in the
+    message (default: its first word), so a front end can respell them:
+    the CLI writes each as the flag that sets it.
+    """
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields or (message.split()[0],)
+
+
+def knob(default=None, help: str = "", *, requires=None, choices=None, metavar=None):
+    """A run-config field that is also a ``repro simulate``/``serve`` flag.
+
+    ``help`` is the flag's help text.  ``requires`` names the switch the
+    field means nothing without: a field (on when truthy) or ``(field,
+    value, ...)`` (on when it holds one of the values); moving the field
+    off its default while the switch is off is a :class:`ConfigError`
+    (:func:`check_switches`).  ``choices`` and ``metavar`` go to the flag.
+    """
+    metadata = dict(help=help, requires=requires, choices=choices, metavar=metavar)
+    return field(default=default, metadata=metadata)
+
+
+def section(cls):
+    """A nested config whose knobs are knobs of the enclosing run too."""
+    return field(default_factory=cls, metadata={"section": cls})
+
+
+def knob_fields(cls, path=()):
+    """``(path, field)`` for every knob of config class ``cls``, in
+    declaration order, walking into its sections."""
+    for item in fields(cls):
+        if "section" in item.metadata:
+            yield from knob_fields(item.metadata["section"], path + (item.name,))
+        elif "help" in item.metadata:
+            yield path + (item.name,), item
+
+
+def knob_type(item) -> type:
+    """The type a knob's flag parses: ``int``, ``float``, ``str``, or
+    ``bool`` for a switch."""
+    name = item.type.removeprefix("Optional[").removesuffix("]")
+    return {"int": int, "float": float, "str": str, "bool": bool}[name]
+
+
+def compose(cls, values):
+    """``cls`` with every knob in ``values`` (keyed by field name) set, its
+    sections built the same way, and everything else at its default."""
+    return cls(**{
+        item.name: (
+            compose(item.metadata["section"], values)
+            if "section" in item.metadata
+            else values[item.name]
+        )
+        for item in fields(cls)
+        if "section" in item.metadata or item.name in values
+    })
+
+
+def check_switches(config) -> None:
+    """Refuse a knob moved off its default while its switch is off.
+
+    Runs over ``config`` and its sections as one namespace, so a knob may
+    depend on a switch declared in another section.
+    """
+    values = {
+        item.name: (item, reduce(getattr, path, config))
+        for path, item in knob_fields(type(config))
+    }
+    for item, value in values.values():
+        requires = item.metadata.get("requires")
+        if requires is None or value == item.default:
+            continue
+        switch, *allowed = (requires,) if isinstance(requires, str) else requires
+        state = values[switch][1]
+        if (state in allowed) if allowed else state:
+            continue
+        need = " ".join([switch, "|".join(allowed)]) if allowed else switch
+        raise ConfigError(f"{item.name} requires {need}", item.name, switch)
+
+
 def require_finite(config) -> None:
     """Refuse a config dataclass whose float fields hold a NaN or infinity.
 
@@ -35,7 +120,7 @@ def require_finite(config) -> None:
     for item in fields(config):
         value = getattr(config, item.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{item.name} must be finite, got {value}")
+            raise ConfigError(f"{item.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

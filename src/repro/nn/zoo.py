@@ -187,3 +187,16 @@ def gpt_tiny(
     layers.append(LayerNorm(carry_residual=False, name="ln_f"))
     layers.append(MeanPoolHead(num_classes, name="head"))
     return Sequential(layers, input_shape, seed=seed, name="gpt_tiny")
+
+
+#: The entries a simulated fleet can train (``repro simulate --model``).
+MODEL_CHOICES = ("lenet5", "alexnet", "mlp", "vit_tiny", "gpt_tiny")
+
+
+def by_name(name: str, seed: int = 0, num_classes: int = 10) -> Sequential:
+    """The zoo entry ``name`` (``mlp`` over a 6-feature input)."""
+    if name not in MODEL_CHOICES:
+        raise ValueError(f"unknown model {name!r}; expected one of {MODEL_CHOICES}")
+    if name == "mlp":
+        return mlp(num_classes=num_classes, input_shape=(6,), seed=seed)
+    return globals()[name](num_classes=num_classes, seed=seed)

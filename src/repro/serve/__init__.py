@@ -44,6 +44,7 @@ __all__ = [
     "MsgType",
     "PumpResult",
     "ServeHarness",
+    "ServeRun",
     "SubmitResult",
     "TenantBreaker",
     "TenantQuota",
@@ -62,7 +63,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
         "SubmitResult",
         "TenantQuota",
     ),
-    "loadgen": ("LoadGenerator", "LoadSpec", "ServeHarness"),
+    "loadgen": ("LoadGenerator", "LoadSpec", "ServeHarness", "ServeRun"),
     "transport": (
         "BreakerConfig",
         "BreakerState",

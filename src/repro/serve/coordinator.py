@@ -40,7 +40,7 @@ import numpy as np
 
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
 from ..fl.buffer import BufferedAggregator, decode_flat, encode_flat
-from ..fl.config import BufferConfig, ShardingConfig
+from ..fl.config import BufferConfig, ConfigError, ShardingConfig, knob
 from ..nn.model import WeightsList
 from ..nn.serialize import flatten_weights
 from ..obs import get_registry, get_tracer
@@ -88,14 +88,16 @@ class TenantQuota:
     """
 
     max_jobs: int = 4
-    max_queue_depth: int = 4096
+    max_queue_depth: int = knob(
+        4096, "staged updates per job before backpressure rejects"
+    )
     max_version_lag: int = 8
 
     def __post_init__(self) -> None:
         if self.max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
         if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
+            raise ConfigError("max_queue_depth must be >= 1")
         if self.max_version_lag < 0:
             raise ValueError("max_version_lag cannot be negative")
 

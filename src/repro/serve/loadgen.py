@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,13 +33,21 @@ import numpy as np
 from ..fl.admission import AdmissionConfig
 from ..fl.buffer import decode_flat, encode_flat
 from ..fl.compression import TopKCompressor
-from ..fl.config import BufferConfig, ShardingConfig, require_finite
+from ..fl.config import (
+    BufferConfig,
+    ConfigError,
+    ShardingConfig,
+    check_switches,
+    knob,
+    require_finite,
+    section,
+)
 from ..fl.resilience import RetryPolicy
 from ..nn.zoo import mlp
 from ..obs import VirtualClock, get_registry
 from ..sim import keyed
 from ..sim.events import EventLoop
-from ..sim.faults import FaultKind, FaultPlan, FaultRates
+from ..sim.faults import ATTACK_KINDS, AttackKind, FaultKind, FaultPlan, FaultRates
 from ..sim.network import NetworkModel
 from .coordinator import TA_UUID, Coordinator, JobState, TenantQuota
 from .transport import BreakerConfig, ChaosChannel, ChaosConfig
@@ -53,7 +61,7 @@ from .wire import (
     encode_frame,
 )
 
-__all__ = ["LoadSpec", "LoadGenerator", "ServeHarness"]
+__all__ = ["LoadSpec", "LoadGenerator", "ServeHarness", "ServeRun"]
 
 HARNESS_CHECKPOINT = "serve-harness-checkpoint"
 
@@ -103,36 +111,41 @@ def _percentile(values: np.ndarray, q: float) -> float:
 class LoadSpec:
     """One tenant job's load profile.
 
-    ``clients`` is the fleet size; ``commits`` the target commit count
-    (the job finishes itself when it gets there); ``concurrency`` how
-    many dispatches are kept in flight.  ``ratio`` switches the uplink
-    to top-k sparse frames (``None`` = dense) and ``encoding`` picks the
-    wire value dtype for the uplink delta.
+    Each knob's help text is the ``repro serve`` flag's.  ``ratio`` switches
+    the uplink to top-k sparse frames (``None`` = dense) and ``encoding``
+    picks the wire value dtype for the uplink delta; ``chaos_rate`` and
+    ``chaos_seed`` drive the chaos transport only under ``chaos``.
     """
 
-    tenant: str
-    job_id: str
-    clients: int = 1000
-    commits: int = 10
-    buffer_size: int = 64
-    shards: int = 1
-    seed: int = 0
-    concurrency: int = 128
-    ratio: Optional[float] = None
-    encoding: str = "f64"
-    drift: float = 0.2
-    update_scale: float = 0.05
-    dropout: float = 0.0
-    straggler: float = 0.0
+    tenant: str = "tenant-0"
+    job_id: str = "job-0"
+    clients: int = knob(1000, "simulated clients per tenant")
+    commits: int = knob(10, "commits each job runs to")
+    buffer_size: int = knob(64, "admitted updates per commit")
+    shards: int = knob(1, "aggregation shards per job")
+    seed: int = knob(0, "base seed (tenant i adds i)")
+    concurrency: int = knob(128, "in-flight dispatches per job")
+    ratio: Optional[float] = knob(None, "top-k ratio of uplink deltas (default: dense)")
+    encoding: str = knob("f64", "uplink value encoding", choices=tuple(_ENCODINGS))
+    drift: float = knob(0.2, "honest pull toward the teacher")
+    update_scale: float = knob(0.05, "honest update noise std")
+    dropout: float = knob(0.0, "dropout rate")
+    straggler: float = knob(0.0, "straggler rate")
     straggler_factor: float = 4.0
-    byzantine: float = 0.0
-    attack: str = "sign_flip"
-    attack_strength: float = 10.0
-    max_norm: Optional[float] = None
-    clip: bool = False
-    chaos: bool = False
-    chaos_rate: float = 0.0
-    chaos_seed: int = 0
+    byzantine: float = knob(0.0, "Byzantine fleet fraction")
+    attack: str = knob("sign_flip", "Byzantine attack", choices=ATTACK_KINDS)
+    attack_strength: float = knob(10.0, "attack strength")
+    max_norm: Optional[float] = knob(None, "admission-control delta-norm ceiling")
+    clip: bool = knob(
+        False, "rescale over-norm updates onto the ceiling", requires="max_norm"
+    )
+    chaos: bool = knob(
+        False, "route frames through the seeded exactly-once chaos transport"
+    )
+    chaos_rate: float = knob(
+        0.1, "per-send fault probability, split over six kinds", requires="chaos"
+    )
+    chaos_seed: int = knob(0, "chaos fault-stream seed", requires="chaos")
     reorder_window: float = 1.0
     retransmit_timeout: float = 2.0
     retry_backoff: float = 0.25
@@ -140,33 +153,35 @@ class LoadSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.clients < 1:
-            raise ValueError("clients must be >= 1")
-        if self.commits < 1:
-            raise ValueError("commits must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        for name in ("clients", "commits", "buffer_size", "shards", "concurrency"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("seed", "chaos_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} cannot be negative")
         if self.encoding not in _ENCODINGS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown encoding {self.encoding!r}; expected one of "
-                f"{sorted(_ENCODINGS)}"
+                f"{sorted(_ENCODINGS)}",
+                "encoding",
             )
         if self.ratio is not None and not 0.0 < self.ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
+            raise ConfigError("ratio must be in (0, 1]")
         if not 0.0 <= self.drift <= 1.0:
-            raise ValueError("drift must be in [0, 1]")
+            raise ConfigError("drift must be in [0, 1]")
         if self.update_scale <= 0:
-            raise ValueError("update_scale must be positive")
+            raise ConfigError("update_scale must be positive")
         if self.straggler_factor <= 1.0:
-            raise ValueError("straggler_factor must exceed 1")
+            raise ConfigError("straggler_factor must exceed 1")
+        if not 0.0 <= self.byzantine <= 1.0:
+            raise ConfigError("byzantine must be in [0, 1]")
+        AttackKind(self.attack)  # raises on unknown kinds
         if not 0.0 <= self.chaos_rate <= 1.0:
-            raise ValueError("chaos_rate must be in [0, 1]")
-        if self.chaos_rate > 0.0 and not self.chaos:
-            raise ValueError("chaos_rate requires chaos=True")
+            raise ConfigError("chaos_rate must be in [0, 1]")
         if self.retransmit_timeout <= 0:
-            raise ValueError("retransmit_timeout must be positive")
+            raise ConfigError("retransmit_timeout must be positive")
         if self.retry_cap < 0:
-            raise ValueError("retry_cap cannot be negative")
+            raise ConfigError("retry_cap cannot be negative")
 
 
 class LoadGenerator:
@@ -207,11 +222,9 @@ class LoadGenerator:
         self.network = NetworkModel.sample(spec.clients, traits)
         self.num_samples = traits.integers(16, 129, size=spec.clients)
         self.plan = FaultPlan(
-            rates=FaultRates(dropout=spec.dropout, straggler=spec.straggler),
+            FaultRates(dropout=spec.dropout, straggler=spec.straggler),
             seed=spec.seed,
-            byzantine=spec.byzantine,
-            attack=spec.attack,
-            attack_strength=spec.attack_strength,
+            attackers=spec,
         )
         self._rngs = keyed.Generators()
         self._lookahead = keyed.Lookahead(
@@ -664,7 +677,7 @@ class ServeHarness:
         if not specs:
             raise ValueError("at least one LoadSpec is required")
         if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+            raise ConfigError("checkpoint_every must be >= 1")
         self.clock = clock if clock is not None else VirtualClock()
         self.loop = EventLoop(self.clock)
         self.coordinator = Coordinator(quota=quota, breaker=breaker)
@@ -863,3 +876,47 @@ class ServeHarness:
                 round(total_commits / elapsed, 9) if elapsed > 0 else None
             ),
         }
+
+
+@dataclass(frozen=True)
+class ServeRun:
+    """One ``repro serve`` run: ``tenants`` jobs of the ``load`` profile on
+    one coordinator under ``quota`` (tenant ``i`` is ``tenant-i`` running
+    ``job-i`` on a fleet seeded ``seed + i``)."""
+
+    tenants: int = knob(2, "concurrent tenant jobs")
+    load: LoadSpec = section(LoadSpec)
+    quota: TenantQuota = section(TenantQuota)
+    breaker_budget: int = knob(
+        0,
+        "malformed frames per tenant per 30 s before its breaker trips (0 = off)",
+        requires="chaos",
+    )
+    state_dir: Optional[str] = knob(None, "checkpoint directory (kill/resume)")
+    checkpoint_every: int = knob(1, "events between checkpoints", requires="state_dir")
+
+    def __post_init__(self) -> None:
+        check_switches(self)
+        if self.tenants < 1:
+            raise ConfigError("tenants must be >= 1")
+        if self.breaker_budget < 0:
+            raise ConfigError("breaker_budget cannot be negative")
+
+    def specs(self) -> List[LoadSpec]:
+        """One load spec per tenant."""
+        return [
+            replace(
+                self.load,
+                tenant=f"tenant-{i}",
+                job_id=f"job-{i}",
+                seed=self.load.seed + i,
+            )
+            for i in range(self.tenants)
+        ]
+
+    @property
+    def breaker(self) -> Optional[BreakerConfig]:
+        """The per-tenant circuit breaker, when a budget arms it."""
+        if not self.breaker_budget:
+            return None
+        return BreakerConfig(error_budget=self.breaker_budget)

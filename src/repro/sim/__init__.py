@@ -26,12 +26,13 @@ __all__ = [
     "FaultRates",
     "FaultPlan",
     "SimConfig",
+    "SimRun",
     "FLSimulator",
     "REPORT_SCHEMA_VERSION",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "engine": ("FLSimulator", "REPORT_SCHEMA_VERSION", "SimConfig"),
+    "engine": ("FLSimulator", "REPORT_SCHEMA_VERSION", "SimConfig", "SimRun"),
     "events": ("Event", "EventLoop"),
     "faults": ("AttackKind", "FaultKind", "FaultPlan", "FaultRates", "apply_attack"),
     "network": ("NetworkModel",),

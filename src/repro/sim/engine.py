@@ -81,7 +81,16 @@ import numpy as np
 from ..core.policy import NoProtection, ProtectionPolicy
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
 from ..fl.buffer import BufferedAggregator
-from ..fl.config import BufferConfig, ShardingConfig, require_finite
+from ..fl.config import (
+    STALENESS_KINDS,
+    BufferConfig,
+    ConfigError,
+    ShardingConfig,
+    check_switches,
+    knob,
+    require_finite,
+    section,
+)
 from ..fl.robust import RULES
 from ..fl.sharding import HierarchicalAggregator, shard_of
 from ..fl.transport import ClientUpdate, ModelDownload
@@ -92,17 +101,17 @@ from ..nn.serialize import (
     weights_from_bytes,
     weights_to_bytes,
 )
-from ..nn.zoo import mlp
+from ..nn.zoo import MODEL_CHOICES, mlp
 from ..obs import get_registry, get_tracer
 from ..obs.clock import VirtualClock
 from ..tee.costmodel import CostModel
 from ..tee.storage import SecureStorage
 from . import keyed
 from .events import EventLoop
-from .faults import AttackKind, FaultKind, FaultPlan
+from .faults import ATTACK_KINDS, AttackKind, FaultKind, FaultPlan, FaultRates
 from .network import NetworkModel
 
-__all__ = ["SimConfig", "FLSimulator", "REPORT_SCHEMA_VERSION"]
+__all__ = ["SimConfig", "SimRun", "FLSimulator", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 4
 
@@ -125,171 +134,170 @@ _CHECKPOINT_OBJECT = "fl-round-checkpoint"
 class SimConfig:
     """Knobs of one simulated deployment.
 
-    Attributes
-    ----------
-    num_clients / rounds / seed:
-        Fleet size, training length, and the seed that fully determines the
-        run (fleet traits, cohort draws, faults, pseudo-updates).
-    cohort:
-        ``k`` — updates aggregated per round (defaults to ``min(32, fleet)``).
-    overprovision:
-        Selection asks ``ceil(k * overprovision)`` clients; the first ``k``
-        to report are aggregated (stragglers hide behind the surplus).
-    quorum:
-        Minimum fraction of ``k`` that must report by the deadline; below
-        it the round degrades (previous global model reused).
-    deadline_seconds:
-        Per-round collection deadline in simulated seconds.
-    max_retries / retry_backoff_seconds:
-        Bounded retry of transient client failures, exponential backoff.
-    straggler_factor:
-        Slow-down multiplier applied to a straggling client's round.
-    update_scale:
-        Std-dev of the pseudo-training delta each client applies.
-    batch_size / local_steps:
-        Fed into the TEE cost model's per-cycle compute time.
-    shards:
-        Width of the hierarchical aggregation tree (clients → shard
-        aggregators → root).  ``1`` is the flat topology.  Any value
-        produces bitwise-identical final weights at the same seed — the
-        streaming reduce is exact — while peak aggregator memory stays
-        O(shards × model size), independent of the cohort and fleet size.
-    drift / teacher_scale:
-        Learning signal of the honest pseudo-updates: each one pulls the
-        global model ``drift`` of the way toward a seed-derived *teacher*
-        (whose per-coordinate offset from the initial weights has std
-        ``teacher_scale``), plus the usual ``update_scale`` noise.  This
-        is what makes attacks measurable — accuracy on a teacher-labelled
-        eval set is reported per round.
-    byzantine / attack / attack_strength:
-        Fraction of the fleet that is Byzantine (persistent per-client
-        identity), which :class:`~repro.sim.faults.AttackKind` they mount,
-        and its strength parameter.  Flows into the default
-        :class:`~repro.sim.faults.FaultPlan`; an explicitly passed plan
-        carries its own attack settings.
-    rule / trim / num_byzantine:
-        Aggregation rule (:data:`repro.fl.robust.RULES`) and its
-        parameters.  ``trim``/``num_byzantine`` of ``None`` self-scale to
-        the assumed attacker count ``ceil(byzantine * cohort)`` (min 1).
-    max_norm / clip:
-        When ``max_norm`` is set, the production
-        :class:`~repro.fl.admission.AdmissionController` gates every
-        arriving update (delta-norm ceiling; ``clip`` rescales instead of
-        rejecting) and a reputation ledger quarantines repeat offenders
-        out of future cohorts.
-    compile / client_batch:
-        Execution knobs (not deployment semantics — :meth:`FLSimulator.report`
-        omits them so compiled and eager runs report identical bytes).
-        ``compile`` routes pseudo-update production through a traced
-        :mod:`repro.graph` program replayed by the batched VM;
-        ``client_batch`` stacks that many cohort members per VM execution
-        along a leading client axis.  Per-client results are
-        bitwise-identical to the sequential eager loop for every batch
-        size.
-    async_mode / buffer_size / staleness / staleness_exponent / concurrency:
-        The FedBuff-style asynchronous pipeline.  ``async_mode`` replaces
-        the round barrier with a stream of dispatches: up to
-        ``concurrency`` clients (default: the over-provisioned ``asked``
-        count) are in flight at any instant, each trained against the
-        global model version current at its dispatch, and the server
-        commits whenever ``buffer_size`` (default: ``cohort``) admitted
-        updates have been folded.  ``rounds`` then counts *commits*.  A
-        late update is folded with weight
-        :meth:`~repro.fl.config.BufferConfig.weight` of its staleness
-        (``staleness`` picks the family, ``staleness_exponent`` the
-        polynomial decay) instead of being dropped.  ``compile`` is a
-        sync-only execution knob and is rejected in async mode.
+    Each knob's help text is the ``repro simulate`` flag's; beyond those:
+
+    * ``seed`` fully determines the run (fleet traits, cohort draws,
+      faults, pseudo-updates).
+    * A round asks ``ceil(cohort * overprovision)`` clients and aggregates
+      the first ``cohort`` to report; below ``quorum * cohort`` by the
+      deadline it degrades (the previous global model is reused).
+    * ``shards`` never changes the final weights at a seed (the streaming
+      reduce is exact), while peak aggregator memory stays O(shards × model
+      size), independent of the cohort and fleet size.
+    * ``drift``/``teacher_scale`` are the honest pseudo-updates' learning
+      signal: each pulls the global model ``drift`` of the way toward a
+      seed-derived *teacher* (per-coordinate offset std ``teacher_scale``
+      from the initial weights), plus ``update_scale`` noise, so accuracy
+      on a teacher-labelled eval set makes attacks measurable.
+    * ``byzantine``/``attack``/``attack_strength`` choose the attackers of
+      the default :class:`~repro.sim.faults.FaultPlan`, which reads them
+      from this config (``FaultPlan(attackers=config)``).
+    * ``max_norm`` puts the production
+      :class:`~repro.fl.admission.AdmissionController` and a reputation
+      ledger (quarantining repeat offenders) in the loop.
+    * ``compile``/``client_batch`` are execution knobs, not deployment
+      semantics: :meth:`FLSimulator.report` omits them, and every batch
+      size is bitwise-identical to the sequential eager loop.
+    * ``async_mode`` replaces the round barrier with a stream of
+      dispatches: up to ``concurrency`` clients in flight, each trained
+      against the global model current at its dispatch, a commit whenever
+      ``buffer_size`` admitted updates have folded (``rounds`` counts
+      commits), and a late update folded with the
+      :meth:`~repro.fl.config.BufferConfig.weight` of its staleness.
+    * ``max_retries``/``retry_backoff_seconds`` bound the exponential
+      retry of transient client failures; ``straggler_factor`` slows a
+      straggler's round; ``batch_size``/``local_steps`` feed the TEE cost
+      model's per-cycle compute time.  These have no flag.
     """
 
-    num_clients: int
-    rounds: int
-    seed: int = 0
-    cohort: Optional[int] = None
-    overprovision: float = 1.25
-    quorum: float = 0.5
-    deadline_seconds: float = 5.0
+    num_clients: int = knob(100, "fleet size")
+    rounds: int = knob(5, "FL rounds")
+    seed: int = knob(0, "simulation seed")
+    cohort: Optional[int] = knob(None, "updates aggregated per round")
+    overprovision: float = knob(1.25, "selection surplus factor")
+    quorum: float = knob(0.5, "min fraction of cohort to aggregate")
+    deadline_seconds: float = knob(5.0, "round deadline (virtual seconds)")
     max_retries: int = 2
     retry_backoff_seconds: float = 0.5
     straggler_factor: float = 20.0
-    update_scale: float = 0.05
+    update_scale: float = knob(0.05, "noise std of honest pseudo-updates")
     batch_size: int = 32
     local_steps: int = 1
-    shards: int = 1
-    drift: float = 0.2
+    shards: int = knob(1, "shard aggregators in the reduce tree (1 = flat)")
+    drift: float = knob(0.2, "per-round honest pull toward the teacher model")
     teacher_scale: float = 1.0
-    byzantine: float = 0.0
-    attack: str = "sign_flip"
-    attack_strength: float = 10.0
-    rule: str = "fedavg"
-    trim: Optional[int] = None
-    num_byzantine: Optional[int] = None
-    max_norm: Optional[float] = None
-    clip: bool = False
-    compile: bool = False
-    client_batch: int = 1
-    async_mode: bool = False
-    buffer_size: Optional[int] = None
-    staleness: str = "constant"
-    staleness_exponent: float = 0.5
-    concurrency: Optional[int] = None
+    byzantine: float = knob(0.0, "Byzantine fraction of the fleet (persistent)")
+    attack: str = knob("sign_flip", "Byzantine attack", choices=ATTACK_KINDS)
+    attack_strength: float = knob(10.0, "scale factor / noise multiplier")
+    rule: str = knob("fedavg", "aggregation rule", choices=RULES)
+    trim: Optional[int] = knob(
+        None,
+        "per-side trim of trimmed_mean (default: the assumed attacker count)",
+        requires=("rule", "trimmed_mean"),
+    )
+    num_byzantine: Optional[int] = knob(
+        None,
+        "attackers trimmed_mean/krum assume (default: ceil(byzantine * cohort))",
+        requires=("rule", "trimmed_mean", "krum"),
+    )
+    max_norm: Optional[float] = knob(
+        None, "admission-control delta-norm ceiling (enables the reputation ledger)"
+    )
+    clip: bool = knob(
+        False, "rescale over-norm updates onto the ceiling", requires="max_norm"
+    )
+    compile: bool = knob(
+        False, "produce client updates through the compiled graph VM (same report)"
+    )
+    client_batch: int = knob(
+        1, "clients stacked per batched VM execution", requires="compile"
+    )
+    async_mode: bool = knob(
+        False, "FedBuff-style buffered aggregation: no round barrier"
+    )
+    buffer_size: Optional[int] = knob(
+        None, "admitted updates per commit (default: cohort)", requires="async_mode"
+    )
+    staleness: str = knob(
+        "constant",
+        "staleness weighting of late updates",
+        choices=STALENESS_KINDS,
+        requires="async_mode",
+    )
+    staleness_exponent: float = knob(
+        0.5, "polynomial decay exponent a of (1+tau)^-a", requires="async_mode"
+    )
+    concurrency: Optional[int] = knob(
+        None, "max in-flight clients (default: the asked cohort)", requires="async_mode"
+    )
 
     def __post_init__(self) -> None:
         require_finite(self)
+        check_switches(self)
         if self.num_clients <= 0:
-            raise ValueError("num_clients must be positive")
+            raise ConfigError("num_clients must be positive")
         if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
+            raise ConfigError("rounds must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed cannot be negative")
         if self.cohort is None:
             object.__setattr__(self, "cohort", min(32, self.num_clients))
         if not 1 <= self.cohort <= self.num_clients:
-            raise ValueError(
+            raise ConfigError(
                 f"cohort must be in 1..{self.num_clients}, got {self.cohort}"
             )
         if self.overprovision < 1.0:
-            raise ValueError("overprovision must be >= 1")
+            raise ConfigError("overprovision must be >= 1")
         if not 0.0 < self.quorum <= 1.0:
-            raise ValueError("quorum must be in (0, 1]")
+            raise ConfigError("quorum must be in (0, 1]")
         if self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+            raise ConfigError("deadline_seconds must be positive")
         if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
+            raise ConfigError("max_retries cannot be negative")
         if self.retry_backoff_seconds <= 0:
-            raise ValueError("retry_backoff_seconds must be positive")
+            raise ConfigError("retry_backoff_seconds must be positive")
         if self.straggler_factor <= 1.0:
-            raise ValueError("straggler_factor must exceed 1")
+            raise ConfigError("straggler_factor must exceed 1")
         if self.update_scale <= 0:
-            raise ValueError("update_scale must be positive")
+            raise ConfigError("update_scale must be positive")
         if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+            raise ConfigError("shards must be >= 1")
         if not 0.0 <= self.drift <= 1.0:
-            raise ValueError("drift must be in [0, 1]")
+            raise ConfigError("drift must be in [0, 1]")
         if self.teacher_scale < 0:
-            raise ValueError("teacher_scale cannot be negative")
+            raise ConfigError("teacher_scale cannot be negative")
         if not 0.0 <= self.byzantine <= 1.0:
-            raise ValueError("byzantine must be in [0, 1]")
+            raise ConfigError("byzantine must be in [0, 1]")
         AttackKind(self.attack)  # raises on unknown kinds
         if self.rule not in RULES:
-            raise ValueError(
-                f"unknown aggregation rule {self.rule!r}; expected one of {RULES}"
+            raise ConfigError(
+                f"unknown aggregation rule {self.rule!r}; expected one of {RULES}",
+                "rule",
             )
         if self.trim is not None and self.trim < 0:
-            raise ValueError("trim must be non-negative")
+            raise ConfigError("trim must be non-negative")
         if self.num_byzantine is not None and self.num_byzantine < 0:
-            raise ValueError("num_byzantine must be non-negative")
+            raise ConfigError("num_byzantine must be non-negative")
         if self.max_norm is not None and self.max_norm <= 0:
-            raise ValueError("max_norm must be positive when set")
+            raise ConfigError("max_norm must be positive when set")
         if self.client_batch < 1:
-            raise ValueError("client_batch must be >= 1")
-        if self.client_batch > 1 and not self.compile:
-            raise ValueError("client_batch > 1 requires compile=True")
+            raise ConfigError("client_batch must be >= 1")
+        if self.buffer_size is not None and self.buffer_size < 1:
+            raise ConfigError("buffer_size must be >= 1")
         if self.buffer_size is None:
             object.__setattr__(self, "buffer_size", self.cohort)
-        # BufferConfig validates size/kind/exponent on construction.
+        if self.staleness_exponent < 0:
+            raise ConfigError("staleness_exponent cannot be negative")
+        # BufferConfig validates the staleness kind on construction.
         self.buffer_config  # noqa: B018 — construction is the validation
         if self.concurrency is not None and self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1 when set")
+            raise ConfigError("concurrency must be >= 1 when set")
         if self.async_mode and self.compile:
-            raise ValueError("compile is a sync-only knob; not valid with async_mode")
+            raise ConfigError(
+                "compile is a sync-only knob; not valid with async_mode",
+                "compile",
+                "async_mode",
+            )
 
     @property
     def asked(self) -> int:
@@ -328,6 +336,25 @@ class SimConfig:
             staleness=self.staleness,
             exponent=self.staleness_exponent,
         )
+
+
+@dataclass(frozen=True)
+class SimRun:
+    """One ``repro simulate`` run: the deployment, its fault rates, and the
+    model, protection policy and state directory it runs with."""
+
+    config: SimConfig = section(SimConfig)
+    rates: FaultRates = section(FaultRates)
+    model: Optional[str] = knob(
+        None, "zoo model to train (default: a small MLP)", choices=MODEL_CHOICES
+    )
+    policy: Optional[str] = knob(
+        None,
+        "protection policy spec: none, static:SEL+SEL, darknetz:SEL, mw:K, "
+        "pelta, pelta:BLOCK, pelta-mw:K",
+        metavar="SPEC",
+    )
+    state_dir: Optional[str] = knob(None, "checkpoint directory (kill/resume)")
 
 
 @dataclass
@@ -454,19 +481,16 @@ class FLSimulator:
             num_classes=4, input_shape=(6,), hidden=(8, 5), seed=config.seed
         )
         self.policy = policy or NoProtection(self.model)
-        self.fault_plan = fault_plan or FaultPlan(
-            seed=config.seed,
-            byzantine=config.byzantine,
-            attack=config.attack,
-            attack_strength=config.attack_strength,
-        )
+        self.fault_plan = fault_plan or FaultPlan(seed=config.seed, attackers=config)
         if config.async_mode and self.fault_plan.shard_down > 0:
             # The buffered pipeline's shards are server-side accumulator
             # lanes with no per-round life cycle; it never consults
             # shard_fault_for, so the rate would be silently ignored.
-            raise ValueError(
+            raise ConfigError(
                 f"shard_down={self.fault_plan.shard_down:g} is not valid with "
-                "async_mode: async shards are accumulator lanes that cannot die"
+                "async_mode: async shards are accumulator lanes that cannot die",
+                "shard_down",
+                "async_mode",
             )
         self.storage = storage
         self.cost_model = cost_model or CostModel(

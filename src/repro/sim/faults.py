@@ -39,6 +39,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..fl.config import ConfigError, knob
 from . import keyed
 
 __all__ = ["FaultKind", "FaultRates", "FaultPlan", "AttackKind", "apply_attack"]
@@ -49,6 +50,8 @@ _STREAM_FAULT = 0xFA017
 _STREAM_SHARD_FAULT = 0xFA5D
 _STREAM_ATTACKER = 0xB12A7
 _STREAM_ATTACK_PAYLOAD = 0xB12A8
+
+_CLIENT_RATES = ("dropout", "straggler", "corrupt", "pool_exhaust", "attestation")
 
 
 class FaultKind(enum.Enum):
@@ -92,6 +95,10 @@ class AttackKind(enum.Enum):
     COLLUDE = "collude"
 
 
+#: The attack names a run config accepts.
+ATTACK_KINDS = tuple(kind.value for kind in AttackKind)
+
+
 def apply_attack(
     kind: AttackKind,
     delta: np.ndarray,
@@ -133,24 +140,34 @@ def apply_attack(
 
 @dataclass(frozen=True)
 class FaultRates:
-    """Per-round, per-client probability of each fault kind."""
+    """Per-round probability of each client fault kind, and of a dead shard.
 
-    dropout: float = 0.0
-    straggler: float = 0.0
-    corrupt: float = 0.0
-    pool_exhaust: float = 0.0
-    attestation: float = 0.0
+    The five client rates are per ``(round, client)`` and realise at most
+    one fault per cell, so they sum to at most 1.  ``shard_down`` is per
+    ``(round, shard)`` on a stream of its own.
+    """
+
+    dropout: float = knob(0.0, "dropout rate")
+    straggler: float = knob(0.0, "straggler rate")
+    corrupt: float = knob(0.0, "payload-corruption rate")
+    pool_exhaust: float = knob(0.0, "secure-pool exhaustion rate")
+    attestation: float = knob(0.0, "attestation-failure rate")
+    shard_down: float = knob(0.0, "per-round probability a shard aggregator is dead")
 
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field.name} rate must be in [0, 1], got {value}")
+                raise ConfigError(f"{field.name} rate must be in [0, 1], got {value}")
         if self.total() > 1.0 + 1e-12:
-            raise ValueError(f"fault rates sum to {self.total()} > 1")
+            named = [name for name in _CLIENT_RATES if getattr(self, name) > 0]
+            raise ConfigError(
+                f"{' + '.join(named)} sum to {self.total()} > 1", *named
+            )
 
     def total(self) -> float:
-        return sum(getattr(self, field.name) for field in fields(self))
+        """Probability that a client realises some fault in a round."""
+        return sum(getattr(self, name) for name in _CLIENT_RATES)
 
     # Fixed realisation order: a single uniform draw is bucketed against
     # these cumulative thresholds, so changing one rate never reshuffles
@@ -177,45 +194,41 @@ class FaultPlan:
     Parameters
     ----------
     rates:
-        Background fault probabilities applied to every (round, client).
+        Background fault probabilities applied to every (round, client),
+        and the per-round probability ``shard_down`` that a *shard
+        aggregator* (a node of the hierarchical aggregation tree, not a
+        client) is dead for the whole round.  An upload arriving at a dead
+        shard is lost, which feeds the client back into the ordinary
+        retry/quorum machinery; retries are re-routed to a surviving shard.
     seed:
         Seed for the sampled realisation; the fault of a given
         ``(round, client)`` is a pure function of ``(seed, round, client)``.
-    shard_down:
-        Per-round probability that a *shard aggregator* (a node of the
-        hierarchical aggregation tree, not a client) is dead for the whole
-        round.  An upload arriving at a dead shard is lost — which feeds
-        the client back into the ordinary retry/quorum machinery; retries
-        are re-routed to a surviving shard.
-    byzantine / attack / attack_strength:
-        Fraction of the fleet that is Byzantine, which :class:`AttackKind`
-        they mount, and the attack's strength parameter (λ for ``scale``,
-        the noise/offset multiplier otherwise).  Attacker identity is
+    attackers:
+        The run config (a :class:`~repro.sim.SimConfig` or
+        :class:`~repro.serve.LoadSpec`) whose ``byzantine`` fraction of the
+        fleet mounts its ``attack`` (an :class:`AttackKind`) at
+        ``attack_strength`` (λ for ``scale``, the noise/offset multiplier
+        otherwise); ``None`` is an honest fleet.  Attacker identity is
         drawn once per client from ``(seed, client)`` on a dedicated
         stream — persistent across rounds, so reputation tracking bites —
         and is independent of the crash-fault draws.
     """
 
     def __init__(
-        self,
-        rates: Optional[FaultRates] = None,
-        seed: int = 0,
-        shard_down: float = 0.0,
-        byzantine: float = 0.0,
-        attack="sign_flip",
-        attack_strength: float = 10.0,
+        self, rates: Optional[FaultRates] = None, seed: int = 0, attackers=None
     ) -> None:
-        if not 0.0 <= shard_down <= 1.0:
-            raise ValueError(f"shard_down rate must be in [0, 1], got {shard_down}")
-        if not 0.0 <= byzantine <= 1.0:
-            raise ValueError(f"byzantine rate must be in [0, 1], got {byzantine}")
         self.rates = rates or FaultRates()
         self._thresholds = self.rates.thresholds()  # rates are frozen
         self.seed = int(seed)
-        self.shard_down = float(shard_down)
+        self.shard_down = self.rates.shard_down
+        # An honest fleet, whose pinned attackers (inject_attack) strike at 10.
+        byzantine, attack, strength = 0.0, "sign_flip", 10.0
+        if attackers is not None:
+            byzantine, attack = attackers.byzantine, attackers.attack
+            strength = attackers.attack_strength
         self.byzantine = float(byzantine)
         self.attack = AttackKind(attack)
-        self.attack_strength = float(attack_strength)
+        self.attack_strength = float(strength)
         self._explicit: Dict[Tuple[int, int], Optional[FaultKind]] = {}
         self._explicit_shards: Dict[Tuple[int, int], bool] = {}
         self._explicit_attackers: Dict[int, Optional[AttackKind]] = {}
@@ -331,8 +344,6 @@ class FaultPlan:
             for field in fields(self.rates)
             if getattr(self.rates, field.name) > 0
         ]
-        if self.shard_down > 0:
-            active.append(f"shard_down={self.shard_down:g}")
         if self.byzantine > 0:
             active.append(f"byzantine={self.byzantine:g}:{self.attack.value}")
         pinned_cells = (

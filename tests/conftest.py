@@ -186,13 +186,7 @@ def sim_factory():
     @contextmanager
     def build(storage=None, rates=None, **settings):
         config = SimConfig(**settings)
-        plan = FaultPlan(
-            rates or FaultRates(),
-            seed=config.seed,
-            byzantine=config.byzantine,
-            attack=config.attack,
-            attack_strength=config.attack_strength,
-        )
+        plan = FaultPlan(rates or FaultRates(), seed=config.seed, attackers=config)
         with obs.fresh(clock=VirtualClock()) as ctx:
             yield FLSimulator(
                 config, fault_plan=plan, storage=storage, clock=ctx.clock

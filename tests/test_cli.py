@@ -95,7 +95,7 @@ class TestConfigErrors:
     def test_simulate_reports_a_rejected_config_in_one_line_and_exits_2(self, capsys):
         assert main(["simulate", "--clients", "10", "--cohort", "20"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "repro simulate: error: cohort must be in 1..10, got 20\n"
+        assert captured.err == "repro simulate: error: --cohort must be in 1..10, got 20\n"
         assert captured.out == ""
 
     def test_simulate_reports_an_integer_policy_selector_in_one_line(self, capsys):

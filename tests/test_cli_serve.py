@@ -64,13 +64,13 @@ class TestCli:
 
         assert main([*BASE, "--buffer-size", "0"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "repro serve: error: buffer size must be >= 1\n"
+        assert captured.err == "repro serve: error: --buffer-size must be >= 1\n"
         assert captured.out == ""
 
     def test_the_api_keeps_raising_on_a_rejected_config(self):
         from repro.api import serve
 
-        with pytest.raises(ValueError, match="buffer size must be >= 1"):
+        with pytest.raises(ValueError, match="buffer_size must be >= 1"):
             serve(tenants=1, clients=10, commits=1, buffer_size=0)
 
     @pytest.mark.parametrize(

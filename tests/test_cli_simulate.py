@@ -108,9 +108,11 @@ class TestSimulateCommand:
         argv = ["simulate", "--clients", "20", "--rounds", "1", flag, value]
         assert main(argv) == 2
         captured = capsys.readouterr()
+        # The error names the flag typed, never a renamed internal field.
         assert captured.err == (
-            f"repro simulate: error: {field} must be finite, got {float(value)}\n"
+            f"repro simulate: error: {flag} must be finite, got {float(value)}\n"
         )
+        assert field == flag[2:].replace("-", "_") or field not in captured.err
         assert captured.out == ""
 
 

@@ -116,6 +116,20 @@ assert not bad, bad
     assert out.stat().st_size > 0
 
 
+def test_the_library_runs_without_its_cli(spawn_python):
+    """The zoo lookup and the experiment registry live in the library:
+    ``repro.api`` never imports ``repro.cli``."""
+    run(
+        spawn_python,
+        """
+from repro import api
+api.simulate(clients=20, rounds=1, seed=3, model="lenet5")
+assert api.run_experiment("table6")["command"] == "table6"
+assert not loaded("repro.cli"), loaded("repro.cli")
+""",
+    )
+
+
 def test_a_serve_report_leaves_numpy_ma_unloaded(spawn_python):
     """The report's latency percentiles do not go through ``np.percentile``,
     whose ``np.unique`` call imports ``numpy.ma``."""
@@ -148,8 +162,8 @@ LAZY_PACKAGES = {
     "repro.graph": 19,
     "repro.ml": 7,
     "repro.nn": 29,
-    "repro.serve": 26,
-    "repro.sim": 11,
+    "repro.serve": 27,
+    "repro.sim": 12,
     "repro.tee": 30,
 }
 

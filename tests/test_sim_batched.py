@@ -139,7 +139,7 @@ class TestCli:
 
     def test_client_batch_without_compile_rejected(self, capsys):
         assert main([*self.ARGS, "--client-batch", "8"]) == 2
-        assert "requires compile" in capsys.readouterr().err
+        assert "--client-batch requires --compile" in capsys.readouterr().err
 
 
 class TestUpdateCacheLifecycle:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import AttackKind, FaultPlan, FaultRates, apply_attack
+from repro.sim import AttackKind, FaultPlan, FaultRates, SimConfig, apply_attack
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
 SSK = b"\x07" * 32
@@ -79,7 +79,7 @@ class TestAttackKinds:
 
 class TestFaultPlanAttackers:
     def test_attacker_identity_is_persistent(self):
-        plan = FaultPlan(FaultRates(), seed=5, byzantine=0.3)
+        plan = FaultPlan(FaultRates(), seed=5, attackers=SimConfig(byzantine=0.3))
         first = {i: plan.attack_for(i) for i in range(50)}
         again = {i: plan.attack_for(i) for i in range(50)}
         assert first == again
@@ -87,22 +87,23 @@ class TestFaultPlanAttackers:
         assert 5 <= hostile <= 25  # ~30% of 50
 
     def test_explicit_injection_overrides_the_draw(self):
-        plan = FaultPlan(FaultRates(), seed=5, byzantine=0.0)
+        plan = FaultPlan(FaultRates(), seed=5, attackers=SimConfig())
         assert plan.attack_for(7) is None
         plan.inject_attack(7, AttackKind.SCALE)
         assert plan.attack_for(7) is AttackKind.SCALE
 
     def test_describe_mentions_byzantine(self):
         plan = FaultPlan(
-            FaultRates(), seed=0, byzantine=0.25, attack="sign_flip"
+            FaultRates(), seed=0, attackers=SimConfig(byzantine=0.25, attack="sign_flip")
         )
         assert "byzantine=0.25:sign_flip" in plan.describe()
 
     def test_invalid_parameters_rejected(self):
+        # The plan reads its attackers from the run config, which refuses both.
         with pytest.raises(ValueError):
-            FaultPlan(FaultRates(), seed=0, byzantine=1.5)
+            SimConfig(byzantine=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(FaultRates(), seed=0, byzantine=0.1, attack="meteor")
+            SimConfig(byzantine=0.1, attack="meteor")
 
 
 class TestAcceptance:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -359,11 +360,8 @@ class TestTallyLedger:
         from repro.sim.engine import _COUNT_KEYS, _TALLY_METRICS
 
         config = SimConfig(**{**self.COMMON, **settings})
-        plan = FaultPlan(
-            self.RATES, seed=config.seed, byzantine=config.byzantine,
-            attack=config.attack, attack_strength=config.attack_strength,
-            **plan_kwargs,
-        )
+        rates = dataclasses.replace(self.RATES, **plan_kwargs)
+        plan = FaultPlan(rates, seed=config.seed, attackers=config)
         with obs.fresh(clock=VirtualClock()) as ctx:
             report = FLSimulator(config, fault_plan=plan, clock=ctx.clock).run()
             counters = ctx.registry.snapshot()["counters"]
@@ -396,7 +394,9 @@ class TestAsyncShardDown:
         with obs.fresh(clock=VirtualClock()) as ctx:
             with pytest.raises(ValueError, match="shard_down.*async_mode"):
                 FLSimulator(
-                    config, fault_plan=FaultPlan(seed=0, shard_down=0.2), clock=ctx.clock
+                    config,
+                    fault_plan=FaultPlan(FaultRates(shard_down=0.2), seed=0),
+                    clock=ctx.clock,
                 )
 
     def test_api_rejects_async_with_shard_down(self):
@@ -411,4 +411,4 @@ class TestAsyncShardDown:
             "--shard-down", "0.9", check=False,
         )
         assert result.returncode != 0
-        assert "shard_down" in result.stderr and "async_mode" in result.stderr
+        assert "--shard-down" in result.stderr and "--async" in result.stderr

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.sim import FaultKind, FaultPlan, FaultRates, keyed
+from repro.sim import FaultKind, FaultPlan, FaultRates, SimConfig, keyed
 from repro.sim.engine import _STREAM_ASYNC_SELECT, _STREAM_UPDATE
 from repro.sim.faults import _STREAM_ATTACKER, _STREAM_FAULT
 from repro.tee.storage import InMemoryBackend, SecureStorage
@@ -124,7 +124,7 @@ class TestSingleKeyPath:
 
     @pytest.mark.parametrize("seed", [7, 2**40])
     def test_fault_plan_realises_the_reference_faults(self, seed):
-        plan = FaultPlan(RATES, seed=seed, byzantine=0.3)
+        plan = FaultPlan(RATES, seed=seed, attackers=SimConfig(byzantine=0.3))
         clients = list(range(0, 400, 3))
         plan.prefetch(5, clients)
         assert (len(plan._draws) > 0) == (seed == 7)

@@ -1,6 +1,7 @@
 """Simulator-level tests for sharded hierarchical aggregation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,12 +11,11 @@ from repro.sim import FLSimulator, FaultPlan, FaultRates, SimConfig
 
 
 def run_sim(**kwargs):
-    fault_kwargs = {
-        "rates": kwargs.pop("rates", None),
-        "seed": kwargs.get("seed", 0),
-        "shard_down": kwargs.pop("shard_down", 0.0),
-    }
-    plan = kwargs.pop("fault_plan", None) or FaultPlan(**fault_kwargs)
+    rates = replace(
+        kwargs.pop("rates", None) or FaultRates(),
+        shard_down=kwargs.pop("shard_down", 0.0),
+    )
+    plan = kwargs.pop("fault_plan", None) or FaultPlan(rates, seed=kwargs.get("seed", 0))
     config = SimConfig(**kwargs)
     with fresh(clock=VirtualClock()) as ctx:
         simulator = FLSimulator(config, fault_plan=plan, clock=ctx.clock)
