@@ -4,8 +4,9 @@ A :class:`ShieldedModel` wraps a :class:`~repro.nn.Sequential` and executes
 each training step layer by layer, routing protected layers through the
 secure monitor into a GradSec trusted application:
 
-* Protected layers' weights live only in enclave :class:`ShieldedBuffer`\\ s;
-  the normal-world copies are scrubbed to zero.
+* Protected layers' weights live only in enclave :class:`ShieldedBuffer`\\ s,
+  which the TA's own copies of those layers train in place; the
+  normal-world copies are zeroed once, at protect, and never touched again.
 * Forward/backward of a *run* of consecutive protected layers happens in a
   single enclave call, so intermediate activations of a protected slice
   never appear in normal-world memory.
@@ -21,6 +22,7 @@ secure monitor into a GradSec trusted application:
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -57,11 +59,12 @@ def _untuple(arrays):
     return arrays[0] if len(arrays) == 1 else tuple(arrays)
 
 
-def _run_forward(model: Sequential, indices: Tuple[int, ...], x):
+def _run_forward(layer_at, indices: Tuple[int, ...], x):
     """Forward through the run of consecutive layers ``indices``.
 
-    The one run executor both worlds share: the enclave wraps it with
-    materialise/scrub, the normal world calls it bare.  ``x`` is one
+    The one run executor both worlds share; ``layer_at(index)`` is the
+    world's own layer lookup: ``Sequential.layer`` in the normal world,
+    the TA's copies over its shielded buffers in the enclave.  ``x`` is one
     activation array or a tuple of stream arrays; the inputs require grad
     unless the run starts at layer 1 (nobody consumes the batch gradient).
     Returns ``(in_tensors, outs)``, the graph :func:`_run_backward` needs.
@@ -69,40 +72,39 @@ def _run_forward(model: Sequential, indices: Tuple[int, ...], x):
     in_tensors = tuple(Tensor(a, requires_grad=indices[0] != 1) for a in _as_tuple(x))
     out = in_tensors[0] if len(in_tensors) == 1 else in_tensors
     for index in indices:
-        out = model.layer(index)(out)
+        out = layer_at(index)(out)
     return in_tensors, _as_tuple(out)
 
 
-def _run_backward(model, indices, cached, gout, lr, record=None) -> List[np.ndarray]:
+def _run_backward(layer_at, indices, cached, gout, lr, record=None) -> List[np.ndarray]:
     """Backward through a run and apply SGD (the paper's formula (1)).
 
     ``cached`` is :func:`_run_forward`'s result and ``gout`` carries one
-    seed per output stream.  Parameters are differentiated and updated in
-    (layer, sorted key) order; ``record(index, name, grad)``, when given,
-    sees each gradient before its update.  Returns the input gradients —
-    empty for a run starting at L1.
+    seed per output stream.  Parameters are differentiated, then updated
+    in place in (layer, sorted key) order; ``record(index, name, grad)``,
+    when given, sees each gradient before its update.  Returns the input
+    gradients — empty for a run starting at L1.
     """
     in_tensors, outs = cached
-    keys = [(i, name) for i in indices for name in sorted(model.layer(i).params)]
-    params = [model.layer(i).params[name] for i, name in keys]
+    keys = [(i, name) for i in indices for name in sorted(layer_at(i).params)]
+    params = [layer_at(i).params[name] for i, name in keys]
     seeds = [Tensor(g) for g in _as_tuple(gout)]
     wanted = [t for t in in_tensors if t.requires_grad]
     results = grad(list(outs), wanted + params, grad_outputs=seeds)
-    for (index, name), g in zip(keys, results[len(wanted):]):
+    for (index, name), param, g in zip(keys, params, results[len(wanted):]):
         if record is not None:
             record(index, name, g.data)
-        param = model.layer(index).params[name]
-        param.data = param.data - lr * g.data
+        np.subtract(param.data, lr * g.data, out=param.data)
     return [g.data for g in results[: len(wanted)]]
 
 
 class GradSecTA(TrustedApplication):
     """The enclave side of GradSec.
 
-    Holds the protected layers' parameters in shielded buffers and executes
-    their forward/backward/update steps.  All command handlers run in the
-    secure world (the monitor guarantees it); they are the only code that
-    ever sees protected plaintext.
+    Owns the protected layers: their parameters in shielded buffers, and
+    its own copy of each layer whose parameter tensors are those buffers.
+    All command handlers run in the secure world (the monitor guarantees
+    it); they are the only code that ever sees protected plaintext.
     """
 
     def __init__(self, model: Sequential, pool: SecureMemoryPool) -> None:
@@ -110,6 +112,7 @@ class GradSecTA(TrustedApplication):
         self._model = model
         self._pool = pool
         self._buffers: Dict[Tuple[int, str], ShieldedBuffer] = {}
+        self._layers: Dict[int, object] = {}  # layer index -> the TA's own copy
         self._scratch: Dict[int, int] = {}  # layer index -> pool handle
         self._forward_cache: Dict[Tuple[int, ...], tuple] = {}  # run -> graph
         self.register("protect", self._cmd_protect)
@@ -120,56 +123,70 @@ class GradSecTA(TrustedApplication):
         self.register("release", self._cmd_release)
 
     # -- helpers ---------------------------------------------------------
-    def _layer(self, index: int):
-        return self._model.layer(index)
+    def _refuse_held(self, indices, incoming=()) -> None:
+        """Refuse to take in a layer the TA already holds, freeing ``incoming``."""
+        held = sorted(set(indices) & set(self._layers))
+        if held:
+            for buffer in incoming:
+                buffer.release()
+            raise TEEError(f"layer {held[0]} is already protected")
 
-    def _scrub(self, indices: Tuple[int, ...]) -> None:
-        """Zero the normal-world copies of layers ``indices``."""
-        for index in indices:
-            for param in self._layer(index).params.values():
-                param.data = np.zeros_like(param.data)
+    def _take(self, indices, buffers: Dict[Tuple[int, str], ShieldedBuffer], batch_size) -> None:
+        """Hold layers ``indices`` over ``buffers``; zero the normal world's copies.
 
-    def _allocate_scratch(self, index: int, batch_size: int) -> None:
-        """Reserve enclave space for dW + A_{l-1} + Z_l + delta_l.
-
-        Multi-stream layers charge every activation stream crossing the
-        enclave boundary (summed by ``input_elems``/``output_elems``).
+        Each TA layer is a shallow copy over the buffers' payloads, so SGD
+        updates them in place.  Scratch is dW + A_{l-1} + Z_l + delta_l.
         """
-        layer = self._layer(index)
-        in_elems = layer.input_elems() * batch_size
-        out_elems = layer.output_elems() * batch_size
-        scratch_bytes = _FLOAT_BYTES * (layer.param_count + in_elems + 2 * out_elems)
-        self._scratch[index] = self._pool.allocate(scratch_bytes)
+        self._buffers.update(buffers)
+        for index in sorted(set(indices)):
+            layer = self._model.layer(index)
+            own = copy.copy(layer)
+            own.params = {
+                name: Tensor(b.view(), requires_grad=True)
+                for (at, name), b in buffers.items() if at == index
+            }
+            self._layers[index] = own
+            for param in layer.params.values():
+                param.data = np.zeros_like(param.data)
+            in_elems = layer.input_elems() * batch_size
+            out_elems = layer.output_elems() * batch_size
+            scratch_bytes = _FLOAT_BYTES * (layer.param_count + in_elems + 2 * out_elems)
+            self._scratch[index] = self._pool.allocate(scratch_bytes)
 
-    def _materialise(self, indices: Tuple[int, ...]) -> None:
-        """Load shielded weights into the layer objects (secure world only)."""
-        for (index, name), buffer in self._buffers.items():
-            if index in indices:
-                self._layer(index).params[name].data = buffer.read()
+    def _held(self, indices: Tuple[int, ...]):
+        """The TA's layer lookup for a run; refuses a layer it does not hold."""
+        for index in indices:
+            if index not in self._layers:
+                raise TEEError(f"layer {index} is not protected")
+        return self._layers.__getitem__
 
     # -- commands ---------------------------------------------------------
     def _cmd_protect(self, indices: Tuple[int, ...], batch_size: int) -> None:
         """Move the named layers' weights from the model into the enclave."""
-        for index in indices:
-            layer = self._layer(index)
-            for name, param in layer.params.items():
-                self._buffers[(index, name)] = ShieldedBuffer(
-                    self._pool,
-                    param.data,
-                    label=f"L{index}.{name}",
-                    nbytes_override=param.data.size * _FLOAT_BYTES,
-                )
-            self._allocate_scratch(index, batch_size)
-            self._scrub((index,))
+        self._refuse_held(indices)
+        buffers = {
+            (index, name): ShieldedBuffer(
+                self._pool,
+                param.data,
+                label=f"L{index}.{name}",
+                nbytes_override=param.data.size * _FLOAT_BYTES,
+            )
+            for index in indices
+            for name, param in self._model.layer(index).params.items()
+        }
+        self._take(indices, buffers, batch_size)
 
-    def _cmd_provision(self, blob: bytes, iopath: TrustedIOPath, batch_size: int) -> None:
-        """Receive protected weights from the FL server (trusted I/O path)."""
+    def _cmd_provision(self, protected, blob: bytes, iopath: TrustedIOPath, batch_size) -> None:
+        """Receive protected weights from the FL server (trusted I/O path).
+
+        ``protected`` names parameter-free layers too, which a blob cannot
+        carry; a blob naming a layer the TA holds is freed and refused.
+        """
         incoming = iopath.unseal_to_enclave(blob, self._pool)
-        for (zero_based, name), buffer in incoming.items():
-            self._buffers[(zero_based + 1, name)] = buffer
-        for index in {zb + 1 for zb, _ in incoming}:
-            self._allocate_scratch(index, batch_size)
-            self._scrub((index,))
+        buffers = {(zero_based + 1, name): b for (zero_based, name), b in incoming.items()}
+        indices = set(protected) | {index for index, _ in buffers}
+        self._refuse_held(indices, buffers.values())
+        self._take(indices, buffers, batch_size)
 
     def _cmd_forward_run(self, indices: Tuple[int, ...], x):
         """Forward through a run of consecutive protected layers.
@@ -177,9 +194,7 @@ class GradSecTA(TrustedApplication):
         ``x`` is one activation array or a tuple of stream arrays; the
         return value mirrors the run's own output arity.
         """
-        self._materialise(indices)
-        in_tensors, outs = _run_forward(self._model, indices, x)
-        self._scrub(indices)
+        in_tensors, outs = _run_forward(self._held(indices), indices, x)
         self._forward_cache[tuple(indices)] = (in_tensors, outs)
         return _untuple([o.data.copy() for o in outs])
 
@@ -190,26 +205,18 @@ class GradSecTA(TrustedApplication):
         gradient mirrors the run's input arity — None for a run starting at
         layer 1: nobody consumes dX, a function of protected ``W1``/``delta_1``.
         """
+        layer_at = self._held(indices)
         cached = self._forward_cache.pop(tuple(indices), None)
         if cached is None:
             raise TEEError(f"backward_run for {indices} without a preceding forward_run")
-        # Re-materialise weights: the graph holds references to the param
-        # tensors, whose data was scrubbed after forward.
-        self._materialise(indices)
-        gins = _run_backward(self._model, indices, cached, gout, lr)
-        for (index, name), buffer in self._buffers.items():
-            if index in indices:
-                buffer.write(self._layer(index).params[name].data)
-        self._scrub(indices)
+        gins = _run_backward(layer_at, indices, cached, gout, lr)
         if not gins:
             return None
         return _untuple([g.copy() for g in gins])
 
     def _cmd_export_weights(self, iopath: TrustedIOPath) -> bytes:
         """Seal the protected layers' current weights for the FL server."""
-        zero_based = {
-            (index - 1, name): buffer for (index, name), buffer in self._buffers.items()
-        }
+        zero_based = {(index - 1, name): b for (index, name), b in self._buffers.items()}
         return iopath.seal_from_enclave(zero_based, self._model.num_layers)
 
     def _cmd_release(self, restore: bool) -> None:
@@ -220,11 +227,12 @@ class GradSecTA(TrustedApplication):
         """
         for (index, name), buffer in self._buffers.items():
             if restore:
-                self._layer(index).params[name].data = buffer.read()
+                self._model.layer(index).params[name].data = buffer.read()
             buffer.release()
         for handle in self._scratch.values():
             self._pool.release(handle)
         self._buffers.clear()
+        self._layers.clear()
         self._scratch.clear()
         self._forward_cache.clear()
 
@@ -303,21 +311,20 @@ class ShieldedModel:
         self._protected = self.policy.layers_for_cycle(self.cycle)
         self.pool.reset_peak()
         if self._protected:
-            if sealed_weights is not None:
-                if iopath is None:
-                    raise ValueError("sealed weights require an iopath")
+            indices = tuple(sorted(self._protected))
+            if sealed_weights is None:
                 self.monitor.smc(
-                    self.ta.uuid,
-                    "provision",
-                    blob=sealed_weights,
-                    iopath=iopath,
-                    batch_size=self.batch_size,
+                    self.ta.uuid, "protect", indices=indices, batch_size=self.batch_size
                 )
+            elif iopath is None:
+                raise ValueError("sealed weights require an iopath")
             else:
                 self.monitor.smc(
                     self.ta.uuid,
-                    "protect",
-                    indices=tuple(sorted(self._protected)),
+                    "provision",
+                    protected=indices,
+                    blob=sealed_weights,
+                    iopath=iopath,
                     batch_size=self.batch_size,
                 )
         self._in_cycle = True
@@ -368,7 +375,7 @@ class ShieldedModel:
                 )
                 activations.append(None)
             else:
-                cached = _run_forward(self.model, indices, current)
+                cached = _run_forward(self.model.layer, indices, current)
                 activations.append(cached)
                 current = _untuple([o.data for o in cached[1]])
 
@@ -385,7 +392,7 @@ class ShieldedModel:
                 )
             else:
                 record = self._cycle_leakage.record_gradient
-                gins = _run_backward(self.model, indices, cached, gout_data, lr, record)
+                gins = _run_backward(self.model.layer, indices, cached, gout_data, lr, record)
                 gout_data = _untuple(gins)  # () after the first run
 
         if self.cost_model is not None:

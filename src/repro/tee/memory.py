@@ -122,7 +122,7 @@ class SecureMemoryPool:
 class ShieldedBuffer:
     """A numpy array living in secure memory.
 
-    The payload is reachable via :meth:`read` / :meth:`write` only while the
+    The payload is reachable via :meth:`read` / :meth:`view` only while the
     secure world is active.  ``data``/``numpy()`` style access from the
     normal world raises, so any code path that would leak the plaintext to a
     normal-world attacker fails closed.
@@ -158,18 +158,6 @@ class ShieldedBuffer:
         require_secure_world(f"viewing shielded buffer {self.label!r}")
         self._check_live()
         return self._array
-
-    def write(self, array: np.ndarray) -> None:
-        """Replace the payload in-place (secure world only, same shape)."""
-        require_secure_world(f"writing shielded buffer {self.label!r}")
-        self._check_live()
-        array = np.asarray(array)
-        if array.shape != self.shape:
-            raise ValueError(
-                f"shape mismatch writing {self.label!r}: "
-                f"{array.shape} vs {self.shape}"
-            )
-        self._array = array.copy()
 
     def release(self) -> None:
         """Free the secure memory backing this buffer."""

@@ -1,11 +1,15 @@
 """The execution census records exactly the functions a process enters."""
 
 import importlib.util
+import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "census.py"
 
 
 def load_census():
@@ -77,3 +81,30 @@ def test_function_sizes_leave_out_nested_definitions():
     assert sizes["compile_model_step"] + sizes[
         "compile_model_step.<locals>.step_fn"
     ] == len(outer.splitlines())
+
+
+def design_census_table():
+    """(module, function, kind, lines) of every row in DESIGN § Execution census."""
+    design = (ROOT / "DESIGN.md").read_text()
+    section = design.split("\n## Execution census\n", 1)[1].split("\n## ", 1)[0]
+    entries = []
+    for row in section.splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if not row.startswith("| (") or len(cells) != 3:
+            continue
+        module = cells[1].strip("`")
+        for function, kind, lines in re.findall(r"`([^`]+)` \(([tn]) (\d+)\)", cells[2]):
+            entries.append((f"repro/{module}", function, kind, int(lines)))
+    return entries
+
+
+def test_design_table_lists_exactly_the_census_non_gated_functions():
+    recorded = json.loads((ROOT / "tools" / "census.json").read_text())
+    expected = Counter(
+        (entry["module"], entry["function"], kind, entry["lines"])
+        for key, kind in (("tests_only", "t"), ("never", "n"))
+        for entry in recorded[key]
+    )
+    listed = Counter(design_census_table())
+    assert not listed - expected, "DESIGN lists functions the census does not"
+    assert not expected - listed, "the census lists functions DESIGN does not"

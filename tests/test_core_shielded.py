@@ -202,10 +202,10 @@ class TestConfidentiality:
         assert shielded.monitor.stats.calls == 4
 
 
-def direct_ta(model):
+def direct_ta(model, pool=None):
     """A GradSec TA reached only through its own secure monitor."""
     monitor = SecureMonitor()
-    ta = GradSecTA(model, SecureMemoryPool())
+    ta = GradSecTA(model, pool or SecureMemoryPool())
     monitor.install(ta)
     return lambda command, **params: monitor.smc(ta.uuid, command, **params)
 
@@ -306,6 +306,53 @@ class TestTrustedApplicationDirect:
         smc("protect", indices=(1, 2), batch_size=4)
         out = smc("forward_run", indices=(1, 2), x=rng.normal(size=(4, 3, 32, 32)))
         assert smc("backward_run", indices=(1, 2), gout=np.ones_like(out), lr=0.1) is None
+
+    def test_protecting_a_held_layer_again_is_refused(self):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        original = model.layer(2).get_weights()
+        pool = SecureMemoryPool()
+        smc = direct_ta(model, pool)
+        smc("protect", indices=(2,), batch_size=4)
+        held = pool.used_bytes
+        with pytest.raises(TEEError, match="layer 2 is already protected"):
+            smc("protect", indices=(2,), batch_size=4)
+        assert pool.used_bytes == held
+        smc("release", restore=True)
+        assert pool.used_bytes == 0
+        for key, value in original.items():
+            assert np.array_equal(model.layer(2).params[key].data, value)
+
+    def test_provisioning_a_held_layer_is_refused(self):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        weights = [{} for _ in range(model.num_layers)]
+        weights[1] = model.layer(2).get_weights()
+        pool, iopath = SecureMemoryPool(), TrustedIOPath()
+        smc = direct_ta(model, pool)
+        smc("protect", indices=(2,), batch_size=4)
+        held = pool.used_bytes
+        with pytest.raises(TEEError, match="layer 2 is already protected"):
+            smc(
+                "provision",
+                protected=(2,),
+                blob=iopath.seal(weights),
+                iopath=iopath,
+                batch_size=4,
+            )
+        assert pool.used_bytes == held
+
+    def test_a_run_naming_an_unprotected_layer_is_refused(self, rng):
+        model = lenet5(num_classes=5, seed=2, scale=0.5)
+        before = model.layer(4).get_weights()
+        smc = direct_ta(model)
+        smc("protect", indices=(2,), batch_size=4)
+        x = rng.normal(size=(4,) + model.layer(3).output_shape)
+        gout = rng.normal(size=(4,) + model.layer(4).output_shape)
+        with pytest.raises(TEEError, match="layer 4 is not protected"):
+            smc("forward_run", indices=(4,), x=x)
+        with pytest.raises(TEEError, match="layer 4 is not protected"):
+            smc("backward_run", indices=(4,), gout=gout, lr=0.1)
+        for key, value in before.items():
+            assert np.array_equal(model.layer(4).params[key].data, value)
 
 
 class TestMemoryAccounting:

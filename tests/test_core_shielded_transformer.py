@@ -13,7 +13,7 @@ from repro.core.policy import NoProtection, PeltaPolicy, StaticPolicy
 from repro.core.shielded import ShieldedModel
 from repro.graph.planner import plan_protection
 from repro.nn import gpt_tiny, one_hot, vit_tiny
-from repro.tee import CostModel
+from repro.tee import CostModel, TrustedIOPath
 
 BATCH = 4
 LR = 0.05
@@ -106,6 +106,23 @@ class TestPoolPeakInvariant:
             plan = plan_protection(model, protected, batch_size=BATCH)
             expected = cost_model.tee_memory_bytes(model, protected)
             assert record.peak_tee_bytes == plan.peak_bytes == expected
+
+    @pytest.mark.parametrize("factory", [vit_tiny, gpt_tiny])
+    def test_provisioned_cycle_charges_what_a_protected_one_does(self, factory):
+        """Sealed weights from the server take the enclave space a local
+        protect does, parameter-free protected sublayers (softmax) included."""
+        model = factory(num_classes=6, seed=11)
+        policy = PeltaPolicy(model.layout())
+        protected = policy.layers_for_cycle(0)
+        weights = [w if i in protected else {} for i, w in enumerate(model.get_weights(), 1)]
+        iopath = TrustedIOPath()
+        shielded = ShieldedModel(model, policy, batch_size=BATCH)
+        shielded.begin_cycle(sealed_weights=iopath.seal(weights), iopath=iopath)
+        x, y = _batch(model, seed=3)
+        shielded.train_step(x, y, lr=LR)
+        record = shielded.end_cycle(restore=False)
+        expected = CostModel(batch_size=BATCH).tee_memory_bytes(model, protected)
+        assert record.peak_tee_bytes == expected
 
 
 class TestLeakageView:

@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import DynamicPolicy, ShieldedModel, StaticPolicy
-from repro.nn import lenet5, one_hot
+from repro.core import DynamicPolicy, ShieldedModel, StaticPolicy, policy_from_spec
+from repro.core import shielded as shielded_module
+from repro.nn import lenet5, one_hot, vit_tiny
 from repro.obs import FakeClock
 from repro.tee import SecureMemoryPool, SecureWorldViolation
+from repro.tee.world import World, current_world
 
 NUM_CLASSES = 5
 BATCH = 8
@@ -163,3 +165,58 @@ class TestMovingWindowProtection:
                 shielded.end_cycle()
         expected = [replay.layers_for_cycle(c) for c in range(3)]
         assert observed == expected
+
+
+BOUNDARY_CASES = {
+    "lenet5-static": (lambda: lenet5(num_classes=NUM_CLASSES, seed=0, scale=0.5), "static:L2+L4"),
+    "lenet5-mw": (lambda: lenet5(num_classes=NUM_CLASSES, seed=0, scale=0.5), "mw:2"),
+    "vit_tiny-pelta": (lambda: vit_tiny(num_classes=NUM_CLASSES, seed=0), "pelta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_boundary_holds_inside_every_smc(case, monkeypatch):
+    """While an SMC runs, the normal world's copies of the protected layers
+    are zeros and share no memory with the enclave's buffers."""
+    build, spec = BOUNDARY_CASES[case]
+    model = build()
+    shielded = ShieldedModel(
+        model,
+        policy_from_spec(spec, model.layout(), seed=3),
+        pool=SecureMemoryPool(name=f"leak-during-{case}"),
+        batch_size=BATCH,
+    )
+    checked = []
+
+    def assert_boundary():
+        payloads = [buffer.view() for buffer in shielded.ta._buffers.values()]
+        for index in shielded.protected_layers:
+            for param in model.layer(index).params.values():
+                assert not param.data.any()
+                assert not any(np.shares_memory(param.data, p) for p in payloads)
+            # The enclave trains the buffers themselves, not copies of them.
+            for param in shielded.ta._layers[index].params.values():
+                assert any(param.data is p for p in payloads)
+        checked.append(shielded.protected_layers)
+
+    def watched(run):
+        def inside(*args, **kwargs):
+            if current_world() is World.SECURE:
+                assert_boundary()
+            result = run(*args, **kwargs)
+            if current_world() is World.SECURE:
+                assert_boundary()
+            return result
+
+        return inside
+
+    for name in ("_run_forward", "_run_backward"):
+        monkeypatch.setattr(shielded_module, name, watched(getattr(shielded_module, name)))
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.5, 0.2, size=(BATCH, *model.input_shape))
+    y = one_hot(rng.integers(0, NUM_CLASSES, BATCH), NUM_CLASSES)
+    for _ in range(3):
+        shielded.begin_cycle()
+        shielded.train_step(x, y, lr=0.05)
+        shielded.end_cycle()
+    assert checked and all(checked)

@@ -98,17 +98,6 @@ class TestShieldedBuffer:
             out[:] = -1
             np.testing.assert_array_equal(buf.read(), self.data)
 
-    def test_write_requires_secure_world(self):
-        buf = ShieldedBuffer(self.pool, self.data)
-        with pytest.raises(SecureWorldViolation):
-            buf.write(np.zeros((2, 3)))
-
-    def test_write_shape_checked(self):
-        buf = ShieldedBuffer(self.pool, self.data)
-        with secure_world():
-            with pytest.raises(ValueError, match="shape mismatch"):
-                buf.write(np.zeros((3, 2)))
-
     def test_release_frees_pool(self):
         buf = ShieldedBuffer(self.pool, self.data)
         used = self.pool.used_bytes
