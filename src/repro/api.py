@@ -99,9 +99,9 @@ def build_server(
 
     ``model`` defaults to the paper's LeNet-5 on a small input (seeded from
     ``config.seed``, so two builds from the same config start from identical
-    weights); ``plan`` defaults to one local SGD step per cycle.  All
-    behavioural knobs — admission, retries, sampling seed, sharding — come
-    from ``config``.
+    weights); ``plan`` defaults to one local SGD step per cycle.  The
+    cycle's knobs — legacy-client admission, the aggregation rule and the
+    admission gate — come from ``config``.
     """
     from .fl.server import FLServer
     from .nn import lenet5

@@ -24,7 +24,3 @@ class AttackResult:
     score: float  # ImageLoss for DRIA, AUC for MIA/DPIA
     metric: str
     detail: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        layers = "+".join(f"L{i}" for i in sorted(self.protected)) or "none"
-        return f"{self.attack} [protected: {layers}] {self.metric}={self.score:.4f}"

@@ -159,10 +159,3 @@ class BatchCrypt:
         total = self.aggregate(encrypted)
         summed = self.decrypt_vector(total, size)
         return self.config.dequantize(summed)
-
-    def quantization_error(self, values: np.ndarray) -> float:
-        """Max absolute round-trip error of the quantizer (no crypto)."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        round_trip = self.config.dequantize(self.config.quantize(values))
-        reference = np.clip(values, -self.config.clip, self.config.clip)
-        return float(np.abs(round_trip - reference).max())

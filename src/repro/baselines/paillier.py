@@ -73,10 +73,6 @@ class PaillierPublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    @property
-    def max_plaintext(self) -> int:
-        return self.n - 1
-
     def encrypt(self, message: int) -> int:
         """Encrypt a non-negative integer ``message < n``."""
         if not 0 <= message < self.n:
@@ -90,22 +86,12 @@ class PaillierPublicKey:
         g_m = (1 + self.n * message) % n2
         return (g_m * pow(r, self.n, n2)) % n2
 
-    def add(self, ciphertext_a: int, ciphertext_b: int) -> int:
-        """Homomorphic addition: Enc(a) (*) Enc(b) -> Enc(a + b)."""
-        return (ciphertext_a * ciphertext_b) % self.n_squared
-
     def add_many(self, ciphertexts: Iterable[int]) -> int:
         total = 1
         n2 = self.n_squared
         for c in ciphertexts:
             total = (total * c) % n2
         return total
-
-    def multiply_plain(self, ciphertext: int, scalar: int) -> int:
-        """Homomorphic scalar multiplication: Enc(a)^k -> Enc(k * a)."""
-        if scalar < 0:
-            raise ValueError("scalar must be non-negative")
-        return pow(ciphertext, scalar, self.n_squared)
 
 
 @dataclass(frozen=True)

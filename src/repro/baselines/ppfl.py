@@ -109,11 +109,3 @@ class PPFLTrainer:
             losses_per_layer.append(layer_losses)
             total_cost = total_cost.plus(shielded.simulated_cost)
         return PPFLReport(losses_per_layer, total_cost, cycles)
-
-    def peak_tee_bytes(self, batch_size: int = 16) -> int:
-        """Worst single-layer enclave footprint across the schedule."""
-        return max(
-            layer.tee_memory_bytes(batch_size)
-            for layer in self.model.layers
-            if layer.params
-        )

@@ -26,17 +26,6 @@ class OverheadRow:
     overhead_percent: float
     average: bool = False
 
-    def format(self) -> str:
-        avg = " (avg)" if self.average else ""
-        return (
-            f"{self.label:<28}{avg:<6} "
-            f"user={self.cost.user_seconds:6.3f}s "
-            f"kernel={self.cost.kernel_seconds:6.3f}s "
-            f"alloc={self.cost.alloc_seconds:6.3f}s "
-            f"({self.overhead_percent:+6.1f}%)  "
-            f"TEE={self.cost.tee_memory_mib:5.3f} MiB"
-        )
-
 
 def static_overhead(
     model: Sequential,

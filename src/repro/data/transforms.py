@@ -1,22 +1,10 @@
-"""Simple data transforms shared by examples and tests."""
+"""The DRIA success metric: ImageLoss between a reconstruction and its original."""
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["normalize", "image_loss", "flatten_samples"]
-
-
-def normalize(x: np.ndarray, mean: float | None = None, std: float | None = None) -> np.ndarray:
-    """Standardise an array to zero mean / unit variance (or given stats)."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = float(x.mean()) if mean is None else mean
-    std = float(x.std()) if std is None else std
-    if std == 0:
-        return x - mean
-    return (x - mean) / std
+__all__ = ["image_loss"]
 
 
 def image_loss(reconstructed: np.ndarray, original: np.ndarray) -> float:
@@ -32,9 +20,3 @@ def image_loss(reconstructed: np.ndarray, original: np.ndarray) -> float:
             f"shape mismatch: {reconstructed.shape} vs {original.shape}"
         )
     return float(np.linalg.norm(reconstructed - original))
-
-
-def flatten_samples(x: np.ndarray) -> np.ndarray:
-    """(N, ...) -> (N, D) view used by the attack classifiers."""
-    x = np.asarray(x)
-    return x.reshape(x.shape[0], -1)

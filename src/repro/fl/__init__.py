@@ -9,7 +9,7 @@ from .. import _lazy_exports
 
 __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
-    "RetryPolicy", "collect_with_retries",
+    "RetryPolicy",
     "fedavg", "merge_plain_and_sealed",
     "CompensatedAccumulator",
     "ServerConfig", "RoundConfig", "ShardingConfig",
@@ -42,7 +42,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "config": ("BufferConfig", "RoundConfig", "ServerConfig", "ShardingConfig"),
     "dp": ("GaussianMechanism", "clip_by_norm"),
     "plan": ("TrainingPlan",),
-    "resilience": ("RetryPolicy", "collect_with_retries"),
+    "resilience": ("RetryPolicy",),
     "robust": (
         "RULES",
         "apply_rule",

@@ -154,19 +154,27 @@ class FLClient:
                 iopath=self.iopath if download.sealed_weights is not None else None,
                 cycle=download.cycle,
             )
-            dataset = self._load_data()
-            batches = dataset.batches(plan.batch_size, rng=self._rng, drop_last=False)
-            steps = 0
-            for batch in batches:
-                self.shielded.train_step(batch.x, batch.y, lr=plan.lr)
-                steps += 1
-                if steps >= plan.local_steps:
-                    break
+            try:
+                dataset = self._load_data()
+                batches = dataset.batches(
+                    plan.batch_size, rng=self._rng, drop_last=False
+                )
+                steps = 0
+                for batch in batches:
+                    self.shielded.train_step(batch.x, batch.y, lr=plan.lr)
+                    steps += 1
+                    if steps >= plan.local_steps:
+                        break
 
-            with get_tracer().span(
-                "fl.client.upload", client=self.client_id, cycle=download.cycle
-            ):
-                sealed, plain = self.shielded.export_update(self.iopath)
+                with get_tracer().span(
+                    "fl.client.upload", client=self.client_id, cycle=download.cycle
+                ):
+                    sealed, plain = self.shielded.export_update(self.iopath)
+            except BaseException:
+                # A failed cycle still closes: the TA frees its pool and
+                # nothing leaves it, so the next cycle can begin.
+                self.shielded.end_cycle(restore=False)
+                raise
             leakage = self.shielded.end_cycle(restore=False)
         self.last_leakage = leakage
         get_registry().counter(

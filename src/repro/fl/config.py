@@ -1,11 +1,9 @@
 """Typed, frozen configuration for the FL coordinator.
 
-Three PRs of growth left :class:`~repro.fl.server.FLServer` with a sprawl
-of loose keyword arguments (retry policy, quorum, re-attestation, sampling
-seed, …).  This module is the redesigned surface: small frozen dataclasses
-that validate on construction, compose (`ServerConfig` nests `RoundConfig`
-and `ShardingConfig`), and travel as plain data.  ``FLServer(config=...)``
-is the only spelling.
+Small frozen dataclasses that validate on construction, compose
+(`ServerConfig` nests `RoundConfig`) and travel as plain data.
+``FLServer(config=...)`` is the only spelling; `ShardingConfig` and
+`BufferConfig` shape the simulator's and the coordinator's aggregation.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from .robust import RULES
 
 if TYPE_CHECKING:  # annotations only: both modules import require_finite
     from .admission import AdmissionConfig, ReputationConfig
-    from .resilience import RetryPolicy
 
 __all__ = ["BufferConfig", "RoundConfig", "ShardingConfig", "ServerConfig"]
 
@@ -208,20 +205,15 @@ class ShardingConfig:
 
 @dataclass(frozen=True)
 class RoundConfig:
-    """Per-cycle behaviour: failure tolerance, admission, aggregation rule.
+    """Per-cycle behaviour: admission and aggregation rule.
 
     Attributes
     ----------
-    retry:
-        When given, client failures are retried per
-        :class:`~repro.fl.resilience.RetryPolicy` and the round aggregates
-        whatever quorum delivered; ``None`` keeps the fail-fast behaviour.
     rule:
         Aggregation rule — any of :data:`repro.fl.robust.RULES`.
         ``fedavg`` is the exact sample-weighted streaming reduce; the rest
         are Byzantine-robust rules applied over the (unweighted) flat
-        update vectors, composed with sharding by the same
-        :class:`~repro.fl.sharding.HierarchicalAggregator`.
+        update vectors.
     trim / num_byzantine / clip_norm:
         Rule parameters: extremes dropped per side (``trimmed_mean``),
         assumed attacker count (``krum``), and the norm ceiling for
@@ -235,7 +227,6 @@ class RoundConfig:
         ``admission``; defaults are used when omitted).
     """
 
-    retry: Optional[RetryPolicy] = None
     rule: str = "fedavg"
     trim: int = 1
     num_byzantine: int = 1
@@ -266,15 +257,11 @@ class ServerConfig:
     allow_legacy:
         Hybrid deployments admit non-TEE clients (future-work mode).
     seed:
-        Seed of the server's own generator (participant sampling); all
-        server-side randomness flows from it.
+        Seed of :func:`repro.api.build_server`'s default global model.
     round:
-        Per-cycle resilience/admission knobs.
-    sharding:
-        Aggregation-tree topology.
+        Per-cycle admission and aggregation knobs.
     """
 
     allow_legacy: bool = False
     seed: int = 7
     round: RoundConfig = field(default_factory=RoundConfig)
-    sharding: ShardingConfig = field(default_factory=ShardingConfig)

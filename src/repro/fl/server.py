@@ -7,7 +7,6 @@ trusted I/O path), update collection and FedAvg aggregation.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .aggregation import merge_plain_and_sealed
 from .client import FLClient
 from .config import ServerConfig
 from .plan import TrainingPlan
-from .resilience import RetryPolicy, collect_with_retries
 from .selection import SelectionResult, TEESelector
 from .sharding import HierarchicalAggregator
 from .transport import Channel, ClientUpdate, ModelDownload
@@ -52,8 +50,14 @@ class FLServer:
         Protection policy the deployment mandates (server fixes the static
         set or the moving-window parameters, §7.2).
     config:
-        A :class:`~repro.fl.config.ServerConfig` — admission, resilience,
-        sampling-seed, and sharding behaviour.
+        A :class:`~repro.fl.config.ServerConfig` — legacy-client admission,
+        the default model's seed, and the per-cycle aggregation rule and
+        admission gate.
+
+    A cycle is fail-fast: a client that raises aborts it, and the global
+    model is left as it was.  Retry, quorum, participant sampling and
+    shard trees are the event-driven engines' (:mod:`repro.sim`,
+    :mod:`repro.serve`), not this coordinator's.
     """
 
     def __init__(
@@ -73,14 +77,12 @@ class FLServer:
             self.verifier, allow_legacy=self.config.allow_legacy
         )
         self.channel = Channel()
-        self.retry = self.config.round.retry
         self.admission: Optional[AdmissionController] = None
         self.reputation: Optional[ReputationTracker] = None
         if self.config.round.admission is not None:
             self.admission = AdmissionController(self.config.round.admission)
             self.reputation = ReputationTracker(self.config.round.reputation)
         self.cycle = 0
-        self._rng = np.random.default_rng(self.config.seed)
         self._registered: Dict[str, FLClient] = {}
 
     # -- enrolment --------------------------------------------------------
@@ -193,7 +195,8 @@ class FLServer:
 
         Downloads are prepared before any client trains (they only read
         the frozen global weights); clients train and their updates are
-        merged in participant order.
+        folded in participant order.  Any client exception aborts the
+        cycle before anything is aggregated.
         """
         if not participants:
             raise ValueError("no participants in this cycle")
@@ -217,68 +220,40 @@ class FLServer:
                             client_id=client.client_id,
                         )
                     )
-
-            def train(pair) -> ClientUpdate:
-                client, download = pair
-                return client.run_cycle(download, self.plan)
-
-            pairs = list(zip(participants, downloads))
-            if self.retry is None:
-                # Fail-fast path: any client exception aborts the cycle.
-                survivors = participants
-                collected = [train(pair) for pair in pairs]
-            else:
-                delivered = collect_with_retries(
-                    train,
-                    pairs,
-                    self.retry,
-                    label_for=lambda pair: pair[0].client_id,
-                )
-                survivors = [participants[i] for i, _ in delivered]
-                collected = [update for _, update in delivered]
+            collected = [
+                client.run_cycle(download, self.plan)
+                for client, download in zip(participants, downloads)
+            ]
 
             updates: List[ClientUpdate] = []
             round_cfg = self.config.round
-            quorum_short = (
-                self.retry is not None
-                and len(collected) < self.retry.quorum_count(len(participants))
-            )
             admitted = 0
             with get_tracer().span(
-                "fl.aggregate",
-                cycle=self.cycle,
-                shards=self.config.sharding.num_shards,
-                rule=round_cfg.rule,
+                "fl.aggregate", cycle=self.cycle, shards=1, rule=round_cfg.rule
             ):
                 registry.counter(
                     "fl.aggregate.rule", "rounds aggregated, labelled per rule"
                 ).inc(rule=round_cfg.rule)
-                # Stream every delivered update straight into its shard —
-                # for fedavg a bounded exact accumulator (O(model) state
-                # per shard, any shard count produces the same bits as the
-                # flat fold); for a robust rule the shard-level collect
-                # feeding the root robust combine (see repro.fl.sharding).
+                # Stream every update straight into one flat node — for
+                # fedavg the bounded exact accumulator, for a robust rule
+                # the collect the pure rule runs over (see repro.fl.sharding).
                 # With admission control enabled, each merged update passes
                 # the gate first: rejects strike the reputation ledger and
-                # never reach an accumulator.
+                # never reach the fold.
                 reference = self.model.get_weights()
                 reference_flat = flatten_weights(reference)
                 tree = HierarchicalAggregator(
                     reference_flat.size,
-                    self.config.sharding,
                     rule=round_cfg.rule,
                     trim=round_cfg.trim,
                     num_byzantine=round_cfg.num_byzantine,
                     clip_norm=round_cfg.clip_norm,
                 )
-                cohort_size = max(1, len(collected))
                 for position, (client, update) in enumerate(
-                    zip(survivors, collected)
+                    zip(participants, collected)
                 ):
                     update = self.channel.send_update(update)
                     updates.append(update)
-                    if quorum_short:
-                        continue
                     flat = self._merge_update(client, update, reference)
                     if self.admission is not None:
                         decision = self.admission.check(
@@ -291,32 +266,18 @@ class FLServer:
                             continue
                         self.reputation.record_admission(client.client_id)
                         flat = decision.flat
-                    tree.fold(
-                        tree.shard_for(position, cohort_size),
-                        flat,
-                        update.num_samples,
-                        position=position,
-                    )
+                    tree.fold(0, flat, update.num_samples, position=position)
                     admitted += 1
-                # Below quorum — or every update rejected at admission — a
-                # biased average would hurt more than a stale one, so the
-                # previous global model stands.
-                degraded = quorum_short or admitted == 0
-                if self.retry is not None:
-                    degraded = degraded or admitted < self.retry.quorum_count(
-                        len(participants)
-                    )
+                # Every update rejected at admission: no average is better
+                # than a biased one, so the previous global model stands.
+                degraded = admitted == 0
                 if degraded:
                     registry.counter(
                         "fl.rounds.degraded",
-                        "cycles below quorum that kept the previous global model",
+                        "cycles with every update rejected, keeping the "
+                        "previous global model",
                     ).inc()
                 else:
-                    if not self.config.sharding.flat:
-                        # Shard -> root hop is a real network message in a
-                        # hierarchical deployment; price it like any other.
-                        for partial in tree.partials():
-                            self.channel.send_partial(partial)
                     self.model.set_weights(
                         unflatten_weights(tree.reduce(), reference)
                     )
@@ -329,46 +290,3 @@ class FLServer:
         ).observe(get_clock().now() - round_start)
         self.cycle += 1
         return updates
-
-    def run(self, participants: Sequence[FLClient], cycles: int) -> None:
-        """Run several cycles with a fixed participant set."""
-        if cycles <= 0:
-            raise ValueError("cycles must be positive")
-        for _ in range(cycles):
-            self.run_cycle(participants)
-
-    def sample_participants(
-        self,
-        pool: Sequence[FLClient],
-        fraction: float,
-        rng=None,
-    ) -> List[FLClient]:
-        """Per-cycle client sampling (production FL trains on a subset).
-
-        Draws ``ceil(fraction * len(pool))`` clients uniformly without
-        replacement; at least one client is always selected.  Without an
-        explicit ``rng`` the server's own seeded generator is used, so a
-        deployment's whole sampling schedule is a function of its seed.
-        """
-        if not pool:
-            raise ValueError("client pool is empty")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = rng if rng is not None else self._rng
-        count = max(1, math.ceil(fraction * len(pool)))
-        indices = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in sorted(indices)]
-
-    def run_sampled(
-        self,
-        pool: Sequence[FLClient],
-        cycles: int,
-        fraction: float = 0.5,
-        rng=None,
-    ) -> None:
-        """Run cycles, sampling a fresh participant subset each time."""
-        if cycles <= 0:
-            raise ValueError("cycles must be positive")
-        rng = rng if rng is not None else self._rng
-        for _ in range(cycles):
-            self.run_cycle(self.sample_participants(pool, fraction, rng))

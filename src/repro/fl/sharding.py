@@ -279,10 +279,6 @@ class HierarchicalAggregator:
     def num_shards(self) -> int:
         return self.config.num_shards
 
-    def shard_for(self, position: int, cohort_size: int) -> int:
-        """Contiguous balanced routing (see :func:`shard_of`)."""
-        return shard_of(position, cohort_size, self.num_shards)
-
     def fold(
         self,
         shard_id: int,

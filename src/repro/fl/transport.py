@@ -67,10 +67,8 @@ class Channel:
 
     downlink_bytes: int = 0
     uplink_bytes: int = 0
-    shard_bytes: int = 0
     downloads: int = 0
     uploads: int = 0
-    partials: int = 0
 
     def send_download(
         self, message: ModelDownload, client_id: Optional[str] = None
@@ -93,17 +91,3 @@ class Channel:
         ).inc(size, client=message.client_id)
         return message
 
-    def send_partial(self, message):
-        """Relay a shard aggregator's partial fold to the root.
-
-        ``message`` is any object with ``wire_bytes()`` and a ``shard_id``
-        (in practice a :class:`~repro.fl.sharding.ShardPartial`); traffic
-        lands in ``fl.bytes.shard`` labelled per shard.
-        """
-        size = message.wire_bytes()
-        self.shard_bytes += size
-        self.partials += 1
-        get_registry().counter(
-            "fl.bytes.shard", "bytes shard aggregators sent to the root"
-        ).inc(size, shard=str(message.shard_id))
-        return message

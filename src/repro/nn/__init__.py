@@ -14,7 +14,7 @@ __all__ = [
     "AttentionSoftmax", "AttentionOutput", "MLPBlock", "MeanPoolHead",
     "one_hot",
     "Optimizer", "SGD", "Adam",
-    "weights_to_bytes", "weights_from_bytes", "save_weights", "load_weights",
+    "weights_to_bytes", "weights_from_bytes",
     "flatten_weights", "unflatten_weights",
     "lenet5", "alexnet", "mlp", "vit_tiny", "gpt_tiny",
 ]
@@ -36,8 +36,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "optim": ("SGD", "Adam", "Optimizer"),
     "serialize": (
         "flatten_weights",
-        "load_weights",
-        "save_weights",
         "unflatten_weights",
         "weights_from_bytes",
         "weights_to_bytes",

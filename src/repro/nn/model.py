@@ -115,10 +115,6 @@ class Sequential:
             out = layer(out)
         return out
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities as a plain array."""
-        return F.softmax(self.forward(x)).data
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class indices."""
         return self.forward(x).data.argmax(axis=1)

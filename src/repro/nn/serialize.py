@@ -11,13 +11,11 @@ from typing import Dict, List
 
 import numpy as np
 
-from .model import Sequential, WeightsList
+from .model import WeightsList
 
 __all__ = [
     "weights_to_bytes",
     "weights_from_bytes",
-    "save_weights",
-    "load_weights",
     "flatten_weights",
     "unflatten_weights",
 ]
@@ -46,18 +44,6 @@ def weights_from_bytes(blob: bytes) -> WeightsList:
             index, name = key.split("/", 1)
             weights[int(index)][name] = archive[key]
     return weights
-
-
-def save_weights(model: Sequential, path: str) -> None:
-    """Write a model's weights to ``path`` (npz encoding)."""
-    with open(path, "wb") as fh:
-        fh.write(weights_to_bytes(model.get_weights()))
-
-
-def load_weights(model: Sequential, path: str) -> None:
-    """Load weights previously written by :func:`save_weights`."""
-    with open(path, "rb") as fh:
-        model.set_weights(weights_from_bytes(fh.read()))
 
 
 def flatten_weights(weights: WeightsList) -> np.ndarray:

@@ -38,7 +38,7 @@ the two pieces that close the gap:
   makes the committed weights independent of when a frame finally lands.
 
 Exactly-once = at-least-once (ack-driven retransmission with bounded
-exponential backoff, schedule shared with
+exponential backoff on the schedule of
 :class:`repro.fl.resilience.RetryPolicy`) + at-most-once (the
 coordinator's idempotent dedup ledger keyed on the v2 frame-header
 dispatch id).

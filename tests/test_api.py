@@ -76,6 +76,9 @@ class TestSurface:
             "Drop" "out",
             "Simple" "RNN",
             "plan_" "policy",
+            "collect_with" "_retries",
+            "save" "_weights",
+            "load" "_weights",
         }
         modules = (
             repro.fl, repro.serve, api, repro.attacks, repro.baselines,
@@ -99,10 +102,11 @@ class TestBuildServer:
     def test_config_threads_through(self):
         server = api.build_server(
             config=api.ServerConfig(
-                sharding=api.ShardingConfig(num_shards=8)
+                allow_legacy=True, round=api.RoundConfig(rule="median")
             )
         )
-        assert server.config.sharding.num_shards == 8
+        assert server.config.round.rule == "median"
+        assert server.selector.allow_legacy
 
     def test_no_deprecation_warning(self):
         import warnings

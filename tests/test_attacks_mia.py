@@ -63,9 +63,3 @@ class TestAttack:
         attack = MembershipInferenceAttack(model, probes_per_class=10, seed=0)
         result = attack.run(members, nonmembers, protected=(2, 5))
         assert result.protected == {2, 5}
-
-    def test_describe_mentions_layers(self, overfit_setup):
-        model, members, nonmembers = overfit_setup
-        attack = MembershipInferenceAttack(model, probes_per_class=10, seed=0)
-        text = attack.run(members, nonmembers, protected=(5,)).describe()
-        assert "L5" in text and "MIA" in text

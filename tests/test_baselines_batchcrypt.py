@@ -78,8 +78,3 @@ class TestEndToEnd:
         of the same vector differ."""
         vector = np.ones(8) * 0.25
         assert batchcrypt.encrypt_vector(vector) != batchcrypt.encrypt_vector(vector)
-
-    def test_quantization_error_helper(self, batchcrypt):
-        rng = np.random.default_rng(2)
-        err = batchcrypt.quantization_error(rng.normal(0, 0.3, 100))
-        assert 0 <= err <= 1.0 / batchcrypt.config.quant_max

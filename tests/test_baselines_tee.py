@@ -38,15 +38,6 @@ class TestPPFL:
         assert len(report.losses_per_layer) == 5
         assert all(losses for losses in report.losses_per_layer)
 
-    def test_peak_footprint_is_single_layer(self, setup):
-        model, _ = setup
-        trainer = PPFLTrainer(model)
-        peak = trainer.peak_tee_bytes(batch_size=16)
-        worst_layer = max(
-            layer.tee_memory_bytes(16) for layer in model.layers if layer.params
-        )
-        assert peak == worst_layer
-
     def test_cost_accumulates_across_phases(self, setup):
         model, dataset = setup
         trainer = PPFLTrainer(model, cost_model=CostModel(batch_size=16))

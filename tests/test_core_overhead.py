@@ -32,11 +32,6 @@ class TestStaticOverhead:
     def test_overhead_positive_for_protection(self, model):
         assert static_overhead(model, (2,)).overhead_percent > 0
 
-    def test_format_contains_components(self, model):
-        text = static_overhead(model, (5,)).format()
-        assert "user=" in text and "kernel=" in text and "alloc=" in text
-        assert "MiB" in text
-
 
 class TestDynamicOverhead:
     def test_returns_average_and_windows(self, model):

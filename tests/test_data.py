@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data import (
     ArrayDataset,
     class_prototypes,
-    flatten_samples,
     image_loss,
-    normalize,
     synthetic_cifar,
     synthetic_lfw,
 )
@@ -110,15 +108,6 @@ class TestSyntheticGenerators:
 
 
 class TestTransforms:
-    def test_normalize_zero_mean_unit_std(self, rng):
-        out = normalize(rng.normal(3.0, 2.0, size=1000))
-        assert abs(out.mean()) < 1e-9
-        assert out.std() == pytest.approx(1.0)
-
-    def test_normalize_constant_input(self):
-        out = normalize(np.full(5, 7.0))
-        np.testing.assert_allclose(out, 0.0)
-
     def test_image_loss_is_euclidean(self):
         a = np.zeros((3, 2, 2))
         b = np.ones((3, 2, 2))
@@ -127,9 +116,6 @@ class TestTransforms:
     def test_image_loss_shape_mismatch(self):
         with pytest.raises(ValueError):
             image_loss(np.zeros(3), np.zeros(4))
-
-    def test_flatten_samples(self):
-        assert flatten_samples(np.zeros((4, 3, 2, 2))).shape == (4, 12)
 
     @given(st.integers(0, 1000))
     def test_image_loss_nonnegative_and_zero_on_self(self, seed):

@@ -28,9 +28,9 @@ class TestConfigTypes:
         config = ServerConfig()
         assert config.allow_legacy is False
         assert config.seed == 7
-        assert config.round.retry is None
-        assert config.sharding.num_shards == 1
-        assert config.sharding.flat
+        assert config.round == RoundConfig()
+        assert config.round.rule == "fedavg"
+        assert config.round.admission is None
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -62,12 +62,6 @@ class TestLegacyShim:
         model = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=0)
         with pytest.raises(TypeError):
             FLServer(model, TrainingPlan(lr=0.1, batch_size=4), None, True)
-
-    def test_server_config_drives_sharding(self):
-        server = make_server(
-            config=ServerConfig(sharding=ShardingConfig(num_shards=4))
-        )
-        assert server.config.sharding.num_shards == 4
 
 
 # Every public config dataclass whose float fields a range check alone let

@@ -7,6 +7,7 @@ from repro.core import DynamicPolicy, NoProtection, StaticPolicy
 from repro.data import synthetic_cifar
 from repro.fl import FLClient, FLServer, ServerConfig, TrainingPlan
 from repro.nn import lenet5
+from repro.tee import IntegrityError
 
 
 NUM_CLASSES = 5
@@ -52,7 +53,8 @@ class TestUnprotectedFL:
         x = dataset.x[:64]
         y = dataset.one_hot_labels()[:64]
         before = server.model.loss(x, y).item()
-        server.run(clients, cycles=3)
+        for _ in range(3):
+            server.run_cycle(clients)
         assert server.model.loss(x, y).item() < before
 
     def test_channel_counts_traffic(self):
@@ -68,8 +70,9 @@ class TestProtectedFL:
         """Protection must not change the learning outcome at all."""
         srv_a, cl_a, dataset = build_deployment(lambda: NoProtection(LENET), seed=3)
         srv_b, cl_b, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2", "L5"]), seed=3)
-        srv_a.run(cl_a, cycles=2)
-        srv_b.run(cl_b, cycles=2)
+        for _ in range(2):
+            srv_a.run_cycle(cl_a)
+            srv_b.run_cycle(cl_b)
         for wa, wb in zip(srv_a.model.get_weights(), srv_b.model.get_weights()):
             for key in wa:
                 np.testing.assert_allclose(wa[key], wb[key], rtol=1e-10)
@@ -151,6 +154,46 @@ class TestSecureStorageIntegration:
         raw = client.storage.backend.get(client.storage.objects()[0])
         assert dataset.x.tobytes() not in raw
 
+    def test_a_failed_shard_read_releases_the_enclave(self):
+        """A client that raises after ``begin_cycle`` still ends its cycle:
+        the TA frees its pool, nothing is exported, and the next cycle
+        trains both clients (the cycle used to stay open for good, so
+        every later ``begin_cycle`` refused)."""
+        shape = (3, 16, 16)
+        shards = synthetic_cifar(
+            num_samples=32, num_classes=NUM_CLASSES, shape=shape, seed=0
+        ).shard(2)
+
+        def model():
+            return lenet5(num_classes=NUM_CLASSES, input_shape=shape, seed=7)
+
+        def policy():
+            return StaticPolicy(LENET, ["L2", "L4"])
+
+        server = FLServer(
+            model(), TrainingPlan(lr=0.1, batch_size=8, local_steps=1), policy()
+        )
+        clients = [
+            FLClient(f"client-{i}", shard, model(), policy=policy(), seed=i)
+            for i, shard in enumerate(shards)
+        ]
+        victim = clients[0]
+        load = victim._load_data
+
+        def fail_once():
+            victim._load_data = load
+            raise IntegrityError("sealed shard failed verification")
+
+        victim._load_data = fail_once
+        with pytest.raises(IntegrityError):
+            server.run_cycle(clients)
+        assert victim.shielded.pool.used_bytes == 0
+        assert victim.last_leakage is None
+        assert server.cycle == 0
+        updates = server.run_cycle(clients)
+        assert [u.client_id for u in updates] == ["client-0", "client-1"]
+        assert all(u.sealed_weights is not None for u in updates)
+
 
 class TestBoundedLeakageState:
     """A client keeps the latest cycle's leakage record, not an archive."""
@@ -181,7 +224,8 @@ class TestBoundedLeakageState:
             server, clients, _ = build_deployment(lambda: StaticPolicy(LENET, ["L2"]))
             retained = []
             for cycles in (1, 4):
-                server.run(clients, cycles=cycles)
+                for _ in range(cycles):
+                    server.run_cycle(clients)
                 assert records() - baseline == len(clients)
                 retained.append(tracemalloc.get_traced_memory()[0])
         finally:

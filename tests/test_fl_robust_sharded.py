@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fl import HierarchicalAggregator, ShardingConfig
+from repro.fl import HierarchicalAggregator, ShardingConfig, shard_of
 from repro.fl.robust import apply_rule
 from repro.nn.serialize import flatten_weights
 
@@ -53,7 +53,7 @@ def reduce_tree(updates, counts, num_shards, rule, *, trim=1, f=1, order=None):
     cohort = len(updates)
     positions = list(range(cohort)) if order is None else list(order)
     for position in positions:
-        shard = tree.shard_for(position, cohort)
+        shard = shard_of(position, cohort, tree.num_shards)
         flat = flatten_weights(updates[position])
         tree.fold(shard, flat, counts[position], position=position)
     tree.partials()

@@ -3,22 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import StaticPolicy
-from repro.data import synthetic_cifar
 from repro.fl import (
-    FLClient,
-    FLServer,
     HierarchicalAggregator,
-    RoundConfig,
-    ServerConfig,
     ShardingConfig,
     TopKCompressor,
-    TrainingPlan,
     fedavg,
     shard_of,
 )
 from repro.fl.aggregation import CompensatedAccumulator
-from repro.nn import lenet5
 from repro.nn.serialize import flatten_weights
 from repro.obs import fresh
 
@@ -96,7 +88,8 @@ class TestHierarchicalReduce:
         flat = flatten_weights(fedavg(updates, counts))
         tree = tree_for(updates[0], ShardingConfig(num_shards=num_shards))
         for position, (update, count) in enumerate(zip(updates, counts)):
-            tree.fold(tree.shard_for(position, 13), flatten_weights(update), count)
+            shard = shard_of(position, 13, num_shards)
+            tree.fold(shard, flatten_weights(update), count)
         assert_flat_equal(tree.reduce(), flat)
 
     def test_result_independent_of_routing(self):
@@ -126,7 +119,7 @@ class TestHierarchicalReduce:
         counts = [3, 1, 4, 1, 5, 9]
         tree = HierarchicalAggregator(size, ShardingConfig(num_shards=3))
         for position, (update, count) in enumerate(zip(sparse, counts)):
-            tree.fold(tree.shard_for(position, 6), densify(update), count)
+            tree.fold(shard_of(position, 6, tree.num_shards), densify(update), count)
         expected = sparse_mean(sparse, counts)
         np.testing.assert_array_equal(tree.reduce(), expected)
 
@@ -148,7 +141,7 @@ class TestBoundedMemory:
             tree = tree_for(template, ShardingConfig(num_shards=4))
             for position in range(cohort):
                 tree.fold(
-                    tree.shard_for(position, cohort),
+                    shard_of(position, cohort, tree.num_shards),
                     make_flat(position),
                     1 + position % 3,
                 )
@@ -163,7 +156,7 @@ class TestBoundedMemory:
         template = make_update(0)
         tree = tree_for(template, ShardingConfig(num_shards=8))
         for position in range(16):
-            tree.fold(tree.shard_for(position, 16), make_flat(position), 2)
+            tree.fold(shard_of(position, 16, tree.num_shards), make_flat(position), 2)
         tree.reduce()
         assert tree.root_peak_bytes > 0
         assert tree.peak_bytes >= tree.root_peak_bytes
@@ -174,7 +167,7 @@ class TestObservability:
         with fresh() as ctx:
             tree = tree_for(make_update(0), ShardingConfig(num_shards=2))
             for position in range(4):
-                tree.fold(tree.shard_for(position, 4), make_flat(position), 1)
+                tree.fold(shard_of(position, 4, 2), make_flat(position), 1)
             partials = tree.partials()
             tree.reduce()
             snap = ctx.registry.snapshot()
@@ -216,47 +209,3 @@ class TestShardPartial:
         tree.fold(0, make_flat(2), 1)
         for original, snapshot in zip(before, partial.components):
             np.testing.assert_array_equal(original, snapshot)
-
-
-class TestShardedServer:
-    """FLServer over a shard tree: the shielded round commits flat's bits."""
-
-    def run_round(self, rule, num_shards):
-        def model():
-            return lenet5(num_classes=5, seed=7, scale=0.5)
-
-        def policy(target):
-            return StaticPolicy(target, ["L2", "L4"])
-
-        shards = synthetic_cifar(num_samples=48, num_classes=5, seed=0).shard(3)
-        global_model = model()
-        config = ServerConfig(
-            round=RoundConfig(rule=rule),
-            sharding=ShardingConfig(num_shards=num_shards),
-        )
-        server = FLServer(
-            global_model,
-            TrainingPlan(lr=0.2, batch_size=16, local_steps=1),
-            policy=policy(global_model),
-            config=config,
-        )
-        fleet = []
-        for i in range(3):
-            local = model()
-            fleet.append(
-                FLClient(f"client-{i}", shards[i], local, policy=policy(local), seed=i)
-            )
-        with fresh() as ctx:
-            server.run_cycle(fleet)
-            series = ctx.registry.counter("fl.bytes.shard").series()
-        return flatten_weights(server.model.get_weights()), server.channel, series
-
-    @pytest.mark.parametrize("rule", ["fedavg", "median"])
-    def test_sharded_round_matches_flat_and_prices_partials(self, rule):
-        flat_weights, flat_channel, flat_series = self.run_round(rule, 1)
-        weights, channel, series = self.run_round(rule, 3)
-        assert_flat_equal(weights, flat_weights)
-        assert flat_channel.partials == 0 and flat_series == {}
-        assert channel.partials == 3
-        assert channel.shard_bytes > 0
-        assert sum(series.values()) == channel.shard_bytes

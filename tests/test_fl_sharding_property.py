@@ -16,6 +16,7 @@ from repro.fl import (
     ShardingConfig,
     TopKCompressor,
     fedavg,
+    shard_of,
 )
 from repro.fl.aggregation import CompensatedAccumulator
 from repro.nn.serialize import flatten_weights
@@ -58,9 +59,8 @@ def test_sharded_reduce_is_bitwise_fedavg(
     flat = flatten_weights(fedavg(updates, counts))
     tree = tree_for(updates, num_shards)
     for position, (update, count) in enumerate(zip(updates, counts)):
-        tree.fold(
-            tree.shard_for(position, num_clients), flatten_weights(update), count
-        )
+        shard = shard_of(position, num_clients, tree.num_shards)
+        tree.fold(shard, flatten_weights(update), count)
     np.testing.assert_array_equal(tree.reduce(), flat)
 
 
@@ -106,7 +106,7 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     for position, (update, count) in enumerate(zip(sparse, counts)):
         dense = np.zeros(size)
         dense[update.indices] = update.values
-        tree.fold(tree.shard_for(position, num_clients), dense, count)
+        tree.fold(shard_of(position, num_clients, tree.num_shards), dense, count)
     np.testing.assert_array_equal(tree.reduce(), expected)
 
 

@@ -130,6 +130,18 @@ assert not loaded("repro.cli"), loaded("repro.cli")
     )
 
 
+def test_the_fl_server_leaves_the_retry_policy_unloaded(spawn_python):
+    """``FLServer``'s cycle is fail-fast: the retry schedule belongs to the
+    serve load generator alone."""
+    run(
+        spawn_python,
+        """
+from repro.fl.server import FLServer
+assert not loaded("repro.fl.resilience"), loaded("repro.fl.resilience")
+""",
+    )
+
+
 def test_a_serve_report_leaves_numpy_ma_unloaded(spawn_python):
     """The report's latency percentiles do not go through ``np.percentile``,
     whose ``np.unique`` call imports ``numpy.ma``."""
@@ -157,11 +169,11 @@ LAZY_PACKAGES = {
     "repro.baselines": 9,
     "repro.bench": 10,
     "repro.core": 25,
-    "repro.data": 8,
-    "repro.fl": 39,
+    "repro.data": 6,
+    "repro.fl": 38,
     "repro.graph": 19,
     "repro.ml": 7,
-    "repro.nn": 29,
+    "repro.nn": 27,
     "repro.serve": 27,
     "repro.sim": 12,
     "repro.tee": 30,

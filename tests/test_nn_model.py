@@ -43,10 +43,6 @@ class TestForwardAndLoss:
         out = small_model.forward(rng.normal(size=(7, 6)))
         assert out.shape == (7, 4)
 
-    def test_predict_proba_rows_sum_to_one(self, small_model, rng):
-        probs = small_model.predict_proba(rng.normal(size=(5, 6)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
     def test_accuracy_bounds(self, small_model, rng):
         x = rng.normal(size=(20, 6))
         y = one_hot(rng.integers(0, 4, 20), 4)

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     flatten_weights,
-    load_weights,
     mlp,
-    save_weights,
     unflatten_weights,
     weights_from_bytes,
     weights_to_bytes,
@@ -33,15 +31,6 @@ class TestBytesRoundtrip:
         restored = weights_from_bytes(weights_to_bytes(weights))
         assert restored[1] == {}
         np.testing.assert_array_equal(restored[2]["bias"], np.zeros(3))
-
-    def test_file_roundtrip(self, small_model, tmp_path):
-        path = str(tmp_path / "weights.npz")
-        save_weights(small_model, path)
-        twin = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5), seed=9)
-        load_weights(twin, path)
-        for a, b in zip(small_model.get_weights(), twin.get_weights()):
-            for key in a:
-                np.testing.assert_array_equal(a[key], b[key])
 
 
 class TestFlatten:

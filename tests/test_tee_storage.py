@@ -231,7 +231,8 @@ class TestMetrics:
                 FLClient(f"client-{i}", shard, model.clone(), seed=i)
                 for i, shard in enumerate(shards)
             ]
-            server.run(clients, cycles=2)
+            for _ in range(2):
+                server.run_cycle(clients)
             shard_bytes = len(_dataset_to_bytes(shards[0]))
             assert all(len(_dataset_to_bytes(s)) == shard_bytes for s in shards)
             bytes_moved = ctx.registry.counter("tee.storage.bytes")

@@ -164,6 +164,7 @@ GATED: List[Command] = [
              "--out", "admit-resume.json"),
     ),
     _cli("list"),
+    _cli("trace", "--rounds", "2", "--protect", "2,4", "--out", "trace.json"),
     _cli("simulate", "--clients", "100000", "--shards", "64", "--rounds", "2",
          "--cohort", "512", "--out", "shard_smoke.json"),
     # CI sweeps job: every example, the quick sweeps, the paper benchmarks
