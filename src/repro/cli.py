@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import List, Optional
@@ -59,11 +60,21 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         ServerConfig,
         TrainingPlan,
     )
-    from .core import StaticPolicy
+    from .core import PolicyError, StaticPolicy
     from .nn import lenet5 as make_lenet5
     from .obs import FakeClock, fresh, validate_metrics, validate_trace
 
-    protect = tuple(int(p) for p in args.protect.split(",") if p.strip())
+    for flag in ("clients", "rounds", "steps"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be positive")
+    if args.max_norm is not None and not 0 < args.max_norm < math.inf:
+        raise ValueError(f"--max-norm must be positive and finite, got {args.max_norm}")
+    try:
+        protect = tuple(int(p) for p in args.protect.split(",") if p.strip())
+    except ValueError:
+        raise ValueError(
+            f"--protect takes comma-separated layer indices, got {args.protect!r}"
+        ) from None
     shape = (3, 16, 16)
 
     # Admission is always in the loop for traces so the `fl.admission.*`
@@ -81,7 +92,11 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         global_model = make_lenet5(num_classes=10, input_shape=shape, seed=args.seed)
         plan = TrainingPlan(lr=0.05, batch_size=4, local_steps=args.steps)
         layout = global_model.layout()
-        policy = StaticPolicy(layout, [layout.ref(i) for i in protect]) if protect else None
+        try:
+            refs = [layout.ref(i) for i in protect]
+        except PolicyError as error:
+            raise ValueError(f"--protect: {error}") from None
+        policy = StaticPolicy(layout, refs) if protect else None
         server = FLServer(global_model, plan, policy=policy, config=server_config)
         dataset = synthetic_cifar(
             num_samples=8 * args.clients,
@@ -216,6 +231,18 @@ def _run(args: argparse.Namespace) -> None:
     _write_payload(args.out, payload, echo=True)
 
 
+def _cmd_experiment(args: argparse.Namespace) -> None:
+    """A paper table or figure: run its handler and write its payload."""
+    from .experiments import EXPERIMENTS
+
+    if args.batch_size < 1:
+        raise ValueError("--batch-size must be positive")
+    handler, _, _ = EXPERIMENTS[args.command]
+    payload = handler(args)
+    if payload is not None and args.out:
+        _write_payload(args.out, {"schema": 1, **payload})
+
+
 def _cmd_list(parser: argparse.ArgumentParser) -> None:
     """Print every registered subcommand with its help line."""
     print("available experiments:")
@@ -296,9 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         _cmd_list(parser)
         return 0
-    if args.command == "trace":
-        _cmd_trace(args)
-        return 0
     if args.command in _KNOB_COMMANDS:
         from .tee.world import IntegrityError
 
@@ -312,12 +336,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         _say_checkpoint_events(args, before)
         return 0
-    from .experiments import EXPERIMENTS
-
-    handler, _, _ = EXPERIMENTS[args.command]
-    payload = handler(args)
-    if payload is not None and args.out:
-        _write_payload(args.out, {"schema": 1, **payload})
+    command = _cmd_trace if args.command == "trace" else _cmd_experiment
+    try:
+        command(args)
+    except ValueError as error:  # a refused flag, not a crash
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

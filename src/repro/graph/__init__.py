@@ -1,4 +1,4 @@
-"""Graph compiler: trace-once IR, optimization passes, memory planning, VM.
+"""Graph compiler: trace one eager pass into an IR, replay it in a VM.
 
 Submodules are re-exported lazily: :mod:`repro.autodiff.ops` imports
 ``repro.graph.trace`` at load time (for the zero-cost trace hooks), so this
@@ -14,26 +14,17 @@ __all__ = [
     "Tape",
     "TraceError",
     "activate",
-    "optimize",
-    "plan_buffers",
-    "BufferPlan",
     "GraphUnsupported",
     "VM",
     "BatchedVM",
     "CompiledStep",
     "compile_model_step",
     "trace_callable",
-    "plan_cache_clear",
-    "plan_cache_stats",
-    "MemoryPlan",
-    "LayerMemory",
-    "plan_protection",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "ir": ("Node", "Program"),
     "trace": ("Tape", "TraceError", "activate"),
-    "passes": ("optimize", "plan_buffers", "BufferPlan"),
     "vm": (
         "GraphUnsupported",
         "VM",
@@ -41,8 +32,5 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
         "CompiledStep",
         "compile_model_step",
         "trace_callable",
-        "plan_cache_clear",
-        "plan_cache_stats",
     ),
-    "planner": ("MemoryPlan", "LayerMemory", "plan_protection"),
 })

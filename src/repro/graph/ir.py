@@ -8,10 +8,8 @@ op produces (e.g. the cached argmax coordinate tuple of ``maxpool2d``).
 
 The IR is deliberately minimal — no basic blocks, no control flow — because
 a training step for a fixed (model, input shape) pair is a straight-line
-computation: the trace *is* the schedule.  Optimization passes
-(:mod:`repro.graph.passes`) rewrite the node list; the VM
-(:mod:`repro.graph.vm`) binds each node to a numpy kernel and replays the
-list on fresh inputs.
+computation: the trace *is* the schedule.  The VM (:mod:`repro.graph.vm`)
+binds each node to a numpy kernel and replays the list on fresh inputs.
 """
 
 from __future__ import annotations
@@ -79,9 +77,9 @@ class Program:
         outside the watched set (seed-gradient ones, scalar coefficients).
     outputs:
         Value ids returned by :meth:`repro.graph.vm.VM.run`.
-    shapes / dtypes:
-        ``{value_id: shape/dtype-str}`` for ndarray values (``None`` entries
-        for auxiliary objects); used by liveness planning and batching.
+    shapes:
+        ``{value_id: shape}`` for ndarray values (``None`` entries for
+        auxiliary objects); used by batching.
     """
 
     def __init__(
@@ -92,7 +90,6 @@ class Program:
         constants: Dict[int, Any],
         outputs: Sequence[int],
         shapes: Optional[Dict[int, Optional[tuple]]] = None,
-        dtypes: Optional[Dict[int, Optional[str]]] = None,
     ) -> None:
         self.nodes = list(nodes)
         self.n_values = int(n_values)
@@ -100,7 +97,6 @@ class Program:
         self.constants = dict(constants)
         self.outputs = tuple(outputs)
         self.shapes = dict(shapes or {})
-        self.dtypes = dict(dtypes or {})
         self.validate()
 
     # ------------------------------------------------------------------
@@ -121,21 +117,3 @@ class Program:
         for vid in self.outputs:
             if vid not in defined:
                 raise ValueError(f"program output {vid} is never defined")
-
-    def op_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
-
-    def with_nodes(self, nodes: List[Node]) -> "Program":
-        """Copy of this program with a rewritten node list."""
-        return Program(
-            nodes,
-            self.n_values,
-            self.placeholders,
-            self.constants,
-            self.outputs,
-            self.shapes,
-            self.dtypes,
-        )

@@ -36,6 +36,9 @@ __all__ = ["Tape", "TraceError", "activate", "TAPE"]
 #: The active tape, or None.  Op hooks read this attribute directly.
 TAPE: Optional["Tape"] = None
 
+#: Largest unwatched array (in elements) a trace bakes as a constant.
+CONSTANT_SIZE_LIMIT = 16
+
 
 class TraceError(RuntimeError):
     """Raised when a trace cannot faithfully capture the computation."""
@@ -44,28 +47,20 @@ class TraceError(RuntimeError):
 class Tape:
     """Records ops and value flow during one eager pass.
 
-    Parameters
-    ----------
-    strict:
-        When True (default), a *large* unwatched ndarray entering the trace
-        raises instead of being baked as a constant.  Legitimate constants
-        are small (scalar coefficients, seed-gradient ones); a large unknown
-        array almost always means a data-dependent value was created by a
-        site without a trace hook — baking it would replay stale data on
-        fresh inputs, silently.
-    constant_size_limit:
-        Element-count threshold for the strict check.
+    An unwatched ndarray of more than :data:`CONSTANT_SIZE_LIMIT` elements
+    entering the trace raises instead of being baked as a constant.
+    Legitimate constants are small (scalar coefficients, seed-gradient
+    ones); a large unknown array almost always means a data-dependent value
+    was created by a site without a trace hook — baking it would replay
+    stale data on fresh inputs, silently.
     """
 
-    def __init__(self, strict: bool = True, constant_size_limit: int = 16) -> None:
+    def __init__(self) -> None:
         self.records: List[Node] = []
         self.n_values = 0
         self.placeholders: List[int] = []
         self.constants: dict = {}
         self.shapes: dict = {}
-        self.dtypes: dict = {}
-        self.strict = bool(strict)
-        self.constant_size_limit = int(constant_size_limit)
         self._by_key: dict = {}  # id(object) -> value id
         self._keep: list = []  # keepalive: pin ids for the tape's lifetime
 
@@ -83,12 +78,7 @@ class Tape:
         self.n_values += 1
         self._by_key[id(obj)] = vid
         self._keep.append(obj)
-        if isinstance(obj, np.ndarray):
-            self.shapes[vid] = obj.shape
-            self.dtypes[vid] = obj.dtype.str
-        else:
-            self.shapes[vid] = None
-            self.dtypes[vid] = None
+        self.shapes[vid] = obj.shape if isinstance(obj, np.ndarray) else None
         return vid
 
     def watch(self, value: Any, label: str = "") -> int:
@@ -109,12 +99,11 @@ class Tape:
                 f"non-array value of type {type(obj).__name__} entered the "
                 "trace without a producing op — missing trace hook?"
             )
-        if self.strict and obj.size > self.constant_size_limit:
+        if obj.size > CONSTANT_SIZE_LIMIT:
             raise TraceError(
                 f"unwatched array of shape {obj.shape} entered the trace and "
                 "would be baked as a constant; if it is data-dependent this "
-                "is a missing trace hook, if it is a genuine constant watch() "
-                "it or trace with strict=False"
+                "is a missing trace hook, if it is a genuine constant watch() it"
             )
         vid = self._new_value(obj)
         # Copy: the original may be mutated between trace and replay.
@@ -178,7 +167,6 @@ class Tape:
             self.constants,
             out_vids,
             self.shapes,
-            self.dtypes,
         )
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "get_clock",
     "configure",
     "fresh",
-    "on_fresh",
 ]
 
 
@@ -106,37 +105,16 @@ def configure(context: ObsContext) -> ObsContext:
     return previous
 
 
-# Callbacks invoked when fresh() installs its new context.  Modules with
-# process-wide caches (the graph plan cache) register a reset here so the
-# isolation fresh() promises extends to them.
-_FRESH_HOOKS: list = []
-
-
-def on_fresh(callback) -> None:
-    """Register ``callback()`` to run at every :func:`fresh` entry.
-
-    Idempotent per callable: registering the same function twice keeps one
-    entry (modules register at import time, which may re-run in tests).
-    """
-    if callback not in _FRESH_HOOKS:
-        _FRESH_HOOKS.append(callback)
-
-
 @contextmanager
 def fresh(clock: Optional[Clock] = None):
     """Run the block under a brand-new context (restored on exit).
 
     The workhorse of the deterministic test harness: pass a
     :class:`FakeClock` and everything instrumented inside the block lands
-    in an isolated registry/tracer with reproducible timestamps.  Entry
-    also fires every :func:`on_fresh` hook, clearing process-wide caches
-    (e.g. the graph plan cache) that would otherwise leak state between
-    isolated blocks.
+    in an isolated registry/tracer with reproducible timestamps.
     """
     context = _make_context(clock)
     previous = configure(context)
-    for callback in list(_FRESH_HOOKS):
-        callback()
     try:
         yield context
     finally:

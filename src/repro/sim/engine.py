@@ -260,6 +260,10 @@ class SimConfig:
             raise ConfigError("straggler_factor must exceed 1")
         if self.update_scale <= 0:
             raise ConfigError("update_scale must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if self.local_steps < 1:
+            raise ConfigError("local_steps must be positive")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
         if not 0.0 <= self.drift <= 1.0:

@@ -86,6 +86,9 @@ class CostModel:
         batch_size: int = 32,
         batches_per_cycle: int = 1,
     ) -> None:
+        for name, value in (("batch_size", batch_size), ("batches_per_cycle", batches_per_cycle)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         self.profile = profile
         self.batch_size = int(batch_size)
         self.batches_per_cycle = int(batches_per_cycle)

@@ -53,6 +53,7 @@ class TestSurface:
         import repro.fl
         import repro.graph
         import repro.nn
+        import repro.obs
         import repro.serve
         import repro.tee
 
@@ -79,10 +80,19 @@ class TestSurface:
             "collect_with" "_retries",
             "save" "_weights",
             "load" "_weights",
+            "plan_" "protection",
+            "Memory" "Plan",
+            "Layer" "Memory",
+            "opti" "mize",
+            "plan_" "buffers",
+            "Buffer" "Plan",
+            "plan_cache" "_clear",
+            "plan_cache" "_stats",
+            "on_" "fresh",
         }
         modules = (
             repro.fl, repro.serve, api, repro.attacks, repro.baselines,
-            repro.tee, repro.nn, repro.graph,
+            repro.tee, repro.nn, repro.graph, repro.obs,
         )
         for module in modules:
             for name in module.__all__:

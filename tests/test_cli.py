@@ -108,6 +108,35 @@ class TestConfigErrors:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--protect", "0"],
+            ["--protect", "9"],
+            ["--protect", "x"],
+            ["--rounds", "0"],
+            ["--clients", "0"],
+            ["--steps", "0"],
+            ["--max-norm", "nan"],
+            ["--max-norm", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_trace_refuses_a_bad_flag_in_one_line_naming_it(self, flags, capsys):
+        assert main(["trace", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro trace: error: {flags[0]}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["table6", "fig8"])
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_a_paper_command_refuses_a_nonpositive_batch_size(self, command, size, capsys):
+        assert main([command, "--batch-size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {command}: error: --batch-size must be positive\n"
+        assert captured.out == ""
+
     def test_the_api_keeps_raising(self):
         from repro.api import simulate
 

@@ -323,6 +323,7 @@ def _keywords(command, argv):
 CI_RUNS = [
     "simulate --clients 500 --rounds 5 --seed 7 --dropout 0.2 --straggler 0.1 --corrupt 0.05",
     "simulate --clients 60 --rounds 10 --seed 0 --byzantine 0.3 --attack scale --rule trimmed_mean --max-norm 6",
+    "simulate --clients 60 --rounds 10 --seed 0 --byzantine 0.3 --attack scale --rule trimmed_mean --max-norm 6 --compile --client-batch 16",
     "simulate --clients 500 --rounds 5 --seed 7 --async --buffer-size 64 --dropout 0.2 --straggler 0.1",
     "simulate --clients 500 --rounds 5 --seed 7 --pool-exhaust 0.05 --attestation 0.03 --shards 4 --shard-down 0.2",
     "simulate --clients 500 --rounds 5 --seed 7 --async --buffer-size 32 --max-norm 3 --clip --byzantine 0.3 --attack scale --rule median --shards 2",

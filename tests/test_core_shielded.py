@@ -12,7 +12,7 @@ from repro.core import (
     StaticPolicy,
     policy_from_spec,
 )
-from repro.nn import lenet5, mlp, one_hot
+from repro.nn import alexnet, gpt_tiny, lenet5, mlp, one_hot, vit_tiny
 from repro.tee import (
     CostModel,
     SecureMemoryExhausted,
@@ -25,6 +25,30 @@ from repro.tee import (
 
 # The layout of every model make_shielded builds (three dense layers L1..L3).
 LAYOUT = mlp(num_classes=4, input_shape=(6,), hidden=(8, 5)).layout()
+
+
+#: Small zoo builds, each with one spec per ``policy_from_spec`` production
+#: that applies to it (``pelta*`` needs blocks); all fit the default pool.
+ZOO = {
+    "lenet5": lambda: lenet5(num_classes=10, input_shape=(3, 16, 16), seed=0),
+    "alexnet": lambda: alexnet(
+        num_classes=10, input_shape=(3, 16, 16), seed=0, scale=0.05
+    ),
+    "mlp": lambda: mlp(10, (64,), hidden=(64, 32), seed=0),
+    "vit_tiny": lambda: vit_tiny(num_classes=6, seed=0),
+    "gpt_tiny": lambda: gpt_tiny(num_classes=6, seed=0),
+}
+_TRANSFORMER_SPECS = (
+    "none", "static:block1.softmax+block2.ln1", "darknetz:block2", "mw:3",
+    "pelta", "pelta:block2", "pelta-mw:1",
+)
+ZOO_SPECS = {
+    "lenet5": ("none", "static:L2+L4", "darknetz:L4+L5", "mw:2"),
+    "alexnet": ("none", "static:L2+L6", "darknetz:L7+L8", "mw:2"),
+    "mlp": ("none", "static:L1+L3", "darknetz:L3", "mw:1"),
+    "vit_tiny": _TRANSFORMER_SPECS,
+    "gpt_tiny": _TRANSFORMER_SPECS,
+}
 
 
 def tiny_batch(rng, n=6, classes=4):
@@ -385,6 +409,30 @@ class TestMemoryAccounting:
         expected = CostModel(batch_size=32).tee_memory_bytes(model, (2, 5))
         assert shielded.pool.used_bytes == expected
         shielded.end_cycle()
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [(name, spec) for name, specs in ZOO_SPECS.items() for spec in specs],
+    )
+    def test_runtime_pool_peak_equals_cost_model(self, name, spec):
+        """The secure pool's runtime peak in every cycle is exactly what
+        ``CostModel.tee_memory_bytes`` charges for that cycle's protected set."""
+        batch, cycles = 2, 3
+        model = ZOO[name]()
+        policy = policy_from_spec(spec, model, seed=3)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((batch, *model.input_shape))
+        classes = model.output_shape[-1]
+        y = one_hot(rng.integers(0, classes, size=batch), classes)
+        shielded = ShieldedModel(model, policy, batch_size=batch)
+        cost_model = CostModel(batch_size=batch)
+        for cycle in range(cycles):
+            protected = shielded.begin_cycle(cycle=cycle)
+            shielded.train_step(x, y, lr=0.05)
+            record = shielded.end_cycle()
+            assert record.peak_tee_bytes == cost_model.tee_memory_bytes(
+                model, protected
+            ), (cycle, sorted(protected))
 
 
 class TestDynamicCycles:

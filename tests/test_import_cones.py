@@ -162,7 +162,7 @@ assert "numpy.ma" not in sys.modules
 
 
 # Every package whose ``__init__`` resolves its names lazily, with the
-# length of its (unchanged) ``__all__``.
+# length of its ``__all__``.
 LAZY_PACKAGES = {
     "repro.attacks": 14,
     "repro.autodiff": 10,
@@ -171,7 +171,7 @@ LAZY_PACKAGES = {
     "repro.core": 25,
     "repro.data": 6,
     "repro.fl": 38,
-    "repro.graph": 19,
+    "repro.graph": 11,
     "repro.ml": 7,
     "repro.nn": 27,
     "repro.serve": 27,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.fl.config import ConfigError
 from repro.nn import lenet5
 from repro.nn.serialize import flatten_weights, unflatten_weights
 from repro.obs import VirtualClock
@@ -57,6 +58,14 @@ class TestDeterminism:
         assert json.loads(json.dumps(report)) == json.loads(
             json.dumps(report)
         )
+
+    @pytest.mark.parametrize("field", ["batch_size", "local_steps"])
+    def test_nonpositive_cost_model_inputs_are_refused(self, field):
+        # They price a client's compute time: a zero or negative count
+        # would price a negative one.
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"{field} must be positive"):
+                SimConfig(num_clients=10, rounds=1, **{field: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

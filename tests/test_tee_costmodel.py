@@ -95,6 +95,13 @@ class TestDynamic:
             cost_model.dynamic_cost(model, [(1, 2)], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("field", ["batch_size", "batches_per_cycle"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_nonpositive_batch_counts_are_refused(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        CostModel(**{field: value})
+
+
 class TestMemoryEnforcement:
     def test_all_layers_exceed_4mib_at_large_batch(self, model):
         cm = CostModel(batch_size=128)

@@ -92,6 +92,8 @@ def _twice(*commands: Command) -> List[Command]:
 
 
 _SYNC = ("--clients", "500", "--rounds", "5", "--seed", "7")
+_BYZ = ("--clients", "60", "--rounds", "10", "--seed", "0", "--byzantine", "0.3",
+        "--attack", "scale", "--rule", "trimmed_mean", "--max-norm", "6")
 _SERVE = ("--tenants", "2", "--clients", "200", "--commits", "5", "--seed", "7",
           "--dropout", "0.05", "--straggler", "0.1")
 
@@ -103,9 +105,7 @@ GATED: List[Command] = [
     # CI sweeps job: same-seed simulate and serve smokes.
     _cli("simulate", *_SYNC, "--dropout", "0.2", "--straggler", "0.1",
          "--corrupt", "0.05", "--out", "sync.json"),
-    _cli("simulate", "--clients", "60", "--rounds", "10", "--seed", "0",
-         "--byzantine", "0.3", "--attack", "scale", "--rule", "trimmed_mean",
-         "--max-norm", "6", "--out", "byz.json"),
+    _cli("simulate", *_BYZ, "--out", "byz.json"),
     _cli("simulate", *_SYNC, "--async", "--buffer-size", "64", "--dropout",
          "0.2", "--straggler", "0.1", "--out", "async.json"),
     _cli("simulate", *_SYNC, "--pool-exhaust", "0.05", "--attestation", "0.03",
@@ -131,6 +131,8 @@ GATED: List[Command] = [
     _cli("simulate", "--clients", "256", "--rounds", "3", "--seed", "5",
          "--dropout", "0.1", "--straggler", "0.1", "--compile",
          "--client-batch", "64", "--out", "compiled.json"),
+    _cli("simulate", *_BYZ, "--compile", "--client-batch", "16",
+         "--out", "byz-compiled.json"),
     _cli("serve", *_SERVE, "--out", "serve.json"),
     _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
          "--seed", "7", "--chaos", "--chaos-rate", "0.1", "--chaos-seed", "3",
@@ -180,7 +182,10 @@ GATED: List[Command] = [
         for name in ("shard_scale", "robust", "async", "serve", "chaos",
                      "transformer")
     ],
-    ("-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"),
+    # Disabled, pytest-benchmark calls each timed body directly; enabled,
+    # it pauses every profiler inside one, and the recorder with it.
+    ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
+     "benchmarks"),
     ("bench/run.py", "--quick", "--out", "ledger.json"),
     *[
         ("bench/run.py", "--quick", "--workload", name, "--trace", "1")
