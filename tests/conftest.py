@@ -128,6 +128,28 @@ def small_dataset():
     return synthetic_cifar(num_samples=64, num_classes=5, seed=3)
 
 
+@pytest.fixture
+def shape_budget():
+    """Secure-pool bytes for shielding ``protected`` layers, from shapes alone.
+
+    The paper's float32 ``W + dW`` (counted from the parameter arrays) plus
+    ``A_{l-1} + Z_l + delta_l`` (from each layer's activation element counts)
+    for the whole batch, summed over the set: an accounting written out here
+    independently of ``Layer.tee_memory_bytes`` / ``CostModel``.
+    """
+
+    def budget(model, protected, batch_size):
+        total = 0
+        for index in sorted(set(protected)):
+            layer = model.layer(index)
+            weights = sum(p.data.size for p in layer.params.values())
+            activations = batch_size * (layer.input_elems() + 2 * layer.output_elems())
+            total += 4 * (2 * weights + activations)
+        return total
+
+    return budget
+
+
 # --- simulator-report helpers (shared by the CLI, byzantine and async
 # simulator suites, which all compare serialised reports byte-for-byte) ---
 

@@ -3,7 +3,7 @@
 Attention sublayers pass residual streams as tuples between layers; the
 enclave boundary must marshal every stream across world switches without
 changing a single bit of the training computation, and the runtime pool
-peak must equal the cost model.
+peak must equal both the shape-only plan and the cost model.
 """
 
 import numpy as np
@@ -92,6 +92,20 @@ class TestBitwiseEquivalence:
 
 
 class TestPoolPeakInvariant:
+    @pytest.mark.parametrize("factory", [vit_tiny, gpt_tiny])
+    @pytest.mark.parametrize("name", sorted(POLICY_BUILDERS))
+    def test_runtime_peak_equals_plan_and_cost_model(self, factory, name, shape_budget):
+        model = factory(num_classes=6, seed=11)
+        policy = POLICY_BUILDERS[name](model.layout())
+        x, y = _batch(model, seed=3)
+        records, _ = _train_shielded(model, policy, x, y, cycles=2)
+        cost_model = CostModel(batch_size=BATCH)
+        for cycle, record in enumerate(records):
+            protected = policy.layers_for_cycle(cycle)
+            planned = shape_budget(model, protected, BATCH)
+            expected = cost_model.tee_memory_bytes(model, protected)
+            assert record.peak_tee_bytes == planned == expected
+
     @pytest.mark.parametrize("factory", [vit_tiny, gpt_tiny])
     def test_provisioned_cycle_charges_what_a_protected_one_does(self, factory):
         """Sealed weights from the server take the enclave space a local

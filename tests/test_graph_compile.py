@@ -1,4 +1,5 @@
-"""Graph IR validation, tracing checks and the batched VM's lifting rule."""
+"""Graph IR validation, tracing checks, the batched VM's lifting rule and
+the secure-pool budget that replaced the compile-time memory planner."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import pytest
 from repro.graph.ir import Node, Program
 from repro.graph.trace import TraceError
 from repro.graph.vm import VM, BatchedVM, GraphUnsupported, trace_callable
+from repro.nn import lenet5, mlp, one_hot
+from repro.obs import fresh
 
 
 def _simple_program():
@@ -74,3 +77,82 @@ class TestBatchedLifting:
             BatchedVM(program, [0])
         # Unbatched, the same node replays through its ordinary kernel.
         BatchedVM(program, [])
+
+
+class TestMemoryPlanner:
+    """The secure-pool budget is planned from shapes alone, before any
+    enclave is provisioned; ``CostModel.tee_memory_bytes`` is that plan and
+    the runtime ``tee.pool.peak_bytes`` gauge must meet it exactly."""
+
+    BATCH = 8
+    CAPACITY = 64 * 1024 * 1024
+
+    def _cases(self):
+        from repro.core.policy import DarknetzPolicy, DynamicPolicy, StaticPolicy
+
+        lenet_factory = lambda: lenet5(
+            num_classes=10, input_shape=(3, 16, 16), seed=0
+        )
+        mlp_factory = lambda: mlp(10, (64,), hidden=(64, 32), seed=0)
+        lenet, dense = lenet_factory().layout(), mlp_factory().layout()
+        return [
+            ("lenet5", lenet_factory, StaticPolicy(lenet, ["L2", "L4"])),
+            ("lenet5", lenet_factory, DarknetzPolicy(lenet, ["L4", "L5"])),
+            ("lenet5", lenet_factory, DynamicPolicy(lenet, 2, [0.25] * 4, seed=3)),
+            ("mlp", mlp_factory, StaticPolicy(dense, ["L1", "L3"])),
+            ("mlp", mlp_factory, DynamicPolicy(dense, 1, [1 / 3] * 3, seed=3)),
+        ]
+
+    def test_plan_matches_cost_model(self, shape_budget):
+        from repro.tee.costmodel import CostModel
+
+        model = lenet5(num_classes=10, input_shape=(3, 16, 16), seed=0)
+        expected = CostModel(batch_size=self.BATCH).tee_memory_bytes(
+            model, (2, 4)
+        )
+        assert shape_budget(model, (2, 4), self.BATCH) == expected
+        assert expected == sum(
+            model.layer(i).tee_memory_bytes(self.BATCH) for i in (2, 4)
+        )
+
+    def test_planned_peak_equals_measured_gauge(self, shape_budget):
+        """Planned secure-pool peak == runtime tee.pool.peak_bytes,
+        for every zoo model x protection policy cycle."""
+        from repro.core.policy import DynamicPolicy
+        from repro.core.shielded import ShieldedModel
+        from repro.tee.costmodel import CostModel
+        from repro.tee.memory import SecureMemoryPool
+
+        cost_model = CostModel(batch_size=self.BATCH)
+        rng = np.random.default_rng(0)
+        for model_name, factory, policy in self._cases():
+            model = factory()
+            cycles = 3 if isinstance(policy, DynamicPolicy) else 1
+            if model_name == "mlp":
+                x = rng.normal(size=(self.BATCH, 64))
+            else:
+                x = rng.normal(size=(self.BATCH, 3, 16, 16))
+            y = one_hot(rng.integers(0, 10, size=self.BATCH), 10)
+            for cycle in range(cycles):
+                protected = policy.layers_for_cycle(cycle)
+                planned = cost_model.tee_memory_bytes(model, protected)
+                assert planned == shape_budget(model, protected, self.BATCH)
+                with fresh() as ctx:
+                    name = f"test-{model_name}-{cycle}"
+                    shielded = ShieldedModel(
+                        factory(),
+                        policy,
+                        pool=SecureMemoryPool(self.CAPACITY, name=name),
+                        batch_size=self.BATCH,
+                    )
+                    shielded.begin_cycle(cycle=cycle)
+                    shielded.train_step(x, y, lr=0.05)
+                    shielded.end_cycle()
+                    measured = ctx.registry.gauge("tee.pool.peak_bytes").value(
+                        pool=name
+                    )
+                assert planned == int(measured), (
+                    model_name,
+                    policy.describe(),
+                    cycle,
+                )

@@ -1,12 +1,21 @@
 """Transformer model family: tiny ViT / GPT blocks in the model zoo.
 
-Builds, block/role metadata, multi-stream memory accounting and training.
+Builds, block/role metadata, multi-stream memory accounting, training, and
+the planned secure-pool budget (shapes alone) equalling
+``CostModel.tee_memory_bytes`` for every transformer x policy row.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.policy import (
+    DynamicPolicy,
+    NoProtection,
+    PeltaPolicy,
+    StaticPolicy,
+)
 from repro.nn import gpt_tiny, one_hot, vit_tiny
+from repro.tee import CostModel
 
 
 def _batch(model, n=4, seed=0):
@@ -80,6 +89,28 @@ class TestMemoryAccounting:
         # tee_memory_bytes = 4 * (2*params + in + 2*out) per sample
         per_sample = 4 * (softmax.input_elems() + 2 * softmax.output_elems())
         assert softmax.tee_memory_bytes(8) == 8 * per_sample
+
+    @pytest.mark.parametrize("factory", [vit_tiny, gpt_tiny])
+    def test_planner_matches_cost_model_for_every_policy(self, factory, shape_budget):
+        """Planned secure-pool peak == CostModel.tee_memory_bytes, per row."""
+        model = factory(num_classes=10, seed=0)
+        layout = model.layout()
+        batch = 16
+        cost_model = CostModel(batch_size=batch)
+        policies = [
+            NoProtection(layout),
+            PeltaPolicy(layout),
+            PeltaPolicy(layout, blocks=["block2"]),
+            PeltaPolicy(layout, size_mw=1, v_mw=(0.5, 0.5), seed=4),
+            StaticPolicy(layout, ["block1.softmax", "block1.ln2"]),
+            DynamicPolicy(layout, 3, (1 / 13,) * 13, seed=4),
+        ]
+        for policy in policies:
+            for cycle in range(6):
+                protected = policy.layers_for_cycle(cycle)
+                assert shape_budget(model, protected, batch) == (
+                    cost_model.tee_memory_bytes(model, protected)
+                )
 
     def test_single_stream_layers_unchanged(self):
         """The multi-stream generalisation is invisible to conv layers."""
