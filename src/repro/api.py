@@ -29,7 +29,6 @@ the supported surface.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import Field
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
@@ -146,9 +145,10 @@ ALIASES = {
 
 
 def knob_table(run_cls) -> List[Tuple[str, str, Field]]:
-    """``(flag, keyword, field)`` for every knob of ``run_cls``
-    (:class:`~repro.sim.SimRun` or :class:`~repro.serve.ServeRun`), in
-    declaration order: the one table the CLI's flags and this module's
+    """``(flag, keyword, field)`` for every knob of ``run_cls`` (a
+    command's run config: :class:`~repro.sim.SimRun`,
+    :class:`~repro.serve.ServeRun`, or one in :mod:`repro.experiments`),
+    in declaration order: the one table the CLI's flags and this module's
     keywords are both read from."""
     from .fl.config import knob_fields
 
@@ -196,6 +196,8 @@ def simulate(
     run's ``weights_sha256``.  ``include_metrics`` embeds the run's
     metrics snapshot.
     """
+    from .core.policy import PolicyError
+    from .fl.config import ConfigError
     from .nn.zoo import by_name, mlp
     from .obs import VirtualClock, fresh
     from .sim import FLSimulator, FaultPlan, SimRun
@@ -210,7 +212,10 @@ def simulate(
         target = zoo_model or mlp(
             num_classes=4, input_shape=(6,), hidden=(8, 5), seed=sim.seed
         )
-        protection = policy_from_spec(run.policy, target.layout(), seed=sim.seed)
+        try:
+            protection = policy_from_spec(run.policy, target.layout(), seed=sim.seed)
+        except PolicyError as error:
+            raise ConfigError(f"policy: {error}", "policy") from None
     # Opened outside the run's observability context: the storage layer's
     # own counters are not part of the simulation's metrics snapshot.
     storage = _state_storage("sim", sim.seed, run.state_dir)
@@ -359,36 +364,23 @@ def attack_suite(
     }
 
 
-def run_experiment(
-    name: str,
-    *,
-    fast: bool = False,
-    rounds: int = 36,
-    batch_size: int = 32,
-    seed: int = 0,
-    **extra,
-) -> dict:
+def run_experiment(name: str, config=None, **knobs) -> dict:
     """Run one of the paper's experiments by CLI name, return its rows.
 
     ``name`` is any of the experiment subcommands (``table5``, ``table6``,
-    ``fig5``, ``fig6``, ``fig8``, ``summary``, ``blocks``).  The
+    ``fig5``, ``fig6``, ``fig8``, ``summary``, ``blocks``).  Takes the
+    command's run config (:class:`~repro.experiments.PaperRun`, or
+    :class:`~repro.experiments.BlocksRun` for ``blocks``) or its knobs as
+    keywords spelt as the flags' ``dest`` — e.g.
+    ``run_experiment("blocks", model="gpt_tiny", mw_size=2)``.  The
     human-readable table is printed as a side effect, exactly as the CLI
     does; the returned dict is the JSON payload ``--out`` would have
-    written.  ``extra`` passes experiment-specific flags by their CLI
-    spelling with dashes as underscores — e.g.
-    ``run_experiment("blocks", model="gpt_tiny", mw_size=2)``.
+    written.
     """
     from .experiments import EXPERIMENTS
 
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; expected one of: {known}")
-    handler, _, flags = EXPERIMENTS[name]
-    defaults = {
-        flag[2:].replace("-", "_"): spec["default"] for flag, spec in flags.items()
-    }
-    args = argparse.Namespace(
-        fast=fast, rounds=rounds, batch_size=batch_size, seed=seed, out=None,
-        **{**defaults, **extra},
-    )
-    return handler(args)
+    handler, _, run_cls = EXPERIMENTS[name]
+    return {"command": name, **handler(_run_config(run_cls, config, knobs))}

@@ -10,156 +10,66 @@ Usage::
     python -m repro summary               # Table 1 headline
     python -m repro simulate --clients 100000 --shards 64
 
-Every subcommand spells the shared knobs the same way: ``--seed``,
-``--clients``, ``--rounds``, ``--out``.
+Every subcommand's flags are the knobs of its run config, so the shared
+knobs are spelt the same way everywhere: ``--seed``, ``--clients``,
+``--rounds``; ``--out`` is each command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
+from functools import partial
 from typing import List, Optional
 
 __all__ = ["main"]
 
-#: The commands whose flags are the knobs of a run config.
-_KNOB_COMMANDS = {
-    "simulate": "event-driven FL fleet simulation with fault injection",
-    "serve": "multi-tenant coordinator service under synthetic load",
+
+#: ``--out``'s help line: the command's own, or a paper command's.
+_OUT_HELP = {
+    "trace": "write the JSON here",
+    "simulate": "write the JSON report here",
+    "serve": "write the JSON report here",
 }
 
 
-def _write_payload(out: Optional[str], payload: dict, echo: bool = False) -> None:
-    """Write ``payload`` to ``out``; without one, print it when ``echo``."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out}")
-    elif echo:
-        print(text)
+def _commands() -> dict:
+    """Every command but ``list``, in ``repro list`` order: name ->
+    (handler, help line, run config class).  A handler takes the run
+    config and returns the JSON payload ``--out`` writes."""
+    from . import api
+    from .experiments import EXPERIMENTS, TraceRun, trace
+    from .serve import ServeRun
+    from .sim import SimRun
 
-
-def _cmd_trace(args: argparse.Namespace) -> None:
-    """Run a tiny FL fleet under a fake clock and emit its trace + metrics.
-
-    The whole run executes inside a fresh observability context with a
-    deterministic clock, so two invocations with the same arguments emit
-    byte-identical JSON — the trace is validated against the schema before
-    anything is written.
-    """
-    from .data.synthetic import synthetic_cifar
-    from .fl import (
-        AdmissionConfig,
-        FLClient,
-        FLServer,
-        RoundConfig,
-        ServerConfig,
-        TrainingPlan,
-    )
-    from .core import PolicyError, StaticPolicy
-    from .nn import lenet5 as make_lenet5
-    from .obs import FakeClock, fresh, validate_metrics, validate_trace
-
-    for flag in ("clients", "rounds", "steps"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be positive")
-    if args.max_norm is not None and not 0 < args.max_norm < math.inf:
-        raise ValueError(f"--max-norm must be positive and finite, got {args.max_norm}")
-    try:
-        protect = tuple(int(p) for p in args.protect.split(",") if p.strip())
-    except ValueError:
-        raise ValueError(
-            f"--protect takes comma-separated layer indices, got {args.protect!r}"
-        ) from None
-    shape = (3, 16, 16)
-
-    # Admission is always in the loop for traces so the `fl.admission.*`
-    # and `fl.reputation.*` counters appear in the metrics snapshot even
-    # on a healthy fleet (zero-valued); --max-norm arms the norm ceiling.
-    server_config = ServerConfig(
-        seed=args.seed,
-        round=RoundConfig(
-            rule=args.rule,
-            admission=AdmissionConfig(max_norm=args.max_norm),
+    return {
+        **EXPERIMENTS,
+        "trace": (trace, "deterministic FL-round trace + metrics as JSON", TraceRun),
+        "simulate": (
+            partial(api.simulate, include_metrics=True),
+            "event-driven FL fleet simulation with fault injection",
+            SimRun,
         ),
-    )
-
-    with fresh(clock=FakeClock()) as ctx:
-        global_model = make_lenet5(num_classes=10, input_shape=shape, seed=args.seed)
-        plan = TrainingPlan(lr=0.05, batch_size=4, local_steps=args.steps)
-        layout = global_model.layout()
-        try:
-            refs = [layout.ref(i) for i in protect]
-        except PolicyError as error:
-            raise ValueError(f"--protect: {error}") from None
-        policy = StaticPolicy(layout, refs) if protect else None
-        server = FLServer(global_model, plan, policy=policy, config=server_config)
-        dataset = synthetic_cifar(
-            num_samples=8 * args.clients,
-            num_classes=10,
-            shape=shape,
-            seed=args.seed,
-        )
-        clients = [
-            FLClient(
-                f"client-{i}",
-                shard,
-                global_model.clone(),
-                policy=policy,
-                seed=args.seed + 100 + i,
-            )
-            for i, shard in enumerate(dataset.shard(args.clients))
-        ]
-        for client in clients:
-            server.register(client)
-        for _ in range(args.rounds):
-            server.run_cycle(clients)
-        trace = ctx.tracer.export()
-        metrics = ctx.registry.snapshot()
-        traffic = {
-            "downlink_bytes": server.channel.downlink_bytes,
-            "uplink_bytes": server.channel.uplink_bytes,
-            "downloads": server.channel.downloads,
-            "uploads": server.channel.uploads,
-        }
-    validate_trace(trace)
-    validate_metrics(
-        metrics,
-        required=(
-            "fl.admission.rejected",
-            "fl.reputation.quarantined",
-            "fl.aggregate.rule",
-            "tee.storage.bytes",
-            "tee.storage.verify_failures",
+        "serve": (
+            api.serve,
+            "multi-tenant coordinator service under synthetic load",
+            ServeRun,
         ),
-    )
-    payload = {
-        "schema": 1,
-        "command": "trace",
-        "config": {
-            "clients": args.clients,
-            "rounds": args.rounds,
-            "seed": args.seed,
-            "steps": args.steps,
-            "protected_layers": list(protect),
-            "rule": args.rule,
-            "max_norm": args.max_norm,
-        },
-        "trace": trace,
-        "metrics": metrics,
-        "traffic": traffic,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+
+
+def run_config(args: argparse.Namespace):
+    """The run config the flags in ``args`` (from :func:`build_parser`)
+    spell; a refused value raises ``ConfigError`` or ``PolicyError``."""
+    from .api import knob_table
+    from .fl.config import compose
+
+    run_cls = _commands()[args.command][2]
+    return compose(run_cls, {
+        item.name: getattr(args, keyword) for _, keyword, item in knob_table(run_cls)
+    })
 
 
 def _checkpoint_events() -> dict:
@@ -174,9 +84,9 @@ def _checkpoint_events() -> dict:
     }
 
 
-def _say_checkpoint_events(args: argparse.Namespace, before: dict) -> None:
+def _say_checkpoint_events(command: str, state_dir: str, before: dict) -> None:
     """One stderr line per thing that happened to the checkpoint on resume."""
-    unit = "round" if args.command == "simulate" else "event"
+    unit = "round" if command == "simulate" else "event"
     for event, count in _checkpoint_events().items():
         if count == before.get(event, 0):
             continue
@@ -185,74 +95,32 @@ def _say_checkpoint_events(args: argparse.Namespace, before: dict) -> None:
         else:
             kind = event.partition("=")[2]
             what = f"checkpoint failed verification ({kind}), starting from {unit} 0"
-        print(
-            f"repro {args.command}: state dir {args.state_dir}: {what}",
-            file=sys.stderr,
-        )
+        print(f"repro {command}: state dir {state_dir}: {what}", file=sys.stderr)
 
 
-def _knob_error(command: str, error: ValueError) -> str:
-    """``error``'s message, each config field it names written as the
-    ``repro command`` flag that sets it."""
-    flags = {item.name: flag for flag, _, item in _knob_table(command)}
+def _knob_error(run_cls, error: ValueError) -> str:
+    """``error``'s message, the first mention of each config field it
+    names written as the flag that sets it."""
+    from .api import knob_table
+
+    flags = {item.name: flag for flag, _, item in knob_table(run_cls)}
     named = [name for name in getattr(error, "fields", ()) if name in flags]
     if not named:
         return str(error)
-    pattern = r"\b(%s)\b" % "|".join(named)
-    return re.sub(pattern, lambda match: flags[match.group()], str(error))
+    seen = set()
 
+    def flag(match) -> str:
+        name = match.group()
+        if name in seen:
+            return name
+        seen.add(name)
+        return flags[name]
 
-def _knob_table(command: str):
-    from .api import knob_table
-    from .serve import ServeRun
-    from .sim import SimRun
-
-    return knob_table(SimRun if command == "simulate" else ServeRun)
-
-
-def _run(args: argparse.Namespace) -> None:
-    """``repro simulate``/``serve``: compose the run config from the flags
-    (one per knob of :class:`~repro.sim.SimRun` /
-    :class:`~repro.serve.ServeRun`), run it through :mod:`repro.api` and
-    write the report.  Same flags, same bytes; with ``--state-dir`` a
-    killed run re-invoked with the same command line resumes and ends on
-    the uninterrupted run's report."""
-    from . import api
-
-    knobs = {
-        keyword: getattr(args, keyword)
-        for _, keyword, _ in _knob_table(args.command)
-    }
-    if args.command == "simulate":
-        report = api.simulate(include_metrics=True, **knobs)
-    else:
-        report = api.serve(**knobs)
-    payload = {"schema": 1, "command": args.command, **report}
-    _write_payload(args.out, payload, echo=True)
-
-
-def _cmd_experiment(args: argparse.Namespace) -> None:
-    """A paper table or figure: run its handler and write its payload."""
-    from .experiments import EXPERIMENTS
-
-    if args.batch_size < 1:
-        raise ValueError("--batch-size must be positive")
-    handler, _, _ = EXPERIMENTS[args.command]
-    payload = handler(args)
-    if payload is not None and args.out:
-        _write_payload(args.out, {"schema": 1, **payload})
-
-
-def _cmd_list(parser: argparse.ArgumentParser) -> None:
-    """Print every registered subcommand with its help line."""
-    print("available experiments:")
-    for action in parser._subparsers._group_actions[0]._get_subactions():
-        if action.dest != "list":
-            print(f"  {action.dest:<8} {action.help}")
+    return re.sub(r"\b(%s)\b" % "|".join(named), flag, str(error))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .experiments import EXPERIMENTS
+    from .api import knob_table
     from .fl.config import knob_type
 
     parser = argparse.ArgumentParser(
@@ -261,87 +129,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     subparsers.add_parser("list", help="list available experiments")
-    for name, (_, description, flags) in EXPERIMENTS.items():
-        sub = subparsers.add_parser(name, help=description)
-        sub.add_argument("--fast", action="store_true", help="reduced budget")
-        sub.add_argument("--rounds", type=int, default=36, help="FL rounds (DPIA)")
-        sub.add_argument("--batch-size", type=int, default=32, help="batch size")
-        sub.add_argument("--seed", type=int, default=0, help="experiment seed")
-        sub.add_argument("--out", default=None, help="write result rows as JSON here")
-        for flag, spec in flags.items():
-            sub.add_argument(flag, **spec)
-    trace = subparsers.add_parser(
-        "trace", help="deterministic FL-round trace + metrics as JSON"
-    )
-    trace.add_argument("--clients", type=int, default=2, help="FL participants")
-    trace.add_argument("--rounds", type=int, default=1, help="FL rounds to trace")
-    trace.add_argument("--seed", type=int, default=0, help="trace seed")
-    trace.add_argument("--steps", type=int, default=1, help="local steps per client")
-    trace.add_argument(
-        "--protect",
-        default="2,3",
-        help="comma-separated protected layer indices ('' for none)",
-    )
-    trace.add_argument(
-        "--rule",
-        default="fedavg",
-        choices=["fedavg", "median", "trimmed_mean", "krum", "clipped_fedavg"],
-        help="aggregation rule for the traced rounds",
-    )
-    trace.add_argument(
-        "--max-norm",
-        type=float,
-        default=None,
-        help="admission-control L2 ceiling on update deltas",
-    )
-    trace.add_argument("--out", default=None, help="write the JSON here")
-    for command, description in _KNOB_COMMANDS.items():
+    for command, (_, description, run_cls) in _commands().items():
         sub = subparsers.add_parser(command, help=description)
-        for flag, keyword, item in _knob_table(command):
+        for flag, keyword, item in knob_table(run_cls):
             spec, kind = item.metadata, knob_type(item)
-            if kind is bool:
-                sub.add_argument(
-                    flag, dest=keyword, action="store_true", help=spec["help"]
-                )
-                continue
-            sub.add_argument(
-                flag,
-                dest=keyword,
+            valued = dict(
                 type=kind,
                 default=item.default,
                 choices=spec["choices"] and list(spec["choices"]),
                 metavar=spec["metavar"],
-                help=spec["help"],
             )
-        sub.add_argument("--out", default=None, help="write the JSON report here")
+            sub.add_argument(
+                flag,
+                dest=keyword,
+                help=spec["help"],
+                **(dict(action="store_true") if kind is bool else valued),
+            )
+        out_help = _OUT_HELP.get(command, "write result rows as JSON here")
+        sub.add_argument("--out", default=None, help=out_help)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .experiments import EXPERIMENTS
+    from .tee.world import IntegrityError
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = _commands()
     if args.command == "list":
-        _cmd_list(parser)
+        print("available experiments:")
+        for name, (_, description, _) in commands.items():
+            print(f"  {name:<8} {description}")
         return 0
-    if args.command in _KNOB_COMMANDS:
-        from .tee.world import IntegrityError
-
-        before = _checkpoint_events()
-        try:
-            _run(args)
-        # a rejected configuration or an unusable counter file, not a crash
-        except (ValueError, IntegrityError) as error:
-            message = _knob_error(args.command, error)
-            print(f"repro {args.command}: error: {message}", file=sys.stderr)
-            return 2
-        _say_checkpoint_events(args, before)
-        return 0
-    command = _cmd_trace if args.command == "trace" else _cmd_experiment
+    handler, _, run_cls = commands[args.command]
+    before = _checkpoint_events()
     try:
-        command(args)
-    except ValueError as error:  # a refused flag, not a crash
-        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        run = run_config(args)
+        payload = {"schema": 1, "command": args.command, **handler(run)}
+    # a refused value or an unusable counter file, not a crash
+    except (ValueError, IntegrityError) as error:
+        message = _knob_error(run_cls, error)
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
         return 2
+    if getattr(run, "state_dir", None):
+        _say_checkpoint_events(args.command, run.state_dir, before)
+    # ``trace`` keeps its payload's own key order
+    text = json.dumps(payload, indent=2, sort_keys=args.command != "trace")
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {args.out}")
+    elif args.command not in EXPERIMENTS:  # a paper command printed its table
+        print(text)
     return 0
 
 

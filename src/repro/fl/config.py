@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 def knob(default=None, help: str = "", *, requires=None, choices=None, metavar=None):
-    """A run-config field that is also a ``repro simulate``/``serve`` flag.
+    """A run-config field that is also a flag of its ``repro`` command.
 
     ``help`` is the flag's help text.  ``requires`` names the switch the
     field means nothing without: a field (on when truthy) or ``(field,
@@ -197,10 +197,6 @@ class ShardingConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-
-    @property
-    def flat(self) -> bool:
-        return self.num_shards == 1
 
 
 @dataclass(frozen=True)

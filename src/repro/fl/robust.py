@@ -68,15 +68,24 @@ def coordinate_median(updates: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def trimmed_mean(updates: Sequence[np.ndarray], trim: int = 1) -> np.ndarray:
-    """Coordinate-wise mean after dropping the ``trim`` extremes per side."""
+    """Coordinate-wise mean after dropping the ``trim`` extremes per side.
+
+    The kept rows are summed exactly, rounded once and divided once: the
+    same bits the sharded tree's streaming trimmed collect gives, so the
+    shard count never changes a trimmed mean.
+    """
+    from .aggregation import CompensatedAccumulator
+
     matrix = _stack(updates)
     n = matrix.shape[0]
     if trim < 0:
         raise ValueError("trim must be non-negative")
     if 2 * trim >= n:
         raise ValueError(f"cannot trim {trim} from each side of {n} updates")
-    ordered = np.sort(matrix, axis=0)
-    return ordered[trim : n - trim].mean(axis=0)
+    total = CompensatedAccumulator(matrix.shape[1])
+    for row in np.sort(matrix, axis=0)[trim : n - trim]:
+        total.add(row)
+    return total.value() / float(n - 2 * trim)
 
 
 def _pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:

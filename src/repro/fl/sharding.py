@@ -29,15 +29,14 @@ hypothesis suite exercises exactly this claim.
   the pure rule — so the aggregate is a pure function of the ``(position,
   update)`` multiset, bitwise-identical for every shard count, routing,
   and arrival order, and with one shard it *is* the pure rule call;
-* for ``trimmed_mean`` on a multi-shard tree each shard keeps only an
-  **exact compensated sum** of everything it folded plus the per-coordinate
-  ``trim`` smallest/largest candidate rows (the only values the root could
-  ever trim) — O(trim × model) per shard instead of O(clients × model).
-  The root merges the exact sums, picks the global extremes from the
+* for ``trimmed_mean`` each shard keeps only an **exact compensated
+  sum** of everything it folded plus the per-coordinate ``trim``
+  smallest/largest candidate rows (the only values the root could ever
+  trim) — O(trim × model) per shard instead of O(clients × model).  The
+  root merges the exact sums, picks the global extremes from the
   candidate union, subtracts them exactly, and rounds once: the correctly
-  rounded trimmed mean, again independent of routing and order.  The flat
-  (``num_shards == 1``) case gathers and calls the pure rule, so it stays
-  bitwise-equal to :func:`repro.fl.robust.trimmed_mean`.
+  rounded trimmed mean, independent of shard count, routing and order,
+  and bitwise-equal to :func:`repro.fl.robust.trimmed_mean`.
 
 Robust rules are unweighted (the literature's convention): sample counts
 are tracked for reporting but do not weight the combine.
@@ -265,8 +264,7 @@ class HierarchicalAggregator:
         if rule == "fedavg":
             self.shards = [CompensatedAccumulator(self.size) for _ in shards]
         else:
-            streaming_trim = rule == "trimmed_mean" and not self.config.flat
-            mode = "trimmed" if streaming_trim else "gather"
+            mode = "trimmed" if rule == "trimmed_mean" else "gather"
             self.shards = [
                 RobustShardCollector(i, self.size, mode, self.trim) for i in shards
             ]

@@ -38,9 +38,10 @@ def called_by(census, tmp_path, program):
 def test_hook_records_entered_functions_and_nothing_else(tmp_path):
     census = load_census()
     program = (
-        "from repro.fl.config import BufferConfig, ShardingConfig\n"
+        "from repro.fl.aggregation import CompensatedAccumulator\n"
+        "from repro.fl.config import BufferConfig\n"
         "BufferConfig(size=2).weight(1.0)\n"
-        "ShardingConfig(num_shards=2).flat\n"
+        "CompensatedAccumulator(2).components\n"
     )
     called = called_by(census, tmp_path, program)
     # A decorated function is keyed by its first decorator's line, which is
@@ -50,7 +51,7 @@ def test_hook_records_entered_functions_and_nothing_else(tmp_path):
         "BufferConfig.__post_init__",
         "require_finite",
         "BufferConfig.weight",
-        "ShardingConfig.flat",
+        "CompensatedAccumulator.components",
     } <= called
     assert "RoundConfig.__post_init__" not in called
 

@@ -102,7 +102,7 @@ class TestConfigErrors:
         assert main(["simulate", "--clients", "4", "--policy", "static:2"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            "repro simulate: error: cannot resolve layer selector '2'; "
+            "repro simulate: error: --policy: cannot resolve layer selector '2'; "
         )
         assert "('L2')" in captured.err
         assert captured.err.count("\n") == 1

@@ -1,16 +1,21 @@
-"""The ``repro simulate``/``serve`` surface is read off the run configs.
+"""Every ``repro`` command's surface is read off its run config.
 
-Each flag is one knob of :class:`~repro.sim.SimRun` or
-:class:`~repro.serve.ServeRun` (``repro.api.knob_table``), so these tests
-pin the contract from both sides: the flag set is the one the commands
-always had, each flag lands in exactly one config field and each field has
-one flag, a knob moved off its default while its switch is off is refused,
-every refusal names the flag typed, and a command line and the API call
-with the same knobs write the same bytes.
+Each flag is one knob of the command's run config
+(:class:`~repro.sim.SimRun`, :class:`~repro.serve.ServeRun`,
+:class:`~repro.experiments.TraceRun`, :class:`~repro.experiments.PaperRun`
+or :class:`~repro.experiments.BlocksRun`, through ``repro.api.knob_table``),
+so these tests pin the contract from both sides: the flag set is the one
+the commands always had, each flag lands in exactly one config field and
+each field has one flag, a knob moved off its default while its switch is
+off is refused, every refusal names the flag typed, any drawn knob values
+build the same run config (or the same refusal) from the API and from the
+command line, and a command line and the API call with the same knobs
+write the same bytes.
 """
 
 import argparse
 import json
+import math
 import re
 import shlex
 from dataclasses import fields
@@ -18,16 +23,27 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro import api
-from repro.cli import build_parser, main
-from repro.fl.config import compose, knob_fields, knob_type
+from repro.cli import build_parser, main, run_config
+from repro.core.policy import PolicyError
+from repro.experiments import BlocksRun, PaperRun, TraceRun
+from repro.fl.config import ConfigError, compose, knob_fields, knob_type
 from repro.serve import ServeRun
 from repro.sim import SimRun
 
-RUNS = {"simulate": SimRun, "serve": ServeRun}
+PAPER = ("table5", "table6", "fig5", "fig6", "fig8", "summary")
+RUNS = {
+    "simulate": SimRun,
+    "serve": ServeRun,
+    "trace": TraceRun,
+    "blocks": BlocksRun,
+    **{command: PaperRun for command in PAPER},
+}
 CI = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
 
-# The two commands' flags before they were derived from the configs:
+# The commands' flags before they were derived from the configs:
 # command, flag, keyword (argparse dest), type, default, choices.
 SNAPSHOT = """
 simulate  --clients               clients             int         100         -
@@ -91,6 +107,53 @@ serve     --chaos-rate            chaos_rate          float       0.1         -
 serve     --chaos-seed            chaos_seed          int         0           -
 serve     --chaos-breaker-budget  breaker_budget      int         0           -
 serve     --out                   out                 str         null        -
+table5    --fast                  fast                store_true  false       -
+table5    --rounds                rounds              int         36          -
+table5    --batch-size            batch_size          int         32          -
+table5    --seed                  seed                int         0           -
+table5    --out                   out                 str         null        -
+table6    --fast                  fast                store_true  false       -
+table6    --rounds                rounds              int         36          -
+table6    --batch-size            batch_size          int         32          -
+table6    --seed                  seed                int         0           -
+table6    --out                   out                 str         null        -
+fig5      --fast                  fast                store_true  false       -
+fig5      --rounds                rounds              int         36          -
+fig5      --batch-size            batch_size          int         32          -
+fig5      --seed                  seed                int         0           -
+fig5      --out                   out                 str         null        -
+fig6      --fast                  fast                store_true  false       -
+fig6      --rounds                rounds              int         36          -
+fig6      --batch-size            batch_size          int         32          -
+fig6      --seed                  seed                int         0           -
+fig6      --out                   out                 str         null        -
+fig8      --fast                  fast                store_true  false       -
+fig8      --rounds                rounds              int         36          -
+fig8      --batch-size            batch_size          int         32          -
+fig8      --seed                  seed                int         0           -
+fig8      --out                   out                 str         null        -
+summary   --fast                  fast                store_true  false       -
+summary   --rounds                rounds              int         36          -
+summary   --batch-size            batch_size          int         32          -
+summary   --seed                  seed                int         0           -
+summary   --out                   out                 str         null        -
+blocks    --fast                  fast                store_true  false       -
+blocks    --rounds                rounds              int         36          -
+blocks    --batch-size            batch_size          int         32          -
+blocks    --seed                  seed                int         0           -
+blocks    --out                   out                 str         null        -
+blocks    --model                 model               str         "vit_tiny"  vit_tiny,gpt_tiny
+blocks    --mw-size               mw_size             int         1           -
+blocks    --roles                 roles               str         null        -
+blocks    --dpia                  dpia                store_true  false       -
+trace     --clients               clients             int         2           -
+trace     --rounds                rounds              int         1           -
+trace     --seed                  seed                int         0           -
+trace     --steps                 steps               int         1           -
+trace     --protect               protect             str         "2,3"       -
+trace     --rule                  rule                str         "fedavg"    fedavg,median,trimmed_mean,krum,clipped_fedavg
+trace     --max-norm              max_norm            float       null        -
+trace     --out                   out                 str         null        -
 """
 
 # One in-range non-default value and one out-of-range value per valued
@@ -148,12 +211,37 @@ VALUES = {
         "--chaos-breaker-budget": ("3", "-1"),
         "--checkpoint-every": ("4", "0"),
     },
+    "trace": {
+        "--clients": ("3", "0"),
+        "--rounds": ("2", "0"),
+        "--seed": ("3", "-1"),
+        "--steps": ("2", "0"),
+        "--protect": ("2", "0"),
+        "--max-norm": ("3.0", "nan"),
+    },
+    "blocks": {
+        "--rounds": ("12", "0"),
+        "--batch-size": ("8", "0"),
+        "--seed": ("3", "-1"),
+        "--mw-size": ("2", "0"),
+        "--roles": ("softmax", "foo"),
+    },
+    **{
+        command: {
+            "--rounds": ("12", "0"),
+            "--batch-size": ("8", "-3"),
+            "--seed": ("3", "-2"),
+        }
+        for command in PAPER
+    },
 }
 
 # Small runs, so a refused value is the only thing that can go wrong.
 BASE = {
     "simulate": ["--clients", "40", "--rounds", "2"],
     "serve": ["--tenants", "1", "--clients", "40", "--commits", "2"],
+    "trace": [],
+    **{command: ["--fast"] for command in ("blocks", *PAPER)},
 }
 
 
@@ -255,7 +343,8 @@ def test_every_valued_knob_has_an_out_of_range_case():
             flag for flag, _, item in rows(command)
             if item.default is not False and not item.metadata["choices"]
         }
-        assert valued - set(VALUES[command]) == {"--state-dir"} | (
+        unchecked = {"--state-dir"} if "--state-dir" in valued else set()
+        assert valued - set(VALUES[command]) == unchecked | (
             {"--policy"} if command == "simulate" else set()
         )
 
@@ -273,6 +362,65 @@ def test_a_refused_value_is_one_line_naming_the_flag(command, flag, tmp_path, ca
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(f"repro {command}: error: ")
     assert re.search(rf"{re.escape(flag)}\b", captured.err), captured.err
+
+
+def knob_values(item):
+    """Any value a knob's flag parses, in range or not (``None``: flag
+    left out)."""
+    kind = knob_type(item)
+    if kind is bool:
+        return st.booleans()
+    if item.metadata["choices"]:
+        values = st.sampled_from(item.metadata["choices"])
+    elif kind is int:
+        values = st.integers(-2, 2**40)
+    elif kind is float:
+        values = st.floats(-2.0, 1e6) | st.sampled_from([math.nan, math.inf])
+    else:
+        values = st.text("0123456789,:+-_. Lablockmwpstn", max_size=12)
+    return st.none() | values
+
+
+def argv_of(command, values):
+    """``values`` (keyword -> value) as the command line that sets them."""
+    argv = []
+    for flag, keyword, item in rows(command):
+        value = values[keyword]
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+def built(make):
+    """What ``make()`` gives: the run config, or the refusal's message."""
+    try:
+        return make()
+    except (ConfigError, PolicyError) as error:
+        return str(error)
+
+
+@pytest.mark.property
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_knob_values_build_a_run_config_or_are_refused(data):
+    # Nothing but a run config or a ConfigError/PolicyError comes out of
+    # any knob values, from the API or from the command line, and both
+    # give the same one.  No command runs.
+    command = data.draw(st.sampled_from(sorted(RUNS)))
+    values = {
+        keyword: data.draw(knob_values(item), label=flag)
+        for flag, keyword, item in rows(command)
+    }
+    fields_by_keyword = {keyword: item.name for _, keyword, item in rows(command)}
+    from_api = built(lambda: compose(RUNS[command], {
+        fields_by_keyword[keyword]: value
+        for keyword, value in values.items() if value is not None
+    }))
+    argv = [command, *argv_of(command, values)]
+    from_cli = built(lambda: run_config(build_parser().parse_args(argv)))
+    assert from_cli == from_api
 
 
 # A knob moved off its default while the switch it needs is off changed
@@ -331,6 +479,7 @@ CI_RUNS = [
     "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule clipped_fedavg",
     "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule krum",
     "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule trimmed_mean --shards 4",
+    "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule trimmed_mean --shards 1",
     "simulate --clients 300 --rounds 4 --seed 7 --dropout 0.1 --corrupt 0.05 --shards 4 --shard-down 0.2",
     "simulate --clients 300 --rounds 4 --seed 7 --async --buffer-size 32 --max-norm 3 --byzantine 0.3 --attack scale",
     "simulate --clients 300 --rounds 3 --seed 7 --model vit_tiny --policy pelta-mw:1",

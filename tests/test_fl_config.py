@@ -43,7 +43,6 @@ class TestConfigTypes:
     def test_sharding_validates(self):
         with pytest.raises(ValueError, match="num_shards"):
             ShardingConfig(num_shards=0)
-        assert ShardingConfig(num_shards=2).flat is False
 
 
 class TestLegacyShim:

@@ -79,14 +79,15 @@ def test_single_shard_is_bitwise_the_pure_rule(seed, num_clients, size, rule):
     num_clients=st.integers(1, 16),
     num_shards=st.integers(1, 24),
     size=st.integers(1, 9),
-    rule=st.sampled_from(["median", "krum", "clipped_fedavg"]),
+    rule=st.sampled_from(RULE_NAMES),
     magnitude=st.integers(0, 5),
 )
 def test_shard_count_and_arrival_order_never_change_the_bits(
     seed, num_clients, num_shards, size, rule, magnitude
 ):
-    # Gather rules sort the collected union by cohort position, so any
-    # topology and any arrival order reproduces the flat call exactly.
+    # Gather rules sort the collected union by cohort position, and the
+    # trimmed mean rounds the exact trimmed sum once, so any topology and
+    # any arrival order reproduces the flat call exactly.
     updates, counts = make_updates(seed, num_clients, size, magnitude)
     reference = reduce_tree(updates, counts, 1, rule)
     rng = np.random.default_rng(seed ^ 0x5EED)
@@ -108,9 +109,7 @@ def test_streaming_trimmed_mean_is_routing_invariant_and_correctly_rounded(
     # is the correctly rounded quotient of the *exact* trimmed sum, so it
     # is bitwise identical across every shard count >= 2 and every
     # arrival order — and bitwise equal to a math.fsum of the kept rows
-    # (the strongest possible reference; np.mean's pairwise summation can
-    # differ by an ulp under cancellation, which is why the pure-rule
-    # bitwise claim applies to the flat tree only).
+    # (the strongest possible reference).
     updates, counts = make_updates(seed, num_clients=12, size=7, magnitude=magnitude)
     reference = reduce_tree(updates, counts, 2, "trimmed_mean", trim=trim)
     rng = np.random.default_rng(seed ^ 0x5EED)

@@ -246,7 +246,9 @@ class TestMemoOfAPureFunction:
 # SHA-256 of json.dumps(api.simulate(**kwargs), sort_keys=True), recorded at
 # the commit *before* repro.sim.keyed existed (c8ff733): the kernel, the
 # prefetches and the lookahead moved where draws are computed, not one bit
-# of what they are.
+# of what they are.  ``byzantine`` was re-recorded when the flat trimmed
+# mean began rounding the exact trimmed sum once: its weights are now the
+# four-shard run's (``weights_sha256`` b5ec3709…), as at every shard count.
 GOLDEN_REPORTS = {
     "sync": (
         dict(
@@ -268,7 +270,7 @@ GOLDEN_REPORTS = {
             clients=60, rounds=6, seed=0, byzantine=0.3, attack="sign_flip",
             rule="trimmed_mean", max_norm=6.0,
         ),
-        "fff9e50e12209f4d5393253a69c584b353485468dc36c0fb12711a52a9776a15",
+        "9559a9d6b24788c335a0a133f8002845387c5d66dd928d9848713ab067067f4e",
     ),
 }
 

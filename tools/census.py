@@ -122,6 +122,8 @@ GATED: List[Command] = [
          "--out", "life5.json"),
     _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "trimmed_mean",
          "--shards", "4", "--out", "life6.json"),
+    _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "trimmed_mean",
+         "--shards", "1", "--out", "trimmed-flat.json"),
     _cli("simulate", "--clients", "300", "--rounds", "4", "--seed", "7",
          "--dropout", "0.1", "--corrupt", "0.05", "--shards", "4",
          "--shard-down", "0.2", "--out", "cli1.json"),
