@@ -545,9 +545,19 @@ def policy_from_spec(spec: str, layout: Union[ModelLayout, object], seed: int = 
     """
     layout = ModelLayout.of(layout)
     head, _, rest = str(spec).strip().partition(":")
-    selectors = [part for part in rest.split("+") if part]
+    selectors = rest.split("+") if rest else []
+    if "" in selectors:
+        raise PolicyError(f"policy spec {spec!r} has an empty '+' term")
     if head in ("", "none"):
+        if rest:
+            raise PolicyError(f"policy spec {spec!r}: none takes no argument")
         return NoProtection(layout)
+    if head in ("mw", "pelta-mw"):
+        if rest and not rest.isdecimal():
+            raise PolicyError(
+                f"policy spec {spec!r}: window size must be a positive integer"
+            )
+        size = int(rest or 1)
     if head == "static":
         if not selectors:
             raise PolicyError("static policy spec needs selectors, e.g. static:L2+L5")
@@ -557,7 +567,6 @@ def policy_from_spec(spec: str, layout: Union[ModelLayout, object], seed: int = 
             raise PolicyError("darknetz policy spec needs selectors, e.g. darknetz:L4+L5")
         return DarknetzPolicy(layout, selectors)
     if head == "mw":
-        size = int(rest or 1)
         positions = layout.num_layers - size + 1
         if positions < 1:
             raise PolicyError(
@@ -569,7 +578,6 @@ def policy_from_spec(spec: str, layout: Union[ModelLayout, object], seed: int = 
     if head == "pelta":
         return PeltaPolicy(layout, blocks=selectors or None)
     if head == "pelta-mw":
-        size = int(rest or 1)
         positions = len(layout.block_names()) - size + 1
         if positions < 1:
             raise PolicyError(

@@ -16,6 +16,9 @@ from repro.data import synthetic_cifar
 from repro.nn import lenet5, mlp, one_hot
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
+# tools/ holds scripts, not a package: the gate table and the census
+# import as top-level modules, as they do when run.
+sys.path.insert(0, str(_REPO_ROOT / "tools"))
 
 
 def _subprocess_env():

@@ -17,14 +17,13 @@ import argparse
 import json
 import math
 import re
-import shlex
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import gates
 from repro import api
 from repro.cli import build_parser, main, run_config
 from repro.core.policy import PolicyError
@@ -41,7 +40,6 @@ RUNS = {
     "blocks": BlocksRun,
     **{command: PaperRun for command in PAPER},
 }
-CI = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
 
 # The commands' flags before they were derived from the configs:
 # command, flag, keyword (argparse dest), type, default, choices.
@@ -364,6 +362,17 @@ def test_a_refused_value_is_one_line_naming_the_flag(command, flag, tmp_path, ca
     assert re.search(rf"{re.escape(flag)}\b", captured.err), captured.err
 
 
+# A malformed spec, not a bad selector: a window size that is not an
+# integer, an argument to ``none``, an empty ``+`` term.
+@pytest.mark.parametrize("spec", ["mw:x", "mw:1.5", "pelta-mw:x", "none:1", "static:L2+"])
+def test_a_malformed_policy_spec_is_one_line_naming_the_flag(spec, tmp_path, capsys):
+    argv = ["simulate", *BASE["simulate"], "--policy", spec, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("repro simulate: error: --policy: ")
+
+
 def knob_values(item):
     """Any value a knob's flag parses, in range or not (``None``: flag
     left out)."""
@@ -453,66 +462,25 @@ def test_a_knob_without_its_switch_is_refused(command, flags, switch, tmp_path, 
     # The API refuses the same knobs, naming its keywords.
     keyword = flags[0][2:].replace("-", "_").replace("chaos_breaker", "breaker")
     with pytest.raises(ValueError, match=f"^{keyword} requires "):
-        getattr(api, command)(**_keywords(command, flags))
+        getattr(api, command)(**gates.api_keywords(command, flags))
 
 
-def _keywords(command, argv):
-    """``argv`` as API keywords, typed by the knob table."""
-    by_flag = {flag: (keyword, item) for flag, keyword, item in rows(command)}
-    out, tokens = {}, list(argv)
-    while tokens:
-        keyword, item = by_flag[tokens.pop(0)]
-        kind = knob_type(item)
-        out[keyword] = True if kind is bool else kind(tokens.pop(0))
-    return out
+# Every ``simulate``/``serve`` line of the gate table, less its ``--out``.
+REPORT_RUNS = list(dict.fromkeys(
+    gates.without(argv[2:], "--out") for argv in gates.argvs()
+    if argv[:2] == ("-m", "repro") and argv[2] in ("simulate", "serve")
+))
 
 
-# Every ``simulate``/``serve`` configuration .github/workflows/ci.yml runs.
-CI_RUNS = [
-    "simulate --clients 500 --rounds 5 --seed 7 --dropout 0.2 --straggler 0.1 --corrupt 0.05",
-    "simulate --clients 60 --rounds 10 --seed 0 --byzantine 0.3 --attack scale --rule trimmed_mean --max-norm 6",
-    "simulate --clients 60 --rounds 10 --seed 0 --byzantine 0.3 --attack scale --rule trimmed_mean --max-norm 6 --compile --client-batch 16",
-    "simulate --clients 500 --rounds 5 --seed 7 --async --buffer-size 64 --dropout 0.2 --straggler 0.1",
-    "simulate --clients 500 --rounds 5 --seed 7 --pool-exhaust 0.05 --attestation 0.03 --shards 4 --shard-down 0.2",
-    "simulate --clients 500 --rounds 5 --seed 7 --async --buffer-size 32 --max-norm 3 --clip --byzantine 0.3 --attack scale --rule median --shards 2",
-    "simulate --clients 500 --rounds 5 --seed 7 --async --corrupt 0.05 --pool-exhaust 0.05 --attestation 0.02 --staleness polynomial --shards 4",
-    "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule clipped_fedavg",
-    "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule krum",
-    "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule trimmed_mean --shards 4",
-    "simulate --clients 500 --rounds 5 --seed 7 --byzantine 0.2 --rule trimmed_mean --shards 1",
-    "simulate --clients 300 --rounds 4 --seed 7 --dropout 0.1 --corrupt 0.05 --shards 4 --shard-down 0.2",
-    "simulate --clients 300 --rounds 4 --seed 7 --async --buffer-size 32 --max-norm 3 --byzantine 0.3 --attack scale",
-    "simulate --clients 300 --rounds 3 --seed 7 --model vit_tiny --policy pelta-mw:1",
-    "simulate --clients 256 --rounds 3 --seed 5 --dropout 0.1 --straggler 0.1",
-    "simulate --clients 256 --rounds 3 --seed 5 --dropout 0.1 --straggler 0.1 --compile --client-batch 64",
-    "simulate --clients 2000 --rounds 40 --seed 7 --async --buffer-size 64",
-    "simulate --clients 100000 --shards 64 --rounds 2 --cohort 512",
-    "serve --tenants 2 --clients 200 --commits 5 --seed 7 --dropout 0.05 --straggler 0.1",
-    "serve --tenants 2 --clients 500 --commits 4 --seed 7 --chaos --chaos-rate 0.1 --chaos-seed 3",
-    "serve --tenants 2 --clients 200 --commits 4 --seed 7 --ratio 0.25 --encoding f32 --shards 4",
-    "serve --tenants 2 --clients 200 --commits 4 --seed 7 --ratio 0.25 --encoding q8",
-    "serve --tenants 2 --clients 500 --commits 4 --seed 7 --chaos --chaos-rate 0.2 --chaos-seed 3 --chaos-breaker-budget 5",
-    "serve --tenants 2 --seed 7 --clients 2000 --commits 20 --dropout 0.05 --straggler 0.1",
-]
-
-
-def test_the_ci_runs_cover_every_configuration_ci_yml_spells():
-    text = " ".join(CI_RUNS)
-    fragments = re.findall(r'"(--[a-z][^"]* [^"]*)"', CI.read_text())
-    assert fragments and [f for f in fragments if f not in text] == []
-
-
-@pytest.mark.parametrize("line", CI_RUNS)
+@pytest.mark.parametrize("line", REPORT_RUNS, ids=" ".join)
 def test_a_ci_command_line_writes_the_api_report(line, tmp_path):
-    command, *argv = shlex.split(line)
+    command, *argv = line
+    # A --state-dir gets a fresh directory on each side, so neither resumes.
+    cli, api_side = ([str(tmp_path / side) if flag == "--state-dir" else part
+                      for flag, part in zip(["", *argv], argv)] for side in ("cli", "api"))
     out = tmp_path / "cli.json"
-    assert main([command, *argv, "--out", str(out)]) == 0
-    if command == "simulate":
-        report = api.simulate(include_metrics=True, **_keywords(command, argv))
-    else:
-        report = api.serve(**_keywords(command, argv))
-    payload = {"schema": 1, "command": command, **report}
-    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert main([command, *cli, "--out", str(out)]) == 0
+    assert out.read_bytes() == gates.api_report(command, api_side)
 
 
 def test_the_api_takes_the_run_config_or_its_keywords():

@@ -1,8 +1,7 @@
 """Execution census: which functions of ``src/repro`` does a gated run enter?
 
-Runs every gated command that is not a test (CI's CLI smokes, the examples,
-the quick sweeps, the paper benchmarks, the perf ledger and the paper's CLI
-commands), then the test suites, with a ``sys.setprofile`` /
+Runs every gated command that is not a test (the argv lines of the gate
+table, ``tools/gates.py``), then the test suites, with a ``sys.setprofile`` /
 ``threading.setprofile`` recorder installed in every Python process through
 a temporary ``sitecustomize.py`` on ``PYTHONPATH``.  Each process appends
 the ``(file, first line, name)`` of every code object it entered to a file
@@ -30,11 +29,12 @@ from __future__ import annotations
 import ast
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Set, Tuple
+
+import gates  # tools/gates.py: the gate table
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -82,127 +82,10 @@ if _CALLS:
 
 Command = Tuple[str, ...]
 
-
-def _cli(*args: str) -> Command:
-    return ("-m", "repro", *args)
-
-
-def _twice(*commands: Command) -> List[Command]:
-    return [command for command in commands for _ in range(2)]
-
-
-_SYNC = ("--clients", "500", "--rounds", "5", "--seed", "7")
-_BYZ = ("--clients", "60", "--rounds", "10", "--seed", "0", "--byzantine", "0.3",
-        "--attack", "scale", "--rule", "trimmed_mean", "--max-norm", "6")
-_SERVE = ("--tenants", "2", "--clients", "200", "--commits", "5", "--seed", "7",
-          "--dropout", "0.05", "--straggler", "0.1")
-
-#: The gated runs that are not tests.  Paths are relative to the repository
-#: root; every command runs in a scratch directory, so ``--out`` files land
-#: there.  The ``--state-dir`` runs are listed twice: the second invocation
-#: finds the first one's checkpoint and takes the resume path.
+#: Every argv line of the gate table, run from a scratch directory; a
+#: ``--state-dir`` line twice, so the second run takes the resume path.
 GATED: List[Command] = [
-    # CI sweeps job: same-seed simulate and serve smokes.
-    _cli("simulate", *_SYNC, "--dropout", "0.2", "--straggler", "0.1",
-         "--corrupt", "0.05", "--out", "sync.json"),
-    _cli("simulate", *_BYZ, "--out", "byz.json"),
-    _cli("simulate", *_SYNC, "--async", "--buffer-size", "64", "--dropout",
-         "0.2", "--straggler", "0.1", "--out", "async.json"),
-    _cli("simulate", *_SYNC, "--pool-exhaust", "0.05", "--attestation", "0.03",
-         "--shards", "4", "--shard-down", "0.2", "--out", "life1.json"),
-    _cli("simulate", *_SYNC, "--async", "--buffer-size", "32", "--max-norm", "3",
-         "--clip", "--byzantine", "0.3", "--attack", "scale", "--rule", "median",
-         "--shards", "2", "--out", "life2.json"),
-    _cli("simulate", *_SYNC, "--async", "--corrupt", "0.05", "--pool-exhaust",
-         "0.05", "--attestation", "0.02", "--staleness", "polynomial",
-         "--shards", "4", "--out", "life3.json"),
-    _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "clipped_fedavg",
-         "--out", "life4.json"),
-    _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "krum",
-         "--out", "life5.json"),
-    _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "trimmed_mean",
-         "--shards", "4", "--out", "life6.json"),
-    _cli("simulate", *_SYNC, "--byzantine", "0.2", "--rule", "trimmed_mean",
-         "--shards", "1", "--out", "trimmed-flat.json"),
-    _cli("simulate", "--clients", "300", "--rounds", "4", "--seed", "7",
-         "--dropout", "0.1", "--corrupt", "0.05", "--shards", "4",
-         "--shard-down", "0.2", "--out", "cli1.json"),
-    _cli("simulate", "--clients", "300", "--rounds", "4", "--seed", "7",
-         "--async", "--buffer-size", "32", "--max-norm", "3", "--byzantine",
-         "0.3", "--attack", "scale", "--out", "cli2.json"),
-    _cli("simulate", "--clients", "256", "--rounds", "3", "--seed", "5",
-         "--dropout", "0.1", "--straggler", "0.1", "--compile",
-         "--client-batch", "64", "--out", "compiled.json"),
-    _cli("simulate", *_BYZ, "--compile", "--client-batch", "16",
-         "--out", "byz-compiled.json"),
-    _cli("serve", *_SERVE, "--out", "serve.json"),
-    _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
-         "--seed", "7", "--chaos", "--chaos-rate", "0.1", "--chaos-seed", "3",
-         "--out", "chaos.json"),
-    _cli("serve", "--tenants", "2", "--clients", "200", "--commits", "4",
-         "--seed", "7", "--ratio", "0.25", "--encoding", "f32", "--shards", "4",
-         "--out", "codec1.json"),
-    _cli("serve", "--tenants", "2", "--clients", "200", "--commits", "4",
-         "--seed", "7", "--ratio", "0.25", "--encoding", "q8", "--out", "codec2.json"),
-    _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
-         "--seed", "7", "--chaos", "--chaos-rate", "0.2", "--chaos-seed", "3",
-         "--chaos-breaker-budget", "5", "--out", "codec3.json"),
-    *_twice(
-        _cli("simulate", *_SYNC, "--async", "--buffer-size", "64",
-             "--state-dir", "sim-state", "--out", "resume.json"),
-        _cli("serve", *_SERVE, "--state-dir", "serve-state",
-             "--out", "serve-resume.json"),
-        _cli("serve", "--tenants", "2", "--clients", "500", "--commits", "4",
-             "--seed", "7", "--chaos", "--chaos-rate", "0.2", "--chaos-seed", "3",
-             "--chaos-breaker-budget", "5", "--checkpoint-every", "8",
-             "--state-dir", "chaos-state", "--out", "chaos-resume.json"),
-    ),
-    # A zoo model under a named policy, an admission-gated resume and the
-    # command list.
-    _cli("simulate", "--clients", "300", "--rounds", "3", "--seed", "7",
-         "--model", "vit_tiny", "--policy", "pelta-mw:1", "--out", "zoo.json"),
-    *_twice(
-        _cli("simulate", "--clients", "300", "--rounds", "4", "--seed", "7",
-             "--async", "--buffer-size", "32", "--max-norm", "3", "--byzantine",
-             "0.3", "--attack", "scale", "--state-dir", "admit-state",
-             "--out", "admit-resume.json"),
-    ),
-    _cli("list"),
-    _cli("trace", "--rounds", "2", "--protect", "2,4", "--out", "trace.json"),
-    _cli("simulate", "--clients", "100000", "--shards", "64", "--rounds", "2",
-         "--cohort", "512", "--out", "shard_smoke.json"),
-    # CI sweeps job: every example, the quick sweeps, the paper benchmarks
-    # and the perf ledger with its traced count pins.
-    *[
-        ("-W", "error::DeprecationWarning", f"examples/{name}.py")
-        for name in ("attack_gallery", "defense_comparison",
-                     "dynamic_dpia_defense", "fl_simulation", "quickstart",
-                     "secure_storage_tour", "security_audit")
-    ],
-    *[
-        (f"benchmarks/bench_{name}.py", "--quick", "--out", f"BENCH_{name}.json")
-        for name in ("shard_scale", "robust", "async", "serve", "chaos",
-                     "transformer")
-    ],
-    # Disabled, pytest-benchmark calls each timed body directly; enabled,
-    # it pauses every profiler inside one, and the recorder with it.
-    ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
-     "benchmarks"),
-    ("bench/run.py", "--quick", "--out", "ledger.json"),
-    *[
-        ("bench/run.py", "--quick", "--workload", name, "--trace", "1")
-        for name in ("shielded_fl", "serve_clean", "sim_sync", "serve_durable",
-                     "serve_chaos")
-    ],
-    # The paper's tables and figures through the CLI.
-    _cli("table5", "--fast", "--rounds", "12"),
-    _cli("table6"),
-    _cli("fig5", "--fast"),
-    _cli("fig6", "--fast"),
-    _cli("fig8"),
-    _cli("summary"),
-    _cli("blocks", "--fast"),
-    _cli("trace"),
+    argv for argv in gates.argvs() for _ in range(2 if "--state-dir" in argv else 1)
 ]
 
 #: Tier-1 as CI splits it: the suites without, then with, the property marker.
@@ -230,26 +113,8 @@ def hook_env(hook_dir: Path, calls_dir: Path) -> Dict[str, str]:
 
 def run(commands: Iterable[Command], env: Dict[str, str], cwd: Path) -> List[str]:
     """Run each command under ``env``; return the ones that failed."""
-    failed = []
-    for command in commands:
-        line = " ".join(command)
-        # Only scripts and the two suite directories are repository paths;
-        # an --out name must stay relative (the root holds BENCH_*.json).
-        argv = [
-            str(ROOT / part) if part.endswith(".py") or part in ("benchmarks", "tests")
-            else part
-            for part in command
-        ]
-        print("census:", line, file=sys.stderr, flush=True)
-        done = subprocess.run(
-            [sys.executable, *argv], env=env, cwd=cwd,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        if done.returncode:
-            failed.append(line)
-            tail = done.stdout.splitlines()[-20:]
-            print("\n".join(["census: failed:", *tail]), file=sys.stderr)
-    return failed
+    runner = gates.Runner(cwd, env)
+    return [" ".join(command) for command in commands if runner.run(command).returncode]
 
 
 def recorded(calls_dir: Path) -> Set[Entry]:
