@@ -81,7 +81,7 @@ def iopath_demo() -> None:
     print(f"L2 weights sealed for transport: {len(sealed)} bytes of ciphertext")
 
     with secure_world():
-        buffers = iopath.unseal_to_enclave(sealed, pool)
+        buffers = iopath.unseal_to_enclave(sealed, pool, model.dtype)
         weight = buffers[(0, "weight")]
         print(f"inside enclave: {weight!r}")
     print(f"secure memory in use: {pool.used_bytes / 1024:.1f} KiB")

@@ -122,7 +122,8 @@ def cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
     Parameters
     ----------
     logits: shape ``(N, K)`` raw scores.
-    targets: shape ``(N, K)`` one-hot (or soft) labels; treated as constant.
+    targets: shape ``(N, K)`` one-hot (or soft) labels; treated as a
+        constant of the logits' dtype.
     """
     targets = as_tensor(targets)
     if targets.shape != logits.shape:
@@ -130,7 +131,8 @@ def cross_entropy(logits: Tensor, targets: Tensor) -> Tensor:
             f"targets shape {targets.shape} must match logits shape {logits.shape}"
         )
     n = logits.shape[0]
-    picked = ops.mul(log_softmax(logits), targets.detach())
+    constant = Tensor(targets.data.astype(logits.data.dtype, copy=False))
+    picked = ops.mul(log_softmax(logits), constant)
     return ops.mul(ops.sum_(picked), -1.0 / n)
 
 

@@ -93,7 +93,7 @@ def _windows(
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(w, kw, stride, pad)
     if pad:
-        xp = ws.checkout((n, c, h + 2 * pad, w + 2 * pad))
+        xp = ws.checkout((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
         xp.fill(0.0)
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
@@ -106,7 +106,8 @@ def _windows(
         writeable=False,
     ).transpose(axes)
     dims = view.shape
-    buf = ws.checkout((dims[0] * dims[1] * dims[2], dims[3] * dims[4] * dims[5]))
+    rows, width = dims[0] * dims[1] * dims[2], dims[3] * dims[4] * dims[5]
+    buf = ws.checkout((rows, width), x.dtype)
     np.copyto(buf.reshape(dims), view)
     if pad:
         ws.release(xp)
@@ -134,7 +135,7 @@ def _cols_t(
 def _grad_mat(g: np.ndarray, ws: Workspace) -> np.ndarray:
     """Contiguous ``(F, N*OH*OW)`` copy of an output gradient (pooled)."""
     n, f, oh, ow = g.shape
-    gt = ws.checkout((f, n * oh * ow))
+    gt = ws.checkout((f, n * oh * ow), g.dtype)
     np.copyto(gt.reshape(f, n, oh, ow), g.transpose(1, 0, 2, 3))
     return gt
 
@@ -154,7 +155,7 @@ def _conv_forward_data(
     oh = _out_size(x.shape[2], kh, stride, pad)
     ow = _out_size(x.shape[3], kw, stride, pad)
     cols = _im2col_cols(x, kh, kw, stride, pad, ws)
-    out_mat = ws.checkout((f, n * oh * ow))
+    out_mat = ws.checkout((f, n * oh * ow), np.result_type(w, cols))
     np.matmul(w.reshape(f, -1), cols, out=out_mat)
     ws.release(cols)
     out_view = out_mat.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
@@ -163,7 +164,7 @@ def _conv_forward_data(
     else:
         # Explicit copy: for n == 1 the transpose is already contiguous, so
         # ascontiguousarray would alias the pooled buffer we release below.
-        out = np.empty((n, f, oh, ow))
+        out = np.empty((n, f, oh, ow), out_mat.dtype)
         np.copyto(out, out_view)
     ws.release(out_mat)
     return out
@@ -195,13 +196,13 @@ def _conv_dx_data(
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(wd, kw, stride, pad)
     w_t = np.ascontiguousarray(w.reshape(f, -1).T)
-    dcols = ws.checkout((c * kh * kw, n * oh * ow))
+    dcols = ws.checkout((c * kh * kw, n * oh * ow), np.result_type(w_t, gt))
     np.matmul(w_t, gt, out=dcols)
     dcols6 = dcols.reshape(c, kh, kw, n, oh, ow)
     if pad:
-        xp = ws.checkout((n, c, h + 2 * pad, wd + 2 * pad), zero=True)
+        xp = ws.checkout((n, c, h + 2 * pad, wd + 2 * pad), dcols.dtype, zero=True)
     else:
-        xp = np.zeros((n, c, h, wd))
+        xp = np.zeros((n, c, h, wd), dcols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[

@@ -83,8 +83,24 @@ def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
 
+def _pair(a, b) -> Tuple[Tensor, Tensor]:
+    """Both operands as tensors; a constant takes the tensor operand's dtype.
+
+    Without the cast a Python float (a 0-d float64 array) would promote a
+    float32 graph to float64 at the first scaled or shifted value.
+    """
+    a_is, b_is = isinstance(a, Tensor), isinstance(b, Tensor)
+    if a_is and b_is:
+        return a, b
+    if a_is:
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if b_is:
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return Tensor(a), Tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
@@ -97,7 +113,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
@@ -110,7 +126,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
@@ -123,7 +139,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     return mul(a, pow_(b, -1.0))
 
 

@@ -20,6 +20,9 @@ import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "grad"]
 
+_FLOAT32 = np.dtype(np.float32)
+_FLOAT64 = np.dtype(np.float64)
+
 
 class Tensor:
     """A node in the autodiff graph wrapping a ``numpy.ndarray``.
@@ -27,7 +30,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        The payload.  Anything accepted by ``numpy.asarray``.
+        The payload.  Anything accepted by ``numpy.asarray``; float32 data
+        is kept as float32, everything else is stored as float64.
     requires_grad:
         Whether gradients should flow into this tensor.
     parents:
@@ -54,7 +58,12 @@ class Tensor:
         grad_fn: Optional[Callable[["Tensor"], tuple]] = None,
         name: str = "",
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        # float32 is the device's training precision and stays float32;
+        # anything else (ints, bools, float16, Python floats) is float64.
+        if data.dtype != _FLOAT64 and data.dtype != _FLOAT32:
+            data = data.astype(_FLOAT64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Tensor] = None
         self._parents: tuple = tuple(parents)

@@ -52,8 +52,12 @@ class Workspace:
         self.hits = 0
         self.misses = 0
 
-    def checkout(self, shape: tuple, dtype=np.float64, zero: bool = False) -> np.ndarray:
-        """Return an exclusive C-contiguous buffer of ``shape``/``dtype``."""
+    def checkout(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
+        """Return an exclusive C-contiguous buffer of ``shape``/``dtype``.
+
+        ``dtype`` has no default: a kernel checks out at its operands'
+        dtype, so a float32 graph gets float32 scratch.
+        """
         shape = tuple(shape)
         dtype = np.dtype(dtype)
         key = (math.prod(shape) * dtype.itemsize, dtype.str)

@@ -182,7 +182,7 @@ class GradSecTA(TrustedApplication):
         ``protected`` names parameter-free layers too, which a blob cannot
         carry; a blob naming a layer the TA holds is freed and refused.
         """
-        incoming = iopath.unseal_to_enclave(blob, self._pool)
+        incoming = iopath.unseal_to_enclave(blob, self._pool, self._model.dtype)
         buffers = {(zero_based + 1, name): b for (zero_based, name), b in incoming.items()}
         indices = set(protected) | {index for index, _ in buffers}
         self._refuse_held(indices, buffers.values())
@@ -359,8 +359,9 @@ class ShieldedModel:
         """One SGD step with partitioned execution; returns the loss."""
         if not self._in_cycle:
             raise RuntimeError("train_step outside begin_cycle/end_cycle")
-        x = np.asarray(x)
-        y_onehot = np.asarray(y_onehot)
+        dtype = self.model.dtype  # the batch trains at the model's precision
+        x = np.asarray(x, dtype=dtype)
+        y_onehot = np.asarray(y_onehot, dtype=dtype)
         runs = self._runs()
 
         # Forward: normal-world runs execute locally; protected runs via SMC.

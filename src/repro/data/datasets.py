@@ -34,7 +34,8 @@ class ArrayDataset:
     Parameters
     ----------
     x:
-        Samples; first axis is the sample axis.
+        Samples; first axis is the sample axis.  float32 samples are kept
+        as float32, anything else is stored as float64.
     y:
         Integer class labels, shape ``(N,)``.
     num_classes:
@@ -51,7 +52,9 @@ class ArrayDataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=np.float64)
+        x = np.asarray(self.x)
+        # A float32 shard (a device's, see repro.fl.client) stays float32.
+        self.x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError(

@@ -29,12 +29,22 @@ from ..tee.storage import SecureStorage
 from .plan import TrainingPlan
 from .transport import ClientUpdate, ModelDownload
 
-__all__ = ["FLClient"]
+__all__ = ["DEVICE_DTYPE", "FLClient"]
+
+#: The client device's training precision.  The paper evaluates GradSec on
+#: a Raspberry Pi 3B+ running Darknet, which trains in float32, and the
+#: secure-memory model charges ``W + dW + A_{l-1} + Z_l + delta_l`` at four
+#: bytes an element.  A constant, not a setting: it is the device's.
+DEVICE_DTYPE = np.float32
 
 
 def _dataset_to_bytes(dataset: ArrayDataset) -> bytes:
     buffer = io.BytesIO()
-    arrays = {"x": dataset.x, "y": dataset.y, "num_classes": np.array(dataset.num_classes)}
+    arrays = {
+        "x": dataset.x.astype(DEVICE_DTYPE),
+        "y": dataset.y,
+        "num_classes": np.array(dataset.num_classes),
+    }
     if dataset.properties is not None:
         arrays["properties"] = dataset.properties
     np.savez(buffer, **arrays)
@@ -58,9 +68,12 @@ class FLClient:
         Unique identifier.
     dataset:
         The client's private shard; it is immediately sealed into secure
-        storage and reloaded (with integrity verification) each cycle.
+        storage at :data:`DEVICE_DTYPE` and reloaded (with integrity
+        verification) each cycle.
     model:
-        Local model instance (same architecture as the global model).
+        Local model (same architecture as the global model).  The client
+        trains a copy of it at :data:`DEVICE_DTYPE`; the caller's model is
+        never converted or trained.
     policy:
         Protection policy (server-chosen); ``None`` means no protection.
     has_tee:
@@ -87,12 +100,12 @@ class FLClient:
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.client_id = client_id
-        self.model = model
+        self.model = model.astype(DEVICE_DTYPE)
         self.tee_capable = bool(has_tee)
         self.device = AttestationDevice(client_id)
         self.storage = SecureStorage()
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        policy = policy or NoProtection(model)
+        policy = policy or NoProtection(self.model)
         if policy.layers_for_cycle(0) and not self.tee_capable:
             raise ValueError(
                 f"client {client_id} has no TEE but the policy protects layers"
@@ -100,7 +113,7 @@ class FLClient:
         # A client-named pool makes per-device secure memory observable
         # (metric series tee.pool.*{pool=<client_id>}).
         self.shielded = ShieldedModel(
-            model,
+            self.model,
             policy,
             pool=SecureMemoryPool(name=client_id),
             cost_model=cost_model,

@@ -49,7 +49,7 @@ class _NoPoolWorkspace:
     buffer filled by the kernel.
     """
 
-    def checkout(self, shape, dtype=np.float64, zero: bool = False):
+    def checkout(self, shape, dtype, zero: bool = False):
         if zero:
             return np.zeros(shape, dtype=dtype)
         return np.empty(shape, dtype=dtype)

@@ -77,18 +77,18 @@ class Layer:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def set_weights(self, weights: Dict[str, np.ndarray]) -> None:
-        """Load weights in-place (shapes must match)."""
+        """Load weights in-place (shapes must match), at each parameter's dtype."""
         for key, value in weights.items():
             if key not in self.params:
                 raise KeyError(f"layer {self.name!r} has no parameter {key!r}")
             current = self.params[key]
-            value = np.asarray(value, dtype=np.float64)
+            value = np.asarray(value)
             if value.shape != current.data.shape:
                 raise ValueError(
                     f"shape mismatch for {self.name}.{key}: "
                     f"{value.shape} vs {current.data.shape}"
                 )
-            current.data = value.copy()
+            current.data = value.astype(current.data.dtype)
 
     # -- cost-model metadata ---------------------------------------------
     @property

@@ -70,6 +70,18 @@ class Sequential:
     def param_count(self) -> int:
         return sum(layer.param_count for layer in self.layers)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which is the precision the model trains at.
+
+        A model is built float64; :meth:`astype` makes a copy at another
+        precision.  A parameter-free model reads float64.
+        """
+        for layer in self.layers:
+            for param in layer.params.values():
+                return param.data.dtype
+        return np.dtype(np.float64)
+
     def layer(self, index: int) -> Layer:
         """Return a layer by the paper's 1-based index (L1 = first layer)."""
         if not 1 <= index <= len(self.layers):
@@ -179,7 +191,7 @@ class Sequential:
             layer.set_weights(w)
 
     def clone(self, seed: Optional[int] = None) -> "Sequential":
-        """Structural copy carrying the current weights."""
+        """Structural copy carrying the current weights at their dtype."""
         import copy
 
         blueprint = [copy.deepcopy(layer) for layer in self.layers]
@@ -192,5 +204,19 @@ class Sequential:
             seed=self.seed if seed is None else seed,
             name=self.name,
         )
+        _cast_parameters(twin, self.dtype)
         twin.set_weights(self.get_weights())
         return twin
+
+    def astype(self, dtype) -> "Sequential":
+        """Copy of this model with every parameter converted to ``dtype``."""
+        twin = self.clone()
+        _cast_parameters(twin, dtype)
+        return twin
+
+
+def _cast_parameters(model: Sequential, dtype) -> None:
+    """Convert ``model``'s parameters to ``dtype`` in place."""
+    for layer in model.layers:
+        for param in layer.params.values():
+            param.data = param.data.astype(dtype, copy=False)

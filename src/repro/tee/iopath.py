@@ -49,13 +49,15 @@ class TrustedIOPath:
 
     # -- enclave side -----------------------------------------------------
     def unseal_to_enclave(
-        self, blob: SealedWeights, pool: SecureMemoryPool
+        self, blob: SealedWeights, pool: SecureMemoryPool, dtype
     ) -> Dict[Tuple[int, str], ShieldedBuffer]:
         """Enclave: decrypt weights straight into shielded buffers.
 
         Returns a mapping from ``(layer_index, param_name)`` — 0-based layer
-        index — to the shielded buffer now holding that parameter.  Must run
-        in the secure world; the plaintext never exists outside it.
+        index — to the shielded buffer now holding that parameter, converted
+        to ``dtype`` (the receiving model's precision; the server seals its
+        own).  Must run in the secure world; the plaintext never exists
+        outside it.
         """
         require_secure_world("unsealing weights into the enclave")
         weights = weights_from_bytes(
@@ -64,7 +66,7 @@ class TrustedIOPath:
         buffers: Dict[Tuple[int, str], ShieldedBuffer] = {}
         for index, layer_weights in enumerate(weights):
             for name, value in layer_weights.items():
-                value = np.asarray(value)
+                value = np.asarray(value, dtype=dtype)
                 buffers[(index, name)] = ShieldedBuffer(
                     pool,
                     value,

@@ -137,9 +137,10 @@ class ShieldedBuffer:
     ) -> None:
         array = np.asarray(array)
         self._pool = pool
-        # The simulator computes in float64 for numerical fidelity, but the
-        # device stores float32; callers pass nbytes_override to charge the
-        # pool what the real enclave would allocate.
+        # FL clients hand the enclave float32 arrays, the device's own
+        # precision.  A local ShieldedModel experiment may train a float64
+        # model; its callers pass nbytes_override so the pool is charged
+        # what the float32 device would allocate either way.
         charged = int(array.nbytes if nbytes_override is None else nbytes_override)
         self._handle = pool.allocate(charged)
         self._array: Optional[np.ndarray] = array.copy()

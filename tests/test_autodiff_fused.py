@@ -212,54 +212,54 @@ class TestGradients:
 class TestWorkspace:
     def test_checkout_reuses_buffer(self):
         ws = Workspace()
-        a = ws.checkout((4, 5))
+        a = ws.checkout((4, 5), np.float64)
         ws.release(a)
-        b = ws.checkout((4, 5))
+        b = ws.checkout((4, 5), np.float64)
         assert b is a
         stats = ws.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_checkout_zero_fills(self):
         ws = Workspace()
-        a = ws.checkout((3, 3))
+        a = ws.checkout((3, 3), np.float64)
         a.fill(7.0)
         ws.release(a)
-        b = ws.checkout((3, 3), zero=True)
+        b = ws.checkout((3, 3), np.float64, zero=True)
         assert np.array_equal(b, np.zeros((3, 3)))
 
     def test_distinct_until_released(self):
         ws = Workspace()
-        a = ws.checkout((2, 2))
-        b = ws.checkout((2, 2))
+        a = ws.checkout((2, 2), np.float64)
+        b = ws.checkout((2, 2), np.float64)
         assert a is not b
 
     def test_clear_drops_cache(self):
         ws = Workspace()
-        ws.release(ws.checkout((8, 8)))
+        ws.release(ws.checkout((8, 8), np.float64))
         assert ws.cached_bytes > 0
         ws.clear()
         assert ws.cached_bytes == 0
 
     def test_checkout_reuses_a_same_sized_buffer_in_a_new_shape(self):
         ws = Workspace()
-        a = ws.checkout((75, 64))
+        a = ws.checkout((75, 64), np.float64)
         ws.release(a)
-        b = ws.checkout((64, 75))
+        b = ws.checkout((64, 75), np.float64)
         assert b.shape == (64, 75) and b.flags.c_contiguous
         assert np.shares_memory(a, b)
         ws.release(b)  # the reshape returns the allocation behind it
-        assert ws.checkout((75, 64)) is a
+        assert ws.checkout((75, 64), np.float64) is a
         assert ws.stats()["hits"] == 2
 
     def test_double_release_pools_the_buffer_once(self):
         ws = Workspace()
-        a = ws.checkout((4, 5))
+        a = ws.checkout((4, 5), np.float64)
         ws.release(a)
         ws.release(a)
         ws.release(a.reshape(20))
         assert ws.cached_bytes == a.nbytes
-        b = ws.checkout((4, 5))
-        c = ws.checkout((4, 5))
+        b = ws.checkout((4, 5), np.float64)
+        c = ws.checkout((4, 5), np.float64)
         assert not np.shares_memory(b, c)
 
     def test_views_that_do_not_own_a_whole_buffer_are_not_pooled(self):
@@ -269,17 +269,17 @@ class TestWorkspace:
         ws.release(np.empty(40)[:20])  # part of an allocation
         ws.release(np.empty(40)[::2])  # strided and partial
         assert ws.cached_bytes == 0
-        assert ws.checkout((4, 5)).flags.c_contiguous
+        assert ws.checkout((4, 5), np.float64).flags.c_contiguous
 
     def test_a_stale_view_cannot_pool_memory_twice(self):
         ws = Workspace()
-        a = ws.checkout((4, 5))
+        a = ws.checkout((4, 5), np.float64)
         ws.release(a)
         ws.release(a[:2])
         ws.release(a.T)
-        b = ws.checkout((4, 5))
-        c = ws.checkout((2, 5))
-        d = ws.checkout((5, 4))
+        b = ws.checkout((4, 5), np.float64)
+        c = ws.checkout((2, 5), np.float64)
+        d = ws.checkout((5, 4), np.float64)
         assert not np.shares_memory(b, c)
         assert not np.shares_memory(b, d)
 
@@ -289,7 +289,7 @@ class TestWorkspace:
 
         def worker(tag):
             for i in range(300):
-                buf = ws.checkout((6, 10) if (i + tag) % 2 else (10, 6))
+                buf = ws.checkout((6, 10) if (i + tag) % 2 else (10, 6), np.float64)
                 buf.fill(tag)
                 time.sleep(0)
                 if not (buf == tag).all():
@@ -330,7 +330,7 @@ class TestWorkspace:
         class CountingWorkspace(Workspace):
             out_bytes = 0
 
-            def checkout(self, shape, dtype=np.float64, zero=False):
+            def checkout(self, shape, dtype, zero=False):
                 buf = super().checkout(shape, dtype, zero)
                 self.out_bytes += buf.nbytes
                 return buf

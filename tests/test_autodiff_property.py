@@ -208,7 +208,7 @@ def test_workspace_reuse_across_mismatched_shapes(case_a, case_b):
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_workspace_checkout_shapes_are_exact(rows, cols):
     ws = Workspace()
-    buffer = ws.checkout((rows, cols))
+    buffer = ws.checkout((rows, cols), np.float64)
     assert buffer.shape == (rows, cols)
     ws.release(buffer)
-    assert ws.checkout((rows, cols)) is buffer
+    assert ws.checkout((rows, cols), np.float64) is buffer

@@ -143,7 +143,7 @@ class TestSecureStorageIntegration:
             "c", dataset, lenet5(num_classes=3, seed=0, scale=0.5), seed=0
         )
         loaded = client._load_data()
-        np.testing.assert_array_equal(loaded.x, dataset.x)
+        np.testing.assert_array_equal(loaded.x, dataset.x.astype(np.float32))
         np.testing.assert_array_equal(loaded.y, dataset.y)
 
     def test_stored_blob_is_encrypted(self):
@@ -152,7 +152,7 @@ class TestSecureStorageIntegration:
             "c", dataset, lenet5(num_classes=3, seed=0, scale=0.5), seed=0
         )
         raw = client.storage.backend.get(client.storage.objects()[0])
-        assert dataset.x.tobytes() not in raw
+        assert dataset.x.astype(np.float32).tobytes() not in raw
 
     def test_a_failed_shard_read_releases_the_enclave(self):
         """A client that raises after ``begin_cycle`` still ends its cycle:

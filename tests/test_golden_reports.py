@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.fl import client as client_module
 
 SIMULATE = ["simulate", "--clients", "500", "--rounds", "4", "--seed", "7"]
 SERVE = ["serve", "--clients", "300", "--commits", "4", "--seed", "7"]
@@ -48,18 +50,31 @@ GOLDEN_OUTPUTS = {
         [*SERVE, *CLIPPED, "--ratio", "0.25", "--encoding", "f32", "--shards", "4"],
         "668f2d735c09ed8a47894d4141f84ee4bf100c1aa278d1795368b7ff7319b60c",
     ),
+    # Recorded when FL clients trained in float64: run with a float64
+    # device, it proves a float32 device changed the precision and nothing
+    # else.
     "trace-median-gated": (
         ["trace", "--rule", "median", "--max-norm", "1.0", "--clients", "3"],
         "03f4ca599dd7fbc20bab3fe86b889f8bd6ae34ee8ccf71186524557eb38a7f4f",
     ),
+    # The same fleet on its float32 device.
+    "trace-median-gated-device-f32": (
+        ["trace", "--rule", "median", "--max-norm", "1.0", "--clients", "3"],
+        "70bfd4953797bcd16097f6843500da9d12544fee89f877c42c4da2de83c48c65",
+    ),
 }
+
+#: Runs whose FL clients train in float64 instead of ``DEVICE_DTYPE``.
+FLOAT64_DEVICE = {"trace-median-gated"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
 def test_cli_output_hashes_recorded_before_the_flat_vocabulary_hold(
-    name, tmp_path, capsys
+    name, tmp_path, capsys, monkeypatch
 ):
     argv, expected = GOLDEN_OUTPUTS[name]
+    if name in FLOAT64_DEVICE:
+        monkeypatch.setattr(client_module, "DEVICE_DTYPE", np.float64)
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()

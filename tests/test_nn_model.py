@@ -109,6 +109,18 @@ class TestWeights:
         twin.layer(1).params["weight"].data[:] = 0.0
         assert np.abs(small_model.layer(1).params["weight"].data).sum() > 0
 
+    def test_astype_copies_and_clone_and_set_weights_keep_the_dtype(self, small_model):
+        single = small_model.astype(np.float32)
+        assert small_model.dtype == np.float64 and single.dtype == np.float32
+        assert single.clone().dtype == np.float32
+        single.set_weights(small_model.get_weights())  # float64 arrays in
+        assert {p.data.dtype for layer in single.layers for p in layer.params.values()} == {
+            np.dtype(np.float32)
+        }
+        for a, b in zip(small_model.get_weights(), single.get_weights()):
+            for key in a:
+                np.testing.assert_array_equal(a[key].astype(np.float32), b[key])
+
 
 class TestLeNetIntegration:
     def test_lenet_trains_on_images(self, image_batch):

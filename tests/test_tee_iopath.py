@@ -32,18 +32,18 @@ class TestTrustedIOPath:
         pool = SecureMemoryPool()
         blob = path.seal(weights())
         with pytest.raises(SecureWorldViolation):
-            path.unseal_to_enclave(blob, pool)
+            path.unseal_to_enclave(blob, pool, np.float64)
 
     def test_enclave_provisioning_creates_shielded_buffers(self):
         path = TrustedIOPath()
         pool = SecureMemoryPool()
         blob = path.seal(weights())
         with secure_world():
-            buffers = path.unseal_to_enclave(blob, pool)
+            buffers = path.unseal_to_enclave(blob, pool, np.float32)
             assert set(buffers) == {(0, "weight"), (0, "bias"), (2, "weight")}
-            np.testing.assert_array_equal(
-                buffers[(0, "weight")].read(), weights()[0]["weight"]
-            )
+            received = buffers[(0, "weight")].read()
+            assert received.dtype == np.float32  # the receiving model's dtype
+            np.testing.assert_array_equal(received, weights()[0]["weight"])
         # Charged as float32 (4 bytes/element): 6 + 2 + 9 elements.
         assert pool.used_bytes == 4 * (6 + 2 + 9)
 
@@ -52,7 +52,7 @@ class TestTrustedIOPath:
         pool = SecureMemoryPool()
         blob = path.seal(weights())
         with secure_world():
-            buffers = path.unseal_to_enclave(blob, pool)
+            buffers = path.unseal_to_enclave(blob, pool, np.float64)
             out = path.seal_from_enclave(buffers, n_layers=3)
         restored = path.unseal_remote(out)
         np.testing.assert_array_equal(restored[2]["weight"], np.ones((3, 3)))

@@ -414,10 +414,11 @@ GATES: Dict[str, Tuple[Check, ...]] = {
         Exits0(("-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
                 "benchmarks")),
     ),
-    # Counts, not timings.  shielded_fl: 2 clients x 1 cycle x 6 seals/unseals,
-    # the traced autodiff entry points, the world switches and the secure
-    # pool's high-water mark.  serve_clean: 2 tenants x 6 commits x 250
-    # folds.  sim_sync: 3 rounds x 250 asked of 2 000 under four fault kinds.
+    # Counts, not timings.  shielded_fl: 2 clients x 1 cycle x 6 seals/unseals
+    # and the bytes they move (float32 shards and uplinks; a float64 client
+    # moves 1 260 768), the traced autodiff entry points, the world switches
+    # and the secure pool's high-water mark.  serve_clean: 2 tenants x 6
+    # commits x 250 folds.  sim_sync: 3 rounds x 250 asked of 2 000 under four fault kinds.
     # serve_durable: 2 tenants x 2 commits x 64 folds, killed at event 160
     # and resumed, a checkpoint every 32 events (the p50 needs 20 samples
     # and reads 0 at this size, so put_bytes is the pin).  A "speed-up" that
@@ -427,7 +428,8 @@ GATES: Dict[str, Tuple[Check, ...]] = {
         Exits0(("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "bench/test_bench.py")),
         Fields(traced("shielded_fl"), {"tee.crypto.calls": 12, "autodiff.calls": 28,
                                        "tee.monitor.smc_calls": 14,
-                                       "tee.memory.peak_bytes": 278976}),
+                                       "tee.memory.peak_bytes": 278976,
+                                       "tee.crypto.bytes": 751968}),
         Fields(traced("serve_clean"), {"fl.buffer.folds": 3000, "fl.buffer.commits": 12,
                                        "serve.coordinator.commits": 12}),
         Fields(traced("sim_sync"), {"sim.faults.calls": 1980, "sim.engine.calls": 606,
