@@ -6,19 +6,20 @@ Per the paper: protecting the early conv layers (especially L2) defeats the
 reconstruction; tail layers barely help.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench.experiments import dria_experiment
 from repro.bench.tables import layers_label, print_table
+from repro.nn import alexnet
 
 
 def test_fig5a_lenet(show, benchmark):
     protected_sets = [(), (1,), (2,), (1, 2), (5,)]
 
     rows = benchmark.pedantic(
-        lambda: dria_experiment(
-            protected_sets, model_name="lenet5", iterations=150, num_classes=10
-        ),
+        lambda: dria_experiment(protected_sets, iterations=150, num_classes=10),
         rounds=1,
         iterations=1,
     )
@@ -44,10 +45,9 @@ def test_fig5b_alexnet(show, benchmark):
     rows = benchmark.pedantic(
         lambda: dria_experiment(
             protected_sets,
-            model_name="alexnet",
+            model_factory=partial(alexnet, scale=0.15),
             iterations=60,
             num_classes=10,
-            model_scale=0.15,
         ),
         rounds=1,
         iterations=1,

@@ -12,11 +12,14 @@ weight layers are shielded, and tail layers carry the label-structured
 component) is asserted below.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench.experiments import mia_experiment
 from repro.bench.reference import FIG6_LENET_AUC
 from repro.bench.tables import format_comparison, layers_label, print_table
+from repro.nn import alexnet
 
 
 def test_fig6a_lenet(show, benchmark):
@@ -25,7 +28,6 @@ def test_fig6a_lenet(show, benchmark):
     rows = benchmark.pedantic(
         lambda: mia_experiment(
             protected_sets,
-            model_name="lenet5",
             num_classes=30,
             samples_per_side=200,
             epochs=12,
@@ -59,13 +61,12 @@ def test_fig6b_alexnet(show, benchmark):
     rows = benchmark.pedantic(
         lambda: mia_experiment(
             protected_sets,
-            model_name="alexnet",
+            model_factory=partial(alexnet, scale=0.12),
             num_classes=20,
             samples_per_side=100,
             epochs=16,
             probes_per_class=60,
             attack_seeds=2,
-            model_scale=0.12,
             noise=0.55,
         ),
         rounds=1,

@@ -3,13 +3,14 @@
 
 Writes ``BENCH_transformer.json`` with three sections:
 
-* ``policies`` — the full attack suite (DRIA, MIA, DPIA) on ``vit_tiny``
-  under no protection, per-block static Pelta shielding, all-blocks static
-  shielding, and a moving window over block positions.  Every row carries
-  a per-sublayer leakage table (observed gradient L2 per sublayer from one
-  shielded training cycle; protected sublayers leak nothing) and the
-  policy's memory footprint — the runtime secure-pool peak is asserted
-  equal to ``CostModel.tee_memory_bytes`` row by row.
+* ``policies`` — the ``repro blocks --dpia`` rows (DRIA, MIA, DPIA on
+  ``vit_tiny`` under no protection, per-block static Pelta shielding,
+  all-blocks static shielding, and a moving window over block positions).
+  Every row also carries a per-sublayer leakage table (observed gradient
+  L2 per sublayer from one shielded training cycle; protected sublayers
+  leak nothing) and the policy's memory footprint — the runtime
+  secure-pool peak is asserted equal to ``CostModel.tee_memory_bytes``
+  row by row.
 * ``step_time`` — eager vs graph-compiled train-step time for ``vit_tiny``
   and ``gpt_tiny`` (losses asserted bitwise-equal).
 * ``models`` — parameter counts and architecture digests.
@@ -45,16 +46,18 @@ def _batch(model, n, seed=0):
 
 
 # ------------------------------------------------------------------- leakage
-def _sublayer_leakage(model, policy, batch_size=4, lr=0.05):
-    """Observed gradient L2 per sublayer after one shielded cycle."""
+def _sublayer_leakage(model, protected, batch_size=4, lr=0.05):
+    """Observed gradient L2 per sublayer after one cycle shielding ``protected``."""
+    from repro.core.policy import StaticPolicy
     from repro.core.shielded import ShieldedModel
 
     x, y = _batch(model, batch_size, seed=7)
+    layout = model.layout()
+    policy = StaticPolicy(layout, [layout.ref(i) for i in protected], max_slices=None)
     shielded = ShieldedModel(model, policy, batch_size=batch_size)
     shielded.begin_cycle(cycle=0)
     shielded.train_step(x, y, lr=lr)
     record = shielded.end_cycle()
-    layout = model.layout()
     rows = []
     for index in range(1, model.num_layers + 1):
         ref = layout.ref(index)
@@ -78,67 +81,35 @@ def _sublayer_leakage(model, policy, batch_size=4, lr=0.05):
 
 
 def bench_policies(quick):
-    from repro.attacks.suite import AttackSuite
-    from repro.core.policy import NoProtection, PeltaPolicy
+    """``repro blocks --dpia`` on ``vit_tiny``, each row with its sublayer leakage.
+
+    A cycle's leakage and secure-pool peak depend only on the layers it
+    shields, so each row replays its cycle-0 protected set.
+    """
+    from repro import api
     from repro.nn import vit_tiny
     from repro.tee import CostModel
 
-    factory = lambda num_classes, seed: vit_tiny(num_classes=num_classes, seed=seed)
     batch = 4
-    model = factory(10, 1)
-    layout = model.layout()
-    blocks = layout.block_names()
-    positions = len(blocks)  # MW size 1
-
-    policies = [("none", NoProtection(layout))]
-    policies += [
-        (f"static {name}", PeltaPolicy(layout, blocks=[name])) for name in blocks
-    ]
-    policies.append(("static all-blocks", PeltaPolicy(layout)))
-    policies.append(
-        (
-            "MW=1",
-            PeltaPolicy(
-                layout, size_mw=1, v_mw=(1.0 / positions,) * positions, seed=3
-            ),
-        )
+    payload = api.run_experiment(
+        "blocks", fast=quick, dpia=True, rounds=8 if quick else 24, batch_size=batch
     )
-
-    suite = AttackSuite(seed=0, fast=quick, model_factory=factory)
+    model = vit_tiny(num_classes=10, seed=1)  # the model `blocks` audits at seed 0
     cost_model = CostModel(batch_size=batch)
-    dpia_cycles = 8 if quick else 24
     rows = []
-    for label, policy in policies:
-        report = suite.audit(policy)
-        report.verdicts["DPIA"] = suite.audit_dpia(policy, cycles=dpia_cycles)
-        protected = sorted(policy.layers_for_cycle(0))
-        expected = cost_model.tee_memory_bytes(model, protected)
+    for row in payload["rows"]:
+        expected = cost_model.tee_memory_bytes(model, row["protected"])
         sublayers, runtime_peak = _sublayer_leakage(
-            model.clone(), policy, batch_size=batch
+            model.clone(), row["protected"], batch_size=batch
         )
-        assert runtime_peak == expected, (label, runtime_peak, expected)
+        assert runtime_peak == expected, (row["label"], runtime_peak, expected)
         rows.append(
             {
-                "label": label,
-                "policy": policy.describe(),
-                "protected": protected,
-                "scores": {
-                    name: float(v.result.score)
-                    for name, v in report.verdicts.items()
-                },
-                "succeeded": {
-                    name: bool(v.succeeded) for name, v in report.verdicts.items()
-                },
-                "secure": report.secure,
+                **row,
                 "cost_model_bytes": expected,
                 "runtime_peak_bytes": runtime_peak,
                 "sublayers": sublayers,
             }
-        )
-        print(
-            f"  {label:<20} "
-            + " ".join(f"{k}={v:7.3f}" for k, v in rows[-1]["scores"].items())
-            + f"  peak={runtime_peak}B"
         )
     return rows
 
@@ -244,7 +215,6 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    print("block-policy attack sweep (vit_tiny):")
     policies = bench_policies(args.quick)
     print("train-step time:")
     step_time = bench_step_time(args.quick)

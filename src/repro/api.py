@@ -301,7 +301,7 @@ def attack_suite(
     ``model`` selects the victim architecture: ``None`` or ``"lenet5"``
     runs the paper's LeNet-5 reference workloads; any other
     :mod:`repro.nn.zoo` entry name (``"vit_tiny"``, ``"gpt_tiny"``,
-    ``"alexnet"``, ``"mlp"``) or a callable ``factory(num_classes, seed)``
+    ``"alexnet"``, ``"mlp"``) or a callable ``factory(num_classes=..., seed=...)``
     audits that architecture instead.  ``policy`` defaults to
     :class:`NoProtection` over the model's layout, and accepts any policy
     built from structured selectors (``"L2"``, ``"block2.softmax"``,
@@ -318,23 +318,20 @@ def attack_suite(
         model_factory = None
     elif isinstance(model, str):
         try:
-            zoo_entry = getattr(_nn, model)
+            model_factory = getattr(_nn, model)
         except AttributeError:
             raise ValueError(
                 f"unknown model {model!r}; expected a repro.nn.zoo entry name "
                 "or a factory callable"
             ) from None
-        model_factory = lambda num_classes, s: zoo_entry(  # noqa: E731
-            num_classes=num_classes, seed=s
-        )
     elif callable(model):
         model_factory = model
     else:
         raise TypeError(f"model must be a zoo name or factory, got {type(model)!r}")
 
     if policy is None:
-        victim = model_factory or (lambda n, s: _nn.lenet5(num_classes=n, seed=s))
-        policy = NoProtection(victim(10, seed + 1))
+        victim = model_factory or _nn.lenet5
+        policy = NoProtection(victim(num_classes=10, seed=seed + 1))
 
     suite = AttackSuite(
         dria_threshold=dria_threshold,

@@ -107,66 +107,19 @@ class MembershipInferenceAttack:
         self.probes_per_class = int(probes_per_class)
         self.seed = int(seed)
 
-    def _probe_features(
-        self, x: np.ndarray, y_onehot: np.ndarray, visible: List[int]
-    ) -> np.ndarray:
-        grads = self.model.gradients_array(x, y_onehot)
-        parts = [
-            membership_feature_block(grads[index - 1]["weight"])
-            for index in visible
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def _visible_layers(self, protected: frozenset) -> List[int]:
-        return [
-            index
-            for index in range(1, self.model.num_layers + 1)
-            if index not in protected and "weight" in self.model.layer(index).params
-        ]
-
-    def build_dgrad(
-        self,
-        members: ArrayDataset,
-        nonmembers: ArrayDataset,
-        protected: Iterable[int] = (),
-    ):
-        """The attacker's gradient dataset D_grad.
-
-        One row per probe sample; protected layers' feature blocks are
-        deleted (never present), exactly as the paper's evaluation removes
-        the corresponding columns.
-        """
-        protected_set = protected_to_frozenset(protected)
-        visible = self._visible_layers(protected_set)
-        rows: List[np.ndarray] = []
-        labels: List[int] = []
-        for dataset, label in ((members, 1), (nonmembers, 0)):
-            count = min(self.probes_per_class, len(dataset))
-            onehot = dataset.one_hot_labels()
-            for i in range(count):
-                if visible:
-                    rows.append(
-                        self._probe_features(
-                            dataset.x[i : i + 1], onehot[i : i + 1], visible
-                        )
-                    )
-                else:
-                    rows.append(np.zeros(0))
-                labels.append(label)
-        return np.stack(rows) if visible else np.zeros((len(labels), 0)), np.asarray(labels)
-
-    # ------------------------------------------------------------------
-    # Precomputed-block path: probe gradients do not depend on the
-    # protection config, so sweeps (Figure 6) compute them once.
-    # ------------------------------------------------------------------
     def precompute_blocks(self, members: ArrayDataset, nonmembers: ArrayDataset):
         """Per-layer feature blocks for every probe, plus labels.
 
         Returns ``(blocks, labels)`` where ``blocks[layer_index]`` is a
-        matrix with one row per probe.  Use with :meth:`run_from_blocks`
-        to evaluate many protection configs without recomputing gradients.
+        matrix with one row per probe.  Probe gradients do not depend on
+        the protection config, so a sweep computes them once and scores
+        each config with :meth:`run_from_blocks`.
         """
-        layer_indices = self._visible_layers(frozenset())
+        layer_indices = [
+            index
+            for index in range(1, self.model.num_layers + 1)
+            if "weight" in self.model.layer(index).params
+        ]
         rows = {index: [] for index in layer_indices}
         labels: List[int] = []
         for dataset, label in ((members, 1), (nonmembers, 0)):
@@ -184,6 +137,21 @@ class MembershipInferenceAttack:
         blocks = {index: np.stack(r) for index, r in rows.items()}
         return blocks, np.asarray(labels)
 
+    def build_dgrad(
+        self,
+        members: ArrayDataset,
+        nonmembers: ArrayDataset,
+        protected: Iterable[int] = (),
+    ):
+        """The attacker's gradient dataset D_grad and its membership labels.
+
+        One row per probe; protected layers' feature blocks are deleted
+        (never present), exactly as the paper's evaluation removes the
+        corresponding columns.
+        """
+        blocks, labels = self.precompute_blocks(members, nonmembers)
+        return _visible_columns(blocks, labels, protected_to_frozenset(protected)), labels
+
     def run_from_blocks(
         self,
         blocks,
@@ -192,22 +160,15 @@ class MembershipInferenceAttack:
         test_fraction: float = 0.3,
         seed: Optional[int] = None,
     ) -> AttackResult:
-        """Evaluate one protection config against precomputed blocks."""
+        """Train the attack model on the visible blocks, report its held-out AUC."""
         protected_set = protected_to_frozenset(protected)
-        visible = [index for index in sorted(blocks) if index not in protected_set]
-        if not visible:
+        x = _visible_columns(blocks, labels, protected_set)
+        if x.shape[1] == 0:
+            # Everything hidden: the attacker can only guess.
             return AttackResult("MIA", protected_set, 0.5, "AUC", {"features": 0})
-        x = np.concatenate([blocks[index] for index in visible], axis=1)
-        return self._fit_and_score(
-            x, labels, protected_set, test_fraction, self.seed if seed is None else seed
-        )
-
-    def _fit_and_score(
-        self, x, y, protected_set, test_fraction: float, seed: int
-    ) -> AttackResult:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(self.seed if seed is None else seed)
         x_train, x_test, y_train, y_test = train_test_split(
-            x, y, test_fraction=test_fraction, rng=rng
+            x, labels, test_fraction=test_fraction, rng=rng
         )
         scaler = StandardScaler()
         x_train = scaler.fit_transform(x_train)
@@ -231,9 +192,11 @@ class MembershipInferenceAttack:
         test_fraction: float = 0.3,
     ) -> AttackResult:
         """Train the attack model and report its held-out AUC."""
-        protected_set = protected_to_frozenset(protected)
-        x, y = self.build_dgrad(members, nonmembers, protected_set)
-        if x.shape[1] == 0:
-            # Everything hidden: the attacker can only guess.
-            return AttackResult("MIA", protected_set, 0.5, "AUC", {"features": 0})
-        return self._fit_and_score(x, y, protected_set, test_fraction, self.seed)
+        blocks, labels = self.precompute_blocks(members, nonmembers)
+        return self.run_from_blocks(blocks, labels, protected, test_fraction)
+
+
+def _visible_columns(blocks, labels: np.ndarray, protected: frozenset) -> np.ndarray:
+    """D_grad's columns: the unprotected layers' blocks side by side."""
+    visible = [blocks[index] for index in sorted(blocks) if index not in protected]
+    return np.concatenate(visible, axis=1) if visible else np.zeros((len(labels), 0))

@@ -8,23 +8,24 @@ attack, using each attack's paper-calibrated success criterion:
 * DRIA succeeds if ImageLoss < threshold (paper: < 1; the default here is
   scaled to the synthetic data, see Table 1 reproduction notes);
 * MIA / DPIA succeed if AUC exceeds 0.5 by a configurable margin.
+
+The workloads the attacks run on are the paper experiments' own
+(:mod:`repro.bench.experiments`), built once per suite and scored per
+policy, so an audit row is the figure's row for that protected set at
+the suite's budgets.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from functools import cached_property, partial
+from typing import Callable, Dict, Optional
 
 from ..core.policy import ProtectionPolicy
-from ..data.synthetic import synthetic_cifar
 from ..nn.zoo import lenet5
 from ..obs import get_clock, get_registry, get_tracer
 from .base import AttackResult
-from .dria import DataReconstructionAttack
-from .mia import MembershipInferenceAttack, train_target_model
 
 __all__ = ["AttackVerdict", "SecurityReport", "AttackSuite"]
 
@@ -62,12 +63,23 @@ class SecurityReport:
         return "\n".join(lines)
 
 
+#: Each attack's victim when the suite is given no model factory: the
+#: paper's LeNet-5, its MIA target with ReLU at half width.
+_PAPER_VICTIMS = {
+    "DRIA": lenet5,
+    "MIA": partial(lenet5, activation="relu", scale=0.5),
+    "DPIA": lenet5,
+}
+
+
 class AttackSuite:
     """Runs the single-cycle attacks (DRIA, MIA) against a policy.
 
     DPIA needs a multi-cycle FL run, so the suite exposes it separately via
     :meth:`audit_dpia` (see :func:`repro.bench.experiments.dpia_experiment`
     for the full pipeline); :meth:`audit` covers the single-shot attacks.
+    The DRIA victim and probe, and the trained MIA target and its probe
+    features, are built on first use and shared by every audit.
 
     Parameters
     ----------
@@ -81,13 +93,12 @@ class AttackSuite:
     fast:
         Shrink every attack's budget (tests / CI).
     model_factory:
-        ``None`` (default) audits the paper's LeNet-5 reference workloads.
-        Otherwise a callable ``model_factory(num_classes, seed)`` building
-        the victim architecture — e.g.
-        ``lambda num_classes, seed: vit_tiny(num_classes=num_classes, seed=seed)``
-        — so block policies for transformer models can be audited with the
-        same suite.  Synthetic data shapes follow the model's
-        ``input_shape``.
+        ``None`` (default) audits the paper's LeNet-5 victims.  Otherwise
+        a callable ``model_factory(num_classes=..., seed=...)`` building
+        the victim architecture of every attack — e.g.
+        :func:`repro.nn.vit_tiny` — so block policies for transformer
+        models can be audited with the same suite.  Synthetic data shapes
+        follow the model's ``input_shape``.
     """
 
     def __init__(
@@ -96,19 +107,49 @@ class AttackSuite:
         mia_margin: float = 0.2,
         seed: int = 0,
         fast: bool = False,
-        model_factory: Optional[Callable[[int, int], "object"]] = None,
+        model_factory: Optional[Callable[..., "object"]] = None,
     ) -> None:
         self.dria_threshold = float(dria_threshold)
         self.mia_margin = float(mia_margin)
         self.seed = int(seed)
         self.fast = bool(fast)
-        self.model_factory = model_factory
+        self._victims: Dict[str, Callable[..., "object"]] = {
+            attack: model_factory or victim for attack, victim in _PAPER_VICTIMS.items()
+        }
 
-    def _check_depth(self, policy: ProtectionPolicy, model) -> None:
+    @cached_property
+    def _dria(self):
+        from ..bench.experiments import dria_workload
+
+        return dria_workload(
+            self._victims["DRIA"],
+            iterations=40 if self.fast else 150,
+            num_classes=10,
+            seed=self.seed,
+        )
+
+    @cached_property
+    def _mia(self):
+        from ..bench.experiments import mia_workload
+
+        return mia_workload(
+            self._victims["MIA"],
+            num_classes=10 if self.fast else 20,
+            samples_per_side=80 if self.fast else 160,
+            epochs=10,  # enough memorisation for a clear unprotected signal
+            probes_per_class=40 if self.fast else 80,
+            attack_seeds=1,
+            noise=0.5,
+            seed=self.seed,
+        )
+
+    def _check_depth(self, policy: ProtectionPolicy) -> None:
+        # Every attack's victim is the same architecture: check the DRIA one.
+        model = self._dria.model
         if policy.num_layers != model.num_layers:
             raise ValueError(
                 f"policy addresses {policy.num_layers} layers but the audited "
-                f"model '{model.name}' has {model.num_layers}"
+                f"model '{model.name}' is a {model.num_layers}-layer model"
             )
 
     @contextmanager
@@ -128,30 +169,14 @@ class AttackSuite:
             ).observe(get_clock().now() - started, attack=attack)
 
     def audit(self, policy: ProtectionPolicy) -> SecurityReport:
-        """Run DRIA and MIA against ``policy`` on the audited workload."""
+        """Run DRIA and MIA against ``policy`` on the audited workloads."""
+        self._check_depth(policy)
         protected = tuple(sorted(policy.layers_for_cycle(0)))
         report = SecurityReport(policy.describe())
 
-        # --- DRIA on the audited model (default: the paper's LeNet-5) ---
-        iterations = 40 if self.fast else 150
-        if self.model_factory is None:
-            dria_model = lenet5(num_classes=10, seed=self.seed + 1)
-            data = synthetic_cifar(num_samples=2, num_classes=10, seed=self.seed)
-        else:
-            dria_model = self.model_factory(10, self.seed + 1)
-            data = synthetic_cifar(
-                num_samples=2,
-                num_classes=10,
-                shape=dria_model.input_shape,
-                seed=self.seed,
-            )
-        self._check_depth(policy, dria_model)
-        dria = DataReconstructionAttack(dria_model, iterations=iterations, seed=self.seed)
         with self._observed("DRIA", policy):
             try:
-                dria_result = dria.run(
-                    data.x[:1], data.one_hot_labels()[:1], protected=protected
-                )
+                dria_result = self._dria.score(protected)
                 dria_success = dria_result.score < self.dria_threshold
             except ValueError:  # everything protected: no gradients to match
                 dria_result = AttackResult(
@@ -164,35 +189,9 @@ class AttackSuite:
             f"ImageLoss < {self.dria_threshold}",
         )
 
-        # --- MIA on an overfit target ----------------------------------
-        n = 80 if self.fast else 160
-        epochs = 10  # enough memorisation for a clear unprotected signal
-        classes = 10 if self.fast else 20
-        if self.model_factory is None:
-            mia_data = synthetic_cifar(
-                num_samples=2 * n, num_classes=classes, noise=0.5, seed=self.seed
-            )
-            target = lenet5(
-                num_classes=classes, seed=self.seed + 5, activation="relu", scale=0.5
-            )
-        else:
-            target = self.model_factory(classes, self.seed + 5)
-            mia_data = synthetic_cifar(
-                num_samples=2 * n,
-                num_classes=classes,
-                shape=target.input_shape,
-                noise=0.5,
-                seed=self.seed,
-            )
-        self._check_depth(policy, target)
-        members = mia_data.subset(np.arange(n))
-        nonmembers = mia_data.subset(np.arange(n, 2 * n))
-        train_target_model(target, members, epochs=epochs)
-        mia = MembershipInferenceAttack(
-            target, probes_per_class=40 if self.fast else 80, seed=self.seed
-        )
+        mia = self._mia  # trained outside the span on the first audit
         with self._observed("MIA", policy):
-            mia_result = mia.run(members, nonmembers, protected=protected)
+            mia_result = mia.score(protected)
         report.verdicts["MIA"] = AttackVerdict(
             mia_result,
             mia_result.score > 0.5 + self.mia_margin,
@@ -206,27 +205,19 @@ class AttackSuite:
         """Run the multi-cycle DPIA pipeline against ``policy``.
 
         Separate from :meth:`audit` because it simulates an FL run
-        (seconds-to-minutes depending on ``cycles``); the policy's depth
-        must match the DPIA workload model (the paper's reference is
-        LeNet-5; with ``model_factory`` set, the factory's binary
-        classifier — built as ``model_factory(2, 9)``).
+        (seconds-to-minutes depending on ``cycles``); the victim is the
+        audited architecture's binary classifier.
         """
         from ..bench.experiments import dpia_experiment
 
-        if self.model_factory is None:
-            if policy.num_layers != 5:
-                raise ValueError("the DPIA reference workload uses a 5-layer model")
-            dpia_factory = None
-        else:
-            dpia_factory = lambda: self.model_factory(2, 9)  # noqa: E731
-            self._check_depth(policy, dpia_factory())
+        self._check_depth(policy)
         with self._observed("DPIA", policy):
             row = dpia_experiment(
                 [(policy.describe(), policy)],
                 cycles=cycles,
                 fast=self.fast,
                 seed=self.seed,
-                model_factory=dpia_factory,
+                model_factory=self._victims["DPIA"],
             )[0]
         result = AttackResult("DPIA", frozenset(row.protected), row.score, "AUC")
         return AttackVerdict(

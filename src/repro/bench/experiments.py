@@ -5,6 +5,15 @@ Each driver reproduces one of the paper's experimental pipelines end to end
 result rows.  The benchmark modules under ``benchmarks/`` and the examples
 call these; tests exercise reduced configurations of the same code paths.
 
+This module is the one place each attack's workload — the victim model, its
+data and its budgets — is defined.  :func:`dria_workload` and
+:func:`mia_workload` build one once and score any protected set against it;
+the experiments below and :class:`repro.attacks.AttackSuite` both score through
+them, so at equal budgets the suite's rows are the figures' rows.  A victim
+comes from a ``model_factory``, called as
+``model_factory(num_classes=..., seed=...)``; each experiment's default is the
+paper's LeNet-5 victim for its attack.
+
 All drivers accept a ``fast`` flag that shrinks the workload (fewer cycles,
 probes, iterations) without changing the pipeline shape — used by the test
 suite and CI-speed benchmark runs.
@@ -14,29 +23,28 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..attacks.base import AttackResult
 from ..attacks.dpia import PropertyInferenceAttack
 from ..attacks.dria import DataReconstructionAttack
 from ..attacks.mia import MembershipInferenceAttack, train_target_model
-from ..core.policy import (
-    DynamicPolicy,
-    NoProtection,
-    ProtectionPolicy,
-    StaticPolicy,
-)
-from ..core.search import SearchResult, candidate_distributions, search_v_mw
+from ..core.policy import DynamicPolicy, ProtectionPolicy
+from ..core.search import DPIA_BEST_V_MW, SearchResult, candidate_distributions, search_v_mw
 from ..core.shielded import ShieldedModel
-from ..data.datasets import ArrayDataset
 from ..data.synthetic import synthetic_cifar, synthetic_lfw
 from ..nn.model import Sequential
-from ..nn.zoo import alexnet, lenet5
+from ..nn.zoo import lenet5
 
 __all__ = [
     "ExperimentRow",
+    "Workload",
+    "dria_workload",
     "dria_experiment",
+    "mia_workload",
     "mia_experiment",
     "simulate_fl_for_dpia",
     "dpia_experiment",
@@ -44,12 +52,7 @@ __all__ = [
     "DPIA_BEST_V_MW",
 ]
 
-# The paper's tuned distribution for MW=2 on LeNet-5 (§8.2 / Table 5).
-DPIA_BEST_V_MW: Dict[int, Tuple[float, ...]] = {
-    2: (0.2, 0.1, 0.6, 0.1),
-    3: (0.1, 0.1, 0.8),
-    4: (0.1, 0.9),
-}
+ModelFactory = Callable[..., Sequential]
 
 
 @dataclass
@@ -63,56 +66,127 @@ class ExperimentRow:
     extra: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Workload:
+    """One attack's victim and data, built once.
+
+    ``score(protected)`` runs the attack against one protected set.
+    """
+
+    model: Sequential
+    score: Callable[[Iterable[int]], AttackResult]
+
+    def rows(self, protected_sets: Sequence[Tuple[int, ...]]) -> List[ExperimentRow]:
+        """One ``ATTACK/model`` row per protected set."""
+        rows = []
+        for protected in protected_sets:
+            result = self.score(protected)
+            rows.append(
+                ExperimentRow(
+                    f"{result.attack}/{self.model.name}",
+                    tuple(sorted(protected)),
+                    result.score,
+                    result.metric,
+                    result.detail,
+                )
+            )
+        return rows
+
+
 # ----------------------------------------------------------------------
 # DRIA (Figure 5)
 # ----------------------------------------------------------------------
 
-def dria_experiment(
-    protected_sets: Sequence[Tuple[int, ...]],
-    model_name: str = "lenet5",
+def dria_workload(
+    model_factory: ModelFactory = lenet5,
     iterations: int = 150,
     num_classes: int = 10,
-    model_scale: float = 1.0,
+    seed: int = 0,
+) -> Workload:
+    """The DRIA victim and the one private sample whose gradients it leaks."""
+    model = model_factory(num_classes=num_classes, seed=seed + 1)
+    data = synthetic_cifar(
+        num_samples=4, num_classes=num_classes, shape=model.input_shape, seed=seed
+    )
+    attack = DataReconstructionAttack(model, iterations=iterations, seed=seed)
+    return Workload(model, partial(attack.run, data.x[:1], data.one_hot_labels()[:1]))
+
+
+def dria_experiment(
+    protected_sets: Sequence[Tuple[int, ...]],
+    model_factory: ModelFactory = lenet5,
+    iterations: int = 150,
+    num_classes: int = 10,
     seed: int = 0,
     fast: bool = False,
 ) -> List[ExperimentRow]:
     """ImageLoss of gradient-matching reconstruction per protected set."""
     if fast:
         iterations = min(iterations, 30)
-        model_scale = min(model_scale, 0.5)
-    factory = lenet5 if model_name == "lenet5" else alexnet
-    model = factory(num_classes=num_classes, seed=seed + 1, scale=model_scale)
-    data = synthetic_cifar(num_samples=4, num_classes=num_classes, seed=seed)
-    x, y = data.x[:1], data.one_hot_labels()[:1]
-    attack = DataReconstructionAttack(model, iterations=iterations, seed=seed)
-    rows = []
-    for protected in protected_sets:
-        result = attack.run(x, y, protected=protected)
-        rows.append(
-            ExperimentRow(
-                label=f"DRIA/{model_name}",
-                protected=tuple(sorted(protected)),
-                score=result.score,
-                metric="ImageLoss",
-                extra={"iterations": result.detail["report"].iterations},
-            )
-        )
-    return rows
+    return dria_workload(model_factory, iterations, num_classes, seed).rows(protected_sets)
 
 
 # ----------------------------------------------------------------------
 # MIA (Figure 6)
 # ----------------------------------------------------------------------
 
-def mia_experiment(
-    protected_sets: Sequence[Tuple[int, ...]],
-    model_name: str = "lenet5",
+def mia_workload(
+    model_factory: ModelFactory = partial(lenet5, activation="relu"),
     num_classes: int = 30,
     samples_per_side: int = 240,
     epochs: int = 12,
     probes_per_class: int = 120,
     attack_seeds: int = 3,
-    model_scale: float = 1.0,
+    noise: float = 0.45,
+    seed: int = 0,
+) -> Workload:
+    """An overfit MIA target and its probes' gradient features.
+
+    The target trains and every probe's per-layer feature block is computed
+    here, once; a protected set only drops blocks.  ``score`` averages the
+    held-out AUC over the train/test splits ``range(attack_seeds)``.
+    """
+    model = model_factory(num_classes=num_classes, seed=seed + 5)
+    data = synthetic_cifar(
+        num_samples=2 * samples_per_side,
+        num_classes=num_classes,
+        shape=model.input_shape,
+        noise=noise,
+        seed=seed,
+    )
+    members = data.subset(np.arange(samples_per_side))
+    nonmembers = data.subset(np.arange(samples_per_side, 2 * samples_per_side))
+    train_target_model(model, members, epochs=epochs)
+    attack = MembershipInferenceAttack(
+        model, probes_per_class=probes_per_class, seed=seed
+    )
+    blocks, labels = attack.precompute_blocks(members, nonmembers)
+
+    def score(protected: Iterable[int]) -> AttackResult:
+        runs = [
+            attack.run_from_blocks(blocks, labels, protected=protected, seed=s)
+            for s in range(attack_seeds)
+        ]
+        aucs = [run.score for run in runs]
+        return AttackResult(
+            "MIA",
+            runs[0].protected,
+            float(np.mean(aucs)),
+            "AUC",
+            {"std": float(np.std(aucs)), "seeds": attack_seeds},
+        )
+
+    return Workload(model, score)
+
+
+def mia_experiment(
+    protected_sets: Sequence[Tuple[int, ...]],
+    model_factory: ModelFactory = partial(lenet5, activation="relu"),
+    num_classes: int = 30,
+    samples_per_side: int = 240,
+    epochs: int = 12,
+    probes_per_class: int = 120,
+    attack_seeds: int = 3,
     noise: float = 0.45,
     seed: int = 0,
     fast: bool = False,
@@ -123,48 +197,16 @@ def mia_experiment(
         epochs = min(epochs, 3)
         probes_per_class = min(probes_per_class, 40)
         attack_seeds = 1
-        model_scale = min(model_scale, 0.5)
         num_classes = min(num_classes, 10)
-    factory = lenet5 if model_name == "lenet5" else alexnet
-    model = factory(
-        num_classes=num_classes, seed=seed + 5, activation="relu", scale=model_scale
-    )
-    data = synthetic_cifar(
-        num_samples=2 * samples_per_side, num_classes=num_classes, noise=noise, seed=seed
-    )
-    members = data.subset(np.arange(samples_per_side))
-    nonmembers = data.subset(np.arange(samples_per_side, 2 * samples_per_side))
-    train_target_model(model, members, epochs=epochs)
-    attack = MembershipInferenceAttack(
-        model, probes_per_class=probes_per_class, seed=seed
-    )
-    blocks, labels = attack.precompute_blocks(members, nonmembers)
-    rows = []
-    for protected in protected_sets:
-        aucs = [
-            attack.run_from_blocks(blocks, labels, protected=protected, seed=s).score
-            for s in range(attack_seeds)
-        ]
-        rows.append(
-            ExperimentRow(
-                label=f"MIA/{model_name}",
-                protected=tuple(sorted(protected)),
-                score=float(np.mean(aucs)),
-                metric="AUC",
-                extra={"std": float(np.std(aucs)), "seeds": attack_seeds},
-            )
-        )
-    return rows
+    return mia_workload(
+        model_factory, num_classes, samples_per_side, epochs,
+        probes_per_class, attack_seeds, noise, seed,
+    ).rows(protected_sets)
 
 
 # ----------------------------------------------------------------------
 # DPIA (Tables 1 & 5)
 # ----------------------------------------------------------------------
-
-def _dpia_reference_model() -> Sequential:
-    """The paper's DPIA victim/attacker model (LeNet-5 gender classifier)."""
-    return lenet5(num_classes=2, seed=9, activation="sigmoid")
-
 
 def simulate_fl_for_dpia(
     policy: ProtectionPolicy,
@@ -174,33 +216,20 @@ def simulate_fl_for_dpia(
     num_samples: int = 600,
     world_seed: int = 1,
     seed: int = 0,
-    model_factory: Optional[Callable[[], Sequential]] = None,
+    model_factory: ModelFactory = lenet5,
 ):
     """Victim-side FL simulation for DPIA.
 
-    The victim trains a gender classifier on LFW-like data; in each
-    cycle its batch either carries the private property (all-property
-    samples) or not, alternating — giving balanced ground truth.  Returns
+    The victim, ``model_factory(num_classes=2, seed=9)``, trains a gender
+    classifier on LFW-like data shaped to its input; in each cycle its
+    batch either carries the private property (all-property samples) or
+    not, alternating — giving balanced ground truth.  Returns
     ``(snapshots, protected_per_cycle, truth)`` where snapshots includes the
     initial state (length ``cycles + 1``).
-
-    ``model_factory`` (a zero-argument callable returning a fresh binary
-    classifier) swaps the paper's LeNet-5 victim for another workload,
-    e.g. ``lambda: vit_tiny(num_classes=2, seed=9)``.  The synthetic LFW
-    shape follows the model's ``input_shape``.
     """
     rng = np.random.default_rng(seed)
-    if model_factory is None:
-        data = synthetic_lfw(num_samples=num_samples, num_classes=2, seed=world_seed)
-        model = _dpia_reference_model()
-    else:
-        model = model_factory()
-        data = synthetic_lfw(
-            num_samples=num_samples,
-            num_classes=2,
-            shape=model.input_shape,
-            seed=world_seed,
-        )
+    model = model_factory(num_classes=2, seed=9)
+    data = synthetic_lfw(num_samples, 2, shape=model.input_shape, seed=world_seed)
     shielded = ShieldedModel(model, policy, batch_size=batch_size)
     snapshots = [model.get_weights()]
     protected_per_cycle: List[frozenset] = []
@@ -230,7 +259,7 @@ def _dpia_auc(
     world_seed: int,
     aux_sample_seed: int,
     seed: int,
-    model_factory: Optional[Callable[[], Sequential]] = None,
+    model_factory: ModelFactory = lenet5,
 ) -> float:
     snapshots, protected_per_cycle, truth = simulate_fl_for_dpia(
         policy,
@@ -240,21 +269,10 @@ def _dpia_auc(
         seed=seed,
         model_factory=model_factory,
     )
-    attacker_model = (
-        _dpia_reference_model() if model_factory is None else model_factory()
+    attacker_model = model_factory(num_classes=2, seed=9)
+    auxiliary = synthetic_lfw(
+        400, 2, shape=attacker_model.input_shape, seed=world_seed, sample_seed=aux_sample_seed
     )
-    if model_factory is None:
-        auxiliary = synthetic_lfw(
-            num_samples=400, num_classes=2, seed=world_seed, sample_seed=aux_sample_seed
-        )
-    else:
-        auxiliary = synthetic_lfw(
-            num_samples=400,
-            num_classes=2,
-            shape=attacker_model.input_shape,
-            seed=world_seed,
-            sample_seed=aux_sample_seed,
-        )
     attack = PropertyInferenceAttack(
         attacker_model,
         batch_size=16,
@@ -275,7 +293,7 @@ def dpia_experiment(
     world_seed: int = 1,
     seed: int = 0,
     fast: bool = False,
-    model_factory: Optional[Callable[[], Sequential]] = None,
+    model_factory: ModelFactory = lenet5,
 ) -> List[ExperimentRow]:
     """DPIA AUC per protection policy (Table 5's layout)."""
     if fast:
@@ -287,13 +305,10 @@ def dpia_experiment(
             policy, cycles, lr, batches_per_snapshot, world_seed, 999, seed,
             model_factory=model_factory,
         )
-        protected_union: frozenset = frozenset()
-        for s in policy.all_possible_sets():
-            protected_union = protected_union | s
         rows.append(
             ExperimentRow(
                 label=label,
-                protected=tuple(sorted(protected_union)),
+                protected=tuple(sorted(frozenset().union(*policy.all_possible_sets()))),
                 score=auc,
                 metric="AUC",
                 extra={"policy": policy.describe()},
@@ -319,7 +334,7 @@ def v_mw_search(
     if fast:
         cycles = min(cycles, 10)
         random_candidates = 2
-    layout = _dpia_reference_model().layout()
+    layout = lenet5().layout()
     positions = layout.num_layers - size_mw + 1
     candidates = candidate_distributions(
         positions, rng=np.random.default_rng(seed), random_candidates=random_candidates

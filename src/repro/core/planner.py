@@ -30,14 +30,11 @@ from ..nn.model import Sequential
 from ..tee.costmodel import CostModel, CycleCost
 from ..tee.world import SecureMemoryExhausted
 from .policy import DynamicPolicy, ProtectionPolicy, StaticPolicy
+from .search import DPIA_BEST_V_MW
 
 __all__ = ["PolicyRecommendation", "PolicyPlanner", "KNOWN_ATTACKS"]
 
 KNOWN_ATTACKS = ("dria", "mia", "dpia")
-
-# The paper's tuned MW=2 distribution for a 5-layer model; for other depths
-# the planner falls back to uniform (and recommends running the search).
-_PAPER_V_MW2_5LAYERS = (0.2, 0.1, 0.6, 0.1)
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,10 @@ class PolicyPlanner:
         positions = self.model.num_layers - size_mw + 1
         if positions < 1:
             raise ValueError("window larger than the model")
-        if size_mw == 2 and positions == len(_PAPER_V_MW2_5LAYERS):
-            v_mw: Tuple[float, ...] = _PAPER_V_MW2_5LAYERS
+        # The paper's tuned MW=2 vector fits a 5-layer model; any other
+        # shape falls back to uniform and recommends running the search.
+        if size_mw == 2 and positions == len(DPIA_BEST_V_MW[2]):
+            v_mw: Tuple[float, ...] = DPIA_BEST_V_MW[2]
             search = False
         else:
             v_mw = tuple(1.0 / positions for _ in range(positions))

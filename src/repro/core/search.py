@@ -15,11 +15,18 @@ and a candidate pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SearchResult", "candidate_distributions", "search_v_mw"]
+__all__ = ["DPIA_BEST_V_MW", "SearchResult", "candidate_distributions", "search_v_mw"]
+
+#: The paper's tuned ``V_MW`` per window size on LeNet-5 (§8.2 / Table 5).
+DPIA_BEST_V_MW: Dict[int, Tuple[float, ...]] = {
+    2: (0.2, 0.1, 0.6, 0.1),
+    3: (0.1, 0.1, 0.8),
+    4: (0.1, 0.9),
+}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .fl.config import ConfigError, knob
@@ -190,13 +191,14 @@ def _cmd_table6(run: PaperRun) -> dict:
 def _cmd_fig5(run: PaperRun) -> dict:
     from .bench.experiments import dria_experiment
     from .bench.tables import layers_label, print_table
+    from .nn import lenet5
 
     protected_sets = [(), (1,), (2,), (1, 2), (5,)]
     rows = dria_experiment(
         protected_sets,
+        model_factory=partial(lenet5, scale=0.5 if run.fast else 1.0),
         iterations=30 if run.fast else 150,
         num_classes=10,
-        model_scale=0.5 if run.fast else 1.0,
         seed=run.seed,
     )
     print_table(
@@ -209,9 +211,13 @@ def _cmd_fig5(run: PaperRun) -> dict:
 def _cmd_fig6(run: PaperRun) -> dict:
     from .bench.experiments import mia_experiment
     from .bench.tables import layers_label, print_table
+    from .nn import lenet5
 
     protected_sets = [(), (5,), (4, 5), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
-    rows = mia_experiment(protected_sets, fast=run.fast, seed=run.seed)
+    target = partial(lenet5, activation="relu", scale=0.5 if run.fast else 1.0)
+    rows = mia_experiment(
+        protected_sets, model_factory=target, fast=run.fast, seed=run.seed
+    )
     print_table(
         "Figure 6 (a): MIA AUC (LeNet-5)",
         [f"  {layers_label(r.protected):<16} AUC={r.score:.3f}" for r in rows],
@@ -220,10 +226,11 @@ def _cmd_fig6(run: PaperRun) -> dict:
 
 
 def _cmd_table5(run: PaperRun) -> dict:
-    from .bench.experiments import DPIA_BEST_V_MW, dpia_experiment
+    from .bench.experiments import dpia_experiment
     from .bench.reference import TABLE5_DYNAMIC, TABLE5_STATIC
     from .bench.tables import format_comparison, print_table
     from .core import DynamicPolicy, NoProtection, StaticPolicy
+    from .core.search import DPIA_BEST_V_MW
     from .nn import lenet5
 
     layout = lenet5().layout()
@@ -246,9 +253,9 @@ def _cmd_table5(run: PaperRun) -> dict:
 
 
 def _cmd_fig8(run: PaperRun) -> dict:
-    from .bench.experiments import DPIA_BEST_V_MW
     from .bench.tables import print_table
     from .core import DynamicPolicy
+    from .core.search import DPIA_BEST_V_MW
     from .nn import lenet5
     from .tee import CostModel
 

@@ -122,7 +122,8 @@ class Sequential:
     # Forward / loss / gradients
     # ------------------------------------------------------------------
     def forward(self, x: Union[np.ndarray, Tensor]) -> Tensor:
-        out = x if isinstance(x, Tensor) else Tensor(x)
+        """Logits for a batch; an array batch is cast to the model's dtype."""
+        out = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         for layer in self.layers:
             out = layer(out)
         return out
@@ -137,7 +138,9 @@ class Sequential:
 
     def loss(self, x: Union[np.ndarray, Tensor], y_onehot: np.ndarray) -> Tensor:
         """Mean categorical cross-entropy on a batch."""
-        return F.cross_entropy(self.forward(x), Tensor(np.asarray(y_onehot)))
+        return F.cross_entropy(
+            self.forward(x), Tensor(np.asarray(y_onehot, dtype=self.dtype))
+        )
 
     def loss_and_gradients(
         self,

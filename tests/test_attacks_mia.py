@@ -58,6 +58,21 @@ class TestAttack:
         assert x.shape[0] == 30
         assert set(np.unique(y)) == {0, 1}
 
+    @pytest.mark.parametrize("protected", [(), (5,), (2, 5), (1, 2, 3, 4, 5)])
+    def test_run_is_run_from_blocks_bitwise(self, overfit_setup, protected):
+        model, members, nonmembers = overfit_setup
+        attack = MembershipInferenceAttack(model, probes_per_class=20, seed=0)
+        blocks, labels = attack.precompute_blocks(members, nonmembers)
+        assert attack.run(members, nonmembers, protected) == attack.run_from_blocks(
+            blocks, labels, protected
+        )
+        # D_grad is the visible blocks side by side.
+        x, y = attack.build_dgrad(members, nonmembers, protected)
+        visible = [blocks[i] for i in sorted(blocks) if i not in protected]
+        expected = np.concatenate(visible, axis=1) if visible else np.zeros((len(y), 0))
+        assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(y, labels)
+
     def test_protected_set_recorded_in_result(self, overfit_setup):
         model, members, nonmembers = overfit_setup
         attack = MembershipInferenceAttack(model, probes_per_class=10, seed=0)

@@ -1,5 +1,7 @@
 """Fast-mode runs of every benchmark driver (pipeline smoke + sanity)."""
 
+from functools import partial
+
 import pytest
 
 from repro.bench import (
@@ -14,22 +16,27 @@ from repro.nn import lenet5
 
 # The DPIA victim is LeNet-5; its policies are built over that layout.
 LENET = lenet5().layout()
+# Half-width DRIA and MIA victims keep these runs short.
+HALF_LENET = partial(lenet5, scale=0.5)
+HALF_MIA_TARGET = partial(lenet5, activation="relu", scale=0.5)
 
 
 class TestDriaDriver:
     def test_rows_per_protected_set(self):
-        rows = dria_experiment([(), (2,)], fast=True)
+        rows = dria_experiment([(), (2,)], model_factory=HALF_LENET, fast=True)
         assert len(rows) == 2
         assert rows[0].metric == "ImageLoss"
 
     def test_protection_increases_image_loss(self):
-        rows = dria_experiment([(), (1, 2)], iterations=60, model_scale=0.5)
+        rows = dria_experiment([(), (1, 2)], model_factory=HALF_LENET, iterations=60)
         assert rows[1].score > rows[0].score
 
 
 class TestMiaDriver:
     def test_fast_mode_produces_auc_rows(self):
-        rows = mia_experiment([(), (1, 2, 3, 4, 5)], fast=True)
+        rows = mia_experiment(
+            [(), (1, 2, 3, 4, 5)], model_factory=HALF_MIA_TARGET, fast=True
+        )
         assert rows[0].metric == "AUC"
         assert 0.0 <= rows[0].score <= 1.0
         # Full protection is a coin flip by construction.

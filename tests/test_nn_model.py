@@ -121,6 +121,18 @@ class TestWeights:
             for key in a:
                 np.testing.assert_array_equal(a[key].astype(np.float32), b[key])
 
+    def test_a_float32_model_computes_a_float64_batch_in_float32(self):
+        from repro.data import synthetic_cifar
+
+        data = synthetic_cifar(num_samples=4, num_classes=10, seed=0)
+        assert data.x.dtype == np.float64
+        model = lenet5(num_classes=10, seed=1).astype(np.float32)
+        assert model.forward(data.x).data.dtype == np.float32
+        assert model.loss(data.x, data.one_hot_labels()).data.dtype == np.float32
+        # The cast is the model's: the same batch cast by hand gives the same bits.
+        cast = data.x.astype(np.float32)
+        np.testing.assert_array_equal(model.forward(data.x).data, model.forward(cast).data)
+
 
 class TestLeNetIntegration:
     def test_lenet_trains_on_images(self, image_batch):
