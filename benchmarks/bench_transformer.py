@@ -13,7 +13,7 @@ Writes ``BENCH_transformer.json`` with three sections:
   row by row.
 * ``step_time`` — eager vs graph-compiled train-step time for ``vit_tiny``
   and ``gpt_tiny`` (losses asserted bitwise-equal).
-* ``models`` — parameter counts and architecture digests.
+* ``models`` — layer and parameter counts and block names.
 
 Usage::
 
@@ -201,7 +201,6 @@ def bench_models():
             "num_layers": model.num_layers,
             "param_count": model.param_count,
             "blocks": model.layout().block_names(),
-            "digest": model.architecture_digest(),
         }
     return out
 

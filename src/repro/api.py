@@ -285,6 +285,25 @@ def serve(config: Optional[ServeRun] = None, **knobs) -> dict:
     return report
 
 
+def _victim_factory(name: str) -> Callable:
+    """The :mod:`repro.nn.zoo` entry ``name``, if it builds from ``(num_classes=, seed=)``."""
+    from inspect import Parameter, signature
+
+    from .nn import zoo
+
+    names = [
+        entry for entry in zoo.__all__
+        if all(param.default is not Parameter.empty or param.name in ("num_classes", "seed")
+               for param in signature(getattr(zoo, entry)).parameters.values())
+    ]
+    if name not in names:
+        raise ValueError(
+            f"unknown model {name!r}; expected one of {', '.join(names)} "
+            "or a factory callable"
+        )
+    return getattr(zoo, name)
+
+
 def attack_suite(
     model: Union[str, Callable, None] = None,
     policy: Optional[ProtectionPolicy] = None,
@@ -299,13 +318,13 @@ def attack_suite(
     """Audit one protection ``policy`` on one ``model`` with every attack.
 
     ``model`` selects the victim architecture: ``None`` or ``"lenet5"``
-    runs the paper's LeNet-5 reference workloads; any other
-    :mod:`repro.nn.zoo` entry name (``"vit_tiny"``, ``"gpt_tiny"``,
-    ``"alexnet"``, ``"mlp"``) or a callable ``factory(num_classes=..., seed=...)``
-    audits that architecture instead.  ``policy`` defaults to
-    :class:`NoProtection` over the model's layout, and accepts any policy
-    built from structured selectors (``"L2"``, ``"block2.softmax"``,
-    :class:`BlockSelector`, …).
+    runs the paper's LeNet-5 reference workloads; ``"alexnet"``,
+    ``"vit_tiny"`` or ``"gpt_tiny"`` (the :mod:`repro.nn.zoo` entries that
+    build from ``num_classes`` and ``seed`` alone) or a callable
+    ``factory(num_classes=..., seed=...)`` audits that architecture
+    instead.  ``policy`` defaults to :class:`NoProtection` over the model's
+    layout, and accepts any policy built from structured selectors
+    (``"L2"``, ``"block2.softmax"``, :class:`BlockSelector`, …).
 
     Runs DRIA and MIA always, and the multi-cycle DPIA pipeline when
     ``dpia=True``.  Returns a JSON-safe dict: per-attack ``score`` /
@@ -317,13 +336,7 @@ def attack_suite(
     if model is None or model == "lenet5":
         model_factory = None
     elif isinstance(model, str):
-        try:
-            model_factory = getattr(_nn, model)
-        except AttributeError:
-            raise ValueError(
-                f"unknown model {model!r}; expected a repro.nn.zoo entry name "
-                "or a factory callable"
-            ) from None
+        model_factory = _victim_factory(model)
     elif callable(model):
         model_factory = model
     else:

@@ -110,14 +110,6 @@ class PatchEmbed(Layer):
         c, _, _ = self.input_shape
         return 2.0 * tokens * dim * c * self.patch * self.patch
 
-    def config(self) -> dict:
-        return {
-            "type": "PatchEmbed",
-            "name": self.name,
-            "dim": self.dim,
-            "patch": self.patch,
-        }
-
 
 class TokenEmbed(Layer):
     """Token embedding for sequence inputs: one-hot rows -> linear -> + pos.
@@ -154,9 +146,6 @@ class TokenEmbed(Layer):
     def flops_per_sample(self) -> float:
         t, v = self.input_shape
         return 2.0 * t * self.dim * v
-
-    def config(self) -> dict:
-        return {"type": "TokenEmbed", "name": self.name, "dim": self.dim}
 
 
 class LayerNorm(Layer):
@@ -201,15 +190,6 @@ class LayerNorm(Layer):
         t, d = _tokens(self.input_shape)
         return 8.0 * t * d
 
-    def config(self) -> dict:
-        return {
-            "type": "LayerNorm",
-            "name": self.name,
-            "carry_residual": self.carry_residual,
-            "block": self.block,
-            "role": self.role,
-        }
-
 
 class QKVProjection(Layer):
     """Fused query/key/value projection: ``(x, h) -> (x, q, k, v)``."""
@@ -249,14 +229,6 @@ class QKVProjection(Layer):
         t, d = _tokens(self.input_shape)
         return 2.0 * t * 3 * d * d
 
-    def config(self) -> dict:
-        return {
-            "type": "QKVProjection",
-            "name": self.name,
-            "block": self.block,
-            "role": self.role,
-        }
-
 
 class AttentionSoftmax(Layer):
     """Scaled dot-product attention weights: ``(x, q, k, v) -> (x, a, v)``.
@@ -287,14 +259,6 @@ class AttentionSoftmax(Layer):
     def flops_per_sample(self) -> float:
         t, d = _tokens(self.input_shape)
         return 2.0 * t * t * d + 5.0 * t * t
-
-    def config(self) -> dict:
-        return {
-            "type": "AttentionSoftmax",
-            "name": self.name,
-            "block": self.block,
-            "role": self.role,
-        }
 
 
 class AttentionOutput(Layer):
@@ -333,14 +297,6 @@ class AttentionOutput(Layer):
     def flops_per_sample(self) -> float:
         t, d = self.output_shape
         return 2.0 * t * t * d + 2.0 * t * d * d
-
-    def config(self) -> dict:
-        return {
-            "type": "AttentionOutput",
-            "name": self.name,
-            "block": self.block,
-            "role": self.role,
-        }
 
 
 class MLPBlock(Layer):
@@ -391,15 +347,6 @@ class MLPBlock(Layer):
         t, d = self.output_shape
         return 4.0 * t * d * self.hidden + 10.0 * t * self.hidden
 
-    def config(self) -> dict:
-        return {
-            "type": "MLPBlock",
-            "name": self.name,
-            "hidden": self.hidden,
-            "block": self.block,
-            "role": self.role,
-        }
-
 
 class MeanPoolHead(Layer):
     """Classification head: mean-pool over tokens, then a linear map."""
@@ -427,6 +374,3 @@ class MeanPoolHead(Layer):
     def flops_per_sample(self) -> float:
         t, d = self.input_shape
         return t * d + 2.0 * self.units * d
-
-    def config(self) -> dict:
-        return {"type": "MeanPoolHead", "name": self.name, "units": self.units}

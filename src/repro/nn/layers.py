@@ -143,10 +143,6 @@ class Layer:
         weights = self.param_count
         return _FLOAT_BYTES * (2 * weights + in_elems + 2 * out_elems)
 
-    def config(self) -> dict:
-        """Lightweight description used for attestation measurements."""
-        return {"type": type(self).__name__, "name": self.name}
-
 
 class Conv2D(Layer):
     """2-D convolution with optional fused activation and 2x2 max-pool.
@@ -236,19 +232,6 @@ class Conv2D(Layer):
         macs = f * oh * ow * pooled * c * self.kernel_size * self.kernel_size
         return 2.0 * macs
 
-    def config(self) -> dict:
-        return {
-            "type": "Conv2D",
-            "name": self.name,
-            "filters": self.filters,
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "pad": self.pad,
-            "activation": self.activation,
-            "pool": self.pool,
-            "use_bias": self.use_bias,
-        }
-
 
 class Dense(Layer):
     """Fully-connected layer.  Auto-flattens 4-D inputs (Darknet behaviour)."""
@@ -288,15 +271,6 @@ class Dense(Layer):
 
     def flops_per_sample(self) -> float:
         return 2.0 * self.params["weight"].size
-
-    def config(self) -> dict:
-        return {
-            "type": "Dense",
-            "name": self.name,
-            "units": self.units,
-            "activation": self.activation,
-            "use_bias": self.use_bias,
-        }
 
 
 class Flatten(Layer):

@@ -7,8 +7,6 @@ indices (1-based ``L1 .. Ln`` in the paper).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -110,13 +108,6 @@ class Sequential:
             )
         rows.append(f"  total params: {self.param_count}")
         return "\n".join(rows)
-
-    def architecture_digest(self) -> str:
-        """Deterministic hash of the architecture (used by attestation)."""
-        blob = json.dumps(
-            [layer.config() for layer in self.layers], sort_keys=True
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()
 
     # ------------------------------------------------------------------
     # Forward / loss / gradients

@@ -69,7 +69,6 @@ descriptors, the version ledger, staleness, refill).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -80,7 +79,7 @@ import numpy as np
 
 from ..core.policy import NoProtection, ProtectionPolicy
 from ..fl.admission import AdmissionConfig, AdmissionController, ReputationTracker
-from ..fl.buffer import BufferedAggregator
+from ..fl.buffer import BufferedAggregator, decode_flat, encode_flat
 from ..fl.config import (
     STALENESS_KINDS,
     BufferConfig,
@@ -765,11 +764,6 @@ class FLSimulator:
         self._tally(counts, "giveups")
         return None
 
-    def _weights_view(self, flat: np.ndarray) -> WeightsList:
-        """``flat`` as a WeightsList keyed in the model's own ``items()`` order."""
-        view = unflatten_weights(flat, self._template)
-        return [{k: v[k] for k in t} for v, t in zip(view, self._template)]
-
     def _admit(
         self,
         counts: Dict[str, int],
@@ -1405,9 +1399,7 @@ class FLSimulator:
                 self._inflight.values(), key=lambda e: int(e["dispatch"])
             ),
             "versions": {
-                str(version): base64.b64encode(
-                    weights_to_bytes(self._weights_view(flat))
-                ).decode("ascii")
+                str(version): encode_flat(flat)
                 for version, flat in sorted(self._version_flat.items())
             },
             "buffer": self._buffer.state_dict(),
@@ -1418,8 +1410,7 @@ class FLSimulator:
         """Rebuild the async pipeline from :meth:`_async_state` bits."""
         self._dispatch_counter = int(state["dispatch"])
         self._version_flat = {
-            int(version): flatten_weights(weights_from_bytes(base64.b64decode(blob)))
-            for version, blob in state["versions"].items()
+            int(version): decode_flat(blob) for version, blob in state["versions"].items()
         }
         self._buffer.load_state(state["buffer"])
         self._window = state["window"]

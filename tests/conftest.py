@@ -108,12 +108,6 @@ def small_model():
 
 
 @pytest.fixture
-def tiny_lenet():
-    """A reduced LeNet-5: same 5-layer structure, fewer filters."""
-    return lenet5(num_classes=5, seed=0, scale=0.5)
-
-
-@pytest.fixture
 def lenet():
     """The paper's LeNet-5 (Table 4 shapes)."""
     return lenet5(num_classes=100, seed=0)

@@ -112,8 +112,7 @@ def test_maxpool_output_bounded_by_input(x):
 
 # ----------------------------------------------------------------------
 # Fused vs composed conv2d: the equivalence claimed in autodiff.fused,
-# checked over random shapes, strides and paddings rather than the
-# hand-picked list in test_autodiff_fused.py.
+# checked over random shapes, strides and paddings.
 # ----------------------------------------------------------------------
 
 @st.composite

@@ -32,7 +32,7 @@ def called_by(census, tmp_path, program):
         check=True,
     )
     table = census.functions()
-    return {table[entry][0] for entry in census.recorded(calls) if entry in table}
+    return {table[entry][0] for entry in census.entered(census.recorded(calls)) if entry in table}
 
 
 def test_hook_records_entered_functions_and_nothing_else(tmp_path):
@@ -68,6 +68,48 @@ def test_hook_records_a_script_that_reaches_src_through_a_relative_path(tmp_path
         "config.BufferConfig(size=2).weight(1.0)\n"
     )
     assert "BufferConfig.weight" in called_by(census, tmp_path, program)
+
+
+def test_a_child_a_test_spawns_records_under_that_tests_node_id(tmp_path):
+    census = load_census()
+    hook, calls = tmp_path / "hook", tmp_path / "calls"
+    hook.mkdir()
+    calls.mkdir()
+    census.install_hook(hook)
+    # The test module imports nothing from src/: what it enters, its child does.
+    (tmp_path / "test_spawn.py").write_text(
+        "import subprocess, sys\n"
+        "def test_spawns():\n"
+        "    subprocess.run([sys.executable, '-m', 'repro', 'list'], check=True)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "census_tests", "test_spawn.py"],
+        env=census.hook_env(hook, calls),
+        cwd=tmp_path,
+        check=True,
+    )
+    table = census.functions()
+    by_test = census.recorded(calls)
+    spawned = {(entry[0], table[entry][0])
+               for entry in by_test["test_spawn.py::test_spawns"] if entry in table}
+    assert ("repro/cli.py", "main") in spawned
+    assert not any(entry in table for entry in by_test.get("", ()))
+
+
+def test_a_test_inside_another_is_covered_by_a_smallest_superset():
+    census = load_census()
+    table = [("m", line, "f") for line in range(4)]
+    by_test = {
+        "": set(table),
+        "a": set(table[:1]),
+        "b": set(table[:2]),
+        "b_twin": set(table[:2]),
+        "c": set(table[:3]),
+        "d": {table[3]},
+        "untouched": set(),
+    }
+    assert census.covered(by_test, table) == {"a": "b", "b": "b_twin", "b_twin": "c"}
 
 
 def test_function_sizes_leave_out_nested_definitions():

@@ -13,43 +13,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bogus"])
-
-    def test_fast_flag(self):
-        args = build_parser().parse_args(["fig5", "--fast"])
-        assert args.fast is True
-
-    def test_rounds_option(self):
-        args = build_parser().parse_args(["table5", "--rounds", "12"])
-        assert args.rounds == 12
-
-    def test_cycles_alias_is_gone(self):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["table5", "--cycles", "12"])
-        assert excinfo.value.code == 2
-
     def test_perf_is_an_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["perf", "--quick"])
         assert excinfo.value.code == 2
-
-    def test_shared_flags_spelled_identically(self):
-        parser = build_parser()
-        subs = parser._subparsers._group_actions[0].choices
-        shared = {
-            # Each subcommand carries every shared flag that is meaningful
-            # for it, under the one canonical spelling.
-            "table5": ("--seed", "--rounds", "--out"),
-            "fig5": ("--seed", "--rounds", "--out"),
-            "trace": ("--clients", "--seed", "--rounds", "--out"),
-            "simulate": ("--clients", "--seed", "--rounds", "--out"),
-        }
-        for name, flags in shared.items():
-            help_text = subs[name].format_help()
-            for flag in flags:
-                assert flag in help_text, f"{name} missing {flag}"
 
 
 class TestCommands:

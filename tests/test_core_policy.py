@@ -9,7 +9,6 @@ from repro.core import (
     DynamicPolicy,
     LayerRef,
     ModelLayout,
-    NoProtection,
     PolicyError,
     StaticPolicy,
     structured_slices,
@@ -38,9 +37,6 @@ class TestContiguousSlices:
 
     def test_single_run(self):
         assert self.runs([2, 3, 4]) == [(2, 4)]
-
-    def test_two_runs(self):
-        assert self.runs([1, 2, 5]) == [(1, 2), (5, 5)]
 
     def test_unsorted_input(self):
         assert self.runs([5, 1, 2]) == [(1, 2), (5, 5)]
@@ -122,11 +118,6 @@ class TestDynamicPolicy:
         with pytest.raises(PolicyError, match="size_mw"):
             DynamicPolicy(flat(5), 6, [1.0])
 
-    def test_deterministic_per_cycle(self):
-        a, b = self.make(seed=7), self.make(seed=7)
-        for cycle in range(20):
-            assert a.layers_for_cycle(cycle) == b.layers_for_cycle(cycle)
-
     def test_empirical_distribution_matches_v_mw(self):
         policy = self.make(seed=1)
         counts = np.zeros(4)
@@ -152,8 +143,3 @@ class TestDynamicPolicy:
             assert all(1 <= i <= n for i in layers)
 
 
-class TestNoProtection:
-    def test_always_empty(self):
-        policy = NoProtection(flat(5))
-        assert policy.layers_for_cycle(3) == frozenset()
-        assert policy.all_possible_sets() == [frozenset()]

@@ -142,26 +142,6 @@ class TestStaticEnvelope:
 
 
 class TestPeltaPolicy:
-    def test_default_roles_static(self, vit_layout):
-        policy = PeltaPolicy(vit_layout)
-        assert policy.layers_for_cycle(0) == frozenset({2, 4, 6, 8, 10, 12})
-        assert policy.layers_for_cycle(7) == policy.layers_for_cycle(0)
-
-    def test_single_block_by_name(self, vit_layout):
-        by_name = PeltaPolicy(vit_layout, blocks=["block2"])
-        assert by_name.layers_for_cycle(0) == frozenset({8, 10, 12})
-        assert by_name.windows == [(8, 10, 12)]
-
-    def test_moving_window_draw_matches_dynamic_scheme(self, vit_layout):
-        policy = PeltaPolicy(vit_layout, size_mw=1, v_mw=(0.5, 0.5), seed=7)
-        expected_sets = [frozenset({2, 4, 6}), frozenset({8, 10, 12})]
-        for cycle in range(32):
-            drawn = policy.layers_for_cycle(cycle)
-            assert drawn in expected_sets
-            # Same (seed, cycle) keying as DynamicPolicy: redrawing is stable.
-            assert drawn == policy.layers_for_cycle(cycle)
-        assert sorted(policy.all_possible_sets(), key=sorted) == expected_sets
-
     def test_window_is_dynamic_policys_window_over_blocks(self, vit_layout):
         """One moving window: the same (seed, V_MW) picks the same position
         whether the units are two blocks or two layers."""
@@ -208,13 +188,6 @@ class TestPolicyFromSpec:
         }
         for spec, expected in cases.items():
             assert policy_from_spec(spec, vit_layout).layers_for_cycle(0) == expected
-
-    def test_mw_specs_are_seeded(self, vit_layout):
-        a = policy_from_spec("pelta-mw:1", vit_layout, seed=5)
-        b = policy_from_spec("pelta-mw:1", vit_layout, seed=5)
-        assert [a.layers_for_cycle(c) for c in range(16)] == [
-            b.layers_for_cycle(c) for c in range(16)
-        ]
 
     def test_accepts_model_and_layout(self):
         model = lenet5()

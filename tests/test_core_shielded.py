@@ -74,28 +74,6 @@ def holds_array(value):
 class TestEquivalence:
     """Protected training must compute exactly what unprotected does."""
 
-    @pytest.mark.parametrize("protected", [(1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)])
-    def test_trajectory_identical_to_unprotected(self, rng, protected):
-        x, y = tiny_batch(rng)
-        ref_model, ref = make_shielded(NoProtection(LAYOUT), seed=1)
-        ref.begin_cycle()
-        ref_losses = [ref.train_step(x, y, lr=0.3) for _ in range(3)]
-        ref.end_cycle()
-
-        model, shielded = make_shielded(
-            StaticPolicy(LAYOUT, [f"L{i}" for i in protected], max_slices=None), seed=1
-        )
-        shielded.begin_cycle()
-        losses = [shielded.train_step(x, y, lr=0.3) for _ in range(3)]
-        shielded.end_cycle()
-
-        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12)
-        for i in range(1, 4):
-            for key, value in ref_model.layer(i).get_weights().items():
-                np.testing.assert_allclose(
-                    model.layer(i).get_weights()[key], value, rtol=1e-12
-                )
-
     def test_lenet_equivalence_with_nonconsecutive_protection(self, rng):
         x = rng.normal(size=(4, 3, 32, 32))
         y = one_hot(rng.integers(0, 5, 4), 5)
@@ -130,17 +108,6 @@ class TestConfidentiality:
         shielded.begin_cycle()
         shielded.end_cycle(restore=False)
         assert np.all(model.layer(2).params["weight"].data == 0)
-
-    def test_leakage_never_contains_protected_gradients(self, rng):
-        x, y = tiny_batch(rng)
-        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1", "L3"]))
-        shielded.begin_cycle()
-        shielded.train_step(x, y)
-        leak = shielded.end_cycle()
-        grads = leak.mean_gradients()
-        assert grads[0] is None
-        assert grads[2] is None
-        assert grads[1] is not None
 
     def test_weight_diffs_hidden_for_protected(self, rng):
         x, y = tiny_batch(rng)
@@ -380,21 +347,6 @@ class TestTrustedApplicationDirect:
 
 
 class TestMemoryAccounting:
-    def test_peak_memory_recorded(self, rng):
-        x, y = tiny_batch(rng)
-        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L2"]))
-        shielded.begin_cycle()
-        shielded.train_step(x, y)
-        leak = shielded.end_cycle()
-        assert leak.peak_tee_bytes > 0
-
-    def test_memory_released_after_cycle(self, rng):
-        _, shielded = make_shielded(StaticPolicy(LAYOUT, ["L1", "L2", "L3"], max_slices=None))
-        shielded.begin_cycle()
-        assert shielded.pool.used_bytes > 0
-        shielded.end_cycle()
-        assert shielded.pool.used_bytes == 0
-
     def test_too_small_pool_raises(self):
         with pytest.raises(SecureMemoryExhausted):
             model, shielded = make_shielded(

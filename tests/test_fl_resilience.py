@@ -49,23 +49,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_seconds=-0.1)
 
-    def test_backoff_schedule_doubles(self):
-        policy = RetryPolicy(max_retries=5, backoff_seconds=0.1)
-        assert [policy.backoff_for(a) for a in (1, 2, 3, 4)] == [
-            0.1, 0.2, 0.4, 0.8
-        ]
-        with pytest.raises(ValueError):
-            policy.backoff_for(0)
-
-    def test_bounded_backoff_caps_the_exponent(self):
-        # the serve transport retransmits forever but its waits plateau at
-        # the max_retries+1 step of the shared schedule
-        policy = RetryPolicy(max_retries=2, backoff_seconds=0.5)
-        assert policy.bounded_backoff_for(1) == policy.backoff_for(1)
-        assert policy.bounded_backoff_for(3) == policy.backoff_for(3)
-        assert policy.bounded_backoff_for(50) == policy.backoff_for(3)
-        assert policy.bounded_backoff_for(0) == policy.backoff_for(1)
-
 
 class TestServerResilience:
     def test_fail_fast_without_retry_policy(self):
@@ -125,6 +108,7 @@ class TestTrafficCounters:
             for client in clients:
                 assert down.value(client=client.client_id) > 0
                 assert up.value(client=client.client_id) > 0
+
 
 def _always_raise(*args, **kwargs):
     raise FlakyOnce("injected client failure")

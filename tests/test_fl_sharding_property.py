@@ -41,7 +41,7 @@ def make_updates(seed, num_clients, size, magnitude):
 def tree_for(updates, num_shards):
     return HierarchicalAggregator(
         flatten_weights(updates[0]).size,
-        ShardingConfig(num_shards=num_shards, track_memory=False),
+        ShardingConfig(num_shards=num_shards),
     )
 
 
@@ -52,6 +52,8 @@ def tree_for(updates, num_shards):
     size=st.integers(1, 17),
     magnitude=st.integers(0, 6),
 )
+
+
 def test_sharded_reduce_is_bitwise_fedavg(
     seed, num_clients, num_shards, size, magnitude
 ):
@@ -69,6 +71,8 @@ def test_sharded_reduce_is_bitwise_fedavg(
     num_clients=st.integers(2, 16),
     size=st.integers(4, 40),
 )
+
+
 def test_single_client_shards_are_exact(seed, num_clients, size):
     # Degenerate topology: as many shards as clients, one fold each.
     updates, counts = make_updates(seed, num_clients, size, 3)
@@ -86,6 +90,8 @@ def test_single_client_shards_are_exact(seed, num_clients, size):
     size=st.integers(8, 64),
     ratio=st.floats(0.05, 1.0),
 )
+
+
 def test_sparse_topk_folds_match_flat_sparse_mean(
     seed, num_clients, num_shards, size, ratio
 ):
@@ -100,9 +106,7 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     for update, count in zip(sparse, counts):
         acc.add_at(update.indices, float(count) * update.values)
     expected = acc.value() / float(sum(counts))
-    tree = HierarchicalAggregator(
-        size, ShardingConfig(num_shards=num_shards, track_memory=False)
-    )
+    tree = HierarchicalAggregator(size, ShardingConfig(num_shards=num_shards))
     for position, (update, count) in enumerate(zip(sparse, counts)):
         dense = np.zeros(size)
         dense[update.indices] = update.values
@@ -115,6 +119,8 @@ def test_sparse_topk_folds_match_flat_sparse_mean(
     num_clients=st.integers(2, 12),
     size=st.integers(1, 16),
 )
+
+
 def test_routing_cannot_change_the_result(seed, num_clients, size):
     updates, counts = make_updates(seed, num_clients, size, 4)
     rng = np.random.default_rng(seed ^ 0xC0FFEE)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     flatten_weights,
-    mlp,
     unflatten_weights,
     weights_from_bytes,
     weights_to_bytes,
@@ -34,15 +33,6 @@ class TestBytesRoundtrip:
 
 
 class TestFlatten:
-    def test_flatten_unflatten_roundtrip(self, small_model):
-        weights = small_model.get_weights()
-        flat = flatten_weights(weights)
-        assert flat.ndim == 1
-        restored = unflatten_weights(flat, weights)
-        for a, b in zip(weights, restored):
-            for key in a:
-                np.testing.assert_array_equal(a[key], b[key])
-
     def test_flat_length_is_param_count(self, small_model):
         assert flatten_weights(small_model.get_weights()).size == small_model.param_count
 
@@ -66,6 +56,7 @@ class TestFlatten:
             for s in shapes
         ]
         flat = flatten_weights(weights)
+        assert flat.ndim == 1
         restored = unflatten_weights(flat, weights)
         for a, b in zip(weights, restored):
             for key in a:

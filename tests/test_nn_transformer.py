@@ -44,15 +44,6 @@ class TestZooEntries:
         assert out_a.shape == (2, 7)
         np.testing.assert_array_equal(out_a, out_b)
 
-    def test_digests_distinguish_architectures(self):
-        digests = {
-            vit_tiny(seed=0).architecture_digest(),
-            gpt_tiny(seed=0).architecture_digest(),
-            vit_tiny(num_blocks=1, seed=0).architecture_digest(),
-            vit_tiny(dim=24, seed=0).architecture_digest(),
-        }
-        assert len(digests) == 4
-
     def test_scale_shrinks_model(self):
         full = vit_tiny(seed=0)
         half = vit_tiny(seed=0, scale=0.5)
@@ -77,7 +68,6 @@ class TestZooEntries:
             assert set(wa) == set(wb)
             for key in wa:
                 np.testing.assert_array_equal(wa[key], wb[key])
-        assert twin.architecture_digest() == model.architecture_digest()
 
 
 class TestMemoryAccounting:

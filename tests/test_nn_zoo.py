@@ -35,11 +35,6 @@ class TestLeNet5:
     def test_scale_reduces_parameters(self):
         assert lenet5(scale=0.5).param_count < lenet5().param_count
 
-    def test_forward_runs(self):
-        model = lenet5(num_classes=10, scale=0.5)
-        out = model.forward(np.zeros((2, 3, 32, 32)))
-        assert out.shape == (2, 10)
-
 
 class TestAlexNet:
     def test_table4_shapes(self):
@@ -54,14 +49,10 @@ class TestAlexNet:
             (4096,),
             (100,),
         ]
-        for layer, out_shape in zip(model.layers, expected_out):
-            assert layer.output_shape == out_shape
+        assert [layer.output_shape for layer in model.layers] == expected_out
 
     def test_dense_input_is_1024(self):
         assert alexnet().layer(6).input_shape == (1024,)
-
-    def test_eight_layers(self):
-        assert alexnet().num_layers == 8
 
     def test_scaled_alexnet_trains(self):
         model = alexnet(num_classes=5, scale=0.1)

@@ -64,19 +64,6 @@ class TestStaticProtection:
         for direction in ("forward_run", "backward_run"):
             assert covered_indices(spans, direction) == set(protected)
 
-    def test_unprotected_layers_never_cross(self):
-        with obs.fresh(clock=FakeClock()) as ctx:
-            shielded = make_shielded(StaticPolicy(LENET, ["L2", "L3"]), "leak-rest")
-            x, y = make_batch()
-            shielded.begin_cycle()
-            shielded.train_step(x, y, lr=0.05)
-            shielded.end_cycle()
-            spans = ctx.tracer.finished_spans()
-        crossed = covered_indices(spans, "forward_run") | covered_indices(
-            spans, "backward_run"
-        )
-        assert crossed == {2, 3}  # L1, L4, L5 stayed in the normal world
-
     def test_normal_world_buffer_access_raises(self):
         with obs.fresh(clock=FakeClock()):
             shielded = make_shielded(StaticPolicy(LENET, ["L2", "L5"]), "leak-access")
@@ -93,17 +80,6 @@ class TestStaticProtection:
                     buffer.view()
                 with pytest.raises(SecureWorldViolation):
                     np.asarray(buffer)
-            shielded.end_cycle()
-
-    def test_scrubbed_normal_copies_are_zero(self):
-        """What the attacker *can* read of protected layers is all zeros."""
-        with obs.fresh(clock=FakeClock()):
-            shielded = make_shielded(StaticPolicy(LENET, ["L2"]), "leak-scrub")
-            x, y = make_batch()
-            shielded.begin_cycle()
-            shielded.train_step(x, y, lr=0.05)
-            for param in shielded.model.layer(2).params.values():
-                assert not param.data.any()
             shielded.end_cycle()
 
 
@@ -149,23 +125,6 @@ class TestMovingWindowProtection:
                     buffer.read()
             assert touched == set(window)
             shielded.end_cycle()
-
-    def test_window_draw_matches_policy_metrics_free(self):
-        """The windows the spans prove executed are the policy's own draws."""
-        policy = self.make_policy()
-        replay = self.make_policy()
-        with obs.fresh(clock=FakeClock()):
-            shielded = make_shielded(policy, "leak-mw-replay")
-            x, y = make_batch()
-            observed = []
-            for _ in range(3):
-                shielded.begin_cycle()
-                observed.append(shielded.protected_layers)
-                shielded.train_step(x, y, lr=0.05)
-                shielded.end_cycle()
-        expected = [replay.layers_for_cycle(c) for c in range(3)]
-        assert observed == expected
-
 
 BOUNDARY_CASES = {
     "lenet5-static": (lambda: lenet5(num_classes=NUM_CLASSES, seed=0, scale=0.5), "static:L2+L4"),

@@ -131,17 +131,6 @@ class TestFaults:
 
 
 class TestKillResume:
-    def test_in_process_kill_resume_is_bitwise_identical(self, tmp_path):
-        specs = [spec(dropout=0.05, straggler=0.1)]
-        uninterrupted, _ = run_harness(specs)
-
-        storage = storage_for(tmp_path)
-        partial, finished = run_harness(specs, storage=storage, max_events=15)
-        assert not finished
-        resumed, finished = run_harness(specs, storage=storage, resume=True)
-        assert finished
-        assert report_bytes(resumed) == report_bytes(uninterrupted)
-
     def test_resume_at_every_cut_point_matches(self, tmp_path):
         # the strong form: whatever event the process dies on, the resumed
         # run finishes with byte-identical output

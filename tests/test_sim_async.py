@@ -1,20 +1,17 @@
 """End-to-end tests for the asynchronous (FedBuff-style) simulator mode.
 
 Everything here rides the shared ``sim_runner`` / ``sim_factory`` /
-``report_bytes`` / ``simulate_cli`` fixtures from ``conftest.py``.  The
-claims: same-seed async runs are byte-identical (CLI and API), a
-coordinator killed *mid-buffer* resumes bit-for-bit, stragglers produce
+``report_bytes`` fixtures from ``conftest.py``.  The claims: same-seed
+async runs are byte-identical, a coordinator killed *mid-buffer* resumes
+bit-for-bit, stragglers produce
 genuinely stale folds, and aggregator memory stays flat as the fleet
 grows.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro import api
 from repro.sim import FaultRates, SimConfig
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
@@ -64,30 +61,6 @@ class TestDeterminism:
         assert reports[0]["totals"]["commits"] == ASYNC["rounds"]
         # the faults actually bit — this is not an idle-fleet agreement
         assert reports[0]["totals"]["dropouts"] > 0
-
-    def test_cli_async_byte_identical(self, simulate_cli):
-        flags = ("--async", "--buffer-size", "8")
-        first = simulate_cli("a.json", *flags)
-        second = simulate_cli("b.json", *flags)
-        assert first == second
-        payload = json.loads(first)
-        assert payload["mode"] == "async"
-        assert payload["config"]["buffer_size"] == 8
-        assert payload["totals"]["commits"] == 3
-
-    def test_api_simulate_async_deterministic(self):
-        kwargs = dict(
-            clients=40,
-            rounds=3,
-            seed=9,
-            dropout=0.2,
-            async_mode=True,
-            buffer_size=8,
-        )
-        a = api.simulate(**kwargs)
-        b = api.simulate(**kwargs)
-        assert a == b
-        assert a["mode"] == "async"
 
     def test_staleness_weighting_changes_the_weights(self, sim_runner):
         constant = sim_runner(rates=FaultRates(straggler=0.3), **ASYNC)
@@ -152,20 +125,6 @@ class TestKillResume:
         assert resumed.pop("resumed_from_round") == 2
         uninterrupted.pop("resumed_from_round")
         assert resumed["weights_sha256"] == uninterrupted["weights_sha256"]
-        assert report_bytes(resumed) == report_bytes(uninterrupted)
-
-    def test_commit_boundary_resume_is_bit_for_bit(
-        self, sim_runner, sim_factory, report_bytes
-    ):
-        settings = dict(ASYNC, rounds=4)
-        uninterrupted = sim_runner(rates=FAULTS, **settings)
-        storage = SecureStorage(InMemoryBackend(), ssk=SSK)
-        with sim_factory(storage=storage, rates=FAULTS, **settings) as killed:
-            killed.step_commit()
-        with sim_factory(storage=storage, rates=FAULTS, **settings) as revived:
-            resumed = revived.run()
-        assert resumed.pop("resumed_from_round") == 1
-        uninterrupted.pop("resumed_from_round")
         assert report_bytes(resumed) == report_bytes(uninterrupted)
 
 

@@ -106,18 +106,6 @@ class TestFaultPlan:
         assert plan.fault_for(2, 8) is None
         assert plan.fault_for(2, 9) is FaultKind.DROP
 
-    def test_changing_one_rate_keeps_other_kinds_stable(self):
-        # The single-draw bucketing means adding a new fault kind *after*
-        # existing ones in the realisation order never reshuffles which
-        # clients realise the earlier kinds.
-        base = FaultPlan(FaultRates(dropout=0.2), seed=5)
-        extended = FaultPlan(
-            FaultRates(dropout=0.2, attestation=0.1), seed=5
-        )
-        for client in range(200):
-            if base.fault_for(0, client) is FaultKind.DROP:
-                assert extended.fault_for(0, client) is FaultKind.DROP
-
     def test_describe_mentions_active_rates(self):
         plan = FaultPlan(FaultRates(dropout=0.3), seed=9).inject(0, 0, "drop")
         text = plan.describe()

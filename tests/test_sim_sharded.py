@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cli import main
 from repro.obs import VirtualClock, fresh
 from repro.sim import FLSimulator, FaultPlan, FaultRates, SimConfig
 
@@ -115,32 +114,3 @@ class TestShardFaults:
             assert a["dropouts"] == b["dropouts"]
 
 
-class TestCliSharded:
-    def run_cli(self, tmp_path, name, *extra):
-        out = tmp_path / name
-        argv = [
-            "simulate", "--clients", "90", "--rounds", "2", "--seed", "6",
-            "--out", str(out), *extra,
-        ]
-        assert main(argv) == 0
-        return out.read_bytes()
-
-    def test_shards_flag_byte_reproducible(self, tmp_path):
-        first = self.run_cli(tmp_path, "a.json", "--shards", "16")
-        second = self.run_cli(tmp_path, "b.json", "--shards", "16")
-        assert first == second
-
-    def test_shards_flag_preserves_weights(self, tmp_path):
-        flat = json.loads(self.run_cli(tmp_path, "flat.json"))
-        sharded = json.loads(
-            self.run_cli(tmp_path, "sharded.json", "--shards", "16")
-        )
-        assert sharded["weights_sha256"] == flat["weights_sha256"]
-
-    def test_shard_down_flag(self, tmp_path):
-        payload = json.loads(
-            self.run_cli(
-                tmp_path, "down.json", "--shards", "8", "--shard-down", "0.5"
-            )
-        )
-        assert payload["totals"]["shard_down"] > 0
