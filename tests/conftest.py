@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import synthetic_cifar
 from repro.nn import lenet5, mlp, one_hot
@@ -19,6 +20,11 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 # tools/ holds scripts, not a package: the gate table and the census
 # import as top-level modules, as they do when run.
 sys.path.insert(0, str(_REPO_ROOT / "tools"))
+
+# One example budget for every hypothesis suite, whichever modules a run
+# collects; a suite that needs its own budget sets ``@settings`` on its tests.
+settings.register_profile("tier1", max_examples=30, deadline=None)
+settings.load_profile("tier1")
 
 
 def _subprocess_env():

@@ -137,9 +137,6 @@ class TestShapes:
 
 
 class TestReductions:
-    def test_sum_all(self):
-        check_gradients(lambda a: a.sum() * 2.0, [t((2, 3))])
-
     def test_sum_axis(self):
         check_gradients(lambda a: (a.sum(axis=1) ** 2).sum(), [t((2, 3))])
 
@@ -217,9 +214,3 @@ class TestMaxPool:
     def test_indivisible_raises(self):
         with pytest.raises(ValueError, match="divisible"):
             ops.maxpool2d(t((1, 1, 5, 4)), 2)
-
-    def test_gradient_routes_to_argmax_only(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]), requires_grad=True)
-        out = ops.maxpool2d(x, 2)
-        (g,) = grad(out.sum(), [x])
-        np.testing.assert_allclose(g.data, [[[[0, 0], [0, 1.0]]]])

@@ -13,9 +13,6 @@ from repro.autodiff.workspace import Workspace, get_workspace
 
 pytestmark = pytest.mark.property
 
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
-
 
 def arrays(shape):
     return hnp.arrays(

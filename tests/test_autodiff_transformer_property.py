@@ -9,7 +9,7 @@ these gradients.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import Tensor, grad, ops
@@ -17,9 +17,6 @@ from repro.autodiff import functional as F
 from repro.autodiff.gradcheck import check_gradients
 
 pytestmark = pytest.mark.property
-
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
 
 
 def arrays(shape, lo=-2.0, hi=2.0):

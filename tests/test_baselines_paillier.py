@@ -1,16 +1,13 @@
 """Tests for the Paillier cryptosystem (BatchCrypt's substrate)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.baselines.paillier import (
     PaillierPublicKey,
     _is_probable_prime,
     generate_keypair,
 )
-
-settings.register_profile("ci", max_examples=15, deadline=None)
-settings.load_profile("ci")
 
 
 @pytest.fixture(scope="module")

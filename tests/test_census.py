@@ -1,5 +1,6 @@
 """The execution census records exactly the functions a process enters."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -151,3 +152,27 @@ def test_design_table_lists_exactly_the_census_non_gated_functions():
     listed = Counter(design_census_table())
     assert not listed - expected, "DESIGN lists functions the census does not"
     assert not expected - listed, "the census lists functions DESIGN does not"
+
+
+def defined_tests():
+    """``tests/file.py::[Class::]function`` of every function under ``tests/``."""
+    names = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        def walk(body, prefix):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}::")
+                elif isinstance(node, ast.FunctionDef):
+                    names.add(prefix + node.name)
+
+        walk(ast.parse(path.read_text()).body, f"tests/{path.name}::")
+    return names
+
+
+def test_every_test_the_census_names_still_exists():
+    # A batch that deletes tests re-runs the census, or its rows name tests
+    # that are gone and its deletion candidates are stale.
+    recorded = json.loads((ROOT / "tools" / "census.json").read_text())
+    named = {re.sub(r"\[.*\]$", "", node_id)
+             for row in recorded["covered_tests"].items() for node_id in row}
+    assert not named - defined_tests(), "re-run python tools/census.py"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import (
     DarknetzPolicy,
@@ -13,9 +13,6 @@ from repro.core import (
     StaticPolicy,
     structured_slices,
 )
-
-settings.register_profile("ci", max_examples=30, deadline=None)
-settings.load_profile("ci")
 
 
 def flat(n):

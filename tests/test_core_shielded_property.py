@@ -7,15 +7,12 @@ protected set. These are the two properties everything else rests on.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import NoProtection, ShieldedModel, StaticPolicy
 from repro.nn import mlp, one_hot
 
 pytestmark = pytest.mark.property
-
-settings.register_profile("shielded", max_examples=12, deadline=None)
-settings.load_profile("shielded")
 
 LAYERS = 4
 

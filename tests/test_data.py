@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.data import (
     ArrayDataset,
@@ -11,9 +11,6 @@ from repro.data import (
     synthetic_cifar,
     synthetic_lfw,
 )
-
-settings.register_profile("ci", max_examples=20, deadline=None)
-settings.load_profile("ci")
 
 
 class TestArrayDataset:

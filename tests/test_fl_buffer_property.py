@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.fl import (
     BufferConfig,
@@ -40,9 +40,6 @@ from repro.nn.serialize import flatten_weights
 from .test_fl_aggregation import ReferenceAccumulator
 
 pytestmark = [pytest.mark.property, getattr(pytest.mark, "async")]
-
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
 
 
 def make_updates(seed, num_clients, size, magnitude):

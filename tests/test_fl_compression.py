@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.fl.compression import SparseUpdate, TopKCompressor
-
-settings.register_profile("ci", max_examples=20, deadline=None)
-settings.load_profile("ci")
 
 
 def densify(sparse):

@@ -17,16 +17,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.fl import HierarchicalAggregator, ShardingConfig, shard_of
 from repro.fl.robust import apply_rule
 from repro.nn.serialize import flatten_weights
 
 pytestmark = pytest.mark.property
-
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
 
 RULE_NAMES = ["median", "trimmed_mean", "krum", "clipped_fedavg"]
 

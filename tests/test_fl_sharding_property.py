@@ -9,7 +9,7 @@ routing, and merge shape.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.fl import (
     HierarchicalAggregator,
@@ -22,9 +22,6 @@ from repro.fl.aggregation import CompensatedAccumulator
 from repro.nn.serialize import flatten_weights
 
 pytestmark = pytest.mark.property
-
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
 
 
 def make_updates(seed, num_clients, size, magnitude):

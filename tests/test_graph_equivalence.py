@@ -20,9 +20,6 @@ from repro.obs import fresh
 
 pytestmark = pytest.mark.property
 
-settings.register_profile("graph", max_examples=12, deadline=None)
-settings.load_profile("graph")
-
 
 def _train_eager(model, x, y, lr, steps):
     params = [p for layer in model.layers for p in layer.parameters()]

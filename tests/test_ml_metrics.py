@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.ml import roc_auc_score, train_test_split
-
-settings.register_profile("ci", max_examples=30, deadline=None)
-settings.load_profile("ci")
 
 
 class TestRocAuc:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.ml import (
     DecisionTreeClassifier,
@@ -12,9 +12,6 @@ from repro.ml import (
     StandardScaler,
     roc_auc_score,
 )
-
-settings.register_profile("ci", max_examples=20, deadline=None)
-settings.load_profile("ci")
 
 
 def separable_data(n=200, d=6, seed=0):

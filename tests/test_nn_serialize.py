@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.nn import (
     flatten_weights,
@@ -10,9 +10,6 @@ from repro.nn import (
     weights_from_bytes,
     weights_to_bytes,
 )
-
-settings.register_profile("ci", max_examples=20, deadline=None)
-settings.load_profile("ci")
 
 
 class TestBytesRoundtrip:

@@ -10,9 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.tee import crypto
 from repro.tee.crypto import CryptoError, SealedBlob, decrypt, derive_key, encrypt, random_key
 
-settings.register_profile("ci", max_examples=30, deadline=None)
-settings.load_profile("ci")
-
 CHUNK = crypto.CHUNK_BYTES
 KAT_KEY = bytes(range(32))
 KAT_NONCE = bytes(range(100, 116))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.tee import (
     SecureMemoryExhausted,
@@ -11,9 +11,6 @@ from repro.tee import (
     ShieldedBuffer,
     secure_world,
 )
-
-settings.register_profile("ci", max_examples=30, deadline=None)
-settings.load_profile("ci")
 
 
 class TestSecureMemoryPool:

@@ -328,6 +328,13 @@ GATES: Dict[str, Tuple[Check, ...]] = {
             repro(f"{SYNC} --byzantine 0.2 --rule trimmed_mean --shards 1 --out trimmed-flat.json"),
             LIFECYCLE[5],
         ), name="weights_sha256"),
+        # So does the async window, which trims its buffered updates with
+        # the pure rule.
+        SameField(tuple(
+            repro(f"{SYNC} --async --buffer-size 32 --byzantine 0.2 --rule trimmed_mean"
+                  f" --shards {shards} --out async-trimmed{shards}.json")
+            for shards in (1, 4)
+        ), name="weights_sha256"),
     ),
     "simulate-cli-api": (
         CliEqualsApi(repro("simulate --clients 300 --rounds 4 --seed 7 --dropout 0.1 --corrupt 0.05"
