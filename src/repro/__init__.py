@@ -9,11 +9,18 @@ with ARM TrustZone"* (Middleware '22) as a pure-Python library:
 * :mod:`repro.tee` — the TrustZone/OP-TEE substrate: worlds, secure memory,
   SMC, secure storage, trusted I/O path, attestation, device cost model.
 * :mod:`repro.nn` / :mod:`repro.autodiff` — the neural-network framework
-  (Darknet stand-in) with double-backward autodiff.
+  (Darknet stand-in) with double-backward autodiff; :mod:`repro.graph`
+  traces one eager step and replays it.
+* :mod:`repro.data` — datasets and the synthetic CIFAR-100 / LFW stand-ins.
 * :mod:`repro.fl` — federated-learning server/clients with attestation-gated
-  selection, secure aggregation and DP baselines.
-* :mod:`repro.attacks` — DRIA, MIA and DPIA, evaluated against leakage views.
+  selection and exact, sharded and buffered aggregation.
+* :mod:`repro.sim` / :mod:`repro.serve` — the event-driven fleet simulator
+  and the multi-tenant coordinator service.
+* :mod:`repro.obs` — metrics and tracing on a deterministic clock.
+* :mod:`repro.attacks` / :mod:`repro.ml` — DRIA, MIA and DPIA, evaluated
+  against leakage views, and the classifiers they train.
 * :mod:`repro.bench` — drivers regenerating every table/figure of the paper.
+* :mod:`repro.api` — the library facade the CLI calls.
 
 Quickstart::
 
@@ -37,13 +44,16 @@ __all__ = [
     "api",
     "attacks",
     "autodiff",
-    "baselines",
     "bench",
     "core",
     "data",
     "fl",
+    "graph",
     "ml",
     "nn",
+    "obs",
+    "serve",
+    "sim",
     "tee",
     "__version__",
 ]

@@ -1,8 +1,7 @@
 """Federated learning stack: server, clients, aggregation, selection.
 
 Implements the workflow of the paper's Figure 2 end to end, including the
-attestation-gated client selection, the trusted-I/O-path weight transport,
-and a server-side differential-privacy baseline.
+attestation-gated client selection and the trusted-I/O-path weight transport.
 """
 
 from .. import _lazy_exports
@@ -18,7 +17,6 @@ __all__ = [
     "shard_of",
     "TEESelector", "SelectionResult",
     "Channel", "ClientUpdate", "ModelDownload",
-    "GaussianMechanism", "clip_by_norm",
     "TopKCompressor", "SparseUpdate",
     "RULES", "coordinate_median", "trimmed_mean", "krum", "krum_index",
     "clipped_mean", "apply_rule",
@@ -40,7 +38,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "client": ("FLClient",),
     "compression": ("SparseUpdate", "TopKCompressor"),
     "config": ("BufferConfig", "RoundConfig", "ServerConfig", "ShardingConfig"),
-    "dp": ("GaussianMechanism", "clip_by_norm"),
     "plan": ("TrainingPlan",),
     "resilience": ("RetryPolicy",),
     "robust": (

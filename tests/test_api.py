@@ -1,5 +1,6 @@
 """Tests for the ``repro.api`` facade (and that the README quickstart runs)."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -47,7 +48,6 @@ class TestSurface:
 
     def test_public_names_import_and_removed_ones_are_gone(self):
         import repro.attacks
-        import repro.baselines
         import repro.fl
         import repro.graph
         import repro.nn
@@ -87,9 +87,20 @@ class TestSurface:
             "plan_cache" "_clear",
             "plan_cache" "_stats",
             "on_" "fresh",
+            "PPFL" "Trainer",
+            "PPFL" "Report",
+            "Gaussian" "Mechanism",
+            "clip_by" "_norm",
+            "Batch" "Crypt",
+            "Quantization" "Config",
+            "quantize" "_model",
+            "Quantization" "Report",
+            "Paillier" "PublicKey",
+            "Paillier" "PrivateKey",
+            "generate" "_keypair",
         }
         modules = (
-            repro.fl, repro.serve, api, repro.attacks, repro.baselines,
+            repro.fl, repro.serve, api, repro.attacks,
             repro.tee, repro.nn, repro.graph, repro.obs,
         )
         for module in modules:
@@ -97,6 +108,8 @@ class TestSurface:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
             assert not removed & set(module.__all__)
             assert not any(hasattr(module, name) for name in removed)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro." "baselines")
 
 
 class TestBuildServer:

@@ -2,8 +2,8 @@
 
 Each case is a fresh interpreter (``sys.modules`` is per process): a
 coordinator, a simulator and a shielded client load their own dependency
-cone — never ``scipy``, never the attack / ml / baseline / paper-bench
-subpackages, and a coordinator or simulator never the GradSec trainer —
+cone — never ``scipy``, never the attack / ml / paper-bench subpackages,
+and a coordinator or simulator never the GradSec trainer —
 and the lazy sites (every package ``__init__``'s PEP 562 ``__getattr__``,
 DRIA's function-local ``scipy`` import) behave exactly as the eager ones
 did.  DESIGN.md § Import cones has the table.
@@ -11,7 +11,7 @@ did.  DESIGN.md § Import cones has the table.
 
 import pytest
 
-OFF_CONE = ("numpy.f2py", "repro.attacks", "repro.ml", "repro.baselines", "repro.bench")
+OFF_CONE = ("numpy.f2py", "repro.attacks", "repro.ml", "repro.bench")
 
 # What a coordinator or a simulator never runs: the shielded trainer and its
 # attestation, the planner and the V_MW search, the data sets, the client
@@ -166,11 +166,10 @@ assert "numpy.ma" not in sys.modules
 LAZY_PACKAGES = {
     "repro.attacks": 14,
     "repro.autodiff": 10,
-    "repro.baselines": 9,
     "repro.bench": 10,
     "repro.core": 25,
     "repro.data": 6,
-    "repro.fl": 38,
+    "repro.fl": 36,
     "repro.graph": 11,
     "repro.ml": 7,
     "repro.nn": 27,
@@ -235,10 +234,15 @@ def test_bare_import_loads_no_subpackage_and_resolves_on_access(spawn_python):
     run(
         spawn_python,
         """
+import pathlib
 import repro
 assert [m for m in sys.modules if m.startswith("repro")] == ["repro"]
 assert repro.__version__ == "1.0.0"
 assert set(repro.__all__) <= set(dir(repro))
+# Every subpackage is public; of the plain modules only the api facade is.
+root = pathlib.Path(repro.__file__).parent
+subpackages = {p.parent.name for p in root.glob("*/__init__.py")}
+assert set(repro.__all__) - {"__version__", "api"} == subpackages, repro.__all__
 assert callable(repro.nn.lenet5)          # attribute access imports it
 assert "nn" in vars(repro)                # ... once: now a plain attribute
 from repro import fl

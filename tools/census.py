@@ -136,10 +136,20 @@ GATED: List[Command] = [
     argv for argv in gates.argvs() for _ in range(2 if "--state-dir" in argv else 1)
 ]
 
+#: The tests that check the committed ``census.json`` against the tree.  That
+#: is tier-1's job, not an input to the census, which is about to rewrite the
+#: file: after a deletion they would fail here on the stale copy.
+READS_CENSUS: Command = (
+    "--deselect",
+    "tests/test_census.py::test_design_table_lists_exactly_the_census_non_gated_functions",
+    "--deselect",
+    "tests/test_census.py::test_every_test_the_census_names_still_exists",
+)
+
 #: Tier-1 as CI splits it: the suites without, then with, the property marker.
 TESTS: List[Command] = [
     ("-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "census_tests",
-     "-m", "not property", "tests"),
+     "-m", "not property", *READS_CENSUS, "tests"),
     ("-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "census_tests",
      "-m", "property", "tests"),
 ]
