@@ -190,7 +190,7 @@ def simulate(
     execution knobs ``compile``/``client_batch`` never change them.  The
     ``policy`` spec (:func:`policy_from_spec`) resolves against the
     ``model`` that runs, and the TEE cost model prices every client step
-    under it.  With ``state_dir`` each round (async: each event) is
+    under it.  With ``state_dir`` each round (async: each commit) is
     sealed there; calling again with the same config resumes
     (``resumed_from_round`` says from where) and ends on the uninterrupted
     run's ``weights_sha256``.  ``include_metrics`` embeds the run's

@@ -41,8 +41,8 @@ The round engine mirrors what the production retrofit in
 (asks ``ceil(k * overprovision)`` clients, aggregates the first ``k`` to
 report), enforces a per-round deadline, retries transient failures with
 exponential backoff (bounded), degrades gracefully below quorum (the
-previous global model is reused for that cycle), and checkpoints every round
-through :class:`~repro.tee.storage.SecureStorage` so a killed coordinator
+previous global model is reused for that cycle), and seals one checkpoint per
+round through :class:`~repro.tee.storage.SecureStorage` so a killed coordinator
 resumes mid-training and produces bitwise-identical final weights.
 
 Every random draw is keyed on ``(seed, stream, round[, client])`` — no
@@ -55,9 +55,9 @@ keyed on the dispatch index), arrivals fold straight into a
 :class:`~repro.fl.buffer.BufferedAggregator`, and a commit fires whenever
 ``buffer_size`` admitted updates have accumulated — late (straggling)
 updates arrive *stale* and are folded with their staleness weight instead
-of being dropped.  The same determinism discipline applies, and the
-mid-window buffer state rides the secure-storage checkpoint, so kill/resume
-reproduces the uninterrupted run bit-for-bit.
+of being dropped.  The same determinism discipline applies, and each commit
+seals a checkpoint: a run killed mid-window resumes from its last commit and
+re-runs that window, reproducing the uninterrupted run bit-for-bit.
 
 Both steppers drive one client lifecycle — attempt → retry or give up →
 admission gate → fold → record — through a single implementation of each
@@ -454,7 +454,7 @@ class FLSimulator:
     network:
         Per-client link table (default: sampled from the config seed).
     storage:
-        When given, every round is checkpointed into this
+        When given, each round or async commit seals a checkpoint into this
         :class:`~repro.tee.storage.SecureStorage`; a simulator constructed
         over storage holding a checkpoint resumes from it.
     cost_model:
@@ -1067,8 +1067,8 @@ class FLSimulator:
     # engine: selection is keyed on (seed, stream, dispatch_index), faults
     # on (seed, dispatch_index, client), payloads on the dispatch's model
     # version — so the whole run is a pure function of the seed, and the
-    # in-flight set (plain JSON descriptors) plus the buffer expansion can
-    # be checkpointed mid-window and resumed bit-for-bit.
+    # in-flight set (plain JSON descriptors) plus the buffer expansion,
+    # sealed at each commit, resume bit-for-bit.
     #
     # Simplifications vs sync, by design: shard aggregators are server-side
     # accumulator lanes (no per-round shard deaths — a plan with
@@ -1201,7 +1201,6 @@ class FLSimulator:
             self._async_failure(entry, str(entry["reason"]))
         else:
             self._async_arrival(entry)
-        self._save_checkpoint()
 
     def _async_failure(self, entry: Dict[str, object], reason: str) -> None:
         counts = self._window["counts"]
@@ -1308,11 +1307,8 @@ class FLSimulator:
         """Advance the async pipeline until the next commit; return it."""
         if not self.config.async_mode:
             raise RuntimeError("step_commit requires SimConfig(async_mode=True)")
-        first = self._dispatch_counter == 0
         target = self.round + 1
         self._fill_pipeline()
-        if first:
-            self._save_checkpoint()
         while self.round < target:
             if self.loop.step():
                 continue
@@ -1321,11 +1317,11 @@ class FLSimulator:
                 # (e.g. the whole fleet quarantined): commit what we have,
                 # flagged degraded, rather than stalling forever.
                 self._commit(degraded=True)
-                self._save_checkpoint()
                 break
             raise RuntimeError(
                 "async pipeline stalled: no events pending and empty buffer"
             )
+        self._save_checkpoint()
         return self.history[-1]
 
     # -- checkpoint / resume ----------------------------------------------
@@ -1383,10 +1379,10 @@ class FLSimulator:
         return meta.get("async")
 
     def _async_state(self) -> Dict[str, object]:
-        """JSON-safe view of the mid-window async pipeline (serialise it
+        """JSON-safe view of the async pipeline at a commit (serialise it
         at once: the descriptors and the window are the live objects).
 
-        Everything needed to resume *between events*: the dispatch cursor,
+        Everything needed to resume at a step boundary: the dispatch cursor,
         the in-flight descriptors (plain dicts — their payloads are pure
         functions of ``(seed, dispatch, client)`` plus a stored model
         version, so events are rebuilt, not serialised), the referenced

@@ -4,6 +4,7 @@ a non-zero exit.  No test here runs a ``repro`` command."""
 
 import json
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from gates import (
 
 CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 RUN = gates.repro("simulate --state-dir state --out r.json")  # never run
+SERVE = gates.repro("serve --state-dir state --out r.json")  # never run
+KILLED = -signal.SIGKILL
 SHA = "5e" * 32
 
 
@@ -49,24 +52,41 @@ def test_same_field_fails_on_a_different_sha():
 
 
 def test_resume_equals_reference_fails_on_a_different_sha():
-    check = ResumeEqualsReference(RUN, kills=(1.5, 2.4))
+    check = ResumeEqualsReference(RUN, kills=(0.3, 0.6))
     # How a run got there is not part of what it reports.
     resumed = done(report(resumed_from_round=7, metrics={"counters": {"x": 1}}))
-    check.judge(done(report()), [resumed, done(report())])
+    check.judge(done(report()), [resumed, done(report())], [KILLED, KILLED])
     with pytest.raises(AssertionError, match="reference"):
-        check.judge(done(report()), [resumed, done(report(weights_sha256="5f" * 32))])
+        check.judge(done(report()), [resumed, done(report(weights_sha256="5f" * 32))],
+                    [KILLED, KILLED])
 
 
 def test_resume_equals_reference_without_kills_needs_the_rerun_to_resume():
     check = ResumeEqualsReference(RUN)
     first, rerun = done(report()), done(report(resumed_from_round=4))
-    check.judge(done(report()), [first, rerun])
-    with pytest.raises(AssertionError, match="did not resume"):
-        check.judge(done(report()), [first, first])
+    check.judge(done(report()), [first, rerun], [])
+    with pytest.raises(AssertionError, match="no rerun resumed"):
+        check.judge(done(report()), [first, first], [])
+
+
+def test_a_trial_whose_victim_exited_before_its_kill_fails():
+    check = ResumeEqualsReference(RUN, kills=(0.3, 0.6))
+    resumed = done(report(resumed_from_round=7))
+    check.judge(done(report()), [resumed, resumed], [KILLED, KILLED])
+    with pytest.raises(AssertionError, match="trial 1: exit status 0, not killed"):
+        check.judge(done(report()), [resumed, resumed], [KILLED, 0])
+
+
+def test_a_simulate_kill_check_in_which_no_rerun_resumed_fails():
+    fresh = done(report())
+    with pytest.raises(AssertionError, match="no rerun resumed"):
+        ResumeEqualsReference(RUN, kills=(0.3, 0.6)).judge(fresh, [fresh, fresh], [KILLED] * 2)
+    # A serve report carries no resume marker: its kills are checked, not its reruns.
+    ResumeEqualsReference(SERVE, kills=(0.3, 0.6)).judge(fresh, [fresh, fresh], [KILLED] * 2)
 
 
 def test_resume_runs_each_trial_in_its_own_state_dir():
-    check = ResumeEqualsReference(RUN, kills=(1.0,))
+    check = ResumeEqualsReference(RUN, kills=(0.5,))
     assert check._in("-ref") == gates.repro("simulate --state-dir state-ref --out r.json")
 
 
@@ -109,7 +129,7 @@ def test_fields_fails_on_a_bound_exceeded(bound, at_limit_passes):
     (Exits0(RUN), lambda d: (d,)),
     (SameBytes((RUN, RUN)), lambda d: ([d, d],)),
     (SameField((RUN, RUN), name="weights_sha256"), lambda d: ([d, d],)),
-    (ResumeEqualsReference(RUN, kills=(1.0,)), lambda d: (d, [d])),
+    (ResumeEqualsReference(SERVE, kills=(0.5,)), lambda d: (d, [d], [KILLED])),
     (CliEqualsApi(RUN), lambda d: (d, d.output)),
     (Fields(RUN, {"rounds": 5}), lambda d: (d,)),
 ], ids=["exits-0", "same-bytes", "same-field", "resume", "cli-api", "fields"])

@@ -213,10 +213,12 @@ class TestCheckpointResume:
         assert resumed["rounds"] == uninterrupted["rounds"]
         assert resumed["virtual_seconds"] == uninterrupted["virtual_seconds"]
 
-    def test_checkpoints_counted(self):
+    @pytest.mark.parametrize("async_mode", [False, True], ids=["sync", "async"])
+    def test_checkpoints_counted(self, async_mode):
+        """One seal per step: a round, or an async commit."""
         storage = SecureStorage(InMemoryBackend(), ssk=SSK)
         with obs.fresh(clock=VirtualClock()) as ctx:
-            make_sim(ctx, rounds=3, storage=storage).run()
+            make_sim(ctx, rounds=3, storage=storage, async_mode=async_mode).run()
             assert ctx.registry.counter("sim.checkpoints").total() == 3
 
 
